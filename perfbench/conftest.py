@@ -1,0 +1,6 @@
+"""Let the benchmark's tests import agestruct from the checkout's ``src``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
