@@ -30,8 +30,6 @@ from .rates import ModelError, RateModel
 __all__ = [
     "CapacityError",
     "Population",
-    "Event",
-    "next_event",
     "MartingaleLedger",
     "EventLog",
     "Trajectory",
@@ -117,60 +115,6 @@ class Population:
     def snapshot(self, t_star: float) -> AtomicMeasure:
         ages = np.sort(self.t - self.birth_times[: self.n_live])
         return AtomicMeasure(ages=ages, weight=1.0 / self.k, t_star=t_star)
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str  # "birth" | "death"
-    age: float
-    offspring: int
-
-
-def next_event(pop: Population, model: RateModel, rng: np.random.Generator,
-               horizon: float = math.inf) -> Optional[Event]:
-    """Advance ``pop`` to its next accepted event (or the horizon).
-
-    Returns the event, or None if the horizon was reached first (the
-    population clock is advanced to the horizon in that case).  The thinning
-    scheme matches the batched loop in :func:`simulate`.
-    """
-    bound = model.birth_sup + model.death_sup
-    while True:
-        if pop.n_live == 0 or bound <= 0.0:
-            pop.t = horizon if math.isfinite(horizon) else pop.t
-            return None
-        total = pop.n_live * bound
-        t_cand = pop.t + rng.exponential(1.0 / total)
-        if t_cand >= horizon:
-            pop.t = horizon
-            return None
-        pop.t = t_cand
-        idx = int(rng.random() * pop.n_live)
-        age = pop.t - pop.birth_times[idx]
-        b = float(model.birth_rate(age, pop, pop.k))
-        h = float(model.death_rate(age, pop, pop.k))
-        if b > model.birth_sup * (1.0 + 1e-9) or h > model.death_sup * (1.0 + 1e-9) or b < 0 or h < 0:
-            raise ModelError(
-                f"rate evaluation (b={b}, h={h}) violates declared bounds; "
-                "thinning is unsound for this model"
-            )
-        r = rng.random() * bound
-        if r < b:
-            brood = model.life_law.sample(rng)
-            pop.births_life += brood
-            pop.add_newborns(brood)
-            return Event(pop.t, "birth", age, brood)
-        if r < b + h:
-            brood = model.split_law.sample(rng)
-            pop.deaths += 1
-            pop.death_ages.append(age)
-            pop.death_times.append(pop.t)
-            pop.remove(idx)
-            pop.births_split += brood
-            pop.add_newborns(brood)
-            return Event(pop.t, "death", age, brood)
-        # rejected candidate: time has advanced, ages drifted; try again
 
 
 class MartingaleLedger:
@@ -420,12 +364,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
                 raise ModelError(f"death rate {h} violates declared bound {h_sup}")
         r = next_u() * bound
         if r < b:
-            if life_det is not None:
-                brood = life_det
-            elif life_law.kind == "two_point":
-                brood = life_law.k1 if next_u() < life_law.p else life_law.k2
-            else:
-                brood = life_law.sample(rng)
+            brood = life_det if life_det is not None else life_law.sample(next_u, rng)
             if ledger is not None:
                 ledger.accumulate(pop, model, seg_start, t)
                 seg_start = t
@@ -435,12 +374,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
             if log is not None:
                 log.add(t, KIND_BIRTH, tau, brood)
         elif r < b + h:
-            if split_det is not None:
-                brood = split_det
-            elif split_law.kind == "two_point":
-                brood = split_law.k1 if next_u() < split_law.p else split_law.k2
-            else:
-                brood = split_law.sample(rng)
+            brood = split_det if split_det is not None else split_law.sample(next_u, rng)
             if ledger is not None:
                 ledger.accumulate(pop, model, seg_start, t)
                 seg_start = t

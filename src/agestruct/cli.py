@@ -63,7 +63,6 @@ def main(argv=None) -> int:
     v = sub.add_parser("validate", help="run the full acceptance suite")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--out", type=Path, default=None)
 
     args = parser.parse_args(argv)
 

@@ -16,14 +16,17 @@ import json
 import math
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import __version__
-from .measures import AtomicMeasure, GridDensity, TestFunction, make_panel, pair
+from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
+                       make_panel, pair)
 from .rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kernel,
                     KernelRate, OffspringLaw, RateModel, ScalarFn)
 from .branching import simulate
@@ -121,16 +124,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ExperimentConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        spec = json.loads(Path(path).read_text())
+        allowed = [f.name for f in fields(cls)]
+        unknown = sorted(set(spec) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
+                             f"allowed keys: {', '.join(allowed)}")
+        return cls(**spec)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def build_model(self) -> RateModel:
         return model_from_config(self.model)
-
-    def build_panel(self, t_star: float) -> list[TestFunction]:
-        return make_panel(self.panel, t_star=t_star)
 
 
 def _scalar_fn(spec) -> ScalarFn:
@@ -204,56 +210,23 @@ def model_from_config(spec: dict) -> RateModel:
 # initial conditions
 
 
-class _GridBase:
-    def __init__(self, grid: GridDensity):
-        self.grid = grid
-
-    def pair(self, f):
-        return pair(f, self.grid)
-
-    @property
-    def mass(self):
-        return self.grid.mass
-
-
-class _AtomBase:
-    def __init__(self, ages: np.ndarray, masses: np.ndarray):
-        self.ages = ages
-        self.masses = masses
-
-    def pair(self, f):
-        return float(np.dot(np.asarray(f(self.ages), dtype=float), self.masses))
-
-    @property
-    def mass(self):
-        return float(self.masses.sum())
-
-
-@dataclass(frozen=True)
-class InitialFluctuation:
-    """Exact pairing oracle for sqrt(K) * (realised empirical - target)."""
-
-    empirical: AtomicMeasure       # weight 1/K
-    base: Union[_GridBase, _AtomBase]
-    scale: float
-
-    def pair(self, f) -> float:
-        return self.scale * (pair(f, self.empirical) - self.base.pair(f))
-
-    @property
-    def mass(self) -> float:
-        return self.scale * (self.empirical.mass - self.base.mass)
-
-
 @dataclass(frozen=True)
 class InitialCondition:
     atoms: AtomicMeasure                 # unit weight, the raw population
     k: int
     t_star: float
-    a_star_cells: int
-    base_grid: Optional[GridDensity]     # target density on the solver grid
-    z0: InitialFluctuation
+    z0: SignedPair                       # sqrt(K) * (atoms / K - target), exact
     nu0_values: Optional[np.ndarray]     # realised fluctuation density (grid kind)
+
+    @property
+    def base(self) -> Union[GridDensity, PointMasses]:
+        """The configured target measure (the same for every K)."""
+        return self.z0.minus
+
+    @property
+    def base_grid(self) -> Optional[GridDensity]:
+        """The target density on the solver grid (grid-kind targets only)."""
+        return self.base if isinstance(self.base, GridDensity) else None
 
 
 def largest_remainder_counts(masses: np.ndarray) -> np.ndarray:
@@ -299,6 +272,17 @@ def _spec_extent(spec: Optional[dict]) -> float:
     return float(max(spec["ages"])) if spec["ages"] else 0.0
 
 
+def _n_cells(initial: dict, perturbation: Optional[dict], dx: float,
+             horizon: float) -> int:
+    """Solver grid size: the initial support plus one cell per time step."""
+    extent = max(_spec_extent(initial), _spec_extent(perturbation))
+    n_room = max(1, int(math.ceil(extent / dx - 1e-9)))
+    n_steps = int(round(horizon / dx))
+    if abs(n_steps * dx - horizon) > 1e-9:
+        raise ValueError("horizon must be a multiple of the grid spacing")
+    return n_steps + n_room
+
+
 def build_initial(initial: dict, perturbation: Optional[dict], k: int,
                   dx: float, horizon: float) -> InitialCondition:
     """Realise K * base + sqrt(K) * perturbation as unit-weight atoms.
@@ -309,12 +293,7 @@ def build_initial(initial: dict, perturbation: Optional[dict], k: int,
     scaled-deviation identity holds by construction; its panel pairings are
     reported, not prescribed.
     """
-    extent = max(_spec_extent(initial), _spec_extent(perturbation))
-    n_room = max(1, int(math.ceil(extent / dx - 1e-9)))
-    n_steps = int(round(horizon / dx))
-    if abs(n_steps * dx - horizon) > 1e-9:
-        raise ValueError("horizon must be a multiple of the grid spacing")
-    n_cells = n_steps + n_room
+    n_cells = _n_cells(initial, perturbation, dx, horizon)
     t_star = n_cells * dx
     sqrt_k = math.sqrt(k)
 
@@ -336,12 +315,11 @@ def build_initial(initial: dict, perturbation: Optional[dict], k: int,
         ages = np.repeat(centers, counts_grid)
         if perturbation is not None and perturbation["kind"] == "atoms":
             ages = np.concatenate([ages, pert_ages])
-        base = _GridBase(GridDensity(dx=dx, values=base_cells / dx))
-        base_grid = base.grid
+        base = GridDensity(dx=dx, values=base_cells / dx)
         empirical = AtomicMeasure(ages=np.sort(ages), weight=1.0 / k, t_star=t_star)
         nu0 = sqrt_k * (np.bincount(
             np.minimum((np.sort(ages) / dx).astype(int), n_cells - 1),
-            minlength=n_cells).astype(float) / (k * dx) - base_grid.values)
+            minlength=n_cells).astype(float) / (k * dx) - base.values)
     else:
         base_ages = np.asarray(initial["ages"], dtype=float)
         base_masses = np.asarray(initial["masses"], dtype=float)
@@ -358,32 +336,30 @@ def build_initial(initial: dict, perturbation: Optional[dict], k: int,
                     target.append(sqrt_k * m)
         counts = largest_remainder_counts(np.array(target))
         ages = np.repeat(np.array(ages_all), counts)
-        base = _AtomBase(base_ages, base_masses)
-        base_grid = None
+        base = PointMasses(base_ages, base_masses)
         empirical = AtomicMeasure(ages=np.sort(ages), weight=1.0 / k, t_star=t_star)
         nu0 = None
 
     atoms = AtomicMeasure(ages=empirical.ages, weight=1.0, t_star=t_star)
-    z0 = InitialFluctuation(empirical=empirical, base=base, scale=sqrt_k)
-    return InitialCondition(atoms=atoms, k=k, t_star=t_star, a_star_cells=n_room,
-                            base_grid=base_grid, z0=z0, nu0_values=nu0)
+    return InitialCondition(atoms=atoms, k=k, t_star=t_star,
+                            z0=SignedPair(plus=empirical, minus=base, scale=sqrt_k),
+                            nu0_values=nu0)
 
 
 def background_solution(config: ExperimentConfig, model: RateModel) -> LimitSolution:
-    """Solve the deterministic limit from the configured target density."""
-    init = build_initial(config.initial, config.perturbation, k=max(config.k_values),
-                         dx=config.dt, horizon=config.horizon)
-    if init.base_grid is None:
-        # atomic target: mollify onto the grid (cell-averaged)
-        vals = np.zeros(int(round(init.t_star / config.dt)))
-        base: _AtomBase = init.z0.base  # type: ignore[assignment]
-        for a, m in zip(base.ages, base.masses):
-            j = min(int(a / config.dt), vals.size - 1)
-            vals[j] += m / config.dt
-        a0 = GridDensity(dx=config.dt, values=vals)
+    """Solve the deterministic limit from the configured target density.
+
+    An atomic target is mollified onto the grid (cell-averaged).
+    """
+    dx, initial = config.dt, config.initial
+    n_cells = _n_cells(initial, config.perturbation, dx, config.horizon)
+    if initial["kind"] == "grid":
+        vals = _grid_cell_masses(initial, n_cells, dx) / dx
     else:
-        a0 = init.base_grid
-    return solve_mvf(model, a0, config.horizon, config.dt)
+        vals = np.zeros(n_cells)
+        for a, m in zip(initial["ages"], initial["masses"]):
+            vals[min(int(a / dx), n_cells - 1)] += m / dx
+    return solve_mvf(model, GridDensity(dx=dx, values=vals), config.horizon, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -433,41 +409,104 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# replicate execution
+# study context and replicate execution
 
 
-def _map_tasks(fn: Callable, tasks: list, workers: int) -> list:
+def _map_tasks(fn: Callable, tasks, workers: int) -> list:
     if workers <= 1:
         return [fn(t) for t in tasks]
+    tasks = list(tasks)
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks, chunksize=chunk))
 
 
-def _sim_task(args):
-    """One replicate: returns panel pairings (and martingale values) at out times."""
-    (cfg_dict, k_index, k, rep, purpose, with_ledger) = args
-    config = ExperimentConfig(**cfg_dict)
-    model = config.build_model()
-    init = build_initial(config.initial, config.perturbation, k, config.dt,
-                         config.horizon)
-    panel = config.build_panel(init.t_star)
-    rng = replicate_stream(config.seed, purpose, k_index, rep)
-    traj = simulate(model, init.atoms, k, config.horizon, config.dt_out, rng,
-                    panel=panel, with_ledger=with_ledger,
-                    population_cap=config.population_cap, t_star=init.t_star)
-    if not traj.check_mass_bookkeeping():
-        raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={k}")
-    pairings = np.array([[pair(f, snap) for f in panel] for snap in traj.snapshots])
-    mart = traj.ledger.martingales() if with_ledger else None
-    return pairings, mart
+@dataclass(frozen=True)
+class _Replicate:
+    """One replicate of one (study, K), called with the replicate index.
+
+    Everything here is shared by the replicates of a (study, K); only the
+    index, hence the stream, changes between calls.  ``with_ledger`` and
+    ``log_events`` draw no random numbers, so they never change the
+    pairings.  With ``outdir`` set, each replicate writes its event log
+    (``log_events``) and its final snapshot and ledger (``with_ledger``).
+    """
+
+    model: RateModel
+    atoms: AtomicMeasure
+    k: int
+    panel: list
+    t_star: float
+    horizon: float
+    dt_out: float
+    population_cap: int
+    stream_key: tuple                    # (master seed, purpose, K index)
+    with_ledger: bool = False
+    log_events: bool = False
+    outdir: Optional[Path] = None
+
+    def __call__(self, rep: int):
+        """Panel pairings at the output times, and the martingale path if kept."""
+        rng = replicate_stream(*self.stream_key, rep)
+        traj = simulate(self.model, self.atoms, self.k, self.horizon, self.dt_out, rng,
+                        panel=self.panel, with_ledger=self.with_ledger,
+                        log_events=self.log_events,
+                        population_cap=self.population_cap, t_star=self.t_star)
+        if not traj.check_mass_bookkeeping():
+            raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={self.k}")
+        if self.outdir is not None:
+            name = f"K{self.k}_r{rep}.csv"
+            if self.log_events:
+                traj.events.to_csv(self.outdir / f"events_{name}")
+            if self.with_ledger:
+                traj.snapshots[-1].to_csv(self.outdir / f"snapshot_{name}")
+                traj.ledger.to_csv(self.outdir / f"ledger_{name}")
+        pairings = np.array([[pair(f, snap) for f in self.panel] for snap in traj.snapshots])
+        return pairings, traj.ledger.martingales() if self.with_ledger else None
 
 
-def _run_replicates(config: ExperimentConfig, k_index: int, k: int, purpose: int,
-                    with_ledger: bool, workers: int):
-    tasks = [(config.to_dict(), k_index, k, rep, purpose, with_ledger)
-             for rep in range(config.replicates)]
-    return _map_tasks(_sim_task, tasks, workers)
+class _Study:
+    """What one run builds once and all its replicates share.
+
+    The model, one realised initial condition per K, the panel and the
+    output times are built on construction; the limit background is solved
+    on first use.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.model = config.build_model()
+        self.inits = {k: build_initial(config.initial, config.perturbation, k,
+                                       config.dt, config.horizon)
+                      for k in config.k_values}
+        self.k_max = max(config.k_values)
+        self.init_max = self.inits[self.k_max]
+        self.panel = make_panel(config.panel, t_star=self.init_max.t_star)
+        n_out = int(round(config.horizon / config.dt_out))
+        self.out_times = np.arange(n_out + 1) * config.dt_out
+
+    @cached_property
+    def background(self) -> LimitSolution:
+        return background_solution(self.config, self.model)
+
+    def replicates(self, k_index: int, purpose: int, workers: int, **flags) -> list:
+        """(pairings, martingales) of every replicate at one K; ``flags`` go to
+        :class:`_Replicate`."""
+        cfg = self.config
+        k = cfg.k_values[k_index]
+        init = self.inits[k]
+        task = _Replicate(self.model, init.atoms, k, self.panel, init.t_star, cfg.horizon,
+                          cfg.dt_out, cfg.population_cap, (cfg.seed, purpose, k_index),
+                          **flags)
+        return _map_tasks(task, range(cfg.replicates), workers)
+
+
+def _add_samples(report: Report, k: int, values: np.ndarray, times, labels) -> None:
+    """Append one sample row per (replicate, time, label) of ``values[rep, t, f]``."""
+    for rep in range(values.shape[0]):
+        for ti, t in enumerate(times):
+            for fi, label in enumerate(labels):
+                report.samples.append((k, rep, float(t), label, values[rep, ti, fi]))
 
 
 # ---------------------------------------------------------------------------
@@ -478,42 +517,28 @@ def _is_classical(model: RateModel) -> bool:
     return isinstance(model.birth, ConstantRate) and isinstance(model.death, ConstantRate)
 
 
-def _limit_pairing_fn(config: ExperimentConfig, model: RateModel,
-                      background: Optional[LimitSolution]):
-    """Best available (f, limit measure at t) oracle for the configured model."""
-    if _is_classical(model):
-        init = build_initial(config.initial, config.perturbation,
-                             k=max(config.k_values), dx=config.dt,
-                             horizon=config.horizon)
-        b = model.birth.value
-        h = model.death.value
-        sm, lm = model.split_law.mean, model.life_law.mean
-        if init.base_grid is not None:
-            a0 = init.base_grid
-
-            def fn(f, t):
-                return classical_pairing(f, a0, b, h, sm, lm, t)
-        else:
-            base: _AtomBase = init.z0.base  # type: ignore[assignment]
-            x0 = base.mass
-            n = b * lm + h * sm
-
-            def fn(f, t):
-                surv = math.exp(-h * t) * float(
-                    np.dot(np.asarray(f(base.ages + t), dtype=float), base.masses))
-                if t <= 0:
-                    return surv
-                from scipy.integrate import quad
-                renew, _ = quad(lambda x: float(f(np.array(x))) * n * x0
-                                * math.exp((n - h) * (t - x)) * math.exp(-h * x),
-                                0.0, t, limit=200)
-                return surv + renew
-        return fn
-
-    assert background is not None
+def _limit_pairing_fn(st: _Study):
+    """Best available (f, limit measure at t) oracle for the study's model."""
+    model, base = st.model, st.init_max.base
+    if not _is_classical(model):
+        background = st.background
+        return lambda f, t: pair(f, background.frame_at(t))
+    b, h = model.birth.value, model.death.value
+    sm, lm = model.split_law.mean, model.life_law.mean
+    if isinstance(base, GridDensity):
+        return lambda f, t: classical_pairing(f, base, b, h, sm, lm, t)
+    x0 = base.mass
+    n = b * lm + h * sm
 
     def fn(f, t):
-        return pair(f, background.frame_at(t))
+        surv = math.exp(-h * t) * float(
+            np.dot(np.asarray(f(base.ages + t), dtype=float), base.masses))
+        if t <= 0:
+            return surv
+        renew, _ = quad(lambda x: float(f(np.array(x))) * n * x0
+                        * math.exp((n - h) * (t - x)) * math.exp(-h * x),
+                        0.0, t, limit=200)
+        return surv + renew
 
     return fn
 
@@ -530,26 +555,17 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     scaled-fluctuation limit predicts to sit near -1/2.
     """
     workers = config.workers if workers is None else workers
-    model = config.build_model()
-    background = None if _is_classical(model) else background_solution(config, model)
-    target_of = _limit_pairing_fn(config, model, background)
-
-    init0 = build_initial(config.initial, config.perturbation,
-                          k=max(config.k_values), dx=config.dt, horizon=config.horizon)
-    panel = config.build_panel(init0.t_star)
-    out_times = np.arange(int(round(config.horizon / config.dt_out)) + 1) * config.dt_out
+    st = _Study(config)
+    target_of = _limit_pairing_fn(st)
+    panel, out_times = st.panel, st.out_times
 
     report = Report(name="lln")
     targets = {(ti, fi): target_of(f, float(t))
                for ti, t in enumerate(out_times) for fi, f in enumerate(panel)}
     rms_by_f = {f.label: [] for f in panel}
     for k_index, k in enumerate(config.k_values):
-        results = _run_replicates(config, k_index, k, PURPOSE_LLN, False, workers)
-        arr = np.stack([p for p, _ in results])        # (M, n_out, P)
-        for rep in range(arr.shape[0]):
-            for ti, t in enumerate(out_times):
-                for fi, f in enumerate(panel):
-                    report.samples.append((k, rep, float(t), f.label, arr[rep, ti, fi]))
+        arr = np.stack([p for p, _ in st.replicates(k_index, PURPOSE_LLN, workers)])
+        _add_samples(report, k, arr, out_times, [f.label for f in panel])
         for ti, t in enumerate(out_times):
             if t == 0.0:
                 continue
@@ -580,11 +596,8 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
 def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     """Martingale mean-zero, variance-vs-QV and pairwise covariation checks."""
     workers = config.workers if workers is None else workers
-    model = config.build_model()
-    init0 = build_initial(config.initial, config.perturbation,
-                          k=max(config.k_values), dx=config.dt, horizon=config.horizon)
-    panel = config.build_panel(init0.t_star)
-    background = background_solution(config, model)
+    st = _Study(config)
+    model, panel = st.model, st.panel
     t_end = config.horizon
     report = Report(name="qv")
 
@@ -592,17 +605,16 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
     for f in panel:
         if _is_classical(model) and f.kind == "constant" and f.c == 1.0:
             qv_targets.append(classical_qv_mass(
-                init0.z0.base.mass, model.birth.value, model.death.value,
+                st.init_max.base.mass, model.birth.value, model.death.value,
                 model.life_law, model.split_law, t_end))
         else:
-            qv_targets.append(qv_integral_frames(model, background, f, t_end))
+            qv_targets.append(qv_integral_frames(model, st.background, f, t_end))
 
     for k_index, k in enumerate(config.k_values):
-        results = _run_replicates(config, k_index, k, PURPOSE_QV, True, workers)
+        results = st.replicates(k_index, PURPOSE_QV, workers, with_ledger=True)
         mart_t = np.stack([m[-1] for _, m in results]) / math.sqrt(k)  # (M, P)
-        for rep in range(mart_t.shape[0]):
-            for fi, f in enumerate(panel):
-                report.samples.append((k, rep, t_end, "M~:" + f.label, mart_t[rep, fi]))
+        _add_samples(report, k, mart_t[:, None, :], [t_end],
+                     ["M~:" + f.label for f in panel])
         for fi, f in enumerate(panel):
             s = sample_summary(mart_t[:, fi])
             report.rows.append(CheckRow.band(
@@ -614,7 +626,7 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
         for fi in range(len(panel)):
             for gi in range(fi + 1, len(panel)):
                 cov = float(np.cov(mart_t[:, fi], mart_t[:, gi], ddof=1)[0, 1])
-                target = covariation_integral_frames(model, background,
+                target = covariation_integral_frames(model, st.background,
                                                      panel[fi], panel[gi], t_end)
                 se = se_of_covariance(mart_t[:, fi], mart_t[:, gi])
                 report.rows.append(CheckRow.band(
@@ -630,23 +642,20 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
 def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     """Fluctuation means, variances and Gaussianity against the limit laws."""
     workers = config.workers if workers is None else workers
-    model = config.build_model()
+    st = _Study(config)
+    model, panel, background = st.model, st.panel, st.background
     classical = _is_classical(model)
-    background = background_solution(config, model)
-    target_of = _limit_pairing_fn(config, model, background)
+    target_of = _limit_pairing_fn(st)
     t_end = config.horizon
     report = Report(name="clt")
 
-    k_max = max(config.k_values)
-    inits = {k: build_initial(config.initial, config.perturbation, k,
-                              config.dt, config.horizon) for k in config.k_values}
-    panel = config.build_panel(inits[k_max].t_star)
+    k_max, init_max = st.k_max, st.init_max
     limit_at_t = {f.label: target_of(f, t_end) for f in panel}
 
     # mean targets from the realised fluctuation starts
     lm, sm = model.life_law.mean, model.split_law.mean
     mean_targets: dict[tuple[int, str], Optional[float]] = {}
-    for k, init in inits.items():
+    for k, init in st.inits.items():
         z0_mass = init.z0.mass
         for f in panel:
             z0f = init.z0.pair(f)
@@ -664,7 +673,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 mean_targets[(k, f.label)] = None
 
     # grid mean evolution from the realised start (grid-kind bases only)
-    nu0 = inits[k_max].nu0_values
+    nu0 = init_max.nu0_values
     mean_path = None
     if nu0 is not None:
         mean_path = evolve_mean(model, nu0, background)
@@ -675,7 +684,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
             z0_grid = GridDensity(dx=config.dt, values=nu0, signed=True)
             exact_grid = classical_mean_exact(
                 z0_grid, model.birth.value, model.death.value, sm, lm,
-                inits[k_max].z0.mass, t_end)
+                init_max.z0.mass, t_end)
             linf = float(np.max(np.abs(mean_path.values[-1] - exact_grid.values)))
             report.rows.append(CheckRow.band(
                 "evolve_mean_linf", linf, 0.0, 5.0 * config.dt, t=t_end))
@@ -684,12 +693,9 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     spde_var: dict[str, float] = {}
     spde_se: dict[str, float] = {}
     if nu0 is not None:
-        def spde_stream(block: int) -> np.random.Generator:
-            return spde_noise_stream(config.seed, block)
-
         path_samples = simulate_fluctuation_paths(
             model, background, nu0, config.n_spde_paths, panel, [t_end],
-            spde_stream, block_size=config.spde_block)
+            partial(spde_noise_stream, config.seed), block_size=config.spde_block)
         spde_rows = []
         for fi, f in enumerate(panel):
             vals = path_samples[:, 0, fi]
@@ -700,7 +706,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
             if classical and f.kind in ("constant", "exp"):
                 lam = 0.0 if f.kind == "constant" else f.lam
                 oracle = ito_isometry_variance(
-                    lam, inits[k_max].base_grid, model.birth.value,
+                    lam, init_max.base_grid, model.birth.value,
                     model.death.value, model.life_law, model.split_law, t_end)
                 oracle *= (f.c ** 2) if f.kind == "constant" else 1.0
                 report.rows.append(CheckRow.band(
@@ -710,8 +716,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
             ("t", "f_id", "mean", "var", "n_paths"), spde_rows)
 
     for k_index, k in enumerate(config.k_values):
-        results = _run_replicates(config, k_index, k, PURPOSE_CLT, False, workers)
-        arr = np.stack([p for p, _ in results])  # (M, n_out, P)
+        arr = np.stack([p for p, _ in st.replicates(k_index, PURPOSE_CLT, workers)])
         sqrt_k = math.sqrt(k)
         for fi, f in enumerate(panel):
             z_samples = sqrt_k * (arr[:, -1, fi] - limit_at_t[f.label])
@@ -811,7 +816,7 @@ def run_convergence(config: ExperimentConfig, workers: Optional[int] = None) -> 
     background = background_solution(config, model)
     mid = background.values.shape[0] // 2
     frame = background.frame(mid)
-    panel = config.build_panel(background.t_star)
+    panel = make_panel(config.panel, t_star=background.t_star)
     chan = noise_channel(model, frame, config.dt)
     fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
     worst = 0.0
@@ -858,36 +863,16 @@ def run_simulate(config: ExperimentConfig, outdir: Optional[Path] = None,
                  workers: Optional[int] = None) -> Report:
     """Simulate replicates and emit snapshot pairings (and optional event logs)."""
     workers = config.workers if workers is None else workers
-    model = config.build_model()
+    st = _Study(config)
     report = Report(name="simulate")
-    out_times = np.arange(int(round(config.horizon / config.dt_out)) + 1) * config.dt_out
+    emit_files = outdir is not None
     for k_index, k in enumerate(config.k_values):
-        init = build_initial(config.initial, config.perturbation, k, config.dt,
-                             config.horizon)
-        panel = config.build_panel(init.t_star)
-        if (config.emit_events or config.emit_fields) and outdir is not None:
-            for rep in range(config.replicates):
-                rng = replicate_stream(config.seed, PURPOSE_SIM, k_index, rep)
-                traj = simulate(model, init.atoms, k, config.horizon, config.dt_out,
-                                rng, panel=panel, log_events=config.emit_events,
-                                with_ledger=config.emit_fields,
-                                population_cap=config.population_cap,
-                                t_star=init.t_star)
-                if config.emit_events:
-                    traj.events.to_csv(outdir / f"events_K{k}_r{rep}.csv")
-                if config.emit_fields:
-                    traj.snapshots[-1].to_csv(outdir / f"snapshot_K{k}_r{rep}.csv")
-                    traj.ledger.to_csv(outdir / f"ledger_K{k}_r{rep}.csv")
-                arr = np.array([[pair(f, s) for f in panel] for s in traj.snapshots])
-                for ti, t in enumerate(out_times):
-                    for fi, f in enumerate(panel):
-                        report.samples.append((k, rep, float(t), f.label, arr[ti, fi]))
-        else:
-            results = _run_replicates(config, k_index, k, PURPOSE_SIM, False, workers)
-            for rep, (arr, _) in enumerate(results):
-                for ti, t in enumerate(out_times):
-                    for fi, f in enumerate(panel):
-                        report.samples.append((k, rep, float(t), f.label, arr[ti, fi]))
+        results = st.replicates(k_index, PURPOSE_SIM, workers,
+                                with_ledger=emit_files and config.emit_fields,
+                                log_events=emit_files and config.emit_events,
+                                outdir=outdir)
+        _add_samples(report, k, np.stack([p for p, _ in results]), st.out_times,
+                     [f.label for f in st.panel])
     return report
 
 
@@ -905,23 +890,15 @@ def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report
 
 
 def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
-    model = config.build_model()
-    background = background_solution(config, model)
-    k_max = max(config.k_values)
-    init = build_initial(config.initial, config.perturbation, k_max, config.dt,
-                         config.horizon)
-    if init.nu0_values is None:
+    st = _Study(config)
+    nu0 = st.init_max.nu0_values
+    if nu0 is None:
         raise ValueError("fluctuation paths need a grid-kind initial target")
-    panel = config.build_panel(init.t_star)
-    record = [i * config.dt_out for i in
-              range(int(round(config.horizon / config.dt_out)) + 1)]
-
-    def spde_stream(block: int) -> np.random.Generator:
-        return spde_noise_stream(config.seed, block)
-
-    samples = simulate_fluctuation_paths(model, background, init.nu0_values,
+    model, panel, record = st.model, st.panel, st.out_times
+    samples = simulate_fluctuation_paths(model, st.background, nu0,
                                          config.n_spde_paths, panel, record,
-                                         spde_stream, block_size=config.spde_block)
+                                         partial(spde_noise_stream, config.seed),
+                                         block_size=config.spde_block)
     report = Report(name="fluctuate")
     rows = []
     for ri, t in enumerate(record):
@@ -931,7 +908,7 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
                          float(np.var(vals, ddof=1)), vals.size))
     report.tables["path_stats"] = (("t", "f_id", "mean", "var", "n_paths"), rows)
     if config.emit_fields and outdir is not None:
-        mp = evolve_mean(model, init.nu0_values, background)
+        mp = evolve_mean(model, nu0, st.background)
         every = int(round(config.dt_out / config.dt))
         for i in range(0, mp.times.size, every):
             mp.frame(i).to_csv(outdir / f"mean_field_t{mp.times[i]:.6g}.csv")

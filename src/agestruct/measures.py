@@ -8,8 +8,9 @@ Two concrete representations are used throughout the package:
   over [0, T*]; pairings use the midpoint rule, which matches the
   cell-centered transport scheme of the deterministic solver.
 
-Fluctuation measures (atomic minus absolutely continuous, times sqrt(K)) are
-kept lazy as :class:`SignedPair` so their pairings stay exact.
+A configured target made of a few atoms with individual masses is a
+:class:`PointMasses`.  Fluctuation measures sqrt(K) * (empirical - target)
+are kept lazy as :class:`SignedPair` so their pairings stay exact.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ __all__ = [
     "DomainError",
     "AtomicMeasure",
     "GridDensity",
+    "PointMasses",
     "SignedPair",
     "TestFunction",
     "pair",
-    "signed_diff",
     "make_panel",
     "constant",
     "monomial",
@@ -168,17 +169,33 @@ class GridDensity:
 
 
 @dataclass(frozen=True)
-class SignedPair:
-    """Lazy signed measure ``scale * (plus - minus)``.
+class PointMasses:
+    """Finitely many atoms, each with its own mass (a configured target measure)."""
 
-    Used for fluctuation measures sqrt(K)*(empirical - limit): densifying
+    ages: np.ndarray
+    masses: np.ndarray
+
+    @property
+    def mass(self) -> float:
+        return float(self.masses.sum())
+
+
+@dataclass(frozen=True)
+class SignedPair:
+    """Lazy signed measure ``scale * (plus - minus)``, with ``scale > 0``.
+
+    Used for fluctuation measures sqrt(K)*(empirical - target): densifying
     the atomic part would destroy the exact pairing identity, so pairings
     are always evaluated against both parts separately.
     """
 
     plus: AtomicMeasure
-    minus: Union[GridDensity, AtomicMeasure]
+    minus: Union[GridDensity, AtomicMeasure, PointMasses]
     scale: float
+
+    def __post_init__(self):
+        if not self.scale > 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
     def mass(self) -> float:
@@ -188,7 +205,7 @@ class SignedPair:
         return self.scale * (pair(f, self.plus) - pair(f, self.minus))
 
 
-Measure = Union[AtomicMeasure, GridDensity, SignedPair]
+Measure = Union[AtomicMeasure, GridDensity, PointMasses]
 
 
 def pair(f: Callable[[np.ndarray], np.ndarray], mu: Measure) -> float:
@@ -199,17 +216,9 @@ def pair(f: Callable[[np.ndarray], np.ndarray], mu: Measure) -> float:
         return float(mu.weight * np.sum(f(mu.ages)))
     if isinstance(mu, GridDensity):
         return float(mu.dx * np.dot(np.asarray(f(mu.centers), dtype=float), mu.values))
-    if isinstance(mu, SignedPair):
-        return mu.pair(f)
+    if isinstance(mu, PointMasses):
+        return float(np.dot(np.asarray(f(mu.ages), dtype=float), mu.masses))
     raise TypeError(f"cannot pair against {type(mu).__name__}")
-
-
-def signed_diff(mu: AtomicMeasure, rho: Union[GridDensity, AtomicMeasure],
-                scale: float) -> SignedPair:
-    """The signed measure ``scale * (mu - rho)`` as a lazy pair."""
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    return SignedPair(plus=mu, minus=rho, scale=scale)
 
 
 class TestFunction:
@@ -341,12 +350,3 @@ def make_panel(specs: Union[Sequence[str], None] = None, *, t_star: float = 1.0)
     if specs is None:
         specs = ["1", "x", "x^2", "exp:0.5", "exp:-1", "bump"]
     return [_parse_spec(s, t_star) for s in specs]
-
-
-def panel_discrepancy(panel: Sequence[Callable], mu: Measure, nu: Measure) -> float:
-    """Largest pairing gap max_f |(f, mu) - (f, nu)| over the given panel.
-
-    The sup over all bounded test functions is not computable; this
-    panel-restricted surrogate is what the toolkit exposes.
-    """
-    return max(abs(pair(f, mu) - pair(f, nu)) for f in panel)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import GridDensity
-from .rates import ConstantRate, DensityRate, RateModel
+from .rates import ConstantRate, DensityRate, ModelError, RateModel
 
 __all__ = [
     "LimitSolution",
@@ -138,7 +138,8 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
         new[1:] *= np.exp(-dt * 0.5 * (h_now + h_pred))
         new[0] = dt * 0.5 * (flux_now + flux_pred)
         if new.min() < -1e-12:
-            raise AssertionError("transport scheme produced a negative density")
+            raise ModelError(f"transport scheme produced a negative density "
+                             f"{new.min():g} at step {k + 1} (t = {(k + 1) * dt:g})")
         values[k + 1] = new
         v, shifted = new.copy(), shifted
 

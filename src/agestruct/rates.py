@@ -12,8 +12,9 @@ generality of the population dependence:
 * ``kernel_linear``      -- functions of age, total mass and a kernel
   average ``(g(x, .), A)``.
 
-Each family carries its own closed-form directional (Frechet) derivative
-with respect to the measure, which drives the fluctuation-limit solver.
+Each family carries the closed-form terms of its directional (Frechet)
+derivative with respect to the measure (``frechet_terms``), which drive the
+fluctuation-limit solver.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .measures import AtomicMeasure, GridDensity, SignedPair, TestFunction
+from .measures import AtomicMeasure, GridDensity
 
 __all__ = [
     "ModelError",
@@ -37,20 +38,10 @@ __all__ = [
     "AgeDensityRate",
     "KernelRate",
     "RateModel",
-    "RateValues",
-    "eval_rates",
-    "eval_limit_rates",
-    "frechet",
-    "apply_generator",
-    "sample_offspring",
-    "measure_mass",
     "kernel_pair",
     "classical_model",
     "pure_splitting",
 ]
-
-_TOL = 1e-9
-
 
 class ModelError(RuntimeError):
     """A rate evaluation violated the model contract (sign or sup bound)."""
@@ -112,24 +103,17 @@ class OffspringLaw:
             return self.rate + self.rate ** 2
         return self.p * self.k1 ** 2 + (1.0 - self.p) * self.k2 ** 2
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, next_u: Callable[[], float], rng: np.random.Generator) -> int:
+        """Draw one brood in [0, cap].
+
+        A two-point law spends one uniform from ``next_u``; a Poisson law
+        draws from ``rng`` directly.
+        """
         if self.kind == "deterministic":
             return self.k
         if self.kind == "poisson":
             return min(int(rng.poisson(self.rate)), self.cap)
-        return self.k1 if rng.random() < self.p else self.k2
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "deterministic":
-            return np.full(size, self.k, dtype=np.int64)
-        if self.kind == "poisson":
-            return np.minimum(rng.poisson(self.rate, size=size), self.cap)
-        return np.where(rng.random(size) < self.p, self.k1, self.k2).astype(np.int64)
-
-
-def sample_offspring(law: OffspringLaw, rng: np.random.Generator) -> int:
-    """Draw one offspring count; always an integer in [0, cap]."""
-    return law.sample(rng)
+        return self.k1 if next_u() < self.p else self.k2
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +190,7 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# measure adapters (all measure-likes expose .mass; views may add fast paths)
-
-
-def measure_mass(mu) -> float:
-    return float(mu.mass)
+# kernel pairings (every measure exposes .mass; views may add fast paths)
 
 
 def kernel_pair(kernel: Kernel, xs, mu):
@@ -225,8 +205,6 @@ def kernel_pair(kernel: Kernel, xs, mu):
     if isinstance(mu, GridDensity):
         g = kernel(xs[:, None], mu.centers[None, :])
         return mu.dx * (g @ mu.values)
-    if isinstance(mu, SignedPair):
-        return mu.scale * (kernel_pair(kernel, xs, mu.plus) - kernel_pair(kernel, xs, mu.minus))
     raise TypeError(f"cannot form kernel pairing with {type(mu).__name__}")
 
 
@@ -250,15 +228,8 @@ class ConstantRate:
         x = np.asarray(x, dtype=float)
         return np.full_like(x, self.value) if x.ndim else self.value
 
-    def frechet(self, x, mu0, direction):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x) if x.ndim else 0.0
-
     def frechet_terms(self, xs, mu0):
         return np.zeros_like(np.asarray(xs, dtype=float)), None, None
-
-    def sup(self) -> float:
-        return self.value
 
 
 class DensityRate:
@@ -272,18 +243,13 @@ class DensityRate:
 
     def eval(self, x, mu):
         x = np.asarray(x, dtype=float)
-        v = self.fn(measure_mass(mu))
+        v = self.fn(mu.mass)
         return np.full_like(x, v) if x.ndim else v
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        u = np.full_like(xs, self.fn.deriv(measure_mass(mu0)))
+        u = np.full_like(xs, self.fn.deriv(mu0.mass))
         return u, None, None
-
-    def frechet(self, x, mu0, direction):
-        u, _, _ = self.frechet_terms(np.atleast_1d(x), mu0)
-        out = u * measure_mass(direction)
-        return out if np.asarray(x).ndim else float(out[0])
 
 
 class AgeDensityRate:
@@ -297,17 +263,12 @@ class AgeDensityRate:
         self.fn = fn
 
     def eval(self, x, mu):
-        return self.age(x) * self.fn(measure_mass(mu))
+        return self.age(x) * self.fn(mu.mass)
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        u = self.age(xs) * self.fn.deriv(measure_mass(mu0))
+        u = self.age(xs) * self.fn.deriv(mu0.mass)
         return u, None, None
-
-    def frechet(self, x, mu0, direction):
-        u, _, _ = self.frechet_terms(np.atleast_1d(x), mu0)
-        out = u * measure_mass(direction)
-        return out if np.asarray(x).ndim else float(out[0])
 
 
 class KernelRate:
@@ -358,23 +319,17 @@ class KernelRate:
 
     def eval(self, x, mu):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        y = measure_mass(mu)
+        y = mu.mass
         z = kernel_pair(self.kernel, xs, mu)
         out = self.age(xs) * self._phi(y, z)
         return out if np.asarray(x).ndim else float(out[0])
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        y = measure_mass(mu0)
+        y = mu0.mass
         z = kernel_pair(self.kernel, xs, mu0)
         r = self.age(xs)
         return r * self._phi_y(y, z), r * self._phi_z(y, z), self.kernel
-
-    def frechet(self, x, mu0, direction):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        u, w3, kern = self.frechet_terms(xs, mu0)
-        out = u * measure_mass(direction) + w3 * kernel_pair(kern, xs, direction)
-        return out if np.asarray(x).ndim else float(out[0])
 
 
 RateFn = Union[ConstantRate, DensityRate, AgeDensityRate, KernelRate]
@@ -415,86 +370,6 @@ class RateModel:
         if k is not None and self.k_perturbation is not None:
             v = v + self.k_perturbation("death", np.asarray(x, dtype=float), k)
         return v
-
-
-@dataclass(frozen=True)
-class RateValues:
-    """All rates at one (age, measure) evaluation point.
-
-    ``newborn`` is the combined intensity of new individuals
-    (birth * life-brood mean + death * split-brood mean); ``newborn_m2`` is
-    its second-moment counterpart, which drives the fluctuation noise.
-    """
-
-    birth: Union[float, np.ndarray]
-    death: Union[float, np.ndarray]
-    life_mean: float
-    life_m2: float
-    split_mean: float
-    split_m2: float
-    newborn: Union[float, np.ndarray]
-    newborn_m2: Union[float, np.ndarray]
-
-
-def _check_bounds(name: str, value, sup: float):
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size and (arr.min() < -_TOL or arr.max() > sup * (1.0 + _TOL) + _TOL):
-        raise ModelError(
-            f"{name} rate {float(arr.min()):g}..{float(arr.max()):g} violates "
-            f"declared bounds [0, {sup}]"
-        )
-
-
-def eval_rates(model: RateModel, x, mu, k: Optional[int] = None) -> RateValues:
-    """Evaluate the full rate record at age(s) x and population measure mu."""
-    b = model.birth_rate(x, mu, k)
-    h = model.death_rate(x, mu, k)
-    _check_bounds("birth", b, model.birth_sup)
-    _check_bounds("death", h, model.death_sup)
-    lm, l2 = model.life_law.mean, model.life_law.second_moment
-    sm, s2 = model.split_law.mean, model.split_law.second_moment
-    return RateValues(
-        birth=b, death=h,
-        life_mean=lm, life_m2=l2, split_mean=sm, split_m2=s2,
-        newborn=b * lm + h * sm,
-        newborn_m2=b * l2 + h * s2,
-    )
-
-
-def eval_limit_rates(model: RateModel, x, mu) -> RateValues:
-    """Rates of the limit family (K -> infinity): the K-hook is dropped."""
-    return eval_rates(model, x, mu, k=None)
-
-
-def frechet(model: RateModel, which: str, mu0, direction, x):
-    """Directional derivative of the named limit rate at mu0 in ``direction``.
-
-    ``which`` is one of "birth", "death", "newborn"; the newborn intensity
-    differentiates through both channels with the (constant) brood means.
-    """
-    if which in ("birth", "b"):
-        return model.birth.frechet(x, mu0, direction)
-    if which in ("death", "h"):
-        return model.death.frechet(x, mu0, direction)
-    if which in ("newborn", "n"):
-        db = model.birth.frechet(x, mu0, direction)
-        dh = model.death.frechet(x, mu0, direction)
-        return db * model.life_law.mean + dh * model.split_law.mean
-    raise ValueError(f"unknown rate selector {which!r}")
-
-
-def apply_generator(model: RateModel, f: TestFunction, mu) -> Callable:
-    """The transport-death-renewal generator applied to f at measure mu.
-
-    Returns x -> f'(x) - death(x) f(x) + f(0) * newborn(x).
-    """
-    f0 = f.at_zero
-
-    def lf(x):
-        vals = eval_limit_rates(model, x, mu)
-        return f.deriv(x) - vals.death * f(x) + f0 * vals.newborn
-
-    return lf
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ characteristics grid as the limit solver:
 
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the simulated martingale has the limit's
-  quadratic variation by construction.
+  quadratic variation by construction.  :func:`noise_channel` and the path
+  engine build these scales with one helper.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The
@@ -42,11 +43,9 @@ from .mvf import LimitSolution
 from .rates import RateModel
 
 __all__ = [
-    "FluctuationField",
     "NoiseChannel",
     "noise_channel",
     "remark_covariance_grid",
-    "step_z",
     "evolve_mean",
     "MeanPath",
     "simulate_fluctuation_paths",
@@ -90,21 +89,28 @@ class NoiseChannel:
         return cross + f0 * g0 * self.sigma_boundary ** 2
 
 
+def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
+    """Death-increment and boundary-residual standard deviations.
+
+    ``b``, ``h`` and ``a`` are the birth and death rates and the background
+    density at the cell centers: one frame, or one frame per row.
+    """
+    sm, s2 = model.split_law.mean, model.split_law.second_moment
+    sigma_cells = np.sqrt(np.maximum(h * a, 0.0) * dx * dt)
+    resid = b * model.life_law.second_moment + h * (s2 - sm * sm)
+    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt)
+    return sigma_cells, sigma_boundary
+
+
 def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
     """Build the two-channel noise scales for one background frame."""
     x = frame.centers
     h = np.asarray(model.death_rate(x, frame), dtype=float) * np.ones_like(x)
     b = np.asarray(model.birth_rate(x, frame), dtype=float) * np.ones_like(x)
-    a = frame.values
-    dx = frame.dx
-    sm = model.split_law.mean
-    s2 = model.split_law.second_moment
-    l2 = model.life_law.second_moment
-    sigma_cells = np.sqrt(np.maximum(h * a, 0.0) * dx * dt)
-    resid_rate = b * l2 + h * (s2 - sm * sm)
-    sigma_boundary = math.sqrt(max(float(np.sum(resid_rate * a) * dx), 0.0) * dt)
-    return NoiseChannel(dx=dx, dt=dt, sigma_cells=sigma_cells,
-                        split_mean=sm, sigma_boundary=sigma_boundary)
+    sigma_cells, sigma_boundary = _noise_scales(model, b, h, frame.values, frame.dx, dt)
+    return NoiseChannel(dx=frame.dx, dt=dt, sigma_cells=sigma_cells,
+                        split_mean=model.split_law.mean,
+                        sigma_boundary=float(sigma_boundary))
 
 
 def remark_covariance_grid(model: RateModel, frame: GridDensity,
@@ -136,7 +142,6 @@ class _Coeffs:
 
     def __init__(self, model: RateModel, background: LimitSolution,
                  with_noise: bool):
-        self.model = model
         self.bg = background
         dt = background.dt
         dx = background.dx
@@ -145,8 +150,6 @@ class _Coeffs:
         x_mid = x - 0.5 * dx
         lm = model.life_law.mean
         sm = model.split_law.mean
-        l2 = model.life_law.second_moment
-        s2 = model.split_law.second_moment
 
         self.decay = np.empty((n_times - 1, n_cells))
         self.n_rows = np.empty((n_times, n_cells))
@@ -187,11 +190,8 @@ class _Coeffs:
         self.una = dx * np.sum(un * a, axis=1)
 
         if with_noise:
-            self.sigma_cells = np.sqrt(
-                np.maximum(self.h_rows[:-1] * a[:-1], 0.0) * dx * dt)
-            resid = b_rows[:-1] * l2 + self.h_rows[:-1] * (s2 - sm * sm)
-            self.sigma_boundary = np.sqrt(
-                np.maximum(np.sum(resid * a[:-1], axis=1) * dx, 0.0) * dt)
+            self.sigma_cells, self.sigma_boundary = _noise_scales(
+                model, b_rows[:-1], self.h_rows[:-1], a[:-1], dx, dt)
         else:
             self.sigma_cells = None
             self.sigma_boundary = None
@@ -266,54 +266,7 @@ def _width(co: _Coeffs, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# public single-path interface
-
-
-@dataclass
-class FluctuationField:
-    """One grid path of the fluctuation field, pinned to a background."""
-
-    background: LimitSolution
-    step_index: int
-    values: np.ndarray
-    _coeffs: Optional[_Coeffs] = None
-
-    @property
-    def time(self) -> float:
-        return self.step_index * self.background.dt
-
-    @property
-    def density(self) -> GridDensity:
-        return GridDensity(dx=self.background.dx, values=self.values, signed=True)
-
-    @classmethod
-    def start(cls, background: LimitSolution, z0: np.ndarray, model: RateModel,
-              with_noise: bool = True) -> "FluctuationField":
-        z0 = np.asarray(z0, dtype=float)
-        if z0.size != background.values.shape[1]:
-            raise ValueError("initial fluctuation grid does not match the background")
-        co = _Coeffs(model, background, with_noise=with_noise)
-        return cls(background=background, step_index=0, values=z0.copy(), _coeffs=co)
-
-
-def step_z(field: FluctuationField, model: RateModel,
-           noise_rng: Optional[np.random.Generator]) -> FluctuationField:
-    """One Euler-Maruyama step of the fluctuation SPDE (in place).
-
-    Passing ``noise_rng=None`` performs the deterministic drift step only,
-    which is exactly the mean evolution.
-    """
-    co = field._coeffs
-    if co is None or co.bg is not field.background:
-        co = _Coeffs(model, field.background, with_noise=noise_rng is not None)
-        field._coeffs = co
-    if noise_rng is not None and co.sigma_cells is None:
-        raise ValueError("field was prepared without noise scales")
-    k = field.step_index
-    z = field.values.reshape(1, -1)
-    _engine_step(z, k, co, _width(co, k), _width(co, k + 1), noise_rng)
-    field.step_index = k + 1
-    return field
+# mean evolution
 
 
 @dataclass(frozen=True)

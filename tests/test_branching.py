@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from agestruct.branching import (CapacityError, Population, check_pathwise_identity,
-                                 pathwise_identity_catalogue, next_event, simulate, two_var)
+from agestruct.branching import (CapacityError, check_pathwise_identity,
+                                 pathwise_identity_catalogue, simulate, two_var)
 from agestruct.harness import replicate_stream
 from agestruct.measures import AtomicMeasure, constant, monomial, pair
 from agestruct.rates import (ConstantRate, DensityRate, OffspringLaw, RateModel,
@@ -26,28 +26,35 @@ TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(0))
 
 
+def first_death_times(ages, ctx, n=20000, horizon=40.0):
+    """Time of the first death in each of n pure-death runs of ``simulate``.
+
+    The horizon is long enough that every run sees a death (P < 1e-17 each).
+    """
+    a0 = atoms(ages, t_star=horizon + max(ages))
+    times = np.empty(n)
+    for i in range(n):
+        traj = simulate(PURE_DEATH, a0, k=1, horizon=horizon, dt_out=horizon,
+                        rng=stream(i, ctx=ctx), t_star=a0.t_star)
+        times[i] = traj.death_times[0]
+    return times
+
+
 def test_empty_population_has_no_events():
-    pop = Population([], k=1)
-    assert next_event(pop, PURE_DEATH, stream(0), horizon=5.0) is None
     traj = simulate(PURE_DEATH, atoms([]), k=1, horizon=1.0, dt_out=0.5,
-                    rng=stream(1), t_star=2.0)
+                    rng=stream(1), log_events=True, t_star=2.0)
+    assert len(traj.events) == 0 and traj.deaths == 0
     assert all(s.count == 0 for s in traj.snapshots)
 
 
 def test_single_lifetime_is_exponential():
-    times = np.empty(20000)
-    for i in range(times.size):
-        pop = Population([0.0], k=1)
-        times[i] = next_event(pop, PURE_DEATH, stream(i, ctx=1)).time
+    times = first_death_times([0.0], ctx=1)
     se = times.std() / math.sqrt(times.size)
     assert abs(times.mean() - 1.0) <= 3 * se
 
 
 def test_two_individuals_first_event_superposition():
-    times = np.empty(20000)
-    for i in range(times.size):
-        pop = Population([0.0, 0.3], k=1)
-        times[i] = next_event(pop, PURE_DEATH, stream(i, ctx=2)).time
+    times = first_death_times([0.0, 0.3], ctx=2)
     se = times.std() / math.sqrt(times.size)
     assert abs(times.mean() - 0.5) <= 3 * se
 
@@ -58,13 +65,12 @@ def test_thinning_exact_with_rejections():
     model = RateModel("classical", ConstantRate(0.4), ConstantRate(0.0),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
                       birth_sup=1.0, death_sup=0.5)
-    rng = stream(0, ctx=3)
-    pop = Population([0.0], k=1)
-    times = [0.0]
-    for _ in range(10000):
-        ev = next_event(pop, model, rng)
-        times.append(ev.time)
-    gaps = np.diff(np.array(times))
+    horizon = 30000.0   # about 12000 accepted events; 10000 are needed
+    traj = simulate(model, atoms([0.0], t_star=horizon), k=1, horizon=horizon,
+                    dt_out=horizon, rng=stream(0, ctx=3), log_events=True,
+                    t_star=horizon)
+    assert len(traj.events) >= 10000
+    gaps = np.diff(np.array([0.0] + traj.events.t[:10000]))
     stat = kstest(gaps, "expon", args=(0, 1.0 / 0.4))
     assert stat.pvalue > 0.01
 

@@ -65,3 +65,16 @@ def test_cli_seed_override(cfg_path, tmp_path):
     assert a == 0 and b == 0
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
         (tmp_path / "b" / "samples.csv").read_bytes()
+
+
+def test_cli_validate_has_no_out_flag(monkeypatch, capsys):
+    from agestruct.acceptance import AcceptanceSuite
+
+    def must_not_run(self):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(AcceptanceSuite, "run_all", must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--out", "x"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, build_initial,
                                emit, largest_remainder_counts, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
-                               run_qv_check)
+                               run_qv_check, run_simulate)
 from agestruct.measures import constant, exponential
 
 CLASSICAL = {"family": "classical", "birth": 0.0, "death": 1.0,
@@ -45,6 +45,16 @@ def test_config_json_round_trip(tmp_path):
     p.write_text(json.dumps(cfg.to_dict()))
     cfg2 = ExperimentConfig.from_json(p)
     assert cfg2.to_dict() == cfg.to_dict()
+
+
+def test_config_json_unknown_key_is_named(tmp_path):
+    spec = small_config().to_dict()
+    spec["replicats"] = 10
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match="replicats") as err:
+        ExperimentConfig.from_json(p)
+    assert "replicates" in str(err.value) and "n_spde_paths" in str(err.value)
 
 
 def test_model_from_config_families():
@@ -241,3 +251,20 @@ def test_run_lln_density_dependent_logistic():
     # target comes from the transport solver; the logistic closed form pins it
     assert row.target == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=5e-3)
     assert row.passed
+
+
+def test_run_simulate_emit_events_keeps_samples(tmp_path):
+    # the event log and the ledger draw no random numbers: writing them
+    # must leave the sample pairings byte-identical
+    plain = small_config()
+    rep = run_simulate(plain, outdir=tmp_path / "plain")
+    emit(rep, tmp_path / "plain", config=plain)
+    for flag in ("emit_events", "emit_fields"):
+        cfg = small_config(**{flag: True})
+        out = tmp_path / flag
+        out.mkdir()
+        emit(run_simulate(cfg, outdir=out), out, config=cfg)
+        assert (out / "samples.csv").read_bytes() == \
+            (tmp_path / "plain" / "samples.csv").read_bytes()
+    assert len(list((tmp_path / "emit_events").glob("events_K*_r*.csv"))) == 2 * 40
+    assert len(list((tmp_path / "emit_fields").glob("ledger_K*_r*.csv"))) == 2 * 40

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from agestruct.measures import (AtomicMeasure, DomainError, GridDensity, bump,
-                                constant, exponential, make_panel, monomial, pair,
-                                signed_diff)
+from agestruct.measures import (AtomicMeasure, DomainError, GridDensity, PointMasses,
+                                SignedPair, constant, exponential, make_panel,
+                                monomial, pair)
 
 
 def test_pair_counts_mass():
@@ -57,19 +57,28 @@ def test_grid_refinement_second_order():
 def test_signed_diff_zero_when_equal():
     g = GridDensity(dx=0.5, values=np.array([1.0, 1.0]))
     m = AtomicMeasure(ages=np.array([0.25, 0.75]), weight=0.5, t_star=1.0)
-    sp = signed_diff(m, g, scale=7.0)
-    for f in make_panel(t_star=1.0):
-        assert sp.pair(f) == pytest.approx(0.0, abs=1e-12)
+    points = PointMasses(ages=np.array([0.25, 0.75]), masses=np.array([0.5, 0.5]))
+    for minus in (g, points):
+        sp = SignedPair(m, minus, scale=7.0)
+        assert sp.mass == pytest.approx(0.0, abs=1e-12)
+        for f in make_panel(t_star=1.0):
+            assert sp.pair(f) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_signed_diff_linearity_and_scaling():
     g = GridDensity(dx=1.0, values=np.array([1.0]))
     m1 = AtomicMeasure(ages=np.full(11, 0.5), weight=0.1, t_star=1.0)
-    assert signed_diff(m1, g, 1.0).pair(constant(1.0)) == pytest.approx(0.1)
+    assert SignedPair(m1, g, 1.0).pair(constant(1.0)) == pytest.approx(0.1)
     m2 = AtomicMeasure(ages=np.full(101, 0.5), weight=0.01, t_star=1.0)
-    assert signed_diff(m2, g, 10.0).pair(constant(1.0)) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        signed_diff(m1, g, -1.0)
+    assert SignedPair(m2, g, 10.0).pair(constant(1.0)) == pytest.approx(0.1)
+    # linear in the test function
+    sp = SignedPair(m2, g, 10.0)
+    f, h = exponential(0.4), monomial(2)
+    assert sp.pair(lambda x: 2.5 * f(x) - 1.3 * h(x)) == pytest.approx(
+        2.5 * sp.pair(f) - 1.3 * sp.pair(h), rel=1e-12)
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            SignedPair(m1, g, bad)
 
 
 def test_default_panel():
@@ -133,16 +142,3 @@ def test_csv_round_trips(tmp_path):
     assert m2.weight == m.weight
     assert np.array_equal(m2.ages, m.ages)
     assert m2.t_star == m.t_star
-
-
-def test_panel_discrepancy_restricted_surrogate():
-    from agestruct.measures import panel_discrepancy
-
-    g = GridDensity(dx=0.5, values=np.array([1.0, 1.0]))
-    m = AtomicMeasure(ages=np.array([0.25, 0.75]), weight=0.5, t_star=1.0)
-    panel = make_panel(t_star=1.0)
-    assert panel_discrepancy(panel, m, g) <= 1e-12
-    # extra half-weight atom at 0.75: the largest gap comes from e^(0.5x)
-    m2 = AtomicMeasure(ages=np.array([0.25, 0.75, 0.75]), weight=0.5, t_star=1.0)
-    assert panel_discrepancy(panel, m2, g) == pytest.approx(
-        0.5 * math.exp(0.375), rel=1e-12)

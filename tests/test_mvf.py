@@ -6,8 +6,8 @@ import pytest
 from agestruct.measures import GridDensity, constant, exponential, pair
 from agestruct.mvf import (classical_exact, classical_pairing, logistic_exact,
                            solve_mvf, solve_total_ode)
-from agestruct.rates import (ConstantRate, DensityRate, OffspringLaw, RateModel,
-                             ScalarFn, classical_model, pure_splitting)
+from agestruct.rates import (ConstantRate, DensityRate, ModelError, OffspringLaw,
+                             RateModel, ScalarFn, classical_model, pure_splitting)
 
 SPLIT = pure_splitting(1.0, 2)            # death 1, brood 2: newborn rate 2
 TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
@@ -89,6 +89,16 @@ def test_solve_mvf_rejects_bad_grid():
         solve_mvf(SPLIT, a0, 0.5, 1e-3)          # dx != dt
     with pytest.raises(ValueError):
         solve_mvf(SPLIT, a0, 2.0, 2e-3)          # no room for transport
+
+
+def test_solve_mvf_negative_density_is_a_model_error():
+    # a negative birth rate (outside the model contract) drives the newborn
+    # flux below zero in the first step
+    model = RateModel("density_dependent", DensityRate(ScalarFn.constant(-1.0)),
+                      ConstantRate(0.5), OffspringLaw.deterministic(1),
+                      OffspringLaw.deterministic(0), birth_sup=1.0, death_sup=0.5)
+    with pytest.raises(ModelError, match=r"negative density -0\.99\d* at step 1 "):
+        solve_mvf(model, box(2e-3), 0.5, 2e-3)
 
 
 def test_classical_pairing_cross_validates_grid():

@@ -3,22 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from agestruct.measures import AtomicMeasure, GridDensity, constant, exponential
+from agestruct.branching import MartingaleLedger, Population, simulate
+from agestruct.harness import replicate_stream
+from agestruct.measures import AtomicMeasure, GridDensity, constant, exponential, pair
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, ModelError, OffspringLaw, RateModel,
-                             ScalarFn, apply_generator, classical_model, eval_limit_rates,
-                             eval_rates, frechet, pure_splitting, sample_offspring)
+                             ScalarFn, classical_model, kernel_pair, pure_splitting)
 
 
 def atoms(ages, weight=1.0, t_star=2.0):
     return AtomicMeasure(ages=np.asarray(ages, dtype=float), weight=weight, t_star=t_star)
 
 
-def test_classical_combined_rates():
-    model = pure_splitting(1.0, 2)
-    vals = eval_rates(model, 0.5, atoms([0.1, 0.2]))
-    assert vals.newborn == pytest.approx(2.0)
-    assert vals.newborn_m2 == pytest.approx(4.0)
+def directional(rate, xs, mu0, direction):
+    """Frechet derivative of ``rate`` at mu0 in ``direction``, as the SPDE engine
+    assembles it from ``frechet_terms``."""
+    u, w3, kern = rate.frechet_terms(np.asarray(xs, dtype=float), mu0)
+    out = u * direction.mass
+    return out if w3 is None else out + w3 * kernel_pair(kern, xs, direction)
+
+
+def compensator(model, f, ages, k, s1):
+    """The ledger's compensator of (f, M) over [0, s1] with no events."""
+    ledger = MartingaleLedger([f])
+    ledger.accumulate(Population(ages, k=k), model, 0.0, s1)
+    return float(ledger.comp[0])
 
 
 def test_density_dependent_empty_population():
@@ -26,8 +35,7 @@ def test_density_dependent_empty_population():
                       DensityRate(ScalarFn.affine(1.0, 1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=5.0)
-    vals = eval_rates(model, 0.3, atoms([]))
-    assert vals.death == pytest.approx(1.0)
+    assert model.death_rate(0.3, atoms([])) == pytest.approx(1.0)
 
 
 def test_kernel_reciprocal_mass():
@@ -39,9 +47,8 @@ def test_kernel_reciprocal_mass():
 def test_limit_rates_match_finite_k_for_builtins():
     model = pure_splitting(1.0, 2)
     mu = atoms([0.1, 0.9, 1.3])
-    a = eval_rates(model, 0.4, mu, k=250)
-    b = eval_limit_rates(model, 0.4, mu)
-    assert a.death == b.death and a.newborn == b.newborn
+    assert model.death_rate(0.4, mu, k=250) == model.death_rate(0.4, mu)
+    assert model.birth_rate(0.4, mu, k=250) == model.birth_rate(0.4, mu)
 
 
 def test_k_perturbation_hook():
@@ -53,16 +60,14 @@ def test_k_perturbation_hook():
         k_perturbation=lambda name, x, k:
             (0.1 / k) * np.ones_like(x) if name == "birth" else 0.0)
     mu = atoms([0.2])
-    finite = eval_rates(model, 0.2, mu, k=100)
-    limit = eval_limit_rates(model, 0.2, mu)
-    assert float(finite.birth) == pytest.approx(0.501)
-    assert float(limit.birth) == pytest.approx(0.5)
+    assert float(model.birth_rate(0.2, mu, k=100)) == pytest.approx(0.501)
+    assert float(model.birth_rate(0.2, mu)) == pytest.approx(0.5)
 
 
 def test_frechet_classical_zero():
     model = pure_splitting(1.0, 2)
     d = atoms([0.5], weight=0.3)
-    assert frechet(model, "death", atoms([0.1, 0.2]), d, 0.7) == 0.0
+    assert directional(model.death, np.array([0.7]), atoms([0.1, 0.2]), d)[0] == 0.0
 
 
 def test_frechet_density_dependent_value():
@@ -70,7 +75,7 @@ def test_frechet_density_dependent_value():
     rate = DensityRate(ScalarFn.affine(0.0, 1.0))
     a0 = atoms([0.1, 0.2])
     direction = atoms([0.5], weight=0.5)
-    assert rate.frechet(1.1, a0, direction) == pytest.approx(0.5)
+    assert directional(rate, np.array([1.1]), a0, direction)[0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("rate", [
@@ -89,7 +94,7 @@ def test_frechet_matches_directional_finite_difference(rate):
     eps = 1e-6
     bumped = GridDensity(dx=dx, values=a0.values + eps * direction.values, signed=True)
     fd = (rate.eval(xs, bumped) - rate.eval(xs, a0)) / eps
-    an = rate.frechet(xs, a0, direction)
+    an = directional(rate, xs, a0, direction)
     scale = np.maximum(np.abs(an), 1e-6)
     assert np.max(np.abs(an - fd) / scale) < 1e-4
 
@@ -101,33 +106,42 @@ def test_frechet_linear_in_direction():
     d2 = GridDensity.from_function(lambda x: x - 1.0, t_star=2.0, dx=0.05, signed=True)
     combo = GridDensity(dx=0.05, values=1.7 * d1.values - 0.4 * d2.values, signed=True)
     xs = np.linspace(0.0, 1.9, 7)
-    lhs = rate.frechet(xs, a0, combo)
-    rhs = 1.7 * rate.frechet(xs, a0, d1) - 0.4 * rate.frechet(xs, a0, d2)
+    lhs = directional(rate, xs, a0, combo)
+    rhs = 1.7 * directional(rate, xs, a0, d1) - 0.4 * directional(rate, xs, a0, d2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
+# The generator is Lf = f' - death * f + f(0) * newborn.  Between events the
+# transport part f' is carried by the ages themselves; the martingale
+# ledger's compensator integrates the rest, f(0) * newborn - death * f.
+
 def test_generator_constant_function():
+    # L1 = newborn - death = 2 - 1 per individual
     model = pure_splitting(1.0, 2)
-    lf = apply_generator(model, constant(1.0), atoms([0.4]))
-    assert np.allclose(lf(np.array([0.1, 1.5])), 1.0)
+    assert compensator(model, constant(1.0), [0.1, 1.5], 1, 0.5) == pytest.approx(1.0)
 
 
 def test_generator_pure_transport():
     model = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(0))
     f = exponential(0.8)
-    lf = apply_generator(model, f, atoms([0.4]))
-    xs = np.linspace(0, 1.5, 9)
-    # f(0) != 0 but newborn intensity vanishes, so only the derivative remains
-    assert np.allclose(lf(xs), f.deriv(xs))
+    traj = simulate(model, atoms([0.4]), k=1, horizon=1.5, dt_out=0.25,
+                    rng=replicate_stream(3, 9, 0, 0), panel=[f], with_ledger=True,
+                    t_star=2.0)
+    # f(0) != 0 but newborn intensity vanishes, so only the derivative remains:
+    # (f, A_t) = (f, A_0) + int_0^t (f', A_s) ds = f(0.4 + t)
+    assert np.all(traj.ledger.martingales() == 0.0)
+    for t, snap in zip(traj.times, traj.snapshots):
+        assert pair(f, snap) == pytest.approx(float(f(np.array(0.4 + t))), rel=1e-14)
 
 
 def test_generator_exponential_closed_form():
+    # one individual aged 0.4 + s: f(0) * 2 - 1 * e^(lam (0.4 + s)), integrated
     model = pure_splitting(1.0, 2)
-    lam = 0.7
-    lf = apply_generator(model, exponential(lam), atoms([0.4]))
-    xs = np.linspace(0.0, 1.5, 11)
-    assert np.allclose(lf(xs), (lam - 1.0) * np.exp(lam * xs) + 2.0)
+    lam, s1 = 0.7, 1.1
+    exact = 2.0 * s1 - (math.exp(lam * (0.4 + s1)) - math.exp(lam * 0.4)) / lam
+    assert compensator(model, exponential(lam), [0.4], 1, s1) == pytest.approx(
+        exact, rel=1e-10)
 
 
 def test_generator_mass_growth_identity():
@@ -135,17 +149,18 @@ def test_generator_mass_growth_identity():
     model = RateModel("density_dependent", ConstantRate(0.4), rate,
                       OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                       birth_sup=0.4, death_sup=2.0)
-    mu = atoms([0.2, 0.9, 1.4])
-    lf = apply_generator(model, constant(1.0), mu)
-    xs = np.linspace(0.0, 1.9, 5)
-    vals = eval_limit_rates(model, xs, mu)
-    assert np.allclose(lf(xs), vals.newborn - vals.death)
+    ages = np.array([0.2, 0.9, 1.4])
+    pop = Population(ages, k=2)
+    h = model.death_rate(ages, pop)
+    newborn = model.birth_rate(ages, pop) * 1.0 + h * 2.0
+    assert compensator(model, constant(1.0), ages, 2, 0.5) == pytest.approx(
+        0.5 * float(np.sum(newborn - h)), rel=1e-12)
 
 
 def test_offspring_deterministic():
     law = OffspringLaw.deterministic(2)
     rng = np.random.default_rng(0)
-    assert all(sample_offspring(law, rng) == 2 for _ in range(10))
+    assert all(law.sample(rng.random, rng) == 2 for _ in range(10))
 
 
 @pytest.mark.parametrize("law", [
@@ -156,7 +171,7 @@ def test_offspring_deterministic():
 def test_offspring_moments_match(law):
     rng = np.random.default_rng(42)
     n = 10 ** 6
-    s = law.sample_many(rng, n).astype(float)
+    s = np.array([law.sample(rng.random, rng) for _ in range(n)], dtype=float)
     se_mean = s.std() / math.sqrt(n)
     assert abs(s.mean() - law.mean) <= 3 * se_mean + 1e-12
     sq = s ** 2
@@ -172,13 +187,19 @@ def test_two_point_hand_moments():
     assert law.second_moment == pytest.approx(8.0)
 
 
+def raises_in_simulate(model, n0):
+    # k = 1, so the rates see the raw population size n0 as the total mass
+    with pytest.raises(ModelError):
+        simulate(model, atoms(np.linspace(0.1, 0.5, n0)), k=1, horizon=10.0,
+                 dt_out=10.0, rng=replicate_stream(4, 9, 0, n0), t_star=11.0)
+
+
 def test_rate_bound_violation_raises():
     model = RateModel("density_dependent", ConstantRate(0.0),
                       DensityRate(ScalarFn.affine(1.0, 1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.5)
-    with pytest.raises(ModelError):
-        eval_rates(model, 0.1, atoms([0.1, 0.2]))  # h = 3 > 1.5
+    raises_in_simulate(model, 2)  # h = 3 > 1.5
 
 
 def test_negative_rate_raises():
@@ -186,8 +207,7 @@ def test_negative_rate_raises():
                       DensityRate(ScalarFn.affine(0.5, -1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.0)
-    with pytest.raises(ModelError):
-        eval_rates(model, 0.1, atoms([0.3, 0.4, 0.5]))  # h = -2.5
+    raises_in_simulate(model, 3)  # h = -2.5
 
 
 def test_limit_rate_depends_only_on_pairings():

@@ -9,18 +9,23 @@ from agestruct.mvf import solve_mvf, solve_total_ode
 from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate,
                              OffspringLaw, RateModel, ScalarFn, classical_model,
                              pure_splitting)
-from agestruct.spde import (FluctuationField, classical_exp_mean,
-                            classical_mean_exact, classical_qv_mass,
-                            covariation_integral_frames, density_dependent_exp_mean,
-                            evolve_mean, exp_pairing_grid, ito_isometry_variance,
-                            noise_channel, qv_integral_frames, remark_covariance_grid,
-                            simulate_fluctuation_paths, step_z)
+from agestruct.spde import (_Coeffs, classical_exp_mean, classical_mean_exact,
+                            classical_qv_mass, covariation_integral_frames,
+                            density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
+                            ito_isometry_variance, noise_channel, qv_integral_frames,
+                            remark_covariance_grid, simulate_fluctuation_paths)
 from agestruct.stats import jarque_bera
 
 SPLIT = pure_splitting(1.0, 2)
 MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
                   birth_sup=0.5, death_sup=0.8)
+
+KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
+                   KernelRate(Kernel("exp_decay", alpha=1.0), "affine",
+                              c0=0.2, cy=0.3, cz=0.5),
+                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(0.5),
+                   birth_sup=1.0, death_sup=4.0)
 
 
 def box(dx, t_star=2.0, mass_to=1.0):
@@ -59,6 +64,17 @@ def test_noise_covariance_identity(model):
                 assert abs(built - target) <= 1e-10 * max(abs(target), 1e-12)
 
 
+@pytest.mark.parametrize("model", [SPLIT, MIXED, KERNEL])
+def test_noise_channel_is_what_the_engine_steps_with(model):
+    bg = background(model, dx=0.02)
+    co = _Coeffs(model, bg, with_noise=True)
+    for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 2):
+        chan = noise_channel(model, bg.frame(idx), bg.dt)
+        assert np.array_equal(chan.sigma_cells, co.sigma_cells[idx])
+        assert chan.sigma_boundary == co.sigma_boundary[idx]
+        assert chan.split_mean == co.split_mean
+
+
 def test_noise_empirical_covariance():
     bg = background(MIXED, dx=0.01)
     frame = bg.frame(50)
@@ -80,17 +96,25 @@ def test_noise_empirical_covariance():
     assert abs(cov - target) <= 3 * se
 
 
-def test_step_z_deterministic_part_equals_mean_evolution():
+class ZeroNoise:
+    """Stream stand-in whose normals are all zero: paths take only the drift."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_paths_deterministic_part_equals_mean_evolution():
     bg = background(SPLIT, dx=0.01)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    field = FluctuationField.start(bg, z0, SPLIT, with_noise=False)
-    for _ in range(10):
-        step_z(field, SPLIT, None)
+    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    samples = simulate_fluctuation_paths(SPLIT, bg, z0, 1, panel, [10 * bg.dt],
+                                         lambda b: ZeroNoise())
     mp = evolve_mean(SPLIT, z0, bg, horizon=10 * bg.dt)
-    assert np.array_equal(field.values, mp.values[-1])
+    fvals = np.stack([f(bg.centers) for f in panel])
+    assert np.array_equal(samples[:, 0], bg.dx * (mp.values[-1][None, :] @ fvals.T))
 
 
-def test_step_z_noise_has_zero_mean():
+def test_paths_noise_has_zero_mean():
     dt = 0.02
     bg = background(SPLIT, dx=dt, horizon=0.1)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
