@@ -9,6 +9,7 @@ acceptance suite.  Exit code is 0 iff every verdict passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -18,30 +19,34 @@ from .harness import (ExperimentConfig, emit, run_clt, run_convergence,
                       run_simulate)
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", type=Path, required=config_required,
+def _add_common(p: argparse.ArgumentParser, flags: set):
+    """Add the config/output/seed options plus the optional ``flags`` a study reads."""
+    p.add_argument("--config", type=Path, required=True,
                    help="experiment JSON config")
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for replicates")
-    p.add_argument("--emit-events", action="store_true",
-                   help="write per-replicate event logs")
-    p.add_argument("--emit-fields", action="store_true",
-                   help="write solver/fluctuation field CSVs")
+    if "workers" in flags:
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes for replicates")
+    if "emit_events" in flags:
+        p.add_argument("--emit-events", action="store_true",
+                       help="write per-replicate event logs")
+    if "emit_fields" in flags:
+        p.add_argument("--emit-fields", action="store_true",
+                       help="write solver/fluctuation field CSVs")
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(args.config)
+    overrides = {}
     if args.seed is not None:
-        config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.emit_events:
-        config.emit_events = True
-    if args.emit_fields:
-        config.emit_fields = True
-    return config
+        overrides["seed"] = args.seed
+    if getattr(args, "workers", None) is not None:
+        overrides["workers"] = args.workers
+    for flag in ("emit_events", "emit_fields"):
+        if getattr(args, flag, False):
+            overrides[flag] = True
+    # replace() re-runs the config checks on the overridden values
+    return dataclasses.replace(ExperimentConfig.from_json(args.config), **overrides)
 
 
 def main(argv=None) -> int:
@@ -49,17 +54,18 @@ def main(argv=None) -> int:
         prog="agestruct",
         description="age-structured branching simulation and limit verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    runs = {
-        "simulate": "simulate finite-population replicates",
-        "limit": "solve the deterministic limit",
-        "fluctuate": "simulate fluctuation-field paths",
-        "qv": "martingale quadratic-variation checks",
-        "lln": "law-of-large-numbers checks",
-        "clt": "fluctuation mean/variance/Gaussianity checks",
-        "converge": "solver refinement studies",
+    runs = {   # subcommand: (help, the optional flags its study reads)
+        "simulate": ("simulate finite-population replicates",
+                     {"workers", "emit_events", "emit_fields"}),
+        "limit": ("solve the deterministic limit", {"emit_fields"}),
+        "fluctuate": ("simulate fluctuation-field paths", {"emit_fields"}),
+        "qv": ("martingale quadratic-variation checks", {"workers"}),
+        "lln": ("law-of-large-numbers checks", {"workers"}),
+        "clt": ("fluctuation mean/variance/Gaussianity checks", {"workers"}),
+        "converge": ("solver refinement studies", set()),
     }
-    for name, help_text in runs.items():
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (help_text, flags) in runs.items():
+        _add_common(sub.add_parser(name, help=help_text), flags)
     v = sub.add_parser("validate", help="run the full acceptance suite")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--workers", type=int, default=1)

@@ -32,7 +32,7 @@ from .rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kerne
 from .branching import simulate
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
-from .spde import (classical_exp_mean, classical_mean_exact, classical_qv_mass,
+from .spde import (classical_exp_mean, classical_qv_mass,
                    covariation_integral_frames, density_dependent_exp_mean,
                    evolve_mean, ito_isometry_variance, noise_channel,
                    qv_integral_frames, remark_covariance_grid,
@@ -121,6 +121,10 @@ class ExperimentConfig:
             raise ValueError("dt must divide dt_out")
         if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
             raise ValueError("dt_out must divide the horizon")
+        for name, least in (("n_spde_paths", 2), ("spde_block", 1), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)!r}")
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ExperimentConfig":
@@ -682,9 +686,8 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 mean_targets[(k_max, f.label)] = float(mean_path.pairings(f)[-1])
         if classical:
             z0_grid = GridDensity(dx=config.dt, values=nu0, signed=True)
-            exact_grid = classical_mean_exact(
-                z0_grid, model.birth.value, model.death.value, sm, lm,
-                init_max.z0.mass, t_end)
+            exact_grid = classical_exact(
+                z0_grid, model.birth.value, model.death.value, sm, lm, t_end)
             linf = float(np.max(np.abs(mean_path.values[-1] - exact_grid.values)))
             report.rows.append(CheckRow.band(
                 "evolve_mean_linf", linf, 0.0, 5.0 * config.dt, t=t_end))
@@ -741,7 +744,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     return report
 
 
-def run_convergence(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
+def run_convergence(config: ExperimentConfig) -> Report:
     """Refinement studies for the solvers plus the noise-construction identity."""
     report = Report(name="convergence")
 
@@ -802,8 +805,8 @@ def run_convergence(config: ExperimentConfig, workers: Optional[int] = None) -> 
         bg = solve_mvf(gen, a0, 1.0, dt)
         z0 = np.where(a0.centers < 1.0, 1.0, 0.0)
         mp = evolve_mean(gen, z0, bg)
-        ref = classical_mean_exact(GridDensity(dx=dt, values=z0, signed=True),
-                                   0.6, 0.7, 2.0, 1.0, 1.0, 1.0)
+        ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True),
+                              0.6, 0.7, 2.0, 1.0, 1.0)
         em_errs.append(float(np.max(np.abs(mp.values[-1] - ref.values))))
     conv_rows += [("evolve_mean", dt, e) for dt, e in zip(dts, em_errs)]
     for i in range(len(dts) - 1):
@@ -911,7 +914,8 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
         mp = evolve_mean(model, nu0, st.background)
         every = int(round(config.dt_out / config.dt))
         for i in range(0, mp.times.size, every):
-            mp.frame(i).to_csv(outdir / f"mean_field_t{mp.times[i]:.6g}.csv")
+            GridDensity(dx=mp.dx, values=mp.values[i], signed=True).to_csv(
+                outdir / f"mean_field_t{mp.times[i]:.6g}.csv")
     return report
 
 

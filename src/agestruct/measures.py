@@ -222,7 +222,7 @@ def pair(f: Callable[[np.ndarray], np.ndarray], mu: Measure) -> float:
 
 
 class TestFunction:
-    """A smooth test function on [0, T*] with exact derivative.
+    """A smooth test function on [0, T*].
 
     Kinds: ``constant`` (value c), ``monomial`` (x^k), ``exp`` (e^(lam*x)),
     and ``bump`` (smooth compactly supported bump on [lo, hi], peak 1,
@@ -265,18 +265,6 @@ class TestFunction:
             return np.exp(self.lam * x)
         return self._bump(x)
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(x)
-        if self.kind == "monomial":
-            if self.k == 0:
-                return np.zeros_like(x)
-            return self.k * x ** (self.k - 1)
-        if self.kind == "exp":
-            return self.lam * np.exp(self.lam * x)
-        return self._bump_deriv(x)
-
     @property
     def at_zero(self) -> float:
         return float(self(np.array(0.0)))
@@ -290,15 +278,6 @@ class TestFunction:
         inside = np.abs(u) < 1.0
         ui = u[inside]
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-        return out
-
-    def _bump_deriv(self, x):
-        u = self._u(x)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        w = 1.0 - ui * ui
-        out[inside] = np.exp(1.0 - 1.0 / w) * (-2.0 * ui / (w * w)) * (2.0 / (self.hi - self.lo))
         return out
 
 

@@ -35,7 +35,11 @@ _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 @dataclass(frozen=True)
 class LimitSolution:
-    """Density frames on the characteristics grid, one per time step."""
+    """Density frames on the characteristics grid, one per time step.
+
+    Limit-density frames are nonnegative (:meth:`frame` checks); frames of a
+    fluctuation mean (:func:`agestruct.spde.evolve_mean`) may be negative.
+    """
 
     dt: float
     times: np.ndarray           # (n_times,)
@@ -158,7 +162,9 @@ def classical_exact(a0: GridDensity, birth: float, death: float,
     For ages beyond t the initial profile is transported and thinned by
     exp(-death*t); younger ages carry the renewal solution
     newborn_rate * X_0 * exp((newborn_rate - death)(t - x)) * exp(-death*x).
-    ``t`` must be a multiple of the grid spacing.
+    ``t`` must be a multiple of the grid spacing.  For constant rates the
+    fluctuation mean obeys the same equation, so a signed ``a0`` (a mean
+    fluctuation start) gives the signed mean fluctuation at t.
     """
     dx = a0.dx
     m = int(round(t / dx))
@@ -173,7 +179,7 @@ def classical_exact(a0: GridDensity, birth: float, death: float,
         out[:m] = n * x0 * np.exp((n - death) * (t - xs)) * np.exp(-death * xs)
     if m < a0.n_cells:
         out[m:] = a0.values[: a0.n_cells - m] * math.exp(-death * t)
-    return GridDensity(dx=dx, values=out)
+    return GridDensity(dx=dx, values=out, signed=a0.signed)
 
 
 def classical_pairing(f: Callable, a0: GridDensity, birth: float, death: float,

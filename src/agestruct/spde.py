@@ -25,13 +25,16 @@ characteristics grid as the limit solver:
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The
-deterministic part of a noisy step is bit-identical to a mean-evolution
-step, so the pathwise mean equals the evolved mean exactly.
+deterministic part of a noisy step is the arithmetic of a mean-evolution
+step, so the pathwise mean equals the evolved mean (bit for bit for a
+single path; a block of paths can differ in the last bits, because BLAS
+orders the sums of a matrix product by its shape).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -47,9 +50,7 @@ __all__ = [
     "noise_channel",
     "remark_covariance_grid",
     "evolve_mean",
-    "MeanPath",
     "simulate_fluctuation_paths",
-    "classical_mean_exact",
     "classical_exp_mean",
     "ito_isometry_variance",
     "exp_pairing_grid",
@@ -102,15 +103,34 @@ def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
     return sigma_cells, sigma_boundary
 
 
+def _rate_rows(model: RateModel, x: np.ndarray, frame: GridDensity):
+    """Birth and death rates at ages ``x`` against ``frame``, one value per age."""
+    ones = np.ones_like(x)
+    return (np.asarray(model.birth_rate(x, frame), dtype=float) * ones,
+            np.asarray(model.death_rate(x, frame), dtype=float) * ones)
+
+
 def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
     """Build the two-channel noise scales for one background frame."""
-    x = frame.centers
-    h = np.asarray(model.death_rate(x, frame), dtype=float) * np.ones_like(x)
-    b = np.asarray(model.birth_rate(x, frame), dtype=float) * np.ones_like(x)
+    b, h = _rate_rows(model, frame.centers, frame)
     sigma_cells, sigma_boundary = _noise_scales(model, b, h, frame.values, frame.dx, dt)
     return NoiseChannel(dx=frame.dx, dt=dt, sigma_cells=sigma_cells,
                         split_mean=model.split_law.mean,
                         sigma_boundary=float(sigma_boundary))
+
+
+def _qv_density(model: RateModel, frame: GridDensity, f_vals: np.ndarray,
+                g_vals: np.ndarray, f0: float, g0: float) -> float:
+    """Quadratic-covariation rate of the (f, g) martingales against one frame.
+
+    ``f0`` and ``g0`` are the values at age zero, where newborns deposit.
+    """
+    b, h = _rate_rows(model, frame.centers, frame)
+    sm, s2 = model.split_law.mean, model.split_law.second_moment
+    w = b * model.life_law.second_moment + h * s2
+    integrand = (f0 * g0 * w + h * f_vals * g_vals
+                 - h * sm * (f0 * g_vals + g0 * f_vals))
+    return float(np.sum(integrand * frame.values) * frame.dx)
 
 
 def remark_covariance_grid(model: RateModel, frame: GridDensity,
@@ -121,16 +141,7 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
     cell center and the pairing uses the midpoint rule, matching the
     delta_0-as-boundary-cell representation.
     """
-    x = frame.centers
-    h = np.asarray(model.death_rate(x, frame), dtype=float) * np.ones_like(x)
-    b = np.asarray(model.birth_rate(x, frame), dtype=float) * np.ones_like(x)
-    sm, s2 = model.split_law.mean, model.split_law.second_moment
-    lm, l2 = model.life_law.mean, model.life_law.second_moment
-    w = b * l2 + h * s2
-    f0, g0 = f_vals[0], g_vals[0]
-    integrand = (f0 * g0 * w + h * f_vals * g_vals
-                 - h * sm * (f0 * g_vals + g0 * f_vals))
-    return dt * float(np.sum(integrand * frame.values) * frame.dx)
+    return dt * _qv_density(model, frame, f_vals, g_vals, f_vals[0], g_vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,79 +149,69 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 
 
 class _Coeffs:
-    """Per-step arrays driving the drift and noise of the grid engine."""
+    """Per-step arrays driving the drift and noise of the grid engine.
+
+    Row k serves the step from frame k to frame k+1.  ``uh``/``un`` (the
+    mass-derivative weights of the death and newborn rates) are None when
+    every Frechet term vanishes.  ``kernels`` holds one entry per distinct
+    interaction kernel: its matrix g(x_i, x_j), built once, and the
+    per-step row weights of its death and newborn Frechet terms.
+    """
 
     def __init__(self, model: RateModel, background: LimitSolution,
                  with_noise: bool):
         self.bg = background
         dt = background.dt
         dx = background.dx
-        n_times, n_cells = background.values.shape
+        n_steps = background.values.shape[0] - 1
+        n_cells = background.values.shape[1]
         x = background.centers
         x_mid = x - 0.5 * dx
         lm = model.life_law.mean
         sm = model.split_law.mean
+        a = background.values[:n_steps]
+        shape = (n_steps, n_cells)
 
-        self.decay = np.empty((n_times - 1, n_cells))
-        self.n_rows = np.empty((n_times, n_cells))
-        self.h_rows = np.empty((n_times, n_cells))
-        b_rows = np.empty((n_times, n_cells))
-        uh = np.zeros((n_times, n_cells))
-        un = np.zeros((n_times, n_cells))
-        self._kernel_parts: list = [None] * n_times
-        any_u = False
-        any_kernel = False
-        ones = np.ones(n_cells)
-        for k in range(n_times):
+        self.decay = np.empty(shape)
+        self.n_rows = np.empty(shape)
+        h_rows = np.empty(shape)
+        b_rows = np.empty(shape)
+        self.uh = self.un = None
+        # Kernel -> (death, newborn) row weights; insertion order fixes the sum order
+        weights = defaultdict(lambda: (np.zeros(shape), np.zeros(shape)))
+        for k in range(n_steps):
             frame = GridDensity(dx=dx, values=background.values[k])
-            b_row = np.asarray(model.birth_rate(x, frame), dtype=float) * ones
-            h_row = np.asarray(model.death_rate(x, frame), dtype=float) * ones
-            b_rows[k] = b_row
-            self.h_rows[k] = h_row
-            self.n_rows[k] = b_row * lm + h_row * sm
-            if k < n_times - 1:
-                hm = np.asarray(model.death_rate(x_mid, frame), dtype=float) * ones
-                self.decay[k] = np.exp(-dt * hm)
+            b_rows[k], h_rows[k] = _rate_rows(model, x, frame)
+            self.n_rows[k] = b_rows[k] * lm + h_rows[k] * sm
+            hm = np.asarray(model.death_rate(x_mid, frame), dtype=float) * np.ones_like(x)
+            self.decay[k] = np.exp(-dt * hm)
             ub, w3b, kerb = model.birth.frechet_terms(x, frame)
             udh, w3h, kerh = model.death.frechet_terms(x, frame)
-            uh[k] = udh
-            un[k] = ub * lm + udh * sm
-            if np.any(udh) or np.any(ub):
-                any_u = True
-            if w3h is not None or w3b is not None:
-                any_kernel = True
-                self._kernel_parts[k] = (w3h, kerh, w3b, kerb, lm, sm)
-        self.uh = uh if (any_u or any_kernel) else None
-        self.un = un if (any_u or any_kernel) else None
-        self.has_kernel = any_kernel
-        self._kernel_cache: dict = {}
-        self.x = x
-        # scalar pairings dx * sum(u * a) used by the boundary deposits
-        a = background.values
-        self.una = dx * np.sum(un * a, axis=1)
+            if self.uh is None and (np.any(udh) or np.any(ub)
+                                     or kerh is not None or kerb is not None):
+                self.uh = np.zeros(shape)
+                self.un = np.zeros(shape)
+            if self.uh is not None:
+                self.uh[k] = udh
+                self.un[k] = ub * lm + udh * sm
+            if kerh is not None:
+                weights[kerh][0][k] = w3h
+                weights[kerh][1][k] += w3h * sm
+            if kerb is not None:
+                weights[kerb][1][k] += w3b * lm
+        self.kernels = [(kern(x[:, None], x[None, :]), wh, wn)
+                        for kern, (wh, wn) in weights.items()]
+        if self.un is not None:
+            # scalar pairings dx * sum(u * a) used by the boundary deposits
+            self.una = dx * np.sum(self.un * a, axis=1)
 
         if with_noise:
             self.sigma_cells, self.sigma_boundary = _noise_scales(
-                model, b_rows[:-1], self.h_rows[:-1], a[:-1], dx, dt)
+                model, b_rows, h_rows, a, dx, dt)
         else:
             self.sigma_cells = None
             self.sigma_boundary = None
         self.split_mean = sm
-
-    def kernel_terms(self, k: int):
-        """Lazy (death, newborn) Frechet kernel matrices for step k."""
-        if self._kernel_parts[k] is None:
-            return None
-        if k not in self._kernel_cache:
-            w3h, kerh, w3b, kerb, lm, sm = self._kernel_parts[k]
-            x = self.x
-            zero = np.zeros((x.size, x.size))
-            gh = kerh(x[:, None], x[None, :]) * w3h[:, None] if w3h is not None else zero
-            gb = kerb(x[:, None], x[None, :]) * w3b[:, None] if w3b is not None else zero
-            if len(self._kernel_cache) > 4:
-                self._kernel_cache.clear()
-            self._kernel_cache[k] = (gh, gb * lm + gh * sm)
-        return self._kernel_cache[k]
 
 
 def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int,
@@ -231,13 +232,10 @@ def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int,
         mass0 = dx * zs.sum(axis=1)
         dep0 = -dt * np.outer(mass0, co.uh[k, :w0] * a0)
         bnd0 = dt * (co.una[k] * mass0 + nz0) / dx
-        kt = co.kernel_terms(k) if co.has_kernel else None
-        if kt is not None:
-            gh, gn = kt
-            kh0 = dx * (zs @ gh[:w0, :w0].T)   # (B, w0): kernel part of d_A death (Z)
-            kn0 = dx * (zs @ gn[:w0, :w0].T)
-            dep0 -= dt * kh0 * a0[None, :]
-            bnd0 = bnd0 + dt * np.sum(kn0 * a0[None, :], axis=1)
+        for g, wh, wn in co.kernels:
+            kz = dx * (zs @ g[:w0, :w0].T)     # (B, w0): (g(x_i, .), Z)
+            dep0 -= dt * (kz * wh[k, :w0]) * a0[None, :]
+            bnd0 = bnd0 + dt * np.sum(kz * wn[k, :w0] * a0[None, :], axis=1)
     else:
         dep0 = None
         bnd0 = dt * nz0 / dx
@@ -269,37 +267,13 @@ def _width(co: _Coeffs, k: int) -> int:
 # mean evolution
 
 
-@dataclass(frozen=True)
-class MeanPath:
-    """Deterministic fluctuation-mean frames on the background grid."""
-
-    dt: float
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def dx(self) -> float:
-        return self.dt
-
-    @property
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.values.shape[1]) + 0.5) * self.dt
-
-    def frame(self, i: int) -> GridDensity:
-        return GridDensity(dx=self.dt, values=self.values[i], signed=True)
-
-    def pairings(self, f: Callable) -> np.ndarray:
-        fv = np.asarray(f(self.centers), dtype=float)
-        return self.dt * (self.values @ fv)
-
-
 def evolve_mean(model: RateModel, nu0: np.ndarray, background: LimitSolution,
-                horizon: Optional[float] = None) -> MeanPath:
+                horizon: Optional[float] = None) -> LimitSolution:
     """Deterministic evolution of the expected fluctuation measure.
 
     Same transport/decay/deposit scheme as the noisy step with the noise
     switched off and the measure-derivative terms evaluated at the running
-    mean itself.
+    mean itself.  The frames are on the background grid and may be negative.
     """
     co = _Coeffs(model, background, with_noise=False)
     n_steps = background.values.shape[0] - 1
@@ -312,8 +286,8 @@ def evolve_mean(model: RateModel, nu0: np.ndarray, background: LimitSolution,
     for k in range(n_steps):
         _engine_step(z, k, co, _width(co, k), _width(co, k + 1), None)
         out[k + 1] = z[0]
-    return MeanPath(dt=background.dt, times=background.dt * np.arange(n_steps + 1),
-                    values=out)
+    return LimitSolution(dt=background.dt, times=background.dt * np.arange(n_steps + 1),
+                         values=out, a_star=background.a_star)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +310,8 @@ def simulate_fluctuation_paths(
     organised in blocks; block ``i`` draws from ``stream_factory(i)``, so
     results do not depend on scheduling.
     """
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     co = _Coeffs(model, background, with_noise=True)
     dx = background.dx
     rec_idx = np.array([background.index_at(t) for t in record_times])
@@ -369,30 +345,6 @@ def simulate_fluctuation_paths(
 # constant-parameter closed forms for the mean and the variance
 
 
-def classical_mean_exact(z0_density: GridDensity, birth: float, death: float,
-                         split_mean: float, life_mean: float,
-                         z0_mass: float, t: float) -> GridDensity:
-    """Exact constant-parameter mean-fluctuation density at time t.
-
-    Ages beyond t transport the initial mean density with survival
-    exp(-death*t); younger ages carry
-    newborn_rate * z0_mass * exp((newborn_rate - death) t) * exp(-newborn_rate * x).
-    """
-    dx = z0_density.dx
-    m = int(round(t / dx))
-    if abs(m * dx - t) > 1e-9:
-        raise ValueError("t must sit on the grid (multiple of dx)")
-    n = birth * life_mean + death * split_mean
-    centers = z0_density.centers
-    out = np.zeros_like(z0_density.values)
-    if m > 0:
-        xs = centers[:m]
-        out[:m] = n * z0_mass * math.exp((n - death) * t) * np.exp(-n * xs)
-    if m < z0_density.n_cells:
-        out[m:] = z0_density.values[: z0_density.n_cells - m] * math.exp(-death * t)
-    return GridDensity(dx=dx, values=out, signed=True)
-
-
 def classical_exp_mean(lam: float, z0_exp_pairing: float, z0_mass: float,
                        birth: float, death: float, split_mean: float,
                        life_mean: float, t: float) -> float:
@@ -418,23 +370,6 @@ def exp_pairing_grid(lam: float, grid: GridDensity) -> float:
     return float(np.dot(grid.values, cell))
 
 
-def _classical_exp_limit_pairing(lam: float, a0: GridDensity, birth: float,
-                                 death: float, split_mean: float,
-                                 life_mean: float, s: float) -> float:
-    """(e^(lam x), limit measure at s) for constant parameters, closed form."""
-    n = birth * life_mean + death * split_mean
-    x0 = a0.mass
-    init = math.exp((lam - death) * s) * exp_pairing_grid(lam, a0)
-    if s <= 0:
-        return init
-    if abs(lam - n) < 1e-12:
-        renew = n * x0 * math.exp((n - death) * s) * s
-    else:
-        renew = n * x0 * math.exp((n - death) * s) \
-            * (math.exp((lam - n) * s) - 1.0) / (lam - n)
-    return init + renew
-
-
 def ito_isometry_variance(lam: float, a0: GridDensity, birth: float, death: float,
                           life_law, split_law, t: float) -> float:
     """Var[(e^(lam x), Z_t)] for constant parameters and deterministic Z_0.
@@ -456,7 +391,8 @@ def ito_isometry_variance(lam: float, a0: GridDensity, birth: float, death: floa
         return x0 * math.exp((n - h) * s)
 
     def pair(mu, s):
-        return _classical_exp_limit_pairing(mu, a0, birth, death, sm, lm, s)
+        # (e^(mu x), limit measure at s): with constant rates it solves the mean equation
+        return classical_exp_mean(mu, exp_pairing_grid(mu, a0), x0, birth, death, sm, lm, s)
 
     def gamma_00(s):
         return (w + h - 2.0 * h * sm) * x_mass(s)
@@ -517,24 +453,10 @@ def covariation_integral_frames(model: RateModel, background: LimitSolution,
     simulator's martingales, which deposit at age exactly zero), and the
     midpoint pairing against each stored frame.
     """
-    ki = background.index_at(t)
-    x = background.centers
-    fv = np.asarray(f(x), dtype=float)
-    gv = np.asarray(g(x), dtype=float)
-    f0 = f.at_zero
-    g0 = g.at_zero
-    lm, l2 = model.life_law.mean, model.life_law.second_moment
-    sm, s2 = model.split_law.mean, model.split_law.second_moment
-    dx = background.dx
-    vals = np.empty(ki + 1)
-    ones = np.ones_like(x)
-    for k in range(ki + 1):
-        frame = GridDensity(dx=dx, values=background.values[k])
-        b = np.asarray(model.birth_rate(x, frame), dtype=float) * ones
-        h = np.asarray(model.death_rate(x, frame), dtype=float) * ones
-        w = b * l2 + h * s2
-        integrand = f0 * g0 * w + h * fv * gv - h * sm * (f0 * gv + g0 * fv)
-        vals[k] = float(np.sum(integrand * background.values[k]) * dx)
+    fv = np.asarray(f(background.centers), dtype=float)
+    gv = np.asarray(g(background.centers), dtype=float)
+    vals = [_qv_density(model, background.frame(k), fv, gv, f.at_zero, g.at_zero)
+            for k in range(background.index_at(t) + 1)]
     return float(np.trapezoid(vals, dx=background.dt))
 
 

@@ -78,3 +78,26 @@ def test_cli_validate_has_no_out_flag(monkeypatch, capsys):
         main(["validate", "--out", "x"])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+DROPPED_FLAGS = [(cmd, "--workers") for cmd in ("limit", "fluctuate", "converge")] \
+    + [(cmd, "--emit-events")
+       for cmd in ("limit", "fluctuate", "qv", "lln", "clt", "converge")] \
+    + [(cmd, "--emit-fields") for cmd in ("qv", "lln", "clt", "converge")]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_cli_rejects_flags_the_study_ignores(command, flag, cfg_path, monkeypatch, capsys):
+    import agestruct.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    for name in ("run_simulate", "run_limit", "run_fluctuate", "run_qv_check",
+                 "run_lln", "run_clt", "run_convergence"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    argv = [command, "--config", str(cfg_path), flag] + (["2"] if flag == "--workers" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

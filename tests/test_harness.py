@@ -39,6 +39,21 @@ def test_config_validation():
         small_config(dt_out=0.3)    # does not divide horizon
 
 
+@pytest.mark.parametrize("field, value", [("spde_block", 0), ("n_spde_paths", 1),
+                                          ("workers", 0)])
+def test_config_rejects_bad_spde_sizes(tmp_path, field, value):
+    # spde_block 0 would never advance the SPDE block loop
+    message = rf"{field} must be at least \d+, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+    spec = small_config().to_dict()
+    spec[field] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(p)
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = small_config()
     p = tmp_path / "cfg.json"

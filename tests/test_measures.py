@@ -107,16 +107,6 @@ def test_panel_unknown_kind():
         make_panel(["sinusoid"], t_star=1.0)
 
 
-@pytest.mark.parametrize("f", make_panel(t_star=2.0))
-def test_derivative_matches_finite_differences(f):
-    xs = np.linspace(0.15, 1.85, 23)
-    h = 1e-6
-    fd = (f(xs + h) - f(xs - h)) / (2 * h)
-    d = f.deriv(xs)
-    scale = np.maximum(np.abs(d), 1.0)
-    assert np.max(np.abs(d - fd) / scale) < 1e-6
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         AtomicMeasure(ages=np.array([2.5]), weight=1.0, t_star=2.0)

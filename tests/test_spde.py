@@ -5,12 +5,11 @@ import pytest
 
 from agestruct.harness import replicate_stream, spde_noise_stream
 from agestruct.measures import GridDensity, constant, exponential, make_panel, monomial
-from agestruct.mvf import solve_mvf, solve_total_ode
+from agestruct.mvf import classical_exact, solve_mvf, solve_total_ode
 from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate,
                              OffspringLaw, RateModel, ScalarFn, classical_model,
                              pure_splitting)
-from agestruct.spde import (_Coeffs, classical_exp_mean, classical_mean_exact,
-                            classical_qv_mass, covariation_integral_frames,
+from agestruct.spde import (_Coeffs, classical_exp_mean, classical_qv_mass, covariation_integral_frames,
                             density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
                             ito_isometry_variance, noise_channel, qv_integral_frames,
                             remark_covariance_grid, simulate_fluctuation_paths)
@@ -104,14 +103,31 @@ class ZeroNoise:
 
 
 def test_paths_deterministic_part_equals_mean_evolution():
-    bg = background(SPLIT, dx=0.01)
-    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     panel = [constant(1.0), exponential(0.5), monomial(1)]
-    samples = simulate_fluctuation_paths(SPLIT, bg, z0, 1, panel, [10 * bg.dt],
-                                         lambda b: ZeroNoise())
-    mp = evolve_mean(SPLIT, z0, bg, horizon=10 * bg.dt)
-    fvals = np.stack([f(bg.centers) for f in panel])
-    assert np.array_equal(samples[:, 0], bg.dx * (mp.values[-1][None, :] @ fvals.T))
+    for model in (SPLIT, KERNEL):
+        bg = background(model, dx=0.01)
+        z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+        mp = evolve_mean(model, z0, bg, horizon=10 * bg.dt)
+        fvals = np.stack([f(bg.centers) for f in panel])
+        want = bg.dx * (mp.values[-1][None, :] @ fvals.T)
+        one, many = (simulate_fluctuation_paths(model, bg, z0, n, panel, [10 * bg.dt],
+                                                lambda b: ZeroNoise()) for n in (1, 3))
+        assert np.array_equal(one[:, 0], want), model.family
+        # BLAS orders the matrix products' sums by batch size: rounding only
+        assert np.all(many == many[:1])
+        assert np.allclose(many[:, 0], want, rtol=1e-13, atol=0.0), model.family
+
+
+def test_paths_reject_empty_blocks():
+    bg = background(SPLIT, dx=0.05, horizon=0.1)
+
+    def one_block(b):
+        assert b == 0, "the block loop did not advance"
+        return ZeroNoise()
+
+    with pytest.raises(ValueError, match="block_size must be at least 1, got 0"):
+        simulate_fluctuation_paths(SPLIT, bg, np.zeros(bg.values.shape[1]), 2,
+                                   [constant(1.0)], [0.1], one_block, block_size=0)
 
 
 def test_paths_noise_has_zero_mean():
@@ -144,8 +160,7 @@ def test_evolve_mean_tracks_classical_closed_form():
     bg = background(model, dx=dt)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     mp = evolve_mean(model, z0, bg)
-    ref = classical_mean_exact(GridDensity(dx=dt, values=z0, signed=True),
-                               0.6, 0.7, 2.0, 1.0, 1.0, 1.0)
+    ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True), 0.6, 0.7, 2.0, 1.0, 1.0)
     assert np.max(np.abs(mp.values[-1] - ref.values)) <= 10 * dt
 
 
@@ -153,9 +168,10 @@ def test_classical_mean_exact_values():
     dx = 1e-3
     z0 = GridDensity(dx=dx, values=np.where(
         (np.arange(2000) + 0.5) * dx < 1.0, 1.0, 0.0), signed=True)
-    out = classical_mean_exact(z0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0)
+    out = classical_exact(z0, 0.0, 1.0, 2.0, 0.0, 0.0)
     assert np.array_equal(out.values, z0.values)
-    out = classical_mean_exact(z0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.5)
+    out = classical_exact(z0, 0.0, 1.0, 2.0, 0.0, 0.5)
+    assert isinstance(out, GridDensity) and out.signed
     c = out.centers
     j = np.argmin(np.abs(c - 0.25))
     # renewal branch: n E(1,Z0) e^((n-h)t) e^(-n x) = 2 e^0.5 e^-0.5 = 2 at x=0.25
@@ -224,24 +240,33 @@ def test_density_dependent_mean_formula_matches_grid():
 
 def test_kernel_engine_reduces_to_density_engine():
     # constant kernel: (g(x,.), A) = |A|, so an affine kernel rate collapses
-    # to an affine density rate; the two engine branches must agree
-    kern = RateModel("kernel_linear", ConstantRate(0.4),
-                     KernelRate(Kernel("constant", c=1.0), "affine",
-                                c0=0.5, cy=0.1, cz=0.2),
-                     OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
-                     birth_sup=0.4, death_sup=2.0)
-    dens = RateModel("density_dependent", ConstantRate(0.4),
-                     DensityRate(ScalarFn.affine(0.5, 0.3)),
-                     OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
-                     birth_sup=0.4, death_sup=2.0)
+    # to an affine density rate; the two engine branches must agree whichever
+    # rate carries the kernel
+    const = Kernel("constant", c=1.0)
+    forms = {"birth": (0.2, 0.1, 0.1), "death": (0.5, 0.1, 0.2)}   # c0, cy, cz
+    fixed = {"birth": ConstantRate(0.4), "death": ConstantRate(0.8)}
+
+    def build(family, carriers, rate):
+        r = {name: rate(*forms[name]) if name in carriers else fixed[name]
+             for name in forms}
+        return RateModel(family, r["birth"], r["death"], OffspringLaw.deterministic(1),
+                         OffspringLaw.deterministic(2), birth_sup=1.0, death_sup=2.0)
+
     dt = 0.02
-    bg_k = background(kern, dx=dt)
-    bg_d = background(dens, dx=dt)
-    assert np.max(np.abs(bg_k.values - bg_d.values)) <= 1e-10
-    z0 = np.where(bg_k.centers < 1.0, 0.7, 0.0)
-    mk = evolve_mean(kern, z0, bg_k)
-    md = evolve_mean(dens, z0, bg_d)
-    assert np.max(np.abs(mk.values - md.values)) <= 1e-10
+    for carriers in (("death",), ("birth",), ("birth", "death")):
+        kern = build("kernel_linear", carriers, lambda c0, cy, cz: KernelRate(
+            const, "affine", c0=c0, cy=cy, cz=cz))
+        dens = build("density_dependent", carriers, lambda c0, cy, cz: DensityRate(
+            ScalarFn.affine(c0, cy + cz)))
+        bg_k = background(kern, dx=dt)
+        bg_d = background(dens, dx=dt)
+        assert np.max(np.abs(bg_k.values - bg_d.values)) <= 1e-10, carriers
+        # one kernel matrix however many rates share the kernel
+        assert len(_Coeffs(kern, bg_k, with_noise=False).kernels) == 1
+        z0 = np.where(bg_k.centers < 1.0, 0.7, 0.0)
+        mk = evolve_mean(kern, z0, bg_k)
+        md = evolve_mean(dens, z0, bg_d)
+        assert np.max(np.abs(mk.values - md.values)) <= 1e-10, carriers
 
 
 def test_qv_integral_frames_vs_closed_form():
