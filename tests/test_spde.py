@@ -9,10 +9,11 @@ from agestruct.mvf import classical_exact, solve_mvf, solve_total_ode
 from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate,
                              OffspringLaw, RateModel, ScalarFn, classical_model,
                              pure_splitting)
-from agestruct.spde import (_Coeffs, classical_exp_mean, classical_qv_mass, covariation_integral_frames,
-                            density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
-                            ito_isometry_variance, noise_channel, qv_integral_frames,
-                            remark_covariance_grid, simulate_fluctuation_paths)
+from agestruct.spde import (_Coeffs, classical_exp_mean, classical_qv_mass,
+                            covariation_integral_frames, density_dependent_exp_mean,
+                            evolve_mean, exp_pairing_grid, ito_isometry_variance,
+                            noise_channel, qv_integral_frames, remark_covariance_grid,
+                            simulate_fluctuation_paths)
 from agestruct.stats import jarque_bera
 
 SPLIT = pure_splitting(1.0, 2)
