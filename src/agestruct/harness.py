@@ -35,8 +35,7 @@ from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_ex
 from .spde import (classical_exp_mean, classical_qv_mass,
                    covariation_integral_frames, density_dependent_exp_mean,
                    evolve_mean, ito_isometry_variance, noise_channel,
-                   qv_integral_frames, remark_covariance_grid,
-                   simulate_fluctuation_paths)
+                   remark_covariance_grid, simulate_fluctuation_paths)
 from .stats import (fit_loglog_slope, sample_summary, se_of_covariance,
                     se_of_variance)
 
@@ -612,7 +611,7 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
                 st.init_max.base.mass, model.birth.value, model.death.value,
                 model.life_law, model.split_law, t_end))
         else:
-            qv_targets.append(qv_integral_frames(model, st.background, f, t_end))
+            qv_targets.append(covariation_integral_frames(model, st.background, f, f, t_end))
 
     for k_index, k in enumerate(config.k_values):
         results = st.replicates(k_index, PURPOSE_QV, workers, with_ledger=True)
@@ -914,8 +913,7 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
         mp = evolve_mean(model, nu0, st.background)
         every = int(round(config.dt_out / config.dt))
         for i in range(0, mp.times.size, every):
-            GridDensity(dx=mp.dx, values=mp.values[i], signed=True).to_csv(
-                outdir / f"mean_field_t{mp.times[i]:.6g}.csv")
+            mp.frame(i).to_csv(outdir / f"mean_field_t{mp.times[i]:.6g}.csv")
     return report
 
 

@@ -86,15 +86,6 @@ class AtomicMeasure:
         sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
         sidecar.write_text(json.dumps({"weight": self.weight, "t_star": self.t_star}))
 
-    @classmethod
-    def from_csv(cls, path: Union[str, Path], sidecar: Union[str, Path, None] = None) -> "AtomicMeasure":
-        path = Path(path)
-        sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        lines = path.read_text().strip().splitlines()
-        ages = np.array([float(s) for s in lines[1:]], dtype=float)
-        return cls(ages=ages, weight=float(meta["weight"]), t_star=float(meta["t_star"]))
-
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -153,19 +144,6 @@ class GridDensity:
             fh.write("x,value\n")
             for x, v in zip(self.centers, self.values):
                 fh.write(f"{float(x)!r},{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path: Union[str, Path], signed: bool = False) -> "GridDensity":
-        rows = Path(path).read_text().strip().splitlines()[1:]
-        xs, vs = [], []
-        for row in rows:
-            x, v = row.split(",")
-            xs.append(float(x))
-            vs.append(float(v))
-        if len(xs) < 1:
-            raise ValueError("empty grid CSV")
-        dx = 2.0 * xs[0]
-        return cls(dx=dx, values=np.array(vs), signed=signed)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import GridDensity
-from .rates import ConstantRate, DensityRate, ModelError, RateModel
+from .rates import ConstantRate, DensityRate, KernelRate, ModelError, RateModel
 
 __all__ = [
+    "GridRates",
     "LimitSolution",
     "solve_mvf",
     "classical_exact",
@@ -33,18 +34,74 @@ __all__ = [
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
+class GridRates:
+    """A model's rates on one characteristics grid of ``n_cells`` cells.
+
+    Forms each interaction kernel's matrix g(x_i, y_j) once, for the ages
+    x_i the grid layers evaluate at (the cell centers and the left cell
+    edges, i.e. the characteristic midpoints of a step) against the cell
+    centers y_j.  :meth:`at` then gives the measure view the rate families
+    read, for one frame (J,) or a stack of frames (n, J).
+    """
+
+    def __init__(self, model: RateModel, dx: float, n_cells: int):
+        self.model = model
+        self.dx = dx
+        self.centers = (np.arange(n_cells) + 0.5) * dx
+        self.edges = self.centers - 0.5 * dx
+        kernels = {r.kernel for r in (model.birth, model.death) if isinstance(r, KernelRate)}
+        self.matrices = {kern: (kern(self.centers[:, None], self.centers),
+                                kern(self.edges[:, None], self.centers))
+                         for kern in kernels}
+
+    def at(self, values: np.ndarray) -> "_GridFrames":
+        return _GridFrames(self, values)
+
+    def birth_death(self, values: np.ndarray):
+        """Birth and death rates at the cell centers against each frame."""
+        mu = self.at(values)
+        return (self.model.birth_rate(self.centers, mu),
+                self.model.death_rate(self.centers, mu))
+
+
+class _GridFrames:
+    """Measure view of grid frames: ``mass`` and ``kernel_pair`` per frame."""
+
+    def __init__(self, grid: GridRates, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+
+    @property
+    def mass(self):
+        return self.grid.dx * self.values.sum(axis=-1, keepdims=self.values.ndim > 1)
+
+    def kernel_pair(self, kernel, xs):
+        """(g(x, .), frame) for each x in xs, one row per frame.
+
+        ``xs`` must be the grid's ``centers`` or ``edges``.  Every frame takes
+        the same matrix-vector product, so a frame gives the same bits alone
+        as in a stack.
+        """
+        grid = self.grid
+        if xs is not grid.centers and xs is not grid.edges:
+            raise ValueError("grid frames pair a kernel only at the grid's centers or edges")
+        g = grid.matrices[kernel][xs is grid.edges]
+        return grid.dx * (self.values[..., None, :] @ g.T)[..., 0, :]
+
+
 @dataclass(frozen=True)
 class LimitSolution:
     """Density frames on the characteristics grid, one per time step.
 
     Limit-density frames are nonnegative (:meth:`frame` checks); frames of a
-    fluctuation mean (:func:`agestruct.spde.evolve_mean`) may be negative.
+    fluctuation mean (:func:`agestruct.spde.evolve_mean`) are ``signed``.
     """
 
     dt: float
     times: np.ndarray           # (n_times,)
     values: np.ndarray          # (n_times, n_cells), density at cell centers
     a_star: float
+    signed: bool = False
 
     @property
     def dx(self) -> float:
@@ -63,7 +120,7 @@ class LimitSolution:
         return self.dt * self.values.sum(axis=1)
 
     def frame(self, i: int) -> GridDensity:
-        return GridDensity(dx=self.dt, values=self.values[i])
+        return GridDensity(dx=self.dt, values=self.values[i], signed=self.signed)
 
     def frame_at(self, t: float) -> GridDensity:
         return self.frame(self.index_at(t))
@@ -96,7 +153,6 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError("horizon must be an integer number of steps")
-    centers = a0.centers
     n_cells = a0.n_cells
     n_room = n_cells - n_steps
     if n_room < 1:
@@ -108,44 +164,39 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
         raise ValueError("initial density has mass within `horizon` of the grid end")
     a_star = n_room * dt
 
+    grid = GridRates(model, dt, n_cells)
     lm = model.life_law.mean
     sm = model.split_law.mean
-    x_mid = centers - 0.5 * dt          # characteristic midpoints for cells >= 1
+
+    def rates(a, v):
+        """Death rates at the characteristic midpoints of cells >= 1 against
+        ``a``, and the newborn flux (1/dx)*(newborn_rate(a), v)."""
+        b, h = grid.birth_death(a)
+        h_mid = model.death_rate(grid.edges, grid.at(a))[1:]
+        return h_mid, float(np.sum((b * lm + h * sm) * v))
 
     values = np.empty((n_steps + 1, n_cells))
     values[0] = a0.values
     v = a0.values.copy()
     shifted = np.empty_like(v)
     for k in range(n_steps):
-        mu = GridDensity(dx=dt, values=v)
         shifted[1:] = v[:-1]
         shifted[0] = 0.0
-
-        h_now = np.asarray(model.death_rate(x_mid[1:], mu), dtype=float)
-        b_now = np.asarray(model.birth_rate(centers, mu), dtype=float)
-        hc_now = np.asarray(model.death_rate(centers, mu), dtype=float)
-        newborn_now = b_now * lm + hc_now * sm
-        flux_now = float(np.sum(newborn_now * v))          # (1/dx)*(newborn, a_t)
+        h_now, flux_now = rates(v, v)
 
         pred = shifted.copy()
         pred[1:] *= np.exp(-dt * h_now)
         pred[0] = dt * flux_now
-        mu_pred = GridDensity(dx=dt, values=np.maximum(pred, 0.0))
-
-        h_pred = np.asarray(model.death_rate(x_mid[1:], mu_pred), dtype=float)
-        b_pred = np.asarray(model.birth_rate(centers, mu_pred), dtype=float)
-        hc_pred = np.asarray(model.death_rate(centers, mu_pred), dtype=float)
-        newborn_pred = b_pred * lm + hc_pred * sm
-        flux_pred = float(np.sum(newborn_pred * pred))
+        h_pred, flux_pred = rates(np.maximum(pred, 0.0), pred)
 
         new = shifted
         new[1:] *= np.exp(-dt * 0.5 * (h_now + h_pred))
         new[0] = dt * 0.5 * (flux_now + flux_pred)
-        if new.min() < -1e-12:
+        if not new.min() >= -1e-12:
             raise ModelError(f"transport scheme produced a negative density "
                              f"{new.min():g} at step {k + 1} (t = {(k + 1) * dt:g})")
         values[k + 1] = new
-        v, shifted = new.copy(), shifted
+        v = new.copy()
 
     times = dt * np.arange(n_steps + 1)
     return LimitSolution(dt=dt, times=times, values=values, a_star=a_star)

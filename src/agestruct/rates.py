@@ -15,6 +15,11 @@ generality of the population dependence:
 Each family carries the closed-form terms of its directional (Frechet)
 derivative with respect to the measure (``frechet_terms``), which drive the
 fluctuation-limit solver.
+
+Rates read the measure through a view with ``mass`` and
+``kernel_pair(kernel, xs)``: the event simulator's
+:class:`~agestruct.branching.Population`, or the grid layers'
+:meth:`agestruct.mvf.GridRates.at` (one frame or a stack of frames).
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-
-from .measures import AtomicMeasure, GridDensity
 
 __all__ = [
     "ModelError",
@@ -38,7 +41,6 @@ __all__ = [
     "AgeDensityRate",
     "KernelRate",
     "RateModel",
-    "kernel_pair",
     "classical_model",
     "pure_splitting",
 ]
@@ -190,25 +192,6 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# kernel pairings (every measure exposes .mass; views may add fast paths)
-
-
-def kernel_pair(kernel: Kernel, xs, mu):
-    """(g(x, .), mu) evaluated for each x in xs."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if hasattr(mu, "kernel_pair"):
-        return mu.kernel_pair(kernel, xs)
-    if isinstance(mu, AtomicMeasure):
-        if mu.ages.size == 0:
-            return np.zeros_like(xs)
-        return mu.weight * kernel(xs[:, None], mu.ages[None, :]).sum(axis=1)
-    if isinstance(mu, GridDensity):
-        g = kernel(xs[:, None], mu.centers[None, :])
-        return mu.dx * (g @ mu.values)
-    raise TypeError(f"cannot form kernel pairing with {type(mu).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # rate families
 
 
@@ -244,7 +227,7 @@ class DensityRate:
     def eval(self, x, mu):
         x = np.asarray(x, dtype=float)
         v = self.fn(mu.mass)
-        return np.full_like(x, v) if x.ndim else v
+        return v * np.ones_like(x) if x.ndim else v
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
@@ -320,14 +303,14 @@ class KernelRate:
     def eval(self, x, mu):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         y = mu.mass
-        z = kernel_pair(self.kernel, xs, mu)
+        z = mu.kernel_pair(self.kernel, xs)
         out = self.age(xs) * self._phi(y, z)
         return out if np.asarray(x).ndim else float(out[0])
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
         y = mu0.mass
-        z = kernel_pair(self.kernel, xs, mu0)
+        z = mu0.kernel_pair(self.kernel, xs)
         r = self.age(xs)
         return r * self._phi_y(y, z), r * self._phi_z(y, z), self.kernel
 

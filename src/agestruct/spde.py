@@ -20,8 +20,10 @@ characteristics grid as the limit solver:
 
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the simulated martingale has the limit's
-  quadratic variation by construction.  :func:`noise_channel` and the path
-  engine build these scales with one helper.
+  quadratic variation by construction.  The path engine reads the rates of
+  all background frames at once, and :func:`noise_channel` those of one
+  frame, through the same :class:`agestruct.mvf.GridRates` view, so both
+  build bit-identical scales with one helper.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The
@@ -34,7 +36,6 @@ orders the sums of a matrix product by its shape).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import GridDensity, TestFunction
-from .mvf import LimitSolution
+from .mvf import GridRates, LimitSolution
 from .rates import RateModel
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "classical_exp_mean",
     "ito_isometry_variance",
     "exp_pairing_grid",
-    "qv_integral_frames",
     "covariation_integral_frames",
     "classical_qv_mass",
     "density_dependent_exp_mean",
@@ -103,34 +103,27 @@ def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
     return sigma_cells, sigma_boundary
 
 
-def _rate_rows(model: RateModel, x: np.ndarray, frame: GridDensity):
-    """Birth and death rates at ages ``x`` against ``frame``, one value per age."""
-    ones = np.ones_like(x)
-    return (np.asarray(model.birth_rate(x, frame), dtype=float) * ones,
-            np.asarray(model.death_rate(x, frame), dtype=float) * ones)
-
-
 def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
     """Build the two-channel noise scales for one background frame."""
-    b, h = _rate_rows(model, frame.centers, frame)
+    b, h = GridRates(model, frame.dx, frame.n_cells).birth_death(frame.values)
     sigma_cells, sigma_boundary = _noise_scales(model, b, h, frame.values, frame.dx, dt)
     return NoiseChannel(dx=frame.dx, dt=dt, sigma_cells=sigma_cells,
                         split_mean=model.split_law.mean,
                         sigma_boundary=float(sigma_boundary))
 
 
-def _qv_density(model: RateModel, frame: GridDensity, f_vals: np.ndarray,
-                g_vals: np.ndarray, f0: float, g0: float) -> float:
-    """Quadratic-covariation rate of the (f, g) martingales against one frame.
+def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,
+                g_vals: np.ndarray, f0: float, g0: float):
+    """Quadratic-covariation rate of the (f, g) martingales against each frame of ``a``.
 
     ``f0`` and ``g0`` are the values at age zero, where newborns deposit.
     """
-    b, h = _rate_rows(model, frame.centers, frame)
+    b, h = GridRates(model, dx, a.shape[-1]).birth_death(a)
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     w = b * model.life_law.second_moment + h * s2
     integrand = (f0 * g0 * w + h * f_vals * g_vals
                  - h * sm * (f0 * g_vals + g0 * f_vals))
-    return float(np.sum(integrand * frame.values) * frame.dx)
+    return np.sum(integrand * a, axis=-1) * dx
 
 
 def remark_covariance_grid(model: RateModel, frame: GridDensity,
@@ -141,7 +134,8 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
     cell center and the pairing uses the midpoint rule, matching the
     delta_0-as-boundary-cell representation.
     """
-    return dt * _qv_density(model, frame, f_vals, g_vals, f_vals[0], g_vals[0])
+    return dt * float(_qv_density(model, frame.values, frame.dx, f_vals, g_vals,
+                                  f_vals[0], g_vals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,63 +145,49 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 class _Coeffs:
     """Per-step arrays driving the drift and noise of the grid engine.
 
-    Row k serves the step from frame k to frame k+1.  ``uh``/``un`` (the
+    Row k serves the step from frame k to frame k+1; a row that is the same
+    for every frame is a broadcast view of one row.  ``uh``/``un`` (the
     mass-derivative weights of the death and newborn rates) are None when
     every Frechet term vanishes.  ``kernels`` holds one entry per distinct
-    interaction kernel: its matrix g(x_i, x_j), built once, and the
-    per-step row weights of its death and newborn Frechet terms.
+    interaction kernel: its matrix g(x_i, x_j) and the per-step row weights
+    of its death and newborn Frechet terms.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution,
                  with_noise: bool):
         self.bg = background
-        dt = background.dt
-        dx = background.dx
-        n_steps = background.values.shape[0] - 1
-        n_cells = background.values.shape[1]
-        x = background.centers
-        x_mid = x - 0.5 * dx
+        dt = dx = background.dt
         lm = model.life_law.mean
         sm = model.split_law.mean
-        a = background.values[:n_steps]
-        shape = (n_steps, n_cells)
+        a = background.values[:-1]
+        shape = a.shape
+        grid = GridRates(model, dx, shape[1])
+        mu = grid.at(a)
+        x = grid.centers
 
-        self.decay = np.empty(shape)
-        self.n_rows = np.empty(shape)
-        h_rows = np.empty(shape)
-        b_rows = np.empty(shape)
+        b, h = grid.birth_death(a)
+        self.n_rows = np.broadcast_to(b * lm + h * sm, shape)
+        self.decay = np.broadcast_to(np.exp(-dt * model.death_rate(grid.edges, mu)), shape)
+        ub, w3b, kerb = model.birth.frechet_terms(x, mu)
+        udh, w3h, kerh = model.death.frechet_terms(x, mu)
         self.uh = self.un = None
-        # Kernel -> (death, newborn) row weights; insertion order fixes the sum order
-        weights = defaultdict(lambda: (np.zeros(shape), np.zeros(shape)))
-        for k in range(n_steps):
-            frame = GridDensity(dx=dx, values=background.values[k])
-            b_rows[k], h_rows[k] = _rate_rows(model, x, frame)
-            self.n_rows[k] = b_rows[k] * lm + h_rows[k] * sm
-            hm = np.asarray(model.death_rate(x_mid, frame), dtype=float) * np.ones_like(x)
-            self.decay[k] = np.exp(-dt * hm)
-            ub, w3b, kerb = model.birth.frechet_terms(x, frame)
-            udh, w3h, kerh = model.death.frechet_terms(x, frame)
-            if self.uh is None and (np.any(udh) or np.any(ub)
-                                     or kerh is not None or kerb is not None):
-                self.uh = np.zeros(shape)
-                self.un = np.zeros(shape)
-            if self.uh is not None:
-                self.uh[k] = udh
-                self.un[k] = ub * lm + udh * sm
-            if kerh is not None:
-                weights[kerh][0][k] = w3h
-                weights[kerh][1][k] += w3h * sm
-            if kerb is not None:
-                weights[kerb][1][k] += w3b * lm
-        self.kernels = [(kern(x[:, None], x[None, :]), wh, wn)
-                        for kern, (wh, wn) in weights.items()]
-        if self.un is not None:
+        if np.any(udh) or np.any(ub) or kerh is not None or kerb is not None:
+            self.uh = np.broadcast_to(udh, shape)
+            self.un = np.broadcast_to(ub * lm + udh * sm, shape)
             # scalar pairings dx * sum(u * a) used by the boundary deposits
             self.una = dx * np.sum(self.un * a, axis=1)
+        # kernel -> [death, newborn] row weights; insertion order fixes the sum order
+        weights = {}
+        if kerh is not None:
+            weights[kerh] = [w3h, w3h * sm]
+        if kerb is not None:
+            weights.setdefault(kerb, [0.0, 0.0])[1] += w3b * lm
+        self.kernels = [(grid.matrices[kern][0], np.broadcast_to(wh, shape),
+                         np.broadcast_to(wn, shape))
+                        for kern, (wh, wn) in weights.items()]
 
         if with_noise:
-            self.sigma_cells, self.sigma_boundary = _noise_scales(
-                model, b_rows, h_rows, a, dx, dt)
+            self.sigma_cells, self.sigma_boundary = _noise_scales(model, b, h, a, dx, dt)
         else:
             self.sigma_cells = None
             self.sigma_boundary = None
@@ -267,27 +247,23 @@ def _width(co: _Coeffs, k: int) -> int:
 # mean evolution
 
 
-def evolve_mean(model: RateModel, nu0: np.ndarray, background: LimitSolution,
-                horizon: Optional[float] = None) -> LimitSolution:
+def evolve_mean(model: RateModel, nu0: np.ndarray,
+                background: LimitSolution) -> LimitSolution:
     """Deterministic evolution of the expected fluctuation measure.
 
     Same transport/decay/deposit scheme as the noisy step with the noise
     switched off and the measure-derivative terms evaluated at the running
-    mean itself.  The frames are on the background grid and may be negative.
+    mean itself.  The frames are on the background grid and signed.
     """
     co = _Coeffs(model, background, with_noise=False)
-    n_steps = background.values.shape[0] - 1
-    if horizon is not None:
-        n_steps = background.index_at(horizon)
-    nu0 = np.asarray(nu0, dtype=float)
-    out = np.empty((n_steps + 1, nu0.size))
+    out = np.empty(background.values.shape)
     out[0] = nu0
-    z = nu0.reshape(1, -1).copy()
-    for k in range(n_steps):
+    z = out[:1].copy()
+    for k in range(out.shape[0] - 1):
         _engine_step(z, k, co, _width(co, k), _width(co, k + 1), None)
         out[k + 1] = z[0]
-    return LimitSolution(dt=background.dt, times=background.dt * np.arange(n_steps + 1),
-                         values=out, a_star=background.a_star)
+    return LimitSolution(dt=background.dt, times=background.times, values=out,
+                         a_star=background.a_star, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +415,6 @@ def classical_qv_mass(a0_mass: float, birth: float, death: float,
 # quadratic-variation integrals on a solved background
 
 
-def qv_integral_frames(model: RateModel, background: LimitSolution,
-                       f: TestFunction, t: float) -> float:
-    """QV of the scaled martingale for f at time t, trapezoid over frames."""
-    return covariation_integral_frames(model, background, f, f, t)
-
-
 def covariation_integral_frames(model: RateModel, background: LimitSolution,
                                 f: TestFunction, g: TestFunction, t: float) -> float:
     """Quadratic covariation integral for (f, g) on the solved background.
@@ -455,8 +425,8 @@ def covariation_integral_frames(model: RateModel, background: LimitSolution,
     """
     fv = np.asarray(f(background.centers), dtype=float)
     gv = np.asarray(g(background.centers), dtype=float)
-    vals = [_qv_density(model, background.frame(k), fv, gv, f.at_zero, g.at_zero)
-            for k in range(background.index_at(t) + 1)]
+    a = background.values[: background.index_at(t) + 1]
+    vals = _qv_density(model, a, background.dx, fv, gv, f.at_zero, g.at_zero)
     return float(np.trapezoid(vals, dx=background.dt))
 
 

@@ -6,13 +6,23 @@ import pytest
 from agestruct.branching import MartingaleLedger, Population, simulate
 from agestruct.harness import replicate_stream
 from agestruct.measures import AtomicMeasure, GridDensity, constant, exponential, pair
+from agestruct.mvf import GridRates
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, ModelError, OffspringLaw, RateModel,
-                             ScalarFn, classical_model, kernel_pair, pure_splitting)
+                             ScalarFn, classical_model, pure_splitting)
 
 
 def atoms(ages, weight=1.0, t_star=2.0):
     return AtomicMeasure(ages=np.asarray(ages, dtype=float), weight=weight, t_star=t_star)
+
+
+def on_grid(rate, *densities):
+    """The grid rates of a model whose death rate is ``rate``, on the grid of
+    the first density, and the measure view of each density."""
+    model = RateModel(rate.family, ConstantRate(0.0), rate, OffspringLaw.deterministic(0),
+                      OffspringLaw.deterministic(0), birth_sup=0.0, death_sup=1.0)
+    grid = GridRates(model, densities[0].dx, densities[0].n_cells)
+    return grid, [grid.at(d.values) for d in densities]
 
 
 def directional(rate, xs, mu0, direction):
@@ -20,7 +30,7 @@ def directional(rate, xs, mu0, direction):
     assembles it from ``frechet_terms``."""
     u, w3, kern = rate.frechet_terms(np.asarray(xs, dtype=float), mu0)
     out = u * direction.mass
-    return out if w3 is None else out + w3 * kernel_pair(kern, xs, direction)
+    return out if w3 is None else out + w3 * direction.kernel_pair(kern, xs)
 
 
 def compensator(model, f, ages, k, s1):
@@ -40,8 +50,8 @@ def test_density_dependent_empty_population():
 
 def test_kernel_reciprocal_mass():
     rate = KernelRate(Kernel("constant", c=1.0), "inv1p", c=1.0)
-    assert rate.eval(0.2, atoms([0.7])) == pytest.approx(0.5)
-    assert rate.eval(1.4, atoms([0.7])) == pytest.approx(0.5)
+    assert rate.eval(0.2, Population([0.7], k=1)) == pytest.approx(0.5)
+    assert rate.eval(1.4, Population([0.7], k=1)) == pytest.approx(0.5)
 
 
 def test_limit_rates_match_finite_k_for_builtins():
@@ -90,13 +100,14 @@ def test_frechet_matches_directional_finite_difference(rate):
     a0 = GridDensity.from_function(lambda x: 0.5 + 0.3 * np.exp(-x), t_star=2.0, dx=dx)
     direction = GridDensity.from_function(lambda x: np.sin(2 * x), t_star=2.0, dx=dx,
                                           signed=True)
-    xs = np.array([0.0, 0.4, 1.1, 1.9])
     eps = 1e-6
     bumped = GridDensity(dx=dx, values=a0.values + eps * direction.values, signed=True)
-    fd = (rate.eval(xs, bumped) - rate.eval(xs, a0)) / eps
-    an = directional(rate, xs, a0, direction)
-    scale = np.maximum(np.abs(an), 1e-6)
-    assert np.max(np.abs(an - fd) / scale) < 1e-4
+    grid, (a0, bumped, direction) = on_grid(rate, a0, bumped, direction)
+    for xs in (grid.centers, grid.edges):
+        fd = (rate.eval(xs, bumped) - rate.eval(xs, a0)) / eps
+        an = directional(rate, xs, a0, direction)
+        scale = np.maximum(np.abs(an), 1e-6)
+        assert np.max(np.abs(an - fd) / scale) < 1e-4
 
 
 def test_frechet_linear_in_direction():
@@ -105,10 +116,11 @@ def test_frechet_linear_in_direction():
     d1 = GridDensity.from_function(lambda x: np.cos(x), t_star=2.0, dx=0.05, signed=True)
     d2 = GridDensity.from_function(lambda x: x - 1.0, t_star=2.0, dx=0.05, signed=True)
     combo = GridDensity(dx=0.05, values=1.7 * d1.values - 0.4 * d2.values, signed=True)
-    xs = np.linspace(0.0, 1.9, 7)
-    lhs = directional(rate, xs, a0, combo)
-    rhs = 1.7 * directional(rate, xs, a0, d1) - 0.4 * directional(rate, xs, a0, d2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+    grid, (a0, d1, d2, combo) = on_grid(rate, a0, d1, d2, combo)
+    for xs in (grid.centers, grid.edges):
+        lhs = directional(rate, xs, a0, combo)
+        rhs = 1.7 * directional(rate, xs, a0, d1) - 0.4 * directional(rate, xs, a0, d2)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
 # The generator is Lf = f' - death * f + f(0) * newborn.  Between events the
@@ -212,11 +224,20 @@ def test_negative_rate_raises():
 
 def test_limit_rate_depends_only_on_pairings():
     # measures with identical mass give identical density-family rates,
-    # whatever their representation
+    # whatever their representation: the event simulator's population or a
+    # grid frame
     rate = DensityRate(ScalarFn.affine(0.5, 0.25))
-    m = atoms([0.2, 0.9, 1.4], weight=0.5)
-    g = GridDensity(dx=0.75, values=np.array([1.0, 1.0]))
-    assert m.mass == pytest.approx(g.mass)
-    assert rate.eval(0.3, m) == pytest.approx(rate.eval(0.3, g), rel=1e-14)
     kern = KernelRate(Kernel("constant", c=2.0), "affine", c0=0.1, cy=0.2, cz=0.3)
-    assert kern.eval(0.3, m) == pytest.approx(kern.eval(0.3, g), rel=1e-14)
+    m = Population([0.2, 0.9, 1.4], k=2)
+    grid, (g,) = on_grid(kern, GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
+    x = grid.centers
+    assert m.mass == pytest.approx(g.mass)
+    assert rate.eval(x, m) == pytest.approx(rate.eval(x, g), rel=1e-14)
+    assert kern.eval(x, m) == pytest.approx(kern.eval(x, g), rel=1e-14)
+
+
+def test_grid_view_pairs_kernels_only_at_its_own_ages():
+    kern = KernelRate(Kernel("exp_decay", alpha=1.0), "affine", c0=0.1, cy=0.2, cz=0.3)
+    grid, (g,) = on_grid(kern, GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
+    with pytest.raises(ValueError, match="centers or edges"):
+        kern.eval(grid.centers.copy(), g)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from agestruct.harness import replicate_stream, spde_noise_stream
-from agestruct.measures import GridDensity, constant, exponential, make_panel, monomial
-from agestruct.mvf import classical_exact, solve_mvf, solve_total_ode
+from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
+                                monomial)
+from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total_ode
 from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate,
                              OffspringLaw, RateModel, ScalarFn, classical_model,
                              pure_splitting)
 from agestruct.spde import (_Coeffs, classical_exp_mean, classical_qv_mass,
                             covariation_integral_frames, density_dependent_exp_mean,
                             evolve_mean, exp_pairing_grid, ito_isometry_variance,
-                            noise_channel, qv_integral_frames, remark_covariance_grid,
+                            noise_channel, remark_covariance_grid,
                             simulate_fluctuation_paths)
 from agestruct.stats import jarque_bera
 
@@ -108,9 +109,9 @@ def test_paths_deterministic_part_equals_mean_evolution():
     for model in (SPLIT, KERNEL):
         bg = background(model, dx=0.01)
         z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-        mp = evolve_mean(model, z0, bg, horizon=10 * bg.dt)
+        mean_10 = evolve_mean(model, z0, bg).values[10]
         fvals = np.stack([f(bg.centers) for f in panel])
-        want = bg.dx * (mp.values[-1][None, :] @ fvals.T)
+        want = bg.dx * (mean_10[None, :] @ fvals.T)
         one, many = (simulate_fluctuation_paths(model, bg, z0, n, panel, [10 * bg.dt],
                                                 lambda b: ZeroNoise()) for n in (1, 3))
         assert np.array_equal(one[:, 0], want), model.family
@@ -135,7 +136,7 @@ def test_paths_noise_has_zero_mean():
     dt = 0.02
     bg = background(SPLIT, dx=dt, horizon=0.1)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    mp = evolve_mean(SPLIT, z0, bg, horizon=dt)
+    mp = evolve_mean(SPLIT, z0, bg)
     panel = [constant(1.0), exponential(0.5), monomial(1)]
     samples = simulate_fluctuation_paths(SPLIT, bg, z0, 20000, panel, [dt],
                                          lambda b: spde_noise_stream(3, b),
@@ -144,7 +145,7 @@ def test_paths_noise_has_zero_mean():
     for fi, f in enumerate(panel):
         vals = samples[:, 0, fi]
         se = vals.std() / math.sqrt(vals.size)
-        assert abs(vals.mean() - mp.pairings(f)[-1]) <= 3 * se
+        assert abs(vals.mean() - mp.pairings(f)[1]) <= 3 * se
 
 
 def test_evolve_mean_zero_start():
@@ -272,13 +273,10 @@ def test_kernel_engine_reduces_to_density_engine():
 
 def test_qv_integral_frames_vs_closed_form():
     bg = background(SPLIT, dx=1e-3)
-    got = qv_integral_frames(SPLIT, bg, constant(1.0), 1.0)
+    got = covariation_integral_frames(SPLIT, bg, constant(1.0), constant(1.0), 1.0)
     exact = classical_qv_mass(1.0, 0.0, 1.0, SPLIT.life_law, SPLIT.split_law, 1.0)
     assert exact == pytest.approx(math.e - 1.0, rel=1e-12)
     assert got == pytest.approx(exact, rel=5e-3)
-    # covariation with itself is the quadratic variation
-    assert covariation_integral_frames(SPLIT, bg, constant(1.0), constant(1.0), 1.0) \
-        == pytest.approx(got, rel=1e-14)
 
 
 def test_paths_reproducible_and_gaussian():
@@ -295,3 +293,33 @@ def test_paths_reproducible_and_gaussian():
     assert np.array_equal(s1, s2)
     stat, p = jarque_bera(s1[:, 0, 0])
     assert p > 0.01
+
+
+def test_mean_frames_are_signed_and_limit_frames_are_checked():
+    bg = background(SPLIT, dx=0.02, horizon=0.2)
+    z0 = np.where(bg.centers < 1.0, -1.0, 0.0)
+    frame = evolve_mean(SPLIT, z0, bg).frame(5)
+    assert frame.signed and frame.values.min() < 0.0
+    negative = LimitSolution(dt=bg.dt, times=bg.times, values=-bg.values, a_star=bg.a_star)
+    with pytest.raises(DomainError):
+        negative.frame(5)
+
+
+def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
+    calls = []
+    kernel_call = Kernel.__call__
+
+    def counting(self, x, y):
+        calls.append(self)
+        return kernel_call(self, x, y)
+
+    monkeypatch.setattr(Kernel, "__call__", counting)
+    counts = []
+    for horizon in (0.2, 0.4):
+        calls.clear()
+        bg = background(KERNEL, dx=0.02, horizon=horizon)
+        in_solve = len(calls)
+        _Coeffs(KERNEL, bg, with_noise=True)
+        counts.append((in_solve, len(calls) - in_solve))
+    assert counts[0][0] > 0 and counts[0][1] > 0
+    assert counts[0] == counts[1]
