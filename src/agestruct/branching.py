@@ -10,9 +10,11 @@ re-evaluated at each candidate epoch.
 
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
-at event times and the absolutely continuous compensator is integrated with
-fixed-order Gauss-Legendre quadrature over each interval on which the live
-set is constant (the integrand is smooth there, ages being linear in time).
+at event times.  The absolutely continuous compensator is exact for constant
+rates and closed-form test functions (each individual adds an antiderivative
+at its exit age minus one at its entry age: O(P) per death); otherwise it is
+integrated with fixed-order Gauss-Legendre quadrature over each interval on
+which the live set is constant (ages being linear in time there).
 """
 
 from __future__ import annotations
@@ -121,72 +123,89 @@ class MartingaleLedger:
     """Compensated processes (f, M_t) for a panel of test functions.
 
     ``jump`` collects the discrete part (newborn deposits at age 0 and the
-    negative death evaluations); ``comp`` the running compensator integral
-    of f(0)*newborn_rate - f*death_rate against the unnormalised population.
-    M^f_t = jump - comp is a martingale; the sqrt(K)-scaled version is
+    negative death evaluations); the compensator integrates
+    g = f(0)*newborn_rate - f*death_rate against the unnormalised population.
+    M^f_t = jump - compensator is a martingale; the sqrt(K)-scaled version is
     obtained by dividing by sqrt(K).
+
+    ``closed_form`` (constant rates, no K perturbation, no bump in the panel):
+    g depends on the age alone, with antiderivative G, so ``_acc`` holds -G
+    at the initial ages plus G at each death age (newborns enter at age 0,
+    where G = 0) and a record adds G over the live ages.  Otherwise ``_acc``
+    is the Gauss-Legendre integral of g up to the last event.
     """
 
-    def __init__(self, panel: Sequence[TestFunction]):
+    def __init__(self, panel: Sequence[TestFunction], model: RateModel, pop: Population):
         self.panel = list(panel)
-        self.f0 = np.array([f.at_zero for f in self.panel])
+        self.model = model
         p = len(self.panel)
-        self.jump = np.zeros(p)
-        self.comp = np.zeros(p)
+        self.f0 = [f.at_zero for f in self.panel]
+        self.jump = [0.0] * p
         self.times: list[float] = []
         self.m_path: list[np.ndarray] = []
         self.comp_path: list[np.ndarray] = []
+        self.closed_form = (model.birth.is_constant and model.death.is_constant
+                            and model.k_perturbation is None
+                            and all(f.kind != "bump" for f in self.panel))
+        self._acc = [0.0] * p
+        self._s = pop.t
+        if self.closed_form:
+            self._h = model.death.value
+            newborn = model.birth.value * model.life_law.mean + self._h * model.split_law.mean
+            self._g0 = [f0 * newborn for f0 in self.f0]
+            self._acc = [-g for g in self._live(pop)]
 
-    def record(self, t: float):
-        self.times.append(t)
-        self.m_path.append(self.jump - self.comp)
-        self.comp_path.append(self.comp.copy())
+    def _live(self, pop: Population) -> list[float]:
+        """G summed over the live ages, per panel function (closed form)."""
+        ages = pop.ages
+        return [g0 * float(ages.sum()) - self._h * float(np.sum(f.antiderivative(ages)))
+                for g0, f in zip(self._g0, self.panel)]
 
-    def jump_birth(self, brood: int):
-        if brood:
-            self.jump += brood * self.f0
-
-    def jump_death(self, age: float, brood: int):
-        for i, f in enumerate(self.panel):
-            self.jump[i] -= float(f(age))
-        if brood:
-            self.jump += brood * self.f0
-
-    def accumulate(self, pop: Population, model: RateModel, s0: float, s1: float):
-        """Add the compensator integral over [s0, s1] (constant live set)."""
+    def _accumulate(self, pop: Population):
+        """Add the compensator integral since the last event (constant live set)."""
+        s0, s1 = self._s, pop.t
+        self._s = s1
         n = pop.n_live
-        if n == 0 or s1 <= s0:
+        if self.closed_form or n == 0 or s1 <= s0:
             return
-        mid = 0.5 * (s0 + s1)
+        model = self.model
         half = 0.5 * (s1 - s0)
-        s_nodes = mid + half * _GL_NODES
-        bt = pop.birth_times[:n]
-        ages = s_nodes[:, None] - bt[None, :]
-        lm = model.life_law.mean
-        sm = model.split_law.mean
-        b_fn, h_fn = model.birth, model.death
-        if b_fn.is_constant and h_fn.is_constant:
-            b = b_fn.value
-            h = h_fn.value
-            nsum = (b * lm + h * sm) * n * np.ones_like(s_nodes)
-            for i, f in enumerate(self.panel):
-                fsum = f(ages).sum(axis=1)
-                self.comp[i] += half * float(
-                    np.dot(_GL_WEIGHTS, self.f0[i] * nsum - h * fsum)
-                )
-        else:
-            t_saved = pop.t
-            for q, s in enumerate(s_nodes):
-                pop.t = float(s)
-                arow = ages[q]
-                b = np.asarray(model.birth_rate(arow, pop, pop.k), dtype=float)
-                h = np.asarray(model.death_rate(arow, pop, pop.k), dtype=float)
-                nvals = b * lm + h * sm
-                nsum = float(np.sum(nvals)) if nvals.ndim else float(nvals) * n
-                for i, f in enumerate(self.panel):
-                    fh = float(np.sum(f(arow) * h))
-                    self.comp[i] += half * _GL_WEIGHTS[q] * (self.f0[i] * nsum - fh)
-            pop.t = t_saved
+        s_nodes = 0.5 * (s0 + s1) + half * _GL_NODES
+        ages = s_nodes[:, None] - pop.birth_times[:n][None, :]
+        lm, sm = model.life_law.mean, model.split_law.mean
+        h = np.empty_like(ages)
+        nsum = []
+        for q, s in enumerate(s_nodes):
+            pop.t = float(s)
+            h[q] = model.death_rate(ages[q], pop, pop.k)
+            nsum.append(float(np.sum(model.birth_rate(ages[q], pop, pop.k) * lm + h[q] * sm)))
+        pop.t = s1
+        for i, f in enumerate(self.panel):
+            fh = (f(ages) * h).sum(axis=1)
+            for q, w in enumerate(_GL_WEIGHTS):
+                self._acc[i] += half * w * (self.f0[i] * nsum[q] - fh[q])
+
+    def record(self, pop: Population):
+        """Keep M and the compensator at the population's current time."""
+        self._accumulate(pop)
+        comp = np.add(self._acc, self._live(pop)) if self.closed_form else np.array(self._acc)
+        self.times.append(pop.t)
+        self.m_path.append(np.array(self.jump) - comp)
+        self.comp_path.append(comp)
+
+    def birth(self, pop: Population, brood: int):
+        """A birth of ``brood`` newborns at the population's current time."""
+        self._accumulate(pop)
+        self.jump = [j + brood * f0 for j, f0 in zip(self.jump, self.f0)]
+
+    def death(self, pop: Population, age: float, brood: int):
+        """The live individual aged ``age`` dies, leaving ``brood`` newborns."""
+        self._accumulate(pop)
+        age = float(age)
+        for i, f in enumerate(self.panel):
+            self.jump[i] = self.jump[i] - f.scalar(age) + brood * self.f0[i]
+            if self.closed_form:
+                self._acc[i] += self._g0[i] * age - self._h * f.antiderivative(age, math)
 
     def martingales(self) -> np.ndarray:
         """Path values M^f at the recorded times, shape (n_times, panel)."""
@@ -282,9 +301,9 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
 
     pop = Population(a0.ages, k=k, t0=0.0)
     initial_bt = pop.birth_times[: pop.n_live].copy()
-    ledger = MartingaleLedger(panel) if with_ledger else None
     if with_ledger and panel is None:
         raise ValueError("a ledger needs a test-function panel")
+    ledger = MartingaleLedger(panel, model, pop) if with_ledger else None
     log = EventLog() if log_events else None
 
     b_fn, h_fn = model.birth, model.death
@@ -313,20 +332,16 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
 
     snapshots: list[AtomicMeasure] = []
     out_idx = 0
-    seg_start = 0.0
     t = 0.0
     log1p = math.log1p
     n_outs = out_times.size
 
     def flush_outputs(limit: float) -> float:
-        nonlocal out_idx, seg_start
+        nonlocal out_idx
         while out_idx < n_outs and out_times[out_idx] <= limit:
-            ot = float(out_times[out_idx])
-            pop.t = ot
+            pop.t = float(out_times[out_idx])
             if ledger is not None:
-                ledger.accumulate(pop, model, seg_start, ot)
-                seg_start = ot
-                ledger.record(ot)
+                ledger.record(pop)
             snapshots.append(pop.snapshot(t_star))
             out_idx += 1
         return out_times[out_idx] if out_idx < n_outs else math.inf
@@ -366,9 +381,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
         if r < b:
             brood = life_det if life_det is not None else life_law.sample(next_u, rng)
             if ledger is not None:
-                ledger.accumulate(pop, model, seg_start, t)
-                seg_start = t
-                ledger.jump_birth(brood)
+                ledger.birth(pop, brood)
             pop.births_life += brood
             pop.add_newborns(brood)
             if log is not None:
@@ -376,9 +389,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
         elif r < b + h:
             brood = split_det if split_det is not None else split_law.sample(next_u, rng)
             if ledger is not None:
-                ledger.accumulate(pop, model, seg_start, t)
-                seg_start = t
-                ledger.jump_death(age, brood)
+                ledger.death(pop, age, brood)
             pop.deaths += 1
             pop.death_ages.append(age)
             pop.death_times.append(t)

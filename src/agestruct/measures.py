@@ -16,6 +16,7 @@ are kept lazy as :class:`SignedPair` so their pairings stay exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -246,6 +247,24 @@ class TestFunction:
     @property
     def at_zero(self) -> float:
         return float(self(np.array(0.0)))
+
+    def scalar(self, x: float) -> float:
+        """f(x) for one float, with ``math``: ``self(x)`` to within an ulp."""
+        if self.kind == "monomial":
+            return x ** self.k
+        if self.kind == "exp":
+            return math.exp(self.lam * x)
+        return self.c if self.kind == "constant" else float(self(x))
+
+    def antiderivative(self, x, xp=np):
+        """F(x) = int_0^x f, for an array or, with ``xp=math``, for a float; no bump."""
+        if self.kind == "constant":
+            return self.c * x
+        if self.kind == "monomial":
+            return x ** (self.k + 1) / (self.k + 1)
+        if self.kind == "exp":
+            return xp.expm1(self.lam * x) / self.lam if self.lam else 1.0 * x
+        raise ValueError(f"{self.label} has no closed-form antiderivative")
 
     def _u(self, x):
         return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from agestruct.branching import (CapacityError, check_pathwise_identity,
+from agestruct.branching import (KIND_DEATH, CapacityError, check_pathwise_identity,
                                  pathwise_identity_catalogue, simulate, two_var)
 from agestruct.harness import replicate_stream
-from agestruct.measures import AtomicMeasure, constant, monomial, pair
+from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
+                                monomial, pair)
 from agestruct.rates import (ConstantRate, DensityRate, OffspringLaw, RateModel,
                              ScalarFn, classical_model, pure_splitting)
 
@@ -24,6 +25,14 @@ PURE_DEATH = classical_model(0.0, 1.0, OffspringLaw.deterministic(0),
                              OffspringLaw.deterministic(0))
 TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(0))
+# the mixed two-point/Poisson classical model of criterion 7
+MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
+                  OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
+                  birth_sup=0.5, death_sup=0.8)
+DENS = RateModel("density_dependent", ConstantRate(0.4),
+                 DensityRate(ScalarFn.affine(0.5, 0.3)),
+                 OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
+                 birth_sup=0.4, death_sup=2.0)
 
 
 def first_death_times(ages, ctx, n=20000, horizon=40.0):
@@ -152,18 +161,93 @@ def test_ledger_variance_and_mean():
     assert abs(var - target) <= 3 * se_var
 
 
+def test_ledger_needs_a_panel():
+    with pytest.raises(ValueError, match="needs a test-function panel"):
+        simulate(PURE_DEATH, atoms([0.3]), k=1, horizon=1.0, dt_out=0.5, rng=stream(13),
+                 with_ledger=True, panel=None, t_star=2.0)
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def gauss_legendre_compensator(traj, model, panel):
+    """The compensator at each output time for constant rates, replayed from
+    the event log: 5-node Gauss-Legendre over each interval between events."""
+    h = model.death.value
+    newborn = model.birth.value * model.life_law.mean + h * model.split_law.mean
+    f0 = np.array([f.at_zero for f in panel])
+    live = list(traj.initial_birth_times)
+    events = list(zip(traj.events.t, traj.events.kind, traj.events.tau, traj.events.brood))
+    comp = np.zeros(len(panel))
+    s0, ei, out = 0.0, 0, []
+
+    def integrate(s1):
+        if live and s1 > s0:
+            nodes = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * GL_NODES
+            ages = nodes[:, None] - np.array(live)[None, :]
+            g = np.array([f0[i] * newborn * ages.shape[1] - h * f(ages).sum(axis=1)
+                          for i, f in enumerate(panel)])
+            comp[:] += 0.5 * (s1 - s0) * (g @ GL_WEIGHTS)
+        return s1
+
+    for t_out in traj.times:
+        # an event at an output time comes after that output's record
+        while ei < len(events) and events[ei][0] < t_out:
+            te, kind, tau, brood = events[ei]
+            s0 = integrate(te)
+            if kind == KIND_DEATH:
+                live.remove(tau)
+            live.extend([te] * brood)
+            ei += 1
+        s0 = integrate(t_out)
+        out.append(comp.copy())
+    return np.array(out)
+
+
+def ledger_run(model, panel, n0, ctx):
+    return simulate(model, atoms(np.linspace(0.0, 1.0, n0)), k=n0, horizon=1.0,
+                    dt_out=0.25, rng=stream(0, ctx=ctx), panel=panel, with_ledger=True,
+                    log_events=True, t_star=2.0)
+
+
+@pytest.mark.parametrize("model, n0, ctx", [(pure_splitting(1.0, 2), 120, 14),
+                                            (MIXED, 80, 15)],
+                         ids=["pure_splitting", "mixed_laws"])
+def test_closed_form_compensator_matches_gauss_legendre(model, n0, ctx):
+    panel = make_panel(["1", "x", "x^2", "exp:0.5", "exp:-1"]) + [exponential(0.0)]
+    traj = ledger_run(model, panel, n0, ctx)
+    assert traj.ledger.closed_form and len(traj.events) > n0
+    comp = np.array(traj.ledger.comp_path)
+    ref = gauss_legendre_compensator(traj, model, panel)
+    assert np.all(np.abs(comp - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
+    # the Gauss-Legendre ledger's values on these streams, pinned
+    panel = [constant(1.0), bump(0.2, 0.9)]
+    traj = ledger_run(pure_splitting(1.0, 2), panel, 60, 16)
+    assert not traj.ledger.closed_form
+    comp = np.array(traj.ledger.comp_path)
+    ref = gauss_legendre_compensator(traj, pure_splitting(1.0, 2), panel)
+    assert np.all(np.abs(comp - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert comp[-1] == pytest.approx([100.80205230830724, -25.708551412379784], rel=1e-12)
+    assert traj.ledger.martingales()[-1] == pytest.approx(
+        [-1.802052308307239, -1.80398578273061], rel=1e-12)
+    traj = simulate(DENS, atoms(np.linspace(0.0, 1.0, 60)), k=120, horizon=1.0,
+                    dt_out=0.5, rng=stream(0, ctx=17), panel=[constant(1.0), monomial(1)],
+                    with_ledger=True, t_star=2.0)
+    assert not traj.ledger.closed_form
+    assert traj.ledger.comp_path[-1] == pytest.approx(
+        [172.7608542257993, -51.65038501257205], rel=1e-12)
+    assert traj.ledger.martingales()[-1] == pytest.approx(
+        [18.239145774200693, -6.532071403771575], rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def logged_trajectories():
-    mixed = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
-                      OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
-                      birth_sup=0.5, death_sup=0.8)
-    dens = RateModel("density_dependent", ConstantRate(0.4),
-                     DensityRate(ScalarFn.affine(0.5, 0.3)),
-                     OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
-                     birth_sup=0.4, death_sup=2.0)
     out = []
     for ctx, (model, n0) in enumerate([(pure_splitting(1.0, 2), 120),
-                                       (mixed, 100), (dens, 60)]):
+                                       (MIXED, 100), (DENS, 60)]):
         a0 = atoms(np.linspace(0.0, 1.0, n0))
         out.append(simulate(model, a0, k=n0, horizon=1.0, dt_out=0.25,
                             rng=stream(ctx, ctx=8), log_events=True, t_star=2.0))

@@ -33,11 +33,15 @@ def directional(rate, xs, mu0, direction):
     return out if w3 is None else out + w3 * direction.kernel_pair(kern, xs)
 
 
-def compensator(model, f, ages, k, s1):
-    """The ledger's compensator of (f, M) over [0, s1] with no events."""
-    ledger = MartingaleLedger([f])
-    ledger.accumulate(Population(ages, k=k), model, 0.0, s1)
-    return float(ledger.comp[0])
+def compensator(model, f, ages, k, s1, closed_form):
+    """The ledger's compensator of (f, M) over [0, s1] with no events, as
+    ``simulate`` records it at an output time, from the branch it picks."""
+    pop = Population(ages, k=k)
+    ledger = MartingaleLedger([f], model, pop)
+    assert ledger.closed_form is closed_form
+    pop.t = s1
+    ledger.record(pop)
+    return float(ledger.comp_path[-1][0])
 
 
 def test_density_dependent_empty_population():
@@ -130,7 +134,7 @@ def test_frechet_linear_in_direction():
 def test_generator_constant_function():
     # L1 = newborn - death = 2 - 1 per individual
     model = pure_splitting(1.0, 2)
-    assert compensator(model, constant(1.0), [0.1, 1.5], 1, 0.5) == pytest.approx(1.0)
+    assert compensator(model, constant(1.0), [0.1, 1.5], 1, 0.5, True) == pytest.approx(1.0)
 
 
 def test_generator_pure_transport():
@@ -152,7 +156,7 @@ def test_generator_exponential_closed_form():
     model = pure_splitting(1.0, 2)
     lam, s1 = 0.7, 1.1
     exact = 2.0 * s1 - (math.exp(lam * (0.4 + s1)) - math.exp(lam * 0.4)) / lam
-    assert compensator(model, exponential(lam), [0.4], 1, s1) == pytest.approx(
+    assert compensator(model, exponential(lam), [0.4], 1, s1, True) == pytest.approx(
         exact, rel=1e-10)
 
 
@@ -165,7 +169,7 @@ def test_generator_mass_growth_identity():
     pop = Population(ages, k=2)
     h = model.death_rate(ages, pop)
     newborn = model.birth_rate(ages, pop) * 1.0 + h * 2.0
-    assert compensator(model, constant(1.0), ages, 2, 0.5) == pytest.approx(
+    assert compensator(model, constant(1.0), ages, 2, 0.5, False) == pytest.approx(
         0.5 * float(np.sum(newborn - h)), rel=1e-12)
 
 
