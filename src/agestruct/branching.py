@@ -144,9 +144,9 @@ class MartingaleLedger:
         self.times: list[float] = []
         self.m_path: list[np.ndarray] = []
         self.comp_path: list[np.ndarray] = []
-        self.closed_form = (model.birth.is_constant and model.death.is_constant
-                            and model.k_perturbation is None
-                            and all(f.kind != "bump" for f in self.panel))
+        self._constant_rates = (model.birth.is_constant and model.death.is_constant
+                                and model.k_perturbation is None)
+        self.closed_form = self._constant_rates and all(f.kind != "bump" for f in self.panel)
         self._acc = [0.0] * p
         self._s = pop.t
         if self.closed_form:
@@ -173,13 +173,16 @@ class MartingaleLedger:
         s_nodes = 0.5 * (s0 + s1) + half * _GL_NODES
         ages = s_nodes[:, None] - pop.birth_times[:n][None, :]
         lm, sm = model.life_law.mean, model.split_law.mean
-        h = np.empty_like(ages)
-        nsum = []
-        for q, s in enumerate(s_nodes):
+        # constant rates take the same row at every node: evaluate them once
+        evals = s_nodes[:1] if self._constant_rates else s_nodes
+        h = np.empty((evals.size, n))
+        nsum = np.empty(evals.size)
+        for q, s in enumerate(evals):
             pop.t = float(s)
             h[q] = model.death_rate(ages[q], pop, pop.k)
-            nsum.append(float(np.sum(model.birth_rate(ages[q], pop, pop.k) * lm + h[q] * sm)))
+            nsum[q] = np.sum(model.birth_rate(ages[q], pop, pop.k) * lm + h[q] * sm)
         pop.t = s1
+        nsum = np.broadcast_to(nsum, s_nodes.shape)
         for i, f in enumerate(self.panel):
             fh = (f(ages) * h).sum(axis=1)
             for q, w in enumerate(_GL_WEIGHTS):

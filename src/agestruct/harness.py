@@ -34,8 +34,8 @@ from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_ex
                   solve_mvf, solve_total_ode)
 from .spde import (classical_exp_mean, classical_qv_mass,
                    covariation_integral_frames, density_dependent_exp_mean,
-                   evolve_mean, ito_isometry_variance, noise_channel,
-                   remark_covariance_grid, simulate_fluctuation_paths)
+                   evolve_mean, fluctuation_law, ito_isometry_variance,
+                   noise_channel, remark_covariance_grid, simulate_fluctuation_paths)
 from .stats import (fit_loglog_slope, sample_summary, se_of_covariance,
                     se_of_variance)
 
@@ -695,9 +695,10 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     spde_var: dict[str, float] = {}
     spde_se: dict[str, float] = {}
     if nu0 is not None:
+        law = fluctuation_law(model, background, nu0, panel, [t_end])
         path_samples = simulate_fluctuation_paths(
             model, background, nu0, config.n_spde_paths, panel, [t_end],
-            partial(spde_noise_stream, config.seed), block_size=config.spde_block)
+            partial(spde_noise_stream, config.seed), block_size=config.spde_block, law=law)
         spde_rows = []
         for fi, f in enumerate(panel):
             vals = path_samples[:, 0, fi]
@@ -714,6 +715,10 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 report.rows.append(CheckRow.band(
                     "spde_var_vs_oracle", spde_var[f.label], oracle,
                     3.0 * spde_se[f.label], t=t_end, f_id=f.label))
+                # the first-order scheme's exact variance sits ~1 dt below the oracle
+                report.rows.append(CheckRow.band(
+                    "spde_law_var_vs_oracle", float(law[1][fi, fi]), oracle,
+                    2.0 * config.dt * abs(oracle), t=t_end, f_id=f.label))
         report.tables["spde_path_stats"] = (
             ("t", "f_id", "mean", "var", "n_paths"), spde_rows)
 

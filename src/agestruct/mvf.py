@@ -264,11 +264,12 @@ def classical_pairing(f: Callable, a0: GridDensity, birth: float, death: float,
 # total-mass dynamics for density-dependent rates
 
 
-def _rate_of_mass(rate_fn, x_mass: float) -> float:
+def _rate_of_mass(rate_fn, x_mass: float, deriv: bool = False) -> float:
+    """The rate at total mass ``x_mass``, or with ``deriv`` its derivative in the mass."""
     if isinstance(rate_fn, ConstantRate):
-        return rate_fn.value
+        return 0.0 if deriv else rate_fn.value
     if isinstance(rate_fn, DensityRate):
-        return rate_fn.fn(x_mass)
+        return rate_fn.fn.deriv(x_mass) if deriv else rate_fn.fn(x_mass)
     raise ValueError("total-mass dynamics need density-dependent (or constant) rates")
 
 

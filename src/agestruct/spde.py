@@ -2,7 +2,7 @@
 
 The centred, sqrt(K)-scaled deviation of the empirical age structure from
 its limit converges to a linear stochastic PDE driven by a Gaussian
-martingale measure.  This module simulates that limit on the same
+martingale measure.  This module works with that limit on the same
 characteristics grid as the limit solver:
 
 * transport is an exact one-cell shift, decay is a survival factor;
@@ -19,18 +19,22 @@ characteristics grid as the limit solver:
             - 2 f(0) * death * split_mean * f,  background)
 
   exactly (with f(0) read at the first cell center, consistent with the
-  midpoint pairing rule), so the simulated martingale has the limit's
-  quadratic variation by construction.  The path engine reads the rates of
-  all background frames at once, and :func:`noise_channel` those of one
-  frame, through the same :class:`agestruct.mvf.GridRates` view, so both
-  build bit-identical scales with one helper.
+  midpoint pairing rule), so the grid martingale has the limit's
+  quadratic variation by construction.  The law sampler reads the noise
+  scales of all background frames at once, and :func:`noise_channel` those
+  of one frame, through the same :class:`agestruct.mvf.GridRates` view, so
+  both build bit-identical scales with one helper.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
-the pre-step state against the pre-step background frame.  The
-deterministic part of a noisy step is the arithmetic of a mean-evolution
-step, so the pathwise mean equals the evolved mean (bit for bit for a
-single path; a block of paths can differ in the last bits, because BLAS
-orders the sums of a matrix product by its shape).
+the pre-step state against the pre-step background frame.  The scheme is
+linear in the field with Gaussian increments, z_{k+1} = A_k z_k + eta_k, so
+the panel pairings at any set of record times are exactly jointly
+Gaussian.  :func:`fluctuation_law` computes that law by one backward
+adjoint sweep g_k = A_k^T g_{k+1} (the discrete stochastic-convolution
+representation): the mean is dx * (g_0, z_0) and the covariance is the sum
+over steps of the noise covariance paired with g_{k+1}.
+:func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
+the mean field itself forward.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "noise_channel",
     "remark_covariance_grid",
     "evolve_mean",
+    "fluctuation_law",
     "simulate_fluctuation_paths",
     "classical_exp_mean",
     "ito_isometry_variance",
@@ -194,14 +199,12 @@ class _Coeffs:
         self.split_mean = sm
 
 
-def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int,
-                 rng: Optional[np.random.Generator]) -> None:
-    """Advance paths ``z`` (B, J) in place from step k to k+1.
+def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
+    """Advance the noise-free fields ``z`` (B, J) in place from step k to k+1.
 
     ``w0``/``w1`` are the active support widths before/after the step.
     Explicit Euler: every deposit uses the pre-step state and the pre-step
-    background frame.  With ``rng`` None the step is purely deterministic
-    (mean evolution); the deterministic part is identical either way.
+    background frame.
     """
     dx = co.bg.dx
     dt = co.bg.dt
@@ -227,14 +230,24 @@ def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int,
         z[:, :w0] += dep0
     z[:, 0] += bnd0
 
-    if rng is not None:
-        sig = co.sigma_cells[k, :w0]
-        noise = rng.standard_normal((z.shape[0], w0))
-        noise *= sig
-        delta_b = co.split_mean * noise.sum(axis=1)
-        delta_b += co.sigma_boundary[k] * rng.standard_normal(z.shape[0])
-        z[:, :w0] -= noise / dx
-        z[:, 0] += delta_b / dx
+
+def _adjoint_step(g: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> np.ndarray:
+    """Return g A_k for adjoint rows ``g`` (n, J): the transpose of :func:`_engine_step`."""
+    dx, dt = co.bg.dx, co.bg.dt
+    a0 = co.bg.values[k, :w0]
+    g0 = g[:, :1]
+    out = np.empty_like(g)
+    out[:, w1:] = g[:, w1:]                 # cells the step leaves as they are
+    out[:, : w1 - 1] = g[:, 1:w1] * co.decay[k, 1:w1]
+    out[:, w1 - 1] = 0.0
+    out[:, :w0] += dt * g0 * co.n_rows[k, :w0]
+    if co.uh is not None:
+        mass_term = dx * (g[:, :w0] @ (co.uh[k, :w0] * a0))[:, None]
+        out[:, :w0] += dt * (co.una[k] * g0 - mass_term)
+        for kern, wh, wn in co.kernels:
+            out[:, :w0] += dt * dx * (((g0 * wn[k, :w0] - g[:, :w0] * wh[k, :w0]) * a0)
+                                      @ kern[:w0, :w0])
+    return out
 
 
 def _width(co: _Coeffs, k: int) -> int:
@@ -251,23 +264,49 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
                 background: LimitSolution) -> LimitSolution:
     """Deterministic evolution of the expected fluctuation measure.
 
-    Same transport/decay/deposit scheme as the noisy step with the noise
-    switched off and the measure-derivative terms evaluated at the running
-    mean itself.  The frames are on the background grid and signed.
+    The grid scheme without its noise, with the measure-derivative terms
+    evaluated at the running mean itself.  The frames are on the background
+    grid and signed.
     """
     co = _Coeffs(model, background, with_noise=False)
     out = np.empty(background.values.shape)
     out[0] = nu0
     z = out[:1].copy()
     for k in range(out.shape[0] - 1):
-        _engine_step(z, k, co, _width(co, k), _width(co, k + 1), None)
+        _engine_step(z, k, co, _width(co, k), _width(co, k + 1))
         out[k + 1] = z[0]
     return LimitSolution(dt=background.dt, times=background.times, values=out,
                          a_star=background.a_star, signed=True)
 
 
 # ---------------------------------------------------------------------------
-# batched path study
+# exact law of the panel pairings
+
+
+def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
+                    panel: Sequence[TestFunction], record_times: Sequence[float]):
+    """Exact Gaussian law of the grid pairings dx * (f, z) at the record times.
+
+    Returns ``(mean, cov)`` over the R*P pairings, pairing (r, p) at index
+    r*P + p.  One backward sweep carries an adjoint row per pairing; the
+    rows of record r start as the panel values when the sweep reaches its
+    time index.  Before step k is undone, its noise is paired with the rows
+    (a zero row, for a record before step k, adds nothing).
+    """
+    co = _Coeffs(model, background, with_noise=True)
+    rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
+    fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
+                    (len(record_times), 1))
+    g = np.where((rec_idx == rec_idx.max())[:, None], fvals, 0.0)
+    cov = np.zeros((g.shape[0], g.shape[0]))
+    for k in range(rec_idx.max() - 1, -1, -1):
+        w0, w1 = _width(co, k), _width(co, k + 1)
+        v = co.split_mean * g[:, :1] - g[:, :w0]
+        cov += (v * co.sigma_cells[k, :w0] ** 2) @ v.T
+        cov += co.sigma_boundary[k] ** 2 * np.outer(g[:, 0], g[:, 0])
+        g = _adjoint_step(g, k, co, w0, w1)
+        g[rec_idx == k] = fvals[rec_idx == k]
+    return background.dx * (g @ np.asarray(z0, dtype=float)), cov
 
 
 def simulate_fluctuation_paths(
@@ -279,42 +318,29 @@ def simulate_fluctuation_paths(
     record_times: Sequence[float],
     stream_factory: Callable[[int], np.random.Generator],
     block_size: int = 2000,
+    law: Optional[tuple] = None,
 ) -> np.ndarray:
-    """Simulate grid paths of the fluctuation SPDE; return panel pairings.
+    """Sample the panel pairings of the grid SPDE from their exact law.
 
-    Output shape is (n_paths, len(record_times), len(panel)).  Paths are
-    organised in blocks; block ``i`` draws from ``stream_factory(i)``, so
-    results do not depend on scheduling.
+    Output shape is (n_paths, len(record_times), len(panel)).  ``law`` is
+    :func:`fluctuation_law` of the same arguments when the caller has it.
+    Samples come in blocks; block ``i`` draws its standard normals from
+    ``stream_factory(i)``, so results do not depend on scheduling.  They map
+    through a symmetric square root of the covariance, so a pairing of zero
+    variance (a record time of 0) is its mean exactly.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
-    co = _Coeffs(model, background, with_noise=True)
-    dx = background.dx
-    rec_idx = np.array([background.index_at(t) for t in record_times])
-    fvals = np.stack([np.asarray(f(background.centers), dtype=float) for f in panel])
-    z0 = np.asarray(z0, dtype=float)
-    n_steps = background.values.shape[0] - 1
-    if rec_idx.max() > n_steps:
-        raise ValueError("record time beyond the background horizon")
-
-    out = np.empty((n_paths, rec_idx.size, len(panel)))
-    start = 0
-    block_i = 0
-    while start < n_paths:
+    mean, cov = law or fluctuation_law(model, background, z0, panel, record_times)
+    lam, vec = np.linalg.eigh(cov)
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    root[np.diag(cov) <= 0.0] = 0.0
+    out = np.empty((n_paths, mean.size))
+    for i, start in enumerate(range(0, n_paths, block_size)):
         nb = min(block_size, n_paths - start)
-        rng = stream_factory(block_i)
-        z = np.tile(z0, (nb, 1))
-        for r, ki in enumerate(rec_idx):
-            if ki == 0:
-                out[start : start + nb, r] = dx * (z @ fvals.T)
-        for k in range(n_steps):
-            _engine_step(z, k, co, _width(co, k), _width(co, k + 1), rng)
-            hits = np.nonzero(rec_idx == k + 1)[0]
-            for r in hits:
-                out[start : start + nb, r] = dx * (z @ fvals.T)
-        start += nb
-        block_i += 1
-    return out
+        draws = stream_factory(i).standard_normal((nb, mean.size))
+        out[start:start + nb] = mean + draws @ root.T
+    return out.reshape(n_paths, len(record_times), len(panel))
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +479,18 @@ def density_dependent_exp_mean(lam: float, z0_exp_pairing: float, z0_mass: float
     xs = background.totals[: ki + 1]
     times = background.times[: ki + 1]
 
-    def nh(x_mass):
-        b = _rate_of_mass(model.birth, x_mass)
-        h = _rate_of_mass(model.death, x_mass)
+    def nh(x_mass, deriv):
+        b = _rate_of_mass(model.birth, x_mass, deriv)
+        h = _rate_of_mass(model.death, x_mass, deriv)
         return b * lm + h * sm, h
-
-    def nh_prime(x_mass):
-        db = model.birth.fn.deriv(x_mass) if hasattr(model.birth, "fn") else 0.0
-        dh = model.death.fn.deriv(x_mass) if hasattr(model.death, "fn") else 0.0
-        return db * lm + dh * sm, dh
 
     n_vals = np.empty_like(xs)
     h_vals = np.empty_like(xs)
     np_vals = np.empty_like(xs)
     hp_vals = np.empty_like(xs)
     for i, xm in enumerate(xs):
-        n_vals[i], h_vals[i] = nh(xm)
-        np_vals[i], hp_vals[i] = nh_prime(xm)
+        n_vals[i], h_vals[i] = nh(xm, False)
+        np_vals[i], hp_vals[i] = nh(xm, True)
 
     flam = np.array([
         background.dt * float(np.dot(background.values[i],

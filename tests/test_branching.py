@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from agestruct.branching import (KIND_DEATH, CapacityError, check_pathwise_identity,
-                                 pathwise_identity_catalogue, simulate, two_var)
+from agestruct.branching import (KIND_DEATH, CapacityError, MartingaleLedger,
+                                 check_pathwise_identity, pathwise_identity_catalogue,
+                                 simulate, two_var)
 from agestruct.harness import replicate_stream
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
@@ -241,6 +242,37 @@ def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
         [172.7608542257993, -51.65038501257205], rel=1e-12)
     assert traj.ledger.martingales()[-1] == pytest.approx(
         [18.239145774200693, -6.532071403771575], rel=1e-12)
+
+
+def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
+    # rate calls the ledger makes per inter-event interval, counted
+    calls = {"death_rate": 0, "birth_rate": 0, "intervals": 0, "in_ledger": False}
+    for name in ("death_rate", "birth_rate"):
+        rate = getattr(RateModel, name)
+
+        def counting(model, x, mu, k=None, _rate=rate, _name=name):
+            calls[_name] += calls["in_ledger"]
+            return _rate(model, x, mu, k)
+
+        monkeypatch.setattr(RateModel, name, counting)
+    accumulate = MartingaleLedger._accumulate
+
+    def counting_accumulate(ledger, pop):
+        calls["intervals"] += pop.n_live > 0 and pop.t > ledger._s
+        calls["in_ledger"] = True
+        try:
+            return accumulate(ledger, pop)
+        finally:
+            calls["in_ledger"] = False
+
+    monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
+    panel = [constant(1.0), bump(0.2, 0.9)]
+    for model, per_interval in ((pure_splitting(1.0, 2), 1), (DENS, 5)):
+        calls.update(death_rate=0, birth_rate=0, intervals=0)
+        traj = ledger_run(model, panel, 60, 16)
+        assert not traj.ledger.closed_form and calls["intervals"] > 60
+        for name in ("death_rate", "birth_rate"):
+            assert calls[name] == per_interval * calls["intervals"], (model.family, name)
 
 
 @pytest.fixture(scope="module")

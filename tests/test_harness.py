@@ -192,9 +192,11 @@ def test_run_clt_small():
     rep = run_clt(cfg)
     stats = {r.stat for r in rep.rows}
     assert {"clt_mean", "clt_var_vs_spde", "clt_jarque_bera_p",
-            "spde_var_vs_oracle", "evolve_mean_linf"} <= stats
+            "spde_var_vs_oracle", "spde_law_var_vs_oracle", "evolve_mean_linf"} <= stats
     means = [r for r in rep.rows if r.stat == "clt_mean"]
     assert all(r.passed for r in means)
+    law_rows = [r for r in rep.rows if r.stat == "spde_law_var_vs_oracle"]
+    assert len(law_rows) == 2 and all(r.passed for r in law_rows)
     (evm,) = [r for r in rep.rows if r.stat == "evolve_mean_linf"]
     assert evm.passed
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,15 +8,15 @@ from agestruct.harness import replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial)
 from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total_ode
-from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate,
-                             OffspringLaw, RateModel, ScalarFn, classical_model,
-                             pure_splitting)
-from agestruct.spde import (_Coeffs, classical_exp_mean, classical_qv_mass,
-                            covariation_integral_frames, density_dependent_exp_mean,
-                            evolve_mean, exp_pairing_grid, ito_isometry_variance,
-                            noise_channel, remark_covariance_grid,
-                            simulate_fluctuation_paths)
-from agestruct.stats import jarque_bera
+from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
+                             Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
+                             classical_model, pure_splitting)
+from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
+                            classical_qv_mass, covariation_integral_frames,
+                            density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
+                            fluctuation_law, ito_isometry_variance, noise_channel,
+                            remark_covariance_grid, simulate_fluctuation_paths)
+from agestruct.stats import jarque_bera, se_of_variance
 
 SPLIT = pure_splitting(1.0, 2)
 MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
@@ -27,6 +28,23 @@ KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
                               c0=0.2, cy=0.3, cz=0.5),
                    OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(0.5),
                    birth_sup=1.0, death_sup=4.0)
+
+DENS = RateModel("density_dependent", ConstantRate(0.4),
+                 DensityRate(ScalarFn.affine(0.5, 0.3)),
+                 OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
+                 birth_sup=0.4, death_sup=2.0)
+
+AGE = RateModel("age_density",
+                AgeDensityRate(AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3),
+                               ScalarFn.affine(1.0, -0.2)),
+                AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.5),
+                               ScalarFn.affine(0.5, 0.3)),
+                OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
+                birth_sup=0.5, death_sup=2.0)
+
+# one model per engine branch: classical (two laws), density, age-density, kernel
+LAW_MODELS = [SPLIT, MIXED, DENS, AGE, KERNEL]
+LAW_IDS = ["split", "mixed", "density", "age_density", "kernel"]
 
 
 def box(dx, t_star=2.0, mass_to=1.0):
@@ -98,26 +116,92 @@ def test_noise_empirical_covariance():
 
 
 class ZeroNoise:
-    """Stream stand-in whose normals are all zero: paths take only the drift."""
+    """Stream stand-in whose normals are all zero: samples are the law's mean."""
 
     def standard_normal(self, size):
         return np.zeros(size)
 
 
 def test_paths_deterministic_part_equals_mean_evolution():
+    # zero draws leave the law's mean; the adjoint sums run backward, so it
+    # meets the forward mean evolution at rounding level, not bit for bit
     panel = [constant(1.0), exponential(0.5), monomial(1)]
-    for model in (SPLIT, KERNEL):
+    for model in LAW_MODELS:
         bg = background(model, dx=0.01)
         z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-        mean_10 = evolve_mean(model, z0, bg).values[10]
+        mean_path = evolve_mean(model, z0, bg).values[[10, 100]]
         fvals = np.stack([f(bg.centers) for f in panel])
-        want = bg.dx * (mean_10[None, :] @ fvals.T)
-        one, many = (simulate_fluctuation_paths(model, bg, z0, n, panel, [10 * bg.dt],
-                                                lambda b: ZeroNoise()) for n in (1, 3))
-        assert np.array_equal(one[:, 0], want), model.family
-        # BLAS orders the matrix products' sums by batch size: rounding only
-        assert np.all(many == many[:1])
-        assert np.allclose(many[:, 0], want, rtol=1e-13, atol=0.0), model.family
+        want = bg.dx * (mean_path @ fvals.T)
+        got = simulate_fluctuation_paths(model, bg, z0, 3, panel, [10 * bg.dt, 1.0],
+                                         lambda b: ZeroNoise())
+        assert np.all(got == got[:1]), model.family
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want)), model.family
+
+
+def forward_pairing_covariance(model, bg, fvals, rec_idx):
+    """Cov of dx * (f, z) at the record indices by the forward recursion.
+
+    Sigma_{k+1} = A_k Sigma_k A_k^T + Q_k, with A_k read off by stepping
+    identity rows through the engine and Q_k the covariance of the step's
+    noise field; Cov(z_k, z_r) for an earlier record r advances as A_k X.
+    Returns shape (R, P, R, P).
+    """
+    co = _Coeffs(model, bg, with_noise=True)
+    n = bg.values.shape[1]
+    sig = np.zeros((n, n))
+    since = {}                                   # record index -> Cov(z_k, z_r)
+    out = np.zeros((len(rec_idx), fvals.shape[0]) * 2)
+    for k in range(max(rec_idx) + 1):
+        if k in rec_idx:
+            since[k] = sig.copy()
+            s = rec_idx.index(k)
+            for r, x in since.items():
+                ri = rec_idx.index(r)
+                out[s, :, ri] = bg.dx ** 2 * fvals @ x @ fvals.T
+                out[ri, :, s] = out[s, :, ri].T
+        if k == max(rec_idx):
+            return out
+        w0, w1 = _width(co, k), _width(co, k + 1)
+        a = np.eye(n)
+        _engine_step(a, k, co, w0, w1)
+        a = a.T
+        noise = np.zeros((n, w0 + 1))            # eta = noise @ standard normals
+        noise[np.arange(w0), np.arange(w0)] = -co.sigma_cells[k, :w0] / bg.dx
+        noise[0, :w0] += co.split_mean * co.sigma_cells[k, :w0] / bg.dx
+        noise[0, w0] = co.sigma_boundary[k] / bg.dx
+        sig = a @ sig @ a.T + noise @ noise.T
+        since = {r: a @ x for r, x in since.items()}
+
+
+@pytest.mark.parametrize("model", LAW_MODELS, ids=LAW_IDS)
+def test_law_covariance_matches_forward_recursion(model):
+    bg = background(model, dx=1e-2)
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    fvals = np.stack([f(bg.centers) for f in panel])
+    times = [0.0, 0.3, 1.0]
+    _, cov = fluctuation_law(model, bg, z0, panel, times)
+    ref = forward_pairing_covariance(model, bg, fvals, [bg.index_at(t) for t in times])
+    ref = ref.reshape(cov.shape)
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(cov - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_record_time_zero_gives_the_start_pairing():
+    bg = background(MIXED, dx=0.02)
+    z0 = np.where(bg.centers < 1.0, 0.7, 0.0)
+    panel = [constant(1.0), exponential(-1.0)]
+    fvals = np.stack([f(bg.centers) for f in panel])
+    stream = partial(spde_noise_stream, 5)
+    alone = simulate_fluctuation_paths(MIXED, bg, z0, 50, panel, [0.0], stream,
+                                       block_size=20)
+    assert np.all(alone[:, 0] == bg.dx * (fvals @ z0))
+    # beside a noisy record time the start pairing still draws no noise
+    both = simulate_fluctuation_paths(MIXED, bg, z0, 50, panel, [0.0, 0.5], stream,
+                                      block_size=20)
+    assert np.all(both[:, 0] == both[0, 0])
+    assert np.allclose(both[0, 0], alone[0, 0], rtol=1e-14, atol=0.0)
+    assert np.all(both[:, 1].std(axis=0) > 0.0)
 
 
 def test_paths_reject_empty_blocks():
@@ -138,14 +222,18 @@ def test_paths_noise_has_zero_mean():
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     mp = evolve_mean(SPLIT, z0, bg)
     panel = [constant(1.0), exponential(0.5), monomial(1)]
-    samples = simulate_fluctuation_paths(SPLIT, bg, z0, 20000, panel, [dt],
+    times = [dt, 0.1]
+    samples = simulate_fluctuation_paths(SPLIT, bg, z0, 20000, panel, times,
                                          lambda b: spde_noise_stream(3, b),
                                          block_size=5000)
-    # one noisy step: mean across paths must match the deterministic step
-    for fi, f in enumerate(panel):
-        vals = samples[:, 0, fi]
-        se = vals.std() / math.sqrt(vals.size)
-        assert abs(vals.mean() - mp.pairings(f)[1]) <= 3 * se
+    mean, cov = fluctuation_law(SPLIT, bg, z0, panel, times)
+    # one noisy step is centred on the deterministic step
+    assert mean[:3] == pytest.approx([mp.pairings(f)[1] for f in panel], rel=1e-12)
+    # sampled moments within 3 SE of the exact law
+    flat = samples.reshape(samples.shape[0], -1)
+    for i, vals in enumerate(flat.T):
+        assert abs(vals.mean() - mean[i]) <= 3 * vals.std() / math.sqrt(vals.size)
+        assert abs(np.var(vals, ddof=1) - cov[i, i]) <= 3 * se_of_variance(vals)
 
 
 def test_evolve_mean_zero_start():
@@ -219,12 +307,6 @@ def test_ito_isometry_variance_mass_case():
     var_eps = ito_isometry_variance(1e-9, a0, 0.0, 1.0, SPLIT.life_law,
                                     SPLIT.split_law, 1.0)
     assert var_eps == pytest.approx(var0, rel=1e-6)
-
-
-DENS = RateModel("density_dependent", ConstantRate(0.4),
-                 DensityRate(ScalarFn.affine(0.5, 0.3)),
-                 OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
-                 birth_sup=0.4, death_sup=2.0)
 
 
 def test_density_dependent_mean_formula_matches_grid():
