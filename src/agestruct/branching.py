@@ -8,6 +8,14 @@ after every candidate, which is exact for state-dependent intensities:
 rejected candidates still advance time, so ages drift and rates are
 re-evaluated at each candidate epoch.
 
+Two paths run this thinning and read the same words of the generator to
+the same bits.  The per-candidate loop serves every model.  A state-free run
+(constant rates, no K perturbation, deterministic broods, no ledger or a
+closed-form one) decides each candidate from its accept uniform alone; when
+it expects at least ``_BLOCK_MIN_CANDIDATES`` candidates it is resolved by
+array arithmetic instead: the candidates a chunk at a time, then the
+swap-remove slot order of the whole run over individual ids.
+
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
 at event times.  The absolutely continuous compensator is exact for constant
@@ -250,7 +258,11 @@ class EventLog:
 
 @dataclass
 class Trajectory:
-    """Result of one simulation run: snapshots, counters and bookkeeping."""
+    """Result of one simulation run: snapshots, counters and bookkeeping.
+
+    ``candidates`` counts the thinning candidates before the horizon,
+    accepted or rejected.
+    """
 
     k: int
     t_star: float
@@ -260,6 +272,7 @@ class Trajectory:
     births_life: int
     births_split: int
     deaths: int
+    candidates: int
     death_ages: np.ndarray
     death_times: np.ndarray
     initial_birth_times: np.ndarray
@@ -277,6 +290,16 @@ class Trajectory:
         )
 
 
+# Uniforms per draw from the replicate's generator (both paths).
+_UBLOCK = 8192
+# Expected candidates n0 * (birth_sup + death_sup) * horizon from which a
+# state-free run is resolved in blocks.  The block path's array passes cost
+# a fixed ~0.3 ms per run; measured against the loop (median of 5 alternating
+# batches on a 2-core VM), it wins from ~50 expected candidates for pure
+# splitting, ~150 for births and deaths and ~220 for pure death.
+_BLOCK_MIN_CANDIDATES = 256
+
+
 def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
              dt_out: float, rng: np.random.Generator, *,
              panel: Optional[Sequence[TestFunction]] = None,
@@ -290,6 +313,16 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     A_t / k) and the snapshot weight is 1/k.  Snapshots are taken at every
     multiple of ``dt_out``; identical (rng stream, arguments) give identical
     event sequences.
+
+    Every candidate reads three uniforms (time, slot, accept) from blocks of
+    8192 drawn from ``rng`` as needed.  A *state-free* run is resolved in
+    blocks by array arithmetic (:func:`_simulate_blocks`) when its expected
+    candidate count ``n0 * (birth_sup + death_sup) * horizon`` is at least
+    ``_BLOCK_MIN_CANDIDATES``; any other run takes the per-candidate loop.
+    State-free means constant rates, no K perturbation, deterministic broods
+    and no ledger or a closed-form one, so a candidate's fate depends on its
+    uniform alone.  Both paths read the same words from ``rng`` and return
+    the same bits.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
@@ -309,6 +342,47 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     ledger = MartingaleLedger(panel, model, pop) if with_ledger else None
     log = EventLog() if log_events else None
 
+    state_free = (model.birth.is_constant and model.death.is_constant
+                  and model.k_perturbation is None
+                  and model.life_law.kind == model.split_law.kind == "deterministic"
+                  and (ledger is None or ledger.closed_form))
+    expected = pop.n_live * (model.birth_sup + model.death_sup) * horizon
+    run = (_simulate_blocks if state_free and expected >= _BLOCK_MIN_CANDIDATES
+           else _simulate_loop)
+    snapshots, candidates = run(pop, model, horizon, out_times, t_star, rng,
+                                ledger, log, population_cap)
+
+    return Trajectory(
+        k=k,
+        t_star=t_star,
+        times=out_times,
+        snapshots=snapshots,
+        initial_count=pop.initial_count,
+        births_life=pop.births_life,
+        births_split=pop.births_split,
+        deaths=pop.deaths,
+        candidates=candidates,
+        death_ages=np.array(pop.death_ages),
+        death_times=np.array(pop.death_times),
+        initial_birth_times=initial_bt,
+        ledger=ledger,
+        events=log,
+    )
+
+
+def _emit(pop: Population, t_out: float, ledger, t_star: float,
+          snapshots: list[AtomicMeasure]) -> None:
+    """Record the ledger and take a snapshot at output time ``t_out``."""
+    pop.t = float(t_out)
+    if ledger is not None:
+        ledger.record(pop)
+    snapshots.append(pop.snapshot(t_star))
+
+
+def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
+                   population_cap):
+    """Thinning one candidate at a time; returns (snapshots, candidates)."""
+    k = pop.k
     b_fn, h_fn = model.birth, model.death
     b_const = b_fn.value if b_fn.is_constant and model.k_perturbation is None else None
     h_const = h_fn.value if h_fn.is_constant and model.k_perturbation is None else None
@@ -320,7 +394,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     split_det = split_law.k if split_law.kind == "deterministic" else None
 
     # batched uniforms; order of consumption is fixed, so runs are reproducible
-    block = 8192
+    block = _UBLOCK
     ublock = rng.random(block)
     uptr = 0
 
@@ -336,16 +410,14 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     snapshots: list[AtomicMeasure] = []
     out_idx = 0
     t = 0.0
+    candidates = 0
     log1p = math.log1p
     n_outs = out_times.size
 
     def flush_outputs(limit: float) -> float:
         nonlocal out_idx
         while out_idx < n_outs and out_times[out_idx] <= limit:
-            pop.t = float(out_times[out_idx])
-            if ledger is not None:
-                ledger.record(pop)
-            snapshots.append(pop.snapshot(t_star))
+            _emit(pop, out_times[out_idx], ledger, t_star, snapshots)
             out_idx += 1
         return out_times[out_idx] if out_idx < n_outs else math.inf
 
@@ -365,6 +437,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
             break
         t = t_cand
         pop.t = t
+        candidates += 1
         idx = int(next_u() * n)
         tau = pop.birth_times[idx]
         age = t - tau
@@ -406,22 +479,148 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
             raise CapacityError(
                 f"population {pop.n_live} exceeded cap {population_cap} at t={t:.6g}"
             )
+    return snapshots, candidates
 
-    return Trajectory(
-        k=k,
-        t_star=t_star,
-        times=out_times,
-        snapshots=snapshots,
-        initial_count=pop.initial_count,
-        births_life=pop.births_life,
-        births_split=pop.births_split,
-        deaths=pop.deaths,
-        death_ages=np.array(pop.death_ages),
-        death_times=np.array(pop.death_times),
-        initial_birth_times=initial_bt,
-        ledger=ledger,
-        events=log,
-    )
+
+def _block_candidates(rng, model: RateModel, n: int, horizon: float, population_cap: int):
+    """Stage 1 of the block path: the accepted events, a chunk of candidates at a time.
+
+    A candidate's accept uniform alone decides its kind, so the live count
+    before each candidate is a cumulative sum; times are the sequential sum
+    of ``t, -x_0, -x_1, ...`` with ``x = log1p(-u) / (n * bound)`` from
+    ``math.log1p`` (numpy's differs in the last bit), as in the loop.  A
+    chunk holds the candidates expected before the horizon (capped by the
+    uniforms at hand), plus the time of the next one; a new block is drawn
+    only once that time falls before the horizon.  Returns the accepted
+    events' times, death flags, live counts before them and slots, and the
+    number of candidates before the horizon.
+    """
+    b, h, life, split = model.birth.value, model.death.value, model.life_law.k, model.split_law.k
+    bound = model.birth_sup + model.death_sup
+    bh = b + h
+    growth = b * life + h * (split - 1)       # of the mean population
+    log1p = math.log1p
+    buf, ptr, t = rng.random(_UBLOCK), 0, 0.0
+    parts, candidates = [], 0
+    while n > 0:
+        if buf.size - ptr < 3:
+            buf, ptr = np.concatenate((buf[ptr:], rng.random(_UBLOCK))), 0
+        avail = buf.size - ptr
+        span = horizon - t
+        gs = min(growth * span, 30.0)
+        expected = n * bound * span * (math.expm1(gs) / gs if gs else 1.0)
+        m = min(avail // 3, int(1.25 * expected) + 16)
+        u = buf[ptr:ptr + min(avail, 3 * m + 1)]
+        r = u[2::3] * bound
+        born = r < b
+        dies = ~born & (r < bh)
+        step = np.where(born, life, np.where(dies, split - 1, 0))
+        n_at = np.concatenate(([n], n + np.cumsum(step)))
+        ut = u[::3]
+        zero = np.flatnonzero(n_at[: ut.size] == 0)
+        ext = int(zero[0]) if zero.size else ut.size
+        x = np.fromiter(map(log1p, (-ut[:ext]).tolist()), float, ext) / (n_at[:ext] * bound)
+        times = np.cumsum(np.concatenate(([t], -x)))[1:]
+        end = int(np.searchsorted(times, horizon))   # first candidate at or past it
+        stop = min(end, m)
+        over = np.flatnonzero(n_at[1 : stop + 1] > population_cap)
+        if over.size:
+            i = int(over[0])
+            raise CapacityError(f"population {n_at[i + 1]} exceeded cap {population_cap} "
+                                f"at t={float(times[i]):.6g}")
+        acc = np.flatnonzero((born | dies)[:stop])
+        parts.append((times[acc], dies[acc], n_at[acc],
+                      (u[1::3][acc] * n_at[acc]).astype(np.int64)))
+        candidates += stop
+        if end < ut.size:         # the horizon, or extinction before it
+            break
+        t, n, ptr = times[m - 1], int(n_at[m]), ptr + 3 * m
+    return (*map(np.concatenate, zip(*parts)), candidates)
+
+
+def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
+                     population_cap):
+    """Thinning of a state-free run resolved by array arithmetic.
+
+    Stage 1 (:func:`_block_candidates`) gives the accepted events.  Stage 2
+    resolves the swap-remove slot permutation over individual ids: a death
+    at slot ``i`` with ``n`` alive moves the id at slot ``n - 1`` to ``i``
+    and the brood takes slots ``n - 1, ...``; a birth's brood takes slots
+    ``n, ...``.  Each read of a slot finds the last write before it among
+    the sorted (slot, event) keys, and moved values are chased by pointer
+    jumping.  The ledger then replays the events in order.  Returns
+    (snapshots, candidates).
+    """
+    life, split = model.life_law.k, model.split_law.k
+    n0 = pop.n_live
+    t_ev, dies, n_ev, slot_ev, candidates = _block_candidates(rng, model, n0, horizon,
+                                                              population_cap)
+    n_events = t_ev.size
+    brood = np.where(dies, split, life)
+    n_final = n0 + int(brood.sum()) - int(dies.sum())
+
+    # writes, keyed slot * seqs + sequence: the initial ids (sequence 0), then
+    # per event e the move of a death not at the last slot (3e + 2) and the
+    # newborns (3e + 3).  A read before event e (3e + 1) finds the last write
+    # to its slot; every live slot has one.
+    ev = np.repeat(np.arange(n_events), brood)
+    nb_slot = n_ev[ev] - dies[ev] + np.arange(ev.size) - (np.cumsum(brood) - brood)[ev]
+    mv = np.flatnonzero(dies & (slot_ev != n_ev - 1))
+    seqs = 3 * n_events + 3
+    key = np.concatenate((np.arange(n0) * seqs, slot_ev[mv] * seqs + 3 * mv + 2,
+                          nb_slot * seqs + 3 * ev + 3))
+    birth_times = np.concatenate((pop.birth_times[:n0], t_ev[ev]))
+    del ev, nb_slot
+    order = np.argsort(key)
+    key = key[order]
+    val = np.where(order < n0, order, order - mv.size)      # the id each write stores
+    moved = np.flatnonzero((order >= n0) & (order < n0 + mv.size))
+    mv = mv[order[moved] - n0]                              # in the order of the keys
+    del order
+
+    def last_write(slots, evs):
+        """Where among the sorted keys each slot was last written before each event."""
+        return np.searchsorted(key, slots * seqs + 3 * evs + 1) - 1
+
+    # a move stores the id it reads: chase each move to the write it copies
+    ptr = np.arange(key.size)
+    ptr[moved] = last_write(n_ev[mv] - 1, mv)
+    val[moved] = -1
+    todo = moved
+    while todo.size:
+        p = ptr[todo]
+        val[todo] = val[p]
+        ptr[todo] = ptr[p]
+        todo = todo[val[todo] < 0]
+    del ptr, moved, mv
+
+    tau = birth_times[val[last_write(slot_ev, np.arange(n_events))]]
+    death_ages = t_ev[dies] - tau[dies]
+    pop.deaths = int(dies.sum())
+    pop.births_life = life * (n_events - pop.deaths)
+    pop.births_split = split * pop.deaths
+    pop.death_ages, pop.death_times = death_ages, t_ev[dies]
+    if log is not None:
+        log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
+        log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()
+    del brood, slot_ev
+
+    snapshots: list[AtomicMeasure] = []
+    done = 0
+    for t_out, c in zip(out_times, np.searchsorted(t_ev, out_times)):
+        if ledger is not None:
+            for e in range(done, c):
+                pop.t = t_ev[e]
+                if dies[e]:
+                    ledger.death(pop, pop.t - tau[e], split)
+                else:
+                    ledger.birth(pop, life)
+            done = c
+        n = int(n_ev[c]) if c < n_events else n_final
+        pop.birth_times = birth_times[val[last_write(np.arange(n), c)]]
+        pop.n_live = n
+        _emit(pop, t_out, ledger, t_star, snapshots)
+    return snapshots, candidates
 
 
 # ---------------------------------------------------------------------------

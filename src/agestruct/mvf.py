@@ -12,7 +12,7 @@ boundary terms make the scheme first-order accurate in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -102,6 +102,9 @@ class LimitSolution:
     values: np.ndarray          # (n_times, n_cells), density at cell centers
     a_star: float
     signed: bool = False
+    # per-model quantities later layers derive from these frames, kept as
+    # long as the frames (the SPDE coefficients of agestruct.spde)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dx(self) -> float:

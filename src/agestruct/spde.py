@@ -40,7 +40,9 @@ the mean field itself forward.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -158,9 +160,9 @@ class _Coeffs:
     of its death and newborn Frechet terms.
     """
 
-    def __init__(self, model: RateModel, background: LimitSolution,
-                 with_noise: bool):
-        self.bg = background
+    def __init__(self, model: RateModel, background: LimitSolution):
+        # weak: the background keeps its coefficients, not the reverse
+        self.bg = weakref.proxy(background)
         dt = dx = background.dt
         lm = model.life_law.mean
         sm = model.split_law.mean
@@ -191,12 +193,22 @@ class _Coeffs:
                          np.broadcast_to(wn, shape))
                         for kern, (wh, wn) in weights.items()]
 
-        if with_noise:
-            self.sigma_cells, self.sigma_boundary = _noise_scales(model, b, h, a, dx, dt)
-        else:
-            self.sigma_cells = None
-            self.sigma_boundary = None
         self.split_mean = sm
+        self._noise_inputs = (model, b, h, a, dx, dt)
+
+    @cached_property
+    def noise(self):
+        """(sigma_cells, sigma_boundary) of every step, built on first use."""
+        return _noise_scales(*self._noise_inputs)
+
+
+def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:
+    """The coefficients of ``model`` on ``background``, built once per pair
+    (``run_clt`` steps the mean and sweeps the law on one background)."""
+    co = background.derived.get(model)
+    if co is None:
+        co = background.derived[model] = _Coeffs(model, background)
+    return co
 
 
 def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
@@ -268,7 +280,7 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
     evaluated at the running mean itself.  The frames are on the background
     grid and signed.
     """
-    co = _Coeffs(model, background, with_noise=False)
+    co = _coeffs(model, background)
     out = np.empty(background.values.shape)
     out[0] = nu0
     z = out[:1].copy()
@@ -293,7 +305,8 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     time index.  Before step k is undone, its noise is paired with the rows
     (a zero row, for a record before step k, adds nothing).
     """
-    co = _Coeffs(model, background, with_noise=True)
+    co = _coeffs(model, background)
+    sigma_cells, sigma_boundary = co.noise
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
@@ -302,8 +315,8 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     for k in range(rec_idx.max() - 1, -1, -1):
         w0, w1 = _width(co, k), _width(co, k + 1)
         v = co.split_mean * g[:, :1] - g[:, :w0]
-        cov += (v * co.sigma_cells[k, :w0] ** 2) @ v.T
-        cov += co.sigma_boundary[k] ** 2 * np.outer(g[:, 0], g[:, 0])
+        cov += (v * sigma_cells[k, :w0] ** 2) @ v.T
+        cov += sigma_boundary[k] ** 2 * np.outer(g[:, 0], g[:, 0])
         g = _adjoint_step(g, k, co, w0, w1)
         g[rec_idx == k] = fvals[rec_idx == k]
     return background.dx * (g @ np.asarray(z0, dtype=float)), cov

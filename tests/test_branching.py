@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from agestruct import branching
+from agestruct.acceptance import clt_config, lln_config, qv_config
 from agestruct.branching import (KIND_DEATH, CapacityError, MartingaleLedger,
                                  check_pathwise_identity, pathwise_identity_catalogue,
                                  simulate, two_var)
-from agestruct.harness import replicate_stream
+from agestruct.harness import PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, replicate_stream
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
 from agestruct.rates import (ConstantRate, DensityRate, OffspringLaw, RateModel,
@@ -358,3 +361,229 @@ def test_ledger_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,f_id,M_value,compensator"
     assert len(lines) == 1 + 3  # three output times, one panel function
+
+
+# ---------------------------------------------------------------------------
+# the block path of state-free runs against the per-candidate loop
+
+
+def twin(model):
+    """``model`` with its constant death rate as a zero-slope density family:
+    the same rates, resolved candidate by candidate."""
+    h = model.death.value
+    return dataclasses.replace(model, family="density_dependent",
+                               death=DensityRate(ScalarFn.affine(h, 0.0)))
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The simulate paths taken, in call order."""
+    taken = []
+    for name in ("_simulate_blocks", "_simulate_loop"):
+        def spy(*args, _fn=getattr(branching, name), _name=name):
+            taken.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(branching, name, spy)
+    return taken
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def philox_state(rng):
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+            st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def assert_same_run(a, b):
+    """Identical snapshots, counters, death log, event log and generator state."""
+    (ta, ra), (tb, rb) = a, b
+    assert philox_state(ra) == philox_state(rb)
+    assert bits(ta.times) == bits(tb.times)
+    assert [bits(s.ages) for s in ta.snapshots] == [bits(s.ages) for s in tb.snapshots]
+    counters = ("births_life", "births_split", "deaths", "candidates")
+    assert [getattr(ta, c) for c in counters] == [getattr(tb, c) for c in counters]
+    assert bits(ta.death_ages) == bits(tb.death_ages)
+    assert bits(ta.death_times) == bits(tb.death_times)
+    if ta.events is not None:
+        ea, eb = ta.events, tb.events
+        assert (bits(ea.t), ea.kind, bits(ea.tau), ea.brood) == \
+            (bits(eb.t), eb.kind, bits(eb.tau), eb.brood)
+
+
+def run_twins(model, n0, ctx, paths, horizon=1.0, dt_out=0.125, **kw):
+    """The block path on ``model`` and the loop on its twin, on one stream."""
+    a0 = atoms(np.linspace(0.0, 1.0, n0), t_star=horizon + 1.0)
+    out = []
+    for m in (model, twin(model)):
+        rng = stream(0, ctx=ctx)
+        out.append((simulate(m, a0, k=n0, horizon=horizon, dt_out=dt_out, rng=rng,
+                             log_events=True, t_star=horizon + 1.0, **kw), rng))
+    assert paths == ["_simulate_blocks", "_simulate_loop"]
+    return out
+
+
+def replay(model, n0, ctx, horizon, out_times):
+    """Walk a state-free run's uniforms candidate by candidate, tracking N alone.
+
+    Returns (candidates, accepted, rejected, output times first reached by a
+    rejected candidate).
+    """
+    rng = stream(0, ctx=ctx)
+
+    def uniforms():
+        while True:
+            yield from rng.random(8192).tolist()
+
+    u = uniforms()
+    b, h = model.birth.value, model.death.value
+    bound = model.birth_sup + model.death_sup
+    t, n, j = 0.0, n0, 1
+    candidates = rejected = rejected_crossings = 0
+    while n:
+        t_c = t - math.log1p(-next(u)) / (n * bound)
+        if t_c >= horizon:
+            break
+        next(u)
+        r = next(u) * bound
+        crossed = 0
+        while j < len(out_times) and out_times[j] <= t_c:
+            crossed, j = crossed + 1, j + 1
+        if r < b:
+            n += model.life_law.k
+        elif r < b + h:
+            n += model.split_law.k - 1
+        else:
+            rejected += 1
+            rejected_crossings += crossed
+        candidates += 1
+        t = t_c
+    return candidates, candidates - rejected, rejected, rejected_crossings
+
+
+def thinned(b, h, life, split, b_sup, h_sup):
+    return RateModel("classical", ConstantRate(b), ConstantRate(h),
+                     OffspringLaw.deterministic(life), OffspringLaw.deterministic(split),
+                     birth_sup=b_sup, death_sup=h_sup)
+
+
+@pytest.mark.parametrize("model, n0, ctx", [
+    (pure_splitting(1.0, 2), 1000, 30),
+    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 400, 31),
+    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 400, 32),
+    (thinned(0.6, 0.9, 3, 1, 1.0, 1.5), 400, 33),
+], ids=["pure_splitting_K1000", "broods_0_3", "broods_1_0", "broods_3_1"])
+def test_block_path_matches_the_loop_bit_for_bit(model, n0, ctx, paths):
+    block, loop = run_twins(model, n0, ctx, paths)
+    assert_same_run(block, loop)
+    traj = block[0]
+    assert traj.deaths == traj.events.kind.count(KIND_DEATH) and len(traj.events) > n0
+    cand, acc, rej, _ = replay(model, n0, ctx, 1.0, traj.times)
+    assert traj.candidates == cand == acc + rej and acc == len(traj.events)
+    if model.birth_sup + model.death_sup == model.birth.value + model.death.value:
+        assert rej == 0 and traj.candidates == traj.deaths
+    else:
+        assert rej > 0
+
+
+def test_block_path_extinction_inside_a_chunk(paths):
+    model = classical_model(0.0, 5.0, OffspringLaw.deterministic(0),
+                            OffspringLaw.deterministic(0))
+    block, loop = run_twins(model, 300, 34, paths, horizon=3.0, dt_out=0.5)
+    assert_same_run(block, loop)
+    traj = block[0]
+    assert traj.deaths == traj.candidates == 300
+    after = [s.count for s, t in zip(traj.snapshots, traj.times) if t > traj.death_times[-1]]
+    assert after and not any(after)
+
+
+def test_block_path_straddles_the_uniform_blocks(paths):
+    # 8192 = 3 * 2730 + 2 and 16384 = 3 * 5461 + 1: candidates 2730 and 5461
+    # read their uniforms from two blocks, split 2 + 1 and 1 + 2
+    block, loop = run_twins(pure_splitting(1.0, 2), 4000, 35, paths, dt_out=0.5)
+    assert_same_run(block, loop)
+    assert block[0].candidates > 5462
+
+
+def test_block_path_stops_on_a_blocks_last_uniform(paths):
+    # candidate 5461's time is uniform 16383, the last of the second block: with
+    # the horizon at that time the run stops there and draws no third block
+    t_5461 = run_twins(pure_splitting(1.0, 2), 4000, 36, paths)[0][0].events.t[5461]
+    paths.clear()
+    block, loop = run_twins(pure_splitting(1.0, 2), 4000, 36, paths,
+                            horizon=t_5461, dt_out=t_5461)
+    assert_same_run(block, loop)
+    assert block[0].candidates == 5461
+    fresh = stream(0, ctx=36)
+    fresh.random(2 * 8192)
+    assert philox_state(block[1]) == philox_state(fresh)
+
+
+def test_block_path_rejection_crossing_an_output_time(paths):
+    model = thinned(0.0, 0.2, 0, 2, 0.0, 1.0)      # four in five candidates rejected
+    block, loop = run_twins(model, 500, 37, paths, dt_out=0.05)
+    assert_same_run(block, loop)
+    cand, _, rej, rejected_crossings = replay(model, 500, 37, 1.0, block[0].times)
+    assert block[0].candidates == cand and rejected_crossings > 0
+
+
+def test_block_path_capacity_error_at_the_same_event(paths):
+    a0 = atoms(np.zeros(300), t_star=3.0)
+    raised = []
+    for model in (pure_splitting(1.0, 3), twin(pure_splitting(1.0, 3))):
+        rng = stream(0, ctx=38)
+        with pytest.raises(CapacityError) as exc:
+            simulate(model, a0, k=300, horizon=3.0, dt_out=1.0, rng=rng,
+                     population_cap=1000, t_star=3.0)
+        raised.append((str(exc.value), philox_state(rng)))
+    assert paths == ["_simulate_blocks", "_simulate_loop"]
+    assert raised[0] == raised[1] and "exceeded cap 1000" in raised[0][0]
+
+
+@pytest.mark.parametrize("model, n0, ctx", [
+    (pure_splitting(1.0, 2), 1000, 39),
+    (thinned(0.6, 0.9, 1, 3, 1.0, 1.5), 400, 40),
+], ids=["pure_splitting", "births_and_rejections"])
+def test_block_path_closed_form_ledger_matches_the_loop(model, n0, ctx, paths, monkeypatch):
+    panel = make_panel(["1", "x", "x^2", "exp:0.5", "exp:-1"])
+    runs = []
+    for threshold in (branching._BLOCK_MIN_CANDIDATES, math.inf):
+        monkeypatch.setattr(branching, "_BLOCK_MIN_CANDIDATES", threshold)
+        rng = stream(0, ctx=ctx)
+        traj = simulate(model, atoms(np.linspace(0.0, 1.0, n0)), k=n0, horizon=1.0,
+                        dt_out=0.25, rng=rng, panel=panel, with_ledger=True,
+                        log_events=True, t_star=2.0)
+        runs.append((traj, rng))
+    assert paths == ["_simulate_blocks", "_simulate_loop"]
+    assert_same_run(*runs)
+    (a, _), (b, _) = runs
+    assert a.ledger.closed_form and len(a.ledger.times) == 5
+    assert bits(a.ledger.times) == bits(b.ledger.times)
+    assert bits(a.ledger.m_path) == bits(b.ledger.m_path)
+    assert bits(a.ledger.comp_path) == bits(b.ledger.comp_path)
+
+
+def test_acceptance_configs_take_the_pinned_paths(paths):
+    # criteria 1-5 through the harness's replicate call, two replicates per K
+    pinned = []
+    for cfg, purpose, flags in ((lln_config(), PURPOSE_LLN, {}),
+                                (qv_config(), PURPOSE_QV, {"with_ledger": True}),
+                                (clt_config(), PURPOSE_CLT, {})):
+        st = _Study(dataclasses.replace(cfg, replicates=2))
+        for k_index, k in enumerate(cfg.k_values):
+            paths.clear()
+            st.replicates(k_index, purpose, workers=1, **flags)
+            pinned.append((k, paths[0]))
+    assert pinned == [(100, "_simulate_loop"), (1000, "_simulate_blocks"),
+                      (10000, "_simulate_blocks"), (1000, "_simulate_blocks"),
+                      (10000, "_simulate_blocks")]
+    # criterion 7's pure-splitting case (n0 = 100) and criterion 8 (three individuals)
+    paths.clear()
+    simulate(pure_splitting(1.0, 2), atoms(np.linspace(0.0, 1.0, 100)), k=100,
+             horizon=1.0, dt_out=0.25, rng=stream(0), log_events=True, t_star=2.0)
+    simulate(PURE_DEATH, atoms(np.zeros(3), t_star=1.0), k=1, horizon=1.0, dt_out=1.0,
+             rng=stream(1), t_star=1.0)
+    assert paths == ["_simulate_loop", "_simulate_loop"]

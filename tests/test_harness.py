@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agestruct import spde
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, build_initial,
                                emit, largest_remainder_counts, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
@@ -180,7 +181,15 @@ def test_run_qv_small_panel():
     assert all(r.passed for r in means)
 
 
-def test_run_clt_small():
+def test_run_clt_small(monkeypatch):
+    builds = []
+    build = spde._Coeffs.__init__
+
+    def counting(co, *args):
+        builds.append(args)
+        build(co, *args)
+
+    monkeypatch.setattr(spde._Coeffs, "__init__", counting)
     cfg = ExperimentConfig(
         model=dict(CLASSICAL),
         initial={"kind": "grid", "profile": "uniform", "support": [0.0, 1.0],
@@ -199,6 +208,8 @@ def test_run_clt_small():
     assert len(law_rows) == 2 and all(r.passed for r in law_rows)
     (evm,) = [r for r in rep.rows if r.stat == "evolve_mean_linf"]
     assert evm.passed
+    # the mean path and the law share one build of the grid coefficients
+    assert len(builds) == 1
 
 
 def test_run_convergence_bands():

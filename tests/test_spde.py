@@ -86,11 +86,12 @@ def test_noise_covariance_identity(model):
 @pytest.mark.parametrize("model", [SPLIT, MIXED, KERNEL])
 def test_noise_channel_is_what_the_engine_steps_with(model):
     bg = background(model, dx=0.02)
-    co = _Coeffs(model, bg, with_noise=True)
+    co = _Coeffs(model, bg)
+    sigma_cells, sigma_boundary = co.noise
     for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 2):
         chan = noise_channel(model, bg.frame(idx), bg.dt)
-        assert np.array_equal(chan.sigma_cells, co.sigma_cells[idx])
-        assert chan.sigma_boundary == co.sigma_boundary[idx]
+        assert np.array_equal(chan.sigma_cells, sigma_cells[idx])
+        assert chan.sigma_boundary == sigma_boundary[idx]
         assert chan.split_mean == co.split_mean
 
 
@@ -146,7 +147,8 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
     noise field; Cov(z_k, z_r) for an earlier record r advances as A_k X.
     Returns shape (R, P, R, P).
     """
-    co = _Coeffs(model, bg, with_noise=True)
+    co = _Coeffs(model, bg)
+    sigma_cells, sigma_boundary = co.noise
     n = bg.values.shape[1]
     sig = np.zeros((n, n))
     since = {}                                   # record index -> Cov(z_k, z_r)
@@ -166,9 +168,9 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
         _engine_step(a, k, co, w0, w1)
         a = a.T
         noise = np.zeros((n, w0 + 1))            # eta = noise @ standard normals
-        noise[np.arange(w0), np.arange(w0)] = -co.sigma_cells[k, :w0] / bg.dx
-        noise[0, :w0] += co.split_mean * co.sigma_cells[k, :w0] / bg.dx
-        noise[0, w0] = co.sigma_boundary[k] / bg.dx
+        noise[np.arange(w0), np.arange(w0)] = -sigma_cells[k, :w0] / bg.dx
+        noise[0, :w0] += co.split_mean * sigma_cells[k, :w0] / bg.dx
+        noise[0, w0] = sigma_boundary[k] / bg.dx
         sig = a @ sig @ a.T + noise @ noise.T
         since = {r: a @ x for r, x in since.items()}
 
@@ -346,7 +348,7 @@ def test_kernel_engine_reduces_to_density_engine():
         bg_d = background(dens, dx=dt)
         assert np.max(np.abs(bg_k.values - bg_d.values)) <= 1e-10, carriers
         # one kernel matrix however many rates share the kernel
-        assert len(_Coeffs(kern, bg_k, with_noise=False).kernels) == 1
+        assert len(_Coeffs(kern, bg_k).kernels) == 1
         z0 = np.where(bg_k.centers < 1.0, 0.7, 0.0)
         mk = evolve_mean(kern, z0, bg_k)
         md = evolve_mean(dens, z0, bg_d)
@@ -401,7 +403,7 @@ def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
         calls.clear()
         bg = background(KERNEL, dx=0.02, horizon=horizon)
         in_solve = len(calls)
-        _Coeffs(KERNEL, bg, with_noise=True)
+        _Coeffs(KERNEL, bg).noise
         counts.append((in_solve, len(calls) - in_solve))
     assert counts[0][0] > 0 and counts[0][1] > 0
     assert counts[0] == counts[1]
