@@ -16,6 +16,11 @@ it expects at least ``_BLOCK_MIN_CANDIDATES`` candidates it is resolved by
 array arithmetic instead: the candidates a chunk at a time, then the
 swap-remove slot order of the whole run over individual ids.
 
+A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
+candidate.  An ``exp_decay`` kernel is read in O(log N) from two Fenwick
+trees over birth ranks kept by :class:`Population` (see
+:class:`_ExpDecayTrees`); other kernels sum over the live set.
+
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
 at event times.  The absolutely continuous compensator is exact for constant
@@ -60,15 +65,102 @@ class CapacityError(RuntimeError):
     """The live population exceeded the configured cap."""
 
 
+# Largest |alpha * (tau - ref)| of an exp_decay tree factor: e^600 times any
+# population stays far inside the float range, and e^-600 is a normal float.
+_EXP_FACTOR_MAX = 600.0
+
+
+class _ExpDecayTrees:
+    """Pairings with one exp_decay kernel c e^(-alpha |x - y|) at live individuals.
+
+    |x_i - x_j| = |tau_i - tau_j| for birth times tau, so a pairing does not
+    change between events.  Birth ranks 1..size are monotone in tau.  ``up``
+    is a Fenwick tree of e^(alpha (tau - ref)), read as a prefix: the
+    individuals of the same age or older.  ``down`` is one of
+    e^(-alpha (tau - ref)) over reversed ranks, read as a prefix there: the
+    younger ones.  Scaled by the queried individual's own factor, every term
+    is at most 1 and its self term is 1, and no sum is a difference of two
+    others, so a pairing keeps a relative error of about machine epsilon
+    times the ranks used since the trees were built.
+    """
+
+    def __init__(self, kernel, ref: float):
+        self.c, self.alpha, self.ref = kernel.c, kernel.alpha, ref
+
+    def build(self, taus: list[float], size: int):
+        """Trees over ranks 1..size with ``taus`` (ascending) at ranks 1..len(taus), in O(size)."""
+        a, ref, m = self.alpha, self.ref, len(taus)
+        self.size = size
+        self.up = [0.0] + [math.exp(a * (t - ref)) for t in taus] + [0.0] * (size - m)
+        self.down = [0.0] * (size + 1 - m) + [math.exp(-a * (t - ref)) for t in reversed(taus)]
+        for tree in (self.up, self.down):
+            for i in range(1, size + 1):
+                j = i + (i & -i)
+                if j <= size:
+                    tree[j] += tree[i]
+
+    def add(self, r: int, tau: float, sign: float):
+        """Add (sign 1.0) or remove (-1.0) the individual born at ``tau`` with rank ``r``."""
+        a = self.alpha * (tau - self.ref)
+        up, down, size = self.up, self.down, self.size
+        e = sign * math.exp(a)
+        i = r
+        while i <= size:
+            up[i] += e
+            i += i & -i
+        e = sign * math.exp(-a)
+        i = size + 1 - r
+        while i <= size:
+            down[i] += e
+            i += i & -i
+
+    def pair(self, r: int, tau: float) -> float:
+        """sum_j g(tau, tau_j) over the live set, for its individual of rank ``r``."""
+        up, down = self.up, self.down
+        older = 0.0
+        i = r
+        while i:
+            older += up[i]
+            i &= i - 1
+        younger = 0.0
+        i = self.size - r
+        while i:
+            younger += down[i]
+            i &= i - 1
+        a = self.alpha * (tau - self.ref)
+        return self.c * (math.exp(-a) * older + math.exp(a) * younger)
+
+    def pair_all(self, taus: np.ndarray) -> np.ndarray:
+        """:meth:`pair` for every live individual at once, by running sums in birth order."""
+        order = np.argsort(taus, kind="stable")
+        a = self.alpha * (taus[order] - self.ref)
+        up, down = np.exp(a), np.exp(-a)
+        younger = np.zeros_like(a)
+        younger[:-1] = np.cumsum(down[:0:-1])[::-1]
+        out = np.empty_like(taus)
+        out[order] = self.c * (down * np.cumsum(up) + up * younger)
+        return out
+
+
 class Population:
     """Mutable live population: birth times, counters and death log.
 
     Ages are implicit (age = t - birth_time) so that aging between events is
     free.  The object doubles as the measure view handed to rate functions:
-    it exposes the normalised total mass and kernel pairings of A_t / k.
+    it exposes the normalised total mass and kernel pairings of A_t / k, the
+    latter only at its live individuals (:meth:`kernel_pair`).
+
+    For each exp_decay kernel in ``kernels`` it keeps an
+    :class:`_ExpDecayTrees` over birth ranks; ``rank`` moves with
+    ``birth_times`` on swap-remove.  A birth takes the next rank, and when
+    the ranks run out the live set is ranked anew (a sort, then an O(M)
+    build of 2M + 64 ranks).  The tree factors are centred on the middle of
+    the birth times the population can see up to ``t_end``; a span wider
+    than the float range allows raises :class:`ModelError`.
     """
 
-    def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0):
+    def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0, *,
+                 kernels=(), t_end: Optional[float] = None):
         ages = np.asarray(ages, dtype=float)
         cap = max(64, 2 * ages.size)
         self.birth_times = np.empty(cap, dtype=float)
@@ -82,6 +174,33 @@ class Population:
         self.deaths = 0
         self.death_ages: list[float] = []
         self.death_times: list[float] = []
+        self.focus = 0          # slot of the individual whose rates are evaluated
+        self._live_pairs: dict = {}
+        self._trees: dict = {}
+        exp_decay = [g for g in kernels if g.kind == "exp_decay"]
+        if exp_decay and self.n_live:
+            lo = float(self.birth_times[: self.n_live].min())
+            hi = max(self.t if t_end is None else float(t_end), lo)
+            for g in exp_decay:
+                if g.alpha * 0.5 * (hi - lo) > _EXP_FACTOR_MAX:
+                    raise ModelError(
+                        f"exp_decay kernel alpha={g.alpha} over birth times spanning {hi - lo:g} "
+                        f"needs factors e^(+-{g.alpha * 0.5 * (hi - lo):g}), beyond "
+                        f"e^(+-{_EXP_FACTOR_MAX:g})")
+            self._trees = {g: _ExpDecayTrees(g, 0.5 * (lo + hi)) for g in exp_decay}
+            self._rank_live()
+
+    def _rank_live(self):
+        """Rank the live individuals 1..n in birth order and rebuild the trees."""
+        n = self.n_live
+        order = np.argsort(self.birth_times[:n], kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(1, n + 1)
+        self.rank = rank.tolist()
+        self._next_rank, self._rank_size = n + 1, 2 * n + 64
+        taus = self.birth_times[:n][order].tolist()
+        for trees in self._trees.values():
+            trees.build(taus, self._rank_size)
 
     # -- measure-view protocol used by rate evaluation --------------------
     @property
@@ -89,11 +208,39 @@ class Population:
         return self.n_live / self.k
 
     def kernel_pair(self, kernel, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self.n_live == 0:
-            return np.zeros_like(xs)
-        ages = self.t - self.birth_times[: self.n_live]
-        return kernel(xs[..., None], ages).sum(axis=-1) / self.k
+        """(g(x, .), A_t) / k, only at live individuals.
+
+        A float ``xs`` must be the age of the individual at slot ``focus``
+        (the thinning candidate): exp_decay kernels read their trees in
+        O(log N), other kernels sum over the live set.  An array must be
+        the live ages in slot order (the ledger's quadrature nodes); the
+        pairings do not change between events, so they are computed once
+        per live set.  Any other age raises ``ValueError``.
+        """
+        n = self.n_live
+        if isinstance(xs, float):
+            i = self.focus
+            tau = float(self.birth_times[i]) if i < n else math.nan
+            if xs != self.t - tau:
+                raise ValueError("a population pairs a kernel only at its live individuals")
+            trees = self._trees.get(kernel)
+            if trees is not None:
+                return trees.pair(self.rank[i], tau) / self.k
+            return float(kernel(xs, self.ages).sum()) / self.k
+        ages = self.ages
+        if np.shape(xs) != ages.shape or not np.array_equal(xs, ages):
+            raise ValueError("a population pairs a kernel only at its live individuals")
+        pairs = self._live_pairs.get(kernel)
+        if pairs is None:
+            pairs = self._live_pairs[kernel] = self._pair_live(kernel, ages)
+        return pairs
+
+    def _pair_live(self, kernel, ages: np.ndarray) -> np.ndarray:
+        """The pairing of every live individual, slot order."""
+        trees = self._trees.get(kernel)
+        if trees is not None:
+            return trees.pair_all(self.birth_times[: self.n_live]) / self.k
+        return kernel(ages[:, None], ages).sum(axis=-1) / self.k
 
     # ----------------------------------------------------------------------
     @property
@@ -116,9 +263,29 @@ class Population:
             self._grow(n + count)
         self.birth_times[n : n + count] = self.t
         self.n_live = n + count
+        if self._live_pairs:
+            self._live_pairs = {}
+        if self._trees:
+            r = self._next_rank
+            if r + count > self._rank_size + 1:
+                self._rank_live()        # ranks the newborns too
+                return
+            self._next_rank = r + count
+            for j in range(r, r + count):
+                self.rank.append(j)
+                for trees in self._trees.values():
+                    trees.add(j, self.t, 1.0)
 
     def remove(self, idx: int):
         n = self.n_live
+        if self._live_pairs:
+            self._live_pairs = {}
+        if self._trees:
+            tau = float(self.birth_times[idx])
+            for trees in self._trees.values():
+                trees.add(self.rank[idx], tau, -1.0)
+            self.rank[idx] = self.rank[n - 1]
+            self.rank.pop()
         self.birth_times[idx] = self.birth_times[n - 1]
         self.n_live = n - 1
 
@@ -335,7 +502,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
         a_star = float(a0.ages.max()) if a0.count else 0.0
         t_star = horizon + a_star
 
-    pop = Population(a0.ages, k=k, t0=0.0)
+    pop = Population(a0.ages, k=k, t0=0.0, kernels=model.kernels, t_end=horizon)
     initial_bt = pop.birth_times[: pop.n_live].copy()
     if with_ledger and panel is None:
         raise ValueError("a ledger needs a test-function panel")
@@ -444,12 +611,14 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         if b_const is not None:
             b = b_const
         else:
+            pop.focus = idx
             b = float(model.birth_rate(age, pop, k))
             if b < 0.0 or b > b_sup * (1.0 + 1e-9):
                 raise ModelError(f"birth rate {b} violates declared bound {b_sup}")
         if h_const is not None:
             h = h_const
         else:
+            pop.focus = idx
             h = float(model.death_rate(age, pop, k))
             if h < 0.0 or h > h_sup * (1.0 + 1e-9):
                 raise ModelError(f"death rate {h} violates declared bound {h_sup}")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import GridDensity
-from .rates import ConstantRate, DensityRate, KernelRate, ModelError, RateModel
+from .rates import ConstantRate, DensityRate, ModelError, RateModel
 
 __all__ = [
     "GridRates",
@@ -49,10 +49,9 @@ class GridRates:
         self.dx = dx
         self.centers = (np.arange(n_cells) + 0.5) * dx
         self.edges = self.centers - 0.5 * dx
-        kernels = {r.kernel for r in (model.birth, model.death) if isinstance(r, KernelRate)}
         self.matrices = {kern: (kern(self.centers[:, None], self.centers),
                                 kern(self.edges[:, None], self.centers))
-                         for kern in kernels}
+                         for kern in model.kernels}
 
     def at(self, values: np.ndarray) -> "_GridFrames":
         return _GridFrames(self, values)

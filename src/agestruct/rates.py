@@ -19,7 +19,11 @@ fluctuation-limit solver.
 Rates read the measure through a view with ``mass`` and
 ``kernel_pair(kernel, xs)``: the event simulator's
 :class:`~agestruct.branching.Population`, or the grid layers'
-:meth:`agestruct.mvf.GridRates.at` (one frame or a stack of frames).
+:meth:`agestruct.mvf.GridRates.at` (one frame or a stack of frames).  Each
+view pairs a kernel only at its own ages and raises ``ValueError`` at any
+other: the population at its live individuals (one float age, the thinning
+candidate's, or the array of all live ages), the grid view at its cell
+centers or edges.  A rate evaluated at one float age builds no array.
 """
 
 from __future__ import annotations
@@ -149,6 +153,19 @@ class ScalarFn:
         return self.b
 
 
+def _check_fields(obj, kinds: tuple[str, ...]) -> None:
+    """Reject an unknown kind or an unusable c, alpha or sigma, naming the field."""
+    name = type(obj).__name__
+    if obj.kind not in kinds:
+        raise ValueError(f"{name} kind must be one of {', '.join(kinds)}; got {obj.kind!r}")
+    if not math.isfinite(obj.c):
+        raise ValueError(f"{name} c must be finite; got {obj.c!r}")
+    if not (math.isfinite(obj.alpha) and obj.alpha >= 0.0):
+        raise ValueError(f"{name} alpha must be finite and >= 0; got {obj.alpha!r}")
+    if not obj.sigma > 0.0:
+        raise ValueError(f"{name} sigma must be > 0; got {obj.sigma!r}")
+
+
 @dataclass(frozen=True)
 class AgeProfile:
     """Bounded age profile r(x): constant, exponential decay, or Gaussian hump."""
@@ -159,25 +176,37 @@ class AgeProfile:
     center: float = 0.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        _check_fields(self, ("constant", "exp_decay", "gaussian"))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full_like(x, self.c)
         if self.kind == "exp_decay":
             return self.c * np.exp(-self.alpha * x)
-        if self.kind == "gaussian":
-            return self.c * np.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
-        raise ValueError(f"unknown age profile kind {self.kind!r}")
+        return self.c * np.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
+
+    def scalar(self, x: float) -> float:
+        """r(x) for one float, with ``math``: ``self(x)`` to within an ulp."""
+        if self.kind == "constant":
+            return self.c
+        if self.kind == "exp_decay":
+            return self.c * math.exp(-self.alpha * x)
+        return self.c * math.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Interaction kernel g(x, y) on [0, T*]^2."""
+    """Interaction kernel g(x, y) on [0, T*]^2, a function of x - y."""
 
     kind: str
     c: float = 1.0
     alpha: float = 1.0
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_fields(self, ("constant", "exp_decay", "gaussian"))
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -186,9 +215,7 @@ class Kernel:
             return np.broadcast_to(np.float64(self.c), np.broadcast_shapes(x.shape, y.shape)).copy()
         if self.kind == "exp_decay":
             return self.c * np.exp(-self.alpha * np.abs(x - y))
-        if self.kind == "gaussian":
-            return self.c * np.exp(-((x - y) ** 2) / (2.0 * self.sigma ** 2))
-        raise ValueError(f"unknown kernel kind {self.kind!r}")
+        return self.c * np.exp(-((x - y) ** 2) / (2.0 * self.sigma ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +328,10 @@ class KernelRate:
         return np.zeros_like(z)
 
     def eval(self, x, mu):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        y = mu.mass
-        z = mu.kernel_pair(self.kernel, xs)
-        out = self.age(xs) * self._phi(y, z)
-        return out if np.asarray(x).ndim else float(out[0])
+        # x is one float age (a numpy float too: no arrays) or an array of
+        # ages the view holds (see its kernel_pair)
+        age = self.age.scalar(x) if isinstance(x, float) else self.age(x)
+        return age * self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
@@ -341,6 +367,11 @@ class RateModel:
     birth_sup: float
     death_sup: float
     k_perturbation: Optional[Callable[[str, np.ndarray, int], np.ndarray]] = None
+
+    @property
+    def kernels(self) -> set:
+        """The distinct interaction kernels the birth and death rates pair against."""
+        return {r.kernel for r in (self.birth, self.death) if isinstance(r, KernelRate)}
 
     def birth_rate(self, x, mu, k: Optional[int] = None):
         v = self.birth.eval(x, mu)

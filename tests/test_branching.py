@@ -7,14 +7,15 @@ from scipy.stats import kstest
 
 from agestruct import branching
 from agestruct.acceptance import clt_config, lln_config, qv_config
-from agestruct.branching import (KIND_DEATH, CapacityError, MartingaleLedger,
+from agestruct.branching import (KIND_DEATH, CapacityError, MartingaleLedger, Population,
                                  check_pathwise_identity, pathwise_identity_catalogue,
                                  simulate, two_var)
 from agestruct.harness import PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, replicate_stream
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
-from agestruct.rates import (ConstantRate, DensityRate, OffspringLaw, RateModel,
-                             ScalarFn, classical_model, pure_splitting)
+from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate,
+                             ModelError, OffspringLaw, RateModel, ScalarFn, classical_model,
+                             pure_splitting)
 
 
 def atoms(ages, t_star=2.0):
@@ -278,6 +279,134 @@ def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
             assert calls[name] == per_interval * calls["intervals"], (model.family, name)
 
 
+# ---------------------------------------------------------------------------
+# kernel models: thinning, the exp_decay trees and the ledger
+
+
+def kernel_model(death_sup, *, birth=0.0, life=0, alpha=1.0, age=None):
+    """Death rate r(x) (0.2 + 0.3 |A|/k + 0.5 (g(x, .), A)/k) with g = e^(-alpha |x - y|)."""
+    death = KernelRate(Kernel("exp_decay", alpha=alpha), "affine", age=age,
+                       c0=0.2, cy=0.3, cz=0.5)
+    return RateModel("kernel_linear", ConstantRate(birth), death,
+                     OffspringLaw.deterministic(life), OffspringLaw.deterministic(0),
+                     birth_sup=birth, death_sup=death_sup)
+
+
+def kernel_death_rates(ages, k, alpha=1.0):
+    """The death rates of :func:`kernel_model` (constant r) in closed form."""
+    a = np.asarray(ages, dtype=float)
+    z = np.exp(-alpha * np.abs(a[:, None] - a)).sum(axis=1) / k
+    return 0.2 + 0.3 * a.size / k + 0.5 * z
+
+
+def test_kernel_thinning_law_on_simulate():
+    # three individuals under a loose bound: the first event is Exp(sum h)
+    # and the individual i that dies is drawn with probability h_i / sum h
+    ages = np.array([0.1, 0.5, 1.3])
+    h = kernel_death_rates(ages, 3)
+    model = kernel_model(death_sup=1.5 * h.max())
+    n = 10000
+    first, who = np.empty(n), np.empty(n, dtype=int)
+    for i in range(n):
+        traj = simulate(model, atoms(ages), k=3, horizon=30.0, dt_out=30.0,
+                        rng=stream(i, ctx=41), log_events=True)
+        first[i] = traj.events.t[0]
+        who[i] = int(np.flatnonzero(-ages == traj.events.tau[0])[0])
+        assert traj.events.kind[0] == KIND_DEATH
+    assert abs(first.mean() - 1.0 / h.sum()) <= 3 * first.std() / math.sqrt(n)
+    for i, p in enumerate(h / h.sum()):
+        assert abs(np.mean(who == i) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+    # a rate above the declared bound is caught at the first candidate
+    with pytest.raises(ModelError, match="violates declared bound"):
+        simulate(kernel_model(death_sup=0.99 * h.min()), atoms(ages), k=3, horizon=30.0,
+                 dt_out=30.0, rng=stream(0, ctx=41))
+
+
+def test_exp_decay_factors_beyond_the_float_range_raise():
+    ages = [0.0, 1.0]          # birth times span 2 up to the horizon 1
+    simulate(kernel_model(4.0, alpha=590.0), atoms(ages), k=2, horizon=1.0,
+             dt_out=1.0, rng=stream(0, ctx=42))
+    with pytest.raises(ModelError, match="alpha=610.0"):
+        simulate(kernel_model(4.0, alpha=610.0), atoms(ages), k=2, horizon=1.0,
+                 dt_out=1.0, rng=stream(0, ctx=42))
+
+
+@pytest.mark.parametrize("k", [300, 3000])
+def test_exp_decay_tree_pairings_match_the_direct_sum(k, monkeypatch):
+    # every candidate's pairing over a run with births, deaths and new ranks
+    kernel_pair, rank_live = Population.kernel_pair, Population._rank_live
+    worst, ranked = [0.0], []
+
+    def checked(pop, kernel, x):
+        z = kernel_pair(pop, kernel, x)
+        direct = float(np.sum(kernel(x, pop.ages))) / pop.k
+        worst[0] = max(worst[0], abs(z - direct) / direct)
+        return z
+
+    def counted(pop):
+        ranked.append(pop.n_live)
+        return rank_live(pop)
+
+    monkeypatch.setattr(Population, "kernel_pair", checked)
+    monkeypatch.setattr(Population, "_rank_live", counted)
+    traj = simulate(kernel_model(4.0, birth=1.0, life=1), atoms(np.linspace(0.0, 1.0, k)),
+                    k=k, horizon=2.0, dt_out=1.0, rng=stream(0, ctx=43))
+    assert traj.candidates > 10 * k     # each pairs one float age: the candidate's
+    assert traj.deaths > k // 2 and traj.births_life > 2 * k
+    assert len(ranked) >= 2            # built, then ranked anew when the ranks ran out
+    assert worst[0] <= 1e-12
+
+
+def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
+    # the ledger's compensator against a replay that sums the kernel directly
+    # at every node, and one live-set pairing computation per live set
+    model = kernel_model(4.0, birth=1.0, life=1, age=AgeProfile("exp_decay", alpha=0.5))
+    computed, live_sets = [0], set()
+    pair_live, accumulate = Population._pair_live, MartingaleLedger._accumulate
+
+    def counting_pair_live(pop, kernel, ages):
+        computed[0] += 1
+        return pair_live(pop, kernel, ages)
+
+    def counting_accumulate(ledger, pop):
+        if pop.n_live > 0 and pop.t > ledger._s:
+            live_sets.add((pop.deaths, pop.births_life))
+        return accumulate(ledger, pop)
+
+    monkeypatch.setattr(Population, "_pair_live", counting_pair_live)
+    monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
+    panel = [constant(1.0), exponential(0.5), bump(0.2, 0.9)]
+    n0 = 60
+    traj = ledger_run(model, panel, n0, 44)
+    assert not traj.ledger.closed_form and len(traj.events) > n0
+    assert computed[0] == len(live_sets)
+
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    r, kern = model.death.age, model.death.kernel
+    f0 = np.array([f.at_zero for f in panel])
+    ev = traj.events
+    marks = sorted([(t, 1, i) for i, t in enumerate(ev.t)] + [(t, 0, -1) for t in traj.times])
+    bt, s0, acc, comp = list(traj.initial_birth_times), 0.0, np.zeros(len(panel)), []
+    for t, is_event, i in marks:
+        if bt and t > s0:
+            for x, w in zip(0.5 * (s0 + t) + 0.5 * (t - s0) * nodes, weights):
+                a = x - np.array(bt)
+                z = kern(a[:, None], a).sum(axis=1) / n0
+                h = r(a) * (0.2 + 0.3 * a.size / n0 + 0.5 * z)
+                # newborns at rate b * 1 per individual; deaths leave none
+                g = f0 * a.size - np.array([np.sum(f(a) * h) for f in panel])
+                acc += 0.5 * (t - s0) * w * g
+        s0 = t
+        if not is_event:
+            comp.append(acc.copy())
+            continue
+        if ev.kind[i] == KIND_DEATH:
+            bt.remove(ev.tau[i])
+        bt.extend([t] * ev.brood[i])
+    ledger_comp = np.array(traj.ledger.comp_path)
+    assert np.max(np.abs(ledger_comp - comp)) <= 1e-12 * np.max(np.abs(comp))
+
+
 @pytest.fixture(scope="module")
 def logged_trajectories():
     out = []
@@ -519,6 +648,23 @@ def test_block_path_stops_on_a_blocks_last_uniform(paths):
     assert block[0].candidates == 5461
     fresh = stream(0, ctx=36)
     fresh.random(2 * 8192)
+    assert philox_state(block[1]) == philox_state(fresh)
+
+
+def test_block_path_ends_on_the_last_three_uniforms(paths):
+    # 3 * 8192 = 3 * 8191 + 3: a chunk cut short by its expected count ends at
+    # candidate 8191 and leaves the last 3 uniforms of the third block;
+    # candidate 8192 reads them and is the 69th death (its accept uniform is
+    # below h = 0.008125, as 68 earlier ones are), so the run ends there and,
+    # as in the loop, draws no fourth block.  A chunk continues only when its
+    # next candidate falls before the horizon, so extinction (or the cap) is
+    # the only way for a run to end on these 3 uniforms.
+    model = thinned(0.0, 0.008125, 0, 0, 0.0, 1.0)
+    block, loop = run_twins(model, 69, 1511, paths, horizon=619.0, dt_out=619.0)
+    assert_same_run(block, loop)
+    assert block[0].candidates == 8192 and block[0].deaths == 69
+    fresh = stream(0, ctx=1511)
+    fresh.random(3 * 8192)
     assert philox_state(block[1]) == philox_state(fresh)
 
 

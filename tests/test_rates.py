@@ -53,9 +53,12 @@ def test_density_dependent_empty_population():
 
 
 def test_kernel_reciprocal_mass():
+    # the population pairs at its one individual, aged 0.7 and then 1.4
     rate = KernelRate(Kernel("constant", c=1.0), "inv1p", c=1.0)
-    assert rate.eval(0.2, Population([0.7], k=1)) == pytest.approx(0.5)
-    assert rate.eval(1.4, Population([0.7], k=1)) == pytest.approx(0.5)
+    pop = Population([0.7], k=1)
+    assert rate.eval(0.7, pop) == pytest.approx(0.5)
+    pop.t = 0.7
+    assert rate.eval(1.4, pop) == pytest.approx(0.5)
 
 
 def test_limit_rates_match_finite_k_for_builtins():
@@ -232,12 +235,17 @@ def test_limit_rate_depends_only_on_pairings():
     # grid frame
     rate = DensityRate(ScalarFn.affine(0.5, 0.25))
     kern = KernelRate(Kernel("constant", c=2.0), "affine", c0=0.1, cy=0.2, cz=0.3)
+    # (a constant kernel: the same at every age), each view at its own ages
     m = Population([0.2, 0.9, 1.4], k=2)
     grid, (g,) = on_grid(kern, GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
     x = grid.centers
     assert m.mass == pytest.approx(g.mass)
     assert rate.eval(x, m) == pytest.approx(rate.eval(x, g), rel=1e-14)
-    assert kern.eval(x, m) == pytest.approx(kern.eval(x, g), rel=1e-14)
+    on_grid_value = kern.eval(x, g)
+    assert on_grid_value == pytest.approx(np.full(2, on_grid_value[0]), rel=1e-14)
+    assert kern.eval(m.ages, m) == pytest.approx(np.full(3, on_grid_value[0]), rel=1e-14)
+    m.focus = 1                         # the individual aged 0.9
+    assert kern.eval(0.9, m) == pytest.approx(on_grid_value[0], rel=1e-14)
 
 
 def test_grid_view_pairs_kernels_only_at_its_own_ages():
@@ -245,3 +253,20 @@ def test_grid_view_pairs_kernels_only_at_its_own_ages():
     grid, (g,) = on_grid(kern, GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
     with pytest.raises(ValueError, match="centers or edges"):
         kern.eval(grid.centers.copy(), g)
+
+
+@pytest.mark.parametrize("cls", [Kernel, AgeProfile])
+@pytest.mark.parametrize("fields, field, shown", [
+    ({"kind": "foo"}, "kind", "'foo'"),
+    ({"kind": "exp_decay", "alpha": -3.0}, "alpha", "-3.0"),
+    ({"kind": "exp_decay", "alpha": math.inf}, "alpha", "inf"),
+    ({"kind": "exp_decay", "alpha": math.nan}, "alpha", "nan"),
+    ({"kind": "gaussian", "sigma": 0.0}, "sigma", "0.0"),
+    ({"kind": "gaussian", "sigma": -0.5}, "sigma", "-0.5"),
+    ({"kind": "constant", "c": math.inf}, "c", "inf"),
+    ({"kind": "constant", "c": math.nan}, "c", "nan"),
+], ids=["kind", "alpha_negative", "alpha_inf", "alpha_nan", "sigma_zero", "sigma_negative",
+        "c_inf", "c_nan"])
+def test_kernel_and_age_profile_reject_bad_fields(cls, fields, field, shown):
+    with pytest.raises(ValueError, match=rf"{cls.__name__} {field} .*got {shown}$"):
+        cls(**fields)
