@@ -130,17 +130,6 @@ class _ExpDecayTrees:
         a = self.alpha * (tau - self.ref)
         return self.c * (math.exp(-a) * older + math.exp(a) * younger)
 
-    def pair_all(self, taus: np.ndarray) -> np.ndarray:
-        """:meth:`pair` for every live individual at once, by running sums in birth order."""
-        order = np.argsort(taus, kind="stable")
-        a = self.alpha * (taus[order] - self.ref)
-        up, down = np.exp(a), np.exp(-a)
-        younger = np.zeros_like(a)
-        younger[:-1] = np.cumsum(down[:0:-1])[::-1]
-        out = np.empty_like(taus)
-        out[order] = self.c * (down * np.cumsum(up) + up * younger)
-        return out
-
 
 class Population:
     """Mutable live population: birth times, counters and death log.
@@ -155,8 +144,10 @@ class Population:
     ``birth_times`` on swap-remove.  A birth takes the next rank, and when
     the ranks run out the live set is ranked anew (a sort, then an O(M)
     build of 2M + 64 ranks).  The tree factors are centred on the middle of
-    the birth times the population can see up to ``t_end``; a span wider
-    than the float range allows raises :class:`ModelError`.
+    the birth times the population can see up to ``t_end``, which must be
+    given with ``kernels``.  A kernel whose factors over that span would
+    leave the float range keeps no trees and is summed directly, as other
+    kernels are.
     """
 
     def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0, *,
@@ -180,15 +171,11 @@ class Population:
         exp_decay = [g for g in kernels if g.kind == "exp_decay"]
         if exp_decay and self.n_live:
             lo = float(self.birth_times[: self.n_live].min())
-            hi = max(self.t if t_end is None else float(t_end), lo)
-            for g in exp_decay:
-                if g.alpha * 0.5 * (hi - lo) > _EXP_FACTOR_MAX:
-                    raise ModelError(
-                        f"exp_decay kernel alpha={g.alpha} over birth times spanning {hi - lo:g} "
-                        f"needs factors e^(+-{g.alpha * 0.5 * (hi - lo):g}), beyond "
-                        f"e^(+-{_EXP_FACTOR_MAX:g})")
-            self._trees = {g: _ExpDecayTrees(g, 0.5 * (lo + hi)) for g in exp_decay}
-            self._rank_live()
+            hi = max(float(t_end), lo)
+            self._trees = {g: _ExpDecayTrees(g, 0.5 * (lo + hi)) for g in exp_decay
+                           if g.alpha * 0.5 * (hi - lo) <= _EXP_FACTOR_MAX}
+            if self._trees:
+                self._rank_live()
 
     def _rank_live(self):
         """Rank the live individuals 1..n in birth order and rebuild the trees."""
@@ -237,9 +224,6 @@ class Population:
 
     def _pair_live(self, kernel, ages: np.ndarray) -> np.ndarray:
         """The pairing of every live individual, slot order."""
-        trees = self._trees.get(kernel)
-        if trees is not None:
-            return trees.pair_all(self.birth_times[: self.n_live]) / self.k
         return kernel(ages[:, None], ages).sum(axis=-1) / self.k
 
     # ----------------------------------------------------------------------
@@ -606,19 +590,18 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         pop.t = t
         candidates += 1
         idx = int(next_u() * n)
+        pop.focus = idx
         tau = pop.birth_times[idx]
         age = t - tau
         if b_const is not None:
             b = b_const
         else:
-            pop.focus = idx
             b = float(model.birth_rate(age, pop, k))
             if b < 0.0 or b > b_sup * (1.0 + 1e-9):
                 raise ModelError(f"birth rate {b} violates declared bound {b_sup}")
         if h_const is not None:
             h = h_const
         else:
-            pop.focus = idx
             h = float(model.death_rate(age, pop, k))
             if h < 0.0 or h > h_sup * (1.0 + 1e-9):
                 raise ModelError(f"death rate {h} violates declared bound {h_sup}")

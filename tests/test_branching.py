@@ -322,13 +322,26 @@ def test_kernel_thinning_law_on_simulate():
                  dt_out=30.0, rng=stream(0, ctx=41))
 
 
-def test_exp_decay_factors_beyond_the_float_range_raise():
-    ages = [0.0, 1.0]          # birth times span 2 up to the horizon 1
-    simulate(kernel_model(4.0, alpha=590.0), atoms(ages), k=2, horizon=1.0,
-             dt_out=1.0, rng=stream(0, ctx=42))
-    with pytest.raises(ModelError, match="alpha=610.0"):
-        simulate(kernel_model(4.0, alpha=610.0), atoms(ages), k=2, horizon=1.0,
-                 dt_out=1.0, rng=stream(0, ctx=42))
+def test_exp_decay_factors_beyond_the_float_range_sum_directly(monkeypatch):
+    # birth times span 2 up to the horizon 1: alpha = 590 keeps its trees,
+    # alpha = 610 would need factors beyond e^(+-600) and is summed directly
+    kernel_pair, paired = Population.kernel_pair, []
+
+    def checked(pop, kernel, x):
+        z = kernel_pair(pop, kernel, x)
+        direct = float(np.sum(kernel(x, pop.ages))) / pop.k
+        paired.append(kernel in pop._trees)
+        assert abs(z - direct) <= 1e-12 * direct
+        return z
+
+    monkeypatch.setattr(Population, "kernel_pair", checked)
+    for alpha, trees in ((590.0, True), (610.0, False)):
+        paired.clear()
+        traj = simulate(kernel_model(4.0, birth=1.0, life=1, alpha=alpha),
+                        atoms(np.linspace(0.0, 1.0, 20)), k=20, horizon=1.0, dt_out=1.0,
+                        rng=stream(0, ctx=42))
+        assert traj.deaths > 0 and traj.births_life > 0
+        assert paired and set(paired) == {trees}
 
 
 @pytest.mark.parametrize("k", [300, 3000])
