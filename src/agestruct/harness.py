@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
@@ -526,24 +525,8 @@ def _limit_pairing_fn(st: _Study):
     if not _is_classical(model):
         background = st.background
         return lambda f, t: pair(f, background.frame_at(t))
-    b, h = model.birth.value, model.death.value
-    sm, lm = model.split_law.mean, model.life_law.mean
-    if isinstance(base, GridDensity):
-        return lambda f, t: classical_pairing(f, base, b, h, sm, lm, t)
-    x0 = base.mass
-    n = b * lm + h * sm
-
-    def fn(f, t):
-        surv = math.exp(-h * t) * float(
-            np.dot(np.asarray(f(base.ages + t), dtype=float), base.masses))
-        if t <= 0:
-            return surv
-        renew, _ = quad(lambda x: float(f(np.array(x))) * n * x0
-                        * math.exp((n - h) * (t - x)) * math.exp(-h * x),
-                        0.0, t, limit=200)
-        return surv + renew
-
-    return fn
+    return lambda f, t: classical_pairing(f, base, model.birth.value, model.death.value,
+                                          model.split_law.mean, model.life_law.mean, t)
 
 
 # ---------------------------------------------------------------------------
@@ -936,15 +919,11 @@ def emit(report: Report, outdir: Union[str, Path], config: Optional[ExperimentCo
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    import numpy
-    import scipy
-
     manifest = {
         "report": report.name,
         "package_version": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": np.__version__,
         "seed": config.seed if config else None,
         "config": config.to_dict() if config else None,
         "wall_clock_s": wall_clock_s,

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from .measures import GridDensity
+from .measures import GridDensity, PointMasses, pair
 from .rates import ConstantRate, DensityRate, ModelError, RateModel
 
 __all__ = [
     "GridRates",
     "LimitSolution",
+    "QuadratureError",
+    "quad_gk21",
     "solve_mvf",
     "classical_exact",
     "classical_pairing",
@@ -32,6 +33,58 @@ __all__ = [
 ]
 
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+# QUADPACK's qk21 (Piessens et al. 1983): the 10-point Gauss nodes interleaved
+# with the 11 Kronrod nodes that extend them, and the Kronrod weights of all 21
+_K21_ADDED = np.array([0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
+                       0.9301574913557082, 0.9956571630258081])
+_K21_NODES = np.sort(np.concatenate([_GL10_NODES, -_K21_ADDED, [0.0], _K21_ADDED]))
+_K21_WEIGHTS = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_K21_WEIGHTS = np.concatenate([_K21_WEIGHTS, _K21_WEIGHTS[-2::-1]])
+_EPS = np.finfo(float).eps
+
+
+class QuadratureError(ArithmeticError):
+    """An adaptive quadrature missed its tolerance within its subinterval limit."""
+
+
+def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float,
+              limit: int = 200) -> float:
+    """Adaptive 21-point Gauss-Kronrod integral of a vectorised ``fn`` over [a, b].
+
+    Evaluates all active subintervals in one call of ``fn``.  Until the qk21
+    error estimates sum to max(epsabs, epsrel*|I|), bisects those exceeding
+    their share of it; raises :class:`QuadratureError` rather than exceed ``limit``.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    done_val = done_err = 0.0
+    n_intervals = 1
+    while True:
+        half = 0.5 * (hi - lo)
+        fv = np.asarray(fn((lo + half)[:, None] + half[:, None] * _K21_NODES), dtype=float)
+        resk = fv @ _K21_WEIGHTS
+        err = np.abs(half * (resk - fv[:, 1::2] @ _GL10_WEIGHTS))
+        asc = np.abs(half) * (np.abs(fv - 0.5 * resk[:, None]) @ _K21_WEIGHTS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
+        err = np.maximum(err, 50.0 * _EPS * np.abs(half) * (np.abs(fv) @ _K21_WEIGHTS))
+        val = half * resk
+        total = done_val + float(val.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if done_err + float(err.sum()) <= tol:
+            return total
+        split = ~(err <= tol * (hi - lo) / (b - a))
+        n_intervals += int(split.sum())
+        if not split.any() or n_intervals > limit:
+            raise QuadratureError(f"integral over [{a:g}, {b:g}] missed tolerance {tol:g} "
+                                  f"within {limit} subintervals")
+        done_val += float(val[~split].sum())
+        done_err += float(err[~split].sum())
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
 
 
 class GridRates:
@@ -235,31 +288,31 @@ def classical_exact(a0: GridDensity, birth: float, death: float,
     return GridDensity(dx=dx, values=out, signed=a0.signed)
 
 
-def classical_pairing(f: Callable, a0: GridDensity, birth: float, death: float,
-                      split_mean: float, life_mean: float, t: float) -> float:
+def classical_pairing(f: Callable, a0: Union[GridDensity, PointMasses], birth: float,
+                      death: float, split_mean: float, life_mean: float, t: float) -> float:
     """Exact (f, limit measure at t) for constant parameters.
 
-    Integrates f against the transported initial profile cell by cell
-    (10-point Gauss-Legendre per cell) and against the renewal branch by
-    adaptive quadrature; accurate to quadrature precision, independent of
-    any marching scheme.
+    Integrates f against the transported initial measure (a grid cell by
+    cell with 10-point Gauss-Legendre, atoms exactly) and against the
+    renewal branch with the adaptive Gauss-Kronrod rule :func:`quad_gk21`;
+    accurate to quadrature precision, independent of any marching scheme.
     """
-    dx = a0.dx
     n = birth * life_mean + death * split_mean
     x0 = a0.mass
-    # survivors: sum_j a0_j * exp(-death*t) * int_{cell_j} f(x + t) dx
-    lefts = np.arange(a0.n_cells) * dx + t
-    nodes = lefts[:, None] + 0.5 * dx * (_GL10_NODES[None, :] + 1.0)
-    cell_ints = 0.5 * dx * (np.asarray(f(nodes)) @ _GL10_WEIGHTS)
-    survivors = math.exp(-death * t) * float(np.dot(a0.values, cell_ints))
+    # survivors: exp(-death*t) * (f(. + t), a0), a grid's as sum_j a0_j * int_{cell_j} f(x + t)
+    if isinstance(a0, PointMasses):
+        shifted = pair(lambda x: f(x + t), a0)
+    else:
+        dx = a0.dx
+        nodes = (np.arange(a0.n_cells) * dx + t)[:, None] + 0.5 * dx * (_GL10_NODES[None, :] + 1.0)
+        cell_ints = 0.5 * dx * (np.asarray(f(nodes)) @ _GL10_WEIGHTS)
+        shifted = float(np.dot(a0.values, cell_ints))
+    survivors = math.exp(-death * t) * shifted
     if t <= 0.0:
         return survivors
-    renewal, _ = quad(
-        lambda x: float(f(np.array(x))) * n * x0
-        * math.exp((n - death) * (t - x)) * math.exp(-death * x),
-        0.0, t, limit=200, epsabs=1e-12, epsrel=1e-11,
-    )
-    return survivors + renewal
+    return survivors + quad_gk21(
+        lambda x: f(x) * n * x0 * np.exp((n - death) * (t - x)) * np.exp(-death * x),
+        0.0, t, epsabs=1e-12, epsrel=1e-11)
 
 
 # ---------------------------------------------------------------------------

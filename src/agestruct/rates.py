@@ -207,6 +207,11 @@ class Kernel:
 
     def __post_init__(self):
         _check_fields(self, ("constant", "exp_decay", "gaussian"))
+        # the simulator finds trees by kernel per candidate: hash once, floats only (pickle-safe)
+        object.__setattr__(self, "_hash", hash((self.c, self.alpha, self.sigma)))
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)

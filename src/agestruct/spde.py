@@ -42,14 +42,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import GridDensity, TestFunction
-from .mvf import GridRates, LimitSolution
+from .mvf import GridRates, LimitSolution, quad_gk21
 from .rates import RateModel
 
 __all__ = [
@@ -362,18 +361,19 @@ def simulate_fluctuation_paths(
 
 def classical_exp_mean(lam: float, z0_exp_pairing: float, z0_mass: float,
                        birth: float, death: float, split_mean: float,
-                       life_mean: float, t: float) -> float:
+                       life_mean: float, t, xp=math):
     """Exact E[(e^(lam x), Z_t)] for constant parameters.
 
-    ``z0_exp_pairing`` is (e^(lam x), Z_0) and ``z0_mass`` is (1, Z_0).
+    ``z0_exp_pairing`` is (e^(lam x), Z_0) and ``z0_mass`` is (1, Z_0).  A
+    float ``t`` with ``xp=math``, or an array of times with ``xp=np``.
     """
     n = birth * life_mean + death * split_mean
     if abs(n - lam) < 1e-12:
-        growth = n * t * math.exp(n * t)
+        growth = n * t * xp.exp(n * t)
     else:
-        growth = n / (n - lam) * (math.exp(n * t) - math.exp(lam * t))
-    return math.exp(-death * t) * (math.exp(lam * t) * z0_exp_pairing
-                                   + growth * z0_mass)
+        growth = n / (n - lam) * (xp.exp(n * t) - xp.exp(lam * t))
+    return xp.exp(-death * t) * (xp.exp(lam * t) * z0_exp_pairing
+                                 + growth * z0_mass)
 
 
 def exp_pairing_grid(lam: float, grid: GridDensity) -> float:
@@ -393,7 +393,9 @@ def ito_isometry_variance(lam: float, a0: GridDensity, birth: float, death: floa
     solution is a double stochastic integral against the mass martingale
     plus a single integral against the e^(lam x) martingale; collapsing the
     double integral by stochastic Fubini leaves deterministic kernels whose
-    isometry integral uses the closed-form quadratic covariations.
+    isometry integral uses the closed-form quadratic covariations.  The
+    integral over [0, t] is the adaptive 21-point Gauss-Kronrod rule
+    :func:`agestruct.mvf.quad_gk21`.
     """
     lm, l2 = life_law.mean, life_law.second_moment
     sm, s2 = split_law.mean, split_law.second_moment
@@ -401,40 +403,26 @@ def ito_isometry_variance(lam: float, a0: GridDensity, birth: float, death: floa
     w = birth * l2 + death * s2
     h = death
     x0 = a0.mass
-
-    def x_mass(s):
-        return x0 * math.exp((n - h) * s)
-
-    def pair(mu, s):
-        # (e^(mu x), limit measure at s): with constant rates it solves the mean equation
-        return classical_exp_mean(mu, exp_pairing_grid(mu, a0), x0, birth, death, sm, lm, s)
-
-    def gamma_00(s):
-        return (w + h - 2.0 * h * sm) * x_mass(s)
-
-    def gamma_0l(s):
-        return (w - h * sm) * x_mass(s) + h * (1.0 - sm) * pair(lam, s)
-
-    def gamma_ll(s):
-        return w * x_mass(s) + h * pair(2.0 * lam, s) - 2.0 * h * sm * pair(lam, s)
-
-    def alpha(s):
-        if abs(n - lam) < 1e-12:
-            ramp = (t - s) * math.exp((n - lam) * s)
-        else:
-            ramp = (math.exp((n - lam) * t) - math.exp((n - lam) * s)) / (n - lam)
-        return n * math.exp((lam - h) * t) * ramp * math.exp(-(n - h) * s)
-
-    def beta(s):
-        return math.exp((lam - h) * (t - s))
+    # s -> (e^(mu x), limit measure at s) for mu = lam, 2 lam: with constant rates
+    # it solves the mean equation from the start pairing (e^(mu x), a0)
+    pair_l, pair_2l = (partial(classical_exp_mean, mu, exp_pairing_grid(mu, a0), x0, birth,
+                               death, sm, lm, xp=np) for mu in (lam, 2.0 * lam))
 
     def integrand(s):
-        al = alpha(s)
-        be = beta(s)
-        return al * al * gamma_00(s) + 2.0 * al * be * gamma_0l(s) + be * be * gamma_ll(s)
+        x_mass = x0 * np.exp((n - h) * s)
+        p_l = pair_l(s)
+        gamma_00 = (w + h - 2.0 * h * sm) * x_mass
+        gamma_0l = (w - h * sm) * x_mass + h * (1.0 - sm) * p_l
+        gamma_ll = w * x_mass + h * pair_2l(s) - 2.0 * h * sm * p_l
+        if abs(n - lam) < 1e-12:
+            ramp = (t - s) * np.exp((n - lam) * s)
+        else:
+            ramp = (math.exp((n - lam) * t) - np.exp((n - lam) * s)) / (n - lam)
+        al = n * math.exp((lam - h) * t) * ramp * np.exp(-(n - h) * s)
+        be = np.exp((lam - h) * (t - s))
+        return al * al * gamma_00 + 2.0 * al * be * gamma_0l + be * be * gamma_ll
 
-    val, _ = quad(integrand, 0.0, t, limit=200, epsabs=1e-12, epsrel=1e-10)
-    return float(val)
+    return quad_gk21(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-10)
 
 
 def classical_qv_mass(a0_mass: float, birth: float, death: float,

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +17,35 @@ def test_every_export_resolves(name):
     module = importlib.import_module(f"agestruct.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"agestruct.{name}.__all__ names {missing}"
+
+
+STUDIES_WITHOUT_SCIPY = """
+import sys
+import agestruct, agestruct.harness, agestruct.acceptance, agestruct.cli
+from agestruct.harness import ExperimentConfig, run_clt, run_lln
+
+split = {"family": "classical", "birth": 0.0, "death": 1.0,
+         "life_law": {"kind": "deterministic", "k": 0},
+         "split_law": {"kind": "deterministic", "k": 2}}
+uniform = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+sizes = dict(horizon=0.5, dt=0.01, dt_out=0.5, k_values=[50], replicates=4, seed=5)
+lln = run_lln(ExperimentConfig(model=split, initial={"kind": "atoms", "ages": [0.0],
+                                                     "masses": [1.0]},
+                               panel=["1", "bump"], **sizes), workers=1)
+clt = run_clt(ExperimentConfig(model=split, initial=uniform, perturbation=uniform,
+                               panel=["1", "exp:0.5"], n_spde_paths=8, spde_block=8,
+                               **sizes), workers=1)
+stats = {r.stat for r in lln.rows + clt.rows}
+assert {"lln_mean", "spde_var_vs_oracle"} <= stats, stats
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_studies_do_not_import_scipy():
+    # scipy is a test dependency only: importing the package and running the
+    # classical LLN (atom base) and CLT oracles must leave it unloaded
+    src = str(Path(agestruct.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", STUDIES_WITHOUT_SCIPY], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from agestruct.measures import GridDensity, constant, exponential, pair
-from agestruct.mvf import (classical_exact, classical_pairing, logistic_exact,
-                           solve_mvf, solve_total_ode)
+from scipy.integrate import quad
+
+from agestruct import mvf, spde
+from agestruct.acceptance import clt_config, lln_config
+from agestruct.harness import build_initial
+from agestruct.measures import GridDensity, constant, exponential, make_panel, pair
+from agestruct.mvf import (QuadratureError, classical_exact, classical_pairing,
+                           logistic_exact, quad_gk21, solve_mvf, solve_total_ode)
 from agestruct.rates import (ConstantRate, DensityRate, ModelError, OffspringLaw,
                              RateModel, ScalarFn, classical_model, pure_splitting)
 
@@ -111,6 +116,63 @@ def test_classical_pairing_cross_validates_grid():
         assert quad_val == pytest.approx(grid_val, rel=2e-5)
     assert classical_pairing(constant(1.0), a0, 0.0, 1.0, 2.0, 0.0, 1.0) \
         == pytest.approx(math.e, rel=1e-10)
+
+
+def _quad_calls(monkeypatch, module, call):
+    """(integrand, a, b, tolerances) of each quad_gk21 call ``call()`` makes in ``module``."""
+    seen = []
+
+    def record(fn, a, b, **tols):
+        seen.append((fn, a, b, tols))
+        return quad_gk21(fn, a, b, **tols)
+
+    monkeypatch.setattr(module, "quad_gk21", record)
+    call()
+    assert seen
+    return seen
+
+
+def _assert_matches_scipy(seen):
+    for fn, a, b, tols in seen:
+        ref, _ = quad(fn, a, b, limit=200, **tols)
+        assert quad_gk21(fn, a, b, **tols) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _study_initial(cfg):
+    return build_initial(cfg.initial, cfg.perturbation, max(cfg.k_values), cfg.dt,
+                         cfg.horizon)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("spec", ["1", "x", "x^2", "exp:0.5", "exp:-1", "bump"])
+def test_gk21_matches_scipy_on_renewal_integrands(monkeypatch, spec, t):
+    # the renewal integral of the acceptance LLN study (atom base, pure splitting)
+    cfg = lln_config()
+    init, model = _study_initial(cfg), cfg.build_model()
+    (f,) = make_panel([spec], t_star=init.t_star)
+    seen = _quad_calls(monkeypatch, mvf, lambda: classical_pairing(
+        f, init.base, model.birth.value, model.death.value, model.split_law.mean,
+        model.life_law.mean, t))
+    _assert_matches_scipy(seen)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, -1.0])
+def test_gk21_matches_scipy_on_ito_isometry_integrand(monkeypatch, lam):
+    # the oracle of the acceptance CLT study, on its own start grid
+    cfg = clt_config()
+    base, model = _study_initial(cfg).base_grid, cfg.build_model()
+    seen = _quad_calls(monkeypatch, spde, lambda: spde.ito_isometry_variance(
+        lam, base, model.birth.value, model.death.value, model.life_law,
+        model.split_law, cfg.horizon))
+    _assert_matches_scipy(seen)
+
+
+def test_gk21_raises_when_it_cannot_converge():
+    with pytest.raises(QuadratureError, match="within 200 subintervals"):
+        quad_gk21(lambda x: 1.0 / x, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
+    with pytest.raises(QuadratureError, match="within 5 subintervals"):
+        quad_gk21(lambda x: np.sin(1e4 * x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-11,
+                  limit=5)
 
 
 LOGISTIC = RateModel("density_dependent", ConstantRate(0.0),
