@@ -45,19 +45,20 @@ _K21_WEIGHTS = np.array([
     0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
 _K21_WEIGHTS = np.concatenate([_K21_WEIGHTS, _K21_WEIGHTS[-2::-1]])
 _EPS = np.finfo(float).eps
+_GK21_LIMIT = 200  # subintervals before quad_gk21 gives up
 
 
 class QuadratureError(ArithmeticError):
     """An adaptive quadrature missed its tolerance within its subinterval limit."""
 
 
-def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float,
-              limit: int = 200) -> float:
+def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float) -> float:
     """Adaptive 21-point Gauss-Kronrod integral of a vectorised ``fn`` over [a, b].
 
     Evaluates all active subintervals in one call of ``fn``.  Until the qk21
     error estimates sum to max(epsabs, epsrel*|I|), bisects those exceeding
-    their share of it; raises :class:`QuadratureError` rather than exceed ``limit``.
+    their share of it; raises :class:`QuadratureError` rather than use more
+    than ``_GK21_LIMIT`` subintervals.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     done_val = done_err = 0.0
@@ -78,9 +79,9 @@ def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float,
             return total
         split = ~(err <= tol * (hi - lo) / (b - a))
         n_intervals += int(split.sum())
-        if not split.any() or n_intervals > limit:
+        if not split.any() or n_intervals > _GK21_LIMIT:
             raise QuadratureError(f"integral over [{a:g}, {b:g}] missed tolerance {tol:g} "
-                                  f"within {limit} subintervals")
+                                  f"within {_GK21_LIMIT} subintervals")
         done_val += float(val[~split].sum())
         done_err += float(err[~split].sum())
         mid = 0.5 * (lo[split] + hi[split])

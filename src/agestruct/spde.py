@@ -361,18 +361,17 @@ def simulate_fluctuation_paths(
 
 def classical_exp_mean(lam: float, z0_exp_pairing: float, z0_mass: float,
                        birth: float, death: float, split_mean: float,
-                       life_mean: float, t, xp=math):
-    """Exact E[(e^(lam x), Z_t)] for constant parameters.
+                       life_mean: float, t):
+    """Exact E[(e^(lam x), Z_t)] for constant parameters, at a time or an array of times.
 
-    ``z0_exp_pairing`` is (e^(lam x), Z_0) and ``z0_mass`` is (1, Z_0).  A
-    float ``t`` with ``xp=math``, or an array of times with ``xp=np``.
+    ``z0_exp_pairing`` is (e^(lam x), Z_0) and ``z0_mass`` is (1, Z_0).
     """
     n = birth * life_mean + death * split_mean
     if abs(n - lam) < 1e-12:
-        growth = n * t * xp.exp(n * t)
+        growth = n * t * np.exp(n * t)
     else:
-        growth = n / (n - lam) * (xp.exp(n * t) - xp.exp(lam * t))
-    return xp.exp(-death * t) * (xp.exp(lam * t) * z0_exp_pairing
+        growth = n / (n - lam) * (np.exp(n * t) - np.exp(lam * t))
+    return np.exp(-death * t) * (np.exp(lam * t) * z0_exp_pairing
                                  + growth * z0_mass)
 
 
@@ -406,7 +405,7 @@ def ito_isometry_variance(lam: float, a0: GridDensity, birth: float, death: floa
     # s -> (e^(mu x), limit measure at s) for mu = lam, 2 lam: with constant rates
     # it solves the mean equation from the start pairing (e^(mu x), a0)
     pair_l, pair_2l = (partial(classical_exp_mean, mu, exp_pairing_grid(mu, a0), x0, birth,
-                               death, sm, lm, xp=np) for mu in (lam, 2.0 * lam))
+                               death, sm, lm) for mu in (lam, 2.0 * lam))
 
     def integrand(s):
         x_mass = x0 * np.exp((n - h) * s)

@@ -167,12 +167,12 @@ def test_gk21_matches_scipy_on_ito_isometry_integrand(monkeypatch, lam):
     _assert_matches_scipy(seen)
 
 
-def test_gk21_raises_when_it_cannot_converge():
+def test_gk21_raises_when_it_cannot_converge(monkeypatch):
     with pytest.raises(QuadratureError, match="within 200 subintervals"):
         quad_gk21(lambda x: 1.0 / x, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
+    monkeypatch.setattr(mvf, "_GK21_LIMIT", 5)
     with pytest.raises(QuadratureError, match="within 5 subintervals"):
-        quad_gk21(lambda x: np.sin(1e4 * x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-11,
-                  limit=5)
+        quad_gk21(lambda x: np.sin(1e4 * x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
 
 
 LOGISTIC = RateModel("density_dependent", ConstantRate(0.0),
