@@ -14,7 +14,8 @@ the same bits.  The per-candidate loop serves every model.  A state-free run
 closed-form one) decides each candidate from its accept uniform alone; when
 it expects at least ``_BLOCK_MIN_CANDIDATES`` candidates it is resolved by
 array arithmetic instead: the candidates a chunk at a time, then the
-swap-remove slot order of the whole run over individual ids.
+swap-remove slot order of the whole run over individual ids, and a
+closed-form ledger as cumulative sums.
 
 A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
 candidate.  An ``exp_decay`` kernel is read in O(log N) from two Fenwick
@@ -369,6 +370,25 @@ class MartingaleLedger:
             if self.closed_form:
                 self._acc[i] += self._g0[i] * age - self._h * f.antiderivative(age, math)
 
+    def replay(self, dies: np.ndarray, ages: np.ndarray, life: int, split: int):
+        """Closed form: events in order, deaths where ``dies`` (of the individual
+        aged ``ages``, leaving ``split``) and births of ``life`` elsewhere.
+
+        The same bits as one :meth:`death` or :meth:`birth` per event: the
+        jump terms (-f(age) then split * f(0) for a death, life * f(0) for a
+        birth) and the compensator terms g0 * age - h * F(age) are summed in
+        event order by ``np.cumsum``, which is sequential.
+        """
+        d = np.flatnonzero(dies)
+        at = (np.arange(dies.size) + np.cumsum(dies) - dies)[d]   # each death's first term
+        ages = ages[d].tolist()
+        for i, f in enumerate(self.panel):
+            terms = np.full(dies.size + d.size, life * self.f0[i])
+            terms[at], terms[at + 1] = [-f.scalar(a) for a in ages], split * self.f0[i]
+            comp = [self._g0[i] * a - self._h * f.antiderivative(a, math) for a in ages]
+            self.jump[i] = float(np.cumsum(np.append(self.jump[i], terms))[-1])
+            self._acc[i] = float(np.cumsum(np.append(self._acc[i], comp))[-1])
+
     def martingales(self) -> np.ndarray:
         """Path values M^f at the recorded times, shape (n_times, panel)."""
         return np.array(self.m_path)
@@ -698,10 +718,14 @@ def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
     resolves the swap-remove slot permutation over individual ids: a death
     at slot ``i`` with ``n`` alive moves the id at slot ``n - 1`` to ``i``
     and the brood takes slots ``n - 1, ...``; a birth's brood takes slots
-    ``n, ...``.  Each read of a slot finds the last write before it among
-    the sorted (slot, event) keys, and moved values are chased by pointer
-    jumping.  The ledger then replays the events in order.  Returns
-    (snapshots, candidates).
+    ``n, ...``.  A move reads the top slot, which holds the newest id
+    whenever the event before it added newborns (every move, for pure
+    splitting); only a move after an event without newborns finds the last
+    write to the top slot and is chased by pointer jumping.  Each other
+    read of a slot finds the last write before it among the sorted
+    (slot, event) keys, searched in sorted order.  The ledger then replays
+    each output interval's events as cumulative sums
+    (:meth:`MartingaleLedger.replay`).  Returns (snapshots, candidates).
     """
     life, split = model.life_law.k, model.split_law.k
     n0 = pop.n_live
@@ -709,45 +733,56 @@ def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
                                                               population_cap)
     n_events = t_ev.size
     brood = np.where(dies, split, life)
-    n_final = n0 + int(brood.sum()) - int(dies.sum())
+    born = np.cumsum(brood) - brood                 # newborns before each event
+    n_born = int(brood.sum())
+    n_final = n0 + n_born - int(dies.sum())
 
     # writes, keyed slot * seqs + sequence: the initial ids (sequence 0), then
     # per event e the move of a death not at the last slot (3e + 2) and the
     # newborns (3e + 3).  A read before event e (3e + 1) finds the last write
-    # to its slot; every live slot has one.
+    # to its slot; every live slot has one.  Newborns take ids n0, n0 + 1, ...
     ev = np.repeat(np.arange(n_events), brood)
-    nb_slot = n_ev[ev] - dies[ev] + np.arange(ev.size) - (np.cumsum(brood) - brood)[ev]
+    nb_slot = n_ev[ev] - dies[ev] + np.arange(ev.size) - born[ev]
     mv = np.flatnonzero(dies & (slot_ev != n_ev - 1))
     seqs = 3 * n_events + 3
     key = np.concatenate((np.arange(n0) * seqs, slot_ev[mv] * seqs + 3 * mv + 2,
                           nb_slot * seqs + 3 * ev + 3))
     birth_times = np.concatenate((pop.birth_times[:n0], t_ev[ev]))
     del ev, nb_slot
+    # a move reads the top slot, which holds the newest id if the event before
+    # it added newborns (the initial top for event 0); otherwise -1 for now
+    top = np.where(np.concatenate(([True], brood[:-1] > 0))[mv], n0 - 1 + born[mv], -1)
     order = np.argsort(key)
     key = key[order]
-    val = np.where(order < n0, order, order - mv.size)      # the id each write stores
-    moved = np.flatnonzero((order >= n0) & (order < n0 + mv.size))
-    mv = mv[order[moved] - n0]                              # in the order of the keys
-    del order
+    val = np.concatenate((np.arange(n0), top, np.arange(n0, n0 + n_born)))[order]
 
-    def last_write(slots, evs):
-        """Where among the sorted keys each slot was last written before each event."""
-        return np.searchsorted(key, slots * seqs + 3 * evs + 1) - 1
+    def last_write(q):
+        """Where among the sorted keys each ascending read ``q`` finds its slot's last write."""
+        return np.searchsorted(key, q) - 1
 
-    # a move stores the id it reads: chase each move to the write it copies
+    def last_write_any(q):
+        """:func:`last_write` for reads in any order, searched in sorted order."""
+        o = np.argsort(q)
+        out = np.empty_like(o)
+        out[o] = last_write(q[o])
+        return out
+
+    # any other move stores the id it reads: chase it to the write it copies
+    chase = np.flatnonzero(val < 0)
+    mv = mv[order[chase] - n0]
+    del order, top
     ptr = np.arange(key.size)
-    ptr[moved] = last_write(n_ev[mv] - 1, mv)
-    val[moved] = -1
-    todo = moved
-    while todo.size:
-        p = ptr[todo]
-        val[todo] = val[p]
-        ptr[todo] = ptr[p]
-        todo = todo[val[todo] < 0]
-    del ptr, moved, mv
+    ptr[chase] = last_write_any((n_ev[mv] - 1) * seqs + 3 * mv + 1)
+    while chase.size:
+        p = ptr[chase]
+        val[chase] = val[p]
+        ptr[chase] = ptr[p]
+        chase = chase[val[chase] < 0]
+    del ptr, mv
 
-    tau = birth_times[val[last_write(slot_ev, np.arange(n_events))]]
-    death_ages = t_ev[dies] - tau[dies]
+    tau = birth_times[val[last_write_any(slot_ev * seqs + 3 * np.arange(n_events) + 1)]]
+    ages = t_ev - tau
+    death_ages = ages[dies]
     pop.deaths = int(dies.sum())
     pop.births_life = life * (n_events - pop.deaths)
     pop.births_split = split * pop.deaths
@@ -755,21 +790,16 @@ def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
     if log is not None:
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()
-    del brood, slot_ev
+    del brood, born, slot_ev
 
     snapshots: list[AtomicMeasure] = []
     done = 0
     for t_out, c in zip(out_times, np.searchsorted(t_ev, out_times)):
         if ledger is not None:
-            for e in range(done, c):
-                pop.t = t_ev[e]
-                if dies[e]:
-                    ledger.death(pop, pop.t - tau[e], split)
-                else:
-                    ledger.birth(pop, life)
+            ledger.replay(dies[done:c], ages[done:c], life, split)
             done = c
         n = int(n_ev[c]) if c < n_events else n_final
-        pop.birth_times = birth_times[val[last_write(np.arange(n), c)]]
+        pop.birth_times = birth_times[val[last_write(np.arange(n) * seqs + 3 * c + 1)]]
         pop.n_live = n
         _emit(pop, t_out, ledger, t_star, snapshots)
     return snapshots, candidates

@@ -224,12 +224,19 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     lm = model.life_law.mean
     sm = model.split_law.mean
 
-    def rates(a, v):
+    def rows(a):
         """Death rates at the characteristic midpoints of cells >= 1 against
-        ``a``, and the newborn flux (1/dx)*(newborn_rate(a), v)."""
+        ``a``, and the newborn rate at the cell centers."""
         b, h = grid.birth_death(a)
-        h_mid = model.death_rate(grid.edges, grid.at(a))[1:]
-        return h_mid, float(np.sum((b * lm + h * sm) * v))
+        return model.death_rate(grid.edges, grid.at(a))[1:], b * lm + h * sm
+
+    # state-free rates are the same against every state: form them once
+    fixed = rows(a0.values) if model.birth.is_constant and model.death.is_constant else None
+
+    def rates(a, v):
+        """The rows against ``a`` and the newborn flux (1/dx)*(newborn_rate(a), v)."""
+        h_mid, newborn = fixed or rows(a)
+        return h_mid, float(np.sum(newborn * v))
 
     values = np.empty((n_steps + 1, n_cells))
     values[0] = a0.values

@@ -20,10 +20,11 @@ characteristics grid as the limit solver:
 
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the grid martingale has the limit's
-  quadratic variation by construction.  The law sampler reads the noise
-  scales of all background frames at once, and :func:`noise_channel` those
-  of one frame, through the same :class:`agestruct.mvf.GridRates` view, so
-  both build bit-identical scales with one helper.
+  quadratic variation by construction.  The law sampler builds the noise
+  scales of one background frame per step, as :func:`noise_channel` does
+  for its frame, from rates read through the same
+  :class:`agestruct.mvf.GridRates` view, so both build bit-identical scales
+  with one helper.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -100,12 +101,12 @@ def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
     """Death-increment and boundary-residual standard deviations.
 
     ``b``, ``h`` and ``a`` are the birth and death rates and the background
-    density at the cell centers: one frame, or one frame per row.
+    density at the cell centers of one frame.
     """
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     sigma_cells = np.sqrt(np.maximum(h * a, 0.0) * dx * dt)
     resid = b * model.life_law.second_moment + h * (s2 - sm * sm)
-    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt)
+    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a) * dx, 0.0) * dt)
     return sigma_cells, sigma_boundary
 
 
@@ -156,7 +157,8 @@ class _Coeffs:
     mass-derivative weights of the death and newborn rates) are None when
     every Frechet term vanishes.  ``kernels`` holds one entry per distinct
     interaction kernel: its matrix g(x_i, x_j) and the per-step row weights
-    of its death and newborn Frechet terms.
+    of its death and newborn Frechet terms.  The noise scales of a step are
+    built from its rows when asked (:meth:`noise`), not stacked.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
@@ -193,12 +195,13 @@ class _Coeffs:
                         for kern, (wh, wn) in weights.items()]
 
         self.split_mean = sm
-        self._noise_inputs = (model, b, h, a, dx, dt)
+        self.model = model
+        self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
 
-    @cached_property
-    def noise(self):
-        """(sigma_cells, sigma_boundary) of every step, built on first use."""
-        return _noise_scales(*self._noise_inputs)
+    def noise(self, k: int):
+        """(sigma_cells, sigma_boundary) of step k."""
+        return _noise_scales(self.model, self.b[k], self.h[k], self.bg.values[k],
+                             self.bg.dx, self.bg.dt)
 
 
 def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:
@@ -305,7 +308,6 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     (a zero row, for a record before step k, adds nothing).
     """
     co = _coeffs(model, background)
-    sigma_cells, sigma_boundary = co.noise
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
@@ -313,9 +315,10 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     cov = np.zeros((g.shape[0], g.shape[0]))
     for k in range(rec_idx.max() - 1, -1, -1):
         w0, w1 = _width(co, k), _width(co, k + 1)
+        sigma_cells, sigma_boundary = co.noise(k)
         v = co.split_mean * g[:, :1] - g[:, :w0]
-        cov += (v * sigma_cells[k, :w0] ** 2) @ v.T
-        cov += sigma_boundary[k] ** 2 * np.outer(g[:, 0], g[:, 0])
+        cov += (v * sigma_cells[:w0] ** 2) @ v.T
+        cov += sigma_boundary ** 2 * np.outer(g[:, 0], g[:, 0])
         g = _adjoint_step(g, k, co, w0, w1)
         g[rec_idx == k] = fvals[rec_idx == k]
     return background.dx * (g @ np.asarray(z0, dtype=float)), cov

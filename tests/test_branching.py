@@ -7,7 +7,7 @@ from scipy.stats import kstest
 
 from agestruct import branching
 from agestruct.acceptance import clt_config, lln_config, qv_config
-from agestruct.branching import (KIND_DEATH, CapacityError, MartingaleLedger, Population,
+from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger, Population,
                                  check_pathwise_identity, pathwise_identity_catalogue,
                                  simulate, two_var)
 from agestruct.harness import PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, replicate_stream
@@ -568,11 +568,11 @@ def run_twins(model, n0, ctx, paths, horizon=1.0, dt_out=0.125, **kw):
     return out
 
 
-def replay(model, n0, ctx, horizon, out_times):
+def walk(model, n0, ctx, horizon):
     """Walk a state-free run's uniforms candidate by candidate, tracking N alone.
 
-    Returns (candidates, accepted, rejected, output times first reached by a
-    rejected candidate).
+    Yields (time, slot, live count, kind) per candidate before the horizon,
+    with kind KIND_BIRTH, KIND_DEATH or None for a rejected candidate.
     """
     rng = stream(0, ctx=ctx)
 
@@ -583,27 +583,49 @@ def replay(model, n0, ctx, horizon, out_times):
     u = uniforms()
     b, h = model.birth.value, model.death.value
     bound = model.birth_sup + model.death_sup
-    t, n, j = 0.0, n0, 1
-    candidates = rejected = rejected_crossings = 0
+    t, n = 0.0, n0
     while n:
         t_c = t - math.log1p(-next(u)) / (n * bound)
         if t_c >= horizon:
             break
-        next(u)
+        slot = int(next(u) * n)
         r = next(u) * bound
+        kind = KIND_BIRTH if r < b else KIND_DEATH if r < b + h else None
+        yield t_c, slot, n, kind
+        if kind == KIND_BIRTH:
+            n += model.life_law.k
+        elif kind == KIND_DEATH:
+            n += model.split_law.k - 1
+        t = t_c
+
+
+def replay(model, n0, ctx, horizon, out_times):
+    """Returns (candidates, accepted, rejected, output times first reached by a
+    rejected candidate) of a state-free run, from :func:`walk`.
+    """
+    j = 1
+    candidates = rejected = rejected_crossings = 0
+    for t_c, _, _, kind in walk(model, n0, ctx, horizon):
         crossed = 0
         while j < len(out_times) and out_times[j] <= t_c:
             crossed, j = crossed + 1, j + 1
-        if r < b:
-            n += model.life_law.k
-        elif r < b + h:
-            n += model.split_law.k - 1
-        else:
+        if kind is None:
             rejected += 1
             rejected_crossings += crossed
         candidates += 1
-        t = t_c
     return candidates, candidates - rejected, rejected, rejected_crossings
+
+
+def chased_moves(model, n0, ctx, horizon):
+    """Deaths off the top slot right after an accepted event without newborns:
+    the moves whose id the block path chases instead of taking the newest id."""
+    chased, newborns = 0, 1          # the initial top slot holds the newest id
+    for _, slot, n, kind in walk(model, n0, ctx, horizon):
+        if kind is None:
+            continue
+        chased += kind == KIND_DEATH and slot != n - 1 and newborns == 0
+        newborns = model.life_law.k if kind == KIND_BIRTH else model.split_law.k
+    return chased
 
 
 def thinned(b, h, life, split, b_sup, h_sup):
@@ -629,6 +651,18 @@ def test_block_path_matches_the_loop_bit_for_bit(model, n0, ctx, paths):
         assert rej == 0 and traj.candidates == traj.deaths
     else:
         assert rej > 0
+
+
+@pytest.mark.parametrize("model, n0, ctx", [
+    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 400, 31),
+    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 400, 32),
+], ids=["broods_0_3", "broods_1_0"])
+def test_block_path_chases_moves_after_events_without_newborns(model, n0, ctx, paths):
+    # the twin runs above, where a birth of 0 or a split into 0 leaves the
+    # top slot holding an older id: reading the newest id there would differ
+    block, loop = run_twins(model, n0, ctx, paths)
+    assert_same_run(block, loop)
+    assert chased_moves(model, n0, ctx, 1.0) > 0
 
 
 def test_block_path_extinction_inside_a_chunk(paths):
@@ -723,6 +757,30 @@ def test_block_path_closed_form_ledger_matches_the_loop(model, n0, ctx, paths, m
     assert bits(a.ledger.times) == bits(b.ledger.times)
     assert bits(a.ledger.m_path) == bits(b.ledger.m_path)
     assert bits(a.ledger.comp_path) == bits(b.ledger.comp_path)
+
+
+def test_block_path_replays_a_closed_form_ledger_as_sums(paths, monkeypatch):
+    panel = make_panel(["1", "x", "exp:-1"])
+    calls = []
+    for name in ("death", "birth"):
+        def counting(self, *args, _fn=getattr(MartingaleLedger, name)):
+            calls[-1] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(MartingaleLedger, name, counting)
+    runs = []
+    for threshold in (branching._BLOCK_MIN_CANDIDATES, math.inf):
+        monkeypatch.setattr(branching, "_BLOCK_MIN_CANDIDATES", threshold)
+        calls.append(0)
+        traj = simulate(pure_splitting(1.0, 2), atoms(np.linspace(0.0, 1.0, 1000)), k=1000,
+                        horizon=1.0, dt_out=0.25, rng=stream(0, ctx=41), panel=panel,
+                        with_ledger=True, t_star=2.0)
+        runs.append(traj.ledger)
+    assert paths == ["_simulate_blocks", "_simulate_loop"]
+    block, loop = runs
+    assert block.closed_form and calls[0] == 0 and calls[1] > 1000
+    assert bits(block.m_path) == bits(loop.m_path)
+    assert bits(block.comp_path) == bits(loop.comp_path)
 
 
 def test_acceptance_configs_take_the_pinned_paths(paths):

@@ -87,11 +87,11 @@ def test_noise_covariance_identity(model):
 def test_noise_channel_is_what_the_engine_steps_with(model):
     bg = background(model, dx=0.02)
     co = _Coeffs(model, bg)
-    sigma_cells, sigma_boundary = co.noise
     for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 2):
+        sigma_cells, sigma_boundary = co.noise(idx)
         chan = noise_channel(model, bg.frame(idx), bg.dt)
-        assert np.array_equal(chan.sigma_cells, sigma_cells[idx])
-        assert chan.sigma_boundary == sigma_boundary[idx]
+        assert np.array_equal(chan.sigma_cells, sigma_cells)
+        assert chan.sigma_boundary == sigma_boundary
         assert chan.split_mean == co.split_mean
 
 
@@ -148,7 +148,6 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
     Returns shape (R, P, R, P).
     """
     co = _Coeffs(model, bg)
-    sigma_cells, sigma_boundary = co.noise
     n = bg.values.shape[1]
     sig = np.zeros((n, n))
     since = {}                                   # record index -> Cov(z_k, z_r)
@@ -167,10 +166,11 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
         a = np.eye(n)
         _engine_step(a, k, co, w0, w1)
         a = a.T
+        sigma_cells, sigma_boundary = co.noise(k)
         noise = np.zeros((n, w0 + 1))            # eta = noise @ standard normals
-        noise[np.arange(w0), np.arange(w0)] = -sigma_cells[k, :w0] / bg.dx
-        noise[0, :w0] += co.split_mean * sigma_cells[k, :w0] / bg.dx
-        noise[0, w0] = sigma_boundary[k] / bg.dx
+        noise[np.arange(w0), np.arange(w0)] = -sigma_cells[:w0] / bg.dx
+        noise[0, :w0] += co.split_mean * sigma_cells[:w0] / bg.dx
+        noise[0, w0] = sigma_boundary / bg.dx
         sig = a @ sig @ a.T + noise @ noise.T
         since = {r: a @ x for r, x in since.items()}
 
@@ -403,7 +403,9 @@ def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
         calls.clear()
         bg = background(KERNEL, dx=0.02, horizon=horizon)
         in_solve = len(calls)
-        _Coeffs(KERNEL, bg).noise
+        co = _Coeffs(KERNEL, bg)
+        for k in range(bg.values.shape[0] - 1):
+            co.noise(k)
         counts.append((in_solve, len(calls) - in_solve))
     assert counts[0][0] > 0 and counts[0][1] > 0
     assert counts[0] == counts[1]
