@@ -782,11 +782,10 @@ def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
 
     tau = birth_times[val[last_write_any(slot_ev * seqs + 3 * np.arange(n_events) + 1)]]
     ages = t_ev - tau
-    death_ages = ages[dies]
     pop.deaths = int(dies.sum())
     pop.births_life = life * (n_events - pop.deaths)
     pop.births_split = split * pop.deaths
-    pop.death_ages, pop.death_times = death_ages, t_ev[dies]
+    pop.death_ages, pop.death_times = ages[dies], t_ev[dies]
     if log is not None:
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()

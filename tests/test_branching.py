@@ -7,9 +7,9 @@ from scipy.stats import kstest
 
 from agestruct import branching
 from agestruct.acceptance import clt_config, lln_config, qv_config
-from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger, Population,
-                                 check_pathwise_identity, pathwise_identity_catalogue,
-                                 simulate, two_var)
+from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger,
+                                 Population, check_pathwise_identity,
+                                 pathwise_identity_catalogue, simulate, two_var)
 from agestruct.harness import PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, replicate_stream
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
@@ -658,8 +658,8 @@ def test_block_path_matches_the_loop_bit_for_bit(model, n0, ctx, paths):
     (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 400, 32),
 ], ids=["broods_0_3", "broods_1_0"])
 def test_block_path_chases_moves_after_events_without_newborns(model, n0, ctx, paths):
-    # the twin runs above, where a birth of 0 or a split into 0 leaves the
-    # top slot holding an older id: reading the newest id there would differ
+    # the twin runs above: a move after a birth of 0 or a split into 0 is
+    # chased; after a split into 0 the top slot holds an older id than the newest
     block, loop = run_twins(model, n0, ctx, paths)
     assert_same_run(block, loop)
     assert chased_moves(model, n0, ctx, 1.0) > 0
