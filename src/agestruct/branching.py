@@ -20,7 +20,11 @@ closed-form ledger as cumulative sums.
 A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
 candidate.  An ``exp_decay`` kernel is read in O(log N) from two Fenwick
 trees over birth ranks kept by :class:`Population` (see
-:class:`_ExpDecayTrees`); other kernels sum over the live set.
+:class:`_ExpDecayTrees`); other kernels sum over the live set.  Most
+candidates read none: the loop draws the accept uniform first, and when it
+falls outside the gap of the rate's envelope (bounds from N/k and the age;
+:meth:`~agestruct.rates.KernelRate.envelope`) inside [0, sup], the envelope
+decides, with the same bits and the same ``ModelError`` as the exact rate.
 
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
@@ -493,7 +497,9 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     State-free means constant rates, no K perturbation, deterministic broods
     and no ledger or a closed-form one, so a candidate's fate depends on its
     uniform alone.  Both paths read the same words from ``rng`` and return
-    the same bits.
+    the same bits.  On the loop, a candidate whose rates are constant or
+    ``kernel_linear`` (with no K perturbation) is decided from the rates'
+    envelopes when they fix its fate, with the same bits as evaluating them.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
@@ -563,6 +569,13 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
     life_law, split_law = model.life_law, model.split_law
     life_det = life_law.k if life_law.kind == "deterministic" else None
     split_det = split_law.k if split_law.kind == "deterministic" else None
+    # the squeeze: when each rate is constant or a kernel rate with an
+    # envelope, a candidate whose fate both envelopes fix pairs no kernel
+    b_env = getattr(b_fn, "envelope", None) if model.k_perturbation is None else None
+    h_env = getattr(h_fn, "envelope", None) if model.k_perturbation is None else None
+    squeeze = ((b_env is not None or h_env is not None)
+               and (b_env is not None or b_const is not None)
+               and (h_env is not None or h_const is not None))
 
     # batched uniforms; order of consumption is fixed, so runs are reproducible
     block = _UBLOCK
@@ -613,19 +626,32 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         pop.focus = idx
         tau = pop.birth_times[idx]
         age = t - tau
-        if b_const is not None:
-            b = b_const
-        else:
-            b = float(model.birth_rate(age, pop, k))
-            if b < 0.0 or b > b_sup * (1.0 + 1e-9):
-                raise ModelError(f"birth rate {b} violates declared bound {b_sup}")
-        if h_const is not None:
-            h = h_const
-        else:
-            h = float(model.death_rate(age, pop, k))
-            if h < 0.0 or h > h_sup * (1.0 + 1e-9):
-                raise ModelError(f"death rate {h} violates declared bound {h_sup}")
-        r = next_u() * bound
+        r = next_u() * bound     # before the rates: evaluating one draws nothing
+        b = None
+        if squeeze:
+            b_lo, b_hi = (b_const, b_const) if b_env is None else b_env(age, n, k)
+            h_lo, h_hi = (h_const, h_const) if h_env is None else h_env(age, n, k)
+            # inside [0, sup] the exact rates pass their checks, and bounds
+            # that fix the fate stand in for them
+            if ((b_env is None or 0.0 < b_lo and b_hi < b_sup)
+                    and (h_env is None or 0.0 < h_lo and h_hi < h_sup)):
+                if r < b_lo or b_hi <= r < b_lo + h_lo:
+                    b, h = b_lo, h_lo
+                elif r >= b_hi + h_hi:
+                    b, h = b_hi, h_hi
+        if b is None:
+            if b_const is not None:
+                b = b_const
+            else:
+                b = float(model.birth_rate(age, pop, k))
+                if b < 0.0 or b > b_sup * (1.0 + 1e-9):
+                    raise ModelError(f"birth rate {b} violates declared bound {b_sup}")
+            if h_const is not None:
+                h = h_const
+            else:
+                h = float(model.death_rate(age, pop, k))
+                if h < 0.0 or h > h_sup * (1.0 + 1e-9):
+                    raise ModelError(f"death rate {h} violates declared bound {h_sup}")
         if r < b:
             brood = life_det if life_det is not None else life_law.sample(next_u, rng)
             if ledger is not None:

@@ -286,6 +286,10 @@ class AgeDensityRate:
         return u, None, None
 
 
+# Relative widening of a kernel rate's envelope (KernelRate.envelope).
+_ENVELOPE_MARGIN = 1e-7
+
+
 class KernelRate:
     """Rate r(x) * phi(|A|, (g(x,.), A)) with an explicit kernel g.
 
@@ -310,6 +314,7 @@ class KernelRate:
         self.c0, self.cy, self.cz = float(c0), float(cy), float(cz)
         self.d0, self.d1 = float(d0), float(d1)
         self.c = float(c)
+        self._env_at = None         # the (n, k) of the phi range kept by envelope
 
     def _phi(self, y, z):
         if self.phi == "affine":
@@ -338,6 +343,29 @@ class KernelRate:
         age = self.age.scalar(x) if isinstance(x, float) else self.age(x)
         return age * self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
 
+    def envelope(self, x: float, n: int, k: int) -> tuple[float, float]:
+        """Bounds (lo, hi) on ``eval(x, mu)`` at a live individual aged ``x``
+        among ``n`` at normalisation ``k``, without a pairing: g / c lies in
+        [0, 1] and is 1 at x itself, so z = (g(x, .), A) / k lies between c / k
+        and c * y for y = n / k (a constant kernel: z = c * y), and phi is
+        affine in z.  Widened by ``_ENVELOPE_MARGIN`` times the size of phi's
+        terms, far above the rounding of the exact rate (about eps per tree
+        rank used).  The phi range is kept for the last (n, k).
+        """
+        if (n, k) != self._env_at:
+            y = n / k
+            z = self.kernel.c * y
+            lo = self._phi(y, z)
+            hi = lo if self.kernel.kind == "constant" else self._phi(y, self.kernel.c / k)
+            tol = _ENVELOPE_MARGIN * (
+                abs(self.c0) + abs(self.cy) * y + abs(self.d0) + abs(self.c) / (1.0 + y)
+                + (abs(self.cz) + abs(self.d1) / (1.0 + y)) * abs(z))
+            self._env_at = (n, k)
+            self._env = (min(lo, hi) - tol, max(lo, hi) + tol)
+        a = self.age.scalar(x)
+        lo, hi = self._env
+        return (a * lo, a * hi) if a >= 0.0 else (a * hi, a * lo)
+
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
         y = mu0.mass
@@ -358,10 +386,11 @@ class RateModel:
     """Demographic sextuple: birth/death rates plus the two offspring laws.
 
     ``birth_sup`` and ``death_sup`` are the declared sup bounds used by the
-    thinning simulator; every rate evaluation must stay within them.  The
-    optional ``k_perturbation(name, x, K)`` hook adds a K-dependent term of
-    size o(1/sqrt(K)) to the named rate; the built-in families are
-    K-independent so the finite-K and limit parameterisations coincide.
+    thinning simulator, finite and >= 0; every rate evaluation must stay
+    within them.  The optional ``k_perturbation(name, x, K)`` hook adds a
+    K-dependent term of size o(1/sqrt(K)) to the named rate; the built-in
+    families are K-independent so the finite-K and limit parameterisations
+    coincide.
     """
 
     family: str
@@ -372,6 +401,12 @@ class RateModel:
     birth_sup: float
     death_sup: float
     k_perturbation: Optional[Callable[[str, np.ndarray, int], np.ndarray]] = None
+
+    def __post_init__(self):
+        for name in ("birth_sup", "death_sup"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"RateModel {name} must be finite and >= 0; got {v!r}")
 
     @property
     def kernels(self) -> set:

@@ -21,8 +21,8 @@ characteristics grid as the limit solver:
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the grid martingale has the limit's
   quadratic variation by construction.  The law sampler builds the noise
-  scales of one background frame per step, as :func:`noise_channel` does
-  for its frame, from rates read through the same
+  scales of a chunk of background frames at a time, as :func:`noise_channel`
+  does for its frame, from rates read through the same
   :class:`agestruct.mvf.GridRates` view, so both build bit-identical scales
   with one helper.
 
@@ -101,12 +101,13 @@ def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
     """Death-increment and boundary-residual standard deviations.
 
     ``b``, ``h`` and ``a`` are the birth and death rates and the background
-    density at the cell centers of one frame.
+    density at the cell centers of one frame, or of a stack of frames (one
+    row each, the same bits per row).
     """
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     sigma_cells = np.sqrt(np.maximum(h * a, 0.0) * dx * dt)
     resid = b * model.life_law.second_moment + h * (s2 - sm * sm)
-    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a) * dx, 0.0) * dt)
+    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt)
     return sigma_cells, sigma_boundary
 
 
@@ -149,6 +150,10 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 # drift coefficients (precomputed per background)
 
 
+# Rows of noise scales built at once (1 MB at J = 2000).
+_NOISE_ROWS = 64
+
+
 class _Coeffs:
     """Per-step arrays driving the drift and noise of the grid engine.
 
@@ -158,7 +163,8 @@ class _Coeffs:
     every Frechet term vanishes.  ``kernels`` holds one entry per distinct
     interaction kernel: its matrix g(x_i, x_j) and the per-step row weights
     of its death and newborn Frechet terms.  The noise scales of a step are
-    built from its rows when asked (:meth:`noise`), not stacked.
+    built from its rows when asked (:meth:`noise`), a chunk at a time, not
+    stacked.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
@@ -197,11 +203,18 @@ class _Coeffs:
         self.split_mean = sm
         self.model = model
         self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
+        self._noise_k0 = None       # the first row of the noise scales kept by noise
 
     def noise(self, k: int):
-        """(sigma_cells, sigma_boundary) of step k."""
-        return _noise_scales(self.model, self.b[k], self.h[k], self.bg.values[k],
-                             self.bg.dx, self.bg.dt)
+        """(sigma_cells, sigma_boundary) of step k, from the ``_NOISE_ROWS``
+        rows around it built at once: the same bits as row k alone."""
+        k0 = k - k % _NOISE_ROWS
+        if k0 != self._noise_k0:
+            rows = slice(k0, min(k0 + _NOISE_ROWS, self.b.shape[0]))
+            self._noise_k0 = k0
+            self._noise = _noise_scales(self.model, self.b[rows], self.h[rows],
+                                        self.bg.values[rows], self.bg.dx, self.bg.dt)
+        return self._noise[0][k - k0], self._noise[1][k - k0]
 
 
 def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from agestruct.acceptance import clt_config, lln_config, qv_config
 from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger,
                                  Population, check_pathwise_identity,
                                  pathwise_identity_catalogue, simulate, two_var)
-from agestruct.harness import PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, replicate_stream
+from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, build_initial,
+                               model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate,
@@ -418,6 +420,178 @@ def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
         bt.extend([t] * ev.brood[i])
     ledger_comp = np.array(traj.ledger.comp_path)
     assert np.max(np.abs(ledger_comp - comp)) <= 1e-12 * np.max(np.abs(comp))
+
+
+# ---------------------------------------------------------------------------
+# the squeeze: kernel-rate candidates decided from KernelRate.envelope
+
+
+def kernel_rate(kernel="exp_decay", phi="affine", age=None, **coef):
+    return KernelRate(Kernel(kernel), phi, age=age, **coef)
+
+
+def run_logged(model, ages, k, ctx, horizon=1.0, dt_out=0.25):
+    return simulate(model, atoms(ages), k=k, horizon=horizon, dt_out=dt_out,
+                    rng=stream(0, ctx=ctx), log_events=True)
+
+
+def assert_same_events(a, b):
+    assert (a.events.t, a.events.kind, a.events.tau, a.events.brood) == \
+        (b.events.t, b.events.kind, b.events.tau, b.events.brood)
+    assert bits(a.death_ages) == bits(b.death_ages) and a.candidates == b.candidates
+    assert [bits(s.ages) for s in a.snapshots] == [bits(s.ages) for s in b.snapshots]
+
+
+@pytest.fixture
+def forced_exact(monkeypatch):
+    """Run ``simulate`` with every candidate's rates evaluated exactly; the
+    rates it evaluates must lie in their envelopes.  Returns the run and the
+    exact evaluations at single ages."""
+    envelope, evaluate = KernelRate.envelope, KernelRate.eval
+    evaluated = []
+
+    def checked(rate, x, mu):
+        v = evaluate(rate, x, mu)
+        if isinstance(x, float):
+            lo, hi = envelope(rate, x, mu.n_live, mu.k)
+            assert lo <= v <= hi
+            evaluated.append(v)
+        return v
+
+    def run(*args, **kw):
+        evaluated.clear()
+        monkeypatch.setattr(KernelRate, "envelope", lambda *a: (-math.inf, math.inf))
+        monkeypatch.setattr(KernelRate, "eval", checked)
+        try:
+            return run_logged(*args, **kw), len(evaluated)
+        finally:
+            monkeypatch.setattr(KernelRate, "envelope", envelope)
+            monkeypatch.setattr(KernelRate, "eval", evaluate)
+
+    return run
+
+
+SQUEEZED = {
+    "affine_exp_decay": (ConstantRate(1.0), kernel_rate(c0=0.2, cy=0.3, cz=0.5), 1.0, 4.0),
+    "affine_negative_cz": (ConstantRate(1.0), kernel_rate(c0=1.0, cy=0.2, cz=-0.5), 1.0, 2.0),
+    "special_gaussian": (ConstantRate(1.0), kernel_rate("gaussian", "special", d0=0.3, d1=0.8),
+                         1.0, 2.0),
+    "special_constant_negative_d1": (ConstantRate(1.0),
+                                     kernel_rate("constant", "special", d0=1.0, d1=-0.4),
+                                     1.0, 2.0),
+    "inv1p": (ConstantRate(1.0), kernel_rate(phi="inv1p", c=1.5), 1.0, 2.0),
+    "exp_decay_age": (ConstantRate(1.0), kernel_rate(c0=0.2, cy=0.3, cz=0.5,
+                                                     age=AgeProfile("exp_decay", alpha=0.5)),
+                      1.0, 4.0),
+    "birth_side": (kernel_rate("gaussian", c0=0.4, cz=0.5), ConstantRate(1.0), 2.0, 1.0),
+    "both_sides": (kernel_rate("constant", c0=0.4, cy=0.5), kernel_rate(c0=0.2, cz=0.8),
+                   2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SQUEEZED))
+def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact):
+    # the same events, death ages, candidates and snapshots as with every
+    # rate evaluated, and fewer exact evaluations
+    birth, death, b_sup, h_sup = SQUEEZED[name]
+    model = RateModel("kernel_linear", birth, death, OffspringLaw.deterministic(1),
+                      OffspringLaw.deterministic(0), birth_sup=b_sup, death_sup=h_sup)
+    ages, ctx = np.linspace(0.0, 1.5, 80), 46
+    exact, n_exact = forced_exact(model, ages, 80, ctx)
+    evaluate, squeezed = KernelRate.eval, [0]
+
+    def counted(rate, x, mu):
+        squeezed[0] += isinstance(x, float)
+        return evaluate(rate, x, mu)
+
+    KernelRate.eval = counted
+    try:
+        traj = run_logged(model, ages, 80, ctx)
+    finally:
+        KernelRate.eval = evaluate
+    assert_same_events(traj, exact)
+    assert len(traj.events) > 80 and traj.deaths > 0
+    assert n_exact >= traj.candidates and squeezed[0] < 0.6 * n_exact
+
+
+def event_digest(traj) -> str:
+    h = hashlib.sha256()
+    for column in (traj.events.t, traj.events.kind, traj.events.tau, traj.events.brood):
+        h.update(np.asarray(column).tobytes())
+    h.update(traj.death_ages.tobytes())
+    h.update(str(traj.candidates).encode())
+    for snap in traj.snapshots:
+        h.update(snap.ages.tobytes())
+    return h.hexdigest()
+
+
+def kernel_workload_run(k=300, replicate=0):
+    """One replicate of the benchmark's ``kernel`` study at K = ``k``."""
+    uniform = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+    model = model_from_config({
+        "family": "kernel_linear", "birth": 1.0,
+        "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "affine",
+                  "c0": 0.2, "cy": 0.3, "cz": 0.5},
+        "death_sup": 4.0,
+        "life_law": {"kind": "deterministic", "k": 1},
+        "split_law": {"kind": "deterministic", "k": 0}})
+    init = build_initial(uniform, uniform, k, 5e-3, 1.0)
+    return simulate(model, init.atoms, k, 1.0, 1.0,
+                    replicate_stream(20260812, PURPOSE_CLT, 0, replicate),
+                    log_events=True, t_star=init.t_star)
+
+
+def test_kernel_workload_events_are_pinned():
+    # recorded before the squeeze, when every candidate's rate was evaluated
+    assert event_digest(kernel_workload_run()) == (
+        "20825080dc1a34e9a53e68b95b258e8d1e87d4c3d430412420f98f004e163fe3")
+
+
+def test_squeeze_pairs_few_candidates(monkeypatch):
+    kernel_pair, calls = Population.kernel_pair, [0]
+
+    def counted(pop, kernel, x):
+        calls[0] += 1
+        return kernel_pair(pop, kernel, x)
+
+    monkeypatch.setattr(Population, "kernel_pair", counted)
+    traj = kernel_workload_run()
+    assert 0 < calls[0] <= 0.2 * traj.candidates
+
+
+def test_kernel_birth_thinning_law_on_simulate():
+    # the birth-side twin of test_kernel_thinning_law_on_simulate: broods of
+    # 0 keep the live set, so the first birth is Exp(sum b) and its parent i
+    # is drawn with probability b_i / sum b
+    ages = np.array([0.1, 0.5, 1.3])
+    b = kernel_death_rates(ages, 3)          # the same phi on the birth side
+    model = RateModel("kernel_linear", kernel_rate(c0=0.2, cy=0.3, cz=0.5),
+                      ConstantRate(0.0), OffspringLaw.deterministic(0),
+                      OffspringLaw.deterministic(0), birth_sup=1.5 * b.max(), death_sup=0.0)
+    n = 10000
+    first, who = np.empty(n), np.empty(n, dtype=int)
+    for i in range(n):
+        traj = simulate(model, atoms(ages), k=3, horizon=8.0, dt_out=8.0,
+                        rng=stream(i, ctx=47), log_events=True)
+        first[i] = traj.events.t[0]
+        who[i] = int(np.flatnonzero(-ages == traj.events.tau[0])[0])
+        assert traj.events.kind[0] == KIND_BIRTH
+    assert abs(first.mean() - 1.0 / b.sum()) <= 3 * first.std() / math.sqrt(n)
+    for i, p in enumerate(b / b.sum()):
+        assert abs(np.mean(who == i) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_envelope_above_the_bound_falls_back_to_exact_rates(forced_exact):
+    # pure death: the rates only fall, and the largest is at t = 0, under a
+    # bound that the envelope's top (at z = y) pokes above
+    ages = np.linspace(0.0, 1.9, 40)
+    h = kernel_death_rates(ages, 40)
+    model = kernel_model(death_sup=1.01 * h.max())
+    assert model.death.envelope(0.0, 40, 40)[1] > model.death_sup > h.max()
+    exact, _ = forced_exact(model, ages, 40, 48, horizon=2.0)
+    traj = run_logged(model, ages, 40, 48, horizon=2.0)
+    assert_same_events(traj, exact)
+    assert traj.deaths > 10
 
 
 @pytest.fixture(scope="module")

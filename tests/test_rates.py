@@ -270,3 +270,16 @@ def test_grid_view_pairs_kernels_only_at_its_own_ages():
 def test_kernel_and_age_profile_reject_bad_fields(cls, fields, field, shown):
     with pytest.raises(ValueError, match=rf"{cls.__name__} {field} .*got {shown}$"):
         cls(**fields)
+
+
+@pytest.mark.parametrize("sups, field, shown", [
+    ({"birth_sup": -3.0}, "birth_sup", "-3.0"),
+    ({"death_sup": math.nan}, "death_sup", "nan"),
+    ({"death_sup": math.inf}, "death_sup", "inf"),
+], ids=["birth_sup_negative", "death_sup_nan", "death_sup_inf"])
+def test_rate_model_rejects_bad_thinning_bounds(sups, field, shown):
+    # a negative bound once ran no candidate, and a NaN one ran until t was NaN
+    sups = {"birth_sup": 0.0, "death_sup": 1.0, **sups}
+    with pytest.raises(ValueError, match=rf"RateModel {field} .*got {shown}$"):
+        RateModel("classical", ConstantRate(0.0), ConstantRate(1.0),
+                  OffspringLaw.deterministic(0), OffspringLaw.deterministic(0), **sups)

@@ -11,8 +11,8 @@ from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
                              classical_model, pure_splitting)
-from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
-                            classical_qv_mass, covariation_integral_frames,
+from agestruct.spde import (_NOISE_ROWS, _Coeffs, _engine_step, _noise_scales, _width,
+                            classical_exp_mean, classical_qv_mass, covariation_integral_frames,
                             density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
                             fluctuation_law, ito_isometry_variance, noise_channel,
                             remark_covariance_grid, simulate_fluctuation_paths)
@@ -93,6 +93,21 @@ def test_noise_channel_is_what_the_engine_steps_with(model):
         assert np.array_equal(chan.sigma_cells, sigma_cells)
         assert chan.sigma_boundary == sigma_boundary
         assert chan.split_mean == co.split_mean
+
+
+@pytest.mark.parametrize("model", [MIXED, KERNEL], ids=["classical", "kernel"])
+def test_chunked_noise_scales_match_the_row_build(model):
+    # every step, in the law sweep's order and then forward, has the bits of
+    # its own row built alone
+    bg = background(model)
+    co = _Coeffs(model, bg)
+    n = co.b.shape[0]
+    assert n > 2 * _NOISE_ROWS and n % _NOISE_ROWS
+    for k in [*range(n - 1, -1, -1), *range(n)]:
+        sigma_cells, sigma_boundary = co.noise(k)
+        cells, boundary = _noise_scales(model, co.b[k], co.h[k], bg.values[k], bg.dx, bg.dt)
+        assert sigma_cells.tobytes() == cells.tobytes()
+        assert np.float64(sigma_boundary).tobytes() == np.float64(boundary).tobytes()
 
 
 def test_noise_empirical_covariance():
