@@ -386,11 +386,11 @@ class RateModel:
     """Demographic sextuple: birth/death rates plus the two offspring laws.
 
     ``birth_sup`` and ``death_sup`` are the declared sup bounds used by the
-    thinning simulator, finite and >= 0; every rate evaluation must stay
-    within them.  The optional ``k_perturbation(name, x, K)`` hook adds a
-    K-dependent term of size o(1/sqrt(K)) to the named rate; the built-in
-    families are K-independent so the finite-K and limit parameterisations
-    coincide.
+    thinning simulator, finite, >= 0 and at least a constant rate; every
+    rate evaluation must stay within them.  The optional
+    ``k_perturbation(name, x, K)`` hook adds a K-dependent term of size
+    o(1/sqrt(K)) to the named rate; the built-in families are K-independent
+    so the finite-K and limit parameterisations coincide.
     """
 
     family: str
@@ -403,10 +403,14 @@ class RateModel:
     k_perturbation: Optional[Callable[[str, np.ndarray, int], np.ndarray]] = None
 
     def __post_init__(self):
-        for name in ("birth_sup", "death_sup"):
+        for name, rate in (("birth_sup", self.birth), ("death_sup", self.death)):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"RateModel {name} must be finite and >= 0; got {v!r}")
+            # the simulator never evaluates a constant rate, so never checks it
+            if rate.is_constant and rate.value > v:
+                raise ValueError(f"RateModel {name} {v!r} is below its constant rate "
+                                 f"{rate.value!r}")
 
     @property
     def kernels(self) -> set:

@@ -490,7 +490,7 @@ SQUEEZED = {
 
 
 @pytest.mark.parametrize("name", list(SQUEEZED))
-def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact):
+def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact, monkeypatch):
     # the same events, death ages, candidates and snapshots as with every
     # rate evaluated, and fewer exact evaluations
     birth, death, b_sup, h_sup = SQUEEZED[name]
@@ -498,20 +498,17 @@ def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact):
                       OffspringLaw.deterministic(0), birth_sup=b_sup, death_sup=h_sup)
     ages, ctx = np.linspace(0.0, 1.5, 80), 46
     exact, n_exact = forced_exact(model, ages, 80, ctx)
-    evaluate, squeezed = KernelRate.eval, [0]
+    evaluate, n_squeezed = KernelRate.eval, [0]
 
     def counted(rate, x, mu):
-        squeezed[0] += isinstance(x, float)
+        n_squeezed[0] += isinstance(x, float)
         return evaluate(rate, x, mu)
 
-    KernelRate.eval = counted
-    try:
-        traj = run_logged(model, ages, 80, ctx)
-    finally:
-        KernelRate.eval = evaluate
+    monkeypatch.setattr(KernelRate, "eval", counted)
+    traj = run_logged(model, ages, 80, ctx)
     assert_same_events(traj, exact)
     assert len(traj.events) > 80 and traj.deaths > 0
-    assert n_exact >= traj.candidates and squeezed[0] < 0.6 * n_exact
+    assert n_exact >= traj.candidates and n_squeezed[0] < 0.6 * n_exact
 
 
 def event_digest(traj) -> str:

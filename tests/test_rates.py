@@ -283,3 +283,12 @@ def test_rate_model_rejects_bad_thinning_bounds(sups, field, shown):
     with pytest.raises(ValueError, match=rf"RateModel {field} .*got {shown}$"):
         RateModel("classical", ConstantRate(0.0), ConstantRate(1.0),
                   OffspringLaw.deterministic(0), OffspringLaw.deterministic(0), **sups)
+
+
+def test_rate_model_rejects_a_bound_below_its_constant_rate():
+    # death rate 2 under a bound of 0.5 once ran as death rate 0.5
+    with pytest.raises(ValueError, match=r"RateModel death_sup 0\.5 is below its constant "
+                                         r"rate 2\.0$"):
+        RateModel("classical", ConstantRate(0.0), ConstantRate(2.0),
+                  OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
+                  birth_sup=0.0, death_sup=0.5)
