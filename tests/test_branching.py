@@ -431,22 +431,17 @@ def kernel_rate(kernel="exp_decay", phi="affine", age=None, **coef):
 
 
 def run_logged(model, ages, k, ctx, horizon=1.0, dt_out=0.25):
-    return simulate(model, atoms(ages), k=k, horizon=horizon, dt_out=dt_out,
-                    rng=stream(0, ctx=ctx), log_events=True)
-
-
-def assert_same_events(a, b):
-    assert (a.events.t, a.events.kind, a.events.tau, a.events.brood) == \
-        (b.events.t, b.events.kind, b.events.tau, b.events.brood)
-    assert bits(a.death_ages) == bits(b.death_ages) and a.candidates == b.candidates
-    assert [bits(s.ages) for s in a.snapshots] == [bits(s.ages) for s in b.snapshots]
+    """(trajectory, generator) of one run with its event log."""
+    rng = stream(0, ctx=ctx)
+    return simulate(model, atoms(ages), k=k, horizon=horizon, dt_out=dt_out, rng=rng,
+                    log_events=True), rng
 
 
 @pytest.fixture
 def forced_exact(monkeypatch):
-    """Run ``simulate`` with every candidate's rates evaluated exactly; the
-    rates it evaluates must lie in their envelopes.  Returns the run and the
-    exact evaluations at single ages."""
+    """:func:`run_logged` with every candidate's rates evaluated exactly, each
+    inside its envelope; returns its (trajectory, generator) and the number
+    of exact evaluations at single ages."""
     envelope, evaluate = KernelRate.envelope, KernelRate.eval
     evaluated = []
 
@@ -491,7 +486,7 @@ SQUEEZED = {
 
 @pytest.mark.parametrize("name", list(SQUEEZED))
 def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact, monkeypatch):
-    # the same events, death ages, candidates and snapshots as with every
+    # the same events, snapshots, counters and generator state as with every
     # rate evaluated, and fewer exact evaluations
     birth, death, b_sup, h_sup = SQUEEZED[name]
     model = RateModel("kernel_linear", birth, death, OffspringLaw.deterministic(1),
@@ -505,8 +500,9 @@ def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact, monkeypatch):
         return evaluate(rate, x, mu)
 
     monkeypatch.setattr(KernelRate, "eval", counted)
-    traj = run_logged(model, ages, 80, ctx)
-    assert_same_events(traj, exact)
+    run = run_logged(model, ages, 80, ctx)
+    assert_same_run(run, exact)
+    traj = run[0]
     assert len(traj.events) > 80 and traj.deaths > 0
     assert n_exact >= traj.candidates and n_squeezed[0] < 0.6 * n_exact
 
@@ -586,9 +582,9 @@ def test_envelope_above_the_bound_falls_back_to_exact_rates(forced_exact):
     model = kernel_model(death_sup=1.01 * h.max())
     assert model.death.envelope(0.0, 40, 40)[1] > model.death_sup > h.max()
     exact, _ = forced_exact(model, ages, 40, 48, horizon=2.0)
-    traj = run_logged(model, ages, 40, 48, horizon=2.0)
-    assert_same_events(traj, exact)
-    assert traj.deaths > 10
+    run = run_logged(model, ages, 40, 48, horizon=2.0)
+    assert_same_run(run, exact)
+    assert run[0].deaths > 10
 
 
 @pytest.fixture(scope="module")
