@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .measures import AtomicMeasure, TestFunction
-from .rates import ModelError, RateModel
+from .rates import _EXP_FACTOR_MAX, ModelError, RateModel
 
 __all__ = [
     "CapacityError",
@@ -68,11 +68,6 @@ KIND_DEATH = 1
 
 class CapacityError(RuntimeError):
     """The live population exceeded the configured cap."""
-
-
-# Largest |alpha * (tau - ref)| of an exp_decay tree factor: e^600 times any
-# population stays far inside the float range, and e^-600 is a normal float.
-_EXP_FACTOR_MAX = 600.0
 
 
 class _ExpDecayTrees:

@@ -109,16 +109,21 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("horizon", "dt", "dt_out"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.replicates < 2:
-            raise ValueError("need at least 2 replicates")
-        if any(int(k) <= 0 or int(k) != k for k in self.k_values):
-            raise ValueError("K values must be positive integers")
+            raise ValueError(f"need at least 2 replicates, got {self.replicates!r}")
+        for k in self.k_values:
+            if not (k > 0 and float(k).is_integer()):
+                raise ValueError(f"K values must be positive integers, got {k!r}")
         self.k_values = [int(k) for k in self.k_values]
         n = round(self.dt_out / self.dt)
         if abs(n * self.dt - self.dt_out) > 1e-9:
-            raise ValueError("dt must divide dt_out")
+            raise ValueError(f"dt {self.dt!r} must divide dt_out {self.dt_out!r}")
         if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
-            raise ValueError("dt_out must divide the horizon")
+            raise ValueError(f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")
         for name, least in (("n_spde_paths", 2), ("spde_block", 1), ("workers", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "

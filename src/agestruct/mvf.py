@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .measures import GridDensity, PointMasses, pair
-from .rates import ConstantRate, DensityRate, ModelError, RateModel
+from .rates import _EXP_FACTOR_MAX, ConstantRate, DensityRate, ModelError, RateModel
 
 __all__ = [
     "GridRates",
@@ -91,11 +91,11 @@ def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float)
 class GridRates:
     """A model's rates on one characteristics grid of ``n_cells`` cells.
 
-    Forms each interaction kernel's matrix g(x_i, y_j) once, for the ages
-    x_i the grid layers evaluate at (the cell centers and the left cell
-    edges, i.e. the characteristic midpoints of a step) against the cell
-    centers y_j.  :meth:`at` then gives the measure view the rate families
-    read, for one frame (J,) or a stack of frames (n, J).
+    Pairs each interaction kernel with grid rows (:meth:`pair`) at the ages
+    the grid layers evaluate at (the cell centers and the left cell edges,
+    i.e. the characteristic midpoints of a step) against the cell centers.
+    :meth:`at` then gives the measure view the rate families read, for one
+    frame (J,) or a stack of frames (n, J).
     """
 
     def __init__(self, model: RateModel, dx: float, n_cells: int):
@@ -103,9 +103,14 @@ class GridRates:
         self.dx = dx
         self.centers = (np.arange(n_cells) + 0.5) * dx
         self.edges = self.centers - 0.5 * dx
-        self.matrices = {kern: (kern(self.centers[:, None], self.centers),
-                                kern(self.edges[:, None], self.centers))
-                         for kern in model.kernels}
+        self._factors, self._matrices = {}, {}
+        for kern in model.kernels:
+            if kern.kind == "exp_decay" and kern.alpha * n_cells * dx <= 2 * _EXP_FACTOR_MAX:
+                y = kern.alpha * dx * (np.arange(n_cells) - 0.5 * (n_cells - 1))
+                self._factors[kern] = (np.exp(-y), np.exp(y))
+            elif kern.kind != "constant":
+                self._matrices[kern] = (kern(self.centers[:, None], self.centers),
+                                        kern(self.edges[:, None], self.centers))
 
     def at(self, values: np.ndarray) -> "_GridFrames":
         return _GridFrames(self, values)
@@ -115,6 +120,27 @@ class GridRates:
         mu = self.at(values)
         return (self.model.birth_rate(self.centers, mu),
                 self.model.death_rate(self.centers, mu))
+
+    def pair(self, kernel, values: np.ndarray, edges: bool = False) -> np.ndarray:
+        """dx * sum_j g(x_i, y_j) v_j for rows ``values`` (..., w), w <= J, at the first w
+        centers (or left edges) x_i and centers y_j.  An exp_decay kernel takes one
+        sequential cumsum each of the rows scaled by its factors e^(-+alpha (y_j - ref)),
+        so a frame gives the same bits alone as in a stack; a constant kernel is
+        c dx sum(v).  A Gaussian kernel, or an exp_decay one whose factors would pass
+        e^(+-_EXP_FACTOR_MAX), takes the product with its dense matrices."""
+        w, c = values.shape[-1], kernel.c * self.dx
+        if kernel in self._matrices:
+            g = self._matrices[kernel][edges][:w, :w]
+            return self.dx * (values[..., None, :] @ g.T)[..., 0, :]
+        if kernel.kind == "constant":
+            return np.repeat(c * values.sum(axis=-1, keepdims=True), w, axis=-1)
+        lo, hi = (f[:w] for f in self._factors[kernel])
+        left = lo * np.cumsum(hi * values, axis=-1)       # cells at and left of y_i
+        right = hi * np.cumsum((lo * values)[..., ::-1], axis=-1)[..., ::-1]
+        if not edges:
+            return c * (left + right - values)
+        right[..., 1:] += left[..., :-1]                  # left of edge i: left of y_(i-1)
+        return c * math.exp(-0.5 * kernel.alpha * self.dx) * right
 
 
 class _GridFrames:
@@ -129,17 +155,12 @@ class _GridFrames:
         return self.grid.dx * self.values.sum(axis=-1, keepdims=self.values.ndim > 1)
 
     def kernel_pair(self, kernel, xs):
-        """(g(x, .), frame) for each x in xs, one row per frame.
-
-        ``xs`` must be the grid's ``centers`` or ``edges``.  Every frame takes
-        the same matrix-vector product, so a frame gives the same bits alone
-        as in a stack.
-        """
+        """(g(x, .), frame) for each x in xs, one row per frame (:meth:`GridRates.pair`);
+        ``xs`` must be the grid's ``centers`` or ``edges``."""
         grid = self.grid
         if xs is not grid.centers and xs is not grid.edges:
             raise ValueError("grid frames pair a kernel only at the grid's centers or edges")
-        g = grid.matrices[kernel][xs is grid.edges]
-        return grid.dx * (self.values[..., None, :] @ g.T)[..., 0, :]
+        return grid.pair(kernel, self.values, xs is grid.edges)
 
 
 @dataclass(frozen=True)

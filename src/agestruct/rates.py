@@ -196,6 +196,11 @@ class AgeProfile:
         return self.c * math.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
 
 
+# Largest |alpha (y - ref)| of an exp_decay factor in the simulator's trees or the grid's
+# prefix sums: e^600 times any population stays far inside the float range, and e^-600 is normal.
+_EXP_FACTOR_MAX = 600.0
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Interaction kernel g(x, y) on [0, T*]^2, a function of x - y."""

@@ -161,8 +161,9 @@ class _Coeffs:
     for every frame is a broadcast view of one row.  ``uh``/``un`` (the
     mass-derivative weights of the death and newborn rates) are None when
     every Frechet term vanishes.  ``kernels`` holds one entry per distinct
-    interaction kernel: its matrix g(x_i, x_j) and the per-step row weights
-    of its death and newborn Frechet terms.  The noise scales of a step are
+    interaction kernel: the kernel, paired through ``grid`` (the background's
+    :class:`~agestruct.mvf.GridRates`), and the per-step row weights of its
+    death and newborn Frechet terms.  The noise scales of a step are
     built from its rows when asked (:meth:`noise`), a chunk at a time, not
     stacked.
     """
@@ -175,7 +176,7 @@ class _Coeffs:
         sm = model.split_law.mean
         a = background.values[:-1]
         shape = a.shape
-        grid = GridRates(model, dx, shape[1])
+        grid = self.grid = GridRates(model, dx, shape[1])
         mu = grid.at(a)
         x = grid.centers
 
@@ -196,8 +197,7 @@ class _Coeffs:
             weights[kerh] = [w3h, w3h * sm]
         if kerb is not None:
             weights.setdefault(kerb, [0.0, 0.0])[1] += w3b * lm
-        self.kernels = [(grid.matrices[kern][0], np.broadcast_to(wh, shape),
-                         np.broadcast_to(wn, shape))
+        self.kernels = [(kern, np.broadcast_to(wh, shape), np.broadcast_to(wn, shape))
                         for kern, (wh, wn) in weights.items()]
 
         self.split_mean = sm
@@ -242,8 +242,8 @@ def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
         mass0 = dx * zs.sum(axis=1)
         dep0 = -dt * np.outer(mass0, co.uh[k, :w0] * a0)
         bnd0 = dt * (co.una[k] * mass0 + nz0) / dx
-        for g, wh, wn in co.kernels:
-            kz = dx * (zs @ g[:w0, :w0].T)     # (B, w0): (g(x_i, .), Z)
+        for kern, wh, wn in co.kernels:
+            kz = co.grid.pair(kern, zs)        # (B, w0): (g(x_i, .), Z)
             dep0 -= dt * (kz * wh[k, :w0]) * a0[None, :]
             bnd0 = bnd0 + dt * np.sum(kz * wn[k, :w0] * a0[None, :], axis=1)
     else:
@@ -271,9 +271,9 @@ def _adjoint_step(g: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> np.nd
     if co.uh is not None:
         mass_term = dx * (g[:, :w0] @ (co.uh[k, :w0] * a0))[:, None]
         out[:, :w0] += dt * (co.una[k] * g0 - mass_term)
+        # g(x_i, x_j) is symmetric: the product with its matrix is a pairing
         for kern, wh, wn in co.kernels:
-            out[:, :w0] += dt * dx * (((g0 * wn[k, :w0] - g[:, :w0] * wh[k, :w0]) * a0)
-                                      @ kern[:w0, :w0])
+            out[:, :w0] += dt * co.grid.pair(kern, (g0 * wn[k, :w0] - g[:, :w0] * wh[k, :w0]) * a0)
     return out
 
 

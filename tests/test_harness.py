@@ -30,21 +30,20 @@ def small_config(**overrides):
 # -- configuration ---------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1$"):
         small_config(replicates=1)
-    with pytest.raises(ValueError):
-        small_config(k_values=[0])
-    with pytest.raises(ValueError):
-        small_config(dt=3e-4)       # does not divide dt_out
-    with pytest.raises(ValueError):
-        small_config(dt_out=0.3)    # does not divide horizon
+    with pytest.raises(ValueError, match="got 0$"):
+        small_config(k_values=[60, 0])
+    with pytest.raises(ValueError, match="got 2.5$"):
+        small_config(k_values=[2.5])
+    with pytest.raises(ValueError, match="dt 0.0003 must divide dt_out 0.5$"):
+        small_config(dt=3e-4)
+    with pytest.raises(ValueError, match="dt_out 0.3 must divide the horizon 1.0$"):
+        small_config(dt_out=0.3)
 
 
-@pytest.mark.parametrize("field, value", [("spde_block", 0), ("n_spde_paths", 1),
-                                          ("workers", 0)])
-def test_config_rejects_bad_spde_sizes(tmp_path, field, value):
-    # spde_block 0 would never advance the SPDE block loop
-    message = rf"{field} must be at least \d+, got {value}$"
+def check_rejected(tmp_path, field, value, message):
+    """``value`` in ``field`` fails with ``message``, directly and through a JSON file."""
     with pytest.raises(ValueError, match=message):
         small_config(**{field: value})
     spec = small_config().to_dict()
@@ -53,6 +52,27 @@ def test_config_rejects_bad_spde_sizes(tmp_path, field, value):
     p.write_text(json.dumps(spec))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(p)
+
+
+@pytest.mark.parametrize("field, value", [("spde_block", 0), ("n_spde_paths", 1),
+                                          ("workers", 0)])
+def test_config_rejects_bad_spde_sizes(tmp_path, field, value):
+    # spde_block 0 would never advance the SPDE block loop
+    check_rejected(tmp_path, field, value, rf"{field} must be at least \d+, got {value}$")
+
+
+@pytest.mark.parametrize("field", ["horizon", "dt", "dt_out"])
+@pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+def test_config_rejects_bad_time_steps(tmp_path, field, value):
+    # 0 divided by zero, nan failed in round(), and a negative time was
+    # accepted until the initial condition found no grid cells
+    check_rejected(tmp_path, field, value,
+                   rf"{field} must be finite and positive, got {value!r}$")
+
+
+def test_config_rejects_negative_times_together(tmp_path):
+    with pytest.raises(ValueError, match="horizon must be finite and positive, got -1.0$"):
+        small_config(horizon=-1.0, dt=-4e-3, dt_out=-0.5)
 
 
 def test_config_json_round_trip(tmp_path):

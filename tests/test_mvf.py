@@ -9,10 +9,11 @@ from agestruct import mvf, spde
 from agestruct.acceptance import clt_config, lln_config
 from agestruct.harness import build_initial
 from agestruct.measures import GridDensity, constant, exponential, make_panel, pair
-from agestruct.mvf import (QuadratureError, classical_exact, classical_pairing,
+from agestruct.mvf import (GridRates, QuadratureError, classical_exact, classical_pairing,
                            logistic_exact, quad_gk21, solve_mvf, solve_total_ode)
-from agestruct.rates import (ConstantRate, DensityRate, ModelError, OffspringLaw,
-                             RateModel, ScalarFn, classical_model, pure_splitting)
+from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate, ModelError,
+                             OffspringLaw, RateModel, ScalarFn, classical_model,
+                             pure_splitting)
 
 SPLIT = pure_splitting(1.0, 2)            # death 1, brood 2: newborn rate 2
 TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
@@ -226,3 +227,56 @@ def test_limit_solution_frame_accessors():
     assert frame.mass == pytest.approx(sol.totals[-1])
     pairs = sol.pairings(constant(1.0))
     assert np.allclose(pairs, sol.totals)
+
+
+def kernel_grid(kern, n_cells, dx):
+    model = RateModel("kernel_linear", ConstantRate(1.0),
+                      KernelRate(kern, "affine", c0=0.2, cy=0.3, cz=0.5),
+                      OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
+                      birth_sup=1.0, death_sup=4.0)
+    return GridRates(model, dx, n_cells)
+
+
+def check_pairing_against_dense(grid, kern, frames):
+    """Every width and row of ``grid.pair`` against dx * g(x_i, y_j) @ v, and
+    each frame alone against the stack, bit for bit."""
+    n_cells = frames.shape[1]
+    for edges in (False, True):
+        xs = grid.edges if edges else grid.centers
+        dense = grid.dx * kern(xs[:, None], grid.centers)
+        for w in (n_cells, n_cells // 2 + 1, 7):
+            got = grid.pair(kern, frames[:, :w], edges)
+            assert got.shape == (len(frames), w) and np.all(np.isfinite(got))
+            for frame, row in zip(frames, got):
+                want = dense[:w, :w] @ frame[:w]
+                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+                assert row.tobytes() == grid.pair(kern, frame[:w], edges).tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [400, 2000, 4000])
+@pytest.mark.parametrize("kern", [Kernel("exp_decay", alpha=1.0),
+                                  Kernel("exp_decay", c=0.7, alpha=30.0),
+                                  Kernel("constant", c=0.5)], ids=["exp1", "exp30", "const"])
+def test_grid_pairing_matches_the_dense_product(kern, n_cells):
+    # exp_decay by prefix sums and constant by the mass, no J x J matrix;
+    # positive and signed frames, at the widths the engine and adjoint use
+    grid = kernel_grid(kern, n_cells, 2.0 / n_cells)
+    assert not grid._matrices and (kern in grid._factors) == (kern.kind == "exp_decay")
+    rng = np.random.default_rng(n_cells)
+    check_pairing_against_dense(grid, kern, np.stack([rng.random(n_cells),
+                                                      rng.random(n_cells) - 0.5]))
+
+
+def test_exp_decay_grid_factors_beyond_the_float_range_keep_the_matrix():
+    # alpha * J * dx = 1198 pairs by prefix sums with factors up to e^599,
+    # finite and as the dense product; 1202 would need factors beyond e^600
+    # and keeps its dense matrices
+    n_cells, dx = 400, 5e-3
+    rng = np.random.default_rng(5)
+    frames = np.stack([rng.random(n_cells), rng.random(n_cells) - 0.5])
+    for alpha, prefix_sums in ((599.0, True), (601.0, False)):
+        kern = Kernel("exp_decay", alpha=alpha)
+        grid = kernel_grid(kern, n_cells, dx)
+        assert (kern in grid._factors) == prefix_sums and (kern in grid._matrices) != prefix_sums
+        with np.errstate(over="raise", invalid="raise"):
+            check_pairing_against_dense(grid, kern, frames)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -42,9 +43,18 @@ AGE = RateModel("age_density",
                 OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
                 birth_sup=0.5, death_sup=2.0)
 
-# one model per engine branch: classical (two laws), density, age-density, kernel
-LAW_MODELS = [SPLIT, MIXED, DENS, AGE, KERNEL]
-LAW_IDS = ["split", "mixed", "density", "age_density", "kernel"]
+# a Gaussian kernel, shared by both rates, keeps the grid's dense kernel matrices
+GAUSS_KERNEL = Kernel("gaussian", sigma=0.4)
+GAUSS = RateModel("kernel_linear",
+                  KernelRate(GAUSS_KERNEL, "special", d0=0.5, d1=0.5),
+                  KernelRate(GAUSS_KERNEL, "affine", c0=0.2, cy=0.3, cz=0.5),
+                  OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(0.5),
+                  birth_sup=1.0, death_sup=4.0)
+
+# one model per engine branch: classical (two laws), density, age-density,
+# kernel paired by prefix sums and by its dense matrix
+LAW_MODELS = [SPLIT, MIXED, DENS, AGE, KERNEL, GAUSS]
+LAW_IDS = ["split", "mixed", "density", "age_density", "kernel", "gaussian_kernel"]
 
 
 def box(dx, t_star=2.0, mass_to=1.0):
@@ -404,23 +414,50 @@ def test_mean_frames_are_signed_and_limit_frames_are_checked():
         negative.frame(5)
 
 
+CONST_KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
+                         KernelRate(Kernel("constant", c=0.5), "affine", c0=0.2, cy=0.3, cz=0.5),
+                         OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
+                         birth_sup=1.0, death_sup=4.0)
+
+
+def run_grid_layers(model, dx, horizon):
+    """Solve, step the mean and sweep the law of ``model`` on one grid."""
+    bg = background(model, dx=dx, horizon=horizon)
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    evolve_mean(model, z0, bg)
+    fluctuation_law(model, bg, z0, [constant(1.0), exponential(-1.0)], [horizon])
+    return bg
+
+
+@pytest.mark.parametrize("model", [KERNEL, CONST_KERNEL], ids=["exp_decay", "constant"])
+def test_exp_decay_and_constant_kernels_build_no_square_array(model, monkeypatch):
+    # at J = 2000 one J x J float array is 32 MB; the grid layers pair these
+    # kernels in O(J) and never evaluate the kernel on the grid
+    monkeypatch.setattr(Kernel, "__call__", lambda *args: pytest.fail("kernel evaluated"))
+    n_cells = 2000
+    tracemalloc.start()
+    try:
+        run_grid_layers(model, 2.0 / n_cells, 20 * 2.0 / n_cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_cells ** 2 / 4
+
+
 def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
-    calls = []
+    # a Gaussian kernel builds its two matrices (centers, edges) once per grid:
+    # once for the limit solve and once for the coefficients of the SPDE layer
+    shapes = []
     kernel_call = Kernel.__call__
 
-    def counting(self, x, y):
-        calls.append(self)
-        return kernel_call(self, x, y)
+    def recording(self, x, y):
+        out = kernel_call(self, x, y)
+        shapes.append(out.shape)
+        return out
 
-    monkeypatch.setattr(Kernel, "__call__", counting)
-    counts = []
+    monkeypatch.setattr(Kernel, "__call__", recording)
     for horizon in (0.2, 0.4):
-        calls.clear()
-        bg = background(KERNEL, dx=0.02, horizon=horizon)
-        in_solve = len(calls)
-        co = _Coeffs(KERNEL, bg)
-        for k in range(bg.values.shape[0] - 1):
-            co.noise(k)
-        counts.append((in_solve, len(calls) - in_solve))
-    assert counts[0][0] > 0 and counts[0][1] > 0
-    assert counts[0] == counts[1]
+        shapes.clear()
+        bg = run_grid_layers(GAUSS, 0.02, horizon)
+        n_cells = bg.values.shape[1]
+        assert shapes == [(n_cells, n_cells)] * 4, horizon
