@@ -3,10 +3,12 @@
 Individuals age at unit rate; an individual of age x gives birth at the
 model's per-capita birth rate and dies at its death rate, both of which may
 depend on the whole (normalised) population measure.  Event times are drawn
-by thinning against the global bound N * (birth_sup + death_sup), re-chosen
-after every candidate, which is exact for state-dependent intensities:
-rejected candidates still advance time, so ages drift and rates are
-re-evaluated at each candidate epoch.
+by thinning against the bound N * (b + h) while N individuals live: b and h
+are the declared birth_sup and death_sup, or the lower bound that N alone
+proves for a kernel rate (:meth:`~agestruct.rates.KernelRate.bounds`).
+This is exact for state-dependent intensities: rejected candidates still
+advance time, so ages drift and rates are re-evaluated at each candidate
+epoch, and the bound is re-chosen whenever N changes.
 
 Two paths run this thinning and read the same words of the generator to
 the same bits.  The per-candidate loop serves every model.  A state-free run
@@ -22,9 +24,10 @@ candidate.  An ``exp_decay`` kernel is read in O(log N) from two Fenwick
 trees over birth ranks kept by :class:`Population` (see
 :class:`_ExpDecayTrees`); other kernels sum over the live set.  Most
 candidates read none: the loop draws the accept uniform first, and when it
-falls outside the gap of the rate's envelope (bounds from N/k and the age;
-:meth:`~agestruct.rates.KernelRate.envelope`) inside [0, sup], the envelope
-decides, with the same bits and the same ``ModelError`` as the exact rate.
+falls outside the gap between the rate's bounds at the candidate (the phi
+range that N/k proves, times the age factor r(x)) inside [0, sup], those
+bounds decide, with the same bits and the same ``ModelError`` as the exact
+rate.
 
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
@@ -492,9 +495,11 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     State-free means constant rates, no K perturbation, deterministic broods
     and no ledger or a closed-form one, so a candidate's fate depends on its
     uniform alone.  Both paths read the same words from ``rng`` and return
-    the same bits.  On the loop, a candidate whose rates are constant or
-    ``kernel_linear`` (with no K perturbation) is decided from the rates'
-    envelopes when they fix its fate, with the same bits as evaluating them.
+    the same bits.  On the loop, when each rate is constant or
+    ``kernel_linear`` (with no K perturbation), the bound is re-chosen for
+    each live count N (a kernel rate's part can lie well below its sup), and
+    a candidate is decided from the rates' bounds at it when they fix its
+    fate, with the same bits as evaluating them.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
@@ -560,27 +565,32 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
     h_const = h_fn.value if h_fn.is_constant and model.k_perturbation is None else None
     b_sup = model.birth_sup
     h_sup = model.death_sup
-    bound = b_sup + h_sup
     life_law, split_law = model.life_law, model.split_law
     life_det = life_law.k if life_law.kind == "deterministic" else None
     split_det = split_law.k if split_law.kind == "deterministic" else None
-    # the squeeze: when each rate is constant or a kernel rate with an
-    # envelope, a candidate whose fate both envelopes fix pairs no kernel
-    b_env = getattr(b_fn, "envelope", None) if model.k_perturbation is None else None
-    h_env = getattr(h_fn, "envelope", None) if model.k_perturbation is None else None
-    squeeze = ((b_env is not None or h_env is not None)
-               and (b_env is not None or b_const is not None)
-               and (h_env is not None or h_const is not None))
+    # the squeeze: when each rate is constant or a kernel rate, the bound is
+    # re-chosen per live count n from the rates' bounds, and a candidate
+    # whose fate both phi ranges fix (times its age factor) pairs no kernel
+    b_bounds = getattr(b_fn, "bounds", None) if model.k_perturbation is None else None
+    h_bounds = getattr(h_fn, "bounds", None) if model.k_perturbation is None else None
+    squeeze = ((b_bounds is not None or h_bounds is not None)
+               and (b_bounds is not None or b_const is not None)
+               and (h_bounds is not None or h_const is not None))
+    b_age = b_fn.age.scalar if b_bounds is not None else None
+    h_age = h_fn.age.scalar if h_bounds is not None else None
+    b_part, h_part, sized = b_sup, h_sup, {}    # the bound's parts; per live count
+    bound = b_sup + h_sup
 
-    # batched uniforms; order of consumption is fixed, so runs are reproducible
+    # batched uniforms; order of consumption is fixed, so runs are reproducible.
+    # A memoryview reads Python floats with the array's bits, without a copy.
     block = _UBLOCK
-    ublock = rng.random(block)
+    ublock = memoryview(rng.random(block))
     uptr = 0
 
     def next_u():
         nonlocal ublock, uptr
         if uptr >= block:
-            ublock = rng.random(block)
+            ublock = memoryview(rng.random(block))
             uptr = 0
         u = ublock[uptr]
         uptr += 1
@@ -604,6 +614,12 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
 
     while True:
         n = pop.n_live
+        if squeeze:
+            if n not in sized:       # the sizes a run visits repeat: each is set once
+                sized[n] = (b_bounds(n, k, b_sup) if b_bounds else (b_sup, b_const, b_const),
+                            h_bounds(n, k, h_sup) if h_bounds else (h_sup, h_const, h_const))
+            (b_part, b_rlo, b_rhi), (h_part, h_rlo, h_rhi) = sized[n]
+            bound = b_part + h_part
         if n == 0 or bound <= 0.0:
             flush_outputs(horizon)
             pop.t = horizon
@@ -624,12 +640,14 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         r = next_u() * bound     # before the rates: evaluating one draws nothing
         b = None
         if squeeze:
-            b_lo, b_hi = (b_const, b_const) if b_env is None else b_env(age, n, k)
-            h_lo, h_hi = (h_const, h_const) if h_env is None else h_env(age, n, k)
+            a = 1.0 if b_age is None else b_age(age)
+            b_lo, b_hi = (a * b_rlo, a * b_rhi) if a >= 0.0 else (a * b_rhi, a * b_rlo)
+            a = 1.0 if h_age is None else h_age(age)
+            h_lo, h_hi = (a * h_rlo, a * h_rhi) if a >= 0.0 else (a * h_rhi, a * h_rlo)
             # inside [0, sup] the exact rates pass their checks, and bounds
             # that fix the fate stand in for them
-            if ((b_env is None or 0.0 < b_lo and b_hi < b_sup)
-                    and (h_env is None or 0.0 < h_lo and h_hi < h_sup)):
+            if ((b_age is None or 0.0 < b_lo and b_hi < b_sup)
+                    and (h_age is None or 0.0 < h_lo and h_hi < h_sup)):
                 if r < b_lo or b_hi <= r < b_lo + h_lo:
                     b, h = b_lo, h_lo
                 elif r >= b_hi + h_hi:
@@ -639,14 +657,16 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
                 b = b_const
             else:
                 b = float(model.birth_rate(age, pop, k))
-                if b < 0.0 or b > b_sup * (1.0 + 1e-9):
-                    raise ModelError(f"birth rate {b} violates declared bound {b_sup}")
+                if b < 0.0 or b > b_part * (1.0 + 1e-9):
+                    where = "declared" if b_part == b_sup else "per-size"
+                    raise ModelError(f"birth rate {b} violates {where} bound {b_part}")
             if h_const is not None:
                 h = h_const
             else:
                 h = float(model.death_rate(age, pop, k))
-                if h < 0.0 or h > h_sup * (1.0 + 1e-9):
-                    raise ModelError(f"death rate {h} violates declared bound {h_sup}")
+                if h < 0.0 or h > h_part * (1.0 + 1e-9):
+                    where = "declared" if h_part == h_sup else "per-size"
+                    raise ModelError(f"death rate {h} violates {where} bound {h_part}")
         if r < b:
             brood = life_det if life_det is not None else life_law.sample(next_u, rng)
             if ledger is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
@@ -88,6 +89,14 @@ def spde_noise_stream(master_seed: int, block: int) -> np.random.Generator:
 # configuration
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentConfig:
     model: dict
@@ -109,14 +118,26 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        self.seed = int(self.seed)          # numpy integers: the manifest writes JSON
+        for name in ("replicates", "n_spde_paths", "spde_block", "workers", "population_cap"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         for name in ("horizon", "dt", "dt_out"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.replicates < 2:
             raise ValueError(f"need at least 2 replicates, got {self.replicates!r}")
+        if not isinstance(self.k_values, (list, tuple)):
+            raise ValueError(f"k_values must be a list of K values, got {self.k_values!r}")
         for k in self.k_values:
-            if not (k > 0 and float(k).is_integer()):
+            if not (_is_real(k) and k > 0 and float(k).is_integer()):
                 raise ValueError(f"K values must be positive integers, got {k!r}")
         self.k_values = [int(k) for k in self.k_values]
         n = round(self.dt_out / self.dt)

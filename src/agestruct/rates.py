@@ -2,9 +2,10 @@
 
 A model bundles a per-capita birth rate and death rate (each a function of
 age and of the normalised population measure), one offspring law for births
-during life and one for splitting at death, and declared sup bounds used by
-the thinning simulator.  Four built-in families are provided, ordered by
-generality of the population dependence:
+during life and one for splitting at death, and declared sup bounds on the
+rates, which the thinning simulator draws its candidates against (a kernel
+rate may prove a lower one from the live count alone).  Four built-in
+families are provided, ordered by generality of the population dependence:
 
 * ``classical``          -- constant rates;
 * ``density_dependent``  -- rates are functions of the total mass only;
@@ -291,7 +292,7 @@ class AgeDensityRate:
         return u, None, None
 
 
-# Relative widening of a kernel rate's envelope (KernelRate.envelope).
+# Relative widening of a kernel rate's phi range (KernelRate.bounds).
 _ENVELOPE_MARGIN = 1e-7
 
 
@@ -319,7 +320,6 @@ class KernelRate:
         self.c0, self.cy, self.cz = float(c0), float(cy), float(cz)
         self.d0, self.d1 = float(d0), float(d1)
         self.c = float(c)
-        self._env_at = None         # the (n, k) of the phi range kept by envelope
 
     def _phi(self, y, z):
         if self.phi == "affine":
@@ -348,28 +348,26 @@ class KernelRate:
         age = self.age.scalar(x) if isinstance(x, float) else self.age(x)
         return age * self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
 
-    def envelope(self, x: float, n: int, k: int) -> tuple[float, float]:
-        """Bounds (lo, hi) on ``eval(x, mu)`` at a live individual aged ``x``
-        among ``n`` at normalisation ``k``, without a pairing: g / c lies in
-        [0, 1] and is 1 at x itself, so z = (g(x, .), A) / k lies between c / k
-        and c * y for y = n / k (a constant kernel: z = c * y), and phi is
-        affine in z.  Widened by ``_ENVELOPE_MARGIN`` times the size of phi's
-        terms, far above the rounding of the exact rate (about eps per tree
-        rank used).  The phi range is kept for the last (n, k).
+    def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
+        """(bound, lo, hi) among ``n`` live individuals at normalisation ``k``,
+        without a pairing.  g / c lies in [0, 1] and is 1 at x itself, so
+        z = (g(x, .), A) / k lies between c / k and c * y for y = n / k (a
+        constant kernel: z = c * y), and phi, affine in z, lies in [lo, hi]:
+        widened by ``_ENVELOPE_MARGIN`` times the size of phi's terms, far
+        above the rounding of the exact rate (about eps per tree rank used).
+        The rate at age x lies between r(x) lo and r(x) hi; r lies between 0
+        and the age profile's c at x >= 0, so the rate is at most ``bound``,
+        max(0, c lo, c hi) capped at ``sup``.
         """
-        if (n, k) != self._env_at:
-            y = n / k
-            z = self.kernel.c * y
-            lo = self._phi(y, z)
-            hi = lo if self.kernel.kind == "constant" else self._phi(y, self.kernel.c / k)
-            tol = _ENVELOPE_MARGIN * (
-                abs(self.c0) + abs(self.cy) * y + abs(self.d0) + abs(self.c) / (1.0 + y)
-                + (abs(self.cz) + abs(self.d1) / (1.0 + y)) * abs(z))
-            self._env_at = (n, k)
-            self._env = (min(lo, hi) - tol, max(lo, hi) + tol)
-        a = self.age.scalar(x)
-        lo, hi = self._env
-        return (a * lo, a * hi) if a >= 0.0 else (a * hi, a * lo)
+        y = n / k
+        z = self.kernel.c * y
+        lo = self._phi(y, z)
+        hi = lo if self.kernel.kind == "constant" else self._phi(y, self.kernel.c / k)
+        tol = _ENVELOPE_MARGIN * (
+            abs(self.c0) + abs(self.cy) * y + abs(self.d0) + abs(self.c) / (1.0 + y)
+            + (abs(self.cz) + abs(self.d1) / (1.0 + y)) * abs(z))
+        lo, hi = min(lo, hi) - tol, max(lo, hi) + tol
+        return min(sup, max(0.0, self.age.c * lo, self.age.c * hi)), lo, hi
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
@@ -390,9 +388,11 @@ RateFn = Union[ConstantRate, DensityRate, AgeDensityRate, KernelRate]
 class RateModel:
     """Demographic sextuple: birth/death rates plus the two offspring laws.
 
-    ``birth_sup`` and ``death_sup`` are the declared sup bounds used by the
-    thinning simulator, finite, >= 0 and at least a constant rate; every
-    rate evaluation must stay within them.  The optional
+    ``birth_sup`` and ``death_sup`` are the declared sup bounds, finite,
+    >= 0 and at least a constant rate; every rate evaluation must stay
+    within them.  The thinning simulator draws candidates against them, or
+    against a kernel rate's bound at the live count where that is lower
+    (:meth:`KernelRate.bounds`).  The optional
     ``k_perturbation(name, x, K)`` hook adds a K-dependent term of size
     o(1/sqrt(K)) to the named rate; the built-in families are K-independent
     so the finite-K and limit parameterisations coincide.

@@ -303,21 +303,28 @@ def kernel_death_rates(ages, k, alpha=1.0):
 
 def test_kernel_thinning_law_on_simulate():
     # three individuals under a loose bound: the first event is Exp(sum h)
-    # and the individual i that dies is drawn with probability h_i / sum h
+    # and the individual i that dies is drawn with probability h_i / sum h.
+    # The bound is re-chosen for the two left, whose rates H_i (summed) do
+    # not change with time: the gap to the second death has mean
+    # sum_i p_i / H_i with p_i = h_i / sum h
     ages = np.array([0.1, 0.5, 1.3])
     h = kernel_death_rates(ages, 3)
     model = kernel_model(death_sup=1.5 * h.max())
     n = 10000
-    first, who = np.empty(n), np.empty(n, dtype=int)
+    first, gap, who = np.empty(n), np.empty(n), np.empty(n, dtype=int)
     for i in range(n):
         traj = simulate(model, atoms(ages), k=3, horizon=30.0, dt_out=30.0,
                         rng=stream(i, ctx=41), log_events=True)
         first[i] = traj.events.t[0]
+        gap[i] = traj.events.t[1] - traj.events.t[0]
         who[i] = int(np.flatnonzero(-ages == traj.events.tau[0])[0])
-        assert traj.events.kind[0] == KIND_DEATH
+        assert traj.events.kind[:2] == [KIND_DEATH, KIND_DEATH]
     assert abs(first.mean() - 1.0 / h.sum()) <= 3 * first.std() / math.sqrt(n)
-    for i, p in enumerate(h / h.sum()):
-        assert abs(np.mean(who == i) - p) <= 3 * math.sqrt(p * (1 - p) / n)
+    p = h / h.sum()
+    for i, p_i in enumerate(p):
+        assert abs(np.mean(who == i) - p_i) <= 3 * math.sqrt(p_i * (1 - p_i) / n)
+    left = [kernel_death_rates(np.delete(ages, i), 3).sum() for i in range(3)]
+    assert abs(gap.mean() - np.dot(p, 1.0 / np.array(left))) <= 3 * gap.std() / math.sqrt(n)
     # a rate above the declared bound is caught at the first candidate
     with pytest.raises(ModelError, match="violates declared bound"):
         simulate(kernel_model(death_sup=0.99 * h.min()), atoms(ages), k=3, horizon=30.0,
@@ -350,12 +357,12 @@ def test_exp_decay_factors_beyond_the_float_range_sum_directly(monkeypatch):
 def test_exp_decay_tree_pairings_match_the_direct_sum(k, monkeypatch):
     # every candidate's pairing over a run with births, deaths and new ranks
     kernel_pair, rank_live = Population.kernel_pair, Population._rank_live
-    worst, ranked = [0.0], []
+    errors, ranked = [], []
 
     def checked(pop, kernel, x):
         z = kernel_pair(pop, kernel, x)
         direct = float(np.sum(kernel(x, pop.ages))) / pop.k
-        worst[0] = max(worst[0], abs(z - direct) / direct)
+        errors.append(abs(z - direct) / direct)
         return z
 
     def counted(pop):
@@ -366,10 +373,10 @@ def test_exp_decay_tree_pairings_match_the_direct_sum(k, monkeypatch):
     monkeypatch.setattr(Population, "_rank_live", counted)
     traj = simulate(kernel_model(4.0, birth=1.0, life=1), atoms(np.linspace(0.0, 1.0, k)),
                     k=k, horizon=2.0, dt_out=1.0, rng=stream(0, ctx=43))
-    assert traj.candidates > 10 * k     # each pairs one float age: the candidate's
+    assert len(errors) > k             # each pairs one float age: the candidate's
     assert traj.deaths > k // 2 and traj.births_life > 2 * k
     assert len(ranked) >= 2            # built, then ranked anew when the ranks ran out
-    assert worst[0] <= 1e-12
+    assert max(errors) <= 1e-12
 
 
 def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
@@ -423,7 +430,8 @@ def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the squeeze: kernel-rate candidates decided from KernelRate.envelope
+# the squeeze: kernel-rate candidates drawn against a per-size bound and
+# decided from KernelRate.bounds
 
 
 def kernel_rate(kernel="exp_decay", phi="affine", age=None, **coef):
@@ -437,31 +445,44 @@ def run_logged(model, ages, k, ctx, horizon=1.0, dt_out=0.25):
                     log_events=True), rng
 
 
+def patch_bounds(monkeypatch, edit):
+    """Replace ``KernelRate.bounds`` by ``edit(rate, n, sup, (bound, lo, hi))``."""
+    bounds = KernelRate.bounds
+    monkeypatch.setattr(KernelRate, "bounds",
+                        lambda rate, n, k, sup: edit(rate, n, sup, bounds(rate, n, k, sup)))
+
+
 @pytest.fixture
 def forced_exact(monkeypatch):
-    """:func:`run_logged` with every candidate's rates evaluated exactly, each
-    inside its envelope; returns its (trajectory, generator) and the number
-    of exact evaluations at single ages."""
-    envelope, evaluate = KernelRate.envelope, KernelRate.eval
-    evaluated = []
+    """:func:`run_logged` with every candidate's rates evaluated exactly,
+    against the same per-size bound: the phi range handed to the loop is
+    (-inf, inf), so no candidate is decided on it.  Each exact value must lie
+    between its bounds at the candidate.  Returns the run's (trajectory,
+    generator) and the (value, bound part, declared sup) of each exact
+    evaluation at a single age."""
+    bounds, evaluate = KernelRate.bounds, KernelRate.eval
+    parts, evaluated = {}, []
+
+    def unbounded(rate, n, sup, got):
+        parts[rate, n] = got[0], sup
+        return got[0], -math.inf, math.inf
 
     def checked(rate, x, mu):
         v = evaluate(rate, x, mu)
         if isinstance(x, float):
-            lo, hi = envelope(rate, x, mu.n_live, mu.k)
-            assert lo <= v <= hi
-            evaluated.append(v)
+            _, lo, hi = bounds(rate, mu.n_live, mu.k, math.inf)
+            a = rate.age.scalar(x)
+            assert min(a * lo, a * hi) <= v <= max(a * lo, a * hi)
+            evaluated.append((v, *parts[rate, mu.n_live]))
         return v
 
     def run(*args, **kw):
+        parts.clear()
         evaluated.clear()
-        monkeypatch.setattr(KernelRate, "envelope", lambda *a: (-math.inf, math.inf))
-        monkeypatch.setattr(KernelRate, "eval", checked)
-        try:
-            return run_logged(*args, **kw), len(evaluated)
-        finally:
-            monkeypatch.setattr(KernelRate, "envelope", envelope)
-            monkeypatch.setattr(KernelRate, "eval", evaluate)
+        with monkeypatch.context() as m:
+            patch_bounds(m, unbounded)
+            m.setattr(KernelRate, "eval", checked)
+            return run_logged(*args, **kw), list(evaluated)
 
     return run
 
@@ -478,21 +499,34 @@ SQUEEZED = {
     "exp_decay_age": (ConstantRate(1.0), kernel_rate(c0=0.2, cy=0.3, cz=0.5,
                                                      age=AgeProfile("exp_decay", alpha=0.5)),
                       1.0, 4.0),
+    # r(x) < 0 and phi < 0: the age factor swaps the bounds, and c lo tops the rate
+    "negative_age_factors": (kernel_rate("gaussian", c0=-0.4, cz=-0.5,
+                                         age=AgeProfile("constant", c=-1.0)),
+                             kernel_rate(c0=-0.2, cy=-0.3, cz=-0.5,
+                                         age=AgeProfile("exp_decay", c=-1.0, alpha=0.5)),
+                             2.0, 4.0),
     "birth_side": (kernel_rate("gaussian", c0=0.4, cz=0.5), ConstantRate(1.0), 2.0, 1.0),
     "both_sides": (kernel_rate("constant", c0=0.4, cy=0.5), kernel_rate(c0=0.2, cz=0.8),
                    2.0, 2.0),
 }
 
 
+def squeezed_model(name):
+    birth, death, b_sup, h_sup = SQUEEZED[name]
+    return RateModel("kernel_linear", birth, death, OffspringLaw.deterministic(1),
+                     OffspringLaw.deterministic(0), birth_sup=b_sup, death_sup=h_sup)
+
+
+SQUEEZE_AGES, SQUEEZE_CTX = np.linspace(0.0, 1.5, 80), 46
+
+
 @pytest.mark.parametrize("name", list(SQUEEZED))
 def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact, monkeypatch):
     # the same events, snapshots, counters and generator state as with every
-    # rate evaluated, and fewer exact evaluations
-    birth, death, b_sup, h_sup = SQUEEZED[name]
-    model = RateModel("kernel_linear", birth, death, OffspringLaw.deterministic(1),
-                      OffspringLaw.deterministic(0), birth_sup=b_sup, death_sup=h_sup)
-    ages, ctx = np.linspace(0.0, 1.5, 80), 46
-    exact, n_exact = forced_exact(model, ages, 80, ctx)
+    # rate evaluated against the same per-size bound, and fewer exact evaluations
+    model = squeezed_model(name)
+    exact, evaluated = forced_exact(model, SQUEEZE_AGES, 80, SQUEEZE_CTX)
+    n_exact = len(evaluated)
     evaluate, n_squeezed = KernelRate.eval, [0]
 
     def counted(rate, x, mu):
@@ -500,11 +534,35 @@ def test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact, monkeypatch):
         return evaluate(rate, x, mu)
 
     monkeypatch.setattr(KernelRate, "eval", counted)
-    run = run_logged(model, ages, 80, ctx)
+    run = run_logged(model, SQUEEZE_AGES, 80, SQUEEZE_CTX)
     assert_same_run(run, exact)
     traj = run[0]
     assert len(traj.events) > 80 and traj.deaths > 0
     assert n_exact >= traj.candidates and n_squeezed[0] < 0.6 * n_exact
+
+
+@pytest.mark.parametrize("name", list(SQUEEZED))
+def test_exact_rates_stay_under_their_per_size_bound(name, forced_exact):
+    # every exact rate of a run lies at or below its part of the bound at
+    # that live count, and each part lies below the declared sup
+    model = squeezed_model(name)
+    (traj, _), evaluated = forced_exact(model, SQUEEZE_AGES, 80, SQUEEZE_CTX)
+    v, part, sup = np.array(evaluated).T
+    assert v.size >= traj.candidates > 80
+    assert np.all(v <= part) and np.all(part < sup)
+
+
+def test_rate_above_its_per_size_bound_raises(monkeypatch):
+    # a bound part below the exact rate is a fault of the bound, caught when
+    # a candidate evaluates the rate
+    patch_bounds(monkeypatch, lambda rate, n, sup, got: (0.5 * got[0], -math.inf, math.inf))
+    with pytest.raises(ModelError, match="violates per-size bound"):
+        run_logged(squeezed_model("affine_exp_decay"), SQUEEZE_AGES, 80, SQUEEZE_CTX)
+
+
+def declared_bounds(monkeypatch):
+    """Patch every kernel rate's part of the bound back to its declared sup."""
+    patch_bounds(monkeypatch, lambda rate, n, sup, got: (sup,) + got[1:])
 
 
 def event_digest(traj) -> str:
@@ -534,13 +592,20 @@ def kernel_workload_run(k=300, replicate=0):
                     log_events=True, t_star=init.t_star)
 
 
-def test_kernel_workload_events_are_pinned():
-    # recorded before the squeeze, when every candidate's rate was evaluated
+def test_kernel_workload_events_are_pinned(monkeypatch):
+    assert event_digest(kernel_workload_run()) == (
+        "375b69bb8ba7afcf4c39212c50d91b232013cca64396733ef00cdf79c35f728f")
+    # against the declared sups, the events recorded when every candidate's
+    # rate was evaluated: the per-size bound is the only change to the draws
+    declared_bounds(monkeypatch)
     assert event_digest(kernel_workload_run()) == (
         "20825080dc1a34e9a53e68b95b258e8d1e87d4c3d430412420f98f004e163fe3")
 
 
 def test_squeeze_pairs_few_candidates(monkeypatch):
+    with monkeypatch.context() as m:
+        declared_bounds(m)
+        declared = kernel_workload_run().candidates
     kernel_pair, calls = Population.kernel_pair, [0]
 
     def counted(pop, kernel, x):
@@ -549,7 +614,8 @@ def test_squeeze_pairs_few_candidates(monkeypatch):
 
     monkeypatch.setattr(Population, "kernel_pair", counted)
     traj = kernel_workload_run()
-    assert 0 < calls[0] <= 0.2 * traj.candidates
+    assert 0 < calls[0] <= 0.2 * declared
+    assert traj.candidates <= 0.5 * declared
 
 
 def test_kernel_birth_thinning_law_on_simulate():
@@ -580,7 +646,8 @@ def test_envelope_above_the_bound_falls_back_to_exact_rates(forced_exact):
     ages = np.linspace(0.0, 1.9, 40)
     h = kernel_death_rates(ages, 40)
     model = kernel_model(death_sup=1.01 * h.max())
-    assert model.death.envelope(0.0, 40, 40)[1] > model.death_sup > h.max()
+    part, _, hi = model.death.bounds(40, 40, model.death_sup)
+    assert hi > model.death_sup == part > h.max()      # r(0) hi: the envelope's top
     exact, _ = forced_exact(model, ages, 40, 48, horizon=2.0)
     run = run_logged(model, ages, 40, 48, horizon=2.0)
     assert_same_run(run, exact)

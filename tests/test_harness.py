@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,54 @@ def test_config_rejects_bad_time_steps(tmp_path, field, value):
     # accepted until the initial condition found no grid cells
     check_rejected(tmp_path, field, value,
                    rf"{field} must be finite and positive, got {value!r}$")
+
+
+@pytest.mark.parametrize("value", [1.5, True, -1, 2 ** 64, "7"])
+def test_config_rejects_bad_seeds(tmp_path, value):
+    # 1.5 ran on seed 1's streams, and True and -1 were accepted
+    check_rejected(tmp_path, "seed", value,
+                   rf"seed must be an integer in \[0, 2\^64\), got {re.escape(repr(value))}$")
+
+
+@pytest.mark.parametrize("field", ["replicates", "n_spde_paths", "spde_block", "workers",
+                                   "population_cap"])
+@pytest.mark.parametrize("value", ["40", 40.0, False])
+def test_config_rejects_non_integer_counts(tmp_path, field, value):
+    check_rejected(tmp_path, field, value,
+                   rf"{field} must be an integer, got {re.escape(repr(value))}$")
+
+
+@pytest.mark.parametrize("field", ["horizon", "dt", "dt_out"])
+@pytest.mark.parametrize("value", ["0.004", True, None])
+def test_config_rejects_non_numeric_times(tmp_path, field, value):
+    # a numeric string failed with a bare TypeError that named no field
+    check_rejected(tmp_path, field, value,
+                   rf"{field} must be a real number, got {re.escape(repr(value))}$")
+
+
+@pytest.mark.parametrize("value", ["60", True, None])
+def test_config_rejects_non_numeric_k_values(tmp_path, value):
+    check_rejected(tmp_path, "k_values", [60, value],
+                   rf"K values must be positive integers, got {re.escape(repr(value))}$")
+
+
+@pytest.mark.parametrize("value", [60, "60", None])
+def test_config_rejects_k_values_that_are_not_a_list(tmp_path, value):
+    check_rejected(tmp_path, "k_values", value,
+                   rf"k_values must be a list of K values, got {re.escape(repr(value))}$")
+
+
+def test_config_accepts_the_seed_range_and_integer_times():
+    for seed in (0, 2 ** 64 - 1):
+        assert small_config(seed=seed, horizon=1).seed == seed
+
+
+def test_config_keeps_numpy_integers_as_python_ints(tmp_path):
+    # they pass the checks, and the manifest's JSON could not write them
+    cfg = small_config(seed=np.uint64(5), replicates=np.int64(4), k_values=[np.int64(20)])
+    assert type(cfg.seed) is type(cfg.replicates) is type(cfg.k_values[0]) is int
+    emit(run_lln(cfg, workers=1), tmp_path, cfg)
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["seed"] == 5
 
 
 def test_config_rejects_negative_times_together(tmp_path):
