@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .branching import check_pathwise_identity, pathwise_identity_catalogue, simulate
-from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, emit,
+from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, _is_int, emit,
                       replicate_stream, run_clt, run_convergence, run_lln,
                       run_qv_check)
 from .rates import OffspringLaw, RateModel, ConstantRate, DensityRate, ScalarFn
@@ -92,6 +92,8 @@ class AcceptanceSuite:
     """Runs the eight acceptance criteria under one master seed."""
 
     def __init__(self, seed: int = PREREGISTERED_SEED, workers: int = 1):
+        if not (_is_int(workers) and workers >= 1):
+            raise ValueError(f"workers must be at least 1, got {workers!r}")
         self.seed = seed
         self.workers = workers
         self._lln_wall: Optional[float] = None

@@ -20,9 +20,7 @@ swap-remove slot order of the whole run over individual ids, and a
 closed-form ledger as cumulative sums.
 
 A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
-candidate.  An ``exp_decay`` kernel is read in O(log N) from two Fenwick
-trees over birth ranks kept by :class:`Population` (see
-:class:`_ExpDecayTrees`); other kernels sum over the live set.  Most
+candidate, a sum over the live set (:meth:`Population.kernel_pair`).  Most
 candidates read none: the loop draws the accept uniform first, and when it
 falls outside the gap between the rate's bounds at the candidate (the phi
 range that N/k proves, times the age factor r(x)) inside [0, sup], those
@@ -48,7 +46,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .measures import AtomicMeasure, TestFunction
-from .rates import _EXP_FACTOR_MAX, ModelError, RateModel
+from .rates import ModelError, RateModel
 
 __all__ = [
     "CapacityError",
@@ -73,67 +71,6 @@ class CapacityError(RuntimeError):
     """The live population exceeded the configured cap."""
 
 
-class _ExpDecayTrees:
-    """Pairings with one exp_decay kernel c e^(-alpha |x - y|) at live individuals.
-
-    |x_i - x_j| = |tau_i - tau_j| for birth times tau, so a pairing does not
-    change between events.  Birth ranks 1..size are monotone in tau.  ``up``
-    is a Fenwick tree of e^(alpha (tau - ref)), read as a prefix: the
-    individuals of the same age or older.  ``down`` is one of
-    e^(-alpha (tau - ref)) over reversed ranks, read as a prefix there: the
-    younger ones.  Scaled by the queried individual's own factor, every term
-    is at most 1 and its self term is 1, and no sum is a difference of two
-    others, so a pairing keeps a relative error of about machine epsilon
-    times the ranks used since the trees were built.
-    """
-
-    def __init__(self, kernel, ref: float):
-        self.c, self.alpha, self.ref = kernel.c, kernel.alpha, ref
-
-    def build(self, taus: list[float], size: int):
-        """Trees over ranks 1..size with ``taus`` (ascending) at ranks 1..len(taus), in O(size)."""
-        a, ref, m = self.alpha, self.ref, len(taus)
-        self.size = size
-        self.up = [0.0] + [math.exp(a * (t - ref)) for t in taus] + [0.0] * (size - m)
-        self.down = [0.0] * (size + 1 - m) + [math.exp(-a * (t - ref)) for t in reversed(taus)]
-        for tree in (self.up, self.down):
-            for i in range(1, size + 1):
-                j = i + (i & -i)
-                if j <= size:
-                    tree[j] += tree[i]
-
-    def add(self, r: int, tau: float, sign: float):
-        """Add (sign 1.0) or remove (-1.0) the individual born at ``tau`` with rank ``r``."""
-        a = self.alpha * (tau - self.ref)
-        up, down, size = self.up, self.down, self.size
-        e = sign * math.exp(a)
-        i = r
-        while i <= size:
-            up[i] += e
-            i += i & -i
-        e = sign * math.exp(-a)
-        i = size + 1 - r
-        while i <= size:
-            down[i] += e
-            i += i & -i
-
-    def pair(self, r: int, tau: float) -> float:
-        """sum_j g(tau, tau_j) over the live set, for its individual of rank ``r``."""
-        up, down = self.up, self.down
-        older = 0.0
-        i = r
-        while i:
-            older += up[i]
-            i &= i - 1
-        younger = 0.0
-        i = self.size - r
-        while i:
-            younger += down[i]
-            i &= i - 1
-        a = self.alpha * (tau - self.ref)
-        return self.c * (math.exp(-a) * older + math.exp(a) * younger)
-
-
 class Population:
     """Mutable live population: birth times, counters and death log.
 
@@ -141,20 +78,9 @@ class Population:
     free.  The object doubles as the measure view handed to rate functions:
     it exposes the normalised total mass and kernel pairings of A_t / k, the
     latter only at its live individuals (:meth:`kernel_pair`).
-
-    For each exp_decay kernel in ``kernels`` it keeps an
-    :class:`_ExpDecayTrees` over birth ranks; ``rank`` moves with
-    ``birth_times`` on swap-remove.  A birth takes the next rank, and when
-    the ranks run out the live set is ranked anew (a sort, then an O(M)
-    build of 2M + 64 ranks).  The tree factors are centred on the middle of
-    the birth times the population can see up to ``t_end``, which must be
-    given with ``kernels``.  A kernel whose factors over that span would
-    leave the float range keeps no trees and is summed directly, as other
-    kernels are.
     """
 
-    def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0, *,
-                 kernels=(), t_end: Optional[float] = None):
+    def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0):
         ages = np.asarray(ages, dtype=float)
         cap = max(64, 2 * ages.size)
         self.birth_times = np.empty(cap, dtype=float)
@@ -170,27 +96,6 @@ class Population:
         self.death_times: list[float] = []
         self.focus = 0          # slot of the individual whose rates are evaluated
         self._live_pairs: dict = {}
-        self._trees: dict = {}
-        exp_decay = [g for g in kernels if g.kind == "exp_decay"]
-        if exp_decay and self.n_live:
-            lo = float(self.birth_times[: self.n_live].min())
-            hi = max(float(t_end), lo)
-            self._trees = {g: _ExpDecayTrees(g, 0.5 * (lo + hi)) for g in exp_decay
-                           if g.alpha * 0.5 * (hi - lo) <= _EXP_FACTOR_MAX}
-            if self._trees:
-                self._rank_live()
-
-    def _rank_live(self):
-        """Rank the live individuals 1..n in birth order and rebuild the trees."""
-        n = self.n_live
-        order = np.argsort(self.birth_times[:n], kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(1, n + 1)
-        self.rank = rank.tolist()
-        self._next_rank, self._rank_size = n + 1, 2 * n + 64
-        taus = self.birth_times[:n][order].tolist()
-        for trees in self._trees.values():
-            trees.build(taus, self._rank_size)
 
     # -- measure-view protocol used by rate evaluation --------------------
     @property
@@ -201,11 +106,10 @@ class Population:
         """(g(x, .), A_t) / k, only at live individuals.
 
         A float ``xs`` must be the age of the individual at slot ``focus``
-        (the thinning candidate): exp_decay kernels read their trees in
-        O(log N), other kernels sum over the live set.  An array must be
-        the live ages in slot order (the ledger's quadrature nodes); the
-        pairings do not change between events, so they are computed once
-        per live set.  Any other age raises ``ValueError``.
+        (the thinning candidate), paired by a sum over the live set.  An
+        array must be the live ages in slot order (the ledger's quadrature
+        nodes); the pairings do not change between events, so they are
+        computed once per live set.  Any other age raises ``ValueError``.
         """
         n = self.n_live
         if isinstance(xs, float):
@@ -213,9 +117,6 @@ class Population:
             tau = float(self.birth_times[i]) if i < n else math.nan
             if xs != self.t - tau:
                 raise ValueError("a population pairs a kernel only at its live individuals")
-            trees = self._trees.get(kernel)
-            if trees is not None:
-                return trees.pair(self.rank[i], tau) / self.k
             return float(kernel(xs, self.ages).sum()) / self.k
         ages = self.ages
         if np.shape(xs) != ages.shape or not np.array_equal(xs, ages):
@@ -252,27 +153,11 @@ class Population:
         self.n_live = n + count
         if self._live_pairs:
             self._live_pairs = {}
-        if self._trees:
-            r = self._next_rank
-            if r + count > self._rank_size + 1:
-                self._rank_live()        # ranks the newborns too
-                return
-            self._next_rank = r + count
-            for j in range(r, r + count):
-                self.rank.append(j)
-                for trees in self._trees.values():
-                    trees.add(j, self.t, 1.0)
 
     def remove(self, idx: int):
         n = self.n_live
         if self._live_pairs:
             self._live_pairs = {}
-        if self._trees:
-            tau = float(self.birth_times[idx])
-            for trees in self._trees.values():
-                trees.add(self.rank[idx], tau, -1.0)
-            self.rank[idx] = self.rank[n - 1]
-            self.rank.pop()
         self.birth_times[idx] = self.birth_times[n - 1]
         self.n_live = n - 1
 
@@ -512,7 +397,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
         a_star = float(a0.ages.max()) if a0.count else 0.0
         t_star = horizon + a_star
 
-    pop = Population(a0.ages, k=k, t0=0.0, kernels=model.kernels, t_end=horizon)
+    pop = Population(a0.ages, k=k)
     initial_bt = pop.birth_times[: pop.n_live].copy()
     if with_ledger and panel is None:
         raise ValueError("a ledger needs a test-function panel")

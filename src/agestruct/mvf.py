@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .measures import GridDensity, PointMasses, pair
-from .rates import _EXP_FACTOR_MAX, ConstantRate, DensityRate, ModelError, RateModel
+from .rates import ConstantRate, DensityRate, ModelError, RateModel
 
 __all__ = [
     "GridRates",
@@ -86,6 +86,11 @@ def quad_gk21(fn: Callable, a: float, b: float, *, epsabs: float, epsrel: float)
         done_err += float(err[~split].sum())
         mid = 0.5 * (lo[split] + hi[split])
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+
+
+# Largest |alpha (y - ref)| of an exp_decay factor in the grid's prefix sums: e^600 times
+# any grid row stays far inside the float range, and e^-600 is normal.
+_EXP_FACTOR_MAX = 600.0
 
 
 class GridRates:

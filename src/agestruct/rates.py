@@ -197,11 +197,6 @@ class AgeProfile:
         return self.c * math.exp(-((x - self.center) ** 2) / (2.0 * self.sigma ** 2))
 
 
-# Largest |alpha (y - ref)| of an exp_decay factor in the simulator's trees or the grid's
-# prefix sums: e^600 times any population stays far inside the float range, and e^-600 is normal.
-_EXP_FACTOR_MAX = 600.0
-
-
 @dataclass(frozen=True)
 class Kernel:
     """Interaction kernel g(x, y) on [0, T*]^2, a function of x - y."""
@@ -213,7 +208,7 @@ class Kernel:
 
     def __post_init__(self):
         _check_fields(self, ("constant", "exp_decay", "gaussian"))
-        # the simulator finds trees by kernel per candidate: hash once, floats only (pickle-safe)
+        # kernels key the live-set and grid pairing caches: hash once, floats only (pickle-safe)
         object.__setattr__(self, "_hash", hash((self.c, self.alpha, self.sigma)))
 
     def __hash__(self):
@@ -354,7 +349,8 @@ class KernelRate:
         z = (g(x, .), A) / k lies between c / k and c * y for y = n / k (a
         constant kernel: z = c * y), and phi, affine in z, lies in [lo, hi]:
         widened by ``_ENVELOPE_MARGIN`` times the size of phi's terms, far
-        above the rounding of the exact rate (about eps per tree rank used).
+        above the rounding of the exact rate (the live-set sum is pairwise:
+        a relative error of about eps log2 n).
         The rate at age x lies between r(x) lo and r(x) hi; r lies between 0
         and the age profile's c at x >= 0, so the rate is at most ``bound``,
         max(0, c lo, c hi) capped at ``sup``.

@@ -80,6 +80,18 @@ def test_cli_validate_has_no_out_flag(monkeypatch, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_validate_rejects_a_worker_count_below_one(workers, monkeypatch):
+    import agestruct.acceptance as acceptance
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "run_lln", must_not_run)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        main(["validate", "--workers", workers])
+
+
 DROPPED_FLAGS = [(cmd, "--workers") for cmd in ("limit", "fluctuate", "converge")] \
     + [(cmd, "--emit-events")
        for cmd in ("limit", "fluctuate", "qv", "lln", "clt", "converge")] \
