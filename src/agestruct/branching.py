@@ -72,12 +72,12 @@ class CapacityError(RuntimeError):
 
 
 class Population:
-    """Mutable live population: birth times, counters and death log.
+    """Mutable live population: birth times and counters.
 
     Ages are implicit (age = t - birth_time) so that aging between events is
     free.  The object doubles as the measure view handed to rate functions:
     it exposes the normalised total mass and kernel pairings of A_t / k, the
-    latter only at its live individuals (:meth:`kernel_pair`).
+    latter at one age or at every live individual (:meth:`kernel_pair`).
     """
 
     def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0):
@@ -92,9 +92,6 @@ class Population:
         self.births_life = 0
         self.births_split = 0
         self.deaths = 0
-        self.death_ages: list[float] = []
-        self.death_times: list[float] = []
-        self.focus = 0          # slot of the individual whose rates are evaluated
         self._live_pairs: dict = {}
 
     # -- measure-view protocol used by rate evaluation --------------------
@@ -103,20 +100,15 @@ class Population:
         return self.n_live / self.k
 
     def kernel_pair(self, kernel, xs):
-        """(g(x, .), A_t) / k, only at live individuals.
+        """(g(x, .), A_t) / k at one age, or at every live individual.
 
-        A float ``xs`` must be the age of the individual at slot ``focus``
-        (the thinning candidate), paired by a sum over the live set.  An
-        array must be the live ages in slot order (the ledger's quadrature
-        nodes); the pairings do not change between events, so they are
-        computed once per live set.  Any other age raises ``ValueError``.
+        A float ``xs`` (the thinning candidate's age) is paired by a sum over
+        the live set.  An array must be the live ages in slot order (the
+        ledger's quadrature nodes); the pairings do not change between
+        events, so they are computed once per live set.  Any other array
+        raises ``ValueError``.
         """
-        n = self.n_live
         if isinstance(xs, float):
-            i = self.focus
-            tau = float(self.birth_times[i]) if i < n else math.nan
-            if xs != self.t - tau:
-                raise ValueError("a population pairs a kernel only at its live individuals")
             return float(kernel(xs, self.ages).sum()) / self.k
         ages = self.ages
         if np.shape(xs) != ages.shape or not np.array_equal(xs, ages):
@@ -331,8 +323,6 @@ class Trajectory:
     births_split: int
     deaths: int
     candidates: int
-    death_ages: np.ndarray
-    death_times: np.ndarray
     initial_birth_times: np.ndarray
     ledger: Optional[MartingaleLedger] = None
     events: Optional[EventLog] = None
@@ -424,8 +414,6 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
         births_split=pop.births_split,
         deaths=pop.deaths,
         candidates=candidates,
-        death_ages=np.array(pop.death_ages),
-        death_times=np.array(pop.death_times),
         initial_birth_times=initial_bt,
         ledger=ledger,
         events=log,
@@ -519,7 +507,6 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         pop.t = t
         candidates += 1
         idx = int(next_u() * n)
-        pop.focus = idx
         tau = pop.birth_times[idx]
         age = t - tau
         r = next_u() * bound     # before the rates: evaluating one draws nothing
@@ -565,8 +552,6 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
             if ledger is not None:
                 ledger.death(pop, age, brood)
             pop.deaths += 1
-            pop.death_ages.append(age)
-            pop.death_times.append(t)
             pop.remove(idx)
             pop.births_split += brood
             pop.add_newborns(brood)
@@ -711,7 +696,6 @@ def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
     pop.deaths = int(dies.sum())
     pop.births_life = life * (n_events - pop.deaths)
     pop.births_split = split * pop.deaths
-    pop.death_ages, pop.death_times = ages[dies], t_ev[dies]
     if log is not None:
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()

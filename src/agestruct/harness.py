@@ -852,9 +852,9 @@ def run_convergence(config: ExperimentConfig) -> Report:
     pos = 0
     while pos < n_draw:
         m = min(5000, n_draw - pos)
-        deaths = rng.standard_normal((m, frame.n_cells)) * chan.sigma_cells
+        deaths = rng.standard_normal((m, frame.n_cells)) * np.sqrt(chan.var_cells)
         births = chan.split_mean * deaths.sum(axis=1) \
-            + chan.sigma_boundary * rng.standard_normal(m)
+            + math.sqrt(chan.var_boundary) * rng.standard_normal(m)
         for fi in range(n_check):
             functionals[pos:pos + m, fi] = fvals[fi][0] * births - deaths @ fvals[fi]
         pos += m

@@ -20,11 +20,11 @@ fluctuation-limit solver.
 Rates read the measure through a view with ``mass`` and
 ``kernel_pair(kernel, xs)``: the event simulator's
 :class:`~agestruct.branching.Population`, or the grid layers'
-:meth:`agestruct.mvf.GridRates.at` (one frame or a stack of frames).  Each
-view pairs a kernel only at its own ages and raises ``ValueError`` at any
-other: the population at its live individuals (one float age, the thinning
-candidate's, or the array of all live ages), the grid view at its cell
-centers or edges.  A rate evaluated at one float age builds no array.
+:meth:`agestruct.mvf.GridRates.at` (one frame or a stack of frames).  The
+population pairs at one float age (a sum over the live set) or at the array
+of all live ages, the grid view at its cell centers or edges; each raises
+``ValueError`` at any other ages.  A rate evaluated at one float age builds
+no array.
 """
 
 from __future__ import annotations

@@ -20,11 +20,11 @@ characteristics grid as the limit solver:
 
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the grid martingale has the limit's
-  quadratic variation by construction.  The law sampler builds the noise
-  scales of a chunk of background frames at a time, as :func:`noise_channel`
-  does for its frame, from rates read through the same
-  :class:`agestruct.mvf.GridRates` view, so both build bit-identical scales
-  with one helper.
+  quadratic variation by construction.  One helper builds a step's noise
+  variances from its rates and background (:func:`_noise_var`) and one
+  pairs them with test-function rows (:func:`_noise_cov`):
+  :func:`noise_channel` uses both for one frame, and the law sweep for the
+  active cells of every step.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
@@ -74,50 +74,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseChannel:
-    """Per-step noise scales derived from one background frame.
+    """Per-step noise variances derived from one background frame.
 
-    ``sigma_cells[j]`` is the standard deviation of the death increment in
-    cell j; the boundary birth increment is ``split_mean * sum(deaths) +
-    residual`` with residual standard deviation ``sigma_boundary``.
+    ``var_cells[j]`` is the variance of the death increment in cell j; the
+    boundary birth increment is ``split_mean * sum(deaths) + residual`` with
+    residual variance ``var_boundary``.
     """
 
     dx: float
     dt: float
-    sigma_cells: np.ndarray
+    var_cells: np.ndarray
     split_mean: float
-    sigma_boundary: float
+    var_boundary: float
 
     def functional_covariance(self, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
         """Cov of the per-step noise paired with f and with g (exact)."""
-        f0 = f_vals[0]
-        g0 = g_vals[0]
-        s2 = self.sigma_cells ** 2
-        cross = float(np.sum((f0 * self.split_mean - f_vals)
-                             * (g0 * self.split_mean - g_vals) * s2))
-        return cross + f0 * g0 * self.sigma_boundary ** 2
+        return float(_noise_cov(f_vals[None], g_vals[None], self.var_cells,
+                                self.var_boundary, self.split_mean)[0, 0])
 
 
-def _noise_scales(model: RateModel, b, h, a, dx: float, dt: float):
-    """Death-increment and boundary-residual standard deviations.
+def _noise_var(model: RateModel, b, h, a, dx: float, dt: float):
+    """Death-increment variances per cell and the boundary-residual variance.
 
     ``b``, ``h`` and ``a`` are the birth and death rates and the background
-    density at the cell centers of one frame, or of a stack of frames (one
-    row each, the same bits per row).
+    density at the cell centers of one frame (or of its first cells).
     """
     sm, s2 = model.split_law.mean, model.split_law.second_moment
-    sigma_cells = np.sqrt(np.maximum(h * a, 0.0) * dx * dt)
     resid = b * model.life_law.second_moment + h * (s2 - sm * sm)
-    sigma_boundary = np.sqrt(np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt)
-    return sigma_cells, sigma_boundary
+    return (np.maximum(h * a, 0.0) * dx * dt,
+            max(float(np.sum(resid * a)) * dx, 0.0) * dt)
+
+
+def _noise_cov(f, g, var_cells, var_boundary: float, split_mean: float) -> np.ndarray:
+    """Covariance of the step noise paired with each row of ``f`` and of ``g``.
+
+    The rows hold test-function values on the cells of ``var_cells``, the
+    first at age zero; the result is (rows of f, rows of g).
+    """
+    vf = split_mean * f[:, :1] - f
+    vg = vf if g is f else split_mean * g[:, :1] - g
+    return (vf * var_cells) @ vg.T + var_boundary * np.outer(f[:, 0], g[:, 0])
 
 
 def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
-    """Build the two-channel noise scales for one background frame."""
+    """Build the two-channel noise variances for one background frame."""
     b, h = GridRates(model, frame.dx, frame.n_cells).birth_death(frame.values)
-    sigma_cells, sigma_boundary = _noise_scales(model, b, h, frame.values, frame.dx, dt)
-    return NoiseChannel(dx=frame.dx, dt=dt, sigma_cells=sigma_cells,
-                        split_mean=model.split_law.mean,
-                        sigma_boundary=float(sigma_boundary))
+    var_cells, var_boundary = _noise_var(model, b, h, frame.values, frame.dx, dt)
+    return NoiseChannel(dx=frame.dx, dt=dt, var_cells=var_cells,
+                        split_mean=model.split_law.mean, var_boundary=var_boundary)
 
 
 def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,
@@ -150,10 +154,6 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 # drift coefficients (precomputed per background)
 
 
-# Rows of noise scales built at once (1 MB at J = 2000).
-_NOISE_ROWS = 64
-
-
 class _Coeffs:
     """Per-step arrays driving the drift and noise of the grid engine.
 
@@ -163,9 +163,8 @@ class _Coeffs:
     every Frechet term vanishes.  ``kernels`` holds one entry per distinct
     interaction kernel: the kernel, paired through ``grid`` (the background's
     :class:`~agestruct.mvf.GridRates`), and the per-step row weights of its
-    death and newborn Frechet terms.  The noise scales of a step are
-    built from its rows when asked (:meth:`noise`), a chunk at a time, not
-    stacked.
+    death and newborn Frechet terms.  ``b``/``h`` are the birth and death
+    rate rows the law sweep builds each step's noise variances from.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
@@ -201,20 +200,7 @@ class _Coeffs:
                         for kern, (wh, wn) in weights.items()]
 
         self.split_mean = sm
-        self.model = model
         self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
-        self._noise_k0 = None       # the first row of the noise scales kept by noise
-
-    def noise(self, k: int):
-        """(sigma_cells, sigma_boundary) of step k, from the ``_NOISE_ROWS``
-        rows around it built at once: the same bits as row k alone."""
-        k0 = k - k % _NOISE_ROWS
-        if k0 != self._noise_k0:
-            rows = slice(k0, min(k0 + _NOISE_ROWS, self.b.shape[0]))
-            self._noise_k0 = k0
-            self._noise = _noise_scales(self.model, self.b[rows], self.h[rows],
-                                        self.bg.values[rows], self.bg.dx, self.bg.dt)
-        return self._noise[0][k - k0], self._noise[1][k - k0]
 
 
 def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:
@@ -321,6 +307,7 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     (a zero row, for a record before step k, adds nothing).
     """
     co = _coeffs(model, background)
+    dx = background.dx
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
@@ -328,13 +315,13 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     cov = np.zeros((g.shape[0], g.shape[0]))
     for k in range(rec_idx.max() - 1, -1, -1):
         w0, w1 = _width(co, k), _width(co, k + 1)
-        sigma_cells, sigma_boundary = co.noise(k)
-        v = co.split_mean * g[:, :1] - g[:, :w0]
-        cov += (v * sigma_cells[:w0] ** 2) @ v.T
-        cov += sigma_boundary ** 2 * np.outer(g[:, 0], g[:, 0])
+        var_cells, var_boundary = _noise_var(model, co.b[k, :w0], co.h[k, :w0],
+                                             background.values[k, :w0], dx, background.dt)
+        gw = g[:, :w0]
+        cov += _noise_cov(gw, gw, var_cells, var_boundary, co.split_mean)
         g = _adjoint_step(g, k, co, w0, w1)
         g[rec_idx == k] = fvals[rec_idx == k]
-    return background.dx * (g @ np.asarray(z0, dtype=float)), cov
+    return dx * (g @ np.asarray(z0, dtype=float)), cov
 
 
 def simulate_fluctuation_paths(

@@ -51,8 +51,8 @@ def first_death_times(ages, ctx, n=20000, horizon=40.0):
     times = np.empty(n)
     for i in range(n):
         traj = simulate(PURE_DEATH, a0, k=1, horizon=horizon, dt_out=horizon,
-                        rng=stream(i, ctx=ctx), t_star=a0.t_star)
-        times[i] = traj.death_times[0]
+                        rng=stream(i, ctx=ctx), log_events=True, t_star=a0.t_star)
+        times[i] = traj.events.t[0]
     return times
 
 
@@ -521,7 +521,8 @@ def event_digest(traj) -> str:
     h = hashlib.sha256()
     for column in (traj.events.t, traj.events.kind, traj.events.tau, traj.events.brood):
         h.update(np.asarray(column).tobytes())
-    h.update(traj.death_ages.tobytes())
+    dies = np.asarray(traj.events.kind) == KIND_DEATH
+    h.update((np.asarray(traj.events.t)[dies] - np.asarray(traj.events.tau)[dies]).tobytes())
     h.update(str(traj.candidates).encode())
     for snap in traj.snapshots:
         h.update(snap.ages.tobytes())
@@ -730,15 +731,13 @@ def philox_state(rng):
 
 
 def assert_same_run(a, b):
-    """Identical snapshots, counters, death log, event log and generator state."""
+    """Identical snapshots, counters, event log and generator state."""
     (ta, ra), (tb, rb) = a, b
     assert philox_state(ra) == philox_state(rb)
     assert bits(ta.times) == bits(tb.times)
     assert [bits(s.ages) for s in ta.snapshots] == [bits(s.ages) for s in tb.snapshots]
     counters = ("births_life", "births_split", "deaths", "candidates")
     assert [getattr(ta, c) for c in counters] == [getattr(tb, c) for c in counters]
-    assert bits(ta.death_ages) == bits(tb.death_ages)
-    assert bits(ta.death_times) == bits(tb.death_times)
     if ta.events is not None:
         ea, eb = ta.events, tb.events
         assert (bits(ea.t), ea.kind, bits(ea.tau), ea.brood) == \
@@ -861,7 +860,7 @@ def test_block_path_extinction_inside_a_chunk(paths):
     assert_same_run(block, loop)
     traj = block[0]
     assert traj.deaths == traj.candidates == 300
-    after = [s.count for s, t in zip(traj.snapshots, traj.times) if t > traj.death_times[-1]]
+    after = [s.count for s, t in zip(traj.snapshots, traj.times) if t > traj.events.t[-1]]
     assert after and not any(after)
 
 

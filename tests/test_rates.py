@@ -244,7 +244,6 @@ def test_limit_rate_depends_only_on_pairings():
     on_grid_value = kern.eval(x, g)
     assert on_grid_value == pytest.approx(np.full(2, on_grid_value[0]), rel=1e-14)
     assert kern.eval(m.ages, m) == pytest.approx(np.full(3, on_grid_value[0]), rel=1e-14)
-    m.focus = 1                         # the individual aged 0.9
     assert kern.eval(0.9, m) == pytest.approx(on_grid_value[0], rel=1e-14)
 
 

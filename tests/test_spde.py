@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from agestruct import spde
 from agestruct.harness import replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial)
@@ -12,8 +13,8 @@ from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
                              classical_model, pure_splitting)
-from agestruct.spde import (_NOISE_ROWS, _Coeffs, _engine_step, _noise_scales, _width,
-                            classical_exp_mean, classical_qv_mass, covariation_integral_frames,
+from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
+                            classical_qv_mass, covariation_integral_frames,
                             density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
                             fluctuation_law, ito_isometry_variance, noise_channel,
                             remark_covariance_grid, simulate_fluctuation_paths)
@@ -77,14 +78,14 @@ def test_zero_rates_zero_noise_field_stays_zero():
     assert np.all(samples == 0.0)
 
 
-@pytest.mark.parametrize("model", [SPLIT, MIXED])
+@pytest.mark.parametrize("model", LAW_MODELS, ids=LAW_IDS)
 def test_noise_covariance_identity(model):
     bg = background(model, dx=4e-3)
     panel = make_panel(t_star=2.0)
     for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 1):
         frame = bg.frame(idx)
         chan = noise_channel(model, frame, bg.dt)
-        assert chan.sigma_boundary >= 0.0
+        assert chan.var_boundary >= 0.0
         fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
         for i in range(len(panel)):
             for j in range(i, len(panel)):
@@ -94,30 +95,31 @@ def test_noise_covariance_identity(model):
 
 
 @pytest.mark.parametrize("model", [SPLIT, MIXED, KERNEL])
-def test_noise_channel_is_what_the_engine_steps_with(model):
+def test_noise_channel_is_what_the_engine_steps_with(model, monkeypatch):
+    # the law sweep's step variances, recorded as it builds them (steps run
+    # backward), are noise_channel's on the active cells and zero beyond
     bg = background(model, dx=0.02)
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    steps, build = [], spde._noise_var
+
+    def recording(*args):
+        steps.append(build(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(spde, "_noise_var", recording)
+    fluctuation_law(model, bg, z0, [constant(1.0)], [1.0])
+    n = bg.values.shape[0] - 1
+    assert len(steps) == n
     co = _Coeffs(model, bg)
-    for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 2):
-        sigma_cells, sigma_boundary = co.noise(idx)
-        chan = noise_channel(model, bg.frame(idx), bg.dt)
-        assert np.array_equal(chan.sigma_cells, sigma_cells)
-        assert chan.sigma_boundary == sigma_boundary
+    for k in (0, n // 2, n - 1):
+        var_cells, var_boundary = steps[n - 1 - k]
+        w0 = _width(co, k)
+        chan = noise_channel(model, bg.frame(k), bg.dt)
+        assert var_cells.size == w0
+        assert chan.var_cells[:w0].tobytes() == var_cells.tobytes()
+        assert not np.any(chan.var_cells[w0:])
+        assert abs(chan.var_boundary - var_boundary) <= 1e-14 * chan.var_boundary
         assert chan.split_mean == co.split_mean
-
-
-@pytest.mark.parametrize("model", [MIXED, KERNEL], ids=["classical", "kernel"])
-def test_chunked_noise_scales_match_the_row_build(model):
-    # every step, in the law sweep's order and then forward, has the bits of
-    # its own row built alone
-    bg = background(model)
-    co = _Coeffs(model, bg)
-    n = co.b.shape[0]
-    assert n > 2 * _NOISE_ROWS and n % _NOISE_ROWS
-    for k in [*range(n - 1, -1, -1), *range(n)]:
-        sigma_cells, sigma_boundary = co.noise(k)
-        cells, boundary = _noise_scales(model, co.b[k], co.h[k], bg.values[k], bg.dx, bg.dt)
-        assert sigma_cells.tobytes() == cells.tobytes()
-        assert np.float64(sigma_boundary).tobytes() == np.float64(boundary).tobytes()
 
 
 def test_noise_empirical_covariance():
@@ -128,9 +130,9 @@ def test_noise_empirical_covariance():
     n = 30000
     f = np.asarray(exponential(-1.0)(frame.centers))
     g = np.asarray(constant(1.0)(frame.centers))
-    deaths = rng.standard_normal((n, frame.n_cells)) * chan.sigma_cells
+    deaths = rng.standard_normal((n, frame.n_cells)) * np.sqrt(chan.var_cells)
     births = chan.split_mean * deaths.sum(axis=1) \
-        + chan.sigma_boundary * rng.standard_normal(n)
+        + math.sqrt(chan.var_boundary) * rng.standard_normal(n)
     nf = f[0] * births - deaths @ f
     ng = g[0] * births - deaths @ g
     cov = float(np.cov(nf, ng, ddof=1)[0, 1])
@@ -191,11 +193,12 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
         a = np.eye(n)
         _engine_step(a, k, co, w0, w1)
         a = a.T
-        sigma_cells, sigma_boundary = co.noise(k)
+        chan = noise_channel(model, bg.frame(k), bg.dt)
+        sd = np.sqrt(chan.var_cells[:w0])
         noise = np.zeros((n, w0 + 1))            # eta = noise @ standard normals
-        noise[np.arange(w0), np.arange(w0)] = -sigma_cells[:w0] / bg.dx
-        noise[0, :w0] += co.split_mean * sigma_cells[:w0] / bg.dx
-        noise[0, w0] = sigma_boundary / bg.dx
+        noise[np.arange(w0), np.arange(w0)] = -sd / bg.dx
+        noise[0, :w0] += chan.split_mean * sd / bg.dx
+        noise[0, w0] = math.sqrt(chan.var_boundary) / bg.dx
         sig = a @ sig @ a.T + noise @ noise.T
         since = {r: a @ x for r, x in since.items()}
 
