@@ -2,22 +2,19 @@
 
 Individuals age at unit rate; an individual of age x gives birth at the
 model's per-capita birth rate and dies at its death rate, both of which may
-depend on the whole (normalised) population measure.  Event times are drawn
-by thinning against the bound N * (b + h) while N individuals live: b and h
-are the declared birth_sup and death_sup, or the lower bound that N alone
-proves for a kernel rate (:meth:`~agestruct.rates.KernelRate.bounds`).
-This is exact for state-dependent intensities: rejected candidates still
-advance time, so ages drift and rates are re-evaluated at each candidate
-epoch, and the bound is re-chosen whenever N changes.
+depend on the whole (normalised) population measure.
 
-Two paths run this thinning and read the same words of the generator to
-the same bits.  The per-candidate loop serves every model.  A state-free run
-(constant rates, no K perturbation, deterministic broods, no ledger or a
-closed-form one) decides each candidate from its accept uniform alone; when
-it expects at least ``_BLOCK_MIN_CANDIDATES`` candidates it is resolved by
-array arithmetic instead: the candidates a chunk at a time, then the
-swap-remove slot order of the whole run over individual ids, and a
-closed-form ledger as cumulative sums.
+With constant rates and no K perturbation each life is independent of the
+others given the time it enters the run (a Crump-Mode-Jagers process), so
+such a run, with no ledger or a closed-form one, is drawn a generation at a
+time with no thinning (:func:`_simulate_lives`).  Every other run takes the
+per-candidate loop, which draws event times by thinning against the bound
+N * (b + h) while N individuals live: b and h are the declared birth_sup
+and death_sup, or the lower bound that N alone proves for a kernel rate
+(:meth:`~agestruct.rates.KernelRate.bounds`).  This is exact for
+state-dependent intensities: rejected candidates still advance time, so
+ages drift and rates are re-evaluated at each candidate epoch, and the
+bound is re-chosen whenever N changes.
 
 A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
 candidate, a sum over the live set (:meth:`Population.kernel_pair`).  Most
@@ -170,8 +167,10 @@ class MartingaleLedger:
     ``closed_form`` (constant rates, no K perturbation, no bump in the panel):
     g depends on the age alone, with antiderivative G, so ``_acc`` holds -G
     at the initial ages plus G at each death age (newborns enter at age 0,
-    where G = 0) and a record adds G over the live ages.  Otherwise ``_acc``
-    is the Gauss-Legendre integral of g up to the last event.
+    where G = 0) and a record adds G over the live ages.  Such a run is drawn
+    by lifelines, which hand over each output interval's events at once
+    (:meth:`settle`).  Otherwise ``_acc`` is the Gauss-Legendre integral of
+    g up to the last event, and the loop reports each event.
     """
 
     def __init__(self, panel: Sequence[TestFunction], model: RateModel, pop: Population):
@@ -192,11 +191,10 @@ class MartingaleLedger:
             self._h = model.death.value
             newborn = model.birth.value * model.life_law.mean + self._h * model.split_law.mean
             self._g0 = [f0 * newborn for f0 in self.f0]
-            self._acc = [-g for g in self._live(pop)]
+            self._acc = [-g for g in self._g_sum(pop.ages)]
 
-    def _live(self, pop: Population) -> list[float]:
-        """G summed over the live ages, per panel function (closed form)."""
-        ages = pop.ages
+    def _g_sum(self, ages: np.ndarray) -> list[float]:
+        """G summed over ``ages``, per panel function (closed form)."""
         return [g0 * float(ages.sum()) - self._h * float(np.sum(f.antiderivative(ages)))
                 for g0, f in zip(self._g0, self.panel)]
 
@@ -230,7 +228,8 @@ class MartingaleLedger:
     def record(self, pop: Population):
         """Keep M and the compensator at the population's current time."""
         self._accumulate(pop)
-        comp = np.add(self._acc, self._live(pop)) if self.closed_form else np.array(self._acc)
+        comp = (np.add(self._acc, self._g_sum(pop.ages)) if self.closed_form
+                else np.array(self._acc))
         self.times.append(pop.t)
         self.m_path.append(np.array(self.jump) - comp)
         self.comp_path.append(comp)
@@ -246,27 +245,13 @@ class MartingaleLedger:
         age = float(age)
         for i, f in enumerate(self.panel):
             self.jump[i] = self.jump[i] - f.scalar(age) + brood * self.f0[i]
-            if self.closed_form:
-                self._acc[i] += self._g0[i] * age - self._h * f.antiderivative(age, math)
 
-    def replay(self, dies: np.ndarray, ages: np.ndarray, life: int, split: int):
-        """Closed form: events in order, deaths where ``dies`` (of the individual
-        aged ``ages``, leaving ``split``) and births of ``life`` elsewhere.
-
-        The same bits as one :meth:`death` or :meth:`birth` per event: the
-        jump terms (-f(age) then split * f(0) for a death, life * f(0) for a
-        birth) and the compensator terms g0 * age - h * F(age) are summed in
-        event order by ``np.cumsum``, which is sequential.
-        """
-        d = np.flatnonzero(dies)
-        at = (np.arange(dies.size) + np.cumsum(dies) - dies)[d]   # each death's first term
-        ages = ages[d].tolist()
+    def settle(self, newborns: int, death_ages: np.ndarray):
+        """Closed form: ``newborns`` born and the individuals aged ``death_ages``
+        dead since the last record."""
         for i, f in enumerate(self.panel):
-            terms = np.full(dies.size + d.size, life * self.f0[i])
-            terms[at], terms[at + 1] = [-f.scalar(a) for a in ages], split * self.f0[i]
-            comp = [self._g0[i] * a - self._h * f.antiderivative(a, math) for a in ages]
-            self.jump[i] = float(np.cumsum(np.append(self.jump[i], terms))[-1])
-            self._acc[i] = float(np.cumsum(np.append(self._acc[i], comp))[-1])
+            self.jump[i] += newborns * self.f0[i] - float(np.sum(f(death_ages)))
+        self._acc = np.add(self._acc, self._g_sum(death_ages)).tolist()
 
     def martingales(self) -> np.ndarray:
         """Path values M^f at the recorded times, shape (n_times, panel)."""
@@ -311,7 +296,8 @@ class Trajectory:
     """Result of one simulation run: snapshots, counters and bookkeeping.
 
     ``candidates`` counts the thinning candidates before the horizon,
-    accepted or rejected.
+    accepted or rejected.  A run drawn by lifelines rejects none, so there
+    it counts the events before the horizon.
     """
 
     k: int
@@ -338,14 +324,8 @@ class Trajectory:
         )
 
 
-# Uniforms per draw from the replicate's generator (both paths).
+# Uniforms per draw from the replicate's generator on the loop.
 _UBLOCK = 8192
-# Expected candidates n0 * (birth_sup + death_sup) * horizon from which a
-# state-free run is resolved in blocks.  The block path's array passes cost
-# a fixed ~0.3 ms per run; measured against the loop (median of 5 alternating
-# batches on a 2-core VM), it wins from ~50 expected candidates for pure
-# splitting, ~150 for births and deaths and ~220 for pure death.
-_BLOCK_MIN_CANDIDATES = 256
 
 
 def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
@@ -362,15 +342,12 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     multiple of ``dt_out``; identical (rng stream, arguments) give identical
     event sequences.
 
-    Every candidate reads three uniforms (time, slot, accept) from blocks of
-    8192 drawn from ``rng`` as needed.  A *state-free* run is resolved in
-    blocks by array arithmetic (:func:`_simulate_blocks`) when its expected
-    candidate count ``n0 * (birth_sup + death_sup) * horizon`` is at least
-    ``_BLOCK_MIN_CANDIDATES``; any other run takes the per-candidate loop.
-    State-free means constant rates, no K perturbation, deterministic broods
-    and no ledger or a closed-form one, so a candidate's fate depends on its
-    uniform alone.  Both paths read the same words from ``rng`` and return
-    the same bits.  On the loop, when each rate is constant or
+    The model and the ledger alone pick the path.  A run with constant
+    rates, no K perturbation and no ledger or a closed-form one is drawn a
+    life at a time, a generation at a time (:func:`_simulate_lives`).  Any
+    other run takes the per-candidate loop, where every candidate reads
+    three uniforms (time, slot, accept) from blocks of 8192 drawn from
+    ``rng`` as needed.  On the loop, when each rate is constant or
     ``kernel_linear`` (with no K perturbation), the bound is re-chosen for
     each live count N (a kernel rate's part can lie well below its sup), and
     a candidate is decided from the rates' bounds at it when they fix its
@@ -394,13 +371,9 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     ledger = MartingaleLedger(panel, model, pop) if with_ledger else None
     log = EventLog() if log_events else None
 
-    state_free = (model.birth.is_constant and model.death.is_constant
-                  and model.k_perturbation is None
-                  and model.life_law.kind == model.split_law.kind == "deterministic"
-                  and (ledger is None or ledger.closed_form))
-    expected = pop.n_live * (model.birth_sup + model.death_sup) * horizon
-    run = (_simulate_blocks if state_free and expected >= _BLOCK_MIN_CANDIDATES
-           else _simulate_loop)
+    lives = (model.birth.is_constant and model.death.is_constant
+             and model.k_perturbation is None and (ledger is None or ledger.closed_form))
+    run = _simulate_lives if lives else _simulate_loop
     snapshots, candidates = run(pop, model, horizon, out_times, t_star, rng,
                                 ledger, log, population_cap)
 
@@ -565,153 +538,81 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
     return snapshots, candidates
 
 
-def _block_candidates(rng, model: RateModel, n: int, horizon: float, population_cap: int):
-    """Stage 1 of the block path: the accepted events, a chunk of candidates at a time.
+def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
+                    population_cap):
+    """Constant rates: every life drawn on its own, a generation at a time.
 
-    A candidate's accept uniform alone decides its kind, so the live count
-    before each candidate is a cumulative sum; times are the sequential sum
-    of ``t, -x_0, -x_1, ...`` with ``x = log1p(-u) / (n * bound)`` from
-    ``math.log1p`` (numpy's differs in the last bit), as in the loop.  A
-    chunk holds the candidates expected before the horizon (capped by the
-    uniforms at hand), plus the time of the next one; a new block is drawn
-    only once that time falls before the horizon.  Returns the accepted
-    events' times, death flags, live counts before them and slots, and the
-    number of candidates before the horizon.
+    A life entering the run at time e (0 for an initial atom, its birth time
+    for a newborn) lasts an Exp(h) residual time and gives birth at a
+    Poisson number, of mean b times its span before the horizon, of uniform
+    times over that span; given e it is independent of every other life.
+    Each birth event, and each death before the horizon, leaves a brood
+    drawn from its law, and one generation's broods are the next.  A
+    snapshot keeps the lives with born <= t < died.  Returns (snapshots,
+    candidates): no candidate is rejected, so every event is one.
     """
-    b, h, life, split = model.birth.value, model.death.value, model.life_law.k, model.split_law.k
-    bound = model.birth_sup + model.death_sup
-    bh = b + h
-    growth = b * life + h * (split - 1)       # of the mean population
-    log1p = math.log1p
-    buf, ptr, t = rng.random(_UBLOCK), 0, 0.0
-    parts, candidates = [], 0
-    while n > 0:
-        if buf.size - ptr < 3:
-            buf, ptr = np.concatenate((buf[ptr:], rng.random(_UBLOCK))), 0
-        avail = buf.size - ptr
-        span = horizon - t
-        gs = min(growth * span, 30.0)
-        expected = n * bound * span * (math.expm1(gs) / gs if gs else 1.0)
-        m = min(avail // 3, int(1.25 * expected) + 16)
-        u = buf[ptr:ptr + min(avail, 3 * m + 1)]
-        r = u[2::3] * bound
-        born = r < b
-        dies = ~born & (r < bh)
-        step = np.where(born, life, np.where(dies, split - 1, 0))
-        n_at = np.concatenate(([n], n + np.cumsum(step)))
-        ut = u[::3]
-        zero = np.flatnonzero(n_at[: ut.size] == 0)
-        ext = int(zero[0]) if zero.size else ut.size
-        x = np.fromiter(map(log1p, (-ut[:ext]).tolist()), float, ext) / (n_at[:ext] * bound)
-        times = np.cumsum(np.concatenate(([t], -x)))[1:]
-        end = int(np.searchsorted(times, horizon))   # first candidate at or past it
-        stop = min(end, m)
-        over = np.flatnonzero(n_at[1 : stop + 1] > population_cap)
-        if over.size:
-            i = int(over[0])
-            raise CapacityError(f"population {n_at[i + 1]} exceeded cap {population_cap} "
-                                f"at t={float(times[i]):.6g}")
-        acc = np.flatnonzero((born | dies)[:stop])
-        parts.append((times[acc], dies[acc], n_at[acc],
-                      (u[1::3][acc] * n_at[acc]).astype(np.int64)))
-        candidates += stop
-        if end < ut.size:         # the horizon, or extinction before it
+    b, h = model.birth.value, model.death.value
+    born = pop.birth_times[: pop.n_live]
+    entry = np.zeros(born.size)
+    lives, events, drawn = [], [], 0
+    while True:
+        n = born.size
+        died = entry + rng.standard_exponential(n) / h if h > 0.0 else np.full(n, math.inf)
+        died[died >= horizon] = math.inf
+        span = np.minimum(died, horizon) - entry
+        parent = np.repeat(np.arange(n), rng.poisson(b * span)) if b > 0.0 else np.arange(0)
+        dead = np.flatnonzero(died < math.inf)
+        t_birth = entry[parent] + rng.random(parent.size) * span[parent]
+        broods = (model.life_law.samples(rng, parent.size),
+                  model.split_law.samples(rng, dead.size))
+        events.append((np.concatenate((t_birth, died[dead])),         # time, tau, brood, dies
+                       np.concatenate((born[parent], born[dead])), np.concatenate(broods),
+                       np.arange(parent.size + dead.size) >= parent.size))
+        lives.append((born, died))
+        drawn += n
+        if drawn > population_cap:
+            # the lives drawn so far are some of the run's: their running
+            # count is a lower bound, and it is the run's after the last
+            # generation.  A death comes before a birth at the same time.
+            lb, ld = map(np.concatenate, zip(*lives))
+            ld = ld[ld < math.inf]
+            t = np.concatenate((np.maximum(lb, 0.0), ld))
+            step = np.repeat([1, -1], [lb.size, ld.size])
+            order = np.lexsort((step, t))
+            count = np.cumsum(step[order])
+            over = np.flatnonzero(count > population_cap)
+            if over.size:
+                i = over[0]
+                raise CapacityError(f"population {count[i]} exceeded cap {population_cap} "
+                                    f"at t={t[order[i]]:.6g}")
+        born = entry = np.repeat(events[-1][0], events[-1][2])
+        if not born.size:
             break
-        t, n, ptr = times[m - 1], int(n_at[m]), ptr + 3 * m
-    return (*map(np.concatenate, zip(*parts)), candidates)
 
-
-def _simulate_blocks(pop, model, horizon, out_times, t_star, rng, ledger, log,
-                     population_cap):
-    """Thinning of a state-free run resolved by array arithmetic.
-
-    Stage 1 (:func:`_block_candidates`) gives the accepted events.  Stage 2
-    resolves the swap-remove slot permutation over individual ids: a death
-    at slot ``i`` with ``n`` alive moves the id at slot ``n - 1`` to ``i``
-    and the brood takes slots ``n - 1, ...``; a birth's brood takes slots
-    ``n, ...``.  A move reads the top slot, which holds the newest id
-    whenever the event before it added newborns (every move, for pure
-    splitting); only a move after an event without newborns finds the last
-    write to the top slot and is chased by pointer jumping.  Each other
-    read of a slot finds the last write before it among the sorted
-    (slot, event) keys, searched in sorted order.  The ledger then replays
-    each output interval's events as cumulative sums
-    (:meth:`MartingaleLedger.replay`).  Returns (snapshots, candidates).
-    """
-    life, split = model.life_law.k, model.split_law.k
-    n0 = pop.n_live
-    t_ev, dies, n_ev, slot_ev, candidates = _block_candidates(rng, model, n0, horizon,
-                                                              population_cap)
-    n_events = t_ev.size
-    brood = np.where(dies, split, life)
-    born = np.cumsum(brood) - brood                 # newborns before each event
-    n_born = int(brood.sum())
-    n_final = n0 + n_born - int(dies.sum())
-
-    # writes, keyed slot * seqs + sequence: the initial ids (sequence 0), then
-    # per event e the move of a death not at the last slot (3e + 2) and the
-    # newborns (3e + 3).  A read before event e (3e + 1) finds the last write
-    # to its slot; every live slot has one.  Newborns take ids n0, n0 + 1, ...
-    ev = np.repeat(np.arange(n_events), brood)
-    nb_slot = n_ev[ev] - dies[ev] + np.arange(ev.size) - born[ev]
-    mv = np.flatnonzero(dies & (slot_ev != n_ev - 1))
-    seqs = 3 * n_events + 3
-    key = np.concatenate((np.arange(n0) * seqs, slot_ev[mv] * seqs + 3 * mv + 2,
-                          nb_slot * seqs + 3 * ev + 3))
-    birth_times = np.concatenate((pop.birth_times[:n0], t_ev[ev]))
-    del ev, nb_slot
-    # a move reads the top slot, which holds the newest id if the event before
-    # it added newborns (the initial top for event 0); otherwise -1 for now
-    top = np.where(np.concatenate(([True], brood[:-1] > 0))[mv], n0 - 1 + born[mv], -1)
-    order = np.argsort(key)
-    key = key[order]
-    val = np.concatenate((np.arange(n0), top, np.arange(n0, n0 + n_born)))[order]
-
-    def last_write(q):
-        """Where among the sorted keys each ascending read ``q`` finds its slot's last write."""
-        return np.searchsorted(key, q) - 1
-
-    def last_write_any(q):
-        """:func:`last_write` for reads in any order, searched in sorted order."""
-        o = np.argsort(q)
-        out = np.empty_like(o)
-        out[o] = last_write(q[o])
-        return out
-
-    # any other move stores the id it reads: chase it to the write it copies
-    chase = np.flatnonzero(val < 0)
-    mv = mv[order[chase] - n0]
-    del order, top
-    ptr = np.arange(key.size)
-    ptr[chase] = last_write_any((n_ev[mv] - 1) * seqs + 3 * mv + 1)
-    while chase.size:
-        p = ptr[chase]
-        val[chase] = val[p]
-        ptr[chase] = ptr[p]
-        chase = chase[val[chase] < 0]
-    del ptr, mv
-
-    tau = birth_times[val[last_write_any(slot_ev * seqs + 3 * np.arange(n_events) + 1)]]
-    ages = t_ev - tau
+    born, died = map(np.concatenate, zip(*lives))
+    t_ev, tau, brood, dies = map(np.concatenate, zip(*events))
+    if log is not None or ledger is not None:      # the events in time order
+        order = np.argsort(t_ev, kind="stable")
+        t_ev, tau, brood, dies = t_ev[order], tau[order], brood[order], dies[order]
     pop.deaths = int(dies.sum())
-    pop.births_life = life * (n_events - pop.deaths)
-    pop.births_split = split * pop.deaths
+    pop.births_split = int(brood[dies].sum())
+    pop.births_life = int(brood.sum()) - pop.births_split
     if log is not None:
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()
-    del brood, born, slot_ev
 
     snapshots: list[AtomicMeasure] = []
     done = 0
-    for t_out, c in zip(out_times, np.searchsorted(t_ev, out_times)):
+    for t_out in out_times:
         if ledger is not None:
-            ledger.replay(dies[done:c], ages[done:c], life, split)
+            c = int(np.searchsorted(t_ev, t_out, side="right"))
+            d = dies[done:c]
+            ledger.settle(int(brood[done:c].sum()), t_ev[done:c][d] - tau[done:c][d])
             done = c
-        n = int(n_ev[c]) if c < n_events else n_final
-        pop.birth_times = birth_times[val[last_write(np.arange(n) * seqs + 3 * c + 1)]]
-        pop.n_live = n
+        pop.birth_times = born[(born <= t_out) & (t_out < died)]
+        pop.n_live = pop.birth_times.size
         _emit(pop, t_out, ledger, t_star, snapshots)
-    return snapshots, candidates
+    return snapshots, t_ev.size
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,14 @@ class OffspringLaw:
             return min(int(rng.poisson(self.rate)), self.cap)
         return self.k1 if next_u() < self.p else self.k2
 
+    def samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` broods in [0, cap] from ``rng`` at once."""
+        if self.kind == "deterministic":
+            return np.full(n, self.k)
+        if self.kind == "poisson":
+            return np.minimum(rng.poisson(self.rate, n), self.cap)
+        return np.where(rng.random(n) < self.p, self.k1, self.k2)
+
 
 # ---------------------------------------------------------------------------
 # parameter building blocks

@@ -81,8 +81,6 @@ class NoiseChannel:
     residual variance ``var_boundary``.
     """
 
-    dx: float
-    dt: float
     var_cells: np.ndarray
     split_mean: float
     var_boundary: float
@@ -120,8 +118,8 @@ def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChann
     """Build the two-channel noise variances for one background frame."""
     b, h = GridRates(model, frame.dx, frame.n_cells).birth_death(frame.values)
     var_cells, var_boundary = _noise_var(model, b, h, frame.values, frame.dx, dt)
-    return NoiseChannel(dx=frame.dx, dt=dt, var_cells=var_cells,
-                        split_mean=model.split_law.mean, var_boundary=var_boundary)
+    return NoiseChannel(var_cells=var_cells, split_mean=model.split_law.mean,
+                        var_boundary=var_boundary)
 
 
 def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,

@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from agestruct import branching
 from agestruct.acceptance import clt_config, lln_config, qv_config
@@ -42,6 +43,14 @@ DENS = RateModel("density_dependent", ConstantRate(0.4),
                  birth_sup=0.4, death_sup=2.0)
 
 
+def twin(model):
+    """``model`` with its constant death rate as a zero-slope density family:
+    the same rates, resolved candidate by candidate on the loop."""
+    h = model.death.value
+    return dataclasses.replace(model, family="density_dependent",
+                               death=DensityRate(ScalarFn.affine(h, 0.0)))
+
+
 def first_death_times(ages, ctx, n=20000, horizon=40.0):
     """Time of the first death in each of n pure-death runs of ``simulate``.
 
@@ -56,10 +65,11 @@ def first_death_times(ages, ctx, n=20000, horizon=40.0):
     return times
 
 
-def test_empty_population_has_no_events():
+def test_empty_population_has_no_events(paths):
     traj = simulate(PURE_DEATH, atoms([]), k=1, horizon=1.0, dt_out=0.5,
                     rng=stream(1), log_events=True, t_star=2.0)
-    assert len(traj.events) == 0 and traj.deaths == 0
+    assert paths == ["_simulate_lives"]
+    assert len(traj.events) == 0 and traj.deaths == traj.candidates == 0
     assert all(s.count == 0 for s in traj.snapshots)
 
 
@@ -77,10 +87,11 @@ def test_two_individuals_first_event_superposition():
 
 def test_thinning_exact_with_rejections():
     # immortal single individual giving (empty) births at rate 0.4 under a
-    # loose bound: accepted inter-event gaps must still be Exp(0.4)
-    model = RateModel("classical", ConstantRate(0.4), ConstantRate(0.0),
-                      OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
-                      birth_sup=1.0, death_sup=0.5)
+    # loose bound: accepted inter-event gaps must still be Exp(0.4).  The
+    # twin runs on the loop, which thins; the classical model would not.
+    model = twin(RateModel("classical", ConstantRate(0.4), ConstantRate(0.0),
+                           OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
+                           birth_sup=1.0, death_sup=0.5))
     horizon = 30000.0   # about 12000 accepted events; 10000 are needed
     traj = simulate(model, atoms([0.0], t_star=horizon), k=1, horizon=horizon,
                     dt_out=horizon, rng=stream(0, ctx=3), log_events=True,
@@ -91,11 +102,13 @@ def test_thinning_exact_with_rejections():
     assert stat.pvalue > 0.01
 
 
-def test_transport_only():
+def test_transport_only(paths):
     a0 = atoms([0.2, 0.5, 0.9])
-    traj = simulate(TRANSPORT, a0, k=1, horizon=1.0, dt_out=0.25, rng=stream(4),
-                    t_star=2.0)
-    assert traj.births_life == traj.births_split == traj.deaths == 0
+    rng = stream(4)
+    traj = simulate(TRANSPORT, a0, k=1, horizon=1.0, dt_out=0.25, rng=rng, t_star=2.0)
+    assert paths == ["_simulate_lives"]
+    assert traj.births_life == traj.births_split == traj.deaths == traj.candidates == 0
+    assert rng.random() == stream(4).random()     # b = h = 0 draws nothing
     # pairing with x grows by exactly t * mass
     for t, snap in zip(traj.times, traj.snapshots):
         assert pair(monomial(1), snap) == pytest.approx(1.6 + 3 * t, rel=1e-14)
@@ -643,7 +656,10 @@ def test_pathwise_identity_catalogue_complete(logged_trajectories):
 def test_mass_bookkeeping_and_support(logged_trajectories):
     for traj in logged_trajectories:
         assert traj.check_mass_bookkeeping()
+        ev = traj.events
+        step = np.array(ev.brood) - np.array(ev.kind)      # newborns, less one per death
         for t, snap in zip(traj.times, traj.snapshots):
+            assert snap.count == traj.initial_count + step[np.array(ev.t) <= t].sum()
             if snap.count:
                 assert snap.ages.max() <= t + 1.0 + 1e-12
 
@@ -666,12 +682,13 @@ def test_event_log_determinism(tmp_path):
     assert a != c
 
 
-def test_population_cap():
+def test_population_cap(paths):
     model = pure_splitting(1.0, 3)  # strongly supercritical
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="exceeded cap 1000 at t="):
         simulate(model, atoms(np.zeros(200), t_star=3.0), k=200, horizon=3.0,
                  dt_out=1.0, rng=stream(11, ctx=10), population_cap=1000,
                  t_star=3.0)
+    assert paths == ["_simulate_lives"]
 
 
 def test_snapshot_weight_and_times():
@@ -696,22 +713,14 @@ def test_ledger_csv_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the block path of state-free runs against the per-candidate loop
-
-
-def twin(model):
-    """``model`` with its constant death rate as a zero-slope density family:
-    the same rates, resolved candidate by candidate."""
-    h = model.death.value
-    return dataclasses.replace(model, family="density_dependent",
-                               death=DensityRate(ScalarFn.affine(h, 0.0)))
+# lifelines (constant rates) against the per-candidate loop
 
 
 @pytest.fixture
 def paths(monkeypatch):
     """The simulate paths taken, in call order."""
     taken = []
-    for name in ("_simulate_blocks", "_simulate_loop"):
+    for name in ("_simulate_lives", "_simulate_loop"):
         def spy(*args, _fn=getattr(branching, name), _name=name):
             taken.append(_name)
             return _fn(*args)
@@ -744,251 +753,115 @@ def assert_same_run(a, b):
             (bits(eb.t), eb.kind, bits(eb.tau), eb.brood)
 
 
-def run_twins(model, n0, ctx, paths, horizon=1.0, dt_out=0.125, **kw):
-    """The block path on ``model`` and the loop on its twin, on one stream."""
-    a0 = atoms(np.linspace(0.0, 1.0, n0), t_star=horizon + 1.0)
-    out = []
-    for m in (model, twin(model)):
-        rng = stream(0, ctx=ctx)
-        out.append((simulate(m, a0, k=n0, horizon=horizon, dt_out=dt_out, rng=rng,
-                             log_events=True, t_star=horizon + 1.0, **kw), rng))
-    assert paths == ["_simulate_blocks", "_simulate_loop"]
-    return out
-
-
-def walk(model, n0, ctx, horizon):
-    """Walk a state-free run's uniforms candidate by candidate, tracking N alone.
-
-    Yields (time, slot, live count, kind) per candidate before the horizon,
-    with kind KIND_BIRTH, KIND_DEATH or None for a rejected candidate.
-    """
-    rng = stream(0, ctx=ctx)
-
-    def uniforms():
-        while True:
-            yield from rng.random(8192).tolist()
-
-    u = uniforms()
-    b, h = model.birth.value, model.death.value
-    bound = model.birth_sup + model.death_sup
-    t, n = 0.0, n0
-    while n:
-        t_c = t - math.log1p(-next(u)) / (n * bound)
-        if t_c >= horizon:
-            break
-        slot = int(next(u) * n)
-        r = next(u) * bound
-        kind = KIND_BIRTH if r < b else KIND_DEATH if r < b + h else None
-        yield t_c, slot, n, kind
-        if kind == KIND_BIRTH:
-            n += model.life_law.k
-        elif kind == KIND_DEATH:
-            n += model.split_law.k - 1
-        t = t_c
-
-
-def replay(model, n0, ctx, horizon, out_times):
-    """Returns (candidates, accepted, rejected, output times first reached by a
-    rejected candidate) of a state-free run, from :func:`walk`.
-    """
-    j = 1
-    candidates = rejected = rejected_crossings = 0
-    for t_c, _, _, kind in walk(model, n0, ctx, horizon):
-        crossed = 0
-        while j < len(out_times) and out_times[j] <= t_c:
-            crossed, j = crossed + 1, j + 1
-        if kind is None:
-            rejected += 1
-            rejected_crossings += crossed
-        candidates += 1
-    return candidates, candidates - rejected, rejected, rejected_crossings
-
-
-def chased_moves(model, n0, ctx, horizon):
-    """Deaths off the top slot right after an accepted event without newborns:
-    the moves whose id the block path chases instead of taking the newest id."""
-    chased, newborns = 0, 1          # the initial top slot holds the newest id
-    for _, slot, n, kind in walk(model, n0, ctx, horizon):
-        if kind is None:
-            continue
-        chased += kind == KIND_DEATH and slot != n - 1 and newborns == 0
-        newborns = model.life_law.k if kind == KIND_BIRTH else model.split_law.k
-    return chased
-
-
 def thinned(b, h, life, split, b_sup, h_sup):
     return RateModel("classical", ConstantRate(b), ConstantRate(h),
                      OffspringLaw.deterministic(life), OffspringLaw.deterministic(split),
                      birth_sup=b_sup, death_sup=h_sup)
 
 
-@pytest.mark.parametrize("model, n0, ctx", [
-    (pure_splitting(1.0, 2), 1000, 30),
-    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 400, 31),
-    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 400, 32),
-    (thinned(0.6, 0.9, 3, 1, 1.0, 1.5), 400, 33),
-], ids=["pure_splitting_K1000", "broods_0_3", "broods_1_0", "broods_3_1"])
-def test_block_path_matches_the_loop_bit_for_bit(model, n0, ctx, paths):
-    block, loop = run_twins(model, n0, ctx, paths)
-    assert_same_run(block, loop)
-    traj = block[0]
-    assert traj.deaths == traj.events.kind.count(KIND_DEATH) and len(traj.events) > n0
-    cand, acc, rej, _ = replay(model, n0, ctx, 1.0, traj.times)
-    assert traj.candidates == cand == acc + rej and acc == len(traj.events)
-    if model.birth_sup + model.death_sup == model.birth.value + model.death.value:
-        assert rej == 0 and traj.candidates == traj.deaths
-    else:
-        assert rej > 0
+LAW_PANEL = [constant(1.0), exponential(0.5)]
 
 
-@pytest.mark.parametrize("model, n0, ctx", [
-    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 400, 31),
-    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 400, 32),
-], ids=["broods_0_3", "broods_1_0"])
-def test_block_path_chases_moves_after_events_without_newborns(model, n0, ctx, paths):
-    # the twin runs above: a move after a birth of 0 or a split into 0 is
-    # chased; after a split into 0 the top slot holds an older id than the newest
-    block, loop = run_twins(model, n0, ctx, paths)
-    assert_same_run(block, loop)
-    assert chased_moves(model, n0, ctx, 1.0) > 0
+def law_sample(model, ctx, n=400, n0=10):
+    """Per replicate: the final count, the mean age at the horizon, the first
+    event time, and M at t = 1 for f = 1 and e^(x/2); NaN where undefined."""
+    a0 = atoms(np.linspace(0.0, 1.0, n0))
+    rows = np.empty((n, 5))
+    for i in range(n):
+        traj = simulate(model, a0, k=n0, horizon=1.0, dt_out=0.5, rng=stream(i, ctx=ctx),
+                        panel=LAW_PANEL, with_ledger=True, log_events=True, t_star=2.0)
+        final = traj.snapshots[-1]
+        rows[i] = (final.count, final.ages.mean() if final.count else np.nan,
+                   traj.events.t[0] if len(traj.events) else np.nan,
+                   *traj.ledger.martingales()[-1])
+    return rows
 
 
-def test_block_path_extinction_inside_a_chunk(paths):
+def var_se2(x):
+    """Squared standard error of the sample variance of ``x``."""
+    d = x - x.mean()
+    return max(np.mean(d ** 4) - x.var() ** 2, 0.0) / x.size
+
+
+@pytest.mark.parametrize("model, ctx", [
+    (pure_splitting(1.0, 2), 60),
+    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 61),
+    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 62),
+    (MIXED, 63),
+], ids=["pure_splitting", "broods_0_3", "broods_1_0", "mixed"])
+def test_lifelines_match_the_loop_in_law(model, ctx, paths):
+    # pre-registered: 400 independent replicates per side, a two-sample KS
+    # test at the 0.001 level and mean and variance differences within 3.5 SE
+    lives = law_sample(model, ctx)
+    loop = law_sample(twin(model), ctx + 100)
+    assert paths == ["_simulate_lives"] * 400 + ["_simulate_loop"] * 400
+    names = ("final count", "mean age", "first event time", "M[1]", "M[exp(x/2)]")
+    for name, x, y in zip(names, lives.T, loop.T):
+        x, y = x[~np.isnan(x)], y[~np.isnan(y)]
+        assert x.size >= 390 and y.size >= 390, name
+        assert ks_2samp(x, y).pvalue > 1e-3, name
+        se = math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+        assert abs(x.mean() - y.mean()) <= 3.5 * se, name
+        se = math.sqrt(var_se2(x) + var_se2(y))
+        assert abs(x.var(ddof=1) - y.var(ddof=1)) <= 3.5 * se, name
+
+
+def test_lifelines_extinction_before_the_horizon(paths):
     model = classical_model(0.0, 5.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(0))
-    block, loop = run_twins(model, 300, 34, paths, horizon=3.0, dt_out=0.5)
-    assert_same_run(block, loop)
-    traj = block[0]
-    assert traj.deaths == traj.candidates == 300
-    after = [s.count for s, t in zip(traj.snapshots, traj.times) if t > traj.events.t[-1]]
-    assert after and not any(after)
+    traj = simulate(model, atoms(np.linspace(0.0, 1.0, 300), t_star=4.0), k=300,
+                    horizon=3.0, dt_out=0.5, rng=stream(0, ctx=34), log_events=True,
+                    t_star=4.0)
+    assert paths == ["_simulate_lives"]
+    assert traj.deaths == traj.candidates == len(traj.events) == 300
+    last = traj.events.t[-1]
+    assert traj.events.t == sorted(traj.events.t)
+    for t, snap in zip(traj.times, traj.snapshots):
+        assert snap.count == 300 - sum(te <= t for te in traj.events.t)
+    assert any(t > last for t in traj.times)
 
 
-def test_block_path_straddles_the_uniform_blocks(paths):
-    # 8192 = 3 * 2730 + 2 and 16384 = 3 * 5461 + 1: candidates 2730 and 5461
-    # read their uniforms from two blocks, split 2 + 1 and 1 + 2
-    block, loop = run_twins(pure_splitting(1.0, 2), 4000, 35, paths, dt_out=0.5)
-    assert_same_run(block, loop)
-    assert block[0].candidates > 5462
+def test_population_cap_holds_at_the_running_maximum(paths):
+    # the cap is checked on the running count, exactly: a run whose peak is
+    # the cap passes, and one cap below raises at the peak's first time
+    model = thinned(0.6, 0.9, 1, 0, 1.0, 1.5)
 
+    def run(cap):
+        return simulate(model, atoms(np.linspace(0.0, 1.0, 200)), k=200, horizon=1.0,
+                        dt_out=0.5, rng=stream(0, ctx=64), log_events=True,
+                        population_cap=cap, t_star=2.0)
 
-def test_block_path_stops_on_a_blocks_last_uniform(paths):
-    # candidate 5461's time is uniform 16383, the last of the second block: with
-    # the horizon at that time the run stops there and draws no third block
-    t_5461 = run_twins(pure_splitting(1.0, 2), 4000, 36, paths)[0][0].events.t[5461]
-    paths.clear()
-    block, loop = run_twins(pure_splitting(1.0, 2), 4000, 36, paths,
-                            horizon=t_5461, dt_out=t_5461)
-    assert_same_run(block, loop)
-    assert block[0].candidates == 5461
-    fresh = stream(0, ctx=36)
-    fresh.random(2 * 8192)
-    assert philox_state(block[1]) == philox_state(fresh)
-
-
-def test_block_path_ends_on_the_last_three_uniforms(paths):
-    # 3 * 8192 = 3 * 8191 + 3: a chunk cut short by its expected count ends at
-    # candidate 8191 and leaves the last 3 uniforms of the third block;
-    # candidate 8192 reads them and is the 69th death (its accept uniform is
-    # below h = 0.008125, as 68 earlier ones are), so the run ends there and,
-    # as in the loop, draws no fourth block.  A chunk continues only when its
-    # next candidate falls before the horizon, so extinction (or the cap) is
-    # the only way for a run to end on these 3 uniforms.
-    model = thinned(0.0, 0.008125, 0, 0, 0.0, 1.0)
-    block, loop = run_twins(model, 69, 1511, paths, horizon=619.0, dt_out=619.0)
-    assert_same_run(block, loop)
-    assert block[0].candidates == 8192 and block[0].deaths == 69
-    fresh = stream(0, ctx=1511)
-    fresh.random(3 * 8192)
-    assert philox_state(block[1]) == philox_state(fresh)
-
-
-def test_block_path_rejection_crossing_an_output_time(paths):
-    model = thinned(0.0, 0.2, 0, 2, 0.0, 1.0)      # four in five candidates rejected
-    block, loop = run_twins(model, 500, 37, paths, dt_out=0.05)
-    assert_same_run(block, loop)
-    cand, _, rej, rejected_crossings = replay(model, 500, 37, 1.0, block[0].times)
-    assert block[0].candidates == cand and rejected_crossings > 0
-
-
-def test_block_path_capacity_error_at_the_same_event(paths):
-    a0 = atoms(np.zeros(300), t_star=3.0)
-    raised = []
-    for model in (pure_splitting(1.0, 3), twin(pure_splitting(1.0, 3))):
-        rng = stream(0, ctx=38)
-        with pytest.raises(CapacityError) as exc:
-            simulate(model, a0, k=300, horizon=3.0, dt_out=1.0, rng=rng,
-                     population_cap=1000, t_star=3.0)
-        raised.append((str(exc.value), philox_state(rng)))
-    assert paths == ["_simulate_blocks", "_simulate_loop"]
-    assert raised[0] == raised[1] and "exceeded cap 1000" in raised[0][0]
-
-
-@pytest.mark.parametrize("model, n0, ctx", [
-    (pure_splitting(1.0, 2), 1000, 39),
-    (thinned(0.6, 0.9, 1, 3, 1.0, 1.5), 400, 40),
-], ids=["pure_splitting", "births_and_rejections"])
-def test_block_path_closed_form_ledger_matches_the_loop(model, n0, ctx, paths, monkeypatch):
-    panel = make_panel(["1", "x", "x^2", "exp:0.5", "exp:-1"])
-    runs = []
-    for threshold in (branching._BLOCK_MIN_CANDIDATES, math.inf):
-        monkeypatch.setattr(branching, "_BLOCK_MIN_CANDIDATES", threshold)
-        rng = stream(0, ctx=ctx)
-        traj = simulate(model, atoms(np.linspace(0.0, 1.0, n0)), k=n0, horizon=1.0,
-                        dt_out=0.25, rng=rng, panel=panel, with_ledger=True,
-                        log_events=True, t_star=2.0)
-        runs.append((traj, rng))
-    assert paths == ["_simulate_blocks", "_simulate_loop"]
-    assert_same_run(*runs)
-    (a, _), (b, _) = runs
-    assert a.ledger.closed_form and len(a.ledger.times) == 5
-    assert bits(a.ledger.times) == bits(b.ledger.times)
-    assert bits(a.ledger.m_path) == bits(b.ledger.m_path)
-    assert bits(a.ledger.comp_path) == bits(b.ledger.comp_path)
-
-
-def test_block_path_replays_a_closed_form_ledger_as_sums(paths, monkeypatch):
-    panel = make_panel(["1", "x", "exp:-1"])
-    calls = []
-    for name in ("death", "birth"):
-        def counting(self, *args, _fn=getattr(MartingaleLedger, name)):
-            calls[-1] += 1
-            return _fn(self, *args)
-
-        monkeypatch.setattr(MartingaleLedger, name, counting)
-    runs = []
-    for threshold in (branching._BLOCK_MIN_CANDIDATES, math.inf):
-        monkeypatch.setattr(branching, "_BLOCK_MIN_CANDIDATES", threshold)
-        calls.append(0)
-        traj = simulate(pure_splitting(1.0, 2), atoms(np.linspace(0.0, 1.0, 1000)), k=1000,
-                        horizon=1.0, dt_out=0.25, rng=stream(0, ctx=41), panel=panel,
-                        with_ledger=True, t_star=2.0)
-        runs.append(traj.ledger)
-    assert paths == ["_simulate_blocks", "_simulate_loop"]
-    block, loop = runs
-    assert block.closed_form and calls[0] == 0 and calls[1] > 1000
-    assert bits(block.m_path) == bits(loop.m_path)
-    assert bits(block.comp_path) == bits(loop.comp_path)
+    ev = run(10 ** 7).events
+    n = 200 + np.cumsum(np.array(ev.brood) - np.array(ev.kind))
+    peak = int(n.max())
+    assert peak > 200 and len(run(peak).events) == len(ev)
+    message = f"population {peak} exceeded cap {peak - 1} at t={ev.t[int(np.argmax(n))]:.6g}"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        run(peak - 1)
+    assert paths == ["_simulate_lives"] * 3
 
 
 def test_acceptance_configs_take_the_pinned_paths(paths):
     # criteria 1-5 through the harness's replicate call, two replicates per K
-    pinned = []
     for cfg, purpose, flags in ((lln_config(), PURPOSE_LLN, {}),
                                 (qv_config(), PURPOSE_QV, {"with_ledger": True}),
                                 (clt_config(), PURPOSE_CLT, {})):
         st = _Study(dataclasses.replace(cfg, replicates=2))
-        for k_index, k in enumerate(cfg.k_values):
-            paths.clear()
+        for k_index in range(len(cfg.k_values)):
             st.replicates(k_index, purpose, workers=1, **flags)
-            pinned.append((k, paths[0]))
-    assert pinned == [(100, "_simulate_loop"), (1000, "_simulate_blocks"),
-                      (10000, "_simulate_blocks"), (1000, "_simulate_blocks"),
-                      (10000, "_simulate_blocks")]
-    # criterion 7's pure-splitting case (n0 = 100) and criterion 8 (three individuals)
+    assert paths == ["_simulate_lives"] * 10
+    # criterion 7's classical cases (pure splitting, mixed laws) and criterion 8
     paths.clear()
-    simulate(pure_splitting(1.0, 2), atoms(np.linspace(0.0, 1.0, 100)), k=100,
-             horizon=1.0, dt_out=0.25, rng=stream(0), log_events=True, t_star=2.0)
+    for model, n0 in ((pure_splitting(1.0, 2), 100), (MIXED, 80)):
+        simulate(model, atoms(np.linspace(0.0, 1.0, n0)), k=n0, horizon=1.0, dt_out=0.25,
+                 rng=stream(0), log_events=True, t_star=2.0)
     simulate(PURE_DEATH, atoms(np.zeros(3), t_star=1.0), k=1, horizon=1.0, dt_out=1.0,
              rng=stream(1), t_star=1.0)
-    assert paths == ["_simulate_loop", "_simulate_loop"]
+    assert paths == ["_simulate_lives"] * 3
+    # population-dependent rates, the kernel workload model and a bump-panel ledger
+    paths.clear()
+    simulate(DENS, atoms(np.linspace(0.0, 1.0, 50)), k=50, horizon=1.0, dt_out=0.25,
+             rng=stream(2), t_star=2.0)
+    kernel_workload_run()
+    ledger_run(pure_splitting(1.0, 2), [constant(1.0), bump(0.2, 0.9)], 60, 16)
+    assert paths == ["_simulate_loop"] * 3
