@@ -9,20 +9,19 @@ others given the time it enters the run (a Crump-Mode-Jagers process), so
 such a run, with no ledger or a closed-form one, is drawn a generation at a
 time with no thinning (:func:`_simulate_lives`).  Every other run takes the
 per-candidate loop, which draws event times by thinning against the bound
-N * (b + h) while N individuals live: b and h are the declared birth_sup
-and death_sup, or the lower bound that N alone proves for a kernel rate
-(:meth:`~agestruct.rates.KernelRate.bounds`).  This is exact for
-state-dependent intensities: rejected candidates still advance time, so
-ages drift and rates are re-evaluated at each candidate epoch, and the
-bound is re-chosen whenever N changes.
+N * (b + h) while N individuals live, b and h being the rates' parts at N
+(see :mod:`agestruct.rates`).  This is exact for state-dependent
+intensities: rejected candidates still advance time, so ages drift and
+rates are decided at each candidate epoch, and the bound is re-chosen
+whenever N changes.
 
-A ``kernel_linear`` rate reads its kernel average (g(x, .), A) at the
-candidate, a sum over the live set (:meth:`Population.kernel_pair`).  Most
-candidates read none: the loop draws the accept uniform first, and when it
-falls outside the gap between the rate's bounds at the candidate (the phi
-range that N/k proves, times the age factor r(x)) inside [0, sup], those
-bounds decide, with the same bits and the same ``ModelError`` as the exact
-rate.
+The loop draws a candidate's accept uniform first.  When both rates'
+ranges at N, times their age factors, lie inside [0, part] and the uniform
+falls outside the gap between them, the ranges decide, with the same bits
+as the exact rates.  Otherwise a point range (a constant or mass-only
+rate) gives its value and any other rate is evaluated, a kernel rate by a
+sum over the live set (:meth:`Population.kernel_pair`); a K-perturbed
+rate has no range.  Each value outside [0, part] raises ``ModelError``.
 
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
@@ -182,9 +181,11 @@ class MartingaleLedger:
         self.times: list[float] = []
         self.m_path: list[np.ndarray] = []
         self.comp_path: list[np.ndarray] = []
-        self._constant_rates = (model.birth.is_constant and model.death.is_constant
-                                and model.k_perturbation is None)
-        self.closed_form = self._constant_rates and all(f.kind != "bump" for f in self.panel)
+        # rates with no age factor take the same row at every node
+        self._ageless = (model.birth.age is None and model.death.age is None
+                         and model.k_perturbation is None)
+        self.closed_form = (self._ageless and model.birth.is_constant and model.death.is_constant
+                            and all(f.kind != "bump" for f in self.panel))
         self._acc = [0.0] * p
         self._s = pop.t
         if self.closed_form:
@@ -210,8 +211,7 @@ class MartingaleLedger:
         s_nodes = 0.5 * (s0 + s1) + half * _GL_NODES
         ages = s_nodes[:, None] - pop.birth_times[:n][None, :]
         lm, sm = model.life_law.mean, model.split_law.mean
-        # constant rates take the same row at every node: evaluate them once
-        evals = s_nodes[:1] if self._constant_rates else s_nodes
+        evals = s_nodes[:1] if self._ageless else s_nodes
         h = np.empty((evals.size, n))
         nsum = np.empty(evals.size)
         for q, s in enumerate(evals):
@@ -347,11 +347,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     life at a time, a generation at a time (:func:`_simulate_lives`).  Any
     other run takes the per-candidate loop, where every candidate reads
     three uniforms (time, slot, accept) from blocks of 8192 drawn from
-    ``rng`` as needed.  On the loop, when each rate is constant or
-    ``kernel_linear`` (with no K perturbation), the bound is re-chosen for
-    each live count N (a kernel rate's part can lie well below its sup), and
-    a candidate is decided from the rates' bounds at it when they fix its
-    fate, with the same bits as evaluating them.
+    ``rng`` as needed, against a bound re-chosen for each live count N.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
@@ -406,26 +402,17 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
                    population_cap):
     """Thinning one candidate at a time; returns (snapshots, candidates)."""
     k = pop.k
-    b_fn, h_fn = model.birth, model.death
-    b_const = b_fn.value if b_fn.is_constant and model.k_perturbation is None else None
-    h_const = h_fn.value if h_fn.is_constant and model.k_perturbation is None else None
-    b_sup = model.birth_sup
-    h_sup = model.death_sup
+    b_sup, h_sup = model.birth_sup, model.death_sup
+    if model.k_perturbation is None:
+        b_bounds, h_bounds = model.birth.bounds, model.death.bounds
+    else:           # no range: NaN lies inside nothing and is no point
+        b_bounds = h_bounds = lambda n, k, sup: (sup, math.nan, math.nan)
+    b_age = model.birth.age.scalar if model.birth.age is not None else None
+    h_age = model.death.age.scalar if model.death.age is not None else None
     life_law, split_law = model.life_law, model.split_law
     life_det = life_law.k if life_law.kind == "deterministic" else None
     split_det = split_law.k if split_law.kind == "deterministic" else None
-    # the squeeze: when each rate is constant or a kernel rate, the bound is
-    # re-chosen per live count n from the rates' bounds, and a candidate
-    # whose fate both phi ranges fix (times its age factor) pairs no kernel
-    b_bounds = getattr(b_fn, "bounds", None) if model.k_perturbation is None else None
-    h_bounds = getattr(h_fn, "bounds", None) if model.k_perturbation is None else None
-    squeeze = ((b_bounds is not None or h_bounds is not None)
-               and (b_bounds is not None or b_const is not None)
-               and (h_bounds is not None or h_const is not None))
-    b_age = b_fn.age.scalar if b_bounds is not None else None
-    h_age = h_fn.age.scalar if h_bounds is not None else None
-    b_part, h_part, sized = b_sup, h_sup, {}    # the bound's parts; per live count
-    bound = b_sup + h_sup
+    sized = {}      # the bound's parts and the rates' ranges, per live count
 
     # batched uniforms; order of consumption is fixed, so runs are reproducible.
     # A memoryview reads Python floats with the array's bits, without a copy.
@@ -460,12 +447,10 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
 
     while True:
         n = pop.n_live
-        if squeeze:
-            if n not in sized:       # the sizes a run visits repeat: each is set once
-                sized[n] = (b_bounds(n, k, b_sup) if b_bounds else (b_sup, b_const, b_const),
-                            h_bounds(n, k, h_sup) if h_bounds else (h_sup, h_const, h_const))
-            (b_part, b_rlo, b_rhi), (h_part, h_rlo, h_rhi) = sized[n]
-            bound = b_part + h_part
+        if n not in sized:           # the sizes a run visits repeat: each is set once
+            sized[n] = b_bounds(n, k, b_sup) + h_bounds(n, k, h_sup)
+        b_part, b_rlo, b_rhi, h_part, h_rlo, h_rhi = sized[n]
+        bound = b_part + h_part
         if n == 0 or bound <= 0.0:
             flush_outputs(horizon)
             pop.t = horizon
@@ -483,35 +468,30 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         tau = pop.birth_times[idx]
         age = t - tau
         r = next_u() * bound     # before the rates: evaluating one draws nothing
-        b = None
-        if squeeze:
-            a = 1.0 if b_age is None else b_age(age)
+        b_lo, b_hi, h_lo, h_hi = b_rlo, b_rhi, h_rlo, h_rhi
+        if b_age is not None:
+            a = b_age(age)
             b_lo, b_hi = (a * b_rlo, a * b_rhi) if a >= 0.0 else (a * b_rhi, a * b_rlo)
-            a = 1.0 if h_age is None else h_age(age)
+        if h_age is not None:
+            a = h_age(age)
             h_lo, h_hi = (a * h_rlo, a * h_rhi) if a >= 0.0 else (a * h_rhi, a * h_rlo)
-            # inside [0, sup] the exact rates pass their checks, and bounds
-            # that fix the fate stand in for them
-            if ((b_age is None or 0.0 < b_lo and b_hi < b_sup)
-                    and (h_age is None or 0.0 < h_lo and h_hi < h_sup)):
-                if r < b_lo or b_hi <= r < b_lo + h_lo:
-                    b, h = b_lo, h_lo
-                elif r >= b_hi + h_hi:
-                    b, h = b_hi, h_hi
+        b = None
+        # inside [0, part] the exact rates pass their checks, and ranges that
+        # fix the fate stand in for them
+        if 0.0 <= b_lo and b_hi <= b_part and 0.0 <= h_lo and h_hi <= h_part:
+            if r < b_lo or b_hi <= r < b_lo + h_lo:
+                b, h = b_lo, h_lo
+            elif r >= b_hi + h_hi:
+                b, h = b_hi, h_hi
         if b is None:
-            if b_const is not None:
-                b = b_const
-            else:
-                b = float(model.birth_rate(age, pop, k))
-                if b < 0.0 or b > b_part * (1.0 + 1e-9):
-                    where = "declared" if b_part == b_sup else "per-size"
-                    raise ModelError(f"birth rate {b} violates {where} bound {b_part}")
-            if h_const is not None:
-                h = h_const
-            else:
-                h = float(model.death_rate(age, pop, k))
-                if h < 0.0 or h > h_part * (1.0 + 1e-9):
-                    where = "declared" if h_part == h_sup else "per-size"
-                    raise ModelError(f"death rate {h} violates {where} bound {h_part}")
+            b = b_lo if b_lo == b_hi else float(model.birth_rate(age, pop, k))
+            if b < 0.0 or b > b_part * (1.0 + 1e-9):
+                where = "declared" if b_part == b_sup else "per-size"
+                raise ModelError(f"birth rate {b} violates {where} bound {b_part}")
+            h = h_lo if h_lo == h_hi else float(model.death_rate(age, pop, k))
+            if h < 0.0 or h > h_part * (1.0 + 1e-9):
+                where = "declared" if h_part == h_sup else "per-size"
+                raise ModelError(f"death rate {h} violates {where} bound {h_part}")
         if r < b:
             brood = life_det if life_det is not None else life_law.sample(next_u, rng)
             if ledger is not None:

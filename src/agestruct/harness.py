@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 replicates, got {self.replicates!r}")
         if not isinstance(self.k_values, (list, tuple)):
             raise ValueError(f"k_values must be a list of K values, got {self.k_values!r}")
+        if not self.k_values:
+            raise ValueError(f"k_values must name at least one K, got {self.k_values!r}")
         for k in self.k_values:
             if not (_is_real(k) and k > 0 and float(k).is_integer()):
                 raise ValueError(f"K values must be positive integers, got {k!r}")
@@ -145,6 +147,14 @@ class ExperimentConfig:
             raise ValueError(f"dt {self.dt!r} must divide dt_out {self.dt_out!r}")
         if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
             raise ValueError(f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")
+        for name in ("initial", "perturbation"):
+            spec = getattr(self, name)
+            kind = spec.get("kind") if isinstance(spec, dict) else spec
+            if spec is not None and kind not in ("grid", "atoms"):
+                raise ValueError(f"{name}.kind must be 'grid' or 'atoms', got {kind!r}")
+        if self.panel is not None and not len(self.panel):
+            raise ValueError(f"panel must name at least one test function (None: the "
+                             f"default panel), got {self.panel!r}")
         for name, least in (("n_spde_paths", 2), ("spde_block", 1), ("workers", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "

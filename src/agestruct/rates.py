@@ -3,9 +3,8 @@
 A model bundles a per-capita birth rate and death rate (each a function of
 age and of the normalised population measure), one offspring law for births
 during life and one for splitting at death, and declared sup bounds on the
-rates, which the thinning simulator draws its candidates against (a kernel
-rate may prove a lower one from the live count alone).  Four built-in
-families are provided, ordered by generality of the population dependence:
+rates.  Four built-in families are provided, ordered by generality of the
+population dependence:
 
 * ``classical``          -- constant rates;
 * ``density_dependent``  -- rates are functions of the total mass only;
@@ -25,6 +24,14 @@ population pairs at one float age (a sum over the live set) or at the array
 of all live ages, the grid view at its cell centers or edges; each raises
 ``ValueError`` at any other ages.  A rate evaluated at one float age builds
 no array.
+
+Between events the live count n, hence the mass y = n / k, is frozen, and
+``bounds(n, k, sup) -> (part, lo, hi)`` states what n proves about a rate:
+it is at most ``part`` (the sup, or less) and lies between a lo and a hi at
+age x, for a its ``age`` factor r(x) (``None``: a = 1).  A constant or
+mass-only rate's range is the point phi(y), computed as ``eval`` computes
+it, with part the sup; a kernel rate's spans the unknown kernel average
+(:meth:`KernelRate.bounds`).
 """
 
 from __future__ import annotations
@@ -74,6 +81,11 @@ class OffspringLaw:
     k1: int = 0
     k2: int = 0
     cap: int = 0
+
+    def __post_init__(self):
+        for name in ("k", "k1", "k2", "cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"OffspringLaw {name} must be >= 0; got {getattr(self, name)!r}")
 
     @classmethod
     def deterministic(cls, k: int) -> "OffspringLaw":
@@ -247,10 +259,14 @@ class ConstantRate:
         self.value = float(value)
 
     is_constant = True
+    age = None
 
     def eval(self, x, mu):
         x = np.asarray(x, dtype=float)
         return np.full_like(x, self.value) if x.ndim else self.value
+
+    def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
+        return sup, self.value, self.value
 
     def frechet_terms(self, xs, mu0):
         return np.zeros_like(np.asarray(xs, dtype=float)), None, None
@@ -261,6 +277,7 @@ class DensityRate:
 
     family = "density_dependent"
     is_constant = False
+    age = None
 
     def __init__(self, fn: ScalarFn):
         self.fn = fn
@@ -269,6 +286,10 @@ class DensityRate:
         x = np.asarray(x, dtype=float)
         v = self.fn(mu.mass)
         return v * np.ones_like(x) if x.ndim else v
+
+    def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
+        v = self.fn(n / k)
+        return sup, v, v
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
@@ -288,6 +309,8 @@ class AgeDensityRate:
 
     def eval(self, x, mu):
         return self.age(x) * self.fn(mu.mass)
+
+    bounds = DensityRate.bounds
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
@@ -352,7 +375,7 @@ class KernelRate:
         return age * self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
 
     def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
-        """(bound, lo, hi) among ``n`` live individuals at normalisation ``k``,
+        """(part, lo, hi) among ``n`` live individuals at normalisation ``k``,
         without a pairing.  g / c lies in [0, 1] and is 1 at x itself, so
         z = (g(x, .), A) / k lies between c / k and c * y for y = n / k (a
         constant kernel: z = c * y), and phi, affine in z, lies in [lo, hi]:
@@ -360,7 +383,7 @@ class KernelRate:
         above the rounding of the exact rate (the live-set sum is pairwise:
         a relative error of about eps log2 n).
         The rate at age x lies between r(x) lo and r(x) hi; r lies between 0
-        and the age profile's c at x >= 0, so the rate is at most ``bound``,
+        and the age profile's c at x >= 0, so the rate is at most ``part``,
         max(0, c lo, c hi) capped at ``sup``.
         """
         y = n / k
@@ -394,9 +417,8 @@ class RateModel:
 
     ``birth_sup`` and ``death_sup`` are the declared sup bounds, finite,
     >= 0 and at least a constant rate; every rate evaluation must stay
-    within them.  The thinning simulator draws candidates against them, or
-    against a kernel rate's bound at the live count where that is lower
-    (:meth:`KernelRate.bounds`).  The optional
+    within them; the thinning simulator draws candidates against each
+    rate's part at the live count (its ``bounds``).  The optional
     ``k_perturbation(name, x, K)`` hook adds a K-dependent term of size
     o(1/sqrt(K)) to the named rate; the built-in families are K-independent
     so the finite-K and limit parameterisations coincide.
@@ -416,7 +438,7 @@ class RateModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"RateModel {name} must be finite and >= 0; got {v!r}")
-            # the simulator never evaluates a constant rate, so never checks it
+            # lifelines never evaluate a constant rate, so never check it
             if rate.is_constant and rate.value > v:
                 raise ValueError(f"RateModel {name} {v!r} is below its constant rate "
                                  f"{rate.value!r}")

@@ -16,9 +16,9 @@ from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, bui
                                model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
-from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate,
-                             ModelError, OffspringLaw, RateModel, ScalarFn, classical_model,
-                             pure_splitting)
+from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kernel,
+                             KernelRate, ModelError, OffspringLaw, RateModel, ScalarFn,
+                             classical_model, pure_splitting)
 
 
 def atoms(ages, t_star=2.0):
@@ -41,6 +41,14 @@ DENS = RateModel("density_dependent", ConstantRate(0.4),
                  DensityRate(ScalarFn.affine(0.5, 0.3)),
                  OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                  birth_sup=0.4, death_sup=2.0)
+# both rates carry an age factor times a function of the total mass
+AGE_DENS = RateModel("age_density",
+                     AgeDensityRate(AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3),
+                                    ScalarFn.affine(1.0, -0.2)),
+                     AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.5),
+                                    ScalarFn.affine(0.5, 0.3)),
+                     OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
+                     birth_sup=0.5, death_sup=2.0)
 
 
 def twin(model):
@@ -286,7 +294,7 @@ def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
 
     monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
     panel = [constant(1.0), bump(0.2, 0.9)]
-    for model, per_interval in ((pure_splitting(1.0, 2), 1), (DENS, 5)):
+    for model, per_interval in ((pure_splitting(1.0, 2), 1), (DENS, 1)):
         calls.update(death_rate=0, birth_rate=0, intervals=0)
         traj = ledger_run(model, panel, 60, 16)
         assert not traj.ledger.closed_form and calls["intervals"] > 60
@@ -569,6 +577,57 @@ def test_kernel_workload_events_are_pinned(monkeypatch):
     declared_bounds(monkeypatch)
     assert event_digest(kernel_workload_run()) == (
         "20825080dc1a34e9a53e68b95b258e8d1e87d4c3d430412420f98f004e163fe3")
+
+
+def ledger_digest(traj) -> str:
+    """:func:`event_digest` and the ledger's recorded M and compensator paths."""
+    h = hashlib.sha256(event_digest(traj).encode())
+    for path in (traj.ledger.m_path, traj.ledger.comp_path):
+        h.update(np.asarray(path).tobytes())
+    return h.hexdigest()
+
+
+def population_run(model, ctx, *, ledger=True):
+    """150 atoms at k = 300 to t = 1, with an event log and, by default, a
+    Gauss-Legendre ledger (a bump in the panel)."""
+    return simulate(model, atoms(np.linspace(0.0, 1.0, 150)), k=300, horizon=1.0,
+                    dt_out=0.25, rng=stream(0, ctx=ctx), with_ledger=ledger,
+                    panel=[constant(1.0), monomial(1), bump(0.2, 0.9)], log_events=True,
+                    t_star=2.0)
+
+
+def test_density_and_age_density_runs_are_pinned():
+    # recorded when these rates were evaluated at every candidate and every
+    # Gauss-Legendre node
+    traj = population_run(DENS, 18)
+    assert len(traj.events) > 150 and traj.deaths > 0
+    assert ledger_digest(traj) == (
+        "0c134be4d2c6e118a37aaf71f955fcb6247cebd0b55a09a3f5d11f616aff1328")
+    traj = population_run(AGE_DENS, 19)
+    assert len(traj.events) > 150 and traj.deaths > 0
+    assert ledger_digest(traj) == (
+        "9a11ce47f3b6bb0b131f82fbeb70b0dacd05e6043858f3d3923213578a50d016")
+
+
+@pytest.mark.parametrize("model, ctx", [(DENS, 18), (AGE_DENS, 19)],
+                         ids=["density", "age_density"])
+def test_in_range_population_rates_are_never_evaluated(model, ctx, monkeypatch):
+    # every range is a point inside [0, sup]: the ranges decide every candidate
+    calls = [0]
+    for name in ("birth_rate", "death_rate"):
+        def counting(model, x, mu, k=None, _rate=getattr(RateModel, name)):
+            calls[0] += 1
+            return _rate(model, x, mu, k)
+
+        monkeypatch.setattr(RateModel, name, counting)
+    traj = population_run(model, ctx, ledger=False)
+    assert traj.candidates > len(traj.events) > 150 and calls[0] == 0
+
+
+def test_density_rate_above_its_declared_sup_raises():
+    # h = 0.5 + 0.3 * 150 / 300 from the first candidate on
+    with pytest.raises(ModelError, match=r"^death rate 0\.65 violates declared bound 0\.6$"):
+        population_run(dataclasses.replace(DENS, death_sup=0.6), 18, ledger=False)
 
 
 def test_squeeze_pairs_few_candidates(monkeypatch):

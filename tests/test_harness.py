@@ -106,6 +106,31 @@ def test_config_rejects_k_values_that_are_not_a_list(tmp_path, value):
                    rf"k_values must be a list of K values, got {re.escape(repr(value))}$")
 
 
+def test_config_rejects_empty_k_values(tmp_path):
+    # once a bare "max() arg is an empty sequence"
+    check_rejected(tmp_path, "k_values", [], r"k_values must name at least one K, got \[\]$")
+
+
+def test_config_rejects_an_empty_panel(tmp_path):
+    # once a study of zero rows, which passed; None is the default panel
+    check_rejected(tmp_path, "panel", [], r"panel must name at least one test function "
+                                          r"\(None: the default panel\), got \[\]$")
+    assert small_config(panel=None).panel is None
+
+
+@pytest.mark.parametrize("field", ["initial", "perturbation"])
+@pytest.mark.parametrize("kind", ["gird", None])
+def test_config_rejects_unknown_measure_kinds(tmp_path, field, kind):
+    # "gird" once ran as atoms
+    spec = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+    if kind is None:
+        del spec["kind"]
+    else:
+        spec["kind"] = kind
+    check_rejected(tmp_path, field, spec,
+                   rf"{field}\.kind must be 'grid' or 'atoms', got {re.escape(repr(kind))}$")
+
+
 def test_config_accepts_the_seed_range_and_integer_times():
     for seed in (0, 2 ** 64 - 1):
         assert small_config(seed=seed, horizon=1).seed == seed

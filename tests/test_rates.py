@@ -81,6 +81,19 @@ def test_k_perturbation_hook():
     assert float(model.birth_rate(0.2, mu)) == pytest.approx(0.5)
 
 
+def test_rate_model_rates_take_x_mu_k_by_position():
+    # wrappers of the rates pass (x, mu, k) by position, as the candidate
+    # counter of perfbench/probes.py does; k applies the K perturbation
+    model = RateModel("classical", ConstantRate(0.5), ConstantRate(1.0),
+                      OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
+                      birth_sup=0.6, death_sup=1.1,
+                      k_perturbation=lambda name, x, k: 0.1 / k)
+    mu = atoms([0.2])
+    assert RateModel.birth_rate(model, 0.2, mu, 100) == pytest.approx(0.501)
+    assert RateModel.death_rate(model, 0.2, mu, 100) == pytest.approx(1.001)
+    assert RateModel.death_rate(model, 0.2, mu, None) == 1.0
+
+
 def test_frechet_classical_zero():
     model = pure_splitting(1.0, 2)
     d = atoms([0.5], weight=0.3)
@@ -198,6 +211,18 @@ def test_offspring_moments_match(law):
     assert abs(sq.mean() - law.second_moment) <= 3 * se_m2 + 1e-12
     assert law.second_moment - law.mean ** 2 >= 0.0
     assert s.max() <= law.cap
+
+
+@pytest.mark.parametrize("make, field, shown", [
+    (lambda: OffspringLaw.deterministic(-1), "k", "-1"),
+    (lambda: OffspringLaw.two_point(0.5, -1, 2), "k1", "-1"),
+    (lambda: OffspringLaw.two_point(0.5, 0, -2), "k2", "-2"),
+    (lambda: OffspringLaw.poisson(1.0, cap=-3), "cap", "-3"),
+], ids=["deterministic", "two_point_k1", "two_point_k2", "poisson_cap"])
+def test_offspring_law_rejects_negative_broods(make, field, shown):
+    # deterministic(-1) once had cap and mean -1 and failed inside np.repeat
+    with pytest.raises(ValueError, match=rf"^OffspringLaw {field} must be >= 0; got {shown}$"):
+        make()
 
 
 def test_two_point_hand_moments():
