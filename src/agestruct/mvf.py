@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -120,17 +120,13 @@ class GridRates:
     def at(self, values: np.ndarray) -> "_GridFrames":
         return _GridFrames(self, values)
 
-    def birth_death(self, values: np.ndarray):
-        """Birth and death rates at the cell centers against each frame."""
-        mu = self.at(values)
-        return (self.model.birth_rate(self.centers, mu),
-                self.model.death_rate(self.centers, mu))
-
-    def pair(self, kernel, values: np.ndarray, edges: bool = False) -> np.ndarray:
+    def pair(self, kernel, values: np.ndarray, edges: bool = False,
+             sums: Optional[dict] = None) -> np.ndarray:
         """dx * sum_j g(x_i, y_j) v_j for rows ``values`` (..., w), w <= J, at the first w
         centers (or left edges) x_i and centers y_j.  An exp_decay kernel takes one
         sequential cumsum each of the rows scaled by its factors e^(-+alpha (y_j - ref)),
-        so a frame gives the same bits alone as in a stack; a constant kernel is
+        so a frame gives the same bits alone as in a stack; ``sums`` keeps them per
+        kernel, for the other pairing of the same rows.  A constant kernel is
         c dx sum(v).  A Gaussian kernel, or an exp_decay one whose factors would pass
         e^(+-_EXP_FACTOR_MAX), takes the product with its dense matrices."""
         w, c = values.shape[-1], kernel.c * self.dx
@@ -139,21 +135,32 @@ class GridRates:
             return self.dx * (values[..., None, :] @ g.T)[..., 0, :]
         if kernel.kind == "constant":
             return np.repeat(c * values.sum(axis=-1, keepdims=True), w, axis=-1)
-        lo, hi = (f[:w] for f in self._factors[kernel])
-        left = lo * np.cumsum(hi * values, axis=-1)       # cells at and left of y_i
-        right = hi * np.cumsum((lo * values)[..., ::-1], axis=-1)[..., ::-1]
+        sums = {} if sums is None else sums
+        if kernel not in sums:
+            lo, hi = (f[:w] for f in self._factors[kernel])
+            sums[kernel] = (lo * np.cumsum(hi * values, axis=-1),     # cells at and left of y_i
+                            hi * np.cumsum((lo * values)[..., ::-1], axis=-1)[..., ::-1])
+        left, right = sums[kernel]
         if not edges:
             return c * (left + right - values)
+        right = right.copy()
         right[..., 1:] += left[..., :-1]                  # left of edge i: left of y_(i-1)
         return c * math.exp(-0.5 * kernel.alpha * self.dx) * right
 
 
 class _GridFrames:
-    """Measure view of grid frames: ``mass`` and ``kernel_pair`` per frame."""
+    """Measure view of grid frames: ``mass`` and ``kernel_pair`` per frame.  Its
+    pairings at the centers and at the edges read one set of prefix sums."""
 
     def __init__(self, grid: GridRates, values: np.ndarray):
         self.grid = grid
         self.values = values
+        self.sums = {}
+
+    def birth_death(self):
+        """Birth and death rates at the cell centers against each frame."""
+        model, x = self.grid.model, self.grid.centers
+        return model.birth_rate(x, self), model.death_rate(x, self)
 
     @property
     def mass(self):
@@ -165,7 +172,7 @@ class _GridFrames:
         grid = self.grid
         if xs is not grid.centers and xs is not grid.edges:
             raise ValueError("grid frames pair a kernel only at the grid's centers or edges")
-        return grid.pair(kernel, self.values, xs is grid.edges)
+        return grid.pair(kernel, self.values, xs is grid.edges, self.sums)
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,10 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     predictor-corrector pass (predict with the current measure, correct with
     the average of current and predicted states), and fills the boundary
     cell with the newborn flux dt * (newborn_rate, a), also corrector-
-    averaged.  The initial density must vanish on the last `horizon` worth
-    of cells so no mass is ever shifted off the grid.
+    averaged.  State-free (constant) rates give the same rows and survival
+    factor at every step and are formed once; otherwise each state's rows read
+    one measure view.  The initial density must vanish on the last `horizon`
+    worth of cells so no mass is ever shifted off the grid.
     """
     if abs(a0.dx - dt) > 1e-12:
         raise ValueError(f"grid spacing {a0.dx} must equal the time step {dt}")
@@ -253,39 +262,35 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     def rows(a):
         """Death rates at the characteristic midpoints of cells >= 1 against
         ``a``, and the newborn rate at the cell centers."""
-        b, h = grid.birth_death(a)
-        return model.death_rate(grid.edges, grid.at(a))[1:], b * lm + h * sm
-
-    # state-free rates are the same against every state: form them once
-    fixed = rows(a0.values) if model.birth.is_constant and model.death.is_constant else None
-
-    def rates(a, v):
-        """The rows against ``a`` and the newborn flux (1/dx)*(newborn_rate(a), v)."""
-        h_mid, newborn = fixed or rows(a)
-        return h_mid, float(np.sum(newborn * v))
+        mu = grid.at(a)
+        b, h = mu.birth_death()
+        return model.death_rate(grid.edges, mu)[1:], b * lm + h * sm
 
     values = np.empty((n_steps + 1, n_cells))
     values[0] = a0.values
-    v = a0.values.copy()
-    shifted = np.empty_like(v)
+    # state-free rates are the same against every state: form them and their survival once
+    state_free = model.birth.is_constant and model.death.is_constant
+    if state_free:
+        h_now, newborn = rows(a0.values)
+        survival = np.exp(-dt * h_now)
     for k in range(n_steps):
-        shifted[1:] = v[:-1]
-        shifted[0] = 0.0
-        h_now, flux_now = rates(v, v)
-
-        pred = shifted.copy()
-        pred[1:] *= np.exp(-dt * h_now)
-        pred[0] = dt * flux_now
-        h_pred, flux_pred = rates(np.maximum(pred, 0.0), pred)
-
-        new = shifted
-        new[1:] *= np.exp(-dt * 0.5 * (h_now + h_pred))
+        v, new = values[k], values[k + 1]
+        if not state_free:
+            h_now, newborn = rows(v)
+            survival = np.exp(-dt * h_now)
+        flux_now = float(np.sum(newborn * v))
+        new[1:] = v[:-1] * survival                   # the predictor
+        new[0] = dt * flux_now
+        if state_free:                                # the corrector's survival is the same
+            flux_pred = float(np.sum(newborn * new))
+        else:
+            h_pred, newborn = rows(np.maximum(new, 0.0))
+            flux_pred = float(np.sum(newborn * new))
+            new[1:] = v[:-1] * np.exp(-dt * 0.5 * (h_now + h_pred))
         new[0] = dt * 0.5 * (flux_now + flux_pred)
         if not new.min() >= -1e-12:
             raise ModelError(f"transport scheme produced a negative density "
                              f"{new.min():g} at step {k + 1} (t = {(k + 1) * dt:g})")
-        values[k + 1] = new
-        v = new.copy()
 
     times = dt * np.arange(n_steps + 1)
     return LimitSolution(dt=dt, times=times, values=values, a_star=a_star)

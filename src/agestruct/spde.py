@@ -116,7 +116,7 @@ def _noise_cov(f, g, var_cells, var_boundary: float, split_mean: float) -> np.nd
 
 def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
     """Build the two-channel noise variances for one background frame."""
-    b, h = GridRates(model, frame.dx, frame.n_cells).birth_death(frame.values)
+    b, h = GridRates(model, frame.dx, frame.n_cells).at(frame.values).birth_death()
     var_cells, var_boundary = _noise_var(model, b, h, frame.values, frame.dx, dt)
     return NoiseChannel(var_cells=var_cells, split_mean=model.split_law.mean,
                         var_boundary=var_boundary)
@@ -128,7 +128,7 @@ def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,
 
     ``f0`` and ``g0`` are the values at age zero, where newborns deposit.
     """
-    b, h = GridRates(model, dx, a.shape[-1]).birth_death(a)
+    b, h = GridRates(model, dx, a.shape[-1]).at(a).birth_death()
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     w = b * model.life_law.second_moment + h * s2
     integrand = (f0 * g0 * w + h * f_vals * g_vals
@@ -174,10 +174,10 @@ class _Coeffs:
         a = background.values[:-1]
         shape = a.shape
         grid = self.grid = GridRates(model, dx, shape[1])
-        mu = grid.at(a)
+        mu = grid.at(a)            # one view: each rate row below reads its prefix sums
         x = grid.centers
 
-        b, h = grid.birth_death(a)
+        b, h = mu.birth_death()
         self.n_rows = np.broadcast_to(b * lm + h * sm, shape)
         self.decay = np.broadcast_to(np.exp(-dt * model.death_rate(grid.edges, mu)), shape)
         ub, w3b, kerb = model.birth.frechet_terms(x, mu)

@@ -37,15 +37,28 @@ clt = run_clt(ExperimentConfig(model=split, initial=uniform, perturbation=unifor
                                **sizes), workers=1)
 stats = {r.stat for r in lln.rows + clt.rows}
 assert {"lln_mean", "spde_var_vs_oracle"} <= stats, stats
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+for prefix in ("scipy", "multiprocessing", "concurrent.futures.process"):
+    print(sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + ".")))
 """
 
 
-def test_studies_do_not_import_scipy():
-    # scipy is a test dependency only: importing the package and running the
-    # classical LLN (atom base) and CLT oracles must leave it unloaded
+@pytest.fixture(scope="module")
+def studies_modules():
+    """The modules a fresh interpreter holds after the single-worker studies,
+    one line per package: scipy, multiprocessing, concurrent.futures.process."""
     src = str(Path(agestruct.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", STUDIES_WITHOUT_SCIPY], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()
+
+
+def test_studies_do_not_import_scipy(studies_modules):
+    # scipy is a test dependency only: importing the package and running the
+    # classical LLN (atom base) and CLT oracles must leave it unloaded
+    assert studies_modules[0] == "[]"
+
+
+def test_single_worker_studies_do_not_import_process_pools(studies_modules):
+    # the process pool and its multiprocessing imports load only for workers > 1
+    assert studies_modules[1:] == ["[]", "[]"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agestruct import spde
+from agestruct import harness, spde
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, build_initial,
                                emit, largest_remainder_counts, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
@@ -129,6 +129,36 @@ def test_config_rejects_unknown_measure_kinds(tmp_path, field, kind):
         spec["kind"] = kind
     check_rejected(tmp_path, field, spec,
                    rf"{field}\.kind must be 'grid' or 'atoms', got {re.escape(repr(kind))}$")
+
+
+@pytest.mark.parametrize("field", ["initial", "perturbation"])
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "grid"}, r"\.support must be two numbers lo < hi, got None"),
+    ({"kind": "grid", "support": [1.0]}, r"\.support must be two numbers lo < hi, got \[1\.0\]"),
+    ({"kind": "grid", "support": [1.0, 0.5]},
+     r"\.support must be two numbers lo < hi, got \[1\.0, 0\.5\]"),
+    ({"kind": "grid", "support": ["0", "1"]},
+     r"\.support must be two numbers lo < hi, got \['0', '1'\]"),
+    ({"kind": "atoms", "ages": [0.0]}, r"\.masses must be a nonempty list, got None"),
+    ({"kind": "atoms", "masses": [1.0]}, r"\.ages must be a nonempty list, got None"),
+    ({"kind": "atoms", "ages": [], "masses": []}, r"\.ages must be a nonempty list, got \[\]"),
+    ({"kind": "atoms", "ages": [0.0, 0.5], "masses": 1.0},
+     r"\.masses must be a nonempty list, got 1\.0"),
+    ({"kind": "atoms", "ages": [0.0, 0.5], "masses": [1.0]},
+     r"\.ages and \w+\.masses must be of equal length, got \[0\.0, 0\.5\] and \[1\.0\]"),
+    ("grid", r" must be a measure spec \(a dict\), got 'grid'"),
+], ids=["grid_no_support", "grid_one_number", "grid_lo_above_hi", "grid_strings",
+        "atoms_no_masses", "atoms_no_ages", "atoms_empty", "atoms_scalar_masses",
+        "atoms_unequal", "not_a_dict"])
+def test_config_names_a_malformed_measure_spec(tmp_path, field, spec, message):
+    # once a bare KeyError ('support', 'masses') from the first run
+    check_rejected(tmp_path, field, spec, rf"^{field}{message}$")
+
+
+def test_config_needs_an_initial_measure(tmp_path):
+    # None once passed the config and failed in the first run
+    check_rejected(tmp_path, "initial", None, r"^initial must be a measure spec \(a dict\), "
+                                              r"got None$")
 
 
 def test_config_accepts_the_seed_range_and_integer_times():
@@ -304,6 +334,66 @@ def test_run_clt_small(monkeypatch):
     assert evm.passed
     # the mean path and the law share one build of the grid coefficients
     assert len(builds) == 1
+
+
+UNIFORM = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+# the benchmark's kernel study model, and a logistic-type density-dependent one
+KERNEL_WORKLOAD = {"family": "kernel_linear", "birth": 1.0,
+                   "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "affine",
+                             "c0": 0.2, "cy": 0.3, "cz": 0.5},
+                   "death_sup": 4.0,
+                   "life_law": {"kind": "deterministic", "k": 1},
+                   "split_law": {"kind": "deterministic", "k": 0}}
+DENSITY = {"family": "density_dependent", "birth": 0.4,
+           "death": {"kind": "affine", "a": 0.5, "b": 0.3}, "death_sup": 4.0,
+           "life_law": {"kind": "deterministic", "k": 1},
+           "split_law": {"kind": "deterministic", "k": 2}}
+
+
+def small_clt_config(model, panel, dt=0.01):
+    return ExperimentConfig(model=dict(model), initial=dict(UNIFORM),
+                            perturbation=dict(UNIFORM), horizon=1.0, dt=dt, dt_out=1.0,
+                            k_values=[40], replicates=4, panel=panel, seed=5,
+                            n_spde_paths=8, spde_block=8)
+
+
+def counting(monkeypatch, name):
+    """Calls of ``harness.<name>`` from now on, one entry per call."""
+    calls, fn = [], getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("model, panel, from_law", [
+    (KERNEL_WORKLOAD, ["1", "exp:0.5", "exp:-1"], ["1", "exp(0.5)", "exp(-1)"]),
+    (DENSITY, ["1", "x", "exp:0.5"], ["x"])], ids=["kernel_workload", "density"])
+def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, panel,
+                                                                     from_law):
+    # run_clt reads these targets from the law's mean (an adjoint sweep); the
+    # forward sweep of the same scheme must give them to rounding
+    cfg = small_clt_config(model, panel)
+    rows = {r.f_id: r.target for r in run_clt(cfg).rows if r.stat == "clt_mean"}
+    st = harness._Study(cfg)
+    mean_path = spde.evolve_mean(st.model, st.init_max.nu0_values, st.background)
+    for f in st.panel:
+        forward = float(mean_path.pairings(f)[-1])
+        if f.label in from_law:
+            assert rows[f.label] == pytest.approx(forward, rel=1e-12, abs=0.0), f.label
+        else:                          # a closed form, first-order close to the grid
+            assert rows[f.label] == pytest.approx(forward, rel=0.05), f.label
+    assert set(rows) == {f.label for f in st.panel}
+
+
+@pytest.mark.parametrize("model, mean_steps", [(CLASSICAL, 1), (KERNEL_WORKLOAD, 0),
+                                               (DENSITY, 0)],
+                         ids=["classical", "kernel_workload", "density"])
+def test_run_clt_steps_the_mean_forward_only_to_check_a_classical_model(
+        monkeypatch, model, mean_steps):
+    means = counting(monkeypatch, "evolve_mean")
+    laws = counting(monkeypatch, "fluctuation_law")
+    rep = run_clt(small_clt_config(model, ["1", "x"], dt=0.02))
+    assert len(means) == mean_steps and len(laws) == 1
+    assert any(r.stat == "evolve_mean_linf" for r in rep.rows) == bool(mean_steps)
 
 
 def test_run_convergence_bands():

@@ -251,6 +251,13 @@ def check_pairing_against_dense(grid, kern, frames):
                 want = dense[:w, :w] @ frame[:w]
                 assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
                 assert row.tobytes() == grid.pair(kern, frame[:w], edges).tobytes()
+    # a measure view pairs at the centers and the edges, in either order and
+    # again, with the same bits as a fresh pairing
+    for order in ((grid.centers, grid.edges), (grid.edges, grid.centers)):
+        mu = grid.at(frames)
+        for xs in order + order:
+            want = grid.pair(kern, frames, xs is grid.edges)
+            assert mu.kernel_pair(kern, xs).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_cells", [400, 2000, 4000])
@@ -280,3 +287,14 @@ def test_exp_decay_grid_factors_beyond_the_float_range_keep_the_matrix():
         assert (kern in grid._factors) == prefix_sums and (kern in grid._matrices) != prefix_sums
         with np.errstate(over="raise", invalid="raise"):
             check_pairing_against_dense(grid, kern, frames)
+
+
+def test_a_state_view_forms_each_prefix_sum_once(monkeypatch):
+    # per step the solver reads its rows against the state and the predictor:
+    # one view each, whose center and edge pairings share two cumsums
+    calls, cumsum = [], np.cumsum
+    monkeypatch.setattr(mvf.np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+    kern = Kernel("exp_decay", alpha=1.0)
+    dx = 0.02
+    solve_mvf(kernel_grid(kern, 100, dx).model, box(dx, t_star=2.0), 0.5, dx)
+    assert len(calls) == 2 * 2 * 25

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from functools import partial
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from agestruct import spde
-from agestruct.harness import replicate_stream, spde_noise_stream
+from agestruct.harness import model_from_config, replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial)
 from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total_ode
@@ -464,3 +465,55 @@ def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
         bg = run_grid_layers(GAUSS, 0.02, horizon)
         n_cells = bg.values.shape[1]
         assert shapes == [(n_cells, n_cells)] * 4, horizon
+
+
+# ---------------------------------------------------------------------------
+# the grid layers' arrays, pinned bit for bit
+
+# the benchmark's kernel study model (exp_decay kernel paired by prefix sums)
+KERNEL_WORKLOAD = model_from_config({
+    "family": "kernel_linear", "birth": 1.0,
+    "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "affine",
+              "c0": 0.2, "cy": 0.3, "cz": 0.5},
+    "death_sup": 4.0,
+    "life_law": {"kind": "deterministic", "k": 1},
+    "split_law": {"kind": "deterministic", "k": 0}})
+PINNED_MODELS = {"classical": MIXED, "density": DENS, "age_density": AGE,
+                 "kernel_workload": KERNEL_WORKLOAD, "gaussian_kernel": GAUSS}
+
+# sha256 of solve_mvf's frames from the box start on J = 400 cells (dx 5e-3,
+# horizon 1), recorded while the solver formed every row twice per step
+PINNED_FRAMES = {
+    "classical": "ed450fc0b5266ce2ea9ff6b296b1ac831e3f045d255f879d8963c1e727417b82",
+    "density": "4a0ba14e5058a1848d6aa457345bddd0a9f5637181a4e447d48cbadc099aefd7",
+    "age_density": "7289daa4de9aae5eabfd2bb5951be5e6ded6c07e7e5e554ae441d8d9f4bd643e",
+    "kernel_workload": "c76b531232dd34c547096fbf4b690be806bacf09a6bb7fe4c36bcfd582c87f60",
+    "gaussian_kernel": "8e8c3c69545fd9918867ce2ec16da66b6fcb3b25b09c46da570c2e72892c2769",
+}
+# sha256 of _Coeffs' rows on those backgrounds, recorded as PINNED_FRAMES
+PINNED_COEFFS = {
+    "kernel_workload": "bc2f3387842eaab31a239acd9f17397a65f819236506f5dde9145233583f21b7",
+    "gaussian_kernel": "0e1fdede031e0398e65e9c0ee89e24c7492a9ae6167a9fa79f2e9520db5c8d76",
+}
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_FRAMES)
+def test_limit_frames_are_pinned(name):
+    assert digest(background(PINNED_MODELS[name], dx=5e-3).values) == PINNED_FRAMES[name]
+
+
+@pytest.mark.parametrize("name", PINNED_COEFFS)
+def test_kernel_coeffs_are_pinned(name):
+    model = PINNED_MODELS[name]
+    co = _Coeffs(model, background(model, dx=5e-3))
+    assert len(co.kernels) == 1 and co.uh is not None
+    rows = [co.n_rows, co.decay, co.uh, co.un, co.una, co.b, co.h]
+    assert digest(*rows, *(w for _, wh, wn in co.kernels for w in (wh, wn))) == \
+        PINNED_COEFFS[name]
