@@ -184,7 +184,7 @@ class MartingaleLedger:
         # rates with no age factor take the same row at every node
         self._ageless = (model.birth.age is None and model.death.age is None
                          and model.k_perturbation is None)
-        self.closed_form = (self._ageless and model.birth.is_constant and model.death.is_constant
+        self.closed_form = (self._ageless and model.constant_rates
                             and all(f.kind != "bump" for f in self.panel))
         self._acc = [0.0] * p
         self._s = pop.t
@@ -367,8 +367,8 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     ledger = MartingaleLedger(panel, model, pop) if with_ledger else None
     log = EventLog() if log_events else None
 
-    lives = (model.birth.is_constant and model.death.is_constant
-             and model.k_perturbation is None and (ledger is None or ledger.closed_form))
+    lives = (model.constant_rates and model.k_perturbation is None
+             and (ledger is None or ledger.closed_form))
     run = _simulate_lives if lives else _simulate_loop
     snapshots, candidates = run(pop, model, horizon, out_times, t_star, rng,
                                 ledger, log, population_cap)

@@ -198,55 +198,64 @@ class ExperimentConfig:
         return model_from_config(self.model)
 
 
-def _scalar_fn(spec) -> ScalarFn:
+def _need(spec, key: str, where: str):
+    """``spec[key]``, or a ValueError naming the field ``where.key`` and showing ``spec``."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{where} needs a {key!r} field; got {spec!r}")
+    return spec[key]
+
+
+def _scalar_fn(spec, where: str) -> ScalarFn:
     if isinstance(spec, (int, float)):
         return ScalarFn.constant(float(spec))
-    kind = spec["kind"]
+    kind = _need(spec, "kind", where)
     if kind == "constant":
-        return ScalarFn.constant(spec["c"])
+        return ScalarFn.constant(_need(spec, "c", where))
     if kind == "affine":
-        return ScalarFn.affine(spec["a"], spec["b"])
+        return ScalarFn.affine(_need(spec, "a", where), _need(spec, "b", where))
     raise ValueError(f"unknown scalar function kind {kind!r}")
 
 
-def _age_profile(spec) -> AgeProfile:
-    return AgeProfile(kind=spec["kind"], c=spec.get("c", 1.0),
+def _age_profile(spec, where: str) -> AgeProfile:
+    return AgeProfile(kind=_need(spec, "kind", where), c=spec.get("c", 1.0),
                       alpha=spec.get("alpha", 0.0), center=spec.get("center", 0.0),
                       sigma=spec.get("sigma", 1.0))
 
 
-def _offspring_law(spec) -> OffspringLaw:
-    kind = spec["kind"]
+def _offspring_law(spec, where: str) -> OffspringLaw:
+    kind = _need(spec, "kind", where)
     if kind == "deterministic":
-        return OffspringLaw.deterministic(spec["k"])
+        return OffspringLaw.deterministic(_need(spec, "k", where))
     if kind == "poisson":
-        return OffspringLaw.poisson(spec["mean"], spec.get("cap"))
+        return OffspringLaw.poisson(_need(spec, "mean", where), spec.get("cap"))
     if kind == "two_point":
-        return OffspringLaw.two_point(spec["p"], spec["k1"], spec["k2"])
+        return OffspringLaw.two_point(*(_need(spec, key, where) for key in ("p", "k1", "k2")))
     raise ValueError(f"unknown offspring law {kind!r}")
 
 
-def _rate_fn(family: str, spec):
+def _rate_fn(family: str, spec, where: str):
     if isinstance(spec, (int, float)):
         return ConstantRate(float(spec))
     if family == "density_dependent":
-        return DensityRate(_scalar_fn(spec))
+        return DensityRate(_scalar_fn(spec, where))
     if family == "age_density":
-        return AgeDensityRate(_age_profile(spec["age"]), _scalar_fn(spec["mass"]))
+        return AgeDensityRate(_age_profile(_need(spec, "age", where), f"{where}.age"),
+                              _scalar_fn(_need(spec, "mass", where), f"{where}.mass"))
     if family == "kernel_linear":
-        kernel = Kernel(kind=spec["kernel"]["kind"], c=spec["kernel"].get("c", 1.0),
-                        alpha=spec["kernel"].get("alpha", 1.0),
-                        sigma=spec["kernel"].get("sigma", 1.0))
-        age = _age_profile(spec["age"]) if "age" in spec else None
+        k = _need(spec, "kernel", where)
+        kernel = Kernel(kind=_need(k, "kind", f"{where}.kernel"), c=k.get("c", 1.0),
+                        alpha=k.get("alpha", 1.0), sigma=k.get("sigma", 1.0))
+        age = _age_profile(spec["age"], f"{where}.age") if "age" in spec else None
         params = {p: spec[p] for p in ("c0", "cy", "cz", "d0", "d1", "c") if p in spec}
-        return KernelRate(kernel, spec["phi"], age=age, **params)
+        return KernelRate(kernel, _need(spec, "phi", where), age=age, **params)
     raise ValueError(f"unknown model family {family!r}")
 
 
 def model_from_config(spec: dict) -> RateModel:
-    family = spec["family"]
-    birth = _rate_fn(family, spec["birth"])
-    death = _rate_fn(family, spec["death"])
+    """The model a config's ``model`` spec names; a missing field is a ValueError."""
+    family = _need(spec, "family", "model")
+    birth = _rate_fn(family, _need(spec, "birth", "model"), "model.birth")
+    death = _rate_fn(family, _need(spec, "death", "model"), "model.death")
     birth_sup = spec.get("birth_sup")
     death_sup = spec.get("death_sup")
     if birth_sup is None:
@@ -259,8 +268,8 @@ def model_from_config(spec: dict) -> RateModel:
         death_sup = death.value
     return RateModel(
         family=family, birth=birth, death=death,
-        life_law=_offspring_law(spec["life_law"]),
-        split_law=_offspring_law(spec["split_law"]),
+        life_law=_offspring_law(_need(spec, "life_law", "model"), "model.life_law"),
+        split_law=_offspring_law(_need(spec, "split_law", "model"), "model.split_law"),
         birth_sup=float(birth_sup), death_sup=float(death_sup),
     )
 
@@ -573,14 +582,10 @@ def _add_samples(report: Report, k: int, values: np.ndarray, times, labels) -> N
 # targets
 
 
-def _is_classical(model: RateModel) -> bool:
-    return isinstance(model.birth, ConstantRate) and isinstance(model.death, ConstantRate)
-
-
 def _limit_pairing_fn(st: _Study):
     """Best available (f, limit measure at t) oracle for the study's model."""
     model, base = st.model, st.init_max.base
-    if not _is_classical(model):
+    if not model.constant_rates:
         background = st.background
         return lambda f, t: pair(f, background.frame_at(t))
     return lambda f, t: classical_pairing(f, base, model.birth.value, model.death.value,
@@ -647,7 +652,7 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
 
     qv_targets = []
     for f in panel:
-        if _is_classical(model) and f.kind == "constant" and f.c == 1.0:
+        if model.constant_rates and f.kind == "constant" and f.c == 1.0:
             qv_targets.append(classical_qv_mass(
                 st.init_max.base.mass, model.birth.value, model.death.value,
                 model.life_law, model.split_law, t_end))
@@ -694,7 +699,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     workers = config.workers if workers is None else workers
     st = _Study(config)
     model, panel, background = st.model, st.panel, st.background
-    classical = _is_classical(model)
+    classical = model.constant_rates
     target_of = _limit_pairing_fn(st)
     t_end = config.horizon
     report = Report(name="clt")

@@ -269,7 +269,7 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     values = np.empty((n_steps + 1, n_cells))
     values[0] = a0.values
     # state-free rates are the same against every state: form them and their survival once
-    state_free = model.birth.is_constant and model.death.is_constant
+    state_free = model.constant_rates
     if state_free:
         h_now, newborn = rows(a0.values)
         survival = np.exp(-dt * h_now)

@@ -444,6 +444,11 @@ class RateModel:
                                  f"{rate.value!r}")
 
     @property
+    def constant_rates(self) -> bool:
+        """Both rates are constants: the classical McKendrick-von Foerster case."""
+        return self.birth.is_constant and self.death.is_constant
+
+    @property
     def kernels(self) -> set:
         """The distinct interaction kernels the birth and death rates pair against."""
         return {r.kernel for r in (self.birth, self.death) if isinstance(r, KernelRate)}

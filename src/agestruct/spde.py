@@ -23,8 +23,8 @@ characteristics grid as the limit solver:
   quadratic variation by construction.  One helper builds a step's noise
   variances from its rates and background (:func:`_noise_var`) and one
   pairs them with test-function rows (:func:`_noise_cov`):
-  :func:`noise_channel` uses both for one frame, and the law sweep for the
-  active cells of every step.
+  :func:`noise_channel` uses both for one frame, the law sweep both and the
+  constant-rate law the first, for the active cells of every step.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
@@ -33,7 +33,12 @@ the panel pairings at any set of record times are exactly jointly
 Gaussian.  :func:`fluctuation_law` computes that law by one backward
 adjoint sweep g_k = A_k^T g_{k+1} (the discrete stochastic-convolution
 representation): the mean is dx * (g_0, z_0) and the covariance is the sum
-over steps of the noise covariance paired with g_{k+1}.
+over steps of the noise covariance paired with g_{k+1}.  With constant
+rates (McKendrick-von Foerster: a renewal equation at the boundary) A_k^T
+shifts a row, decays it by d = exp(-dt h) and adds c g(0), c = dt (b m_life
++ h m_split), on the active cells, which gain one a step: j steps before
+its record a row is d^j f(x + j dx) + sig_j there, sig_j = d sig_(j-1) +
+c g_j(0).  Those scalars and fixed shifted panel tables give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
 the mean field itself forward.
 """
@@ -294,6 +299,50 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
 # exact law of the panel pairings
 
 
+def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.ndarray):
+    """Start rows g_0 and covariance of a constant-rate law from renewal scalars."""
+    bg, n, top = co.bg, rec_idx.size, int(rec_idx.max())
+    d, c = float(co.decay[0, 0]), bg.dt * float(co.n_rows[0, 0])
+    dpow = d ** np.arange(top + 1)
+    sig, s = np.zeros((top + 1, n)), fvals[:, :top + 1].T * dpow[:, None]
+    for j in range(1, top + 1):                  # the scalars j steps before each record
+        sig[j] = d * sig[j - 1] + c * s[j - 1]
+        s[j] += sig[j]
+    tables = {}                                  # R -> (q rows, pairs p, q, table, sums)
+    for r in sorted(set(rec_idx[rec_idx > 0].tolist())):
+        qs, ln = np.flatnonzero(rec_idx == r), _width(co, r - 1)
+        p, q = np.array([(p, q) for q in qs for p in np.flatnonzero(rec_idx >= r)]).T
+        shifted = fvals[p[:, None], rec_idx[p, None] - r + np.arange(ln)] * fvals[q, :ln]
+        tables[r] = (qs, p, q, np.vstack([fvals[qs, :ln], shifted]).T,
+                     np.empty((r, len(qs) + len(p))))
+    s1, vb = np.zeros(top), np.zeros(top)
+    for k in range(top - 1, -1, -1):
+        w0 = _width(co, k)
+        var, vb[k] = _noise_var(model, co.b[k, :w0], co.h[k, :w0], bg.values[k, :w0],
+                                bg.dx, bg.dt)
+        s1[k] = var.sum()
+        for r, (*_, table, sums) in tables.items():
+            if r > k:
+                sums[k] = var @ table[r - 1 - k:r - 1 - k + w0]
+    m = rec_idx - 1 - np.arange(top)[:, None]    # (top, n): m_p at every step, < 0 once past
+    on, mc, rows = m >= 0, np.maximum(m, 0), np.arange(n)
+    first = np.where(on, s[mc, rows], 0.0)
+    alpha = np.where(on, model.split_law.mean * first - sig[mc, rows], 0.0)
+    dvf, y = np.zeros((top, n)), np.zeros((n, n))
+    for r, (qs, p, q, _, sums) in tables.items():
+        dm = dpow[r - 1::-1]                     # d^m at k = 0 .. r - 1
+        dvf[:r, qs] = dm[:, None] * sums[:, :len(qs)]
+        y[p, q] = y[q, p] = dpow[rec_idx[p] - r] * (dm * dm @ sums[:, len(qs):])
+    # cov: the sum over k of (alpha - d^m f[. + m]) var (same)^T + vb s s^T, expanded
+    x = alpha.T @ dvf
+    cov = alpha.T @ (alpha * s1[:, None]) - x - x.T + y + first.T @ (first * vb[:, None])
+    g0, w0 = fvals.copy(), _width(co, 0)
+    for p, r in zip(np.flatnonzero(rec_idx), rec_idx[rec_idx > 0]):
+        g0[p, :_width(co, r)] = 0.0
+        g0[p, :w0] = dpow[r] * fvals[p, r:r + w0] + sig[r, p]
+    return g0, cov
+
+
 def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
                     panel: Sequence[TestFunction], record_times: Sequence[float]):
     """Exact Gaussian law of the grid pairings dx * (f, z) at the record times.
@@ -302,24 +351,37 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     r*P + p.  One backward sweep carries an adjoint row per pairing; the
     rows of record r start as the panel values when the sweep reaches its
     time index.  Before step k is undone, its noise is paired with the rows
-    (a zero row, for a record before step k, adds nothing).
+    (a zero row, for a record before step k, adds nothing).  Constant rates
+    give the same rows and sums in closed form (:func:`_renewal_law`), equal
+    to the sweep's up to rounding.
     """
+    z0 = np.asarray(z0, dtype=float)
+    n_cells = background.values.shape[1]
+    if not len(panel) or not len(record_times):
+        raise ValueError(f"fluctuation_law needs a panel function and a record time; "
+                         f"got panel {panel!r} and record_times {record_times!r}")
+    if z0.shape != (n_cells,):
+        raise ValueError(f"z0 must hold one value per background cell, shape ({n_cells},); "
+                         f"got shape {z0.shape}")
     co = _coeffs(model, background)
     dx = background.dx
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
-    g = np.where((rec_idx == rec_idx.max())[:, None], fvals, 0.0)
-    cov = np.zeros((g.shape[0], g.shape[0]))
-    for k in range(rec_idx.max() - 1, -1, -1):
-        w0, w1 = _width(co, k), _width(co, k + 1)
-        var_cells, var_boundary = _noise_var(model, co.b[k, :w0], co.h[k, :w0],
-                                             background.values[k, :w0], dx, background.dt)
-        gw = g[:, :w0]
-        cov += _noise_cov(gw, gw, var_cells, var_boundary, co.split_mean)
-        g = _adjoint_step(g, k, co, w0, w1)
-        g[rec_idx == k] = fvals[rec_idx == k]
-    return dx * (g @ np.asarray(z0, dtype=float)), cov
+    if model.constant_rates:
+        g, cov = _renewal_law(model, co, rec_idx, fvals)
+    else:
+        g = np.where((rec_idx == rec_idx.max())[:, None], fvals, 0.0)
+        cov = np.zeros((g.shape[0], g.shape[0]))
+        for k in range(rec_idx.max() - 1, -1, -1):
+            w0, w1 = _width(co, k), _width(co, k + 1)
+            var_cells, var_boundary = _noise_var(model, co.b[k, :w0], co.h[k, :w0],
+                                                 background.values[k, :w0], dx, background.dt)
+            gw = g[:, :w0]
+            cov += _noise_cov(gw, gw, var_cells, var_boundary, co.split_mean)
+            g = _adjoint_step(g, k, co, w0, w1)
+            g[rec_idx == k] = fvals[rec_idx == k]
+    return dx * (g @ z0), cov
 
 
 def simulate_fluctuation_paths(

@@ -218,6 +218,61 @@ def test_model_from_config_families():
     assert m.family == "kernel_linear"
 
 
+DENSITY = {"family": "density_dependent", "birth": 0.2,
+           "death": {"kind": "affine", "a": 1.0, "b": 1.0}, "death_sup": 5.0,
+           "life_law": {"kind": "two_point", "p": 0.5, "k1": 0, "k2": 2},
+           "split_law": {"kind": "poisson", "mean": 1.5}}
+AGE_DENSITY = dict(DENSITY, family="age_density",
+                   death={"age": {"kind": "exp_decay", "alpha": 0.5},
+                          "mass": {"kind": "constant", "c": 1.0}})
+KERNEL = dict(DENSITY, family="kernel_linear",
+              death={"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "inv1p", "c": 1.0})
+
+
+def without(spec, *path):
+    """A copy of ``spec`` with the field at ``path`` (keys into nested dicts) dropped."""
+    out = dict(spec)
+    if len(path) == 1:
+        del out[path[0]]
+    else:
+        out[path[0]] = without(spec[path[0]], *path[1:])
+    return out
+
+
+MISSING_FIELDS = [
+    (without(CLASSICAL, "family"), "model", "family"),
+    (without(CLASSICAL, "birth"), "model", "birth"),
+    (without(CLASSICAL, "death"), "model", "death"),
+    (without(CLASSICAL, "life_law"), "model", "life_law"),
+    (without(CLASSICAL, "split_law"), "model", "split_law"),
+    (without(CLASSICAL, "split_law", "k"), "model.split_law", "k"),
+    (without(CLASSICAL, "life_law", "kind"), "model.life_law", "kind"),
+    (without(DENSITY, "split_law", "mean"), "model.split_law", "mean"),
+    (without(DENSITY, "life_law", "k2"), "model.life_law", "k2"),
+    (without(DENSITY, "death", "b"), "model.death", "b"),
+    (without(DENSITY, "death", "kind"), "model.death", "kind"),
+    (without(AGE_DENSITY, "death", "mass"), "model.death", "mass"),
+    (without(AGE_DENSITY, "death", "mass", "c"), "model.death.mass", "c"),
+    (without(AGE_DENSITY, "death", "age", "kind"), "model.death.age", "kind"),
+    (without(KERNEL, "death", "kernel"), "model.death", "kernel"),
+    (without(KERNEL, "death", "kernel", "kind"), "model.death.kernel", "kind"),
+    (without(KERNEL, "death", "phi"), "model.death", "phi"),
+]
+
+
+@pytest.mark.parametrize("spec, where, key", MISSING_FIELDS,
+                         ids=[f"{where}.{key}" for _, where, key in MISSING_FIELDS])
+def test_model_spec_names_its_missing_field(spec, where, key):
+    for whole in (CLASSICAL, DENSITY, AGE_DENSITY, KERNEL):
+        model_from_config(whole)
+    shown = spec
+    for part in where.split(".")[1:]:
+        shown = shown[part]
+    with pytest.raises(ValueError) as err:
+        model_from_config(spec)
+    assert str(err.value) == f"{where} needs a {key!r} field; got {shown!r}"
+
+
 # -- initial conditions ------------------------------------------------------
 
 def test_largest_remainder_preserves_total():

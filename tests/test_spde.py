@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from agestruct import spde
+from agestruct.acceptance import clt_config
 from agestruct.harness import model_from_config, replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial)
@@ -25,6 +27,8 @@ SPLIT = pure_splitting(1.0, 2)
 MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
                   birth_sup=0.5, death_sup=0.8)
+# no deaths: the adjoint decays by exp(-dt h) = 1 and the cells carry no noise
+BIRTH = classical_model(0.7, 0.0, OffspringLaw.poisson(1.3), OffspringLaw.deterministic(0))
 
 KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
                    KernelRate(Kernel("exp_decay", alpha=1.0), "affine",
@@ -204,7 +208,7 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
         since = {r: a @ x for r, x in since.items()}
 
 
-@pytest.mark.parametrize("model", LAW_MODELS, ids=LAW_IDS)
+@pytest.mark.parametrize("model", LAW_MODELS + [BIRTH], ids=LAW_IDS + ["pure_birth"])
 def test_law_covariance_matches_forward_recursion(model):
     bg = background(model, dx=1e-2)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
@@ -233,6 +237,66 @@ def test_record_time_zero_gives_the_start_pairing():
     assert np.all(both[:, 0] == both[0, 0])
     assert np.allclose(both[0, 0], alone[0, 0], rtol=1e-14, atol=0.0)
     assert np.all(both[:, 1].std(axis=0) > 0.0)
+
+
+def twin(model):
+    """``model`` with its constant death rate as a zero-slope density family:
+    the same coefficients, on the generic adjoint sweep."""
+    return dataclasses.replace(model, family="density_dependent",
+                               death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
+
+
+@pytest.mark.parametrize("times", [[1.0], [0.0, 0.3, 1.0], [0.3, 1.0, 0.5]],
+                         ids=["end", "zero_mid_end", "unordered"])
+@pytest.mark.parametrize("model, dx", [(SPLIT, 1e-2), (MIXED, 1e-2), (BIRTH, 1e-2),
+                                       (model_from_config(clt_config().model), 1e-3)],
+                         ids=["split", "mixed", "pure_birth", "clt_config"])
+def test_constant_rate_law_equals_the_generic_sweep(model, dx, times):
+    bg = background(model, dx=dx)
+    assert model.constant_rates and not twin(model).constant_rates
+    # mass on every cell: the last start cells and those no step reaches included
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0) + np.cos(3.0 * bg.centers)
+    panel = [constant(1.0), exponential(0.5), monomial(1), exponential(-1.0)]
+    mean, cov = fluctuation_law(model, bg, z0, panel, times)
+    want_mean, want_cov = fluctuation_law(twin(model), bg, z0, panel, times)
+    assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+    if 0.0 in times:                            # the start pairings draw no noise
+        assert not np.any(cov.reshape(len(times), len(panel), -1)[times.index(0.0)])
+
+
+def test_constant_rates_step_no_adjoint_row(monkeypatch):
+    # the model alone picks the law: renewal scalars for constant rates, the
+    # sweep otherwise; both build each step's noise once
+    calls = {}
+    for name in ("_adjoint_step", "_noise_var"):
+        def counting(*args, _name=name, _fn=getattr(spde, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spde, name, counting)
+    for model, rows_stepped in ((MIXED, 0), (KERNEL_WORKLOAD, 1)):
+        bg = background(model, dx=0.02)
+        n = bg.values.shape[0] - 1
+        calls.update(_adjoint_step=0, _noise_var=0)
+        fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant(1.0)], [1.0])
+        assert calls == {"_adjoint_step": rows_stepped * n, "_noise_var": n}
+
+
+@pytest.mark.parametrize("model", [SPLIT, DENS], ids=["renewal", "sweep"])
+@pytest.mark.parametrize("panel, times, z0_shape, match", [
+    ([], [1.0], None, r"got panel \[\] and record_times \[1.0\]"),
+    ([constant(1.0)], [], None, r"and record_times \[\]"),
+    ([constant(1.0)], [1.0], (99,), r"shape \(100,\); got shape \(99,\)"),
+    ([constant(1.0)], [1.0], (101,), r"shape \(100,\); got shape \(101,\)"),
+    ([constant(1.0)], [1.0], (1, 100), r"shape \(100,\); got shape \(1, 100\)"),
+], ids=["empty_panel", "no_record_time", "short_z0", "long_z0", "row_z0"])
+def test_law_rejects_what_it_cannot_pair(model, panel, times, z0_shape, match):
+    bg = background(model, dx=0.02)
+    z0 = np.ones(z0_shape or bg.values.shape[1])
+    with pytest.raises(ValueError, match=match):
+        fluctuation_law(model, bg, z0, panel, times)
+    with pytest.raises(ValueError, match=match):
+        simulate_fluctuation_paths(model, bg, z0, 4, panel, times, lambda b: ZeroNoise())
 
 
 def test_paths_reject_empty_blocks():
