@@ -72,10 +72,12 @@ class CriterionResult:
     name: str
     passed: bool
     details: list[str] = field(default_factory=list)
+    seconds: Optional[float] = None      # wall clock, set by AcceptanceSuite.run_all
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        return f"criterion {self.index} ({self.name}): {verdict}"
+        took = "" if self.seconds is None else f" in {self.seconds:.1f}s"
+        return f"criterion {self.index} ({self.name}): {verdict}{took}"
 
 
 def _rows_detail(rows: list[CheckRow]) -> list[str]:
@@ -254,8 +256,11 @@ class AcceptanceSuite:
         return CriterionResult(8, "small-instance sampling law", passed, details)
 
     def run_all(self) -> list[CriterionResult]:
-        return [
-            self.criterion_1(), self.criterion_2(), self.criterion_3(),
-            self.criterion_4(), self.criterion_5(), self.criterion_6(),
-            self.criterion_7(), self.criterion_8(),
-        ]
+        """Every criterion in turn, each timed; a shared study is charged to the first
+        criterion that runs it."""
+        results = []
+        for index in range(1, 9):
+            t0 = time.perf_counter()
+            results.append(getattr(self, f"criterion_{index}")())
+            results[-1].seconds = time.perf_counter() - t0
+        return results

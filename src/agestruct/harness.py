@@ -150,29 +150,7 @@ class ExperimentConfig:
             raise ValueError(f"dt {self.dt!r} must divide dt_out {self.dt_out!r}")
         if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
             raise ValueError(f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")
-        for name in ("initial", "perturbation"):
-            spec = getattr(self, name)
-            if spec is None and name == "perturbation":
-                continue
-            if not isinstance(spec, dict):
-                raise ValueError(f"{name} must be a measure spec (a dict), got {spec!r}")
-            kind = spec.get("kind")
-            if kind not in ("grid", "atoms"):
-                raise ValueError(f"{name}.kind must be 'grid' or 'atoms', got {kind!r}")
-            if kind == "grid":
-                lo_hi = spec.get("support")
-                if not (_is_list(lo_hi) and len(lo_hi) == 2 and all(map(_is_real, lo_hi))
-                        and lo_hi[0] < lo_hi[1]):
-                    raise ValueError(f"{name}.support must be two numbers lo < hi, "
-                                     f"got {lo_hi!r}")
-            if kind == "atoms":
-                ages, masses = spec.get("ages"), spec.get("masses")
-                for key, value in (("ages", ages), ("masses", masses)):
-                    if not (_is_list(value) and len(value)):
-                        raise ValueError(f"{name}.{key} must be a nonempty list, got {value!r}")
-                if len(ages) != len(masses):
-                    raise ValueError(f"{name}.ages and {name}.masses must be of equal length, "
-                                     f"got {ages!r} and {masses!r}")
+        _read_start(self.initial, self.perturbation, self.dt, self.horizon)   # checks both
         if self.panel is not None and not len(self.panel):
             raise ValueError(f"panel must name at least one test function (None: the "
                              f"default panel), got {self.panel!r}")
@@ -236,6 +214,8 @@ def _offspring_law(spec, where: str) -> OffspringLaw:
 def _rate_fn(family: str, spec, where: str):
     if isinstance(spec, (int, float)):
         return ConstantRate(float(spec))
+    if family == "classical":
+        raise ValueError(f"{where} of a classical model must be a number, got {spec!r}")
     if family == "density_dependent":
         return DensityRate(_scalar_fn(spec, where))
     if family == "age_density":
@@ -281,7 +261,6 @@ def model_from_config(spec: dict) -> RateModel:
 @dataclass(frozen=True)
 class InitialCondition:
     atoms: AtomicMeasure                 # unit weight, the raw population
-    k: int
     t_star: float
     z0: SignedPair                       # sqrt(K) * (atoms / K - target), exact
     nu0_values: Optional[np.ndarray]     # realised fluctuation density (grid kind)
@@ -297,137 +276,124 @@ class InitialCondition:
         return self.base if isinstance(self.base, GridDensity) else None
 
 
-def largest_remainder_counts(masses: np.ndarray) -> np.ndarray:
-    """Integer counts with the same total as ``masses`` (largest remainder).
+def _number(value, where: str, signed: bool = False) -> float:
+    if not (_is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    if value < 0 and not signed:
+        raise ValueError(f"{where} must be nonnegative, got {value!r}")
+    return float(value)
 
-    Deterministic: ties are broken toward lower indices.
+
+def _measure(spec, where: str, dx: float,
+             signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (ages, masses) of a measure spec: a grid's cells at their centers, atoms as given.
+
+    A malformed field is a ValueError that names it (``where.field``) and
+    shows its value.  Only a perturbation (``signed``) may carry negative mass.
     """
-    masses = np.asarray(masses, dtype=float)
-    if masses.size and masses.min() < -1e-9:
-        raise ValueError("negative target count: infeasible for this K")
-    masses = np.maximum(masses, 0.0)
-    total = int(round(masses.sum()))
-    floors = np.floor(masses + 1e-12).astype(np.int64)
-    deficit = total - int(floors.sum())
-    if deficit > 0:
-        rem = masses - floors
-        order = np.argsort(-rem, kind="stable")
-        floors[order[:deficit]] += 1
-    return floors
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a measure spec (a dict), got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "grid":
+        lo_hi = spec.get("support")
+        if not (_is_list(lo_hi) and len(lo_hi) == 2
+                and all(_is_real(v) and math.isfinite(v) for v in lo_hi)
+                and lo_hi[0] < lo_hi[1]):
+            raise ValueError(f"{where}.support must be two numbers lo < hi, got {lo_hi!r}")
+        profile = spec.get("profile", "uniform")
+        if profile != "uniform":
+            raise ValueError(f"{where}.profile must be 'uniform', got {profile!r}")
+        lo, hi = lo_hi
+        mass = _number(spec.get("mass", 1.0), f"{where}.mass", signed)
+        centers = (np.arange(max(0, int(lo // dx)), math.ceil(hi / dx) + 1) + 0.5) * dx
+        ages = centers[(centers > lo) & (centers < hi)]
+        if not ages.size:
+            raise ValueError(f"{where}.support {lo_hi!r} holds no cell center at dt {dx!r}")
+        return ages, np.full(ages.size, mass / (hi - lo) * dx)
+    if kind == "atoms":
+        ages, masses = spec.get("ages"), spec.get("masses")
+        for key, value in (("ages", ages), ("masses", masses)):
+            if not (_is_list(value) and len(value)):
+                raise ValueError(f"{where}.{key} must be a nonempty list, got {value!r}")
+        if len(ages) != len(masses):
+            raise ValueError(f"{where}.ages and {where}.masses must be of equal length, "
+                             f"got {ages!r} and {masses!r}")
+        return (np.array([_number(a, f"{where}.ages[{i}]") for i, a in enumerate(ages)]),
+                np.array([_number(m, f"{where}.masses[{i}]", signed)
+                          for i, m in enumerate(masses)]))
+    raise ValueError(f"{where}.kind must be 'grid' or 'atoms', got {kind!r}")
 
 
-def _grid_cell_masses(spec: dict, n_cells: int, dx: float) -> np.ndarray:
-    profile = spec.get("profile", "uniform")
-    centers = (np.arange(n_cells) + 0.5) * dx
-    if profile == "uniform":
-        lo, hi = spec["support"]
-        mass = float(spec.get("mass", 1.0))
-        inside = (centers > lo) & (centers < hi)
-        if not inside.any():
-            raise ValueError("uniform support contains no grid cells")
-        density = mass / (hi - lo)
-        out = np.zeros(n_cells)
-        out[inside] = density * dx
-        return out
-    raise ValueError(f"unknown grid profile {profile!r}")
-
-
-def _spec_extent(spec: Optional[dict]) -> float:
-    if spec is None:
-        return 0.0
-    if spec["kind"] == "grid":
-        return float(spec["support"][1])
-    return float(max(spec["ages"])) if spec["ages"] else 0.0
-
-
-def _n_cells(initial: dict, perturbation: Optional[dict], dx: float,
-             horizon: float) -> int:
-    """Solver grid size: the initial support plus one cell per time step."""
-    extent = max(_spec_extent(initial), _spec_extent(perturbation))
-    n_room = max(1, int(math.ceil(extent / dx - 1e-9)))
+def _read_start(initial, perturbation, dx: float, horizon: float):
+    """The base's and the perturbation's (ages, masses), and the solver grid size:
+    room for the oldest age of either plus one cell per time step."""
+    base = _measure(initial, "initial", dx)
+    pert = ((np.empty(0), np.empty(0)) if perturbation is None
+            else _measure(perturbation, "perturbation", dx, signed=True))
+    extent = max(base[0].max(), pert[0].max(initial=0.0))
     n_steps = int(round(horizon / dx))
     if abs(n_steps * dx - horizon) > 1e-9:
         raise ValueError("horizon must be a multiple of the grid spacing")
-    return n_steps + n_room
+    return base, pert, n_steps + max(1, int(math.ceil(extent / dx - 1e-9)))
+
+
+def _systematic_counts(target: np.ndarray) -> np.ndarray:
+    """Integer counts, in the order given, by systematic rounding ``diff(round(cumsum))``.
+
+    The total is the rounded total, and every running count lies within half
+    an individual of the running target.
+    """
+    target = np.asarray(target, dtype=float)
+    if target.size and target.min() < -1e-9:
+        raise ValueError(f"negative target count {target.min()!r}: infeasible for this K")
+    running = np.round(np.cumsum(np.maximum(target, 0.0)))
+    return np.diff(running, prepend=0.0).astype(np.int64)
+
+
+def _binned(ages: np.ndarray, weights: Optional[np.ndarray], n_cells: int,
+            dx: float) -> np.ndarray:
+    """The weights (counts if None) summed per solver-grid cell."""
+    cells = np.minimum((ages / dx).astype(int), n_cells - 1)
+    return np.bincount(cells, weights=weights, minlength=n_cells)
 
 
 def build_initial(initial: dict, perturbation: Optional[dict], k: int,
                   dx: float, horizon: float) -> InitialCondition:
     """Realise K * base + sqrt(K) * perturbation as unit-weight atoms.
 
-    Grid-kind targets put atoms at cell centers with largest-remainder
-    counts per cell; atom-kind targets round per distinct age.  The
+    Both specs are read as (ages, masses); the targets are summed per
+    distinct age and rounded once, in age order, by systematic rounding, so
+    the count below any age is within half an individual of its target.  The
     fluctuation start is defined exactly from the realised atoms, so the
     scaled-deviation identity holds by construction; its panel pairings are
     reported, not prescribed.
     """
-    n_cells = _n_cells(initial, perturbation, dx, horizon)
+    (base_ages, base_masses), (pert_ages, pert_masses), n_cells = _read_start(
+        initial, perturbation, dx, horizon)
     t_star = n_cells * dx
     sqrt_k = math.sqrt(k)
-
+    ages, slot = np.unique(np.concatenate([base_ages, pert_ages]), return_inverse=True)
+    target = np.bincount(slot, weights=np.concatenate([k * base_masses, sqrt_k * pert_masses]))
+    realised = np.repeat(ages, _systematic_counts(target))
     if initial["kind"] == "grid":
-        base_cells = _grid_cell_masses(initial, n_cells, dx)
-        target = k * base_cells.copy()
-        if perturbation is not None:
-            if perturbation["kind"] == "grid":
-                target += sqrt_k * _grid_cell_masses(perturbation, n_cells, dx)
-            else:
-                extra_ages = np.asarray(perturbation["ages"], dtype=float)
-                extra_masses = sqrt_k * np.asarray(perturbation["masses"], dtype=float)
-                if extra_masses.min() < 0:
-                    raise ValueError("atom perturbation on a grid base must be nonnegative")
-                counts = largest_remainder_counts(extra_masses)
-                pert_ages = np.repeat(extra_ages, counts)
-        counts_grid = largest_remainder_counts(target)
-        centers = (np.arange(n_cells) + 0.5) * dx
-        ages = np.repeat(centers, counts_grid)
-        if perturbation is not None and perturbation["kind"] == "atoms":
-            ages = np.concatenate([ages, pert_ages])
-        base = GridDensity(dx=dx, values=base_cells / dx)
-        empirical = AtomicMeasure(ages=np.sort(ages), weight=1.0 / k, t_star=t_star)
-        nu0 = sqrt_k * (np.bincount(
-            np.minimum((np.sort(ages) / dx).astype(int), n_cells - 1),
-            minlength=n_cells).astype(float) / (k * dx) - base.values)
+        base = GridDensity(dx=dx, values=_binned(base_ages, base_masses, n_cells, dx) / dx)
+        nu0 = sqrt_k * (_binned(realised, None, n_cells, dx) / (k * dx) - base.values)
     else:
-        base_ages = np.asarray(initial["ages"], dtype=float)
-        base_masses = np.asarray(initial["masses"], dtype=float)
-        ages_all = list(base_ages)
-        target = list(k * base_masses)
-        if perturbation is not None:
-            if perturbation["kind"] != "atoms":
-                raise ValueError("grid perturbation needs a grid-kind base")
-            for a, m in zip(perturbation["ages"], perturbation["masses"]):
-                if a in ages_all:
-                    target[ages_all.index(a)] += sqrt_k * m
-                else:
-                    ages_all.append(float(a))
-                    target.append(sqrt_k * m)
-        counts = largest_remainder_counts(np.array(target))
-        ages = np.repeat(np.array(ages_all), counts)
-        base = PointMasses(base_ages, base_masses)
-        empirical = AtomicMeasure(ages=np.sort(ages), weight=1.0 / k, t_star=t_star)
-        nu0 = None
-
-    atoms = AtomicMeasure(ages=empirical.ages, weight=1.0, t_star=t_star)
-    return InitialCondition(atoms=atoms, k=k, t_star=t_star,
-                            z0=SignedPair(plus=empirical, minus=base, scale=sqrt_k),
-                            nu0_values=nu0)
+        base, nu0 = PointMasses(base_ages, base_masses), None
+    empirical = AtomicMeasure(ages=realised, weight=1.0 / k, t_star=t_star)
+    return InitialCondition(atoms=AtomicMeasure(ages=realised, weight=1.0, t_star=t_star),
+                            t_star=t_star, nu0_values=nu0,
+                            z0=SignedPair(plus=empirical, minus=base, scale=sqrt_k))
 
 
 def background_solution(config: ExperimentConfig, model: RateModel) -> LimitSolution:
-    """Solve the deterministic limit from the configured target density.
-
-    An atomic target is mollified onto the grid (cell-averaged).
-    """
-    dx, initial = config.dt, config.initial
-    n_cells = _n_cells(initial, config.perturbation, dx, config.horizon)
-    if initial["kind"] == "grid":
-        vals = _grid_cell_masses(initial, n_cells, dx) / dx
-    else:
-        vals = np.zeros(n_cells)
-        for a, m in zip(initial["ages"], initial["masses"]):
-            vals[min(int(a / dx), n_cells - 1)] += m / dx
-    return solve_mvf(model, GridDensity(dx=dx, values=vals), config.horizon, dx)
+    """Solve the deterministic limit from the configured initial target, its
+    masses binned onto the grid (an atom's mass spread over its cell)."""
+    dx = config.dt
+    (ages, masses), _, n_cells = _read_start(config.initial, config.perturbation, dx,
+                                             config.horizon)
+    return solve_mvf(model, GridDensity(dx=dx, values=_binned(ages, masses, n_cells, dx) / dx),
+                     config.horizon, dx)
 
 
 # ---------------------------------------------------------------------------

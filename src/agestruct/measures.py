@@ -77,15 +77,15 @@ class AtomicMeasure:
     def mass(self) -> float:
         return self.weight * self.ages.size
 
-    def to_csv(self, path: Union[str, Path], sidecar: Union[str, Path, None] = None) -> None:
+    def to_csv(self, path: Union[str, Path]) -> None:
         """Write ages as CSV with header ``age`` plus a JSON sidecar with the weight."""
         path = Path(path)
         with path.open("w") as fh:
             fh.write("age\n")
             for a in self.ages:
                 fh.write(f"{float(a)!r}\n")
-        sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
-        sidecar.write_text(json.dumps({"weight": self.weight, "t_star": self.t_star}))
+        path.with_suffix(".json").write_text(
+            json.dumps({"weight": self.weight, "t_star": self.t_star}))
 
 
 @dataclass(frozen=True)
@@ -256,14 +256,14 @@ class TestFunction:
             return math.exp(self.lam * x)
         return self.c if self.kind == "constant" else float(self(x))
 
-    def antiderivative(self, x, xp=np):
-        """F(x) = int_0^x f, for an array or, with ``xp=math``, for a float; no bump."""
+    def antiderivative(self, x):
+        """F(x) = int_0^x f; no bump."""
         if self.kind == "constant":
             return self.c * x
         if self.kind == "monomial":
             return x ** (self.k + 1) / (self.k + 1)
         if self.kind == "exp":
-            return xp.expm1(self.lam * x) / self.lam if self.lam else 1.0 * x
+            return np.expm1(self.lam * x) / self.lam if self.lam else 1.0 * x
         raise ValueError(f"{self.label} has no closed-form antiderivative")
 
     def _u(self, x):

@@ -5,9 +5,14 @@ pre-registered master seed and shared across criteria; each test prints its
 pass/fail line with the measured numbers.
 """
 
+from functools import cached_property
+from types import SimpleNamespace
+
 import pytest
 
-from agestruct.acceptance import AcceptanceSuite
+from agestruct import acceptance
+from agestruct.acceptance import AcceptanceSuite, CriterionResult
+from agestruct.harness import Report
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +58,32 @@ def test_criterion_7_exactness_properties(suite):
 
 def test_criterion_8_small_instance_law(suite):
     _report(suite.criterion_8())
+
+
+def test_run_all_times_each_criterion(monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    class Stubbed(AcceptanceSuite):
+        @cached_property
+        def clt_report(self):
+            clock[0] += 5.0                     # the study criteria 3-5 share
+            return Report(name="clt")
+
+    def stub(index):
+        def criterion(self):
+            clock[0] += index / 10              # the criterion's own work
+            if index in (3, 4, 5):
+                self.clt_report
+            return CriterionResult(index, f"stub {index}", True)
+        return criterion
+
+    for index in range(1, 9):
+        setattr(Stubbed, f"criterion_{index}", stub(index))
+    results = Stubbed().run_all()
+    assert [r.index for r in results] == list(range(1, 9))
+    assert [r.seconds for r in results] == pytest.approx(
+        [0.1, 0.2, 5.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+    assert results[2].line() == "criterion 3 (stub 3): PASS in 5.3s"
+    # called directly, a criterion is not timed
+    assert Stubbed().criterion_4().line() == "criterion 4 (stub 4): PASS"

@@ -12,7 +12,7 @@ from agestruct.acceptance import clt_config, lln_config, qv_config
 from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger,
                                  Population, check_pathwise_identity,
                                  pathwise_identity_catalogue, simulate, two_var)
-from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study, build_initial,
+from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study,
                                model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
@@ -551,8 +551,14 @@ def event_digest(traj) -> str:
 
 
 def kernel_workload_run(k=300, replicate=0):
-    """One replicate of the benchmark's ``kernel`` study at K = ``k``."""
-    uniform = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+    """One replicate of the benchmark's ``kernel`` study at K = ``k``, from the start the
+    digests were recorded on: K + sqrt(K) atoms on the 200 cells of [0, 1], floor(K dx +
+    sqrt(K) dx) at each center and one more at each of the youngest that rounding left."""
+    dx = 5e-3
+    per_cell = k * dx + math.sqrt(k) * dx
+    counts = np.full(200, math.floor(per_cell))
+    counts[:round(200 * per_cell) - counts.sum()] += 1
+    start = AtomicMeasure(np.repeat((np.arange(200) + 0.5) * dx, counts), 1.0, 400 * dx)
     model = model_from_config({
         "family": "kernel_linear", "birth": 1.0,
         "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "affine",
@@ -560,10 +566,9 @@ def kernel_workload_run(k=300, replicate=0):
         "death_sup": 4.0,
         "life_law": {"kind": "deterministic", "k": 1},
         "split_law": {"kind": "deterministic", "k": 0}})
-    init = build_initial(uniform, uniform, k, 5e-3, 1.0)
-    return simulate(model, init.atoms, k, 1.0, 1.0,
+    return simulate(model, start, k, 1.0, 1.0,
                     replicate_stream(20260812, PURPOSE_CLT, 0, replicate),
-                    log_events=True, t_star=init.t_star)
+                    log_events=True, t_star=start.t_star)
 
 
 def test_kernel_workload_events_are_pinned(monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from agestruct import harness, spde
-from agestruct.harness import (CheckRow, ExperimentConfig, Report, build_initial,
-                               emit, largest_remainder_counts, model_from_config,
+from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
+                               build_initial, emit, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
                                run_qv_check, run_simulate)
 from agestruct.measures import constant, exponential
@@ -139,6 +139,8 @@ def test_config_rejects_unknown_measure_kinds(tmp_path, field, kind):
      r"\.support must be two numbers lo < hi, got \[1\.0, 0\.5\]"),
     ({"kind": "grid", "support": ["0", "1"]},
      r"\.support must be two numbers lo < hi, got \['0', '1'\]"),
+    ({"kind": "grid", "support": [0.0, math.inf]},
+     r"\.support must be two numbers lo < hi, got \[0\.0, inf\]"),
     ({"kind": "atoms", "ages": [0.0]}, r"\.masses must be a nonempty list, got None"),
     ({"kind": "atoms", "masses": [1.0]}, r"\.ages must be a nonempty list, got None"),
     ({"kind": "atoms", "ages": [], "masses": []}, r"\.ages must be a nonempty list, got \[\]"),
@@ -147,12 +149,38 @@ def test_config_rejects_unknown_measure_kinds(tmp_path, field, kind):
     ({"kind": "atoms", "ages": [0.0, 0.5], "masses": [1.0]},
      r"\.ages and \w+\.masses must be of equal length, got \[0\.0, 0\.5\] and \[1\.0\]"),
     ("grid", r" must be a measure spec \(a dict\), got 'grid'"),
+    ({"kind": "grid", "profile": "gauss", "support": [0.0, 1.0]},
+     r"\.profile must be 'uniform', got 'gauss'"),
+    ({"kind": "grid", "support": [0.0, 1.0], "mass": "1"},
+     r"\.mass must be a finite number, got '1'"),
+    ({"kind": "atoms", "ages": ["0.5"], "masses": [1.0]},
+     r"\.ages\[0\] must be a finite number, got '0\.5'"),
+    ({"kind": "grid", "support": [0.001, 0.0015]},
+     r"\.support \[0\.001, 0\.0015\] holds no cell center at dt 0\.004"),
+    ({"kind": "atoms", "ages": [0.0, 0.5], "masses": [1.0, math.nan]},
+     r"\.masses\[1\] must be a finite number, got nan"),
+    ({"kind": "atoms", "ages": [-0.5], "masses": [1.0]},
+     r"\.ages\[0\] must be nonnegative, got -0\.5"),
 ], ids=["grid_no_support", "grid_one_number", "grid_lo_above_hi", "grid_strings",
-        "atoms_no_masses", "atoms_no_ages", "atoms_empty", "atoms_scalar_masses",
-        "atoms_unequal", "not_a_dict"])
+        "grid_infinite_support", "atoms_no_masses", "atoms_no_ages", "atoms_empty",
+        "atoms_scalar_masses", "atoms_unequal", "not_a_dict", "grid_unknown_profile",
+        "grid_string_mass", "atoms_string_ages", "grid_no_cell_center", "atoms_nan_mass",
+        "atoms_negative_age"])
 def test_config_names_a_malformed_measure_spec(tmp_path, field, spec, message):
-    # once a bare KeyError ('support', 'masses') from the first run
+    # once a bare KeyError ('support', 'masses') from the first run; a string mass or
+    # age once ran as a number, and the others failed late or named no field
     check_rejected(tmp_path, field, spec, rf"^{field}{message}$")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "atoms", "ages": [0.0], "masses": [-1.0]}, r"\.masses\[0\]"),
+    ({"kind": "grid", "support": [0.0, 1.0], "mass": -1.0}, r"\.mass"),
+], ids=["atoms", "grid"])
+def test_only_a_perturbation_carries_negative_mass(tmp_path, spec, message):
+    # a negative initial mass once failed late, with "negative target count"
+    check_rejected(tmp_path, "initial", spec,
+                   rf"^initial{message} must be nonnegative, got -1\.0$")
+    assert small_config(perturbation=spec).perturbation == spec
 
 
 def test_config_needs_an_initial_measure(tmp_path):
@@ -273,13 +301,24 @@ def test_model_spec_names_its_missing_field(spec, where, key):
     assert str(err.value) == f"{where} needs a {key!r} field; got {shown!r}"
 
 
+@pytest.mark.parametrize("field", ["birth", "death"])
+@pytest.mark.parametrize("rate", [{"kind": "constant", "c": 1.0}, "0.5"],
+                         ids=["scalar_fn_spec", "string"])
+def test_classical_rate_must_be_a_number(field, rate):
+    # once "unknown model family 'classical'"
+    with pytest.raises(ValueError) as err:
+        model_from_config(dict(CLASSICAL, **{field: rate}))
+    assert str(err.value) == (f"model.{field} of a classical model must be a number, "
+                              f"got {rate!r}")
+
+
 # -- initial conditions ------------------------------------------------------
 
 def test_largest_remainder_preserves_total():
     rng = np.random.default_rng(5)
     for _ in range(50):
         masses = rng.uniform(0, 7, size=rng.integers(1, 40))
-        counts = largest_remainder_counts(masses)
+        counts = _systematic_counts(masses)
         assert counts.sum() == round(masses.sum())
         assert np.all(counts >= 0)
         assert np.all(np.abs(counts - masses) < 1.0)
@@ -327,6 +366,53 @@ def test_build_initial_grid_base_rounding_scale():
     for f in (constant(1.0), exponential(0.5)):
         grid_pairing = init.base_grid.dx * float(np.dot(f(xs), init.nu0_values))
         assert grid_pairing == pytest.approx(init.z0.pair(f), abs=1e-10)
+
+
+UNIFORM = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+
+
+def test_uniform_start_spreads_its_atoms_over_its_ages():
+    # the largest-remainder start put all 317 atoms below age 0.317 (mean 0.158)
+    init = build_initial(UNIFORM, UNIFORM, 300, 1e-3, 1.0)
+    assert init.atoms.count == 317
+    assert abs(init.atoms.ages.mean() - 0.5) <= 0.01
+
+
+def test_running_count_stays_within_half_of_running_target():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        target = rng.uniform(0, 3, size=rng.integers(1, 200)) * (rng.uniform(size=1) < 0.9)
+        running = np.cumsum(_systematic_counts(target))
+        assert np.all(np.abs(running - np.cumsum(target)) <= 0.5 + 1e-9)
+    # and on a realised grid start, cell by cell in age order
+    k, dx = 300, 1e-3
+    init = build_initial(UNIFORM, UNIFORM, k, dx, 1.0)
+    per_cell = np.bincount((init.atoms.ages / dx).astype(int), minlength=1000)
+    target = np.full(1000, k * dx + math.sqrt(k) * dx)
+    assert np.all(np.abs(np.cumsum(per_cell) - np.cumsum(target)) <= 0.5 + 1e-9)
+
+
+def test_grid_base_with_atom_perturbation_is_rounded_once():
+    # 300.45 base atoms and 0.30 perturbation atoms: rounded apart, 300 + 0
+    k, base_mass, pert_mass = 300, 1.0015, 0.0173
+    init = build_initial(dict(UNIFORM, mass=base_mass),
+                         {"kind": "atoms", "ages": [0.5], "masses": [pert_mass]},
+                         k, 1e-3, 1.0)
+    assert init.atoms.count == round(k * base_mass + math.sqrt(k) * pert_mass) == 301
+    assert init.z0.mass == pytest.approx(math.sqrt(k) * (301 / k - base_mass), rel=1e-12)
+
+
+def test_atom_base_with_grid_perturbation_realises_its_atoms():
+    k = 100
+    init = build_initial({"kind": "atoms", "ages": [0.0], "masses": [1.0]}, UNIFORM,
+                         k, 0.01, 1.0)
+    ages = init.atoms.ages
+    assert init.atoms.count == 110 and np.count_nonzero(ages == 0.0) == 100
+    assert init.nu0_values is None
+    for f in (constant(1.0), exponential(0.5)):
+        direct = math.sqrt(k) * (float(np.sum(f(ages))) / k - float(f(np.zeros(1))[0]))
+        assert init.z0.pair(f) == pytest.approx(direct, rel=1e-12)
+    assert init.z0.mass == pytest.approx(1.0)
 
 
 def test_replicate_streams_independent_of_context():
