@@ -33,7 +33,7 @@ from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_ex
                   solve_mvf, solve_total_ode)
 from .spde import (classical_exp_mean, classical_qv_mass,
                    covariation_integral_frames, density_dependent_exp_mean,
-                   evolve_mean, fluctuation_law, ito_isometry_variance,
+                   evolve_mean, fluctuation_law, ito_isometry_variance, NoiseChannel,
                    noise_channel, remark_covariance_grid, simulate_fluctuation_paths)
 from .stats import (fit_loglog_slope, sample_summary, se_of_covariance,
                     se_of_variance)
@@ -764,6 +764,21 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     return report
 
 
+def _noise_pairings(rng: np.random.Generator, chan: NoiseChannel, fvals: np.ndarray,
+                    n_draw: int) -> np.ndarray:
+    """``n_draw`` draws of ``chan``'s step noise paired with each row of ``fvals``: per
+    chunk of 5000, its cell normals in one reused buffer, then its boundary residuals."""
+    sd = np.sqrt(chan.var_cells)
+    weights = sd[:, None] * np.vstack([np.ones_like(sd), fvals]).T
+    buf, out = np.empty((min(5000, n_draw), sd.size)), np.empty((n_draw, len(fvals)))
+    for pos in range(0, n_draw, len(buf)):
+        prod = rng.standard_normal(out=buf[:n_draw - pos]) @ weights    # at most a chunk
+        births = chan.split_mean * prod[:, 0] \
+            + math.sqrt(chan.var_boundary) * rng.standard_normal(len(prod))
+        out[pos:pos + len(prod)] = births[:, None] * fvals[:, 0] - prod[:, 1:]
+    return out
+
+
 def run_convergence(config: ExperimentConfig) -> Report:
     """Refinement studies for the solvers plus the noise-construction identity."""
     report = Report(name="convergence")
@@ -852,19 +867,9 @@ def run_convergence(config: ExperimentConfig) -> Report:
             worst = max(worst, abs(built - target) / scale)
     report.rows.append(CheckRow.band("noise_cov_identity_rel", worst, 0.0, 1e-10))
 
-    rng = replicate_stream(config.seed, PURPOSE_SPDE, 1, 0)
-    n_draw = 10 ** 5
     n_check = min(3, len(panel))
-    functionals = np.empty((n_draw, n_check))
-    pos = 0
-    while pos < n_draw:
-        m = min(5000, n_draw - pos)
-        deaths = rng.standard_normal((m, frame.n_cells)) * np.sqrt(chan.var_cells)
-        births = chan.split_mean * deaths.sum(axis=1) \
-            + math.sqrt(chan.var_boundary) * rng.standard_normal(m)
-        for fi in range(n_check):
-            functionals[pos:pos + m, fi] = fvals[fi][0] * births - deaths @ fvals[fi]
-        pos += m
+    functionals = _noise_pairings(replicate_stream(config.seed, PURPOSE_SPDE, 1, 0), chan,
+                                  np.array(fvals[:n_check]), 10 ** 5)
     for fi in range(n_check):
         for gi in range(fi, n_check):
             nf, ng = functionals[:, fi], functionals[:, gi]

@@ -23,8 +23,9 @@ characteristics grid as the limit solver:
   quadratic variation by construction.  One helper builds a step's noise
   variances from its rates and background (:func:`_noise_var`) and one
   pairs them with test-function rows (:func:`_noise_cov`):
-  :func:`noise_channel` uses both for one frame, the law sweep both and the
-  constant-rate law the first, for the active cells of every step.
+  :func:`noise_channel` uses both for one frame and the law sweep both for
+  the active cells of every step; the constant-rate law builds the first
+  once for the boundary column and once for the start row.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
@@ -38,7 +39,9 @@ rates (McKendrick-von Foerster: a renewal equation at the boundary) A_k^T
 shifts a row, decays it by d = exp(-dt h) and adds c g(0), c = dt (b m_life
 + h m_split), on the active cells, which gain one a step: j steps before
 its record a row is d^j f(x + j dx) + sig_j there, sig_j = d sig_(j-1) +
-c g_j(0).  Those scalars and fixed shifted panel tables give the law.
+c g_j(0).  Frame k is the start row shifted k cells and decayed by d^k behind
+the boundary column decayed along the diagonal, so the noise sums against
+fixed shifted panel tables obey a like recursion; those scalars give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
 the mean field itself forward.
 """
@@ -100,12 +103,13 @@ def _noise_var(model: RateModel, b, h, a, dx: float, dt: float):
     """Death-increment variances per cell and the boundary-residual variance.
 
     ``b``, ``h`` and ``a`` are the birth and death rates and the background
-    density at the cell centers of one frame (or of its first cells).
+    density at the cell centers of one frame (or of its first cells); ``a``
+    may stack frames on its first axis, with one boundary variance each.
     """
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     resid = b * model.life_law.second_moment + h * (s2 - sm * sm)
     return (np.maximum(h * a, 0.0) * dx * dt,
-            max(float(np.sum(resid * a)) * dx, 0.0) * dt)
+            np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt)
 
 
 def _noise_cov(f, g, var_cells, var_boundary: float, split_mean: float) -> np.ndarray:
@@ -167,7 +171,8 @@ class _Coeffs:
     interaction kernel: the kernel, paired through ``grid`` (the background's
     :class:`~agestruct.mvf.GridRates`), and the per-step row weights of its
     death and newborn Frechet terms.  ``b``/``h`` are the birth and death
-    rate rows the law sweep builds each step's noise variances from.
+    rate rows the law sweep builds each step's noise variances from (the
+    constant-rate law reads their first cell only).
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
@@ -300,46 +305,66 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
 
 
 def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.ndarray):
-    """Start rows g_0 and covariance of a constant-rate law from renewal scalars."""
-    bg, n, top = co.bg, rec_idx.size, int(rec_idx.max())
+    """Start rows g_0 and covariance of a constant-rate law from renewal scalars.
+
+    The noise variances are positively homogeneous in the frame (the boundary
+    one while the column and the row's mass share a sign), so step k's are the
+    boundary column's and the start row's, decayed, and each of their sums
+    against a fixed table obeys acc_k = d acc_(k-1) + (column entry k's term).
+    Raises ValueError when the last frame the law uses is not of that form.
+    """
+    bg, n, top, n_room = co.bg, rec_idx.size, int(rec_idx.max()), _width(co, 0)
     d, c = float(co.decay[0, 0]), bg.dt * float(co.n_rows[0, 0])
     dpow = d ** np.arange(top + 1)
-    sig, s = np.zeros((top + 1, n)), fvals[:, :top + 1].T * dpow[:, None]
-    for j in range(1, top + 1):                  # the scalars j steps before each record
-        sig[j] = d * sig[j - 1] + c * s[j - 1]
-        s[j] += sig[j]
-    tables = {}                                  # R -> (q rows, pairs p, q, table, sums)
+    col, row = bg.values[:top + 1, 0], bg.values[0, :n_room]
+    if top:
+        k = top - 1
+        frame = bg.values[k, :n_room + k]
+        dev = np.abs(np.concatenate([dpow[:k] * col[k:0:-1], dpow[k] * row]) - frame)
+        if dev.max() > 1e-10 * np.abs(frame).max():
+            raise ValueError(f"background frame {k} is not its start row and boundary column "
+                             f"decayed by d = {d!r}: off by {dev.max():g} at cell "
+                             f"{int(dev.argmax())}; was it solved for other rates?")
+    b, h = co.b[0, :1], co.h[0, :1]
+    vcol, vbcol = _noise_var(model, b, h, col[:, None], bg.dx, bg.dt)
+    vrow, vbrow = _noise_var(model, b, h, row, bg.dx, bg.dt)
+    # acc columns: the cell-variance sum, the boundary variance, then per record r
+    # its panel and shifted-product table paired with the step's cell variances
+    inc, tables = [np.column_stack([vcol, vbcol])], []
+    inc[0][0] = vrow.sum(), vbrow
     for r in sorted(set(rec_idx[rec_idx > 0].tolist())):
         qs, ln = np.flatnonzero(rec_idx == r), _width(co, r - 1)
         p, q = np.array([(p, q) for q in qs for p in np.flatnonzero(rec_idx >= r)]).T
         shifted = fvals[p[:, None], rec_idx[p, None] - r + np.arange(ln)] * fvals[q, :ln]
-        tables[r] = (qs, p, q, np.vstack([fvals[qs, :ln], shifted]).T,
-                     np.empty((r, len(qs) + len(p))))
-    s1, vb = np.zeros(top), np.zeros(top)
-    for k in range(top - 1, -1, -1):
-        w0 = _width(co, k)
-        var, vb[k] = _noise_var(model, co.b[k, :w0], co.h[k, :w0], bg.values[k, :w0],
-                                bg.dx, bg.dt)
-        s1[k] = var.sum()
-        for r, (*_, table, sums) in tables.items():
-            if r > k:
-                sums[k] = var @ table[r - 1 - k:r - 1 - k + w0]
+        table = np.vstack([fvals[qs, :ln], shifted]).T
+        tables.append((r, qs, p, q, sum(a.shape[1] for a in inc)))
+        inc.append(np.zeros((top + 1, table.shape[1])))
+        inc[-1][0] = vrow @ table[r - 1:r - 1 + n_room]
+        inc[-1][1:r] = vcol[1:r] * table[:r - 1][::-1]     # table row r - 1 - k at step k
+    acc = np.hstack(inc)
+    sig, s = np.zeros((top + 1, n)), fvals[:, :top + 1].T * dpow[:, None]
+    for j in range(1, top + 1):   # sig: j steps before each record; acc: step j from the start
+        sig[j] = d * sig[j - 1] + c * s[j - 1]
+        s[j] += sig[j]
+        acc[j] += d * acc[j - 1]
+    s1, vb = acc[:top, 0], acc[:top, 1]
     m = rec_idx - 1 - np.arange(top)[:, None]    # (top, n): m_p at every step, < 0 once past
     on, mc, rows = m >= 0, np.maximum(m, 0), np.arange(n)
     first = np.where(on, s[mc, rows], 0.0)
     alpha = np.where(on, model.split_law.mean * first - sig[mc, rows], 0.0)
     dvf, y = np.zeros((top, n)), np.zeros((n, n))
-    for r, (qs, p, q, _, sums) in tables.items():
+    for r, qs, p, q, at in tables:
+        sums = acc[:r, at:at + len(qs) + len(p)]
         dm = dpow[r - 1::-1]                     # d^m at k = 0 .. r - 1
         dvf[:r, qs] = dm[:, None] * sums[:, :len(qs)]
         y[p, q] = y[q, p] = dpow[rec_idx[p] - r] * (dm * dm @ sums[:, len(qs):])
     # cov: the sum over k of (alpha - d^m f[. + m]) var (same)^T + vb s s^T, expanded
     x = alpha.T @ dvf
     cov = alpha.T @ (alpha * s1[:, None]) - x - x.T + y + first.T @ (first * vb[:, None])
-    g0, w0 = fvals.copy(), _width(co, 0)
+    g0 = fvals.copy()
     for p, r in zip(np.flatnonzero(rec_idx), rec_idx[rec_idx > 0]):
         g0[p, :_width(co, r)] = 0.0
-        g0[p, :w0] = dpow[r] * fvals[p, r:r + w0] + sig[r, p]
+        g0[p, :n_room] = dpow[r] * fvals[p, r:r + n_room] + sig[r, p]
     return g0, cov
 
 
@@ -353,7 +378,8 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     time index.  Before step k is undone, its noise is paired with the rows
     (a zero row, for a record before step k, adds nothing).  Constant rates
     give the same rows and sums in closed form (:func:`_renewal_law`), equal
-    to the sweep's up to rounding.
+    to the sweep's up to rounding, from the background's start row and
+    boundary column; a background solved for other rates raises ValueError.
     """
     z0 = np.asarray(z0, dtype=float)
     n_cells = background.values.shape[1]

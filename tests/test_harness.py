@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from agestruct import harness, spde
+from agestruct.acceptance import clt_config
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
                                build_initial, emit, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
@@ -547,6 +549,28 @@ def test_run_convergence_bands():
                  "total_ode_order_ratio", "evolve_mean_order_ratio",
                  "noise_cov_identity_rel", "noise_cov_empirical"):
         assert all(r.passed for r in by_stat[stat]), stat
+
+
+def test_noise_pairings_are_the_death_and_birth_construction():
+    # criterion 6's draws in one product per chunk: the same normals, in the
+    # same order, as drawing each chunk's deaths and births and pairing them
+    cfg = dataclasses.replace(clt_config(), dt=0.02)
+    model = cfg.build_model()
+    bg = harness.background_solution(cfg, model)
+    frame = bg.frame(bg.values.shape[0] // 2)
+    chan = spde.noise_channel(model, frame, cfg.dt)
+    fvals = np.stack([constant(1.0)(frame.centers), exponential(0.5)(frame.centers),
+                      exponential(-1.0)(frame.centers)])
+    got = harness._noise_pairings(replicate_stream(5, 9, 1, 0), chan, fvals, 10250)
+    rng, want = replicate_stream(5, 9, 1, 0), []
+    for m in (5000, 5000, 250):
+        deaths = rng.standard_normal((m, frame.n_cells)) * np.sqrt(chan.var_cells)
+        births = chan.split_mean * deaths.sum(axis=1) \
+            + math.sqrt(chan.var_boundary) * rng.standard_normal(m)
+        want.append(np.stack([f[0] * births - deaths @ f for f in fvals], axis=1))
+    want = np.concatenate(want)
+    assert got.shape == want.shape == (10250, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- emission ----------------------------------------------------------------

@@ -63,6 +63,13 @@ LAW_MODELS = [SPLIT, MIXED, DENS, AGE, KERNEL, GAUSS]
 LAW_IDS = ["split", "mixed", "density", "age_density", "kernel", "gaussian_kernel"]
 
 
+def twin(model):
+    """``model`` with its constant death rate as a zero-slope density family:
+    the same coefficients, on the generic adjoint sweep."""
+    return dataclasses.replace(model, family="density_dependent",
+                               death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
+
+
 def box(dx, t_star=2.0, mass_to=1.0):
     return GridDensity.from_function(lambda x: np.where(x < mass_to, 1.0, 0.0),
                                      t_star=t_star, dx=dx)
@@ -99,10 +106,11 @@ def test_noise_covariance_identity(model):
                 assert abs(built - target) <= 1e-10 * max(abs(target), 1e-12)
 
 
-@pytest.mark.parametrize("model", [SPLIT, MIXED, KERNEL])
+@pytest.mark.parametrize("model", [twin(SPLIT), twin(MIXED), KERNEL])
 def test_noise_channel_is_what_the_engine_steps_with(model, monkeypatch):
     # the law sweep's step variances, recorded as it builds them (steps run
-    # backward), are noise_channel's on the active cells and zero beyond
+    # backward), are noise_channel's on the active cells and zero beyond;
+    # constant rates run as their twins, since the renewal law steps no frame
     bg = background(model, dx=0.02)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     steps, build = [], spde._noise_var
@@ -239,13 +247,6 @@ def test_record_time_zero_gives_the_start_pairing():
     assert np.all(both[:, 1].std(axis=0) > 0.0)
 
 
-def twin(model):
-    """``model`` with its constant death rate as a zero-slope density family:
-    the same coefficients, on the generic adjoint sweep."""
-    return dataclasses.replace(model, family="density_dependent",
-                               death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
-
-
 @pytest.mark.parametrize("times", [[1.0], [0.0, 0.3, 1.0], [0.3, 1.0, 0.5]],
                          ids=["end", "zero_mid_end", "unordered"])
 @pytest.mark.parametrize("model, dx", [(SPLIT, 1e-2), (MIXED, 1e-2), (BIRTH, 1e-2),
@@ -266,20 +267,48 @@ def test_constant_rate_law_equals_the_generic_sweep(model, dx, times):
 
 
 def test_constant_rates_step_no_adjoint_row(monkeypatch):
-    # the model alone picks the law: renewal scalars for constant rates, the
-    # sweep otherwise; both build each step's noise once
+    # the model alone picks the law: renewal scalars for constant rates, which
+    # build the noise once from the boundary column and once from the start
+    # row, whatever the step count; the sweep steps and builds it once a step
     calls = {}
     for name in ("_adjoint_step", "_noise_var"):
         def counting(*args, _name=name, _fn=getattr(spde, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(spde, name, counting)
-    for model, rows_stepped in ((MIXED, 0), (KERNEL_WORKLOAD, 1)):
+    for model, per_step, once in ((MIXED, 0, 2), (KERNEL_WORKLOAD, 1, 0)):
         bg = background(model, dx=0.02)
         n = bg.values.shape[0] - 1
         calls.update(_adjoint_step=0, _noise_var=0)
         fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant(1.0)], [1.0])
-        assert calls == {"_adjoint_step": rows_stepped * n, "_noise_var": n}
+        assert calls == {"_adjoint_step": per_step * n, "_noise_var": per_step * n + once}
+
+
+def test_renewal_law_clamps_a_negative_start_cell_as_the_sweep_does():
+    # solve_mvf accepts a start cell a rounding error below zero; its noise
+    # variance is clamped to zero at every step, on both paths
+    start = box(1e-2)
+    start.values[37] = -1e-13
+    bg = solve_mvf(MIXED, start, 1.0, 1e-2)
+    assert bg.values[0, 37] < 0.0 and bg.values[-1, 37 + 100] < 0.0
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    for times in ([1.0], [0.0, 0.3, 1.0]):
+        mean, cov = fluctuation_law(MIXED, bg, z0, panel, times)
+        want_mean, want_cov = fluctuation_law(twin(MIXED), bg, z0, panel, times)
+        assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
+def test_renewal_law_refuses_a_background_solved_for_other_rates():
+    other = dataclasses.replace(MIXED, death=ConstantRate(1.1), death_sup=1.1)
+    bg = background(other, dx=0.02)
+    z0 = np.ones(bg.values.shape[1])
+    with pytest.raises(ValueError, match=r"background frame 49 is not its start row "
+                                         r"and boundary column decayed by d = 0\.98"):
+        fluctuation_law(MIXED, bg, z0, [constant(1.0)], [1.0])
+    # a record at time zero uses no frame, so there is nothing to refuse
+    fluctuation_law(MIXED, bg, z0, [constant(1.0)], [0.0])
 
 
 @pytest.mark.parametrize("model", [SPLIT, DENS], ids=["renewal", "sweep"])
