@@ -6,7 +6,8 @@ advance at unit speed, mass decays at the (population-dependent) death rate,
 and the age-zero boundary receives the combined newborn flux.  The solver
 uses a characteristics-aligned grid (dx = dt, exact one-cell shift per step)
 so the transport term carries no numerical diffusion; the reaction and
-boundary terms make the scheme first-order accurate in dt.
+boundary terms make the scheme first-order accurate in dt.  Constant rates
+take it in closed form, from the start row and a scalar boundary recursion.
 """
 
 from __future__ import annotations
@@ -226,6 +227,17 @@ class LimitSolution:
         return self.dt * (self.values @ fv)
 
 
+def _renewal_frames(out: np.ndarray, col, row, d: float, first: int = 0) -> np.ndarray:
+    """Fill and return ``out``, whose row i is constant-rate frame k = first + i:
+    col[k - j] d^j at cells j < k, then d^k row[j - k] to the row's end; cells past
+    it keep their values.  Powers of d, not quotients: no overflow where d^k underflows."""
+    dpow = d ** np.arange(first + len(out))
+    for k, frame in enumerate(out, first):
+        np.multiply(col[k:0:-1], dpow[:k], out=frame[:k])
+        np.multiply(row[:frame.size - k], dpow[k], out=frame[k:k + row.size])
+    return out
+
+
 def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> LimitSolution:
     """March the limit density to the horizon on a dx = dt grid.
 
@@ -234,10 +246,11 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     predictor-corrector pass (predict with the current measure, correct with
     the average of current and predicted states), and fills the boundary
     cell with the newborn flux dt * (newborn_rate, a), also corrector-
-    averaged.  State-free (constant) rates give the same rows and survival
-    factor at every step and are formed once; otherwise each state's rows read
-    one measure view.  The initial density must vanish on the last `horizon`
-    worth of cells so no mass is ever shifted off the grid.
+    averaged.  Constant rates (McKendrick-von Foerster) take that scheme in
+    closed form: the frames are the start row and the boundary column, decayed
+    (:func:`_renewal_frames`), and the column follows from the frame sums by the
+    scheme's scalar recursion.  The initial density must vanish on the last
+    `horizon` worth of cells so no mass is ever shifted off the grid.
     """
     if abs(a0.dx - dt) > 1e-12:
         raise ValueError(f"grid spacing {a0.dx} must equal the time step {dt}")
@@ -266,31 +279,35 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
         b, h = mu.birth_death()
         return model.death_rate(grid.edges, mu)[1:], b * lm + h * sm
 
+    def negative(k):
+        return ModelError(f"transport scheme produced a negative density "
+                          f"{values[k].min():g} at step {k} (t = {k * dt:g})")
+
     values = np.empty((n_steps + 1, n_cells))
     values[0] = a0.values
-    # state-free rates are the same against every state: form them and their survival once
-    state_free = model.constant_rates
-    if state_free:
-        h_now, newborn = rows(a0.values)
-        survival = np.exp(-dt * h_now)
-    for k in range(n_steps):
-        v, new = values[k], values[k + 1]
-        if not state_free:
+    if model.constant_rates:
+        d, n = math.exp(-dt * model.death.value), model.birth.value * lm + model.death.value * sm
+        col, s = np.empty(n_steps + 1), float(np.sum(a0.values))        # s: frame k's sum
+        for k in range(n_steps):        # corrector flux n s, n (d s + dt n s): no mass leaves
+            col[k + 1] = dt * 0.5 * (n * s + n * (d * s + dt * (n * s)))
+            s = d * s + col[k + 1]
+        _renewal_frames(values, col, a0.values, d)
+        bad = np.flatnonzero(~(values[1:].min(axis=1) >= -1e-12))
+        if bad.size:
+            raise negative(int(bad[0]) + 1)
+    else:
+        for k in range(n_steps):
+            v, new = values[k], values[k + 1]
             h_now, newborn = rows(v)
-            survival = np.exp(-dt * h_now)
-        flux_now = float(np.sum(newborn * v))
-        new[1:] = v[:-1] * survival                   # the predictor
-        new[0] = dt * flux_now
-        if state_free:                                # the corrector's survival is the same
-            flux_pred = float(np.sum(newborn * new))
-        else:
+            flux_now = float(np.sum(newborn * v))
+            new[1:] = v[:-1] * np.exp(-dt * h_now)        # the predictor
+            new[0] = dt * flux_now
             h_pred, newborn = rows(np.maximum(new, 0.0))
             flux_pred = float(np.sum(newborn * new))
             new[1:] = v[:-1] * np.exp(-dt * 0.5 * (h_now + h_pred))
-        new[0] = dt * 0.5 * (flux_now + flux_pred)
-        if not new.min() >= -1e-12:
-            raise ModelError(f"transport scheme produced a negative density "
-                             f"{new.min():g} at step {k + 1} (t = {(k + 1) * dt:g})")
+            new[0] = dt * 0.5 * (flux_now + flux_pred)
+            if not new.min() >= -1e-12:
+                raise negative(k + 1)
 
     times = dt * np.arange(n_steps + 1)
     return LimitSolution(dt=dt, times=times, values=values, a_star=a_star)

@@ -43,7 +43,7 @@ c g_j(0).  Frame k is the start row shifted k cells and decayed by d^k behind
 the boundary column decayed along the diagonal, so the noise sums against
 fixed shifted panel tables obey a like recursion; those scalars give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
-the mean field itself forward.
+the mean field itself forward (with constant rates, in closed form).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import GridDensity, TestFunction
-from .mvf import GridRates, LimitSolution, quad_gk21
+from .mvf import GridRates, LimitSolution, _renewal_frames, quad_gk21
 from .rates import RateModel
 
 __all__ = [
@@ -209,6 +209,7 @@ class _Coeffs:
 
         self.split_mean = sm
         self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
+        self.n_room = int(round(background.a_star / dx))      # the start's width in cells
 
 
 def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:
@@ -272,9 +273,7 @@ def _adjoint_step(g: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> np.nd
 
 
 def _width(co: _Coeffs, k: int) -> int:
-    n_cells = co.bg.values.shape[1]
-    n_room = int(round(co.bg.a_star / co.bg.dx))
-    return min(n_room + k, n_cells)
+    return min(co.n_room + k, co.decay.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +286,24 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
 
     The grid scheme without its noise, with the measure-derivative terms
     evaluated at the running mean itself.  The frames are on the background
-    grid and signed.
+    grid and signed.  Constant rates fill the frames in closed form behind the
+    boundary column col_(k+1) = dt n (1, active cells of frame k).
     """
     co = _coeffs(model, background)
     out = np.empty(background.values.shape)
-    out[0] = nu0
-    z = out[:1].copy()
-    for k in range(out.shape[0] - 1):
-        _engine_step(z, k, co, _width(co, k), _width(co, k + 1))
-        out[k + 1] = z[0]
+    out[:] = nu0
+    if model.constant_rates and len(out) > 1:
+        d, c = float(co.decay[0, 0]), background.dt * float(co.n_rows[0, 0])
+        col, s = np.empty(len(out)), float(np.sum(nu0[:co.n_room]))    # s: the active cells' sum
+        for k in range(1, len(out)):
+            col[k] = c * s
+            s = d * s + col[k]
+        _renewal_frames(out, col, out[0, :co.n_room], d)    # cells no step reached keep nu0
+    else:
+        z = out[:1].copy()
+        for k in range(out.shape[0] - 1):
+            _engine_step(z, k, co, _width(co, k), _width(co, k + 1))
+            out[k + 1] = z[0]
     return LimitSolution(dt=background.dt, times=background.times, values=out,
                          a_star=background.a_star, signed=True)
 
@@ -320,7 +328,7 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
     if top:
         k = top - 1
         frame = bg.values[k, :n_room + k]
-        dev = np.abs(np.concatenate([dpow[:k] * col[k:0:-1], dpow[k] * row]) - frame)
+        dev = np.abs(_renewal_frames(np.empty((1, frame.size)), col, row, d, first=k)[0] - frame)
         if dev.max() > 1e-10 * np.abs(frame).max():
             raise ValueError(f"background frame {k} is not its start row and boundary column "
                              f"decayed by d = {d!r}: off by {dev.max():g} at cell "

@@ -107,6 +107,60 @@ def test_solve_mvf_negative_density_is_a_model_error():
         solve_mvf(model, box(2e-3), 0.5, 2e-3)
 
 
+def stepped_constant_rates(model, a0, horizon, dt):
+    """The limit scheme for constant rates stepped frame by frame: shift, decay by
+    d = exp(-dt h), and a predictor-corrector boundary flux dt n (1, frame)."""
+    h = model.death.value
+    n = model.birth.value * model.life_law.mean + h * model.split_law.mean
+    d = math.exp(-dt * h)
+    frames = [np.array(a0.values)]
+    for _ in range(int(round(horizon / dt))):
+        v = frames[-1]
+        new = np.empty_like(v)
+        new[1:] = v[:-1] * d
+        new[0] = dt * n * v.sum()
+        new[0] = dt * 0.5 * (n * v.sum() + n * new.sum())
+        frames.append(new)
+    return np.array(frames)
+
+
+# h * horizon = 800 > 745: d^k underflows, and the last frames with it
+STEEP = classical_model(1.0, 800.0, OffspringLaw.deterministic(1), OffspringLaw.deterministic(0))
+
+
+@pytest.mark.parametrize("model", [SPLIT, classical_model(
+    0.5, 0.8, OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2)), STEEP],
+    ids=["split", "mixed", "steep_death"])
+def test_constant_rate_frames_match_the_stepped_scheme(model):
+    dt = 2e-3
+    a0 = GridDensity.from_function(lambda x: np.where(x < 1.0, 1.0 + np.cos(5.0 * x), 0.0),
+                                   t_star=2.0, dx=dt)
+    got = solve_mvf(model, a0, 1.0, dt).values
+    want = stepped_constant_rates(model, a0, 1.0, dt)
+    assert np.all(np.isfinite(got)) and got.min() >= 0.0
+    # frame by frame; a frame decayed into the subnormals is compared absolutely
+    scale = np.maximum(np.abs(want).max(axis=1), 1e-300)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+    if model is STEEP:
+        assert got[-1].max() < 1e-300 < got[0].max()
+
+
+def test_transport_frames_are_the_stepped_shifts_exactly():
+    dt = 4e-3
+    a0 = box(dt, t_star=2.0)
+    got = solve_mvf(TRANSPORT, a0, 0.5, dt).values
+    assert np.array_equal(got, stepped_constant_rates(TRANSPORT, a0, 0.5, dt))
+
+
+def test_constant_rate_negative_density_is_a_model_error():
+    # a start cell below zero, within GridDensity's tolerance, decays below -1e-12
+    a0 = box(2e-3)
+    a0.values[3] = -5e-10
+    with pytest.raises(ModelError, match=r"negative density -4\.99\d*e-10 at step 1 "
+                                         r"\(t = 0\.002\)"):
+        solve_mvf(SPLIT, a0, 0.5, 2e-3)
+
+
 def test_classical_pairing_cross_validates_grid():
     dx = 1e-3
     a0 = box(dx, t_star=2.0)
@@ -215,6 +269,18 @@ def test_density_dependent_grid_matches_total_ode():
     _, xs = solve_total_ode(LOGISTIC, 0.5, 1.0, dt)
     # both first-order paths of the same mass dynamics
     assert np.max(np.abs(sol.totals - xs)) <= 5 * dt * 0.5 * 1.0 + 1e-6
+
+
+def test_state_dependent_scheme_is_first_order():
+    # the stepping loop, which no constant-rate model runs, against the logistic mass
+    errs = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        a0 = GridDensity.from_function(lambda x: np.where(x < 1.0, 0.5, 0.0),
+                                       t_star=2.0, dx=dt)
+        sol = solve_mvf(LOGISTIC, a0, 1.0, dt)
+        errs.append(float(np.max(np.abs(sol.totals - logistic_exact(0.5, sol.times)))))
+    assert 1.8 <= errs[0] / errs[1] <= 2.2
+    assert 1.8 <= errs[1] / errs[2] <= 2.2
 
 
 def test_limit_solution_frame_accessors():

@@ -366,6 +366,42 @@ def test_evolve_mean_zero_start():
     assert np.all(mp.values == 0.0)
 
 
+def euler_mean(model, nu0, bg):
+    """The constant-rate mean scheme stepped forward: the active cells (a_star
+    wide, one more each step) shift and decay by d = exp(-dt h), the boundary
+    cell takes the explicit Euler deposit dt n (1, active cells), and cells
+    beyond the active width stay as they start."""
+    h, dt = model.death.value, bg.dt
+    n = model.birth.value * model.life_law.mean + h * model.split_law.mean
+    d, n_room = math.exp(-dt * h), int(round(bg.a_star / bg.dx))
+    frames = [np.array(nu0, dtype=float)]
+    for k in range(bg.values.shape[0] - 1):
+        z = frames[-1].copy()
+        w0 = n_room + k
+        z[1:w0 + 1] = frames[-1][:w0] * d
+        z[0] = dt * n * frames[-1][:w0].sum()
+        frames.append(z)
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("model", [SPLIT, MIXED, BIRTH], ids=["split", "mixed", "pure_birth"])
+def test_constant_rate_mean_matches_the_euler_recursion(model):
+    bg = background(model, dx=1e-2)
+    x = bg.centers
+    for nu0 in (np.where(x < 1.0, np.cos(4.0 * x), 0.0),       # signed, within the room
+                np.cos(4.0 * x) - 0.3):                       # mass past the room too
+        got = evolve_mean(model, nu0, bg).values
+        want = euler_mean(model, nu0, bg)
+        scale = np.abs(want).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
+        n_room = int(round(bg.a_star / bg.dx))
+        for k, frame in enumerate(got):            # cells no step has reached, bit for bit
+            assert frame[n_room + k:].tobytes() == nu0[n_room + k:].tobytes()
+    # a background of no step has no coefficient row: the mean is the start alone
+    nu0 = np.cos(4.0 * x)
+    assert np.array_equal(evolve_mean(model, nu0, background(model, 1e-2, 0.0)).values, [nu0])
+
+
 def test_evolve_mean_tracks_classical_closed_form():
     # generic constants (no special cancellation): first-order accurate
     model = classical_model(0.6, 0.7, OffspringLaw.deterministic(1),
@@ -575,9 +611,10 @@ PINNED_MODELS = {"classical": MIXED, "density": DENS, "age_density": AGE,
                  "kernel_workload": KERNEL_WORKLOAD, "gaussian_kernel": GAUSS}
 
 # sha256 of solve_mvf's frames from the box start on J = 400 cells (dx 5e-3,
-# horizon 1), recorded while the solver formed every row twice per step
+# horizon 1), recorded while the solver formed every row twice per step; the
+# classical frames since they are formed from the start row and boundary column
 PINNED_FRAMES = {
-    "classical": "ed450fc0b5266ce2ea9ff6b296b1ac831e3f045d255f879d8963c1e727417b82",
+    "classical": "4d86b26202a113055f971bafe4a7f03365bce2d2f66aac6e3cd0557245da9fa9",
     "density": "4a0ba14e5058a1848d6aa457345bddd0a9f5637181a4e447d48cbadc099aefd7",
     "age_density": "7289daa4de9aae5eabfd2bb5951be5e6ded6c07e7e5e554ae441d8d9f4bd643e",
     "kernel_workload": "c76b531232dd34c547096fbf4b690be806bacf09a6bb7fe4c36bcfd582c87f60",
