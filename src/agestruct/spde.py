@@ -325,14 +325,13 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
     d, c = float(co.decay[0, 0]), bg.dt * float(co.n_rows[0, 0])
     dpow = d ** np.arange(top + 1)
     col, row = bg.values[:top + 1, 0], bg.values[0, :n_room]
-    if top:
-        k = top - 1
-        frame = bg.values[k, :n_room + k]
-        dev = np.abs(_renewal_frames(np.empty((1, frame.size)), col, row, d, first=k)[0] - frame)
-        if dev.max() > 1e-10 * np.abs(frame).max():
-            raise ValueError(f"background frame {k} is not its start row and boundary column "
-                             f"decayed by d = {d!r}: off by {dev.max():g} at cell "
-                             f"{int(dev.argmax())}; was it solved for other rates?")
+    k = top - 1
+    frame = bg.values[k, :n_room + k]
+    dev = np.abs(_renewal_frames(np.empty((1, frame.size)), col, row, d, first=k)[0] - frame)
+    if dev.max() > 1e-10 * np.abs(frame).max():
+        raise ValueError(f"background frame {k} is not its start row and boundary column "
+                         f"decayed by d = {d!r}: off by {dev.max():g} at cell "
+                         f"{int(dev.argmax())}; was it solved for other rates?")
     b, h = co.b[0, :1], co.h[0, :1]
     vcol, vbcol = _noise_var(model, b, h, col[:, None], bg.dx, bg.dt)
     vrow, vbrow = _noise_var(model, b, h, row, bg.dx, bg.dt)
@@ -402,7 +401,7 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
-    if model.constant_rates:
+    if model.constant_rates and rec_idx.max():   # no step: the sweep gives the start
         g, cov = _renewal_law(model, co, rec_idx, fvals)
     else:
         g = np.where((rec_idx == rec_idx.max())[:, None], fvals, 0.0)

@@ -33,6 +33,8 @@ PURE_DEATH = classical_model(0.0, 1.0, OffspringLaw.deterministic(0),
                              OffspringLaw.deterministic(0))
 TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(0))
+EXTINCTION = classical_model(0.0, 5.0, OffspringLaw.deterministic(0),
+                             OffspringLaw.deterministic(0))
 # the mixed two-point/Poisson classical model of criterion 7
 MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
@@ -871,9 +873,7 @@ def test_lifelines_match_the_loop_in_law(model, ctx, paths):
 
 
 def test_lifelines_extinction_before_the_horizon(paths):
-    model = classical_model(0.0, 5.0, OffspringLaw.deterministic(0),
-                            OffspringLaw.deterministic(0))
-    traj = simulate(model, atoms(np.linspace(0.0, 1.0, 300), t_star=4.0), k=300,
+    traj = simulate(EXTINCTION, atoms(np.linspace(0.0, 1.0, 300), t_star=4.0), k=300,
                     horizon=3.0, dt_out=0.5, rng=stream(0, ctx=34), log_events=True,
                     t_star=4.0)
     assert paths == ["_simulate_lives"]
@@ -929,3 +929,60 @@ def test_acceptance_configs_take_the_pinned_paths(paths):
     kernel_workload_run()
     ledger_run(pure_splitting(1.0, 2), [constant(1.0), bump(0.2, 0.9)], 60, 16)
     assert paths == ["_simulate_loop"] * 3
+
+
+@pytest.mark.parametrize("flags", [{"log_events": True},
+                                   {"with_ledger": True, "panel": LAW_PANEL}],
+                         ids=["log", "ledger"])
+@pytest.mark.parametrize("model, n0, horizon", [
+    (pure_splitting(1.0, 2), 120, 1.0),
+    (MIXED, 80, 1.0),
+    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 100, 1.0),
+    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 100, 1.0),
+    (TRANSPORT, 30, 1.0),
+    (EXTINCTION, 60, 3.0),
+], ids=["pure_splitting", "mixed", "broods_0_3", "broods_1_0", "transport", "extinction"])
+def test_lifelines_without_a_log_or_ledger_match_the_kept_run(model, n0, horizon, flags,
+                                                              paths):
+    # LLN and CLT runs keep neither, so they skip the event table
+    def run(**kept):
+        rng = stream(0, ctx=70)
+        return simulate(model, atoms(np.linspace(0.0, 1.0, n0)), k=n0, horizon=horizon,
+                        dt_out=0.25, rng=rng, t_star=horizon + 1.0, **kept), rng
+
+    kept, plain = run(**flags), run()
+    assert paths == ["_simulate_lives"] * 2
+    assert_same_run(plain, kept)
+    traj = kept[0]
+    if traj.events is not None:     # the summed counters tally the events
+        kind, brood = np.array(traj.events.kind), np.array(traj.events.brood)
+        assert traj.candidates == kind.size and traj.deaths == np.sum(kind == KIND_DEATH)
+        assert traj.births_split == brood[kind == KIND_DEATH].sum()
+        assert traj.births_life == brood[kind == KIND_BIRTH].sum()
+    if model is EXTINCTION:
+        assert plain[0].final_count == 0 and plain[0].deaths == n0
+
+
+def study_replicate(cfg, purpose, k_index):
+    """Replicate 0 of a study at one K, simulated as the harness simulates it."""
+    st = _Study(cfg)
+    k = cfg.k_values[k_index]
+    init = st.inits[k]
+    rng = replicate_stream(cfg.seed, purpose, k_index, 0)
+    traj = simulate(st.model, init.atoms, k, cfg.horizon, cfg.dt_out, rng, panel=st.panel,
+                    population_cap=cfg.population_cap, t_star=init.t_star)
+    h = hashlib.sha256()
+    for snap in traj.snapshots:
+        h.update(snap.ages.tobytes())
+    counters = [traj.births_life, traj.births_split, traj.deaths, traj.candidates]
+    h.update(repr((counters, philox_state(rng))).encode())
+    return h.hexdigest()
+
+
+def test_acceptance_lifelines_are_pinned():
+    # recorded before the lifeline sampler skipped the event table of a run
+    # that keeps neither a log nor a ledger: no draw moved
+    assert study_replicate(clt_config(), PURPOSE_CLT, 0) == (
+        "fc7623c807b3fdd1a68898febc584ae0e02fcf29bfc4f96c0c8c04368a124591")
+    assert study_replicate(lln_config(), PURPOSE_LLN, 0) == (
+        "c9ae512a726c789293a129b3be1ed1cec4f7daef8b95bc68b57af8fa1dd30090")

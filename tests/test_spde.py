@@ -247,6 +247,19 @@ def test_record_time_zero_gives_the_start_pairing():
     assert np.all(both[:, 1].std(axis=0) > 0.0)
 
 
+def test_law_on_a_background_of_no_step_is_the_start_pairing():
+    # a horizon of 0 leaves no step, hence no rate row: a constant-rate law is
+    # the start pairing with no variance, as the sweep's is
+    bg = solve_mvf(SPLIT, box(0.02), 0.0, 0.02)
+    assert bg.values.shape[0] == 1
+    z0 = np.where(bg.centers < 1.0, 0.7, 0.0)
+    panel = [constant(1.0), exponential(-1.0)]
+    mean, cov = fluctuation_law(SPLIT, bg, z0, panel, [0.0])
+    want_mean, want_cov = fluctuation_law(twin(SPLIT), bg, z0, panel, [0.0])
+    assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
+    assert cov.shape == (2, 2) and not np.any(cov)
+
+
 @pytest.mark.parametrize("times", [[1.0], [0.0, 0.3, 1.0], [0.3, 1.0, 0.5]],
                          ids=["end", "zero_mid_end", "unordered"])
 @pytest.mark.parametrize("model, dx", [(SPLIT, 1e-2), (MIXED, 1e-2), (BIRTH, 1e-2),
