@@ -618,13 +618,16 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
 
     qv_targets = []
     for f in panel:
-        if model.constant_rates and f.kind == "constant" and f.c == 1.0:
+        if model.constant_rates and f.kind == "exp" and not f.lam:
             qv_targets.append(classical_qv_mass(
                 st.init_max.base.mass, model.birth.value, model.death.value,
                 model.life_law, model.split_law, t_end))
         else:
             qv_targets.append(covariation_integral_frames(model, st.background, f, f, t_end))
+    cov_targets = {(fi, gi): covariation_integral_frames(model, st.background, f, g, t_end)
+                   for fi, f in enumerate(panel) for gi, g in enumerate(panel) if gi > fi}
 
+    cov_rows = []
     for k_index, k in enumerate(config.k_values):
         results = st.replicates(k_index, PURPOSE_QV, workers, with_ledger=True)
         mart_t = np.stack([m[-1] for _, m in results]) / math.sqrt(k)  # (M, P)
@@ -637,19 +640,14 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
             report.rows.append(CheckRow.band(
                 "mart_var_vs_qv", s.var, qv_targets[fi], 3.0 * s.se_var,
                 k=k, t=t_end, f_id=f.label))
-        cov_rows = []
-        for fi in range(len(panel)):
-            for gi in range(fi + 1, len(panel)):
-                cov = float(np.cov(mart_t[:, fi], mart_t[:, gi], ddof=1)[0, 1])
-                target = covariation_integral_frames(model, st.background,
-                                                     panel[fi], panel[gi], t_end)
-                se = se_of_covariance(mart_t[:, fi], mart_t[:, gi])
-                report.rows.append(CheckRow.band(
-                    "mart_covariation", cov, target, 3.0 * se, k=k, t=t_end,
-                    f_id=f"{panel[fi].label}&{panel[gi].label}"))
-                cov_rows.append((k, panel[fi].label, panel[gi].label, cov, target))
-        report.tables["qv_covariation"] = (
-            ("K", "f_id", "g_id", "covariance", "target"), cov_rows)
+        for (fi, gi), target in cov_targets.items():
+            cov = float(np.cov(mart_t[:, fi], mart_t[:, gi], ddof=1)[0, 1])
+            se = se_of_covariance(mart_t[:, fi], mart_t[:, gi])
+            report.rows.append(CheckRow.band(
+                "mart_covariation", cov, target, 3.0 * se, k=k, t=t_end,
+                f_id=f"{panel[fi].label}&{panel[gi].label}"))
+            cov_rows.append((k, panel[fi].label, panel[gi].label, cov, target))
+    report.tables["qv_covariation"] = (("K", "f_id", "g_id", "covariance", "target"), cov_rows)
     report.failure_rate_note()
     return report
 
@@ -680,16 +678,12 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
         z0_mass = init.z0.mass
         for f in panel:
             z0f = init.z0.pair(f)
-            if classical and f.kind in ("constant", "exp"):
-                lam = 0.0 if f.kind == "constant" else f.lam
-                scalefac = f.c if f.kind == "constant" else 1.0
-                mean_targets[(k, f.label)] = scalefac * classical_exp_mean(
-                    lam, z0f / scalefac if scalefac else 0.0, z0_mass,
-                    model.birth.value, model.death.value, sm, lm, t_end)
-            elif model.family == "density_dependent" and f.kind in ("constant", "exp"):
-                lam = 0.0 if f.kind == "constant" else f.lam
+            if classical and f.kind == "exp":
+                mean_targets[(k, f.label)] = classical_exp_mean(
+                    f.lam, z0f, z0_mass, model.birth.value, model.death.value, sm, lm, t_end)
+            elif model.family == "density_dependent" and f.kind == "exp":
                 mean_targets[(k, f.label)] = density_dependent_exp_mean(
-                    lam, z0f, z0_mass, model, background, t_end)
+                    f.lam, z0f, z0_mass, model, background, t_end)
             else:
                 mean_targets[(k, f.label)] = None
 
@@ -722,12 +716,10 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
             spde_var[f.label] = float(np.var(vals, ddof=1))
             spde_rows.append((t_end, f.label, float(vals.mean()),
                               spde_var[f.label], vals.size))
-            if classical and f.kind in ("constant", "exp"):
-                lam = 0.0 if f.kind == "constant" else f.lam
+            if classical and f.kind == "exp":
                 oracle = ito_isometry_variance(
-                    lam, init_max.base_grid, model.birth.value,
+                    f.lam, init_max.base_grid, model.birth.value,
                     model.death.value, model.life_law, model.split_law, t_end)
-                oracle *= (f.c ** 2) if f.kind == "constant" else 1.0
                 report.rows.append(CheckRow.band(
                     "spde_var_vs_oracle", spde_var[f.label], oracle,
                     3.0 * se_of_variance(vals), t=t_end, f_id=f.label))

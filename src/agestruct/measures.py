@@ -203,32 +203,29 @@ def pair(f: Callable[[np.ndarray], np.ndarray], mu: Measure) -> float:
 class TestFunction:
     """A smooth test function on [0, T*].
 
-    Kinds: ``constant`` (value c), ``monomial`` (x^k), ``exp`` (e^(lam*x)),
-    and ``bump`` (smooth compactly supported bump on [lo, hi], peak 1,
-    vanishing with all derivatives at the endpoints).
+    Kinds: ``monomial`` (x^k), ``exp`` (e^(lam*x); lam = 0 is the unit
+    function, labelled ``1``) and ``bump`` (smooth compactly supported bump on
+    [lo, hi], peak 1, vanishing with all derivatives at the endpoints).
     """
 
-    def __init__(self, kind: str, *, c: float = 1.0, k: int = 1, lam: float = 0.0,
+    def __init__(self, kind: str, *, k: int = 1, lam: float = 0.0,
                  lo: float = 0.0, hi: float = 1.0):
         self.kind = kind
-        self.c = float(c)
         self.k = int(k)
         self.lam = float(lam)
         self.lo = float(lo)
         self.hi = float(hi)
-        if kind not in ("constant", "monomial", "exp", "bump"):
+        if kind not in ("monomial", "exp", "bump"):
             raise ValueError(f"unknown test function kind {kind!r}")
         if kind == "bump" and not hi > lo:
             raise ValueError("bump needs hi > lo")
 
     @property
     def label(self) -> str:
-        if self.kind == "constant":
-            return "1" if self.c == 1.0 else f"const({self.c:g})"
         if self.kind == "monomial":
             return "x" if self.k == 1 else f"x^{self.k}"
         if self.kind == "exp":
-            return f"exp({self.lam:g})"
+            return f"exp({self.lam:g})" if self.lam else "1"
         return f"bump({self.lo:g},{self.hi:g})"
 
     def __repr__(self):
@@ -236,12 +233,10 @@ class TestFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.c)
         if self.kind == "monomial":
             return x ** self.k
         if self.kind == "exp":
-            return np.exp(self.lam * x)
+            return np.exp(self.lam * x) if self.lam else np.ones_like(x)
         return self._bump(x)
 
     @property
@@ -254,12 +249,10 @@ class TestFunction:
             return x ** self.k
         if self.kind == "exp":
             return math.exp(self.lam * x)
-        return self.c if self.kind == "constant" else float(self(x))
+        return float(self(x))
 
     def antiderivative(self, x):
         """F(x) = int_0^x f; no bump."""
-        if self.kind == "constant":
-            return self.c * x
         if self.kind == "monomial":
             return x ** (self.k + 1) / (self.k + 1)
         if self.kind == "exp":
@@ -278,8 +271,9 @@ class TestFunction:
         return out
 
 
-def constant(c: float = 1.0) -> TestFunction:
-    return TestFunction("constant", c=c)
+def constant() -> TestFunction:
+    """The unit function, e^(0*x)."""
+    return exponential(0.0)
 
 
 def monomial(k: int) -> TestFunction:
@@ -297,7 +291,7 @@ def bump(lo: float, hi: float) -> TestFunction:
 def _parse_spec(spec: str, t_star: float) -> TestFunction:
     spec = spec.strip()
     if spec in ("1", "const", "constant"):
-        return constant(1.0)
+        return constant()
     if spec == "x":
         return monomial(1)
     if spec.startswith("x^"):
@@ -305,10 +299,7 @@ def _parse_spec(spec: str, t_star: float) -> TestFunction:
     if spec.startswith("mono:"):
         return monomial(int(spec.split(":")[1]))
     if spec.startswith("exp:"):
-        lam = float(spec.split(":")[1])
-        if lam == 0.0:
-            return constant(1.0)
-        return exponential(lam)
+        return exponential(float(spec.split(":")[1]))
     if spec.startswith("bump:"):
         _, lo, hi = spec.split(":")
         return bump(float(lo), float(hi))
@@ -322,6 +313,7 @@ def make_panel(specs: Union[Sequence[str], None] = None, *, t_star: float = 1.0)
 
     ``None`` gives the default panel {1, x, x^2, e^(0.5x), e^(-x), bump}
     with the bump placed on the middle half of [0, t_star] so f(0) = 0.
+    ``"1"`` and ``"exp:0"`` both give e^(0*x), labelled ``1``.
     """
     if specs is None:
         specs = ["1", "x", "x^2", "exp:0.5", "exp:-1", "bump"]

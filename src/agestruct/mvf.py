@@ -221,11 +221,6 @@ class LimitSolution:
             raise ValueError(f"time {t} is not on the solution grid")
         return i
 
-    def pairings(self, f: Callable) -> np.ndarray:
-        """(f, frame) for every stored time."""
-        fv = np.asarray(f(self.centers), dtype=float)
-        return self.dt * (self.values @ fv)
-
 
 def _renewal_frames(out: np.ndarray, col, row, d: float, first: int = 0) -> np.ndarray:
     """Fill and return ``out``, whose row i is constant-rate frame k = first + i:

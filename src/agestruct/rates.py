@@ -471,14 +471,12 @@ class RateModel:
 
 
 def classical_model(birth: float, death: float, life_law: OffspringLaw,
-                    split_law: OffspringLaw,
-                    k_perturbation=None) -> RateModel:
+                    split_law: OffspringLaw) -> RateModel:
     return RateModel(
         family="classical",
         birth=ConstantRate(birth), death=ConstantRate(death),
         life_law=life_law, split_law=split_law,
         birth_sup=float(birth), death_sup=float(death),
-        k_perturbation=k_perturbation,
     )
 
 

@@ -131,7 +131,7 @@ def test_pure_splitting_mean_mass():
     for i in range(vals.size):
         traj = simulate(model, atoms(np.zeros(300), t_star=1.0), k=300, horizon=1.0,
                         dt_out=1.0, rng=stream(i, ctx=4), t_star=1.0)
-        vals[i] = pair(constant(1.0), traj.snapshots[-1])
+        vals[i] = pair(constant(), traj.snapshots[-1])
     se = vals.std() / math.sqrt(vals.size)
     assert abs(vals.mean() - math.e) <= 3 * se
 
@@ -147,7 +147,7 @@ def test_pure_death_small_population_mean():
 
 
 def test_ledger_zero_without_events():
-    panel = [constant(1.0), monomial(1)]
+    panel = [constant(), monomial(1)]
     traj = simulate(TRANSPORT, atoms([0.3, 0.6]), k=1, horizon=1.0, dt_out=0.5,
                     rng=stream(6), panel=panel, with_ledger=True, t_star=2.0)
     assert np.allclose(traj.ledger.martingales(), 0.0)
@@ -158,7 +158,7 @@ def test_ledger_compensator_exact_for_constant_rates():
     # reconstructible exactly from the event log
     model = pure_splitting(1.0, 2)
     traj = simulate(model, atoms(np.zeros(200), t_star=1.0), k=200, horizon=1.0,
-                    dt_out=1.0, rng=stream(7, ctx=6), panel=[constant(1.0)],
+                    dt_out=1.0, rng=stream(7, ctx=6), panel=[constant()],
                     with_ledger=True, log_events=True, t_star=1.0)
     times = np.array(traj.events.t)
     # piecewise-constant population size: +1 per splitting event (2 born, 1 dead)
@@ -179,7 +179,7 @@ def test_ledger_variance_and_mean():
     m_vals = np.empty(200)
     for i in range(m_vals.size):
         traj = simulate(model, atoms(np.zeros(k), t_star=1.0), k=k, horizon=1.0,
-                        dt_out=1.0, rng=stream(i, ctx=7), panel=[constant(1.0)],
+                        dt_out=1.0, rng=stream(i, ctx=7), panel=[constant()],
                         with_ledger=True, t_star=1.0)
         m_vals[i] = traj.ledger.martingales()[-1][0] / math.sqrt(k)
     se_mean = m_vals.std() / math.sqrt(m_vals.size)
@@ -254,7 +254,7 @@ def test_closed_form_compensator_matches_gauss_legendre(model, n0, ctx):
 
 def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
     # the Gauss-Legendre ledger's values on these streams, pinned
-    panel = [constant(1.0), bump(0.2, 0.9)]
+    panel = [constant(), bump(0.2, 0.9)]
     traj = ledger_run(pure_splitting(1.0, 2), panel, 60, 16)
     assert not traj.ledger.closed_form
     comp = np.array(traj.ledger.comp_path)
@@ -264,7 +264,7 @@ def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
     assert traj.ledger.martingales()[-1] == pytest.approx(
         [-1.802052308307239, -1.80398578273061], rel=1e-12)
     traj = simulate(DENS, atoms(np.linspace(0.0, 1.0, 60)), k=120, horizon=1.0,
-                    dt_out=0.5, rng=stream(0, ctx=17), panel=[constant(1.0), monomial(1)],
+                    dt_out=0.5, rng=stream(0, ctx=17), panel=[constant(), monomial(1)],
                     with_ledger=True, t_star=2.0)
     assert not traj.ledger.closed_form
     assert traj.ledger.comp_path[-1] == pytest.approx(
@@ -295,7 +295,7 @@ def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
             calls["in_ledger"] = False
 
     monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
-    panel = [constant(1.0), bump(0.2, 0.9)]
+    panel = [constant(), bump(0.2, 0.9)]
     for model, per_interval in ((pure_splitting(1.0, 2), 1), (DENS, 1)):
         calls.update(death_rate=0, birth_rate=0, intervals=0)
         traj = ledger_run(model, panel, 60, 16)
@@ -372,7 +372,7 @@ def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
 
     monkeypatch.setattr(Population, "_pair_live", counting_pair_live)
     monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
-    panel = [constant(1.0), exponential(0.5), bump(0.2, 0.9)]
+    panel = [constant(), exponential(0.5), bump(0.2, 0.9)]
     n0 = 60
     traj = ledger_run(model, panel, n0, 44)
     assert not traj.ledger.closed_form and len(traj.events) > n0
@@ -599,7 +599,7 @@ def population_run(model, ctx, *, ledger=True):
     Gauss-Legendre ledger (a bump in the panel)."""
     return simulate(model, atoms(np.linspace(0.0, 1.0, 150)), k=300, horizon=1.0,
                     dt_out=0.25, rng=stream(0, ctx=ctx), with_ledger=ledger,
-                    panel=[constant(1.0), monomial(1), bump(0.2, 0.9)], log_events=True,
+                    panel=[constant(), monomial(1), bump(0.2, 0.9)], log_events=True,
                     t_star=2.0)
 
 
@@ -769,7 +769,7 @@ def test_snapshot_weight_and_times():
 def test_ledger_csv_format(tmp_path):
     model = pure_splitting(1.0, 2)
     traj = simulate(model, atoms(np.zeros(40), t_star=1.0), k=40, horizon=1.0,
-                    dt_out=0.5, rng=stream(20, ctx=12), panel=[constant(1.0)],
+                    dt_out=0.5, rng=stream(20, ctx=12), panel=[constant()],
                     with_ledger=True, t_star=1.0)
     path = tmp_path / "ledger.csv"
     traj.ledger.to_csv(path)
@@ -825,7 +825,7 @@ def thinned(b, h, life, split, b_sup, h_sup):
                      birth_sup=b_sup, death_sup=h_sup)
 
 
-LAW_PANEL = [constant(1.0), exponential(0.5)]
+LAW_PANEL = [constant(), exponential(0.5)]
 
 
 def law_sample(model, ctx, n=400, n0=10):
@@ -927,7 +927,7 @@ def test_acceptance_configs_take_the_pinned_paths(paths):
     simulate(DENS, atoms(np.linspace(0.0, 1.0, 50)), k=50, horizon=1.0, dt_out=0.25,
              rng=stream(2), t_star=2.0)
     kernel_workload_run()
-    ledger_run(pure_splitting(1.0, 2), [constant(1.0), bump(0.2, 0.9)], 60, 16)
+    ledger_run(pure_splitting(1.0, 2), [constant(), bump(0.2, 0.9)], 60, 16)
     assert paths == ["_simulate_loop"] * 3
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -62,3 +63,31 @@ def test_studies_do_not_import_scipy(studies_modules):
 def test_single_worker_studies_do_not_import_process_pools(studies_modules):
     # the process pool and its multiprocessing imports load only for workers > 1
     assert studies_modules[1:] == ["[]", "[]"]
+
+
+def module_bindings(tree: ast.Module):
+    """(name, line) for every name a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_no_test_module_binds_a_name_twice():
+    # a second binding silently replaces the first for every reader, such as a
+    # shared spec or a test function of the same name
+    twice = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        first = {}
+        for name, line in module_bindings(ast.parse(path.read_text(), str(path))):
+            if name in first:
+                twice.append(f"{path.name}: {name} at lines {first[name]} and {line}")
+            first.setdefault(name, line)
+    assert not twice, twice

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from agestruct import harness, spde
-from agestruct.acceptance import clt_config
+from agestruct.acceptance import clt_config, qv_config
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
                                build_initial, emit, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_lln,
                                run_qv_check, run_simulate)
-from agestruct.measures import constant, exponential
+from agestruct.measures import constant, exponential, pair
 
 CLASSICAL = {"family": "classical", "birth": 0.0, "death": 1.0,
              "life_law": {"kind": "deterministic", "k": 0},
@@ -331,7 +331,7 @@ def test_build_initial_delta_base():
                          None, 100, 0.01, 1.0)
     assert init.atoms.count == 100
     # realised fluctuation vanishes identically when the split is exact
-    for f in (constant(1.0), exponential(0.5)):
+    for f in (constant(), exponential(0.5)):
         assert init.z0.pair(f) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -360,12 +360,12 @@ def test_build_initial_grid_base_rounding_scale():
     assert init.atoms.count == 1000
     assert init.base_grid.mass == pytest.approx(1.0)
     # per-cell rounding keeps realised pairings within ~1/sqrt(K) of the target
-    for f in (constant(1.0), exponential(-1.0)):
+    for f in (constant(), exponential(-1.0)):
         assert abs(init.z0.pair(f)) <= 2.0
     assert init.nu0_values is not None
     # grid version of the fluctuation has identical pairings at cell centers
     xs = init.base_grid.centers
-    for f in (constant(1.0), exponential(0.5)):
+    for f in (constant(), exponential(0.5)):
         grid_pairing = init.base_grid.dx * float(np.dot(f(xs), init.nu0_values))
         assert grid_pairing == pytest.approx(init.z0.pair(f), abs=1e-10)
 
@@ -411,7 +411,7 @@ def test_atom_base_with_grid_perturbation_realises_its_atoms():
     ages = init.atoms.ages
     assert init.atoms.count == 110 and np.count_nonzero(ages == 0.0) == 100
     assert init.nu0_values is None
-    for f in (constant(1.0), exponential(0.5)):
+    for f in (constant(), exponential(0.5)):
         direct = math.sqrt(k) * (float(np.sum(f(ages))) / k - float(f(np.zeros(1))[0]))
         assert init.z0.pair(f) == pytest.approx(direct, rel=1e-12)
     assert init.z0.mass == pytest.approx(1.0)
@@ -448,6 +448,22 @@ def test_run_qv_small_panel():
     assert all(r.passed for r in means)
 
 
+def test_qv_covariation_table_keeps_every_k(monkeypatch):
+    targets = counting(monkeypatch, "covariation_integral_frames")
+    cfg = dataclasses.replace(qv_config(), k_values=[100, 200], replicates=20,
+                              panel=["1", "x", "exp:-1"])
+    rep = run_qv_check(cfg)
+    header, rows = rep.tables["qv_covariation"]
+    assert header == ("K", "f_id", "g_id", "covariance", "target")
+    marts = {(r.k, r.f_id): r for r in rep.rows if r.stat == "mart_covariation"}
+    assert [(k, f"{f}&{g}") for k, f, g, _, _ in rows] == list(marts) and len(rows) == 6
+    for k, f, g, cov, target in rows:
+        row = marts[(k, f"{f}&{g}")]
+        assert (cov, target) == (row.value, row.target)
+    # one target per pair and per non-unit diagonal, whatever the number of K
+    assert len(targets) == 3 + 2
+
+
 def test_run_clt_small(monkeypatch):
     builds = []
     build = spde._Coeffs.__init__
@@ -479,7 +495,6 @@ def test_run_clt_small(monkeypatch):
     assert len(builds) == 1
 
 
-UNIFORM = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
 # the benchmark's kernel study model, and a logistic-type density-dependent one
 KERNEL_WORKLOAD = {"family": "kernel_linear", "birth": 1.0,
                    "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": "affine",
@@ -487,10 +502,10 @@ KERNEL_WORKLOAD = {"family": "kernel_linear", "birth": 1.0,
                    "death_sup": 4.0,
                    "life_law": {"kind": "deterministic", "k": 1},
                    "split_law": {"kind": "deterministic", "k": 0}}
-DENSITY = {"family": "density_dependent", "birth": 0.4,
-           "death": {"kind": "affine", "a": 0.5, "b": 0.3}, "death_sup": 4.0,
-           "life_law": {"kind": "deterministic", "k": 1},
-           "split_law": {"kind": "deterministic", "k": 2}}
+DENSITY_CLT = {"family": "density_dependent", "birth": 0.4,
+               "death": {"kind": "affine", "a": 0.5, "b": 0.3}, "death_sup": 4.0,
+               "life_law": {"kind": "deterministic", "k": 1},
+               "split_law": {"kind": "deterministic", "k": 2}}
 
 
 def small_clt_config(model, panel, dt=0.01):
@@ -509,7 +524,7 @@ def counting(monkeypatch, name):
 
 @pytest.mark.parametrize("model, panel, from_law", [
     (KERNEL_WORKLOAD, ["1", "exp:0.5", "exp:-1"], ["1", "exp(0.5)", "exp(-1)"]),
-    (DENSITY, ["1", "x", "exp:0.5"], ["x"])], ids=["kernel_workload", "density"])
+    (DENSITY_CLT, ["1", "x", "exp:0.5"], ["x"])], ids=["kernel_workload", "density"])
 def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, panel,
                                                                      from_law):
     # run_clt reads these targets from the law's mean (an adjoint sweep); the
@@ -519,7 +534,7 @@ def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, pane
     st = harness._Study(cfg)
     mean_path = spde.evolve_mean(st.model, st.init_max.nu0_values, st.background)
     for f in st.panel:
-        forward = float(mean_path.pairings(f)[-1])
+        forward = pair(f, mean_path.frame(-1))
         if f.label in from_law:
             assert rows[f.label] == pytest.approx(forward, rel=1e-12, abs=0.0), f.label
         else:                          # a closed form, first-order close to the grid
@@ -528,7 +543,7 @@ def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, pane
 
 
 @pytest.mark.parametrize("model, mean_steps", [(CLASSICAL, 1), (KERNEL_WORKLOAD, 0),
-                                               (DENSITY, 0)],
+                                               (DENSITY_CLT, 0)],
                          ids=["classical", "kernel_workload", "density"])
 def test_run_clt_steps_the_mean_forward_only_to_check_a_classical_model(
         monkeypatch, model, mean_steps):
@@ -559,7 +574,7 @@ def test_noise_pairings_are_the_death_and_birth_construction():
     bg = harness.background_solution(cfg, model)
     frame = bg.frame(bg.values.shape[0] // 2)
     chan = spde.noise_channel(model, frame, cfg.dt)
-    fvals = np.stack([constant(1.0)(frame.centers), exponential(0.5)(frame.centers),
+    fvals = np.stack([constant()(frame.centers), exponential(0.5)(frame.centers),
                       exponential(-1.0)(frame.centers)])
     got = harness._noise_pairings(replicate_stream(5, 9, 1, 0), chan, fvals, 10250)
     rng, want = replicate_stream(5, 9, 1, 0), []

@@ -11,12 +11,12 @@ from agestruct.measures import (AtomicMeasure, DomainError, GridDensity, PointMa
 
 def test_pair_counts_mass():
     m = AtomicMeasure(ages=np.array([0.3, 0.7, 1.1]), weight=1.0, t_star=2.0)
-    assert pair(constant(1.0), m) == 3.0
+    assert pair(constant(), m) == 3.0
 
 
 def test_pair_normalised_single_atom():
     m = AtomicMeasure(ages=np.array([0.5]), weight=0.01, t_star=2.0)
-    assert pair(constant(1.0), m) == pytest.approx(0.01, abs=0)
+    assert pair(constant(), m) == pytest.approx(0.01, abs=0)
 
 
 def test_pair_exponential_hand_value():
@@ -69,9 +69,9 @@ def test_signed_diff_zero_when_equal():
 def test_signed_diff_linearity_and_scaling():
     g = GridDensity(dx=1.0, values=np.array([1.0]))
     m1 = AtomicMeasure(ages=np.full(11, 0.5), weight=0.1, t_star=1.0)
-    assert SignedPair(m1, g, 1.0).pair(constant(1.0)) == pytest.approx(0.1)
+    assert SignedPair(m1, g, 1.0).pair(constant()) == pytest.approx(0.1)
     m2 = AtomicMeasure(ages=np.full(101, 0.5), weight=0.01, t_star=1.0)
-    assert SignedPair(m2, g, 10.0).pair(constant(1.0)) == pytest.approx(0.1)
+    assert SignedPair(m2, g, 10.0).pair(constant()) == pytest.approx(0.1)
     # linear in the test function
     sp = SignedPair(m2, g, 10.0)
     f, h = exponential(0.4), monomial(2)
@@ -93,9 +93,9 @@ def test_default_panel():
 
 
 def test_panel_exp_zero_is_constant():
-    (f,) = make_panel(["exp:0"], t_star=1.0)
-    assert f.kind == "constant"
-    assert float(f(np.array(3.0))) == 1.0
+    for f in (*make_panel(["exp:0", "1"], t_star=1.0), constant()):
+        assert (f.kind, f.lam, f.label) == ("exp", 0.0, "1")
+        assert float(f(np.array(3.0))) == 1.0
 
 
 def test_panel_monomial_eval():

@@ -165,11 +165,11 @@ def test_classical_pairing_cross_validates_grid():
     dx = 1e-3
     a0 = box(dx, t_star=2.0)
     exact_vals = classical_exact(a0, 0.0, 1.0, 2.0, 0.0, 1.0)
-    for f in (constant(1.0), exponential(0.5)):
+    for f in (constant(), exponential(0.5)):
         quad_val = classical_pairing(f, a0, 0.0, 1.0, 2.0, 0.0, 1.0)
         grid_val = pair(f, exact_vals)
         assert quad_val == pytest.approx(grid_val, rel=2e-5)
-    assert classical_pairing(constant(1.0), a0, 0.0, 1.0, 2.0, 0.0, 1.0) \
+    assert classical_pairing(constant(), a0, 0.0, 1.0, 2.0, 0.0, 1.0) \
         == pytest.approx(math.e, rel=1e-10)
 
 
@@ -291,8 +291,6 @@ def test_limit_solution_frame_accessors():
         sol.index_at(0.2501)
     frame = sol.frame_at(0.5)
     assert frame.mass == pytest.approx(sol.totals[-1])
-    pairs = sol.pairings(constant(1.0))
-    assert np.allclose(pairs, sol.totals)
 
 
 def kernel_grid(kern, n_cells, dx):

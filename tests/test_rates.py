@@ -150,7 +150,7 @@ def test_frechet_linear_in_direction():
 def test_generator_constant_function():
     # L1 = newborn - death = 2 - 1 per individual
     model = pure_splitting(1.0, 2)
-    assert compensator(model, constant(1.0), [0.1, 1.5], 1, 0.5, True) == pytest.approx(1.0)
+    assert compensator(model, constant(), [0.1, 1.5], 1, 0.5, True) == pytest.approx(1.0)
 
 
 def test_generator_pure_transport():
@@ -185,7 +185,7 @@ def test_generator_mass_growth_identity():
     pop = Population(ages, k=2)
     h = model.death_rate(ages, pop)
     newborn = model.birth_rate(ages, pop) * 1.0 + h * 2.0
-    assert compensator(model, constant(1.0), ages, 2, 0.5, False) == pytest.approx(
+    assert compensator(model, constant(), ages, 2, 0.5, False) == pytest.approx(
         0.5 * float(np.sum(newborn - h)), rel=1e-12)
 
 

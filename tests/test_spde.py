@@ -11,7 +11,7 @@ from agestruct import spde
 from agestruct.acceptance import clt_config
 from agestruct.harness import model_from_config, replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
-                                monomial)
+                                monomial, pair)
 from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total_ode
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
@@ -120,7 +120,7 @@ def test_noise_channel_is_what_the_engine_steps_with(model, monkeypatch):
         return steps[-1]
 
     monkeypatch.setattr(spde, "_noise_var", recording)
-    fluctuation_law(model, bg, z0, [constant(1.0)], [1.0])
+    fluctuation_law(model, bg, z0, [constant()], [1.0])
     n = bg.values.shape[0] - 1
     assert len(steps) == n
     co = _Coeffs(model, bg)
@@ -142,7 +142,7 @@ def test_noise_empirical_covariance():
     rng = np.random.default_rng(7)
     n = 30000
     f = np.asarray(exponential(-1.0)(frame.centers))
-    g = np.asarray(constant(1.0)(frame.centers))
+    g = np.asarray(constant()(frame.centers))
     deaths = rng.standard_normal((n, frame.n_cells)) * np.sqrt(chan.var_cells)
     births = chan.split_mean * deaths.sum(axis=1) \
         + math.sqrt(chan.var_boundary) * rng.standard_normal(n)
@@ -166,7 +166,7 @@ class ZeroNoise:
 def test_paths_deterministic_part_equals_mean_evolution():
     # zero draws leave the law's mean; the adjoint sums run backward, so it
     # meets the forward mean evolution at rounding level, not bit for bit
-    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    panel = [constant(), exponential(0.5), monomial(1)]
     for model in LAW_MODELS:
         bg = background(model, dx=0.01)
         z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
@@ -220,7 +220,7 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
 def test_law_covariance_matches_forward_recursion(model):
     bg = background(model, dx=1e-2)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    panel = [constant(), exponential(0.5), monomial(1)]
     fvals = np.stack([f(bg.centers) for f in panel])
     times = [0.0, 0.3, 1.0]
     _, cov = fluctuation_law(model, bg, z0, panel, times)
@@ -233,7 +233,7 @@ def test_law_covariance_matches_forward_recursion(model):
 def test_record_time_zero_gives_the_start_pairing():
     bg = background(MIXED, dx=0.02)
     z0 = np.where(bg.centers < 1.0, 0.7, 0.0)
-    panel = [constant(1.0), exponential(-1.0)]
+    panel = [constant(), exponential(-1.0)]
     fvals = np.stack([f(bg.centers) for f in panel])
     stream = partial(spde_noise_stream, 5)
     alone = simulate_fluctuation_paths(MIXED, bg, z0, 50, panel, [0.0], stream,
@@ -253,7 +253,7 @@ def test_law_on_a_background_of_no_step_is_the_start_pairing():
     bg = solve_mvf(SPLIT, box(0.02), 0.0, 0.02)
     assert bg.values.shape[0] == 1
     z0 = np.where(bg.centers < 1.0, 0.7, 0.0)
-    panel = [constant(1.0), exponential(-1.0)]
+    panel = [constant(), exponential(-1.0)]
     mean, cov = fluctuation_law(SPLIT, bg, z0, panel, [0.0])
     want_mean, want_cov = fluctuation_law(twin(SPLIT), bg, z0, panel, [0.0])
     assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
@@ -270,7 +270,7 @@ def test_constant_rate_law_equals_the_generic_sweep(model, dx, times):
     assert model.constant_rates and not twin(model).constant_rates
     # mass on every cell: the last start cells and those no step reaches included
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0) + np.cos(3.0 * bg.centers)
-    panel = [constant(1.0), exponential(0.5), monomial(1), exponential(-1.0)]
+    panel = [constant(), exponential(0.5), monomial(1), exponential(-1.0)]
     mean, cov = fluctuation_law(model, bg, z0, panel, times)
     want_mean, want_cov = fluctuation_law(twin(model), bg, z0, panel, times)
     assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
@@ -293,7 +293,7 @@ def test_constant_rates_step_no_adjoint_row(monkeypatch):
         bg = background(model, dx=0.02)
         n = bg.values.shape[0] - 1
         calls.update(_adjoint_step=0, _noise_var=0)
-        fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant(1.0)], [1.0])
+        fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant()], [1.0])
         assert calls == {"_adjoint_step": per_step * n, "_noise_var": per_step * n + once}
 
 
@@ -305,7 +305,7 @@ def test_renewal_law_clamps_a_negative_start_cell_as_the_sweep_does():
     bg = solve_mvf(MIXED, start, 1.0, 1e-2)
     assert bg.values[0, 37] < 0.0 and bg.values[-1, 37 + 100] < 0.0
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    panel = [constant(), exponential(0.5), monomial(1)]
     for times in ([1.0], [0.0, 0.3, 1.0]):
         mean, cov = fluctuation_law(MIXED, bg, z0, panel, times)
         want_mean, want_cov = fluctuation_law(twin(MIXED), bg, z0, panel, times)
@@ -319,18 +319,18 @@ def test_renewal_law_refuses_a_background_solved_for_other_rates():
     z0 = np.ones(bg.values.shape[1])
     with pytest.raises(ValueError, match=r"background frame 49 is not its start row "
                                          r"and boundary column decayed by d = 0\.98"):
-        fluctuation_law(MIXED, bg, z0, [constant(1.0)], [1.0])
+        fluctuation_law(MIXED, bg, z0, [constant()], [1.0])
     # a record at time zero uses no frame, so there is nothing to refuse
-    fluctuation_law(MIXED, bg, z0, [constant(1.0)], [0.0])
+    fluctuation_law(MIXED, bg, z0, [constant()], [0.0])
 
 
 @pytest.mark.parametrize("model", [SPLIT, DENS], ids=["renewal", "sweep"])
 @pytest.mark.parametrize("panel, times, z0_shape, match", [
     ([], [1.0], None, r"got panel \[\] and record_times \[1.0\]"),
-    ([constant(1.0)], [], None, r"and record_times \[\]"),
-    ([constant(1.0)], [1.0], (99,), r"shape \(100,\); got shape \(99,\)"),
-    ([constant(1.0)], [1.0], (101,), r"shape \(100,\); got shape \(101,\)"),
-    ([constant(1.0)], [1.0], (1, 100), r"shape \(100,\); got shape \(1, 100\)"),
+    ([constant()], [], None, r"and record_times \[\]"),
+    ([constant()], [1.0], (99,), r"shape \(100,\); got shape \(99,\)"),
+    ([constant()], [1.0], (101,), r"shape \(100,\); got shape \(101,\)"),
+    ([constant()], [1.0], (1, 100), r"shape \(100,\); got shape \(1, 100\)"),
 ], ids=["empty_panel", "no_record_time", "short_z0", "long_z0", "row_z0"])
 def test_law_rejects_what_it_cannot_pair(model, panel, times, z0_shape, match):
     bg = background(model, dx=0.02)
@@ -350,7 +350,7 @@ def test_paths_reject_empty_blocks():
 
     with pytest.raises(ValueError, match="block_size must be at least 1, got 0"):
         simulate_fluctuation_paths(SPLIT, bg, np.zeros(bg.values.shape[1]), 2,
-                                   [constant(1.0)], [0.1], one_block, block_size=0)
+                                   [constant()], [0.1], one_block, block_size=0)
 
 
 def test_paths_noise_has_zero_mean():
@@ -358,14 +358,14 @@ def test_paths_noise_has_zero_mean():
     bg = background(SPLIT, dx=dt, horizon=0.1)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     mp = evolve_mean(SPLIT, z0, bg)
-    panel = [constant(1.0), exponential(0.5), monomial(1)]
+    panel = [constant(), exponential(0.5), monomial(1)]
     times = [dt, 0.1]
     samples = simulate_fluctuation_paths(SPLIT, bg, z0, 20000, panel, times,
                                          lambda b: spde_noise_stream(3, b),
                                          block_size=5000)
     mean, cov = fluctuation_law(SPLIT, bg, z0, panel, times)
     # one noisy step is centred on the deterministic step
-    assert mean[:3] == pytest.approx([mp.pairings(f)[1] for f in panel], rel=1e-12)
+    assert mean[:3] == pytest.approx([pair(f, mp.frame(1)) for f in panel], rel=1e-12)
     # sampled moments within 3 SE of the exact law
     flat = samples.reshape(samples.shape[0], -1)
     for i, vals in enumerate(flat.T):
@@ -491,7 +491,7 @@ def test_density_dependent_mean_formula_matches_grid():
     for lam in (0.0, 0.5):
         target = density_dependent_exp_mean(
             lam, exp_pairing_grid(lam, z0_grid), z0_grid.mass, DENS, bg, 1.0)
-        got = float(mp.pairings(exponential(lam) if lam else constant(1.0))[-1])
+        got = pair(exponential(lam), mp.frame(-1))
         assert got == pytest.approx(target, rel=0.02)
 
 
@@ -528,7 +528,7 @@ def test_kernel_engine_reduces_to_density_engine():
 
 def test_qv_integral_frames_vs_closed_form():
     bg = background(SPLIT, dx=1e-3)
-    got = covariation_integral_frames(SPLIT, bg, constant(1.0), constant(1.0), 1.0)
+    got = covariation_integral_frames(SPLIT, bg, constant(), constant(), 1.0)
     exact = classical_qv_mass(1.0, 0.0, 1.0, SPLIT.life_law, SPLIT.split_law, 1.0)
     assert exact == pytest.approx(math.e - 1.0, rel=1e-12)
     assert got == pytest.approx(exact, rel=5e-3)
@@ -537,7 +537,7 @@ def test_qv_integral_frames_vs_closed_form():
 def test_paths_reproducible_and_gaussian():
     bg = background(SPLIT, dx=4e-3)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    panel = [constant(1.0)]
+    panel = [constant()]
 
     def run():
         return simulate_fluctuation_paths(SPLIT, bg, z0, 600, panel, [1.0],
@@ -571,7 +571,7 @@ def run_grid_layers(model, dx, horizon):
     bg = background(model, dx=dx, horizon=horizon)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     evolve_mean(model, z0, bg)
-    fluctuation_law(model, bg, z0, [constant(1.0), exponential(-1.0)], [horizon])
+    fluctuation_law(model, bg, z0, [constant(), exponential(-1.0)], [horizon])
     return bg
 
 
