@@ -51,9 +51,6 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "simulate",
-    "TwoVarFunction",
-    "two_var",
-    "pathwise_identity_catalogue",
     "check_pathwise_identity",
 ]
 
@@ -604,97 +601,37 @@ def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
 # pathwise identity checking
 
 
-class TwoVarFunction:
-    """Separable f(x, s) = fx(x) * fs(s) with both parts smooth.
+def check_pathwise_identity(traj: Trajectory) -> float:
+    """Largest gap between the event log's replay and the snapshots.
 
-    The age part is a :class:`TestFunction`; the time part is one of
-    constant / monomial / exponential in s.  Products of this form are
-    closed under the pathwise identity's between-event integration: the
-    integral of (d/ds) f(s - tau, s) telescopes exactly.
-    """
+    Between events the population only ages, so the pathwise evolution
+    identity
 
-    def __init__(self, xpart: TestFunction, spart: TestFunction, label: str = ""):
-        self.xpart = xpart
-        self.spart = spart
-        self.label = label or f"{xpart.label}*{spart.label}(s)"
+        (f(.,t), A_t) = (f(.,0), A_0) + int_0^t ((d_x + d_s) f, A_s) ds
+                        + sum of f(0, birth times) - sum of f(lifespan, death time)
 
-    def __call__(self, x, s: float):
-        return self.xpart(x) * float(self.spart(np.array(float(s))))
-
-
-def two_var(xspec: str, sspec: str = "1") -> TwoVarFunction:
-    from .measures import _parse_spec
-
-    return TwoVarFunction(_parse_spec(xspec, 1.0), _parse_spec(sspec, 1.0),
-                          label=f"{xspec}|{sspec}")
-
-
-def pathwise_identity_catalogue() -> list[TwoVarFunction]:
-    """Closed-form two-variable functions exercised by the identity check."""
-    return [
-        two_var("1"),
-        two_var("x"),
-        two_var("exp:1", "exp:-1"),   # e^(x-s)
-        two_var("x", "mono:1"),       # x*s
-        two_var("x^2", "exp:-0.5"),
-    ]
-
-
-def check_pathwise_identity(traj: Trajectory, f2: TwoVarFunction) -> float:
-    """Max relative residual of the pathwise evolution identity.
-
-    Replays the event log and checks, at every output time t,
-
-        (f(.,t), A_t) = (f(.,0), A_0) + int_0^t (d1 f + d2 f, A_s) ds
-                        + sum of f(0, birth times) - sum of f(lifespan, death time),
-
-    where the ds-integral is evaluated exactly by telescoping along the
-    inter-event segments (the live set is constant there).
+    holds for every smooth f exactly when a replay of the log rebuilds A_t.
+    The replay starts from the initial birth times: a birth adds its brood
+    at age 0, and a death removes the individual born at ``tau`` and adds
+    its brood.  At each output time the sorted live ages are compared with
+    that snapshot's.  Returns the largest age gap, or inf when a count
+    differs, a death finds no live individual or an event is left over.
     """
     if traj.events is None:
         raise ValueError("trajectory was simulated without an event log")
-    bt = list(traj.initial_birth_times)
-
-    def live_sum(s: float) -> float:
-        if not bt:
-            return 0.0
-        arr = np.array(bt)
-        return float(np.sum(f2(s - arr, s)))
-
-    lhs0 = live_sum(0.0)
-    integral = 0.0
-    births = 0.0
-    deaths = 0.0
-    sum_start = lhs0
-    max_resid = 0.0
-
     ev = traj.events
-    n_ev = len(ev)
-    ei = 0
-    scale = max(1.0, abs(lhs0))
-    for t_out in traj.times:
-        while ei < n_ev and ev.t[ei] <= t_out:
-            te = ev.t[ei]
-            sum_end = live_sum(te)
-            integral += sum_end - sum_start
-            brood = ev.brood[ei]
+    born = list(traj.initial_birth_times)
+    gap, ei = 0.0, 0
+    for t_out, snap in zip(traj.times, traj.snapshots):
+        while ei < len(ev) and ev.t[ei] <= t_out:
             if ev.kind[ei] == KIND_DEATH:
-                tau = ev.tau[ei]
-                deaths += f2(np.array(te - tau), te)
-                idx = bt.index(tau)
-                bt.pop(idx)
-                sum_end -= f2(np.array(te - tau), te)
-            if brood:
-                bt.extend([te] * brood)
-                births += brood * f2(np.array(0.0), te)
-                sum_end += brood * f2(np.array(0.0), te)
-            sum_start = sum_end
+                if ev.tau[ei] not in born:
+                    return math.inf
+                born.remove(ev.tau[ei])
+            born.extend([ev.t[ei]] * ev.brood[ei])
             ei += 1
-        sum_end = live_sum(float(t_out))
-        integral += sum_end - sum_start
-        sum_start = sum_end
-        lhs = sum_end
-        resid = lhs - lhs0 - integral - births + deaths
-        scale = max(scale, abs(lhs), abs(integral), abs(births), abs(deaths))
-        max_resid = max(max_resid, abs(float(resid)))
-    return max_resid / scale
+        ages = np.sort(t_out - np.array(born))
+        if ages.size != snap.count:
+            return math.inf
+        gap = max(gap, float(np.abs(ages - snap.ages).max(initial=0.0)))
+    return gap if ei == len(ev) else math.inf

@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+from .acceptance import PREREGISTERED_SEED, AcceptanceSuite
 from .harness import (ExperimentConfig, emit, run_clt, run_convergence,
                       run_fluctuate, run_limit, run_lln, run_qv_check,
                       run_simulate)
@@ -73,8 +74,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        from .acceptance import PREREGISTERED_SEED, AcceptanceSuite
-
         seed = PREREGISTERED_SEED if args.seed is None else args.seed
         suite = AcceptanceSuite(seed=seed, workers=args.workers)
         results = suite.run_all()

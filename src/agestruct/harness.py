@@ -27,7 +27,7 @@ from . import __version__
 from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
                        make_panel, pair)
 from .rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kernel,
-                    KernelRate, OffspringLaw, RateModel, ScalarFn)
+                    KernelRate, OffspringLaw, RateModel, ScalarFn, classical_model)
 from .branching import simulate
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
@@ -92,6 +92,14 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int (numpy integers: the manifest writes JSON), or a
+    ValueError showing it."""
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
@@ -121,9 +129,7 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        self.seed = int(self.seed)          # numpy integers: the manifest writes JSON
+        self.seed = _check_seed(self.seed)
         for name in ("replicates", "n_spde_paths", "spde_block", "workers", "population_cap"):
             value = getattr(self, name)
             if not _is_int(value):
@@ -779,7 +785,6 @@ def run_convergence(config: ExperimentConfig) -> Report:
     dt0 = 4e-3
     a0 = GridDensity.from_function(
         lambda x: np.where(x < 1.0, 1.0, 0.0), t_star=1.5, dx=dt0)
-    from .rates import classical_model
     transport = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                                 OffspringLaw.deterministic(0))
     sol = solve_mvf(transport, a0, 0.5, dt0)

@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import GridDensity, TestFunction
-from .mvf import GridRates, LimitSolution, _renewal_frames, quad_gk21
+from .mvf import GridRates, LimitSolution, _rate_of_mass, _renewal_frames, quad_gk21
 from .rates import RateModel
 
 __all__ = [
@@ -566,8 +566,6 @@ def density_dependent_exp_mean(lam: float, z0_exp_pairing: float, z0_mass: float
     the derivative terms; both are reduced to explicit exponentials of
     cumulative integrals evaluated on the background time grid.
     """
-    from .mvf import _rate_of_mass
-
     ki = background.index_at(t)
     dt = background.dt
     lm = model.life_law.mean

@@ -5,9 +5,11 @@ pre-registered master seed and shared across criteria; each test prints its
 pass/fail line with the measured numbers.
 """
 
+import re
 from functools import cached_property
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from agestruct import acceptance
@@ -58,6 +60,23 @@ def test_criterion_7_exactness_properties(suite):
 
 def test_criterion_8_small_instance_law(suite):
     _report(suite.criterion_8())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_criterion_7_density_case_stays_under_its_declared_sup(seed):
+    # the density case's mass at t = 1 reaches ~13 in 3,000 runs; its death
+    # rate 0.5 + 0.3 mass must stay under death_sup on every seed
+    _report(AcceptanceSuite(seed=seed).criterion_7())
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True, "7", None])
+def test_suite_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer in [0, 2^64)")):
+        AcceptanceSuite(seed=seed)
+
+
+def test_suite_takes_a_numpy_seed_as_an_int():
+    assert type(AcceptanceSuite(seed=np.uint64(2 ** 64 - 1)).seed) is int
 
 
 def test_run_all_times_each_criterion(monkeypatch):

@@ -9,9 +9,9 @@ from scipy.stats import ks_2samp, kstest
 
 from agestruct import branching
 from agestruct.acceptance import clt_config, lln_config, qv_config
-from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, MartingaleLedger,
-                                 Population, check_pathwise_identity,
-                                 pathwise_identity_catalogue, simulate, two_var)
+from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, EventLog,
+                                 MartingaleLedger, Population, check_pathwise_identity,
+                                 simulate)
 from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study,
                                model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
@@ -700,23 +700,62 @@ def logged_trajectories():
     return out
 
 
-def test_pathwise_identity_counting(logged_trajectories):
+def test_pathwise_identity_replay_matches_the_snapshots(logged_trajectories):
+    # lifelines (pure splitting, MIXED) and the loop (DENS)
     for traj in logged_trajectories:
-        assert check_pathwise_identity(traj, two_var("1")) == 0.0
+        assert check_pathwise_identity(traj) == 0.0
 
 
-@pytest.mark.parametrize("spec", [("x", "1"), ("exp:1", "exp:-1"),
-                                  ("x", "mono:1"), ("x^2", "exp:-0.5")])
-def test_pathwise_identity_residuals(logged_trajectories, spec):
-    f2 = two_var(*spec)
+@pytest.mark.parametrize("model", [MIXED, DENS], ids=["closed_form", "gauss_legendre"])
+def test_pathwise_identity_replay_with_a_ledger(model):
+    traj = simulate(model, atoms(np.linspace(0.0, 1.0, 60)), k=60, horizon=1.0,
+                    dt_out=0.25, rng=stream(3, ctx=8), panel=LAW_PANEL, with_ledger=True,
+                    log_events=True, t_star=2.0)
+    assert traj.events and traj.ledger.times
+    assert check_pathwise_identity(traj) == 0.0
+
+
+def mutated(traj, edit):
+    """``traj`` with a copy of its event log, edited in place by ``edit``."""
+    log = EventLog()
+    log.t, log.kind, log.tau, log.brood = (list(traj.events.t), list(traj.events.kind),
+                                           list(traj.events.tau), list(traj.events.brood))
+    edit(log)
+    return dataclasses.replace(traj, events=log)
+
+
+def triple_broods(log):
+    log.brood = [3 * b for b in log.brood]
+
+
+def truncate(log):
+    for name in ("t", "kind", "tau", "brood"):
+        setattr(log, name, getattr(log, name)[:20])
+
+
+def shift_a_birth(log):
+    # the first brood none of whose newborns dies, so every death still finds its tau
+    dead = {tau for tau, kind in zip(log.tau, log.kind) if kind == KIND_DEATH}
+    i = next(i for i, b in enumerate(log.brood) if b > 0 and log.t[i] not in dead)
+    log.t[i] += 1e-3
+
+
+def unborn_death(log):
+    i = log.kind.index(KIND_DEATH)
+    log.tau[i] -= 0.5
+
+
+@pytest.mark.parametrize("edit", [triple_broods, truncate, shift_a_birth, unborn_death])
+def test_pathwise_identity_replay_catches_a_wrong_log(logged_trajectories, edit):
     for traj in logged_trajectories:
-        assert check_pathwise_identity(traj, f2) <= 1e-9
+        assert len(traj.events) > 20
+        assert check_pathwise_identity(mutated(traj, edit)) > 1e-9
 
 
-def test_pathwise_identity_catalogue_complete(logged_trajectories):
-    for traj in logged_trajectories:
-        worst = max(check_pathwise_identity(traj, f2) for f2 in pathwise_identity_catalogue())
-        assert worst <= 1e-9
+def test_pathwise_identity_needs_an_event_log():
+    traj = simulate(MIXED, atoms([0.5]), k=1, horizon=1.0, dt_out=0.5, rng=stream(0))
+    with pytest.raises(ValueError, match="without an event log"):
+        check_pathwise_identity(traj)
 
 
 def test_mass_bookkeeping_and_support(logged_trajectories):

@@ -91,3 +91,16 @@ def test_no_test_module_binds_a_name_twice():
                 twice.append(f"{path.name}: {name} at lines {first[name]} and {line}")
             first.setdefault(name, line)
     assert not twice, twice
+
+
+def test_package_imports_sit_at_module_level():
+    # a package-relative import inside a function hides a module's dependencies
+    # and repeats its lookup per call; stdlib imports may stay lazy on purpose
+    src = Path(agestruct.__file__).resolve().parent
+    local = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local, local
