@@ -706,6 +706,27 @@ def test_pathwise_identity_replay_matches_the_snapshots(logged_trajectories):
         assert check_pathwise_identity(traj) == 0.0
 
 
+def test_pathwise_identity_counting(logged_trajectories):
+    # f = 1: |A_t| = |A_0| + broods - deaths up to t, summed straight from the log
+    for traj in logged_trajectories:
+        ev_t = np.array(traj.events.t)
+        brood, dies = np.array(traj.events.brood), np.array(traj.events.kind) == KIND_DEATH
+        for t_out, snap in zip(traj.times, traj.snapshots):
+            upto = ev_t <= t_out
+            assert snap.count == (traj.initial_count + int(brood[upto].sum())
+                                  - int(dies[upto].sum()))
+
+
+def test_pathwise_identity_catalogue_complete(logged_trajectories):
+    # the log holds every event the run's counters saw, and nothing after the horizon
+    for traj in logged_trajectories:
+        ev = traj.events
+        assert len(ev) > 0 and max(ev.t) <= traj.times[-1]
+        assert sum(k == KIND_DEATH for k in ev.kind) == traj.deaths
+        assert sum(ev.brood) == traj.births_life + traj.births_split
+        assert len(traj.initial_birth_times) == traj.initial_count
+
+
 @pytest.mark.parametrize("model", [MIXED, DENS], ids=["closed_form", "gauss_legendre"])
 def test_pathwise_identity_replay_with_a_ledger(model):
     traj = simulate(model, atoms(np.linspace(0.0, 1.0, 60)), k=60, horizon=1.0,
