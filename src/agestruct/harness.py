@@ -33,8 +33,8 @@ from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_ex
                   solve_mvf, solve_total_ode)
 from .spde import (classical_exp_mean, classical_qv_mass,
                    covariation_integral_frames, density_dependent_exp_mean,
-                   evolve_mean, fluctuation_law, ito_isometry_variance, NoiseChannel,
-                   noise_channel, remark_covariance_grid, simulate_fluctuation_paths)
+                   evolve_mean, fluctuation_law, ito_isometry_variance,
+                   remark_covariance_grid, simulate_fluctuation_paths)
 from .stats import (fit_loglog_slope, sample_summary, se_of_covariance,
                     se_of_variance)
 
@@ -73,12 +73,10 @@ def replicate_stream(master_seed: int, purpose: int, k_index: int,
 
 
 def spde_noise_stream(master_seed: int, block: int) -> np.random.Generator:
-    """Per-block noise stream for grid paths (keyed derivation, fast generator).
-
-    Grid paths burn an order of magnitude more variates than the event
-    simulator, so they use SFC64 seeded from the (seed, purpose, block)
-    context instead of Philox; derivation is still deterministic and
-    scheduling-independent.
+    """Per-block normal stream for the SPDE sampler: SFC64 seeded from the
+    (seed, purpose, block) context, so derivation is deterministic and
+    scheduling-independent.  The sampler draws one normal per pairing of each
+    path, n_paths x R*P in all, and maps them through the pairings' exact law.
     """
     ss = np.random.SeedSequence(entropy=(int(master_seed), PURPOSE_SPDE, int(block)))
     return np.random.Generator(np.random.SFC64(ss))
@@ -157,9 +155,13 @@ class ExperimentConfig:
         if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
             raise ValueError(f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")
         _read_start(self.initial, self.perturbation, self.dt, self.horizon)   # checks both
-        if self.panel is not None and not len(self.panel):
-            raise ValueError(f"panel must name at least one test function (None: the "
-                             f"default panel), got {self.panel!r}")
+        if self.panel is not None:
+            if not (_is_list(self.panel) and all(isinstance(s, str) for s in self.panel)):
+                raise ValueError(f"panel must be a list of test function specs (strings), "
+                                 f"got {self.panel!r}")
+            if not len(self.panel):
+                raise ValueError(f"panel must name at least one test function (None: the "
+                                 f"default panel), got {self.panel!r}")
         for name, least in (("n_spde_paths", 2), ("spde_block", 1), ("workers", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "
@@ -762,23 +764,9 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     return report
 
 
-def _noise_pairings(rng: np.random.Generator, chan: NoiseChannel, fvals: np.ndarray,
-                    n_draw: int) -> np.ndarray:
-    """``n_draw`` draws of ``chan``'s step noise paired with each row of ``fvals``: per
-    chunk of 5000, its cell normals in one reused buffer, then its boundary residuals."""
-    sd = np.sqrt(chan.var_cells)
-    weights = sd[:, None] * np.vstack([np.ones_like(sd), fvals]).T
-    buf, out = np.empty((min(5000, n_draw), sd.size)), np.empty((n_draw, len(fvals)))
-    for pos in range(0, n_draw, len(buf)):
-        prod = rng.standard_normal(out=buf[:n_draw - pos]) @ weights    # at most a chunk
-        births = chan.split_mean * prod[:, 0] \
-            + math.sqrt(chan.var_boundary) * rng.standard_normal(len(prod))
-        out[pos:pos + len(prod)] = births[:, None] * fvals[:, 0] - prod[:, 1:]
-    return out
-
-
 def run_convergence(config: ExperimentConfig) -> Report:
-    """Refinement studies for the solvers plus the noise-construction identity."""
+    """Refinement studies for the solvers plus one step's noise law against the
+    covariation formula."""
     report = Report(name="convergence")
 
     # transport-only: exact shift
@@ -846,35 +834,33 @@ def run_convergence(config: ExperimentConfig) -> Report:
             "evolve_mean_order_ratio", em_errs[i] / em_errs[i + 1], 2.0, 0.4))
     report.tables["convergence"] = (("study", "dt", "linf_error"), conv_rows)
 
-    # noise construction: analytic identity and empirical covariance
+    # noise: one step's exact law from the middle frame against the covariation formula
     model = config.build_model()
     background = background_solution(config, model)
-    mid = background.values.shape[0] // 2
-    frame = background.frame(mid)
+    # never the last frame (two frames at horizon dt): a step from it leaves the grid
+    frame = background.frame((background.values.shape[0] - 1) // 2)
     panel = make_panel(config.panel, t_star=background.t_star)
-    chan = noise_channel(model, frame, config.dt)
+    dt = config.dt
+    one = solve_mvf(model, frame, dt, dt)
+    zeros = np.zeros(frame.n_cells)
+    law = fluctuation_law(model, one, zeros, panel, [dt])
     fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
-    worst = 0.0
-    for fi in range(len(panel)):
-        for gi in range(fi, len(panel)):
-            built = chan.functional_covariance(fvals[fi], fvals[gi])
-            target = remark_covariance_grid(model, frame, fvals[fi], fvals[gi],
-                                            config.dt)
-            scale = max(abs(target), 1e-14)
-            worst = max(worst, abs(built - target) / scale)
+    targets = {(fi, gi): remark_covariance_grid(model, frame, fvals[fi], fvals[gi], dt)
+               for fi in range(len(panel)) for gi in range(fi, len(panel))}
+    worst = max(abs(law[1][fi, gi] - target) / max(abs(target), 1e-14)
+                for (fi, gi), target in targets.items())
     report.rows.append(CheckRow.band("noise_cov_identity_rel", worst, 0.0, 1e-10))
 
+    paths = simulate_fluctuation_paths(model, one, zeros, 10 ** 5, panel, [dt],
+                                       partial(replicate_stream, config.seed, PURPOSE_SPDE, 1),
+                                       law=law)[:, 0]
     n_check = min(3, len(panel))
-    functionals = _noise_pairings(replicate_stream(config.seed, PURPOSE_SPDE, 1, 0), chan,
-                                  np.array(fvals[:n_check]), 10 ** 5)
     for fi in range(n_check):
         for gi in range(fi, n_check):
-            nf, ng = functionals[:, fi], functionals[:, gi]
-            cov = float(np.cov(nf, ng, ddof=1)[0, 1])
-            target = chan.functional_covariance(fvals[fi], fvals[gi])
-            se = se_of_covariance(nf, ng)
+            nf, ng = paths[:, fi], paths[:, gi]
             report.rows.append(CheckRow.band(
-                "noise_cov_empirical", cov, target, 3.0 * se,
+                "noise_cov_empirical", float(np.cov(nf, ng, ddof=1)[0, 1]),
+                targets[fi, gi], 3.0 * se_of_covariance(nf, ng),
                 f_id=f"{panel[fi].label}&{panel[gi].label}"))
     report.failure_rate_note()
     return report

@@ -23,9 +23,10 @@ characteristics grid as the limit solver:
   quadratic variation by construction.  One helper builds a step's noise
   variances from its rates and background (:func:`_noise_var`) and one
   pairs them with test-function rows (:func:`_noise_cov`):
-  :func:`noise_channel` uses both for one frame and the law sweep both for
-  the active cells of every step; the constant-rate law builds the first
-  once for the boundary column and once for the start row.
+  the law sweep uses both for the active cells of every step, so one
+  step's law from a frame is that frame's noise covariance; the
+  constant-rate law builds the first once for the boundary column and once
+  for the start row.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -61,8 +61,6 @@ from .mvf import GridRates, LimitSolution, _rate_of_mass, _renewal_frames, quad_
 from .rates import RateModel
 
 __all__ = [
-    "NoiseChannel",
-    "noise_channel",
     "remark_covariance_grid",
     "evolve_mean",
     "fluctuation_law",
@@ -78,25 +76,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # noise construction
-
-
-@dataclass(frozen=True)
-class NoiseChannel:
-    """Per-step noise variances derived from one background frame.
-
-    ``var_cells[j]`` is the variance of the death increment in cell j; the
-    boundary birth increment is ``split_mean * sum(deaths) + residual`` with
-    residual variance ``var_boundary``.
-    """
-
-    var_cells: np.ndarray
-    split_mean: float
-    var_boundary: float
-
-    def functional_covariance(self, f_vals: np.ndarray, g_vals: np.ndarray) -> float:
-        """Cov of the per-step noise paired with f and with g (exact)."""
-        return float(_noise_cov(f_vals[None], g_vals[None], self.var_cells,
-                                self.var_boundary, self.split_mean)[0, 0])
 
 
 def _noise_var(model: RateModel, b, h, a, dx: float, dt: float):
@@ -121,14 +100,6 @@ def _noise_cov(f, g, var_cells, var_boundary: float, split_mean: float) -> np.nd
     vf = split_mean * f[:, :1] - f
     vg = vf if g is f else split_mean * g[:, :1] - g
     return (vf * var_cells) @ vg.T + var_boundary * np.outer(f[:, 0], g[:, 0])
-
-
-def noise_channel(model: RateModel, frame: GridDensity, dt: float) -> NoiseChannel:
-    """Build the two-channel noise variances for one background frame."""
-    b, h = GridRates(model, frame.dx, frame.n_cells).at(frame.values).birth_death()
-    var_cells, var_boundary = _noise_var(model, b, h, frame.values, frame.dx, dt)
-    return NoiseChannel(var_cells=var_cells, split_mean=model.split_law.mean,
-                        var_boundary=var_boundary)
 
 
 def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,

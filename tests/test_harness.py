@@ -120,6 +120,14 @@ def test_config_rejects_an_empty_panel(tmp_path):
     assert small_config(panel=None).panel is None
 
 
+@pytest.mark.parametrize("value", [[None], [1], ["1", 2.5], -1, "1"])
+def test_config_rejects_a_malformed_panel(tmp_path, value):
+    # the lists once failed on a bare "no attribute 'strip'", -1 on len(),
+    # and "1" ran as the panel of its characters
+    check_rejected(tmp_path, "panel", value, r"panel must be a list of test function specs "
+                                             rf"\(strings\), got {re.escape(repr(value))}$")
+
+
 @pytest.mark.parametrize("field", ["initial", "perturbation"])
 @pytest.mark.parametrize("kind", ["gird", None])
 def test_config_rejects_unknown_measure_kinds(tmp_path, field, kind):
@@ -518,7 +526,8 @@ def small_clt_config(model, panel, dt=0.01):
 def counting(monkeypatch, name):
     """Calls of ``harness.<name>`` from now on, one entry per call."""
     calls, fn = [], getattr(harness, name)
-    monkeypatch.setattr(harness, name, lambda *args: calls.append(args) or fn(*args))
+    monkeypatch.setattr(harness, name,
+                        lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     return calls
 
 
@@ -566,26 +575,21 @@ def test_run_convergence_bands():
         assert all(r.passed for r in by_stat[stat]), stat
 
 
-def test_noise_pairings_are_the_death_and_birth_construction():
-    # criterion 6's draws in one product per chunk: the same normals, in the
-    # same order, as drawing each chunk's deaths and births and pairing them
-    cfg = dataclasses.replace(clt_config(), dt=0.02)
-    model = cfg.build_model()
-    bg = harness.background_solution(cfg, model)
-    frame = bg.frame(bg.values.shape[0] // 2)
-    chan = spde.noise_channel(model, frame, cfg.dt)
-    fvals = np.stack([constant()(frame.centers), exponential(0.5)(frame.centers),
-                      exponential(-1.0)(frame.centers)])
-    got = harness._noise_pairings(replicate_stream(5, 9, 1, 0), chan, fvals, 10250)
-    rng, want = replicate_stream(5, 9, 1, 0), []
-    for m in (5000, 5000, 250):
-        deaths = rng.standard_normal((m, frame.n_cells)) * np.sqrt(chan.var_cells)
-        births = chan.split_mean * deaths.sum(axis=1) \
-            + math.sqrt(chan.var_boundary) * rng.standard_normal(m)
-        want.append(np.stack([f[0] * births - deaths @ f for f in fvals], axis=1))
-    want = np.concatenate(want)
-    assert got.shape == want.shape == (10250, 3)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def test_run_convergence_checks_the_noise_on_the_production_law_and_sampler(monkeypatch):
+    # criterion 6's noise rows: one law, of a one-step solve, sampled once
+    laws = counting(monkeypatch, "fluctuation_law")
+    paths = counting(monkeypatch, "simulate_fluctuation_paths")
+    run_convergence(small_config(panel=["1", "exp:0.5"]))
+    assert len(laws) == 1 and len(paths) == 1
+    assert paths[0][1] is laws[0][1] and laws[0][1].values.shape[0] == 2
+
+
+def test_run_convergence_at_a_one_step_horizon():
+    # the middle of two frames is the first: the last has no step of room
+    cfg = dataclasses.replace(clt_config(), horizon=1e-3, dt_out=1e-3)
+    rows = run_convergence(cfg).rows
+    assert {r.stat for r in rows} >= {"noise_cov_identity_rel", "noise_cov_empirical"}
+    assert all(r.passed for r in rows)
 
 
 # -- emission ----------------------------------------------------------------

@@ -12,14 +12,15 @@ from agestruct.acceptance import clt_config
 from agestruct.harness import model_from_config, replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial, pair)
-from agestruct.mvf import LimitSolution, classical_exact, solve_mvf, solve_total_ode
+from agestruct.mvf import (GridRates, LimitSolution, classical_exact, solve_mvf,
+                           solve_total_ode)
 from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
                              classical_model, pure_splitting)
 from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
                             classical_qv_mass, covariation_integral_frames,
                             density_dependent_exp_mean, evolve_mean, exp_pairing_grid,
-                            fluctuation_law, ito_isometry_variance, noise_channel,
+                            fluctuation_law, ito_isometry_variance,
                             remark_covariance_grid, simulate_fluctuation_paths)
 from agestruct.stats import jarque_bera, se_of_variance
 
@@ -92,24 +93,30 @@ def test_zero_rates_zero_noise_field_stays_zero():
 
 @pytest.mark.parametrize("model", LAW_MODELS, ids=LAW_IDS)
 def test_noise_covariance_identity(model):
-    bg = background(model, dx=4e-3)
+    # one step's law from a frame, started at zero, is that step's noise
+    # covariance; the grid leaves every frame, the last included, a step of room
+    bg = background(model, dx=4e-3, t_star=2.5)
     panel = make_panel(t_star=2.0)
     for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 1):
         frame = bg.frame(idx)
-        chan = noise_channel(model, frame, bg.dt)
-        assert chan.var_boundary >= 0.0
+        one = solve_mvf(model, frame, bg.dt, bg.dt)
+        _, cov = fluctuation_law(model, one, np.zeros(frame.n_cells), panel, [bg.dt])
         fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
-        for i in range(len(panel)):
-            for j in range(i, len(panel)):
-                built = chan.functional_covariance(fvals[i], fvals[j])
-                target = remark_covariance_grid(model, frame, fvals[i], fvals[j], bg.dt)
-                assert abs(built - target) <= 1e-10 * max(abs(target), 1e-12)
+        target = np.array([[remark_covariance_grid(model, frame, f, g, bg.dt) for g in fvals]
+                           for f in fvals])
+        assert np.all(np.abs(cov - target) <= 1e-10 * np.maximum(np.abs(target), 1e-12))
+
+
+def frame_noise_var(model, frame, dt):
+    """The step noise variances of one background frame, from its grid rates."""
+    b, h = GridRates(model, frame.dx, frame.n_cells).at(frame.values).birth_death()
+    return spde._noise_var(model, b, h, frame.values, frame.dx, dt)
 
 
 @pytest.mark.parametrize("model", [twin(SPLIT), twin(MIXED), KERNEL])
-def test_noise_channel_is_what_the_engine_steps_with(model, monkeypatch):
+def test_noise_var_is_what_the_engine_steps_with(model, monkeypatch):
     # the law sweep's step variances, recorded as it builds them (steps run
-    # backward), are noise_channel's on the active cells and zero beyond;
+    # backward), are the frame's on the active cells and zero beyond;
     # constant rates run as their twins, since the renewal law steps no frame
     bg = background(model, dx=0.02)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
@@ -121,35 +128,36 @@ def test_noise_channel_is_what_the_engine_steps_with(model, monkeypatch):
 
     monkeypatch.setattr(spde, "_noise_var", recording)
     fluctuation_law(model, bg, z0, [constant()], [1.0])
+    monkeypatch.undo()
     n = bg.values.shape[0] - 1
     assert len(steps) == n
     co = _Coeffs(model, bg)
     for k in (0, n // 2, n - 1):
         var_cells, var_boundary = steps[n - 1 - k]
         w0 = _width(co, k)
-        chan = noise_channel(model, bg.frame(k), bg.dt)
+        want_cells, want_boundary = frame_noise_var(model, bg.frame(k), bg.dt)
         assert var_cells.size == w0
-        assert chan.var_cells[:w0].tobytes() == var_cells.tobytes()
-        assert not np.any(chan.var_cells[w0:])
-        assert abs(chan.var_boundary - var_boundary) <= 1e-14 * chan.var_boundary
-        assert chan.split_mean == co.split_mean
+        assert want_cells[:w0].tobytes() == var_cells.tobytes()
+        assert not np.any(want_cells[w0:])
+        assert abs(want_boundary - var_boundary) <= 1e-14 * want_boundary
 
 
 def test_noise_empirical_covariance():
+    # the deaths-plus-births construction, sampled, against its pairing formula
     bg = background(MIXED, dx=0.01)
     frame = bg.frame(50)
-    chan = noise_channel(MIXED, frame, bg.dt)
+    var_cells, var_boundary = frame_noise_var(MIXED, frame, bg.dt)
+    sm = MIXED.split_law.mean
     rng = np.random.default_rng(7)
     n = 30000
     f = np.asarray(exponential(-1.0)(frame.centers))
     g = np.asarray(constant()(frame.centers))
-    deaths = rng.standard_normal((n, frame.n_cells)) * np.sqrt(chan.var_cells)
-    births = chan.split_mean * deaths.sum(axis=1) \
-        + math.sqrt(chan.var_boundary) * rng.standard_normal(n)
+    deaths = rng.standard_normal((n, frame.n_cells)) * np.sqrt(var_cells)
+    births = sm * deaths.sum(axis=1) + math.sqrt(var_boundary) * rng.standard_normal(n)
     nf = f[0] * births - deaths @ f
     ng = g[0] * births - deaths @ g
     cov = float(np.cov(nf, ng, ddof=1)[0, 1])
-    target = chan.functional_covariance(f, g)
+    target = float(spde._noise_cov(f[None], g[None], var_cells, var_boundary, sm)[0, 0])
     dfp = nf - nf.mean()
     dgp = ng - ng.mean()
     se = math.sqrt(max(np.mean(dfp ** 2 * dgp ** 2) - cov ** 2, 0) / n)
@@ -206,12 +214,12 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
         a = np.eye(n)
         _engine_step(a, k, co, w0, w1)
         a = a.T
-        chan = noise_channel(model, bg.frame(k), bg.dt)
-        sd = np.sqrt(chan.var_cells[:w0])
+        var_cells, var_boundary = frame_noise_var(model, bg.frame(k), bg.dt)
+        sd = np.sqrt(var_cells[:w0])
         noise = np.zeros((n, w0 + 1))            # eta = noise @ standard normals
         noise[np.arange(w0), np.arange(w0)] = -sd / bg.dx
-        noise[0, :w0] += chan.split_mean * sd / bg.dx
-        noise[0, w0] = math.sqrt(chan.var_boundary) / bg.dx
+        noise[0, :w0] += model.split_law.mean * sd / bg.dx
+        noise[0, w0] = math.sqrt(var_boundary) / bg.dx
         sig = a @ sig @ a.T + noise @ noise.T
         since = {r: a @ x for r, x in since.items()}
 
