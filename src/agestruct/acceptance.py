@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .branching import check_pathwise_identity, simulate
-from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, _check_seed, _is_int,
+from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, _read,
                       emit, replicate_stream, run_clt, run_convergence, run_lln,
                       run_qv_check)
 from .measures import AtomicMeasure
@@ -96,10 +96,9 @@ class AcceptanceSuite:
     """Runs the eight acceptance criteria under one master seed."""
 
     def __init__(self, seed: int = PREREGISTERED_SEED, workers: int = 1):
-        if not (_is_int(workers) and workers >= 1):
-            raise ValueError(f"workers must be at least 1, got {workers!r}")
-        self.seed = _check_seed(seed)
-        self.workers = workers
+        given = {"seed": seed, "workers": workers}
+        self.seed = _read(given, "seed", "", "seed")
+        self.workers = _read(given, "workers", "", "int", lo=1)
         self._lln_wall: Optional[float] = None
 
     # -- cached heavy runs -------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import platform
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -85,29 +85,70 @@ def spde_noise_stream(master_seed: int, block: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # configuration
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _check_seed(seed) -> int:
-    """``seed`` as an int (numpy integers: the manifest writes JSON), or a
-    ValueError showing it."""
-    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+_NEED = object()                       # a field with no default
+_LISTS = (list, tuple, np.ndarray)
+_MAX_CELLS = 10 ** 7                   # the most grid steps, or cells of age, a config may ask for
+_KINDS = {   # kind: (type test, what the type is); _read checks the ranges
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "seed": (lambda v: _KINDS["int"][0](v) and 0 <= v < 2 ** 64, "an integer in [0, 2^64)"),
+    "number": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and math.isfinite(v), "a finite number"),
+    "positive": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                 "a real number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def _is_list(v) -> bool:
-    return isinstance(v, (list, tuple, np.ndarray))
+def _read(spec, key, where: str, kind=None, lo=None, hi=None, default=_NEED):
+    """``spec[key]`` checked, or a ValueError naming the field ``where.key`` (``where[key]``
+    for a list item) and showing its value as given.
+
+    ``kind`` is a key of ``_KINDS`` or a tuple of the allowed strings (None: any
+    value); a number must lie in [``lo``, ``hi``], a ``positive`` one in (0, inf).
+    A missing field, or null when ``default`` is None, takes ``default``, if any.
+    Integers come back as ``int`` and finite numbers as ``float``.
+    """
+    if not isinstance(spec, dict) or (key not in spec and default is _NEED):
+        raise ValueError(f"{where} needs a {key!r} field; got {spec!r}")
+    value = spec.get(key, default)
+    if value is None and default is None:
+        return None
+    test, what = _KINDS.get(kind) or (lambda v: kind is None or isinstance(v, str) and v in kind,
+                                      " or ".join(map(repr, kind or ())))
+    if not test(value):
+        pass
+    elif kind == "positive" and not 0 < value < math.inf:
+        what = "finite and positive"
+    elif lo is not None and value < lo:
+        what = "nonnegative" if lo == 0 else f"at least {lo}"
+    elif hi is not None and value > hi:
+        what = f"at most {hi}"
+    else:
+        return (int(value) if kind in ("int", "seed")
+                else float(value) if kind == "number" else value)
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+    raise ValueError(f"{path} must be {what}, got {value!r}")
+
+
+def _items(values, where: str, kind, lo=None, hi=None) -> list:
+    """Each item of a list field, read as ``where[i]``."""
+    items = dict(enumerate(values))
+    return [_read(items, i, where, kind, lo, hi) for i in items]
+
+
+# the top-level scalar fields: (name, kind, least value)
+_SCALARS = (("horizon", "positive", None), ("dt", "positive", None), ("dt_out", "positive", None),
+            ("seed", "seed", None), ("replicates", "int", 2), ("n_spde_paths", "int", 2),
+            ("spde_block", "int", 1), ("workers", "int", 1), ("population_cap", "int", 1),
+            ("emit_events", "bool", None), ("emit_fields", "bool", None))
 
 
 @dataclass
 class ExperimentConfig:
+    """One study's specification.  Construction checks every field, and builds the
+    model, the read start and the panel that every run of the config shares."""
+
     model: dict
     initial: dict
     horizon: float
@@ -127,139 +168,132 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
-        self.seed = _check_seed(self.seed)
-        for name in ("replicates", "n_spde_paths", "spde_block", "workers", "population_cap"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        for name in ("horizon", "dt", "dt_out"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.replicates < 2:
-            raise ValueError(f"need at least 2 replicates, got {self.replicates!r}")
+        for name, kind, lo in _SCALARS:
+            setattr(self, name, _read(vars(self), name, "", kind, lo))
+        _read(vars(self), "outdir", "", "str", default=None)
+        if self.horizon / self.dt > _MAX_CELLS:
+            raise ValueError(f"horizon {self.horizon!r} at dt {self.dt!r} needs more than "
+                             f"{_MAX_CELLS} grid steps")
+        for fine, coarse, what in (
+                (self.dt, self.dt_out, f"dt {self.dt!r} must divide dt_out {self.dt_out!r}"),
+                (self.dt_out, self.horizon,
+                 f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")):
+            n = coarse / fine
+            if not 0.5 <= n <= _MAX_CELLS or abs(round(n) * fine - coarse) > 1e-9:
+                raise ValueError(what)
         if not isinstance(self.k_values, (list, tuple)):
             raise ValueError(f"k_values must be a list of K values, got {self.k_values!r}")
         if not self.k_values:
             raise ValueError(f"k_values must name at least one K, got {self.k_values!r}")
+        self.k_values = _items(self.k_values, "k_values", "int", lo=1)
+        self._model = model_from_config(self.model)
+        self._start = _read_start(self.initial, self.perturbation, self.dt, self.horizon)
+        (_, base), (_, pert), n_cells = self._start
         for k in self.k_values:
-            if not (_is_real(k) and k > 0 and float(k).is_integer()):
-                raise ValueError(f"K values must be positive integers, got {k!r}")
-        self.k_values = [int(k) for k in self.k_values]
-        n = round(self.dt_out / self.dt)
-        if abs(n * self.dt - self.dt_out) > 1e-9:
-            raise ValueError(f"dt {self.dt!r} must divide dt_out {self.dt_out!r}")
-        if abs(round(self.horizon / self.dt_out) * self.dt_out - self.horizon) > 1e-9:
-            raise ValueError(f"dt_out {self.dt_out!r} must divide the horizon {self.horizon!r}")
-        _read_start(self.initial, self.perturbation, self.dt, self.horizon)   # checks both
+            with np.errstate(over="ignore"):      # an infinite count fails below
+                count = k * base.sum() + math.sqrt(k) * pert.sum()
+            if not np.round(count) <= self.population_cap:
+                named = " and ".join(_mass_field(spec, where) for where, spec in (
+                    ("initial", self.initial), ("perturbation", self.perturbation)) if spec)
+                raise ValueError(f"{named} give {count:.6g} individuals at K = {k}, above "
+                                 f"population_cap {self.population_cap}")
         if self.panel is not None:
-            if not (_is_list(self.panel) and all(isinstance(s, str) for s in self.panel)):
+            if not (isinstance(self.panel, _LISTS) and all(isinstance(s, str) for s in self.panel)):
                 raise ValueError(f"panel must be a list of test function specs (strings), "
                                  f"got {self.panel!r}")
             if not len(self.panel):
                 raise ValueError(f"panel must name at least one test function (None: the "
                                  f"default panel), got {self.panel!r}")
-        for name, least in (("n_spde_paths", 2), ("spde_block", 1), ("workers", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"got {getattr(self, name)!r}")
+        try:
+            self._panel = make_panel(self.panel, t_star=n_cells * self.dt)
+        except ValueError as err:
+            raise ValueError(f"panel {self.panel!r}: {err}") from err
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ExperimentConfig":
         spec = json.loads(Path(path).read_text())
+        if not isinstance(spec, dict):
+            raise ValueError(f"{path} must hold a JSON object of config fields, "
+                             f"got a {type(spec).__name__}")
         allowed = [f.name for f in fields(cls)]
         unknown = sorted(set(spec) - set(allowed))
-        if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}; "
-                             f"allowed keys: {', '.join(allowed)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in spec]
+        if unknown or missing:
+            raise ValueError(f"config {path}: unknown key(s) [{', '.join(unknown)}], missing "
+                             f"key(s) [{', '.join(missing)}]; allowed keys: {', '.join(allowed)}")
         return cls(**spec)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def build_model(self) -> RateModel:
-        return model_from_config(self.model)
+        """The model, built when the config was."""
+        return self._model
 
 
-def _need(spec, key: str, where: str):
-    """``spec[key]``, or a ValueError naming the field ``where.key`` and showing ``spec``."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValueError(f"{where} needs a {key!r} field; got {spec!r}")
-    return spec[key]
+def _scalar_fn(spec, key, where: str) -> ScalarFn:
+    fn = _read(spec, key, where)
+    if not isinstance(fn, dict):
+        return ScalarFn.constant(_read(spec, key, where, "number"))
+    where = f"{where}.{key}"
+    if _read(fn, "kind", where, ("constant", "affine")) == "constant":
+        return ScalarFn.constant(_read(fn, "c", where, "number"))
+    return ScalarFn.affine(_read(fn, "a", where, "number"), _read(fn, "b", where, "number"))
 
 
-def _scalar_fn(spec, where: str) -> ScalarFn:
-    if isinstance(spec, (int, float)):
-        return ScalarFn.constant(float(spec))
-    kind = _need(spec, "kind", where)
-    if kind == "constant":
-        return ScalarFn.constant(_need(spec, "c", where))
-    if kind == "affine":
-        return ScalarFn.affine(_need(spec, "a", where), _need(spec, "b", where))
-    raise ValueError(f"unknown scalar function kind {kind!r}")
+def _profile(cls, spec, key, where: str):
+    """The :class:`AgeProfile` or :class:`Kernel` at ``spec[key]``, its fields
+    defaulting as the class's do."""
+    shape, where = _read(spec, key, where), f"{where}.{key}"
+    kind = _read(shape, "kind", where, ("constant", "exp_decay", "gaussian"))
+    return cls(kind=kind, **{
+        f.name: _read(shape, f.name, where, "positive" if f.name == "sigma" else "number",
+                      lo=0 if f.name == "alpha" else None, default=f.default)
+        for f in fields(cls) if f.name != "kind"})
 
 
-def _age_profile(spec, where: str) -> AgeProfile:
-    return AgeProfile(kind=_need(spec, "kind", where), c=spec.get("c", 1.0),
-                      alpha=spec.get("alpha", 0.0), center=spec.get("center", 0.0),
-                      sigma=spec.get("sigma", 1.0))
-
-
-def _offspring_law(spec, where: str) -> OffspringLaw:
-    kind = _need(spec, "kind", where)
+def _offspring_law(spec, key) -> OffspringLaw:
+    law, where = _read(spec, key, "model"), f"model.{key}"
+    kind = _read(law, "kind", where, ("deterministic", "poisson", "two_point"))
     if kind == "deterministic":
-        return OffspringLaw.deterministic(_need(spec, "k", where))
+        return OffspringLaw.deterministic(_read(law, "k", where, "int", lo=0))
     if kind == "poisson":
-        return OffspringLaw.poisson(_need(spec, "mean", where), spec.get("cap"))
-    if kind == "two_point":
-        return OffspringLaw.two_point(*(_need(spec, key, where) for key in ("p", "k1", "k2")))
-    raise ValueError(f"unknown offspring law {kind!r}")
+        return OffspringLaw.poisson(_read(law, "mean", where, "number", lo=0),
+                                    _read(law, "cap", where, "int", lo=0, default=None))
+    return OffspringLaw.two_point(_read(law, "p", where, "number", lo=0, hi=1),
+                                  *(_read(law, k, where, "int", lo=0) for k in ("k1", "k2")))
 
 
-def _rate_fn(family: str, spec, where: str):
-    if isinstance(spec, (int, float)):
-        return ConstantRate(float(spec))
-    if family == "classical":
-        raise ValueError(f"{where} of a classical model must be a number, got {spec!r}")
+def _rate_fn(family: str, spec, key):
+    rate, where = _read(spec, key, "model"), f"model.{key}"
+    if family == "classical" and (isinstance(rate, bool) or not isinstance(rate, numbers.Real)):
+        raise ValueError(f"{where} of a classical model must be a number, got {rate!r}")
+    if not isinstance(rate, dict):
+        return ConstantRate(_read(spec, key, "model", "number", lo=0))
     if family == "density_dependent":
-        return DensityRate(_scalar_fn(spec, where))
+        return DensityRate(_scalar_fn(spec, key, "model"))
     if family == "age_density":
-        return AgeDensityRate(_age_profile(_need(spec, "age", where), f"{where}.age"),
-                              _scalar_fn(_need(spec, "mass", where), f"{where}.mass"))
-    if family == "kernel_linear":
-        k = _need(spec, "kernel", where)
-        kernel = Kernel(kind=_need(k, "kind", f"{where}.kernel"), c=k.get("c", 1.0),
-                        alpha=k.get("alpha", 1.0), sigma=k.get("sigma", 1.0))
-        age = _age_profile(spec["age"], f"{where}.age") if "age" in spec else None
-        params = {p: spec[p] for p in ("c0", "cy", "cz", "d0", "d1", "c") if p in spec}
-        return KernelRate(kernel, _need(spec, "phi", where), age=age, **params)
-    raise ValueError(f"unknown model family {family!r}")
+        return AgeDensityRate(_profile(AgeProfile, rate, "age", where),
+                              _scalar_fn(rate, "mass", where))
+    kernel = _profile(Kernel, rate, "kernel", where)
+    age = _profile(AgeProfile, rate, "age", where) if "age" in rate else None
+    return KernelRate(kernel, _read(rate, "phi", where, ("affine", "special", "inv1p")), age=age,
+                      **{p: _read(rate, p, where, "number", default=0.0)
+                         for p in ("c0", "cy", "cz", "d0", "d1", "c")})
 
 
 def model_from_config(spec: dict) -> RateModel:
-    """The model a config's ``model`` spec names; a missing field is a ValueError."""
-    family = _need(spec, "family", "model")
-    birth = _rate_fn(family, _need(spec, "birth", "model"), "model.birth")
-    death = _rate_fn(family, _need(spec, "death", "model"), "model.death")
-    birth_sup = spec.get("birth_sup")
-    death_sup = spec.get("death_sup")
-    if birth_sup is None:
-        if not isinstance(birth, ConstantRate):
-            raise ValueError("birth_sup is required for population-dependent rates")
-        birth_sup = birth.value
-    if death_sup is None:
-        if not isinstance(death, ConstantRate):
-            raise ValueError("death_sup is required for population-dependent rates")
-        death_sup = death.value
-    return RateModel(
-        family=family, birth=birth, death=death,
-        life_law=_offspring_law(_need(spec, "life_law", "model"), "model.life_law"),
-        split_law=_offspring_law(_need(spec, "split_law", "model"), "model.split_law"),
-        birth_sup=float(birth_sup), death_sup=float(death_sup),
-    )
+    """The model a config's ``model`` spec names; a missing or malformed field is a
+    ValueError that names it."""
+    family = _read(spec, "family", "model",
+                   ("classical", "density_dependent", "age_density", "kernel_linear"))
+    rates = {key: _rate_fn(family, spec, key) for key in ("birth", "death")}
+    # a constant rate is its own sup by default, and its least
+    sups = {f"{key}_sup": _read(spec, f"{key}_sup", "model", "number",
+                                lo=getattr(rate, "value", 0), default=getattr(rate, "value", _NEED))
+            for key, rate in rates.items()}
+    return RateModel(family=family, **rates, life_law=_offspring_law(spec, "life_law"),
+                     split_law=_offspring_law(spec, "split_law"), **sups)
 
 
 # ---------------------------------------------------------------------------
@@ -284,36 +318,26 @@ class InitialCondition:
         return self.base if isinstance(self.base, GridDensity) else None
 
 
-def _number(value, where: str, signed: bool = False) -> float:
-    if not (_is_real(value) and math.isfinite(value)):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
-    if value < 0 and not signed:
-        raise ValueError(f"{where} must be nonnegative, got {value!r}")
-    return float(value)
-
-
 def _measure(spec, where: str, dx: float,
              signed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The (ages, masses) of a measure spec: a grid's cells at their centers, atoms as given.
 
     A malformed field is a ValueError that names it (``where.field``) and
-    shows its value.  Only a perturbation (``signed``) may carry negative mass.
+    shows its value.  Ages lie in [0, ``_MAX_CELLS`` cells]; only a
+    perturbation (``signed``) may carry negative mass.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"{where} must be a measure spec (a dict), got {spec!r}")
-    kind = spec.get("kind")
+    kind, least, oldest = spec.get("kind"), None if signed else 0, _MAX_CELLS * dx
     if kind == "grid":
         lo_hi = spec.get("support")
-        if not (_is_list(lo_hi) and len(lo_hi) == 2
-                and all(_is_real(v) and math.isfinite(v) for v in lo_hi)
-                and lo_hi[0] < lo_hi[1]):
+        if not (isinstance(lo_hi, _LISTS) and len(lo_hi) == 2
+                and all(_KINDS["number"][0](v) for v in lo_hi) and lo_hi[0] < lo_hi[1]):
             raise ValueError(f"{where}.support must be two numbers lo < hi, got {lo_hi!r}")
-        profile = spec.get("profile", "uniform")
-        if profile != "uniform":
-            raise ValueError(f"{where}.profile must be 'uniform', got {profile!r}")
-        lo, hi = lo_hi
-        mass = _number(spec.get("mass", 1.0), f"{where}.mass", signed)
-        centers = (np.arange(max(0, int(lo // dx)), math.ceil(hi / dx) + 1) + 0.5) * dx
+        lo, hi = _items(lo_hi, f"{where}.support", "number", lo=0, hi=oldest)
+        _read(spec, "profile", where, ("uniform",), default="uniform")
+        mass = _read(spec, "mass", where, "number", lo=least, default=1.0)
+        centers = (np.arange(int(lo // dx), math.ceil(hi / dx) + 1) + 0.5) * dx
         ages = centers[(centers > lo) & (centers < hi)]
         if not ages.size:
             raise ValueError(f"{where}.support {lo_hi!r} holds no cell center at dt {dx!r}")
@@ -321,15 +345,20 @@ def _measure(spec, where: str, dx: float,
     if kind == "atoms":
         ages, masses = spec.get("ages"), spec.get("masses")
         for key, value in (("ages", ages), ("masses", masses)):
-            if not (_is_list(value) and len(value)):
+            if not (isinstance(value, _LISTS) and len(value)):
                 raise ValueError(f"{where}.{key} must be a nonempty list, got {value!r}")
         if len(ages) != len(masses):
             raise ValueError(f"{where}.ages and {where}.masses must be of equal length, "
                              f"got {ages!r} and {masses!r}")
-        return (np.array([_number(a, f"{where}.ages[{i}]") for i, a in enumerate(ages)]),
-                np.array([_number(m, f"{where}.masses[{i}]", signed)
-                          for i, m in enumerate(masses)]))
+        return (np.array(_items(ages, f"{where}.ages", "number", lo=0, hi=oldest)),
+                np.array(_items(masses, f"{where}.masses", "number", lo=least)))
     raise ValueError(f"{where}.kind must be 'grid' or 'atoms', got {kind!r}")
+
+
+def _mass_field(spec: dict, where: str) -> str:
+    """A read measure spec's mass field and its value, for a message."""
+    key = "mass" if spec["kind"] == "grid" else "masses"
+    return f"{where}.{key} {spec.get(key, 1.0)!r}"
 
 
 def _read_start(initial, perturbation, dx: float, horizon: float):
@@ -352,8 +381,6 @@ def _systematic_counts(target: np.ndarray) -> np.ndarray:
     an individual of the running target.
     """
     target = np.asarray(target, dtype=float)
-    if target.size and target.min() < -1e-9:
-        raise ValueError(f"negative target count {target.min()!r}: infeasible for this K")
     running = np.round(np.cumsum(np.maximum(target, 0.0)))
     return np.diff(running, prepend=0.0).astype(np.int64)
 
@@ -382,6 +409,9 @@ def build_initial(initial: dict, perturbation: Optional[dict], k: int,
     sqrt_k = math.sqrt(k)
     ages, slot = np.unique(np.concatenate([base_ages, pert_ages]), return_inverse=True)
     target = np.bincount(slot, weights=np.concatenate([k * base_masses, sqrt_k * pert_masses]))
+    if target.min() < -1e-9:      # only a perturbation has negative mass
+        raise ValueError(f"{_mass_field(perturbation, 'perturbation')} leaves a negative "
+                         f"count ({target.min():.6g}) at K = {k}: infeasible")
     realised = np.repeat(ages, _systematic_counts(target))
     if initial["kind"] == "grid":
         base = GridDensity(dx=dx, values=_binned(base_ages, base_masses, n_cells, dx) / dx)
@@ -398,8 +428,7 @@ def background_solution(config: ExperimentConfig, model: RateModel) -> LimitSolu
     """Solve the deterministic limit from the configured initial target, its
     masses binned onto the grid (an atom's mass spread over its cell)."""
     dx = config.dt
-    (ages, masses), _, n_cells = _read_start(config.initial, config.perturbation, dx,
-                                             config.horizon)
+    (ages, masses), _, n_cells = config._start
     return solve_mvf(model, GridDensity(dx=dx, values=_binned(ages, masses, n_cells, dx) / dx),
                      config.horizon, dx)
 
@@ -511,9 +540,9 @@ class _Replicate:
 class _Study:
     """What one run builds once and all its replicates share.
 
-    The model, one realised initial condition per K, the panel and the
-    output times are built on construction; the limit background is solved
-    on first use.
+    The model and the panel are the config's; one realised initial condition
+    per K and the output times are built on construction; the limit
+    background is solved on first use.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -524,7 +553,7 @@ class _Study:
                       for k in config.k_values}
         self.k_max = max(config.k_values)
         self.init_max = self.inits[self.k_max]
-        self.panel = make_panel(config.panel, t_star=self.init_max.t_star)
+        self.panel = config._panel
         n_out = int(round(config.horizon / config.dt_out))
         self.out_times = np.arange(n_out + 1) * config.dt_out
 
@@ -835,11 +864,10 @@ def run_convergence(config: ExperimentConfig) -> Report:
     report.tables["convergence"] = (("study", "dt", "linf_error"), conv_rows)
 
     # noise: one step's exact law from the middle frame against the covariation formula
-    model = config.build_model()
+    model, panel = config.build_model(), config._panel
     background = background_solution(config, model)
     # never the last frame (two frames at horizon dt): a step from it leaves the grid
     frame = background.frame((background.values.shape[0] - 1) // 2)
-    panel = make_panel(config.panel, t_star=background.t_star)
     dt = config.dt
     one = solve_mvf(model, frame, dt, dt)
     zeros = np.zeros(frame.n_cells)
@@ -888,8 +916,7 @@ def run_simulate(config: ExperimentConfig, outdir: Optional[Path] = None,
 
 
 def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
-    model = config.build_model()
-    sol = background_solution(config, model)
+    sol = background_solution(config, config.build_model())
     report = Report(name="limit")
     rows = [(float(t), float(x)) for t, x in zip(sol.times, sol.totals)]
     report.tables["totals"] = (("t", "X"), rows)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -14,6 +15,7 @@ from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_c
                                replicate_stream, run_clt, run_convergence, run_lln,
                                run_qv_check, run_simulate)
 from agestruct.measures import constant, exponential, pair
+from agestruct.rates import ModelError
 
 CLASSICAL = {"family": "classical", "birth": 0.0, "death": 1.0,
              "life_law": {"kind": "deterministic", "k": 0},
@@ -99,7 +101,7 @@ def test_config_rejects_non_numeric_times(tmp_path, field, value):
 @pytest.mark.parametrize("value", ["60", True, None])
 def test_config_rejects_non_numeric_k_values(tmp_path, value):
     check_rejected(tmp_path, "k_values", [60, value],
-                   rf"K values must be positive integers, got {re.escape(repr(value))}$")
+                   rf"k_values\[1\] must be an integer, got {re.escape(repr(value))}$")
 
 
 @pytest.mark.parametrize("value", [60, "60", None])
@@ -320,6 +322,182 @@ def test_classical_rate_must_be_a_number(field, rate):
         model_from_config(dict(CLASSICAL, **{field: rate}))
     assert str(err.value) == (f"model.{field} of a classical model must be a number, "
                               f"got {rate!r}")
+
+
+# one config per model family and start kind, every field of its model spec set
+FAMILY_MODELS = {
+    "classical": {"family": "classical", "birth": 0.5, "death": 1.0, "birth_sup": 0.5,
+                  "death_sup": 1.0, "life_law": {"kind": "poisson", "mean": 1.0, "cap": 20},
+                  "split_law": {"kind": "deterministic", "k": 2}},
+    "density_dependent": DENSITY,
+    "age_density": dict(AGE_DENSITY, birth_sup=2.0,
+                        birth={"age": {"kind": "gaussian", "c": 1.0, "alpha": 0.0,
+                                       "center": 0.5, "sigma": 0.3},
+                               "mass": {"kind": "affine", "a": 0.5, "b": 0.1}},
+                        death={"age": {"kind": "exp_decay", "alpha": 0.5}, "mass": 1.0}),
+    "kernel_linear": dict(KERNEL, birth_sup=2.0,
+                          birth={"kernel": {"kind": "gaussian", "c": 1.0, "sigma": 0.5},
+                                 "phi": "special", "d0": 0.5, "d1": 0.1},
+                          death={"kernel": {"kind": "exp_decay", "c": 1.0, "alpha": 1.0},
+                                 "age": {"kind": "constant", "c": 1.0}, "phi": "affine",
+                                 "c0": 0.2, "cy": 0.3, "cz": 0.5}),
+}
+STARTS = {
+    "grid": ({"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0},
+             {"kind": "grid", "profile": "uniform", "support": [0.0, 0.5], "mass": 1.0}),
+    "atoms": ({"kind": "atoms", "ages": [0.0, 0.5], "masses": [0.5, 0.5]},
+              {"kind": "atoms", "ages": [0.25], "masses": [1.0]}),
+}
+BASES = [(family, start) for family in FAMILY_MODELS for start in STARTS]
+
+
+def base_spec(family, start):
+    initial, perturbation = STARTS[start]
+    return copy.deepcopy(dict(
+        model=FAMILY_MODELS[family], initial=initial, perturbation=perturbation,
+        horizon=0.1, dt=0.01, dt_out=0.05, k_values=[20], replicates=2, seed=1,
+        panel=["1", "x"], n_spde_paths=2, spde_block=1, workers=1, emit_events=False,
+        emit_fields=False, population_cap=10 ** 7, outdir="out"))
+
+
+def leaves(spec, path=""):
+    """(path, parent path, parent, key) of every value in ``spec`` that is no dict or list."""
+    items = spec.items() if isinstance(spec, dict) else enumerate(spec)
+    for key, value in items:
+        where = (f"{path}[{key}]" if isinstance(spec, list)
+                 else f"{path}.{key}" if path else key)
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, where)
+        else:
+            yield where, path, spec, key
+
+
+BAD_VALUES = [None, -1, 0, "x", [], {}, math.nan, math.inf, 1e308, True, [1, 2], 2.5, -0.5]
+
+
+@pytest.mark.parametrize("family, start", BASES, ids=[f"{f}-{s}" for f, s in BASES])
+def test_every_malformed_field_fails_by_name(family, start):
+    # int() and float() of None, inf or 1e308 once raised TypeError or OverflowError,
+    # and many ValueErrors named no field
+    failures = []
+    for where, parent, _, key in list(leaves(base_spec(family, start))):
+        for value in BAD_VALUES:
+            spec = base_spec(family, start)
+            holder = next(h for w, _, h, k in leaves(spec) if w == where)
+            holder[key] = value
+            try:
+                harness._Study(ExperimentConfig(**spec))
+            except (ValueError, ModelError) as err:
+                message = str(err)
+                named = where in message and repr(value) in message
+                if isinstance(key, int):   # a list item: or the whole list, named
+                    named = named or (parent in message and repr(holder) in message)
+                if not named:
+                    failures.append(f"{where} = {value!r}: {message}")
+            except Exception as err:
+                failures.append(f"{where} = {value!r}: {type(err).__name__}: {err}")
+    assert not failures, "\n".join(failures)
+
+
+def set_field(spec, where, value):
+    """``spec`` with the field at the dotted ``where`` set to ``value``."""
+    *parents, key = where.split(".")
+    holder = spec
+    for part in parents:
+        holder = holder[part]
+    holder[key] = value
+    return spec
+
+
+FAMILIES = "'classical' or 'density_dependent' or 'age_density' or 'kernel_linear'"
+MUST_REJECT = [
+    ("classical", "grid", "model.family", "x", f"model.family must be {FAMILIES}, got 'x'"),
+    ("classical", "grid", "model.family", None, f"model.family must be {FAMILIES}, got None"),
+    ("classical", "grid", "model.split_law.k", 2.5,
+     "model.split_law.k must be an integer, got 2.5"),
+    ("classical", "grid", "model.split_law.k", True,
+     "model.split_law.k must be an integer, got True"),
+    ("density_dependent", "grid", "model.life_law.k1", 2.5,
+     "model.life_law.k1 must be an integer, got 2.5"),
+    ("density_dependent", "grid", "model.life_law.k2", True,
+     "model.life_law.k2 must be an integer, got True"),
+    ("classical", "grid", "model.life_law.cap", 2.5,
+     "model.life_law.cap must be an integer, got 2.5"),
+    ("classical", "grid", "model.birth", True,
+     "model.birth of a classical model must be a number, got True"),
+    ("density_dependent", "grid", "model.birth", True,
+     "model.birth must be a finite number, got True"),
+    ("density_dependent", "grid", "model.death.a", math.nan,
+     "model.death.a must be a finite number, got nan"),
+    ("density_dependent", "grid", "model.death.b", math.inf,
+     "model.death.b must be a finite number, got inf"),
+    ("age_density", "grid", "model.birth.mass.a", math.nan,
+     "model.birth.mass.a must be a finite number, got nan"),
+    ("kernel_linear", "grid", "model.death.cz", math.inf,
+     "model.death.cz must be a finite number, got inf"),
+    ("classical", "grid", "emit_events", -1, "emit_events must be true or false, got -1"),
+    ("classical", "grid", "emit_fields", -1, "emit_fields must be true or false, got -1"),
+    ("classical", "grid", "initial.support", [-1.0, 1.0],
+     "initial.support[0] must be nonnegative, got -1.0"),
+    ("classical", "grid", "population_cap", 0, "population_cap must be at least 1, got 0"),
+    ("classical", "grid", "population_cap", -1, "population_cap must be at least 1, got -1"),
+    ("classical", "grid", "initial.mass", 1e308,
+     "initial.mass 1e+308 and perturbation.mass 1.0 give inf individuals at K = 20, "
+     "above population_cap 10000000"),
+    ("classical", "grid", "initial.mass", 1e14,
+     "initial.mass 100000000000000.0 and perturbation.mass 1.0 give 2e+15 individuals at "
+     "K = 20, above population_cap 10000000"),
+    ("classical", "atoms", "perturbation.masses", [5e13],
+     "initial.masses [0.5, 0.5] and perturbation.masses [50000000000000.0] give 2.23607e+14 "
+     "individuals at K = 20, above population_cap 10000000"),
+]
+
+
+@pytest.mark.parametrize("family, start, where, value, message", MUST_REJECT,
+                         ids=[f"{f}-{w}={v!r}" for f, _, w, v, _ in MUST_REJECT])
+def test_config_rejects_values_that_once_loaded(family, start, where, value, message):
+    # each of these once built a config, and its model, without an error; a start
+    # above the cap fails before any atom is allocated
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(**set_field(base_spec(family, start), where, value))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "{} must hold a JSON object of config fields, got a list"),
+    ('"xy"', "{} must hold a JSON object of config fields, got a str"),
+    ("{}", "config {}: unknown key(s) [], missing key(s) [model, initial, horizon, dt, dt_out, "
+           "k_values, replicates, seed]; allowed keys: "),
+], ids=["list", "string", "empty_object"])
+def test_from_json_names_the_file_of_a_malformed_config(tmp_path, text, message):
+    # a list once failed on a bare TypeError, a string was read as keys "x", "y",
+    # and a missing key failed on ExperimentConfig.__init__'s TypeError
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_json(p)
+    assert str(err.value).startswith(message.format(p))
+
+
+@pytest.mark.parametrize("family, start", BASES, ids=[f"{f}-{s}" for f, s in BASES])
+def test_config_round_trips_through_json_and_the_manifest(tmp_path, family, start):
+    cfg = ExperimentConfig(**base_spec(family, start))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg.to_dict()))
+    assert ExperimentConfig.from_json(p) == cfg
+    emit(Report(name="empty"), tmp_path, cfg)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == cfg.to_dict() == base_spec(family, start)
+
+
+def test_config_builds_its_model_and_panel_once(monkeypatch):
+    models = counting(monkeypatch, "model_from_config")
+    panels = counting(monkeypatch, "make_panel")
+    cfg = ExperimentConfig(**base_spec("classical", "grid"))
+    assert (len(models), len(panels)) == (1, 1)
+    run_lln(cfg, workers=1)
+    run_convergence(cfg)
+    assert (len(models), len(panels)) == (1, 1)
 
 
 # -- initial conditions ------------------------------------------------------
