@@ -114,12 +114,16 @@ class AcceptanceSuite:
         return run_qv_check(qv_config(self.seed), workers=self.workers)
 
     @cached_property
+    def clt_study(self) -> ExperimentConfig:     # criteria 3-6 share its start and background
+        return clt_config(self.seed)
+
+    @cached_property
     def clt_report(self) -> Report:
-        return run_clt(clt_config(self.seed), workers=self.workers)
+        return run_clt(self.clt_study, workers=self.workers)
 
     @cached_property
     def convergence_report(self) -> Report:
-        return run_convergence(clt_config(self.seed))
+        return run_convergence(self.clt_study)
 
     # -- criteria ----------------------------------------------------------
     def criterion_1(self) -> CriterionResult:

@@ -131,6 +131,21 @@ def _read(spec, key, where: str, kind=None, lo=None, hi=None, default=_NEED):
     raise ValueError(f"{path} must be {what}, got {value!r}")
 
 
+def _only(spec: dict, where: str, *keys) -> None:
+    """A ValueError naming ``where`` and each key of ``spec`` that is not in ``keys``."""
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"it takes {', '.join(keys)}")
+
+
+def _kind(spec, where: str, keys: dict) -> str:
+    """``spec``'s kind, one of ``keys``, where ``spec`` holds only "kind" and ``keys[kind]``."""
+    kind = _read(spec, "kind", where, tuple(keys))
+    _only(spec, where, "kind", *keys[kind])
+    return kind
+
+
 def _items(values, where: str, kind, lo=None, hi=None) -> list:
     """Each item of a list field, read as ``where[i]``."""
     items = dict(enumerate(values))
@@ -147,7 +162,8 @@ _SCALARS = (("horizon", "positive", None), ("dt", "positive", None), ("dt_out", 
 @dataclass
 class ExperimentConfig:
     """One study's specification.  Construction checks every field, and builds the
-    model, the read start and the panel that every run of the config shares."""
+    model, each K's target start and the panel; each K's realised start and the
+    limit background are built on first use.  Every run of the config shares them."""
 
     model: dict
     initial: dict
@@ -187,16 +203,30 @@ class ExperimentConfig:
             raise ValueError(f"k_values must name at least one K, got {self.k_values!r}")
         self.k_values = _items(self.k_values, "k_values", "int", lo=1)
         self._model = model_from_config(self.model)
-        self._start = _read_start(self.initial, self.perturbation, self.dt, self.horizon)
-        (_, base), (_, pert), n_cells = self._start
+        (base_ages, base_masses), (pert_ages, pert_masses), n_cells = _read_start(
+            self.initial, self.perturbation, self.dt, self.horizon)
+        # K * base + sqrt(K) * perturbation per distinct age, checked here, rounded per K
+        self._ages, slot = np.unique(np.concatenate([base_ages, pert_ages]), return_inverse=True)
+        self._targets = {}
         for k in self.k_values:
             with np.errstate(over="ignore"):      # an infinite count fails below
-                count = k * base.sum() + math.sqrt(k) * pert.sum()
+                target = np.bincount(slot, weights=np.concatenate(
+                    [k * base_masses, math.sqrt(k) * pert_masses]))
+                count = target.sum()
             if not np.round(count) <= self.population_cap:
                 named = " and ".join(_mass_field(spec, where) for where, spec in (
                     ("initial", self.initial), ("perturbation", self.perturbation)) if spec)
                 raise ValueError(f"{named} give {count:.6g} individuals at K = {k}, above "
                                  f"population_cap {self.population_cap}")
+            if target.min() < -1e-9:      # only a perturbation has negative mass
+                raise ValueError(f"{_mass_field(self.perturbation, 'perturbation')} leaves a "
+                                 f"negative count ({target.min():.6g}) at K = {k}: infeasible")
+            self._targets[k] = target
+        # the base on the solver grid (an atom's mass spread over its cell)
+        self._base_grid = GridDensity(
+            dx=self.dt, values=_binned(base_ages, base_masses, n_cells, self.dt) / self.dt)
+        self._base = (self._base_grid if self.initial["kind"] == "grid"
+                      else PointMasses(base_ages, base_masses))
         if self.panel is not None:
             if not (isinstance(self.panel, _LISTS) and all(isinstance(s, str) for s in self.panel)):
                 raise ValueError(f"panel must be a list of test function specs (strings), "
@@ -205,7 +235,7 @@ class ExperimentConfig:
                 raise ValueError(f"panel must name at least one test function (None: the "
                                  f"default panel), got {self.panel!r}")
         try:
-            self._panel = make_panel(self.panel, t_star=n_cells * self.dt)
+            self._panel = make_panel(self.panel, t_star=self._base_grid.t_star)
         except ValueError as err:
             raise ValueError(f"panel {self.panel!r}: {err}") from err
 
@@ -230,13 +260,23 @@ class ExperimentConfig:
         """The model, built when the config was."""
         return self._model
 
+    @cached_property
+    def inits(self) -> dict[int, "InitialCondition"]:
+        """Each K's realised start, built on first use; studies read it, never write it."""
+        return {k: build_initial(self, k) for k in self.k_values}
+
+    @cached_property
+    def background(self) -> LimitSolution:
+        """The limit solved from the base on first use; studies read it, never write it."""
+        return background_solution(self, self._model)
+
 
 def _scalar_fn(spec, key, where: str) -> ScalarFn:
     fn = _read(spec, key, where)
     if not isinstance(fn, dict):
         return ScalarFn.constant(_read(spec, key, where, "number"))
     where = f"{where}.{key}"
-    if _read(fn, "kind", where, ("constant", "affine")) == "constant":
+    if _kind(fn, where, {"constant": ("c",), "affine": ("a", "b")}) == "constant":
         return ScalarFn.constant(_read(fn, "c", where, "number"))
     return ScalarFn.affine(_read(fn, "a", where, "number"), _read(fn, "b", where, "number"))
 
@@ -245,16 +285,18 @@ def _profile(cls, spec, key, where: str):
     """The :class:`AgeProfile` or :class:`Kernel` at ``spec[key]``, its fields
     defaulting as the class's do."""
     shape, where = _read(spec, key, where), f"{where}.{key}"
-    kind = _read(shape, "kind", where, ("constant", "exp_decay", "gaussian"))
+    names = [f.name for f in fields(cls) if f.name != "kind"]
+    kind = _kind(shape, where, dict.fromkeys(("constant", "exp_decay", "gaussian"), names))
     return cls(kind=kind, **{
-        f.name: _read(shape, f.name, where, "positive" if f.name == "sigma" else "number",
-                      lo=0 if f.name == "alpha" else None, default=f.default)
-        for f in fields(cls) if f.name != "kind"})
+        name: _read(shape, name, where, "positive" if name == "sigma" else "number",
+                    lo=0 if name == "alpha" else None, default=getattr(cls, name))
+        for name in names})
 
 
 def _offspring_law(spec, key) -> OffspringLaw:
     law, where = _read(spec, key, "model"), f"model.{key}"
-    kind = _read(law, "kind", where, ("deterministic", "poisson", "two_point"))
+    kind = _kind(law, where, {"deterministic": ("k",), "poisson": ("mean", "cap"),
+                              "two_point": ("p", "k1", "k2")})
     if kind == "deterministic":
         return OffspringLaw.deterministic(_read(law, "k", where, "int", lo=0))
     if kind == "poisson":
@@ -273,13 +315,15 @@ def _rate_fn(family: str, spec, key):
     if family == "density_dependent":
         return DensityRate(_scalar_fn(spec, key, "model"))
     if family == "age_density":
+        _only(rate, where, "age", "mass")
         return AgeDensityRate(_profile(AgeProfile, rate, "age", where),
                               _scalar_fn(rate, "mass", where))
+    coefficients = ("c0", "cy", "cz", "d0", "d1", "c")
+    _only(rate, where, "kernel", "age", "phi", *coefficients)
     kernel = _profile(Kernel, rate, "kernel", where)
     age = _profile(AgeProfile, rate, "age", where) if "age" in rate else None
     return KernelRate(kernel, _read(rate, "phi", where, ("affine", "special", "inv1p")), age=age,
-                      **{p: _read(rate, p, where, "number", default=0.0)
-                         for p in ("c0", "cy", "cz", "d0", "d1", "c")})
+                      **{p: _read(rate, p, where, "number", default=0.0) for p in coefficients})
 
 
 def model_from_config(spec: dict) -> RateModel:
@@ -287,6 +331,8 @@ def model_from_config(spec: dict) -> RateModel:
     ValueError that names it."""
     family = _read(spec, "family", "model",
                    ("classical", "density_dependent", "age_density", "kernel_linear"))
+    _only(spec, "model", "family", "birth", "death", "birth_sup", "death_sup", "life_law",
+          "split_law")
     rates = {key: _rate_fn(family, spec, key) for key in ("birth", "death")}
     # a constant rate is its own sup by default, and its least
     sups = {f"{key}_sup": _read(spec, f"{key}_sup", "model", "number",
@@ -303,7 +349,6 @@ def model_from_config(spec: dict) -> RateModel:
 @dataclass(frozen=True)
 class InitialCondition:
     atoms: AtomicMeasure                 # unit weight, the raw population
-    t_star: float
     z0: SignedPair                       # sqrt(K) * (atoms / K - target), exact
     nu0_values: Optional[np.ndarray]     # realised fluctuation density (grid kind)
 
@@ -311,11 +356,6 @@ class InitialCondition:
     def base(self) -> Union[GridDensity, PointMasses]:
         """The configured target measure (the same for every K)."""
         return self.z0.minus
-
-    @property
-    def base_grid(self) -> Optional[GridDensity]:
-        """The target density on the solver grid (grid-kind targets only)."""
-        return self.base if isinstance(self.base, GridDensity) else None
 
 
 def _measure(spec, where: str, dx: float,
@@ -330,6 +370,7 @@ def _measure(spec, where: str, dx: float,
         raise ValueError(f"{where} must be a measure spec (a dict), got {spec!r}")
     kind, least, oldest = spec.get("kind"), None if signed else 0, _MAX_CELLS * dx
     if kind == "grid":
+        _only(spec, where, "kind", "support", "profile", "mass")
         lo_hi = spec.get("support")
         if not (isinstance(lo_hi, _LISTS) and len(lo_hi) == 2
                 and all(_KINDS["number"][0](v) for v in lo_hi) and lo_hi[0] < lo_hi[1]):
@@ -343,6 +384,7 @@ def _measure(spec, where: str, dx: float,
             raise ValueError(f"{where}.support {lo_hi!r} holds no cell center at dt {dx!r}")
         return ages, np.full(ages.size, mass / (hi - lo) * dx)
     if kind == "atoms":
+        _only(spec, where, "kind", "ages", "masses")
         ages, masses = spec.get("ages"), spec.get("masses")
         for key, value in (("ages", ages), ("masses", masses)):
             if not (isinstance(value, _LISTS) and len(value)):
@@ -392,45 +434,28 @@ def _binned(ages: np.ndarray, weights: Optional[np.ndarray], n_cells: int,
     return np.bincount(cells, weights=weights, minlength=n_cells)
 
 
-def build_initial(initial: dict, perturbation: Optional[dict], k: int,
-                  dx: float, horizon: float) -> InitialCondition:
-    """Realise K * base + sqrt(K) * perturbation as unit-weight atoms.
+def build_initial(config: ExperimentConfig, k: int) -> InitialCondition:
+    """Realise the config's K * base + sqrt(K) * perturbation as unit-weight atoms.
 
-    Both specs are read as (ages, masses); the targets are summed per
-    distinct age and rounded once, in age order, by systematic rounding, so
-    the count below any age is within half an individual of its target.  The
-    fluctuation start is defined exactly from the realised atoms, so the
-    scaled-deviation identity holds by construction; its panel pairings are
-    reported, not prescribed.
+    The target, summed per distinct age at load, is rounded once, in age
+    order, by systematic rounding, so the count below any age is within half
+    an individual of its target.  The fluctuation start is defined exactly
+    from the realised atoms, so the scaled-deviation identity holds by
+    construction; its panel pairings are reported, not prescribed.
     """
-    (base_ages, base_masses), (pert_ages, pert_masses), n_cells = _read_start(
-        initial, perturbation, dx, horizon)
-    t_star = n_cells * dx
-    sqrt_k = math.sqrt(k)
-    ages, slot = np.unique(np.concatenate([base_ages, pert_ages]), return_inverse=True)
-    target = np.bincount(slot, weights=np.concatenate([k * base_masses, sqrt_k * pert_masses]))
-    if target.min() < -1e-9:      # only a perturbation has negative mass
-        raise ValueError(f"{_mass_field(perturbation, 'perturbation')} leaves a negative "
-                         f"count ({target.min():.6g}) at K = {k}: infeasible")
-    realised = np.repeat(ages, _systematic_counts(target))
-    if initial["kind"] == "grid":
-        base = GridDensity(dx=dx, values=_binned(base_ages, base_masses, n_cells, dx) / dx)
-        nu0 = sqrt_k * (_binned(realised, None, n_cells, dx) / (k * dx) - base.values)
-    else:
-        base, nu0 = PointMasses(base_ages, base_masses), None
+    base, grid, dx = config._base, config._base_grid, config.dt
+    sqrt_k, t_star = math.sqrt(k), grid.t_star
+    realised = np.repeat(config._ages, _systematic_counts(config._targets[k]))
+    nu0 = (sqrt_k * (_binned(realised, None, grid.n_cells, dx) / (k * dx) - grid.values)
+           if base is grid else None)
     empirical = AtomicMeasure(ages=realised, weight=1.0 / k, t_star=t_star)
     return InitialCondition(atoms=AtomicMeasure(ages=realised, weight=1.0, t_star=t_star),
-                            t_star=t_star, nu0_values=nu0,
-                            z0=SignedPair(plus=empirical, minus=base, scale=sqrt_k))
+                            nu0_values=nu0, z0=SignedPair(plus=empirical, minus=base, scale=sqrt_k))
 
 
 def background_solution(config: ExperimentConfig, model: RateModel) -> LimitSolution:
-    """Solve the deterministic limit from the configured initial target, its
-    masses binned onto the grid (an atom's mass spread over its cell)."""
-    dx = config.dt
-    (ages, masses), _, n_cells = config._start
-    return solve_mvf(model, GridDensity(dx=dx, values=_binned(ages, masses, n_cells, dx) / dx),
-                     config.horizon, dx)
+    """Solve the deterministic limit from the configured base on the solver grid."""
+    return solve_mvf(model, config._base_grid, config.horizon, config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +505,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# study context and replicate execution
+# replicate execution
 
 
 def _map_tasks(fn: Callable, tasks, workers: int) -> list:
@@ -508,7 +533,6 @@ class _Replicate:
     atoms: AtomicMeasure
     k: int
     panel: list
-    t_star: float
     horizon: float
     dt_out: float
     population_cap: int
@@ -523,7 +547,7 @@ class _Replicate:
         traj = simulate(self.model, self.atoms, self.k, self.horizon, self.dt_out, rng,
                         panel=self.panel, with_ledger=self.with_ledger,
                         log_events=self.log_events,
-                        population_cap=self.population_cap, t_star=self.t_star)
+                        population_cap=self.population_cap, t_star=self.atoms.t_star)
         if not traj.check_mass_bookkeeping():
             raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={self.k}")
         if self.outdir is not None:
@@ -537,40 +561,18 @@ class _Replicate:
         return pairings, traj.ledger.martingales() if self.with_ledger else None
 
 
-class _Study:
-    """What one run builds once and all its replicates share.
+def _replicates(config: ExperimentConfig, k_index: int, purpose: int, workers: int,
+                **flags) -> list:
+    """(pairings, martingales) of every replicate at one K; ``flags`` go to :class:`_Replicate`."""
+    k = config.k_values[k_index]
+    task = _Replicate(config._model, config.inits[k].atoms, k, config._panel, config.horizon,
+                      config.dt_out, config.population_cap, (config.seed, purpose, k_index),
+                      **flags)
+    return _map_tasks(task, range(config.replicates), workers)
 
-    The model and the panel are the config's; one realised initial condition
-    per K and the output times are built on construction; the limit
-    background is solved on first use.
-    """
 
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.model = config.build_model()
-        self.inits = {k: build_initial(config.initial, config.perturbation, k,
-                                       config.dt, config.horizon)
-                      for k in config.k_values}
-        self.k_max = max(config.k_values)
-        self.init_max = self.inits[self.k_max]
-        self.panel = config._panel
-        n_out = int(round(config.horizon / config.dt_out))
-        self.out_times = np.arange(n_out + 1) * config.dt_out
-
-    @cached_property
-    def background(self) -> LimitSolution:
-        return background_solution(self.config, self.model)
-
-    def replicates(self, k_index: int, purpose: int, workers: int, **flags) -> list:
-        """(pairings, martingales) of every replicate at one K; ``flags`` go to
-        :class:`_Replicate`."""
-        cfg = self.config
-        k = cfg.k_values[k_index]
-        init = self.inits[k]
-        task = _Replicate(self.model, init.atoms, k, self.panel, init.t_star, cfg.horizon,
-                          cfg.dt_out, cfg.population_cap, (cfg.seed, purpose, k_index),
-                          **flags)
-        return _map_tasks(task, range(cfg.replicates), workers)
+def _out_times(config: ExperimentConfig) -> np.ndarray:
+    return np.arange(int(round(config.horizon / config.dt_out)) + 1) * config.dt_out
 
 
 def _add_samples(report: Report, k: int, values: np.ndarray, times, labels) -> None:
@@ -585,11 +587,11 @@ def _add_samples(report: Report, k: int, values: np.ndarray, times, labels) -> N
 # targets
 
 
-def _limit_pairing_fn(st: _Study):
-    """Best available (f, limit measure at t) oracle for the study's model."""
-    model, base = st.model, st.init_max.base
+def _limit_pairing_fn(config: ExperimentConfig):
+    """Best available (f, limit measure at t) oracle for the config's model."""
+    model, base = config._model, config._base
     if not model.constant_rates:
-        background = st.background
+        background = config.background
         return lambda f, t: pair(f, background.frame_at(t))
     return lambda f, t: classical_pairing(f, base, model.birth.value, model.death.value,
                                           model.split_law.mean, model.life_law.mean, t)
@@ -607,16 +609,15 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     scaled-fluctuation limit predicts to sit near -1/2.
     """
     workers = config.workers if workers is None else workers
-    st = _Study(config)
-    target_of = _limit_pairing_fn(st)
-    panel, out_times = st.panel, st.out_times
+    target_of = _limit_pairing_fn(config)
+    panel, out_times = config._panel, _out_times(config)
 
     report = Report(name="lln")
     targets = {(ti, fi): target_of(f, float(t))
                for ti, t in enumerate(out_times) for fi, f in enumerate(panel)}
     rms_by_f = {f.label: [] for f in panel}
     for k_index, k in enumerate(config.k_values):
-        arr = np.stack([p for p, _ in st.replicates(k_index, PURPOSE_LLN, workers)])
+        arr = np.stack([p for p, _ in _replicates(config, k_index, PURPOSE_LLN, workers)])
         _add_samples(report, k, arr, out_times, [f.label for f in panel])
         for ti, t in enumerate(out_times):
             if t == 0.0:
@@ -648,8 +649,7 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
 def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     """Martingale mean-zero, variance-vs-QV and pairwise covariation checks."""
     workers = config.workers if workers is None else workers
-    st = _Study(config)
-    model, panel = st.model, st.panel
+    model, panel = config._model, config._panel
     t_end = config.horizon
     report = Report(name="qv")
 
@@ -657,16 +657,16 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
     for f in panel:
         if model.constant_rates and f.kind == "exp" and not f.lam:
             qv_targets.append(classical_qv_mass(
-                st.init_max.base.mass, model.birth.value, model.death.value,
+                config._base.mass, model.birth.value, model.death.value,
                 model.life_law, model.split_law, t_end))
         else:
-            qv_targets.append(covariation_integral_frames(model, st.background, f, f, t_end))
-    cov_targets = {(fi, gi): covariation_integral_frames(model, st.background, f, g, t_end)
+            qv_targets.append(covariation_integral_frames(model, config.background, f, f, t_end))
+    cov_targets = {(fi, gi): covariation_integral_frames(model, config.background, f, g, t_end)
                    for fi, f in enumerate(panel) for gi, g in enumerate(panel) if gi > fi}
 
     cov_rows = []
     for k_index, k in enumerate(config.k_values):
-        results = st.replicates(k_index, PURPOSE_QV, workers, with_ledger=True)
+        results = _replicates(config, k_index, PURPOSE_QV, workers, with_ledger=True)
         mart_t = np.stack([m[-1] for _, m in results]) / math.sqrt(k)  # (M, P)
         _add_samples(report, k, mart_t[:, None, :], [t_end],
                      ["M~:" + f.label for f in panel])
@@ -698,20 +698,19 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     mean forward (``evolve_mean``), to check it against its closed form.
     """
     workers = config.workers if workers is None else workers
-    st = _Study(config)
-    model, panel, background = st.model, st.panel, st.background
+    model, panel, background = config._model, config._panel, config.background
     classical = model.constant_rates
-    target_of = _limit_pairing_fn(st)
+    target_of = _limit_pairing_fn(config)
     t_end = config.horizon
     report = Report(name="clt")
 
-    k_max, init_max = st.k_max, st.init_max
+    k_max = max(config.k_values)
     limit_at_t = {f.label: target_of(f, t_end) for f in panel}
 
     # mean targets from the realised fluctuation starts
     lm, sm = model.life_law.mean, model.split_law.mean
     mean_targets: dict[tuple[int, str], Optional[float]] = {}
-    for k, init in st.inits.items():
+    for k, init in config.inits.items():
         z0_mass = init.z0.mass
         for f in panel:
             z0f = init.z0.pair(f)
@@ -727,7 +726,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     # the grid scheme's law from the realised start (grid-kind bases only): its mean
     # is the scheme's mean pairing at t_end, the target where no closed form is
     spde_var: dict[str, float] = {}
-    nu0 = init_max.nu0_values
+    nu0 = config.inits[k_max].nu0_values
     if nu0 is not None:
         law = fluctuation_law(model, background, nu0, panel, [t_end])
         for fi, f in enumerate(panel):
@@ -755,7 +754,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                               spde_var[f.label], vals.size))
             if classical and f.kind == "exp":
                 oracle = ito_isometry_variance(
-                    f.lam, init_max.base_grid, model.birth.value,
+                    f.lam, config._base_grid, model.birth.value,
                     model.death.value, model.life_law, model.split_law, t_end)
                 report.rows.append(CheckRow.band(
                     "spde_var_vs_oracle", spde_var[f.label], oracle,
@@ -768,7 +767,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
             ("t", "f_id", "mean", "var", "n_paths"), spde_rows)
 
     for k_index, k in enumerate(config.k_values):
-        arr = np.stack([p for p, _ in st.replicates(k_index, PURPOSE_CLT, workers)])
+        arr = np.stack([p for p, _ in _replicates(config, k_index, PURPOSE_CLT, workers)])
         sqrt_k = math.sqrt(k)
         for fi, f in enumerate(panel):
             z_samples = sqrt_k * (arr[:, -1, fi] - limit_at_t[f.label])
@@ -864,8 +863,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
     report.tables["convergence"] = (("study", "dt", "linf_error"), conv_rows)
 
     # noise: one step's exact law from the middle frame against the covariation formula
-    model, panel = config.build_model(), config._panel
-    background = background_solution(config, model)
+    model, panel, background = config._model, config._panel, config.background
     # never the last frame (two frames at horizon dt): a step from it leaves the grid
     frame = background.frame((background.values.shape[0] - 1) // 2)
     dt = config.dt
@@ -902,21 +900,19 @@ def run_simulate(config: ExperimentConfig, outdir: Optional[Path] = None,
                  workers: Optional[int] = None) -> Report:
     """Simulate replicates and emit snapshot pairings (and optional event logs)."""
     workers = config.workers if workers is None else workers
-    st = _Study(config)
     report = Report(name="simulate")
     emit_files = outdir is not None
     for k_index, k in enumerate(config.k_values):
-        results = st.replicates(k_index, PURPOSE_SIM, workers,
-                                with_ledger=emit_files and config.emit_fields,
-                                log_events=emit_files and config.emit_events,
-                                outdir=outdir)
-        _add_samples(report, k, np.stack([p for p, _ in results]), st.out_times,
-                     [f.label for f in st.panel])
+        results = _replicates(config, k_index, PURPOSE_SIM, workers,
+                              with_ledger=emit_files and config.emit_fields,
+                              log_events=emit_files and config.emit_events, outdir=outdir)
+        _add_samples(report, k, np.stack([p for p, _ in results]), _out_times(config),
+                     [f.label for f in config._panel])
     return report
 
 
 def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
-    sol = background_solution(config, config.build_model())
+    sol = config.background
     report = Report(name="limit")
     rows = [(float(t), float(x)) for t, x in zip(sol.times, sol.totals)]
     report.tables["totals"] = (("t", "X"), rows)
@@ -928,12 +924,11 @@ def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report
 
 
 def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
-    st = _Study(config)
-    nu0 = st.init_max.nu0_values
+    nu0 = config.inits[max(config.k_values)].nu0_values
     if nu0 is None:
         raise ValueError("fluctuation paths need a grid-kind initial target")
-    model, panel, record = st.model, st.panel, st.out_times
-    samples = simulate_fluctuation_paths(model, st.background, nu0,
+    model, panel, record = config._model, config._panel, _out_times(config)
+    samples = simulate_fluctuation_paths(model, config.background, nu0,
                                          config.n_spde_paths, panel, record,
                                          partial(spde_noise_stream, config.seed),
                                          block_size=config.spde_block)
@@ -946,7 +941,7 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
                          float(np.var(vals, ddof=1)), vals.size))
     report.tables["path_stats"] = (("t", "f_id", "mean", "var", "n_paths"), rows)
     if config.emit_fields and outdir is not None:
-        mp = evolve_mean(model, nu0, st.background)
+        mp = evolve_mean(model, nu0, config.background)
         every = int(round(config.dt_out / config.dt))
         for i in range(0, mp.times.size, every):
             mp.frame(i).to_csv(outdir / f"mean_field_t{mp.times[i]:.6g}.csv")

@@ -106,3 +106,17 @@ def test_run_all_times_each_criterion(monkeypatch):
     assert results[2].line() == "criterion 3 (stub 3): PASS in 5.3s"
     # called directly, a criterion is not timed
     assert Stubbed().criterion_4().line() == "criterion 4 (stub 4): PASS"
+
+
+def test_criteria_3_to_6_share_one_clt_config(monkeypatch):
+    # run_clt and run_convergence each once built their own, and solved its background
+    seen = []
+    monkeypatch.setattr(acceptance, "run_clt",
+                        lambda cfg, workers: seen.append(cfg) or Report(name="clt"))
+    monkeypatch.setattr(acceptance, "run_convergence",
+                        lambda cfg: seen.append(cfg) or Report(name="convergence"))
+    suite = AcceptanceSuite(seed=5)
+    for index in (3, 4, 5, 6):
+        assert getattr(suite, f"criterion_{index}")().passed
+    assert len(seen) == 2 and seen[0] is seen[1] is suite.clt_study
+    assert seen[0] == acceptance.clt_config(5)

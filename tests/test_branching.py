@@ -12,7 +12,7 @@ from agestruct.acceptance import clt_config, lln_config, qv_config
 from agestruct.branching import (KIND_BIRTH, KIND_DEATH, CapacityError, EventLog,
                                  MartingaleLedger, Population, check_pathwise_identity,
                                  simulate)
-from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _Study,
+from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _replicates,
                                model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
@@ -970,9 +970,9 @@ def test_acceptance_configs_take_the_pinned_paths(paths):
     for cfg, purpose, flags in ((lln_config(), PURPOSE_LLN, {}),
                                 (qv_config(), PURPOSE_QV, {"with_ledger": True}),
                                 (clt_config(), PURPOSE_CLT, {})):
-        st = _Study(dataclasses.replace(cfg, replicates=2))
+        small = dataclasses.replace(cfg, replicates=2)
         for k_index in range(len(cfg.k_values)):
-            st.replicates(k_index, purpose, workers=1, **flags)
+            _replicates(small, k_index, purpose, workers=1, **flags)
     assert paths == ["_simulate_lives"] * 10
     # criterion 7's classical cases (pure splitting, mixed laws) and criterion 8
     paths.clear()
@@ -1025,12 +1025,11 @@ def test_lifelines_without_a_log_or_ledger_match_the_kept_run(model, n0, horizon
 
 def study_replicate(cfg, purpose, k_index):
     """Replicate 0 of a study at one K, simulated as the harness simulates it."""
-    st = _Study(cfg)
     k = cfg.k_values[k_index]
-    init = st.inits[k]
+    atoms = cfg.inits[k].atoms
     rng = replicate_stream(cfg.seed, purpose, k_index, 0)
-    traj = simulate(st.model, init.atoms, k, cfg.horizon, cfg.dt_out, rng, panel=st.panel,
-                    population_cap=cfg.population_cap, t_star=init.t_star)
+    traj = simulate(cfg.build_model(), atoms, k, cfg.horizon, cfg.dt_out, rng,
+                    panel=cfg._panel, population_cap=cfg.population_cap, t_star=atoms.t_star)
     h = hashlib.sha256()
     for snap in traj.snapshots:
         h.update(snap.ages.tobytes())

@@ -12,8 +12,8 @@ from agestruct import harness, spde
 from agestruct.acceptance import clt_config, qv_config
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
                                build_initial, emit, model_from_config,
-                               replicate_stream, run_clt, run_convergence, run_lln,
-                               run_qv_check, run_simulate)
+                               replicate_stream, run_clt, run_convergence, run_limit,
+                               run_lln, run_qv_check, run_simulate)
 from agestruct.measures import constant, exponential, pair
 from agestruct.rates import ModelError
 
@@ -184,15 +184,29 @@ def test_config_names_a_malformed_measure_spec(tmp_path, field, spec, message):
     check_rejected(tmp_path, field, spec, rf"^{field}{message}$")
 
 
-@pytest.mark.parametrize("spec, message", [
-    ({"kind": "atoms", "ages": [0.0], "masses": [-1.0]}, r"\.masses\[0\]"),
-    ({"kind": "grid", "support": [0.0, 1.0], "mass": -1.0}, r"\.mass"),
+@pytest.mark.parametrize("spec, message, base", [
+    ({"kind": "atoms", "ages": [0.0], "masses": [-1.0]}, r"\.masses\[0\]",
+     {"kind": "atoms", "ages": [0.0], "masses": [1.0]}),
+    ({"kind": "grid", "support": [0.0, 1.0], "mass": -1.0}, r"\.mass",
+     {"kind": "grid", "support": [0.0, 1.0], "mass": 1.0}),
 ], ids=["atoms", "grid"])
-def test_only_a_perturbation_carries_negative_mass(tmp_path, spec, message):
-    # a negative initial mass once failed late, with "negative target count"
+def test_only_a_perturbation_carries_negative_mass(tmp_path, spec, message, base):
+    # a negative initial mass once failed late, with "negative target count"; on a
+    # base over the perturbation's ages, K - sqrt(K) >= 0 per unit of mass
     check_rejected(tmp_path, "initial", spec,
                    rf"^initial{message} must be nonnegative, got -1\.0$")
-    assert small_config(perturbation=spec).perturbation == spec
+    cfg = small_config(initial=base, perturbation=spec)
+    assert cfg.perturbation == spec
+    for k in cfg.k_values:
+        assert cfg.inits[k].atoms.count == round(k - math.sqrt(k))
+
+
+def test_an_infeasible_start_fails_at_load(tmp_path):
+    # an atom base at age 0 under a grid perturbation of mass -1 is negative in
+    # every other cell at every K; it once loaded, and each study then failed
+    check_rejected(tmp_path, "perturbation", {"kind": "grid", "support": [0.0, 1.0], "mass": -1.0},
+                   r"^perturbation\.mass -1\.0 leaves a negative count \(-0\.0309839\) at "
+                   r"K = 60: infeasible$")
 
 
 def test_config_needs_an_initial_measure(tmp_path):
@@ -386,7 +400,7 @@ def test_every_malformed_field_fails_by_name(family, start):
             holder = next(h for w, _, h, k in leaves(spec) if w == where)
             holder[key] = value
             try:
-                harness._Study(ExperimentConfig(**spec))
+                ExperimentConfig(**spec).inits
             except (ValueError, ModelError) as err:
                 message = str(err)
                 named = where in message and repr(value) in message
@@ -397,6 +411,29 @@ def test_every_malformed_field_fails_by_name(family, start):
             except Exception as err:
                 failures.append(f"{where} = {value!r}: {type(err).__name__}: {err}")
     assert not failures, "\n".join(failures)
+
+
+def spec_dicts(spec, path=""):
+    """(path, dict) of every dict nested in ``spec``."""
+    for key, value in spec.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield where, value
+            yield from spec_dicts(value, where)
+
+
+@pytest.mark.parametrize("family, start", BASES, ids=[f"{f}-{s}" for f, s in BASES])
+def test_every_spec_dict_rejects_an_unknown_key(family, start):
+    # a misspelt key was once dropped, and its field took its default
+    for where, _ in spec_dicts(base_spec(family, start)):
+        spec = base_spec(family, start)
+        holder = dict(spec_dicts(spec))[where]
+        key = list(holder)[-1]
+        holder[key + key[-1]] = holder[key]
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**spec)
+        assert str(err.value).startswith(f"{where} has unknown key(s) {key + key[-1]!r}; "
+                                         f"it takes "), where
 
 
 def set_field(spec, where, value):
@@ -450,6 +487,11 @@ MUST_REJECT = [
     ("classical", "atoms", "perturbation.masses", [5e13],
      "initial.masses [0.5, 0.5] and perturbation.masses [50000000000000.0] give 2.23607e+14 "
      "individuals at K = 20, above population_cap 10000000"),
+    ("classical", "grid", "initial.mas", 5.0,
+     "initial has unknown key(s) 'mas'; it takes kind, support, profile, mass"),
+    ("classical", "grid", "model.brith_sup", 9.0,
+     "model has unknown key(s) 'brith_sup'; it takes family, birth, death, birth_sup, "
+     "death_sup, life_law, split_law"),
 ]
 
 
@@ -491,13 +533,21 @@ def test_config_round_trips_through_json_and_the_manifest(tmp_path, family, star
 
 
 def test_config_builds_its_model_and_panel_once(monkeypatch):
-    models = counting(monkeypatch, "model_from_config")
-    panels = counting(monkeypatch, "make_panel")
-    cfg = ExperimentConfig(**base_spec("classical", "grid"))
-    assert (len(models), len(panels)) == (1, 1)
-    run_lln(cfg, workers=1)
+    built = {name: counting(monkeypatch, name) for name in (
+        "model_from_config", "make_panel", "_read_start", "build_initial",
+        "background_solution")}
+    cfg = ExperimentConfig(**dict(base_spec("classical", "grid"), k_values=[20, 80]))
+    assert [len(built[name]) for name in ("model_from_config", "make_panel", "_read_start")] \
+        == [1, 1, 1]
+    run_clt(cfg, workers=1)
     run_convergence(cfg)
-    assert (len(models), len(panels)) == (1, 1)
+    run_limit(cfg)
+    run_lln(cfg, workers=1)
+    # one start read, one realised start per K and one background, shared by the studies
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "model_from_config": 1, "make_panel": 1, "_read_start": 1, "build_initial": 2,
+        "background_solution": 1}
+    assert [k for _, k in built["build_initial"]] == cfg.k_values
 
 
 # -- initial conditions ------------------------------------------------------
@@ -512,9 +562,18 @@ def test_largest_remainder_preserves_total():
         assert np.all(np.abs(counts - masses) < 1.0)
 
 
+ATOM_AT_0 = {"kind": "atoms", "ages": [0.0], "masses": [1.0]}
+
+
+def start_at(k, dx, initial, perturbation=None):
+    """The start ``build_initial`` realises at K = ``k`` from a config on grid ``dx``."""
+    cfg = small_config(initial=initial, perturbation=perturbation, k_values=[k], dt=dx,
+                       dt_out=1.0)
+    return build_initial(cfg, k)
+
+
 def test_build_initial_delta_base():
-    init = build_initial({"kind": "atoms", "ages": [0.0], "masses": [1.0]},
-                         None, 100, 0.01, 1.0)
+    init = start_at(100, 0.01, ATOM_AT_0)
     assert init.atoms.count == 100
     # realised fluctuation vanishes identically when the split is exact
     for f in (constant(), exponential(0.5)):
@@ -522,9 +581,7 @@ def test_build_initial_delta_base():
 
 
 def test_build_initial_atom_perturbation():
-    init = build_initial({"kind": "atoms", "ages": [0.0], "masses": [1.0]},
-                         {"kind": "atoms", "ages": [0.5], "masses": [1.0]},
-                         100, 0.01, 1.0)
+    init = start_at(100, 0.01, ATOM_AT_0, {"kind": "atoms", "ages": [0.5], "masses": [1.0]})
     assert init.atoms.count == 110
     assert init.z0.mass == pytest.approx(1.0)
     # ten atoms of weight 1/100 at age 0.5, scaled by sqrt(100)
@@ -533,26 +590,25 @@ def test_build_initial_atom_perturbation():
 
 
 def test_build_initial_infeasible():
-    with pytest.raises(ValueError):
-        build_initial({"kind": "atoms", "ages": [0.0], "masses": [1.0]},
-                      {"kind": "atoms", "ages": [0.0], "masses": [-300.0]},
-                      100, 0.01, 1.0)
+    # now at load, before any study builds the start
+    with pytest.raises(ValueError, match=r"^perturbation\.masses \[-300\.0\] leaves a negative "
+                                         r"count \(-2900\) at K = 100: infeasible$"):
+        start_at(100, 0.01, ATOM_AT_0, {"kind": "atoms", "ages": [0.0], "masses": [-300.0]})
 
 
 def test_build_initial_grid_base_rounding_scale():
-    init = build_initial(
-        {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0},
-        None, 1000, 1e-2, 1.0)
+    init = start_at(1000, 1e-2,
+                    {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0})
     assert init.atoms.count == 1000
-    assert init.base_grid.mass == pytest.approx(1.0)
+    assert init.base.mass == pytest.approx(1.0)
     # per-cell rounding keeps realised pairings within ~1/sqrt(K) of the target
     for f in (constant(), exponential(-1.0)):
         assert abs(init.z0.pair(f)) <= 2.0
     assert init.nu0_values is not None
     # grid version of the fluctuation has identical pairings at cell centers
-    xs = init.base_grid.centers
+    xs = init.base.centers
     for f in (constant(), exponential(0.5)):
-        grid_pairing = init.base_grid.dx * float(np.dot(f(xs), init.nu0_values))
+        grid_pairing = init.base.dx * float(np.dot(f(xs), init.nu0_values))
         assert grid_pairing == pytest.approx(init.z0.pair(f), abs=1e-10)
 
 
@@ -561,7 +617,7 @@ UNIFORM = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 
 
 def test_uniform_start_spreads_its_atoms_over_its_ages():
     # the largest-remainder start put all 317 atoms below age 0.317 (mean 0.158)
-    init = build_initial(UNIFORM, UNIFORM, 300, 1e-3, 1.0)
+    init = start_at(300, 1e-3, UNIFORM, UNIFORM)
     assert init.atoms.count == 317
     assert abs(init.atoms.ages.mean() - 0.5) <= 0.01
 
@@ -574,7 +630,7 @@ def test_running_count_stays_within_half_of_running_target():
         assert np.all(np.abs(running - np.cumsum(target)) <= 0.5 + 1e-9)
     # and on a realised grid start, cell by cell in age order
     k, dx = 300, 1e-3
-    init = build_initial(UNIFORM, UNIFORM, k, dx, 1.0)
+    init = start_at(k, dx, UNIFORM, UNIFORM)
     per_cell = np.bincount((init.atoms.ages / dx).astype(int), minlength=1000)
     target = np.full(1000, k * dx + math.sqrt(k) * dx)
     assert np.all(np.abs(np.cumsum(per_cell) - np.cumsum(target)) <= 0.5 + 1e-9)
@@ -583,17 +639,15 @@ def test_running_count_stays_within_half_of_running_target():
 def test_grid_base_with_atom_perturbation_is_rounded_once():
     # 300.45 base atoms and 0.30 perturbation atoms: rounded apart, 300 + 0
     k, base_mass, pert_mass = 300, 1.0015, 0.0173
-    init = build_initial(dict(UNIFORM, mass=base_mass),
-                         {"kind": "atoms", "ages": [0.5], "masses": [pert_mass]},
-                         k, 1e-3, 1.0)
+    init = start_at(k, 1e-3, dict(UNIFORM, mass=base_mass),
+                    {"kind": "atoms", "ages": [0.5], "masses": [pert_mass]})
     assert init.atoms.count == round(k * base_mass + math.sqrt(k) * pert_mass) == 301
     assert init.z0.mass == pytest.approx(math.sqrt(k) * (301 / k - base_mass), rel=1e-12)
 
 
 def test_atom_base_with_grid_perturbation_realises_its_atoms():
     k = 100
-    init = build_initial({"kind": "atoms", "ages": [0.0], "masses": [1.0]}, UNIFORM,
-                         k, 0.01, 1.0)
+    init = start_at(k, 0.01, ATOM_AT_0, UNIFORM)
     ages = init.atoms.ages
     assert init.atoms.count == 110 and np.count_nonzero(ages == 0.0) == 100
     assert init.nu0_values is None
@@ -718,15 +772,14 @@ def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, pane
     # forward sweep of the same scheme must give them to rounding
     cfg = small_clt_config(model, panel)
     rows = {r.f_id: r.target for r in run_clt(cfg).rows if r.stat == "clt_mean"}
-    st = harness._Study(cfg)
-    mean_path = spde.evolve_mean(st.model, st.init_max.nu0_values, st.background)
-    for f in st.panel:
+    mean_path = spde.evolve_mean(cfg.build_model(), cfg.inits[40].nu0_values, cfg.background)
+    for f in cfg._panel:
         forward = pair(f, mean_path.frame(-1))
         if f.label in from_law:
             assert rows[f.label] == pytest.approx(forward, rel=1e-12, abs=0.0), f.label
         else:                          # a closed form, first-order close to the grid
             assert rows[f.label] == pytest.approx(forward, rel=0.05), f.label
-    assert set(rows) == {f.label for f in st.panel}
+    assert set(rows) == {f.label for f in cfg._panel}
 
 
 @pytest.mark.parametrize("model, mean_steps", [(CLASSICAL, 1), (KERNEL_WORKLOAD, 0),

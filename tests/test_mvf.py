@@ -194,8 +194,7 @@ def _assert_matches_scipy(seen):
 
 
 def _study_initial(cfg):
-    return build_initial(cfg.initial, cfg.perturbation, max(cfg.k_values), cfg.dt,
-                         cfg.horizon)
+    return build_initial(cfg, max(cfg.k_values))
 
 
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.0])
@@ -204,7 +203,7 @@ def test_gk21_matches_scipy_on_renewal_integrands(monkeypatch, spec, t):
     # the renewal integral of the acceptance LLN study (atom base, pure splitting)
     cfg = lln_config()
     init, model = _study_initial(cfg), cfg.build_model()
-    (f,) = make_panel([spec], t_star=init.t_star)
+    (f,) = make_panel([spec], t_star=init.atoms.t_star)
     seen = _quad_calls(monkeypatch, mvf, lambda: classical_pairing(
         f, init.base, model.birth.value, model.death.value, model.split_law.mean,
         model.life_law.mean, t))
@@ -215,7 +214,7 @@ def test_gk21_matches_scipy_on_renewal_integrands(monkeypatch, spec, t):
 def test_gk21_matches_scipy_on_ito_isometry_integrand(monkeypatch, lam):
     # the oracle of the acceptance CLT study, on its own start grid
     cfg = clt_config()
-    base, model = _study_initial(cfg).base_grid, cfg.build_model()
+    base, model = _study_initial(cfg).base, cfg.build_model()
     seen = _quad_calls(monkeypatch, spde, lambda: spde.ito_isometry_variance(
         lam, base, model.birth.value, model.death.value, model.life_law,
         model.split_law, cfg.horizon))
