@@ -73,14 +73,14 @@ class Population:
     latter at one age or at every live individual (:meth:`kernel_pair`).
     """
 
-    def __init__(self, ages: Sequence[float], k: int, t0: float = 0.0):
+    def __init__(self, ages: Sequence[float], k: int):
         ages = np.asarray(ages, dtype=float)
         cap = max(64, 2 * ages.size)
         self.birth_times = np.empty(cap, dtype=float)
-        self.birth_times[: ages.size] = t0 - ages
+        self.birth_times[: ages.size] = 0.0 - ages      # born before t = 0
         self.n_live = int(ages.size)
         self.k = int(k)
-        self.t = float(t0)
+        self.t = 0.0
         self.initial_count = int(ages.size)
         self.births_life = 0
         self.births_split = 0
@@ -298,7 +298,6 @@ class Trajectory:
     """
 
     k: int
-    t_star: float
     times: np.ndarray
     snapshots: list[AtomicMeasure]
     initial_count: int
@@ -372,7 +371,6 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
 
     return Trajectory(
         k=k,
-        t_star=t_star,
         times=out_times,
         snapshots=snapshots,
         initial_count=pop.initial_count,

@@ -55,27 +55,42 @@ def main(argv=None) -> int:
         prog="agestruct",
         description="age-structured branching simulation and limit verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    runs = {   # subcommand: (help, the optional flags its study reads)
+    runs = {   # subcommand: (help, the optional flags its study reads, the study)
         "simulate": ("simulate finite-population replicates",
-                     {"workers", "emit_events", "emit_fields"}),
-        "limit": ("solve the deterministic limit", {"emit_fields"}),
-        "fluctuate": ("simulate fluctuation-field paths", {"emit_fields"}),
-        "qv": ("martingale quadratic-variation checks", {"workers"}),
-        "lln": ("law-of-large-numbers checks", {"workers"}),
-        "clt": ("fluctuation mean/variance/Gaussianity checks", {"workers"}),
-        "converge": ("solver refinement studies", set()),
+                     {"workers", "emit_events", "emit_fields"},
+                     lambda config, out: run_simulate(config, outdir=out)),
+        "limit": ("solve the deterministic limit", {"emit_fields"}, lambda config, out:
+                  run_limit(config, outdir=out if config.emit_fields else None)),
+        "fluctuate": ("simulate fluctuation-field paths", {"emit_fields"},
+                      lambda config, out: run_fluctuate(config, outdir=out)),
+        "qv": ("martingale quadratic-variation checks", {"workers"},
+               lambda config, _: run_qv_check(config)),
+        "lln": ("law-of-large-numbers checks", {"workers"}, lambda config, _: run_lln(config)),
+        "clt": ("fluctuation mean/variance/Gaussianity checks", {"workers"},
+                lambda config, _: run_clt(config)),
+        "converge": ("solver refinement studies", set(),
+                     lambda config, _: run_convergence(config)),
     }
-    for name, (help_text, flags) in runs.items():
+    for name, (help_text, flags, _) in runs.items():
         _add_common(sub.add_parser(name, help=help_text), flags)
     v = sub.add_parser("validate", help="run the full acceptance suite")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
+    # a value the config or the suite rejects is a bad flag too: exit 2, one line
+    try:
+        if args.command == "validate":
+            suite = AcceptanceSuite(seed=PREREGISTERED_SEED if args.seed is None else args.seed,
+                                    workers=args.workers)
+        else:
+            config = _load_config(args)
+    except OSError as err:
+        parser.error(f"--config {args.config}: {err.strerror}")
+    except ValueError as err:
+        parser.error(str(err))
 
     if args.command == "validate":
-        seed = PREREGISTERED_SEED if args.seed is None else args.seed
-        suite = AcceptanceSuite(seed=seed, workers=args.workers)
         results = suite.run_all()
         for res in results:
             print(res.line())
@@ -85,26 +100,10 @@ def main(argv=None) -> int:
         print("acceptance suite:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    config = _load_config(args)
     outdir = args.out if args.out is not None else Path(config.outdir or f"out_{args.command}")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if args.command == "simulate":
-        report = run_simulate(config, outdir=outdir)
-    elif args.command == "limit":
-        report = run_limit(config, outdir=outdir if config.emit_fields else None)
-    elif args.command == "fluctuate":
-        report = run_fluctuate(config, outdir=outdir)
-    elif args.command == "qv":
-        report = run_qv_check(config)
-    elif args.command == "lln":
-        report = run_lln(config)
-    elif args.command == "clt":
-        report = run_clt(config)
-    elif args.command == "converge":
-        report = run_convergence(config)
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command}")
+    report = runs[args.command][2](config, outdir)
     emit(report, outdir, config=config, wall_clock_s=time.perf_counter() - t0)
     n_fail = sum(not r.passed for r in report.rows)
     print(f"{args.command}: {len(report.rows)} checks, {n_fail} failed -> {outdir}")

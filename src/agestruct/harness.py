@@ -743,28 +743,20 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 "evolve_mean_linf", linf, 0.0, 5.0 * config.dt, t=t_end))
 
         # SPDE path study at the finest grid
-        path_samples = simulate_fluctuation_paths(
-            model, background, nu0, config.n_spde_paths, panel, [t_end],
-            partial(spde_noise_stream, config.seed), block_size=config.spde_block, law=law)
-        spde_rows = []
-        for fi, f in enumerate(panel):
-            vals = path_samples[:, 0, fi]
-            spde_var[f.label] = float(np.var(vals, ddof=1))
-            spde_rows.append((t_end, f.label, float(vals.mean()),
-                              spde_var[f.label], vals.size))
+        path_samples, report.tables["spde_path_stats"] = _path_study(config, nu0, [t_end], law)
+        for fi, (f, row) in enumerate(zip(panel, report.tables["spde_path_stats"][1])):
+            spde_var[f.label] = row[3]
             if classical and f.kind == "exp":
                 oracle = ito_isometry_variance(
                     f.lam, config._base_grid, model.birth.value,
                     model.death.value, model.life_law, model.split_law, t_end)
                 report.rows.append(CheckRow.band(
                     "spde_var_vs_oracle", spde_var[f.label], oracle,
-                    3.0 * se_of_variance(vals), t=t_end, f_id=f.label))
+                    3.0 * se_of_variance(path_samples[:, 0, fi]), t=t_end, f_id=f.label))
                 # the first-order scheme's exact variance sits ~1 dt below the oracle
                 report.rows.append(CheckRow.band(
                     "spde_law_var_vs_oracle", float(law[1][fi, fi]), oracle,
                     2.0 * config.dt * abs(oracle), t=t_end, f_id=f.label))
-        report.tables["spde_path_stats"] = (
-            ("t", "f_id", "mean", "var", "n_paths"), spde_rows)
 
     for k_index, k in enumerate(config.k_values):
         arr = np.stack([p for p, _ in _replicates(config, k_index, PURPOSE_CLT, workers)])
@@ -796,34 +788,38 @@ def run_convergence(config: ExperimentConfig) -> Report:
     """Refinement studies for the solvers plus one step's noise law against the
     covariation formula."""
     report = Report(name="convergence")
+    table, dts = [], [4e-3, 2e-3, 1e-3]
+
+    def box(dt, t_star):
+        return GridDensity.from_function(lambda x: np.where(x < 1.0, 1.0, 0.0),
+                                         t_star=t_star, dx=dt)
+
+    def refine(study, stat, dts, error, ratio, tol):
+        """``study``'s error at each dt into the table; each error over the next, a
+        band around ``ratio``, into the report."""
+        errs = [error(dt) for dt in dts]
+        table.extend((study, dt, e) for dt, e in zip(dts, errs))
+        for coarse, fine in zip(errs, errs[1:]):
+            report.rows.append(CheckRow.band(stat, coarse / fine, ratio, tol))
 
     # transport-only: exact shift
-    dt0 = 4e-3
-    a0 = GridDensity.from_function(
-        lambda x: np.where(x < 1.0, 1.0, 0.0), t_star=1.5, dx=dt0)
+    a0, shift = box(dts[0], 1.5), int(round(0.5 / dts[0]))
     transport = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                                 OffspringLaw.deterministic(0))
-    sol = solve_mvf(transport, a0, 0.5, dt0)
-    shift_err = float(np.max(np.abs(
-        sol.values[-1][int(round(0.5 / dt0)):]
-        - a0.values[: a0.n_cells - int(round(0.5 / dt0))])))
+    sol = solve_mvf(transport, a0, 0.5, dts[0])
+    shift_err = float(np.max(np.abs(sol.values[-1][shift:] - a0.values[:a0.n_cells - shift])))
     report.rows.append(CheckRow.band("transport_exact", shift_err, 0.0, 1e-12))
 
     # limit-solver order against the constant-parameter closed form
     study = classical_model(0.0, 1.0, OffspringLaw.deterministic(0),
                             OffspringLaw.deterministic(2))
-    dts = [4e-3, 2e-3, 1e-3]
-    errs = []
-    for dt in dts:
-        a0 = GridDensity.from_function(
-            lambda x: np.where(x < 1.0, 1.0, 0.0), t_star=1.5, dx=dt)
-        sol = solve_mvf(study, a0, 0.5, dt)
+
+    def mvf_error(dt):
+        a0 = box(dt, 1.5)
         ref = classical_exact(a0, 0.0, 1.0, 2.0, 0.0, 0.5)
-        errs.append(float(np.max(np.abs(sol.values[-1] - ref.values))))
-    conv_rows = [("solve_mvf", dt, e) for dt, e in zip(dts, errs)]
-    for i in range(len(dts) - 1):
-        report.rows.append(CheckRow.band(
-            "solve_mvf_order_ratio", errs[i] / errs[i + 1], 2.0, 0.4))
+        return float(np.max(np.abs(solve_mvf(study, a0, 0.5, dt).values[-1] - ref.values)))
+
+    refine("solve_mvf", "solve_mvf_order_ratio", dts, mvf_error, 2.0, 0.4)
 
     # total-mass RK4 order against the logistic closed form
     logistic = RateModel(
@@ -833,34 +829,24 @@ def run_convergence(config: ExperimentConfig) -> Report:
         life_law=OffspringLaw.deterministic(0),
         split_law=OffspringLaw.deterministic(2),
         birth_sup=0.0, death_sup=1.0)
-    ode_dts = [0.2, 0.1, 0.05]
-    ode_errs = []
-    for dt in ode_dts:
-        _, xs = solve_total_ode(logistic, 0.5, 1.0, dt)
-        ode_errs.append(abs(xs[-1] - float(logistic_exact(0.5, 1.0))))
-    conv_rows += [("solve_total_ode", dt, e) for dt, e in zip(ode_dts, ode_errs)]
-    for i in range(len(ode_dts) - 1):
-        report.rows.append(CheckRow.band(
-            "total_ode_order_ratio", ode_errs[i] / ode_errs[i + 1], 16.0, 4.0))
+    refine("solve_total_ode", "total_ode_order_ratio", [0.2, 0.1, 0.05],
+           lambda dt: abs(solve_total_ode(logistic, 0.5, 1.0, dt)[1][-1]
+                          - float(logistic_exact(0.5, 1.0))), 16.0, 4.0)
 
     # fluctuation-mean order (generic constants where the scheme is first order)
     gen = classical_model(0.6, 0.7, OffspringLaw.deterministic(1),
                           OffspringLaw.deterministic(2))
-    em_errs = []
-    for dt in dts:
-        a0 = GridDensity.from_function(
-            lambda x: np.where(x < 1.0, 1.0, 0.0), t_star=2.0, dx=dt)
+
+    def mean_error(dt):
+        a0 = box(dt, 2.0)
         bg = solve_mvf(gen, a0, 1.0, dt)
         z0 = np.where(a0.centers < 1.0, 1.0, 0.0)
-        mp = evolve_mean(gen, z0, bg)
         ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True),
                               0.6, 0.7, 2.0, 1.0, 1.0)
-        em_errs.append(float(np.max(np.abs(mp.values[-1] - ref.values))))
-    conv_rows += [("evolve_mean", dt, e) for dt, e in zip(dts, em_errs)]
-    for i in range(len(dts) - 1):
-        report.rows.append(CheckRow.band(
-            "evolve_mean_order_ratio", em_errs[i] / em_errs[i + 1], 2.0, 0.4))
-    report.tables["convergence"] = (("study", "dt", "linf_error"), conv_rows)
+        return float(np.max(np.abs(evolve_mean(gen, z0, bg).values[-1] - ref.values)))
+
+    refine("evolve_mean", "evolve_mean_order_ratio", dts, mean_error, 2.0, 0.4)
+    report.tables["convergence"] = (("study", "dt", "linf_error"), table)
 
     # noise: one step's exact law from the middle frame against the covariation formula
     model, panel, background = config._model, config._panel, config.background
@@ -911,15 +897,34 @@ def run_simulate(config: ExperimentConfig, outdir: Optional[Path] = None,
     return report
 
 
+def _write_frames(config: ExperimentConfig, sol: LimitSolution, outdir: Path,
+                  stem: str) -> None:
+    """Write the frame of ``sol`` at each multiple of dt_out to ``<stem>_t<time>.csv``."""
+    every = int(round(config.dt_out / config.dt))
+    for i in range(0, sol.times.size, every):
+        sol.frame(i).to_csv(outdir / f"{stem}_t{sol.times[i]:.6g}.csv")
+
+
+def _path_study(config: ExperimentConfig, nu0: np.ndarray, record, law=None):
+    """SPDE pairing samples from ``nu0`` at the record times (from their ``law``
+    if given) and their (t, f_id, mean, var, n_paths) table."""
+    samples = simulate_fluctuation_paths(config._model, config.background, nu0,
+                                         config.n_spde_paths, config._panel, record,
+                                         partial(spde_noise_stream, config.seed),
+                                         block_size=config.spde_block, law=law)
+    rows = [(float(t), f.label, float(vals.mean()), float(np.var(vals, ddof=1)), vals.size)
+            for ri, t in enumerate(record) for fi, f in enumerate(config._panel)
+            for vals in [samples[:, ri, fi]]]
+    return samples, (("t", "f_id", "mean", "var", "n_paths"), rows)
+
+
 def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
     sol = config.background
     report = Report(name="limit")
     rows = [(float(t), float(x)) for t, x in zip(sol.times, sol.totals)]
     report.tables["totals"] = (("t", "X"), rows)
     if outdir is not None:
-        every = int(round(config.dt_out / config.dt))
-        for i in range(0, sol.times.size, every):
-            sol.frame(i).to_csv(outdir / f"limit_frame_t{sol.times[i]:.6g}.csv")
+        _write_frames(config, sol, outdir, "limit_frame")
     return report
 
 
@@ -927,24 +932,11 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
     nu0 = config.inits[max(config.k_values)].nu0_values
     if nu0 is None:
         raise ValueError("fluctuation paths need a grid-kind initial target")
-    model, panel, record = config._model, config._panel, _out_times(config)
-    samples = simulate_fluctuation_paths(model, config.background, nu0,
-                                         config.n_spde_paths, panel, record,
-                                         partial(spde_noise_stream, config.seed),
-                                         block_size=config.spde_block)
     report = Report(name="fluctuate")
-    rows = []
-    for ri, t in enumerate(record):
-        for fi, f in enumerate(panel):
-            vals = samples[:, ri, fi]
-            rows.append((float(t), f.label, float(vals.mean()),
-                         float(np.var(vals, ddof=1)), vals.size))
-    report.tables["path_stats"] = (("t", "f_id", "mean", "var", "n_paths"), rows)
+    _, report.tables["path_stats"] = _path_study(config, nu0, _out_times(config))
     if config.emit_fields and outdir is not None:
-        mp = evolve_mean(model, nu0, config.background)
-        every = int(round(config.dt_out / config.dt))
-        for i in range(0, mp.times.size, every):
-            mp.frame(i).to_csv(outdir / f"mean_field_t{mp.times[i]:.6g}.csv")
+        _write_frames(config, evolve_mean(config._model, nu0, config.background), outdir,
+                      "mean_field")
     return report
 
 

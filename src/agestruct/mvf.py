@@ -13,7 +13,7 @@ take it in closed form, from the start row and a scalar boundary recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -182,6 +182,7 @@ class LimitSolution:
 
     Limit-density frames are nonnegative (:meth:`frame` checks); frames of a
     fluctuation mean (:func:`agestruct.spde.evolve_mean`) are ``signed``.
+    It holds its frames alone: the SPDE layer derives its coefficients per call.
     """
 
     dt: float
@@ -189,9 +190,6 @@ class LimitSolution:
     values: np.ndarray          # (n_times, n_cells), density at cell centers
     a_star: float
     signed: bool = False
-    # per-model quantities later layers derive from these frames, kept as
-    # long as the frames (the SPDE coefficients of agestruct.spde)
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dx(self) -> float:

@@ -251,15 +251,13 @@ class Kernel:
 class ConstantRate:
     """Age- and population-independent rate (the classical family)."""
 
-    family = "classical"
+    is_constant = True
+    age = None
 
     def __init__(self, value: float):
         if value < 0:
             raise ModelError(f"constant rate must be nonnegative, got {value}")
         self.value = float(value)
-
-    is_constant = True
-    age = None
 
     def eval(self, x, mu):
         x = np.asarray(x, dtype=float)
@@ -275,7 +273,6 @@ class ConstantRate:
 class DensityRate:
     """Rate q(|A|): depends on the total mass only."""
 
-    family = "density_dependent"
     is_constant = False
     age = None
 
@@ -300,7 +297,6 @@ class DensityRate:
 class AgeDensityRate:
     """Separable rate r(x) * s(|A|)."""
 
-    family = "age_density"
     is_constant = False
 
     def __init__(self, age: AgeProfile, fn: ScalarFn):
@@ -332,7 +328,6 @@ class KernelRate:
     * ``inv1p``   -- c / (1 + y)
     """
 
-    family = "kernel_linear"
     is_constant = False
 
     def __init__(self, kernel: Kernel, phi: str, *, age: Optional[AgeProfile] = None,

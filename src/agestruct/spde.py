@@ -44,13 +44,14 @@ c g_j(0).  Frame k is the start row shifted k cells and decayed by d^k behind
 the boundary column decayed along the diagonal, so the noise sums against
 fixed shifted panel tables obey a like recursion; those scalars give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
-the mean field itself forward (with constant rates, in closed form).
+the mean field itself forward (with constant rates, in closed form).  Each
+stepped call builds its coefficients (:class:`_Coeffs`) once and keeps none
+on the background; the constant-rate forms read b, h, d and c from the model.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -129,29 +130,26 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 
 
 # ---------------------------------------------------------------------------
-# drift coefficients (precomputed per background)
+# drift coefficients (built once per stepped call)
 
 
 class _Coeffs:
-    """Per-step arrays driving the drift and noise of the grid engine.
+    """Per-step arrays driving the drift and noise of the grid engine on ``bg``.
 
     Row k serves the step from frame k to frame k+1; a row that is the same
-    for every frame is a broadcast view of one row.  ``uh``/``un`` (the
-    mass-derivative weights of the death and newborn rates) are None when
-    every Frechet term vanishes.  ``kernels`` holds one entry per distinct
-    interaction kernel: the kernel, paired through ``grid`` (the background's
-    :class:`~agestruct.mvf.GridRates`), and the per-step row weights of its
-    death and newborn Frechet terms.  ``b``/``h`` are the birth and death
-    rate rows the law sweep builds each step's noise variances from (the
-    constant-rate law reads their first cell only).
+    for every frame is a broadcast view of one row.  ``uh`` (the death rate's
+    mass-derivative weight) is None when every Frechet term vanishes, else
+    ``una`` holds dx * (un, frame k), un the newborn rate's weight.  ``kernels``
+    holds per distinct interaction kernel the kernel, paired through ``grid``
+    (:class:`~agestruct.mvf.GridRates`), and the row weights of its death and
+    newborn Frechet terms.  ``b``/``h`` are the birth and death rate rows the
+    law sweep builds each step's noise variances from.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
-        # weak: the background keeps its coefficients, not the reverse
-        self.bg = weakref.proxy(background)
+        self.bg = background
         dt = dx = background.dt
-        lm = model.life_law.mean
-        sm = model.split_law.mean
+        lm, sm = model.life_law.mean, model.split_law.mean
         a = background.values[:-1]
         shape = a.shape
         grid = self.grid = GridRates(model, dx, shape[1])
@@ -163,12 +161,10 @@ class _Coeffs:
         self.decay = np.broadcast_to(np.exp(-dt * model.death_rate(grid.edges, mu)), shape)
         ub, w3b, kerb = model.birth.frechet_terms(x, mu)
         udh, w3h, kerh = model.death.frechet_terms(x, mu)
-        self.uh = self.un = None
+        self.uh = None
         if np.any(udh) or np.any(ub) or kerh is not None or kerb is not None:
             self.uh = np.broadcast_to(udh, shape)
-            self.un = np.broadcast_to(ub * lm + udh * sm, shape)
-            # scalar pairings dx * sum(u * a) used by the boundary deposits
-            self.una = dx * np.sum(self.un * a, axis=1)
+            self.una = dx * np.sum(np.broadcast_to(ub * lm + udh * sm, shape) * a, axis=1)
         # kernel -> [death, newborn] row weights; insertion order fixes the sum order
         weights = {}
         if kerh is not None:
@@ -177,19 +173,7 @@ class _Coeffs:
             weights.setdefault(kerb, [0.0, 0.0])[1] += w3b * lm
         self.kernels = [(kern, np.broadcast_to(wh, shape), np.broadcast_to(wn, shape))
                         for kern, (wh, wn) in weights.items()]
-
-        self.split_mean = sm
         self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
-        self.n_room = int(round(background.a_star / dx))      # the start's width in cells
-
-
-def _coeffs(model: RateModel, background: LimitSolution) -> _Coeffs:
-    """The coefficients of ``model`` on ``background``, built once per pair
-    (``run_clt`` steps the mean and sweeps the law on one background)."""
-    co = background.derived.get(model)
-    if co is None:
-        co = background.derived[model] = _Coeffs(model, background)
-    return co
 
 
 def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
@@ -199,8 +183,7 @@ def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
     Explicit Euler: every deposit uses the pre-step state and the pre-step
     background frame.
     """
-    dx = co.bg.dx
-    dt = co.bg.dt
+    dx, dt = co.bg.dx, co.bg.dt
     zs = z[:, :w0]
     nz0 = dx * (zs @ co.n_rows[k, :w0])
     a0 = co.bg.values[k, :w0]
@@ -243,8 +226,15 @@ def _adjoint_step(g: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> np.nd
     return out
 
 
-def _width(co: _Coeffs, k: int) -> int:
-    return min(co.n_room + k, co.decay.shape[1])
+def _width(background: LimitSolution, k: int) -> int:
+    """Active cells of frame k: the start's width in cells, one more a step."""
+    return min(int(round(background.a_star / background.dx)) + k, background.values.shape[1])
+
+
+def _renewal_rates(model: RateModel, dt: float) -> tuple[float, float]:
+    """Constant rates' step decay d = exp(-dt h) and renewal c = dt (b m_life + h m_split)."""
+    b, h = model.birth.value, model.death.value
+    return float(np.exp(-dt * h)), dt * (b * model.life_law.mean + h * model.split_law.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +250,20 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
     grid and signed.  Constant rates fill the frames in closed form behind the
     boundary column col_(k+1) = dt n (1, active cells of frame k).
     """
-    co = _coeffs(model, background)
     out = np.empty(background.values.shape)
     out[:] = nu0
-    if model.constant_rates and len(out) > 1:
-        d, c = float(co.decay[0, 0]), background.dt * float(co.n_rows[0, 0])
-        col, s = np.empty(len(out)), float(np.sum(nu0[:co.n_room]))    # s: the active cells' sum
+    if model.constant_rates:
+        (d, c), n_room = _renewal_rates(model, background.dt), _width(background, 0)
+        col, s = np.empty(len(out)), float(np.sum(nu0[:n_room]))    # s: the active cells' sum
         for k in range(1, len(out)):
             col[k] = c * s
             s = d * s + col[k]
-        _renewal_frames(out, col, out[0, :co.n_room], d)    # cells no step reached keep nu0
+        _renewal_frames(out, col, out[0, :n_room], d)    # cells no step reached keep nu0
     else:
+        co = _Coeffs(model, background)
         z = out[:1].copy()
         for k in range(out.shape[0] - 1):
-            _engine_step(z, k, co, _width(co, k), _width(co, k + 1))
+            _engine_step(z, k, co, _width(background, k), _width(background, k + 1))
             out[k + 1] = z[0]
     return LimitSolution(dt=background.dt, times=background.times, values=out,
                          a_star=background.a_star, signed=True)
@@ -283,7 +273,7 @@ def evolve_mean(model: RateModel, nu0: np.ndarray,
 # exact law of the panel pairings
 
 
-def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.ndarray):
+def _renewal_law(model: RateModel, bg: LimitSolution, rec_idx: np.ndarray, fvals: np.ndarray):
     """Start rows g_0 and covariance of a constant-rate law from renewal scalars.
 
     The noise variances are positively homogeneous in the frame (the boundary
@@ -292,8 +282,8 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
     against a fixed table obeys acc_k = d acc_(k-1) + (column entry k's term).
     Raises ValueError when the last frame the law uses is not of that form.
     """
-    bg, n, top, n_room = co.bg, rec_idx.size, int(rec_idx.max()), _width(co, 0)
-    d, c = float(co.decay[0, 0]), bg.dt * float(co.n_rows[0, 0])
+    n, top, n_room = rec_idx.size, int(rec_idx.max()), _width(bg, 0)
+    d, c = _renewal_rates(model, bg.dt)
     dpow = d ** np.arange(top + 1)
     col, row = bg.values[:top + 1, 0], bg.values[0, :n_room]
     k = top - 1
@@ -303,7 +293,7 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
         raise ValueError(f"background frame {k} is not its start row and boundary column "
                          f"decayed by d = {d!r}: off by {dev.max():g} at cell "
                          f"{int(dev.argmax())}; was it solved for other rates?")
-    b, h = co.b[0, :1], co.h[0, :1]
+    b, h = model.birth.value, model.death.value
     vcol, vbcol = _noise_var(model, b, h, col[:, None], bg.dx, bg.dt)
     vrow, vbrow = _noise_var(model, b, h, row, bg.dx, bg.dt)
     # acc columns: the cell-variance sum, the boundary variance, then per record r
@@ -311,7 +301,7 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
     inc, tables = [np.column_stack([vcol, vbcol])], []
     inc[0][0] = vrow.sum(), vbrow
     for r in sorted(set(rec_idx[rec_idx > 0].tolist())):
-        qs, ln = np.flatnonzero(rec_idx == r), _width(co, r - 1)
+        qs, ln = np.flatnonzero(rec_idx == r), _width(bg, r - 1)
         p, q = np.array([(p, q) for q in qs for p in np.flatnonzero(rec_idx >= r)]).T
         shifted = fvals[p[:, None], rec_idx[p, None] - r + np.arange(ln)] * fvals[q, :ln]
         table = np.vstack([fvals[qs, :ln], shifted]).T
@@ -341,7 +331,7 @@ def _renewal_law(model: RateModel, co: _Coeffs, rec_idx: np.ndarray, fvals: np.n
     cov = alpha.T @ (alpha * s1[:, None]) - x - x.T + y + first.T @ (first * vb[:, None])
     g0 = fvals.copy()
     for p, r in zip(np.flatnonzero(rec_idx), rec_idx[rec_idx > 0]):
-        g0[p, :_width(co, r)] = 0.0
+        g0[p, :_width(bg, r)] = 0.0
         g0[p, :n_room] = dpow[r] * fvals[p, r:r + n_room] + sig[r, p]
     return g0, cov
 
@@ -367,22 +357,25 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
     if z0.shape != (n_cells,):
         raise ValueError(f"z0 must hold one value per background cell, shape ({n_cells},); "
                          f"got shape {z0.shape}")
-    co = _coeffs(model, background)
     dx = background.dx
     rec_idx = np.repeat([background.index_at(t) for t in record_times], len(panel))
     fvals = np.tile([np.asarray(f(background.centers), dtype=float) for f in panel],
                     (len(record_times), 1))
-    if model.constant_rates and rec_idx.max():   # no step: the sweep gives the start
-        g, cov = _renewal_law(model, co, rec_idx, fvals)
+    top = rec_idx.max()
+    if not top:                 # no step: the start's pairings, without noise
+        return dx * (fvals @ z0), np.zeros((rec_idx.size, rec_idx.size))
+    if model.constant_rates:
+        g, cov = _renewal_law(model, background, rec_idx, fvals)
     else:
-        g = np.where((rec_idx == rec_idx.max())[:, None], fvals, 0.0)
+        co = _Coeffs(model, background)
+        g = np.where((rec_idx == top)[:, None], fvals, 0.0)
         cov = np.zeros((g.shape[0], g.shape[0]))
-        for k in range(rec_idx.max() - 1, -1, -1):
-            w0, w1 = _width(co, k), _width(co, k + 1)
+        for k in range(top - 1, -1, -1):
+            w0, w1 = _width(background, k), _width(background, k + 1)
             var_cells, var_boundary = _noise_var(model, co.b[k, :w0], co.h[k, :w0],
                                                  background.values[k, :w0], dx, background.dt)
             gw = g[:, :w0]
-            cov += _noise_cov(gw, gw, var_cells, var_boundary, co.split_mean)
+            cov += _noise_cov(gw, gw, var_cells, var_boundary, model.split_law.mean)
             g = _adjoint_step(g, k, co, w0, w1)
             g[rec_idx == k] = fvals[rec_idx == k]
     return dx * (g @ z0), cov

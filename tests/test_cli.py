@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -81,15 +82,60 @@ def test_cli_validate_has_no_out_flag(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_validate_rejects_a_worker_count_below_one(workers, monkeypatch):
+def test_cli_validate_rejects_a_worker_count_below_one(workers, monkeypatch, capsys):
     import agestruct.acceptance as acceptance
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a criterion ran")
 
     monkeypatch.setattr(acceptance, "run_lln", must_not_run)
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+    with pytest.raises(SystemExit) as exc:
         main(["validate", "--workers", workers])
+    assert exc.value.code == 2
+    assert f"agestruct: error: workers must be at least 1, got {workers}\n" \
+        in capsys.readouterr().err
+
+
+BAD_VALUES = [
+    (["lln", "--seed", "-1"], None, "seed must be an integer in [0, 2^64), got -1"),
+    (["lln", "--workers", "0"], None, "workers must be at least 1, got 0"),
+    (["simulate", "--workers", "-2"], None, "workers must be at least 1, got -2"),
+    (["clt"], {"replicates": 1}, "replicates must be at least 2, got 1"),
+    (["limit"], {"dt": "0.004"}, "dt must be a real number, got '0.004'"),
+    (["qv"], {"model": dict(CFG["model"], death=-1.0)},
+     "model.death must be nonnegative, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, fields, message", BAD_VALUES,
+                         ids=["seed", "workers", "simulate-workers", "replicates", "dt", "death"])
+def test_cli_rejects_a_value_the_config_rejects_as_a_bad_flag(argv, fields, message, tmp_path,
+                                                              monkeypatch, capsys):
+    import agestruct.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    for name in ("run_simulate", "run_limit", "run_qv_check", "run_lln", "run_clt"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CFG, **(fields or {}))))
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", str(p), "--out", str(tmp_path / "o")] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("agestruct: error:")] \
+        == [f"agestruct: error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_names_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["lln", "--config", str(missing)])
+    assert exc.value.code == 2
+    assert f"agestruct: error: --config {missing}: No such file or directory\n" \
+        in capsys.readouterr().err
 
 
 DROPPED_FLAGS = [(cmd, "--workers") for cmd in ("limit", "fluctuate", "converge")] \
@@ -113,3 +159,44 @@ def test_cli_rejects_flags_the_study_ignores(command, flag, cfg_path, monkeypatc
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+GRID = {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0}
+FIELD_MODELS = {
+    "classical": CFG["model"],
+    "kernel_linear": {"family": "kernel_linear", "birth": 1.0,
+                      "death": {"kernel": {"kind": "exp_decay", "alpha": 1.0},
+                                "phi": "affine", "c0": 0.2, "cy": 0.3, "cz": 0.5},
+                      "death_sup": 4.0, "life_law": {"kind": "deterministic", "k": 1},
+                      "split_law": {"kind": "deterministic", "k": 0}},
+}
+# sha256 of each mean-field file `fluctuate --emit-fields` writes, one per dt_out multiple
+MEAN_FIELDS = {
+    "classical": {
+        "mean_field_t0.csv": "ee405e47e7592641a14a09fb55a7d31bcd0b0d721d773ddbb10fc839d0637e1e",
+        "mean_field_t0.25.csv": "5149a739b864affc210ab954ce13e9bfb5e4cab1f8d56413c343c4274b960d1d",
+        "mean_field_t0.5.csv": "c3cdd26ff0c3ffbd2ef3ae9c9c637673bf3c482a2e9b558db8ff566fe0ad3156",
+        "mean_field_t0.75.csv": "e3f6d6cba0983c70a355db16c19b8fc1c2c2aaf8d4fabc6cf4430cf29ec2e945",
+        "mean_field_t1.csv": "f3b984f007b24e60208ccc8780f05dacab1f8a66d8e8a4dca23475d3c192b896",
+    },
+    "kernel_linear": {
+        "mean_field_t0.csv": "ee405e47e7592641a14a09fb55a7d31bcd0b0d721d773ddbb10fc839d0637e1e",
+        "mean_field_t0.25.csv": "318fd1ae6db2dcea5ec03269e36298a39f6e140c59a34e22753ab9c45a94bcfe",
+        "mean_field_t0.5.csv": "848a5813f253249723bc1bbbf4839a414de8395387928af32e857a6996422f85",
+        "mean_field_t0.75.csv": "63b937e6e615297bcd0d0dd514993396ff1951b7fd668f4c2ef511257ae9da39",
+        "mean_field_t1.csv": "68e0a9f538881327d7045b55dedcdbb3d44cb513652369b0d9beec50763bb29f",
+    },
+}
+
+
+@pytest.mark.parametrize("name", MEAN_FIELDS)
+def test_cli_fluctuate_emits_the_mean_field_at_every_output_time(name, tmp_path):
+    cfg = dict(CFG, model=FIELD_MODELS[name], initial=GRID, perturbation=GRID, dt=0.01,
+               dt_out=0.25, n_spde_paths=20, spde_block=10)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "f"
+    assert main(["fluctuate", "--config", str(p), "--out", str(out), "--emit-fields"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.glob("mean_field_t*.csv")}
+    assert digests == MEAN_FIELDS[name]

@@ -731,8 +731,9 @@ def test_run_clt_small(monkeypatch):
     assert len(law_rows) == 2 and all(r.passed for r in law_rows)
     (evm,) = [r for r in rep.rows if r.stat == "evolve_mean_linf"]
     assert evm.passed
-    # the mean path and the law share one build of the grid coefficients
-    assert len(builds) == 1
+    # constant rates take the mean path and the law in closed form: neither
+    # builds the grid coefficients, whatever the horizon
+    assert len(builds) == 0
 
 
 # the benchmark's kernel study model, and a logistic-type density-dependent one

@@ -16,10 +16,10 @@ def atoms(ages, weight=1.0, t_star=2.0):
     return AtomicMeasure(ages=np.asarray(ages, dtype=float), weight=weight, t_star=t_star)
 
 
-def on_grid(rate, *densities):
-    """The grid rates of a model whose death rate is ``rate``, on the grid of
-    the first density, and the measure view of each density."""
-    model = RateModel(rate.family, ConstantRate(0.0), rate, OffspringLaw.deterministic(0),
+def on_grid(family, rate, *densities):
+    """The grid rates of a ``family`` model whose death rate is ``rate``, on the
+    grid of the first density, and the measure view of each density."""
+    model = RateModel(family, ConstantRate(0.0), rate, OffspringLaw.deterministic(0),
                       OffspringLaw.deterministic(0), birth_sup=0.0, death_sup=1.0)
     grid = GridRates(model, densities[0].dx, densities[0].n_cells)
     return grid, [grid.at(d.values) for d in densities]
@@ -108,6 +108,10 @@ def test_frechet_density_dependent_value():
     assert directional(rate, np.array([1.1]), a0, direction)[0] == pytest.approx(0.5)
 
 
+FAMILIES = {DensityRate: "density_dependent", AgeDensityRate: "age_density",
+            KernelRate: "kernel_linear"}
+
+
 @pytest.mark.parametrize("rate", [
     DensityRate(ScalarFn.affine(0.5, 0.25)),
     AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.7), ScalarFn.affine(0.4, 0.3)),
@@ -122,7 +126,7 @@ def test_frechet_matches_directional_finite_difference(rate):
                                           signed=True)
     eps = 1e-6
     bumped = GridDensity(dx=dx, values=a0.values + eps * direction.values, signed=True)
-    grid, (a0, bumped, direction) = on_grid(rate, a0, bumped, direction)
+    grid, (a0, bumped, direction) = on_grid(FAMILIES[type(rate)], rate, a0, bumped, direction)
     for xs in (grid.centers, grid.edges):
         fd = (rate.eval(xs, bumped) - rate.eval(xs, a0)) / eps
         an = directional(rate, xs, a0, direction)
@@ -136,7 +140,7 @@ def test_frechet_linear_in_direction():
     d1 = GridDensity.from_function(lambda x: np.cos(x), t_star=2.0, dx=0.05, signed=True)
     d2 = GridDensity.from_function(lambda x: x - 1.0, t_star=2.0, dx=0.05, signed=True)
     combo = GridDensity(dx=0.05, values=1.7 * d1.values - 0.4 * d2.values, signed=True)
-    grid, (a0, d1, d2, combo) = on_grid(rate, a0, d1, d2, combo)
+    grid, (a0, d1, d2, combo) = on_grid("kernel_linear", rate, a0, d1, d2, combo)
     for xs in (grid.centers, grid.edges):
         lhs = directional(rate, xs, a0, combo)
         rhs = 1.7 * directional(rate, xs, a0, d1) - 0.4 * directional(rate, xs, a0, d2)
@@ -262,7 +266,8 @@ def test_limit_rate_depends_only_on_pairings():
     kern = KernelRate(Kernel("constant", c=2.0), "affine", c0=0.1, cy=0.2, cz=0.3)
     # (a constant kernel: the same at every age), each view at its own ages
     m = Population([0.2, 0.9, 1.4], k=2)
-    grid, (g,) = on_grid(kern, GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
+    grid, (g,) = on_grid("kernel_linear", kern,
+                         GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
     x = grid.centers
     assert m.mass == pytest.approx(g.mass)
     assert rate.eval(x, m) == pytest.approx(rate.eval(x, g), rel=1e-14)
@@ -274,7 +279,8 @@ def test_limit_rate_depends_only_on_pairings():
 
 def test_grid_view_pairs_kernels_only_at_its_own_ages():
     kern = KernelRate(Kernel("exp_decay", alpha=1.0), "affine", c0=0.1, cy=0.2, cz=0.3)
-    grid, (g,) = on_grid(kern, GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
+    grid, (g,) = on_grid("kernel_linear", kern,
+                         GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
     with pytest.raises(ValueError, match="centers or edges"):
         kern.eval(grid.centers.copy(), g)
 

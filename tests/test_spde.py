@@ -131,10 +131,9 @@ def test_noise_var_is_what_the_engine_steps_with(model, monkeypatch):
     monkeypatch.undo()
     n = bg.values.shape[0] - 1
     assert len(steps) == n
-    co = _Coeffs(model, bg)
     for k in (0, n // 2, n - 1):
         var_cells, var_boundary = steps[n - 1 - k]
-        w0 = _width(co, k)
+        w0 = _width(bg, k)
         want_cells, want_boundary = frame_noise_var(model, bg.frame(k), bg.dt)
         assert var_cells.size == w0
         assert want_cells[:w0].tobytes() == var_cells.tobytes()
@@ -210,7 +209,7 @@ def forward_pairing_covariance(model, bg, fvals, rec_idx):
                 out[ri, :, s] = out[s, :, ri].T
         if k == max(rec_idx):
             return out
-        w0, w1 = _width(co, k), _width(co, k + 1)
+        w0, w1 = _width(bg, k), _width(bg, k + 1)
         a = np.eye(n)
         _engine_step(a, k, co, w0, w1)
         a = a.T
@@ -599,8 +598,9 @@ def test_exp_decay_and_constant_kernels_build_no_square_array(model, monkeypatch
 
 
 def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
-    # a Gaussian kernel builds its two matrices (centers, edges) once per grid:
-    # once for the limit solve and once for the coefficients of the SPDE layer
+    # a Gaussian kernel builds its two matrices (centers, edges) once per grid
+    # and call, whatever the horizon: for the limit solve, and for the
+    # coefficients the mean and the law each build
     shapes = []
     kernel_call = Kernel.__call__
 
@@ -614,7 +614,7 @@ def test_kernel_matrices_do_not_grow_with_steps(monkeypatch):
         shapes.clear()
         bg = run_grid_layers(GAUSS, 0.02, horizon)
         n_cells = bg.values.shape[1]
-        assert shapes == [(n_cells, n_cells)] * 4, horizon
+        assert shapes == [(n_cells, n_cells)] * 6, horizon
 
 
 # ---------------------------------------------------------------------------
@@ -660,11 +660,73 @@ def test_limit_frames_are_pinned(name):
     assert digest(background(PINNED_MODELS[name], dx=5e-3).values) == PINNED_FRAMES[name]
 
 
+def sweep_coeffs(model, bg, monkeypatch):
+    """The coefficients a law sweep on ``bg`` builds, as it built them."""
+    built, build = [], spde._Coeffs.__init__
+
+    def recording(co, *args):
+        build(co, *args)
+        built.append(co)
+
+    monkeypatch.setattr(spde._Coeffs, "__init__", recording)
+    fluctuation_law(model, bg, np.zeros(bg.values.shape[1]), [constant()], [bg.times[-1]])
+    monkeypatch.undo()
+    (co,) = built
+    return co
+
+
 @pytest.mark.parametrize("name", PINNED_COEFFS)
-def test_kernel_coeffs_are_pinned(name):
+def test_kernel_coeffs_are_pinned(name, monkeypatch):
     model = PINNED_MODELS[name]
-    co = _Coeffs(model, background(model, dx=5e-3))
+    bg = background(model, dx=5e-3)
+    co = sweep_coeffs(model, bg, monkeypatch)
     assert len(co.kernels) == 1 and co.uh is not None
-    rows = [co.n_rows, co.decay, co.uh, co.un, co.una, co.b, co.h]
+    # the newborn rate's mass-derivative weight, which the sweep reads paired as una
+    a = bg.values[:-1]
+    ub = model.birth.frechet_terms(co.grid.centers, co.grid.at(a))[0]
+    un = np.broadcast_to(ub * model.life_law.mean + co.uh * model.split_law.mean, a.shape)
+    assert co.una.tobytes() == (bg.dx * np.sum(un * a, axis=1)).tobytes()
+    rows = [co.n_rows, co.decay, co.uh, un, co.una, co.b, co.h]
     assert digest(*rows, *(w for _, wh, wn in co.kernels for w in (wh, wn))) == \
         PINNED_COEFFS[name]
+
+
+def test_a_law_sweep_keeps_nothing_on_its_background():
+    # the coefficients live as long as the sweep: the background, still alive,
+    # holds its frames and no more
+    model = KERNEL_WORKLOAD
+    bg = background(model, dx=5e-3)
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fluctuation_law(model, bg, z0, [constant(), exponential(-1.0)], [0.5, 1.0])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * bg.values.nbytes
+
+
+@pytest.mark.parametrize("model, builds", [(SPLIT, 0), (MIXED, 0), (BIRTH, 0), (DENS, 1),
+                                           (AGE, 1), (KERNEL, 1), (GAUSS, 1)],
+                         ids=["split", "mixed", "pure_birth", "density", "age_density",
+                              "kernel", "gaussian_kernel"])
+def test_each_stepped_call_builds_its_coefficients_once(model, builds, monkeypatch):
+    # constant rates read b, h, d and c from the model: no coefficients and no
+    # grid rates; any other model builds one set per law sweep and per mean
+    bg = background(model, dx=0.02)
+    z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
+    calls = {"_Coeffs": 0, "GridRates": 0}
+    for owner in (spde._Coeffs, GridRates):
+        init = owner.__init__
+
+        def counting(self, *args, _init=init, _name=owner.__name__):
+            calls[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(owner, "__init__", counting)
+    for call in (lambda: fluctuation_law(model, bg, z0, [constant()], [0.5, 1.0]),
+                 lambda: evolve_mean(model, z0, bg)):
+        calls.update(_Coeffs=0, GridRates=0)
+        call()
+        assert calls == {"_Coeffs": builds, "GridRates": builds}
