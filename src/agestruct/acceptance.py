@@ -179,13 +179,11 @@ class AcceptanceSuite:
         ok = True
 
         mixed = RateModel(
-            family="classical",
             birth=ConstantRate(0.5), death=ConstantRate(0.8),
             life_law=OffspringLaw.two_point(0.5, 0, 2),
             split_law=OffspringLaw.poisson(1.2),
             birth_sup=0.5, death_sup=0.8)
         dens = RateModel(
-            family="density_dependent",
             birth=ConstantRate(0.4),
             death=DensityRate(ScalarFn.affine(0.5, 0.3)),
             life_law=OffspringLaw.deterministic(1),

@@ -15,9 +15,11 @@ import time
 from pathlib import Path
 
 from .acceptance import PREREGISTERED_SEED, AcceptanceSuite
+from .branching import CapacityError
 from .harness import (ExperimentConfig, emit, run_clt, run_convergence,
                       run_fluctuate, run_limit, run_lln, run_qv_check,
                       run_simulate)
+from .rates import ModelError
 
 
 def _add_common(p: argparse.ArgumentParser, flags: set):
@@ -103,7 +105,10 @@ def main(argv=None) -> int:
     outdir = args.out if args.out is not None else Path(config.outdir or f"out_{args.command}")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report = runs[args.command][2](config, outdir)
+    try:      # a rate or population past its declared bound: one line, as a bad value
+        report = runs[args.command][2](config, outdir)
+    except (ModelError, CapacityError) as err:
+        parser.error(f"{args.command} --config {args.config}: {err}")
     emit(report, outdir, config=config, wall_clock_s=time.perf_counter() - t0)
     n_fail = sum(not r.passed for r in report.rows)
     print(f"{args.command}: {len(report.rows)} checks, {n_fail} failed -> {outdir}")

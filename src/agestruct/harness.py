@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
                        make_panel, pair)
-from .rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kernel,
-                    KernelRate, OffspringLaw, RateModel, ScalarFn, classical_model)
+from .rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate, OffspringLaw,
+                    RateModel, ScalarFn, classical_model)
 from .branching import simulate
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
@@ -139,10 +139,10 @@ def _only(spec: dict, where: str, *keys) -> None:
                          f"it takes {', '.join(keys)}")
 
 
-def _kind(spec, where: str, keys: dict) -> str:
-    """``spec``'s kind, one of ``keys``, where ``spec`` holds only "kind" and ``keys[kind]``."""
-    kind = _read(spec, "kind", where, tuple(keys))
-    _only(spec, where, "kind", *keys[kind])
+def _kind(spec, where: str, keys: dict, key="kind", also=()) -> str:
+    """``spec[key]``, one of ``keys``; ``spec`` holds only ``also``, ``key`` and ``keys[kind]``."""
+    kind = _read(spec, key, where, tuple(keys))
+    _only(spec, where, *also, key, *keys[kind])
     return kind
 
 
@@ -241,7 +241,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "ExperimentConfig":
-        spec = json.loads(Path(path).read_text())
+        try:
+            spec = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config {path} is not valid JSON: {err}") from None
         if not isinstance(spec, dict):
             raise ValueError(f"{path} must hold a JSON object of config fields, "
                              f"got a {type(spec).__name__}")
@@ -306,6 +309,11 @@ def _offspring_law(spec, key) -> OffspringLaw:
                                   *(_read(law, k, where, "int", lo=0) for k in ("k1", "k2")))
 
 
+# each phi form's coefficients, as KernelRate's keywords (special's d0 is phi's c0)
+_PHI = {"affine": {"c0": "c0", "cy": "cy", "cz": "cz"}, "special": {"d0": "c0", "d1": "d1"},
+        "inv1p": {"c": "c"}}
+
+
 def _rate_fn(family: str, spec, key):
     rate, where = _read(spec, key, "model"), f"model.{key}"
     if family == "classical" and (isinstance(rate, bool) or not isinstance(rate, numbers.Real)):
@@ -316,14 +324,13 @@ def _rate_fn(family: str, spec, key):
         return DensityRate(_scalar_fn(spec, key, "model"))
     if family == "age_density":
         _only(rate, where, "age", "mass")
-        return AgeDensityRate(_profile(AgeProfile, rate, "age", where),
-                              _scalar_fn(rate, "mass", where))
-    coefficients = ("c0", "cy", "cz", "d0", "d1", "c")
-    _only(rate, where, "kernel", "age", "phi", *coefficients)
+        return DensityRate(_scalar_fn(rate, "mass", where),
+                           age=_profile(AgeProfile, rate, "age", where))
+    phi = _kind(rate, where, _PHI, "phi", ("kernel", "age"))
     kernel = _profile(Kernel, rate, "kernel", where)
     age = _profile(AgeProfile, rate, "age", where) if "age" in rate else None
-    return KernelRate(kernel, _read(rate, "phi", where, ("affine", "special", "inv1p")), age=age,
-                      **{p: _read(rate, p, where, "number", default=0.0) for p in coefficients})
+    return KernelRate(kernel, age=age, **{arg: _read(rate, key, where, "number", default=0.0)
+                                          for key, arg in _PHI[phi].items()})
 
 
 def model_from_config(spec: dict) -> RateModel:
@@ -338,7 +345,7 @@ def model_from_config(spec: dict) -> RateModel:
     sups = {f"{key}_sup": _read(spec, f"{key}_sup", "model", "number",
                                 lo=getattr(rate, "value", 0), default=getattr(rate, "value", _NEED))
             for key, rate in rates.items()}
-    return RateModel(family=family, **rates, life_law=_offspring_law(spec, "life_law"),
+    return RateModel(**rates, life_law=_offspring_law(spec, "life_law"),
                      split_law=_offspring_law(spec, "split_law"), **sups)
 
 
@@ -351,11 +358,6 @@ class InitialCondition:
     atoms: AtomicMeasure                 # unit weight, the raw population
     z0: SignedPair                       # sqrt(K) * (atoms / K - target), exact
     nu0_values: Optional[np.ndarray]     # realised fluctuation density (grid kind)
-
-    @property
-    def base(self) -> Union[GridDensity, PointMasses]:
-        """The configured target measure (the same for every K)."""
-        return self.z0.minus
 
 
 def _measure(spec, where: str, dx: float,
@@ -455,7 +457,7 @@ def build_initial(config: ExperimentConfig, k: int) -> InitialCondition:
 
 def background_solution(config: ExperimentConfig, model: RateModel) -> LimitSolution:
     """Solve the deterministic limit from the configured base on the solver grid."""
-    return solve_mvf(model, config._base_grid, config.horizon, config.dt)
+    return solve_mvf(model, config._base_grid, config.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +808,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
     a0, shift = box(dts[0], 1.5), int(round(0.5 / dts[0]))
     transport = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
                                 OffspringLaw.deterministic(0))
-    sol = solve_mvf(transport, a0, 0.5, dts[0])
+    sol = solve_mvf(transport, a0, 0.5)
     shift_err = float(np.max(np.abs(sol.values[-1][shift:] - a0.values[:a0.n_cells - shift])))
     report.rows.append(CheckRow.band("transport_exact", shift_err, 0.0, 1e-12))
 
@@ -817,13 +819,12 @@ def run_convergence(config: ExperimentConfig) -> Report:
     def mvf_error(dt):
         a0 = box(dt, 1.5)
         ref = classical_exact(a0, 0.0, 1.0, 2.0, 0.0, 0.5)
-        return float(np.max(np.abs(solve_mvf(study, a0, 0.5, dt).values[-1] - ref.values)))
+        return float(np.max(np.abs(solve_mvf(study, a0, 0.5).values[-1] - ref.values)))
 
     refine("solve_mvf", "solve_mvf_order_ratio", dts, mvf_error, 2.0, 0.4)
 
     # total-mass RK4 order against the logistic closed form
     logistic = RateModel(
-        family="density_dependent",
         birth=ConstantRate(0.0),
         death=DensityRate(ScalarFn.affine(1.0, -1.0)),
         life_law=OffspringLaw.deterministic(0),
@@ -839,7 +840,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
 
     def mean_error(dt):
         a0 = box(dt, 2.0)
-        bg = solve_mvf(gen, a0, 1.0, dt)
+        bg = solve_mvf(gen, a0, 1.0)
         z0 = np.where(a0.centers < 1.0, 1.0, 0.0)
         ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True),
                               0.6, 0.7, 2.0, 1.0, 1.0)
@@ -853,7 +854,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
     # never the last frame (two frames at horizon dt): a step from it leaves the grid
     frame = background.frame((background.values.shape[0] - 1) // 2)
     dt = config.dt
-    one = solve_mvf(model, frame, dt, dt)
+    one = solve_mvf(model, frame, dt)
     zeros = np.zeros(frame.n_cells)
     law = fluctuation_law(model, one, zeros, panel, [dt])
     fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]

@@ -231,8 +231,8 @@ def _renewal_frames(out: np.ndarray, col, row, d: float, first: int = 0) -> np.n
     return out
 
 
-def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> LimitSolution:
-    """March the limit density to the horizon on a dx = dt grid.
+def solve_mvf(model: RateModel, a0: GridDensity, horizon: float) -> LimitSolution:
+    """March the limit density to the horizon on ``a0``'s grid, one step dt = dx.
 
     Each step shifts all cells right by one (exact transport), applies a
     survival factor exp(-death*dt) with the death rate taken from a
@@ -245,8 +245,7 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float, dt: float) -> L
     scheme's scalar recursion.  The initial density must vanish on the last
     `horizon` worth of cells so no mass is ever shifted off the grid.
     """
-    if abs(a0.dx - dt) > 1e-12:
-        raise ValueError(f"grid spacing {a0.dx} must equal the time step {dt}")
+    dt = a0.dx
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError("horizon must be an integer number of steps")
@@ -372,7 +371,7 @@ def _rate_of_mass(rate_fn, x_mass: float, deriv: bool = False) -> float:
     """The rate at total mass ``x_mass``, or with ``deriv`` its derivative in the mass."""
     if isinstance(rate_fn, ConstantRate):
         return 0.0 if deriv else rate_fn.value
-    if isinstance(rate_fn, DensityRate):
+    if isinstance(rate_fn, DensityRate) and rate_fn.age is None:
         return rate_fn.fn.deriv(x_mass) if deriv else rate_fn.fn(x_mass)
     raise ValueError("total-mass dynamics need density-dependent (or constant) rates")
 

@@ -3,16 +3,19 @@
 A model bundles a per-capita birth rate and death rate (each a function of
 age and of the normalised population measure), one offspring law for births
 during life and one for splitting at death, and declared sup bounds on the
-rates.  Four built-in families are provided, ordered by generality of the
-population dependence:
+rates.  Three rate classes, one per population dependence, make the four
+built-in families, ordered by generality (:attr:`RateModel.family` reads the
+family from the rates):
 
-* ``classical``          -- constant rates;
-* ``density_dependent``  -- rates are functions of the total mass only;
-* ``age_density``        -- separable functions of age and total mass;
+* ``classical``          -- constant rates (:class:`ConstantRate`);
+* ``density_dependent``  -- rates are functions of the total mass only
+  (:class:`DensityRate`);
+* ``age_density``        -- separable functions of age and total mass
+  (:class:`DensityRate` with an age profile);
 * ``kernel_linear``      -- functions of age, total mass and a kernel
-  average ``(g(x, .), A)``.
+  average ``(g(x, .), A)`` (:class:`KernelRate`).
 
-Each family carries the closed-form terms of its directional (Frechet)
+Each rate carries the closed-form terms of its directional (Frechet)
 derivative with respect to the measure (``frechet_terms``), which drive the
 fluctuation-limit solver.
 
@@ -50,7 +53,6 @@ __all__ = [
     "Kernel",
     "ConstantRate",
     "DensityRate",
-    "AgeDensityRate",
     "KernelRate",
     "RateModel",
     "classical_model",
@@ -271,18 +273,19 @@ class ConstantRate:
 
 
 class DensityRate:
-    """Rate q(|A|): depends on the total mass only."""
+    """Rate r(x) * s(|A|): the total mass only, times an optional age profile r."""
 
     is_constant = False
-    age = None
 
-    def __init__(self, fn: ScalarFn):
+    def __init__(self, fn: ScalarFn, age: Optional[AgeProfile] = None):
         self.fn = fn
+        self.age = age
 
     def eval(self, x, mu):
-        x = np.asarray(x, dtype=float)
         v = self.fn(mu.mass)
-        return v * np.ones_like(x) if x.ndim else v
+        if self.age is not None:
+            return self.age(x) * v
+        return v * np.ones_like(x) if np.ndim(x) else v
 
     def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
         v = self.fn(n / k)
@@ -290,28 +293,8 @@ class DensityRate:
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        u = np.full_like(xs, self.fn.deriv(mu0.mass))
-        return u, None, None
-
-
-class AgeDensityRate:
-    """Separable rate r(x) * s(|A|)."""
-
-    is_constant = False
-
-    def __init__(self, age: AgeProfile, fn: ScalarFn):
-        self.age = age
-        self.fn = fn
-
-    def eval(self, x, mu):
-        return self.age(x) * self.fn(mu.mass)
-
-    bounds = DensityRate.bounds
-
-    def frechet_terms(self, xs, mu0):
-        xs = np.asarray(xs, dtype=float)
-        u = self.age(xs) * self.fn.deriv(mu0.mass)
-        return u, None, None
+        d = self.fn.deriv(mu0.mass)
+        return (np.full_like(xs, d) if self.age is None else self.age(xs) * d), None, None
 
 
 # Relative widening of a kernel rate's phi range (KernelRate.bounds).
@@ -319,49 +302,30 @@ _ENVELOPE_MARGIN = 1e-7
 
 
 class KernelRate:
-    """Rate r(x) * phi(|A|, (g(x,.), A)) with an explicit kernel g.
+    """Rate r(x) * phi(y, z) with an explicit kernel g, y = |A| and z = (g(x,.), A):
 
-    Supported phi forms (y = total mass, z = kernel average):
+        phi(y, z) = c0 + cy*y + cz*z + (c + d1*z) / (1 + y),
 
-    * ``affine``  -- c0 + cy*y + cz*z
-    * ``special`` -- d0 + d1 * z / (1 + y)
-    * ``inv1p``   -- c / (1 + y)
-    """
+    affine in z; with c = d1 = 0 the rational term is skipped."""
 
     is_constant = False
 
-    def __init__(self, kernel: Kernel, phi: str, *, age: Optional[AgeProfile] = None,
-                 c0: float = 0.0, cy: float = 0.0, cz: float = 0.0,
-                 d0: float = 0.0, d1: float = 0.0, c: float = 0.0):
-        if phi not in ("affine", "special", "inv1p"):
-            raise ValueError(f"unknown kernel-rate form {phi!r}")
+    def __init__(self, kernel: Kernel, *, age: Optional[AgeProfile] = None, c0: float = 0.0,
+                 cy: float = 0.0, cz: float = 0.0, d1: float = 0.0, c: float = 0.0):
         self.kernel = kernel
-        self.phi = phi
         self.age = age if age is not None else AgeProfile(kind="constant", c=1.0)
-        self.c0, self.cy, self.cz = float(c0), float(cy), float(cz)
-        self.d0, self.d1 = float(d0), float(d1)
-        self.c = float(c)
+        self.c0, self.cy, self.cz, self.d1, self.c = map(float, (c0, cy, cz, d1, c))
+        self._rational = self.c != 0.0 or self.d1 != 0.0
 
     def _phi(self, y, z):
-        if self.phi == "affine":
-            return self.c0 + self.cy * y + self.cz * z
-        if self.phi == "special":
-            return self.d0 + self.d1 * z / (1.0 + y)
-        return self.c / (1.0 + y)
+        v = self.c0 + self.cy * y + self.cz * z
+        return v + (self.c + self.d1 * z) / (1.0 + y) if self._rational else v
 
     def _phi_y(self, y, z):
-        if self.phi == "affine":
-            return self.cy * np.ones_like(z)
-        if self.phi == "special":
-            return -self.d1 * z / (1.0 + y) ** 2
-        return -self.c / (1.0 + y) ** 2 * np.ones_like(z)
+        return self.cy - (self.c + self.d1 * z) / (1.0 + y) ** 2
 
     def _phi_z(self, y, z):
-        if self.phi == "affine":
-            return self.cz * np.ones_like(z)
-        if self.phi == "special":
-            return self.d1 / (1.0 + y) * np.ones_like(z)
-        return np.zeros_like(z)
+        return self.cz + self.d1 / (1.0 + y) * np.ones_like(z)
 
     def eval(self, x, mu):
         # x is one float age (a numpy float too: no arrays) or an array of
@@ -386,7 +350,7 @@ class KernelRate:
         lo = self._phi(y, z)
         hi = lo if self.kernel.kind == "constant" else self._phi(y, self.kernel.c / k)
         tol = _ENVELOPE_MARGIN * (
-            abs(self.c0) + abs(self.cy) * y + abs(self.d0) + abs(self.c) / (1.0 + y)
+            abs(self.c0) + abs(self.cy) * y + abs(self.c) / (1.0 + y)
             + (abs(self.cz) + abs(self.d1) / (1.0 + y)) * abs(z))
         lo, hi = min(lo, hi) - tol, max(lo, hi) + tol
         return min(sup, max(0.0, self.age.c * lo, self.age.c * hi)), lo, hi
@@ -399,7 +363,7 @@ class KernelRate:
         return r * self._phi_y(y, z), r * self._phi_z(y, z), self.kernel
 
 
-RateFn = Union[ConstantRate, DensityRate, AgeDensityRate, KernelRate]
+RateFn = Union[ConstantRate, DensityRate, KernelRate]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +383,6 @@ class RateModel:
     so the finite-K and limit parameterisations coincide.
     """
 
-    family: str
     birth: RateFn
     death: RateFn
     life_law: OffspringLaw
@@ -437,6 +400,16 @@ class RateModel:
             if rate.is_constant and rate.value > v:
                 raise ValueError(f"RateModel {name} {v!r} is below its constant rate "
                                  f"{rate.value!r}")
+
+    @property
+    def family(self) -> str:
+        """The most general family either rate needs (see the module docstring)."""
+        rates = (self.birth, self.death)
+        if any(isinstance(r, KernelRate) for r in rates):
+            return "kernel_linear"
+        if any(r.age is not None for r in rates):
+            return "age_density"
+        return "classical" if self.constant_rates else "density_dependent"
 
     @property
     def constant_rates(self) -> bool:
@@ -468,7 +441,6 @@ class RateModel:
 def classical_model(birth: float, death: float, life_law: OffspringLaw,
                     split_law: OffspringLaw) -> RateModel:
     return RateModel(
-        family="classical",
         birth=ConstantRate(birth), death=ConstantRate(death),
         life_law=life_law, split_law=split_law,
         birth_sup=float(birth), death_sup=float(death),

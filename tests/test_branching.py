@@ -16,7 +16,7 @@ from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _replicates
                                model_from_config, replicate_stream)
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
-from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate, Kernel,
+from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel,
                              KernelRate, ModelError, OffspringLaw, RateModel, ScalarFn,
                              classical_model, pure_splitting)
 
@@ -36,19 +36,18 @@ TRANSPORT = classical_model(0.0, 0.0, OffspringLaw.deterministic(0),
 EXTINCTION = classical_model(0.0, 5.0, OffspringLaw.deterministic(0),
                              OffspringLaw.deterministic(0))
 # the mixed two-point/Poisson classical model of criterion 7
-MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
+MIXED = RateModel(ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
                   birth_sup=0.5, death_sup=0.8)
-DENS = RateModel("density_dependent", ConstantRate(0.4),
+DENS = RateModel(ConstantRate(0.4),
                  DensityRate(ScalarFn.affine(0.5, 0.3)),
                  OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                  birth_sup=0.4, death_sup=2.0)
 # both rates carry an age factor times a function of the total mass
-AGE_DENS = RateModel("age_density",
-                     AgeDensityRate(AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3),
-                                    ScalarFn.affine(1.0, -0.2)),
-                     AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.5),
-                                    ScalarFn.affine(0.5, 0.3)),
+AGE_DENS = RateModel(DensityRate(ScalarFn.affine(1.0, -0.2),
+                                 age=AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3)),
+                     DensityRate(ScalarFn.affine(0.5, 0.3),
+                                 age=AgeProfile("exp_decay", c=1.0, alpha=0.5)),
                      OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
                      birth_sup=0.5, death_sup=2.0)
 
@@ -57,8 +56,7 @@ def twin(model):
     """``model`` with its constant death rate as a zero-slope density family:
     the same rates, resolved candidate by candidate on the loop."""
     h = model.death.value
-    return dataclasses.replace(model, family="density_dependent",
-                               death=DensityRate(ScalarFn.affine(h, 0.0)))
+    return dataclasses.replace(model, death=DensityRate(ScalarFn.affine(h, 0.0)))
 
 
 def first_death_times(ages, ctx, n=20000, horizon=40.0):
@@ -99,7 +97,7 @@ def test_thinning_exact_with_rejections():
     # immortal single individual giving (empty) births at rate 0.4 under a
     # loose bound: accepted inter-event gaps must still be Exp(0.4).  The
     # twin runs on the loop, which thins; the classical model would not.
-    model = twin(RateModel("classical", ConstantRate(0.4), ConstantRate(0.0),
+    model = twin(RateModel(ConstantRate(0.4), ConstantRate(0.0),
                            OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
                            birth_sup=1.0, death_sup=0.5))
     horizon = 30000.0   # about 12000 accepted events; 10000 are needed
@@ -310,9 +308,9 @@ def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
 
 def kernel_model(death_sup, *, birth=0.0, life=0, alpha=1.0, age=None):
     """Death rate r(x) (0.2 + 0.3 |A|/k + 0.5 (g(x, .), A)/k) with g = e^(-alpha |x - y|)."""
-    death = KernelRate(Kernel("exp_decay", alpha=alpha), "affine", age=age,
+    death = KernelRate(Kernel("exp_decay", alpha=alpha), age=age,
                        c0=0.2, cy=0.3, cz=0.5)
-    return RateModel("kernel_linear", ConstantRate(birth), death,
+    return RateModel(ConstantRate(birth), death,
                      OffspringLaw.deterministic(life), OffspringLaw.deterministic(0),
                      birth_sup=birth, death_sup=death_sup)
 
@@ -409,8 +407,8 @@ def test_gauss_legendre_ledger_for_a_kernel_model(monkeypatch):
 # decided from KernelRate.bounds
 
 
-def kernel_rate(kernel="exp_decay", phi="affine", age=None, **coef):
-    return KernelRate(Kernel(kernel), phi, age=age, **coef)
+def kernel_rate(kernel="exp_decay", age=None, **coef):
+    return KernelRate(Kernel(kernel), age=age, **coef)
 
 
 def run_logged(model, ages, k, ctx, horizon=1.0, dt_out=0.25):
@@ -465,12 +463,12 @@ def forced_exact(monkeypatch):
 SQUEEZED = {
     "affine_exp_decay": (ConstantRate(1.0), kernel_rate(c0=0.2, cy=0.3, cz=0.5), 1.0, 4.0),
     "affine_negative_cz": (ConstantRate(1.0), kernel_rate(c0=1.0, cy=0.2, cz=-0.5), 1.0, 2.0),
-    "special_gaussian": (ConstantRate(1.0), kernel_rate("gaussian", "special", d0=0.3, d1=0.8),
+    "special_gaussian": (ConstantRate(1.0), kernel_rate("gaussian", c0=0.3, d1=0.8),
                          1.0, 2.0),
     "special_constant_negative_d1": (ConstantRate(1.0),
-                                     kernel_rate("constant", "special", d0=1.0, d1=-0.4),
+                                     kernel_rate("constant", c0=1.0, d1=-0.4),
                                      1.0, 2.0),
-    "inv1p": (ConstantRate(1.0), kernel_rate(phi="inv1p", c=1.5), 1.0, 2.0),
+    "inv1p": (ConstantRate(1.0), kernel_rate(c=1.5), 1.0, 2.0),
     "exp_decay_age": (ConstantRate(1.0), kernel_rate(c0=0.2, cy=0.3, cz=0.5,
                                                      age=AgeProfile("exp_decay", alpha=0.5)),
                       1.0, 4.0),
@@ -488,7 +486,7 @@ SQUEEZED = {
 
 def squeezed_model(name):
     birth, death, b_sup, h_sup = SQUEEZED[name]
-    return RateModel("kernel_linear", birth, death, OffspringLaw.deterministic(1),
+    return RateModel(birth, death, OffspringLaw.deterministic(1),
                      OffspringLaw.deterministic(0), birth_sup=b_sup, death_sup=h_sup)
 
 
@@ -659,7 +657,7 @@ def test_kernel_birth_thinning_law_on_simulate():
     # is drawn with probability b_i / sum b
     ages = np.array([0.1, 0.5, 1.3])
     b = kernel_death_rates(ages, 3)          # the same phi on the birth side
-    model = RateModel("kernel_linear", kernel_rate(c0=0.2, cy=0.3, cz=0.5),
+    model = RateModel(kernel_rate(c0=0.2, cy=0.3, cz=0.5),
                       ConstantRate(0.0), OffspringLaw.deterministic(0),
                       OffspringLaw.deterministic(0), birth_sup=1.5 * b.max(), death_sup=0.0)
     n = 10000
@@ -880,7 +878,7 @@ def assert_same_run(a, b):
 
 
 def thinned(b, h, life, split, b_sup, h_sup):
-    return RateModel("classical", ConstantRate(b), ConstantRate(h),
+    return RateModel(ConstantRate(b), ConstantRate(h),
                      OffspringLaw.deterministic(life), OffspringLaw.deterministic(split),
                      birth_sup=b_sup, death_sup=h_sup)
 

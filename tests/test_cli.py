@@ -200,3 +200,79 @@ def test_cli_fluctuate_emits_the_mean_field_at_every_output_time(name, tmp_path)
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in out.glob("mean_field_t*.csv")}
     assert digests == MEAN_FIELDS[name]
+
+
+def test_cli_names_the_file_of_a_json_syntax_error(tmp_path, capsys):
+    # once "Expecting property name ...", naming neither the file nor --config
+    p = tmp_path / "bad.json"
+    p.write_text("{bad")
+    with pytest.raises(SystemExit) as exc:
+        main(["lln", "--config", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("agestruct: error:")] == [
+        f"agestruct: error: config {p} is not valid JSON: Expecting property name enclosed "
+        f"in double quotes: line 1 column 2 (char 1)"]
+
+
+def test_cli_reports_a_rate_past_its_bound_in_one_line(tmp_path, capsys):
+    # the mass passes 5 by t = 1.2, where the death rate 0.5 + 0.3 X passes its sup 2;
+    # this once ended in a ModelError traceback and exit 1
+    model = {"family": "density_dependent", "birth": 0.4,
+             "death": {"kind": "affine", "a": 0.5, "b": 0.3}, "death_sup": 2.0,
+             "life_law": {"kind": "deterministic", "k": 1},
+             "split_law": {"kind": "deterministic", "k": 2}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CFG, model=model, initial=GRID, perturbation=GRID,
+                                 horizon=1.2, dt=0.02, dt_out=1.2, k_values=[20],
+                                 replicates=2, n_spde_paths=2, spde_block=2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["clt", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("agestruct: error:")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith(f"agestruct: error: clt --config {p}: death rate ")
+    assert lines[0].endswith(" violates declared bound 2.0")
+
+
+# tiny non-classical studies: sha256 of what `clt` writes, so that a change to the
+# rates cannot move a bit of the simulator, solver or law sweep unseen
+PINNED_MODELS = {
+    "special_gaussian": {
+        "family": "kernel_linear", "birth": 0.3, "birth_sup": 2.0,
+        "death": {"kernel": {"kind": "gaussian", "c": 1.0, "sigma": 0.4},
+                  "age": {"kind": "exp_decay", "alpha": 0.3}, "phi": "special",
+                  "d0": 0.4, "d1": 0.8},
+        "death_sup": 3.0, "life_law": {"kind": "deterministic", "k": 1},
+        "split_law": {"kind": "deterministic", "k": 1}},
+    "age_density": {
+        "family": "age_density", "birth_sup": 2.0, "death_sup": 1.0,
+        "birth": {"age": {"kind": "gaussian", "c": 1.0, "center": 0.5, "sigma": 0.3},
+                  "mass": {"kind": "affine", "a": 0.6, "b": -0.1}},
+        "death": {"age": {"kind": "exp_decay", "alpha": 0.5}, "mass": 0.7},
+        "life_law": {"kind": "two_point", "p": 0.5, "k1": 0, "k2": 2},
+        "split_law": {"kind": "deterministic", "k": 1}},
+}
+PINNED_CLT = {
+    "special_gaussian": {
+        "summary.csv": "a3d4c95c2f2ebb6fe0bbccebf606912815e76f8c47cd89d193cd199843d3db92",
+        "samples.csv": "7d666cdaff16880092fd9a6c411b6d79507fc377a8168dd5007e8f304d1cda61"},
+    "age_density": {
+        "summary.csv": "a92382e62dd05700cce6a926f6bf765e8ba23172fbb858293148abd0fbe94b9c",
+        "samples.csv": "27946a00c309fc2af8de6939fca12c118e5242b13ace0f5264bdeba56a0b5f31"},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_MODELS)
+def test_cli_clt_outputs_of_non_classical_models_are_pinned(name, tmp_path):
+    cfg = dict(CFG, model=PINNED_MODELS[name], initial=GRID, perturbation=GRID, dt=0.02,
+               dt_out=1.0, k_values=[50], replicates=8, panel=["1", "exp:0.5", "x"],
+               n_spde_paths=16, spde_block=8)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "c"
+    main(["clt", "--config", str(p), "--out", str(out)])
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("summary.csv", "samples.csv")}
+    assert digests == PINNED_CLT[name]

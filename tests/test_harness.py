@@ -327,6 +327,22 @@ def test_model_spec_names_its_missing_field(spec, where, key):
     assert str(err.value) == f"{where} needs a {key!r} field; got {shown!r}"
 
 
+@pytest.mark.parametrize("phi, coefficients, takes", [
+    ("inv1p", {"c": 1.0, "c0": 5.0}, "c"),
+    ("special", {"d0": 0.5, "d1": 0.1, "cz": 0.2}, "d0, d1"),
+    ("affine", {"c0": 0.2, "cy": 0.3, "cz": 0.5, "d1": 0.1}, "c0, cy, cz"),
+])
+def test_kernel_rate_takes_only_its_phi_forms_coefficients(phi, coefficients, takes):
+    # each once loaded, and phi ignored the coefficient its form does not take: the
+    # inv1p rate with c0 = 5 had phi(1, 0.5) = 0.5
+    death = {"kernel": {"kind": "exp_decay", "alpha": 1.0}, "phi": phi, **coefficients}
+    with pytest.raises(ValueError) as err:
+        model_from_config(dict(KERNEL, death=death))
+    extra = repr(list(coefficients)[-1])
+    assert str(err.value) == (f"model.death has unknown key(s) {extra}; it takes kernel, age, "
+                              f"phi, {takes}")
+
+
 @pytest.mark.parametrize("field", ["birth", "death"])
 @pytest.mark.parametrize("rate", [{"kind": "constant", "c": 1.0}, "0.5"],
                          ids=["scalar_fn_spec", "string"])
@@ -355,6 +371,10 @@ FAMILY_MODELS = {
                           death={"kernel": {"kind": "exp_decay", "c": 1.0, "alpha": 1.0},
                                  "age": {"kind": "constant", "c": 1.0}, "phi": "affine",
                                  "c0": 0.2, "cy": 0.3, "cz": 0.5}),
+    "kernel_inv1p": dict(KERNEL, birth_sup=2.0,
+                         birth={"kernel": {"kind": "constant", "c": 1.0},
+                                "age": {"kind": "exp_decay", "c": 1.0, "alpha": 0.5},
+                                "phi": "inv1p", "c": 0.5}),
 }
 STARTS = {
     "grid": ({"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0},
@@ -510,7 +530,9 @@ def test_config_rejects_values_that_once_loaded(family, start, where, value, mes
     ('"xy"', "{} must hold a JSON object of config fields, got a str"),
     ("{}", "config {}: unknown key(s) [], missing key(s) [model, initial, horizon, dt, dt_out, "
            "k_values, replicates, seed]; allowed keys: "),
-], ids=["list", "string", "empty_object"])
+    ("{bad", "config {} is not valid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+], ids=["list", "string", "empty_object", "syntax_error"])
 def test_from_json_names_the_file_of_a_malformed_config(tmp_path, text, message):
     # a list once failed on a bare TypeError, a string was read as keys "x", "y",
     # and a missing key failed on ExperimentConfig.__init__'s TypeError
@@ -600,15 +622,15 @@ def test_build_initial_grid_base_rounding_scale():
     init = start_at(1000, 1e-2,
                     {"kind": "grid", "profile": "uniform", "support": [0.0, 1.0], "mass": 1.0})
     assert init.atoms.count == 1000
-    assert init.base.mass == pytest.approx(1.0)
+    assert init.z0.minus.mass == pytest.approx(1.0)
     # per-cell rounding keeps realised pairings within ~1/sqrt(K) of the target
     for f in (constant(), exponential(-1.0)):
         assert abs(init.z0.pair(f)) <= 2.0
     assert init.nu0_values is not None
     # grid version of the fluctuation has identical pairings at cell centers
-    xs = init.base.centers
+    xs = init.z0.minus.centers
     for f in (constant(), exponential(0.5)):
-        grid_pairing = init.base.dx * float(np.dot(f(xs), init.nu0_values))
+        grid_pairing = init.z0.minus.dx * float(np.dot(f(xs), init.nu0_values))
         assert grid_pairing == pytest.approx(init.z0.pair(f), abs=1e-10)
 
 

@@ -11,8 +11,8 @@ from agestruct.harness import build_initial
 from agestruct.measures import GridDensity, constant, exponential, make_panel, pair
 from agestruct.mvf import (GridRates, QuadratureError, classical_exact, classical_pairing,
                            logistic_exact, quad_gk21, solve_mvf, solve_total_ode)
-from agestruct.rates import (ConstantRate, DensityRate, Kernel, KernelRate, ModelError,
-                             OffspringLaw, RateModel, ScalarFn, classical_model,
+from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate,
+                             ModelError, OffspringLaw, RateModel, ScalarFn, classical_model,
                              pure_splitting)
 
 SPLIT = pure_splitting(1.0, 2)            # death 1, brood 2: newborn rate 2
@@ -28,7 +28,7 @@ def box(dx, t_star=1.5):
 def test_transport_is_exact_shift():
     dt = 2e-3
     a0 = box(dt)
-    sol = solve_mvf(TRANSPORT, a0, 0.5, dt)
+    sol = solve_mvf(TRANSPORT, a0, 0.5)
     m = int(round(0.5 / dt))
     assert np.max(np.abs(sol.values[-1][m:] - a0.values[:-m])) <= 1e-12
     assert np.max(np.abs(sol.values[-1][:m])) == 0.0
@@ -55,7 +55,7 @@ def test_classical_exact_paper_values():
 
 def test_solve_mvf_matches_renewal_value():
     dt = 1e-3
-    sol = solve_mvf(SPLIT, box(dt), 0.5, dt)
+    sol = solve_mvf(SPLIT, box(dt), 0.5)
     c = sol.centers
     j = np.argmin(np.abs(c - 0.25))
     assert sol.values[-1][j] == pytest.approx(2.0, abs=0.02)
@@ -64,7 +64,7 @@ def test_solve_mvf_matches_renewal_value():
 def test_solve_mvf_total_mass_exponential():
     dt = 1e-3
     a0 = box(dt, t_star=2.0)
-    sol = solve_mvf(SPLIT, a0, 1.0, dt)
+    sol = solve_mvf(SPLIT, a0, 1.0)
     assert sol.totals[-1] == pytest.approx(math.e, abs=5e-3)
     assert sol.values.min() >= 0.0
 
@@ -72,7 +72,7 @@ def test_solve_mvf_total_mass_exponential():
 def test_solve_mvf_first_order():
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        sol = solve_mvf(SPLIT, box(dt), 0.5, dt)
+        sol = solve_mvf(SPLIT, box(dt), 0.5)
         ref = classical_exact(box(dt), 0.0, 1.0, 2.0, 0.0, 0.5)
         errs.append(float(np.max(np.abs(sol.values[-1] - ref.values))))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
@@ -81,7 +81,7 @@ def test_solve_mvf_first_order():
 
 def test_solve_mvf_mass_identity_per_step():
     dt = 2e-3
-    sol = solve_mvf(SPLIT, box(dt), 0.5, dt)
+    sol = solve_mvf(SPLIT, box(dt), 0.5)
     # discrete mass growth tracks ((newborn - death), frame) to O(dt) per step
     for k in (10, 100, 200):
         rate = (2.0 - 1.0) * sol.totals[k]
@@ -92,19 +92,17 @@ def test_solve_mvf_mass_identity_per_step():
 def test_solve_mvf_rejects_bad_grid():
     a0 = box(2e-3)
     with pytest.raises(ValueError):
-        solve_mvf(SPLIT, a0, 0.5, 1e-3)          # dx != dt
-    with pytest.raises(ValueError):
-        solve_mvf(SPLIT, a0, 2.0, 2e-3)          # no room for transport
+        solve_mvf(SPLIT, a0, 2.0)                # no room for transport
 
 
 def test_solve_mvf_negative_density_is_a_model_error():
     # a negative birth rate (outside the model contract) drives the newborn
     # flux below zero in the first step
-    model = RateModel("density_dependent", DensityRate(ScalarFn.constant(-1.0)),
+    model = RateModel(DensityRate(ScalarFn.constant(-1.0)),
                       ConstantRate(0.5), OffspringLaw.deterministic(1),
                       OffspringLaw.deterministic(0), birth_sup=1.0, death_sup=0.5)
     with pytest.raises(ModelError, match=r"negative density -0\.99\d* at step 1 "):
-        solve_mvf(model, box(2e-3), 0.5, 2e-3)
+        solve_mvf(model, box(2e-3), 0.5)
 
 
 def stepped_constant_rates(model, a0, horizon, dt):
@@ -135,7 +133,7 @@ def test_constant_rate_frames_match_the_stepped_scheme(model):
     dt = 2e-3
     a0 = GridDensity.from_function(lambda x: np.where(x < 1.0, 1.0 + np.cos(5.0 * x), 0.0),
                                    t_star=2.0, dx=dt)
-    got = solve_mvf(model, a0, 1.0, dt).values
+    got = solve_mvf(model, a0, 1.0).values
     want = stepped_constant_rates(model, a0, 1.0, dt)
     assert np.all(np.isfinite(got)) and got.min() >= 0.0
     # frame by frame; a frame decayed into the subnormals is compared absolutely
@@ -148,7 +146,7 @@ def test_constant_rate_frames_match_the_stepped_scheme(model):
 def test_transport_frames_are_the_stepped_shifts_exactly():
     dt = 4e-3
     a0 = box(dt, t_star=2.0)
-    got = solve_mvf(TRANSPORT, a0, 0.5, dt).values
+    got = solve_mvf(TRANSPORT, a0, 0.5).values
     assert np.array_equal(got, stepped_constant_rates(TRANSPORT, a0, 0.5, dt))
 
 
@@ -158,7 +156,7 @@ def test_constant_rate_negative_density_is_a_model_error():
     a0.values[3] = -5e-10
     with pytest.raises(ModelError, match=r"negative density -4\.99\d*e-10 at step 1 "
                                          r"\(t = 0\.002\)"):
-        solve_mvf(SPLIT, a0, 0.5, 2e-3)
+        solve_mvf(SPLIT, a0, 0.5)
 
 
 def test_classical_pairing_cross_validates_grid():
@@ -205,7 +203,7 @@ def test_gk21_matches_scipy_on_renewal_integrands(monkeypatch, spec, t):
     init, model = _study_initial(cfg), cfg.build_model()
     (f,) = make_panel([spec], t_star=init.atoms.t_star)
     seen = _quad_calls(monkeypatch, mvf, lambda: classical_pairing(
-        f, init.base, model.birth.value, model.death.value, model.split_law.mean,
+        f, init.z0.minus, model.birth.value, model.death.value, model.split_law.mean,
         model.life_law.mean, t))
     _assert_matches_scipy(seen)
 
@@ -214,7 +212,7 @@ def test_gk21_matches_scipy_on_renewal_integrands(monkeypatch, spec, t):
 def test_gk21_matches_scipy_on_ito_isometry_integrand(monkeypatch, lam):
     # the oracle of the acceptance CLT study, on its own start grid
     cfg = clt_config()
-    base, model = _study_initial(cfg).base, cfg.build_model()
+    base, model = _study_initial(cfg).z0.minus, cfg.build_model()
     seen = _quad_calls(monkeypatch, spde, lambda: spde.ito_isometry_variance(
         lam, base, model.birth.value, model.death.value, model.life_law,
         model.split_law, cfg.horizon))
@@ -229,7 +227,7 @@ def test_gk21_raises_when_it_cannot_converge(monkeypatch):
         quad_gk21(lambda x: np.sin(1e4 * x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
 
 
-LOGISTIC = RateModel("density_dependent", ConstantRate(0.0),
+LOGISTIC = RateModel(ConstantRate(0.0),
                      DensityRate(ScalarFn.affine(1.0, -1.0)),
                      OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                      birth_sup=0.0, death_sup=1.0)
@@ -251,6 +249,18 @@ def test_total_ode_logistic():
     assert xs[-1] == pytest.approx(float(logistic_exact(0.5, 1.0)), abs=1e-8)
 
 
+@pytest.mark.parametrize("rate", [
+    DensityRate(ScalarFn.affine(0.5, 0.3), age=AgeProfile("exp_decay", alpha=0.5)),
+    KernelRate(Kernel("constant"), c0=0.5, cy=0.3),
+], ids=["age_density", "kernel_linear"])
+def test_total_mass_dynamics_refuse_an_age_or_kernel_rate(rate):
+    # the total mass alone does not fix an aged or a kernel rate
+    model = RateModel(ConstantRate(0.4), rate, OffspringLaw.deterministic(1),
+                      OffspringLaw.deterministic(2), birth_sup=0.4, death_sup=4.0)
+    with pytest.raises(ValueError, match="total-mass dynamics need density-dependent"):
+        solve_total_ode(model, 1.0, 1.0, 0.1)
+
+
 def test_total_ode_fourth_order():
     errs = []
     for dt in (0.2, 0.1, 0.05):
@@ -264,7 +274,7 @@ def test_density_dependent_grid_matches_total_ode():
     dt = 2e-3
     a0 = GridDensity.from_function(lambda x: np.where(x < 1.0, 0.5, 0.0),
                                    t_star=2.0, dx=dt)
-    sol = solve_mvf(LOGISTIC, a0, 1.0, dt)
+    sol = solve_mvf(LOGISTIC, a0, 1.0)
     _, xs = solve_total_ode(LOGISTIC, 0.5, 1.0, dt)
     # both first-order paths of the same mass dynamics
     assert np.max(np.abs(sol.totals - xs)) <= 5 * dt * 0.5 * 1.0 + 1e-6
@@ -276,7 +286,7 @@ def test_state_dependent_scheme_is_first_order():
     for dt in (4e-3, 2e-3, 1e-3):
         a0 = GridDensity.from_function(lambda x: np.where(x < 1.0, 0.5, 0.0),
                                        t_star=2.0, dx=dt)
-        sol = solve_mvf(LOGISTIC, a0, 1.0, dt)
+        sol = solve_mvf(LOGISTIC, a0, 1.0)
         errs.append(float(np.max(np.abs(sol.totals - logistic_exact(0.5, sol.times)))))
     assert 1.8 <= errs[0] / errs[1] <= 2.2
     assert 1.8 <= errs[1] / errs[2] <= 2.2
@@ -284,7 +294,7 @@ def test_state_dependent_scheme_is_first_order():
 
 def test_limit_solution_frame_accessors():
     dt = 1e-2
-    sol = solve_mvf(SPLIT, box(dt), 0.5, dt)
+    sol = solve_mvf(SPLIT, box(dt), 0.5)
     assert sol.index_at(0.25) == 25
     with pytest.raises(ValueError):
         sol.index_at(0.2501)
@@ -293,8 +303,8 @@ def test_limit_solution_frame_accessors():
 
 
 def kernel_grid(kern, n_cells, dx):
-    model = RateModel("kernel_linear", ConstantRate(1.0),
-                      KernelRate(kern, "affine", c0=0.2, cy=0.3, cz=0.5),
+    model = RateModel(ConstantRate(1.0),
+                      KernelRate(kern, c0=0.2, cy=0.3, cz=0.5),
                       OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
                       birth_sup=1.0, death_sup=4.0)
     return GridRates(model, dx, n_cells)
@@ -359,5 +369,5 @@ def test_a_state_view_forms_each_prefix_sum_once(monkeypatch):
     monkeypatch.setattr(mvf.np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
     kern = Kernel("exp_decay", alpha=1.0)
     dx = 0.02
-    solve_mvf(kernel_grid(kern, 100, dx).model, box(dx, t_star=2.0), 0.5, dx)
+    solve_mvf(kernel_grid(kern, 100, dx).model, box(dx, t_star=2.0), 0.5)
     assert len(calls) == 2 * 2 * 25

@@ -7,7 +7,7 @@ from agestruct.branching import MartingaleLedger, Population, simulate
 from agestruct.harness import replicate_stream
 from agestruct.measures import AtomicMeasure, GridDensity, constant, exponential, pair
 from agestruct.mvf import GridRates
-from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
+from agestruct.rates import (AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, ModelError, OffspringLaw, RateModel,
                              ScalarFn, classical_model, pure_splitting)
 
@@ -16,10 +16,10 @@ def atoms(ages, weight=1.0, t_star=2.0):
     return AtomicMeasure(ages=np.asarray(ages, dtype=float), weight=weight, t_star=t_star)
 
 
-def on_grid(family, rate, *densities):
-    """The grid rates of a ``family`` model whose death rate is ``rate``, on the
-    grid of the first density, and the measure view of each density."""
-    model = RateModel(family, ConstantRate(0.0), rate, OffspringLaw.deterministic(0),
+def on_grid(rate, *densities):
+    """The grid rates of a model whose death rate is ``rate``, on the grid of the
+    first density, and the measure view of each density."""
+    model = RateModel(ConstantRate(0.0), rate, OffspringLaw.deterministic(0),
                       OffspringLaw.deterministic(0), birth_sup=0.0, death_sup=1.0)
     grid = GridRates(model, densities[0].dx, densities[0].n_cells)
     return grid, [grid.at(d.values) for d in densities]
@@ -45,7 +45,7 @@ def compensator(model, f, ages, k, s1, closed_form):
 
 
 def test_density_dependent_empty_population():
-    model = RateModel("density_dependent", ConstantRate(0.0),
+    model = RateModel(ConstantRate(0.0),
                       DensityRate(ScalarFn.affine(1.0, 1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=5.0)
@@ -54,7 +54,7 @@ def test_density_dependent_empty_population():
 
 def test_kernel_reciprocal_mass():
     # the population pairs at its one individual, aged 0.7 and then 1.4
-    rate = KernelRate(Kernel("constant", c=1.0), "inv1p", c=1.0)
+    rate = KernelRate(Kernel("constant", c=1.0), c=1.0)
     pop = Population([0.7], k=1)
     assert rate.eval(0.7, pop) == pytest.approx(0.5)
     pop.t = 0.7
@@ -71,7 +71,7 @@ def test_limit_rates_match_finite_k_for_builtins():
 def test_k_perturbation_hook():
     # declared bound must dominate the perturbed rate as well
     model = RateModel(
-        "classical", ConstantRate(0.5), ConstantRate(1.0),
+        ConstantRate(0.5), ConstantRate(1.0),
         OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
         birth_sup=0.6, death_sup=1.0,
         k_perturbation=lambda name, x, k:
@@ -84,7 +84,7 @@ def test_k_perturbation_hook():
 def test_rate_model_rates_take_x_mu_k_by_position():
     # wrappers of the rates pass (x, mu, k) by position, as the candidate
     # counter of perfbench/probes.py does; k applies the K perturbation
-    model = RateModel("classical", ConstantRate(0.5), ConstantRate(1.0),
+    model = RateModel(ConstantRate(0.5), ConstantRate(1.0),
                       OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
                       birth_sup=0.6, death_sup=1.1,
                       k_perturbation=lambda name, x, k: 0.1 / k)
@@ -108,16 +108,12 @@ def test_frechet_density_dependent_value():
     assert directional(rate, np.array([1.1]), a0, direction)[0] == pytest.approx(0.5)
 
 
-FAMILIES = {DensityRate: "density_dependent", AgeDensityRate: "age_density",
-            KernelRate: "kernel_linear"}
-
-
 @pytest.mark.parametrize("rate", [
     DensityRate(ScalarFn.affine(0.5, 0.25)),
-    AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.7), ScalarFn.affine(0.4, 0.3)),
-    KernelRate(Kernel("exp_decay", c=1.0, alpha=1.2), "affine", c0=0.3, cy=0.2, cz=0.4),
-    KernelRate(Kernel("gaussian", c=1.0, sigma=0.5), "special", d0=0.2, d1=0.6),
-    KernelRate(Kernel("constant", c=1.0), "inv1p", c=1.0),
+    DensityRate(ScalarFn.affine(0.4, 0.3), age=AgeProfile("exp_decay", c=1.0, alpha=0.7)),
+    KernelRate(Kernel("exp_decay", c=1.0, alpha=1.2), c0=0.3, cy=0.2, cz=0.4),
+    KernelRate(Kernel("gaussian", c=1.0, sigma=0.5), c0=0.2, d1=0.6),
+    KernelRate(Kernel("constant", c=1.0), c=1.0),
 ])
 def test_frechet_matches_directional_finite_difference(rate):
     dx = 0.02
@@ -126,7 +122,7 @@ def test_frechet_matches_directional_finite_difference(rate):
                                           signed=True)
     eps = 1e-6
     bumped = GridDensity(dx=dx, values=a0.values + eps * direction.values, signed=True)
-    grid, (a0, bumped, direction) = on_grid(FAMILIES[type(rate)], rate, a0, bumped, direction)
+    grid, (a0, bumped, direction) = on_grid(rate, a0, bumped, direction)
     for xs in (grid.centers, grid.edges):
         fd = (rate.eval(xs, bumped) - rate.eval(xs, a0)) / eps
         an = directional(rate, xs, a0, direction)
@@ -135,12 +131,12 @@ def test_frechet_matches_directional_finite_difference(rate):
 
 
 def test_frechet_linear_in_direction():
-    rate = KernelRate(Kernel("exp_decay", alpha=0.9), "affine", c0=0.2, cy=0.3, cz=0.1)
+    rate = KernelRate(Kernel("exp_decay", alpha=0.9), c0=0.2, cy=0.3, cz=0.1)
     a0 = GridDensity.from_function(lambda x: np.exp(-0.5 * x), t_star=2.0, dx=0.05)
     d1 = GridDensity.from_function(lambda x: np.cos(x), t_star=2.0, dx=0.05, signed=True)
     d2 = GridDensity.from_function(lambda x: x - 1.0, t_star=2.0, dx=0.05, signed=True)
     combo = GridDensity(dx=0.05, values=1.7 * d1.values - 0.4 * d2.values, signed=True)
-    grid, (a0, d1, d2, combo) = on_grid("kernel_linear", rate, a0, d1, d2, combo)
+    grid, (a0, d1, d2, combo) = on_grid(rate, a0, d1, d2, combo)
     for xs in (grid.centers, grid.edges):
         lhs = directional(rate, xs, a0, combo)
         rhs = 1.7 * directional(rate, xs, a0, d1) - 0.4 * directional(rate, xs, a0, d2)
@@ -182,7 +178,7 @@ def test_generator_exponential_closed_form():
 
 def test_generator_mass_growth_identity():
     rate = DensityRate(ScalarFn.affine(0.3, 0.2))
-    model = RateModel("density_dependent", ConstantRate(0.4), rate,
+    model = RateModel(ConstantRate(0.4), rate,
                       OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                       birth_sup=0.4, death_sup=2.0)
     ages = np.array([0.2, 0.9, 1.4])
@@ -243,7 +239,7 @@ def raises_in_simulate(model, n0):
 
 
 def test_rate_bound_violation_raises():
-    model = RateModel("density_dependent", ConstantRate(0.0),
+    model = RateModel(ConstantRate(0.0),
                       DensityRate(ScalarFn.affine(1.0, 1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.5)
@@ -251,7 +247,7 @@ def test_rate_bound_violation_raises():
 
 
 def test_negative_rate_raises():
-    model = RateModel("density_dependent", ConstantRate(0.0),
+    model = RateModel(ConstantRate(0.0),
                       DensityRate(ScalarFn.affine(0.5, -1.0)),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.0)
@@ -263,11 +259,10 @@ def test_limit_rate_depends_only_on_pairings():
     # whatever their representation: the event simulator's population or a
     # grid frame
     rate = DensityRate(ScalarFn.affine(0.5, 0.25))
-    kern = KernelRate(Kernel("constant", c=2.0), "affine", c0=0.1, cy=0.2, cz=0.3)
+    kern = KernelRate(Kernel("constant", c=2.0), c0=0.1, cy=0.2, cz=0.3)
     # (a constant kernel: the same at every age), each view at its own ages
     m = Population([0.2, 0.9, 1.4], k=2)
-    grid, (g,) = on_grid("kernel_linear", kern,
-                         GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
+    grid, (g,) = on_grid(kern, GridDensity(dx=0.75, values=np.array([1.0, 1.0])))
     x = grid.centers
     assert m.mass == pytest.approx(g.mass)
     assert rate.eval(x, m) == pytest.approx(rate.eval(x, g), rel=1e-14)
@@ -278,9 +273,8 @@ def test_limit_rate_depends_only_on_pairings():
 
 
 def test_grid_view_pairs_kernels_only_at_its_own_ages():
-    kern = KernelRate(Kernel("exp_decay", alpha=1.0), "affine", c0=0.1, cy=0.2, cz=0.3)
-    grid, (g,) = on_grid("kernel_linear", kern,
-                         GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
+    kern = KernelRate(Kernel("exp_decay", alpha=1.0), c0=0.1, cy=0.2, cz=0.3)
+    grid, (g,) = on_grid(kern, GridDensity(dx=0.5, values=np.array([1.0, 0.5, 0.25, 0.0])))
     with pytest.raises(ValueError, match="centers or edges"):
         kern.eval(grid.centers.copy(), g)
 
@@ -311,7 +305,7 @@ def test_rate_model_rejects_bad_thinning_bounds(sups, field, shown):
     # a negative bound once ran no candidate, and a NaN one ran until t was NaN
     sups = {"birth_sup": 0.0, "death_sup": 1.0, **sups}
     with pytest.raises(ValueError, match=rf"RateModel {field} .*got {shown}$"):
-        RateModel("classical", ConstantRate(0.0), ConstantRate(1.0),
+        RateModel(ConstantRate(0.0), ConstantRate(1.0),
                   OffspringLaw.deterministic(0), OffspringLaw.deterministic(0), **sups)
 
 
@@ -319,6 +313,58 @@ def test_rate_model_rejects_a_bound_below_its_constant_rate():
     # death rate 2 under a bound of 0.5 once ran as death rate 0.5
     with pytest.raises(ValueError, match=r"RateModel death_sup 0\.5 is below its constant "
                                          r"rate 2\.0$"):
-        RateModel("classical", ConstantRate(0.0), ConstantRate(2.0),
+        RateModel(ConstantRate(0.0), ConstantRate(2.0),
                   OffspringLaw.deterministic(0), OffspringLaw.deterministic(0),
                   birth_sup=0.0, death_sup=0.5)
+
+
+# each named phi form of a kernel rate, as KernelRate once computed it form by form:
+# (its coefficients under their config names, phi, phi_y, phi_z)
+PHI_FORMS = {
+    "affine": ({"c0": 0.2, "cy": 0.3, "cz": -0.5},
+               lambda p, y, z: p["c0"] + p["cy"] * y + p["cz"] * z,
+               lambda p, y, z: p["cy"] * np.ones_like(z),
+               lambda p, y, z: p["cz"] * np.ones_like(z)),
+    "special": ({"d0": 0.4, "d1": -0.8},
+                lambda p, y, z: p["d0"] + p["d1"] * z / (1.0 + y),
+                lambda p, y, z: -p["d1"] * z / (1.0 + y) ** 2,
+                lambda p, y, z: p["d1"] / (1.0 + y) * np.ones_like(z)),
+    "inv1p": ({"c": 1.5},
+              lambda p, y, z: p["c"] / (1.0 + y),
+              lambda p, y, z: -p["c"] / (1.0 + y) ** 2 * np.ones_like(z),
+              lambda p, y, z: np.zeros_like(z)),
+}
+
+
+def form_bounds(form, rate, n, k, sup):
+    """``bounds`` as KernelRate once computed it for a ``form`` rate."""
+    p, phi = PHI_FORMS[form][:2]
+    q = dict(dict.fromkeys(("c0", "cy", "cz", "d0", "d1", "c"), 0.0), **p)
+    y = n / k
+    z = rate.kernel.c * y
+    lo = phi(p, y, z)
+    hi = lo if rate.kernel.kind == "constant" else phi(p, y, rate.kernel.c / k)
+    tol = 1e-7 * (abs(q["c0"]) + abs(q["cy"]) * y + abs(q["d0"]) + abs(q["c"]) / (1.0 + y)
+                  + (abs(q["cz"]) + abs(q["d1"]) / (1.0 + y)) * abs(z))
+    lo, hi = min(lo, hi) - tol, max(lo, hi) + tol
+    return min(sup, max(0.0, rate.age.c * lo, rate.age.c * hi)), lo, hi
+
+
+@pytest.mark.parametrize("form", PHI_FORMS)
+def test_kernel_rate_formula_is_each_named_form_bit_for_bit(form):
+    p, *formulas = PHI_FORMS[form]
+    stack = np.random.default_rng(3).uniform(-1.0, 2.0, (4, 6))     # frames x cells
+    cases = [(0.7, 0.3), (2.5, -0.4), (0.0, 0.0),
+             (np.array([[0.5], [1.0], [2.0], [3.5]]), stack), (1.2, stack)]
+    for kernel in (Kernel("exp_decay", alpha=0.9), Kernel("constant", c=0.5),
+                   Kernel("gaussian", c=1.3, sigma=0.4)):
+        for age in (None, AgeProfile("exp_decay", c=-1.0, alpha=0.5)):
+            rate = KernelRate(kernel, age=age, **{("c0" if key == "d0" else key): v
+                                                  for key, v in p.items()})
+            for y, z in cases:
+                for got, want in zip((rate._phi, rate._phi_y, rate._phi_z), formulas):
+                    v = got(y, z)
+                    assert np.shape(v) == np.broadcast_shapes(np.shape(y), np.shape(z))
+                    assert np.all(v == want(p, y, z)), (form, got.__name__, y, z)
+            for n, k, sup in ((0, 10, 4.0), (3, 10, 4.0), (40, 10, 0.5), (7, 1, 100.0)):
+                assert rate.bounds(n, k, sup) == form_bounds(form, rate, n, k, sup)

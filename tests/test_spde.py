@@ -14,7 +14,7 @@ from agestruct.measures import (DomainError, GridDensity, constant, exponential,
                                 monomial, pair)
 from agestruct.mvf import (GridRates, LimitSolution, classical_exact, solve_mvf,
                            solve_total_ode)
-from agestruct.rates import (AgeDensityRate, AgeProfile, ConstantRate, DensityRate,
+from agestruct.rates import (AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
                              classical_model, pure_splitting)
 from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
@@ -25,36 +25,33 @@ from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
 from agestruct.stats import jarque_bera, se_of_variance
 
 SPLIT = pure_splitting(1.0, 2)
-MIXED = RateModel("classical", ConstantRate(0.5), ConstantRate(0.8),
+MIXED = RateModel(ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
                   birth_sup=0.5, death_sup=0.8)
 # no deaths: the adjoint decays by exp(-dt h) = 1 and the cells carry no noise
 BIRTH = classical_model(0.7, 0.0, OffspringLaw.poisson(1.3), OffspringLaw.deterministic(0))
 
-KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
-                   KernelRate(Kernel("exp_decay", alpha=1.0), "affine",
-                              c0=0.2, cy=0.3, cz=0.5),
+KERNEL = RateModel(ConstantRate(1.0),
+                   KernelRate(Kernel("exp_decay", alpha=1.0), c0=0.2, cy=0.3, cz=0.5),
                    OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(0.5),
                    birth_sup=1.0, death_sup=4.0)
 
-DENS = RateModel("density_dependent", ConstantRate(0.4),
+DENS = RateModel(ConstantRate(0.4),
                  DensityRate(ScalarFn.affine(0.5, 0.3)),
                  OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                  birth_sup=0.4, death_sup=2.0)
 
-AGE = RateModel("age_density",
-                AgeDensityRate(AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3),
-                               ScalarFn.affine(1.0, -0.2)),
-                AgeDensityRate(AgeProfile("exp_decay", c=1.0, alpha=0.5),
-                               ScalarFn.affine(0.5, 0.3)),
+AGE = RateModel(DensityRate(ScalarFn.affine(1.0, -0.2),
+                            age=AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3)),
+                DensityRate(ScalarFn.affine(0.5, 0.3),
+                            age=AgeProfile("exp_decay", c=1.0, alpha=0.5)),
                 OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
                 birth_sup=0.5, death_sup=2.0)
 
 # a Gaussian kernel, shared by both rates, keeps the grid's dense kernel matrices
 GAUSS_KERNEL = Kernel("gaussian", sigma=0.4)
-GAUSS = RateModel("kernel_linear",
-                  KernelRate(GAUSS_KERNEL, "special", d0=0.5, d1=0.5),
-                  KernelRate(GAUSS_KERNEL, "affine", c0=0.2, cy=0.3, cz=0.5),
+GAUSS = RateModel(KernelRate(GAUSS_KERNEL, c0=0.5, d1=0.5),
+                  KernelRate(GAUSS_KERNEL, c0=0.2, cy=0.3, cz=0.5),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(0.5),
                   birth_sup=1.0, death_sup=4.0)
 
@@ -67,8 +64,7 @@ LAW_IDS = ["split", "mixed", "density", "age_density", "kernel", "gaussian_kerne
 def twin(model):
     """``model`` with its constant death rate as a zero-slope density family:
     the same coefficients, on the generic adjoint sweep."""
-    return dataclasses.replace(model, family="density_dependent",
-                               death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
+    return dataclasses.replace(model, death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
 
 
 def box(dx, t_star=2.0, mass_to=1.0):
@@ -77,7 +73,7 @@ def box(dx, t_star=2.0, mass_to=1.0):
 
 
 def background(model, dx=4e-3, horizon=1.0, t_star=2.0):
-    return solve_mvf(model, box(dx, t_star), horizon, dx)
+    return solve_mvf(model, box(dx, t_star), horizon)
 
 
 def test_zero_rates_zero_noise_field_stays_zero():
@@ -99,7 +95,7 @@ def test_noise_covariance_identity(model):
     panel = make_panel(t_star=2.0)
     for idx in (0, bg.values.shape[0] // 2, bg.values.shape[0] - 1):
         frame = bg.frame(idx)
-        one = solve_mvf(model, frame, bg.dt, bg.dt)
+        one = solve_mvf(model, frame, bg.dt)
         _, cov = fluctuation_law(model, one, np.zeros(frame.n_cells), panel, [bg.dt])
         fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
         target = np.array([[remark_covariance_grid(model, frame, f, g, bg.dt) for g in fvals]
@@ -257,7 +253,7 @@ def test_record_time_zero_gives_the_start_pairing():
 def test_law_on_a_background_of_no_step_is_the_start_pairing():
     # a horizon of 0 leaves no step, hence no rate row: a constant-rate law is
     # the start pairing with no variance, as the sweep's is
-    bg = solve_mvf(SPLIT, box(0.02), 0.0, 0.02)
+    bg = solve_mvf(SPLIT, box(0.02), 0.0)
     assert bg.values.shape[0] == 1
     z0 = np.where(bg.centers < 1.0, 0.7, 0.0)
     panel = [constant(), exponential(-1.0)]
@@ -309,7 +305,7 @@ def test_renewal_law_clamps_a_negative_start_cell_as_the_sweep_does():
     # variance is clamped to zero at every step, on both paths
     start = box(1e-2)
     start.values[37] = -1e-13
-    bg = solve_mvf(MIXED, start, 1.0, 1e-2)
+    bg = solve_mvf(MIXED, start, 1.0)
     assert bg.values[0, 37] < 0.0 and bg.values[-1, 37 + 100] < 0.0
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
     panel = [constant(), exponential(0.5), monomial(1)]
@@ -510,17 +506,16 @@ def test_kernel_engine_reduces_to_density_engine():
     forms = {"birth": (0.2, 0.1, 0.1), "death": (0.5, 0.1, 0.2)}   # c0, cy, cz
     fixed = {"birth": ConstantRate(0.4), "death": ConstantRate(0.8)}
 
-    def build(family, carriers, rate):
+    def build(carriers, rate):
         r = {name: rate(*forms[name]) if name in carriers else fixed[name]
              for name in forms}
-        return RateModel(family, r["birth"], r["death"], OffspringLaw.deterministic(1),
+        return RateModel(r["birth"], r["death"], OffspringLaw.deterministic(1),
                          OffspringLaw.deterministic(2), birth_sup=1.0, death_sup=2.0)
 
     dt = 0.02
     for carriers in (("death",), ("birth",), ("birth", "death")):
-        kern = build("kernel_linear", carriers, lambda c0, cy, cz: KernelRate(
-            const, "affine", c0=c0, cy=cy, cz=cz))
-        dens = build("density_dependent", carriers, lambda c0, cy, cz: DensityRate(
+        kern = build(carriers, lambda c0, cy, cz: KernelRate(const, c0=c0, cy=cy, cz=cz))
+        dens = build(carriers, lambda c0, cy, cz: DensityRate(
             ScalarFn.affine(c0, cy + cz)))
         bg_k = background(kern, dx=dt)
         bg_d = background(dens, dx=dt)
@@ -567,8 +562,8 @@ def test_mean_frames_are_signed_and_limit_frames_are_checked():
         negative.frame(5)
 
 
-CONST_KERNEL = RateModel("kernel_linear", ConstantRate(1.0),
-                         KernelRate(Kernel("constant", c=0.5), "affine", c0=0.2, cy=0.3, cz=0.5),
+CONST_KERNEL = RateModel(ConstantRate(1.0),
+                         KernelRate(Kernel("constant", c=0.5), c0=0.2, cy=0.3, cz=0.5),
                          OffspringLaw.deterministic(1), OffspringLaw.deterministic(0),
                          birth_sup=1.0, death_sup=4.0)
 
