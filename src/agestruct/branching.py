@@ -6,8 +6,8 @@ depend on the whole (normalised) population measure.
 
 With constant rates and no K perturbation each life is independent of the
 others given the time it enters the run (a Crump-Mode-Jagers process), so
-such a run, with no ledger or a closed-form one, is drawn a generation at a
-time with no thinning (:func:`_simulate_lives`).  Every other run takes the
+such a run is drawn a generation at a time with no thinning
+(:func:`_simulate_lives`), with or without a ledger.  Every other run takes the
 per-candidate loop, which draws event times by thinning against the bound
 N * (b + h) while N individuals live, b and h being the rates' parts at N
 (see :mod:`agestruct.rates`).  This is exact for state-dependent
@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import AtomicMeasure, TestFunction
+from .measures import AtomicMeasure, TestFunction, write_csv
 from .rates import ModelError, RateModel
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "simulate",
+    "output_times",
     "check_pathwise_identity",
 ]
 
@@ -166,7 +167,8 @@ class MartingaleLedger:
     where G = 0) and a record adds G over the live ages.  Such a run is drawn
     by lifelines, which hand over each output interval's events at once
     (:meth:`settle`).  Otherwise ``_acc`` is the Gauss-Legendre integral of
-    g up to the last event, and the loop reports each event.
+    g up to the last event, and the run reports each event (:meth:`birth`,
+    :meth:`death`), lifelines in time order as the loop does.
     """
 
     def __init__(self, panel: Sequence[TestFunction], model: RateModel, pop: Population):
@@ -255,11 +257,10 @@ class MartingaleLedger:
         return np.array(self.m_path)
 
     def to_csv(self, path: Union[str, Path]):
-        with Path(path).open("w") as fh:
-            fh.write("t,f_id,M_value,compensator\n")
-            for t, m_row, c_row in zip(self.times, self.m_path, self.comp_path):
-                for f, m, c in zip(self.panel, m_row, c_row):
-                    fh.write(f"{float(t)!r},{f.label},{float(m)!r},{float(c)!r}\n")
+        write_csv(path, ["t", "f_id", "M_value", "compensator"],
+                  ((t, f.label, m, c) for t, m_row, c_row in zip(self.times, self.m_path,
+                                                                  self.comp_path)
+                   for f, m, c in zip(self.panel, m_row, c_row)))
 
 
 class EventLog:
@@ -281,11 +282,9 @@ class EventLog:
         return len(self.t)
 
     def to_csv(self, path: Union[str, Path]):
-        with Path(path).open("w") as fh:
-            fh.write("t,kind,age,offspring\n")
-            for t, k, tau, br in zip(self.t, self.kind, self.tau, self.brood):
-                name = "birth" if k == KIND_BIRTH else "death"
-                fh.write(f"{float(t)!r},{name},{float(t - tau)!r},{br}\n")
+        write_csv(path, ["t", "kind", "age", "offspring"],
+                  ((t, "birth" if k == KIND_BIRTH else "death", t - tau, br)
+                   for t, k, tau, br in zip(self.t, self.kind, self.tau, self.brood)))
 
 
 @dataclass
@@ -320,6 +319,15 @@ class Trajectory:
         )
 
 
+def output_times(horizon: float, dt_out: float) -> np.ndarray:
+    """The output times i * dt_out up to the horizon, the last being the horizon
+    itself; a ValueError unless ``dt_out`` divides the horizon."""
+    n_out = int(round(horizon / dt_out))
+    if abs(n_out * dt_out - horizon) > 1e-9:
+        raise ValueError("dt_out must divide the horizon")
+    return np.append(np.arange(n_out) * float(dt_out), float(horizon))
+
+
 # Uniforms per draw from the replicate's generator on the loop.
 _UBLOCK = 8192
 
@@ -334,24 +342,20 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     """Simulate the population carrying ``a0`` (unit-weight atoms) to the horizon.
 
     ``k`` is the normalisation used when rates are evaluated (the rates see
-    A_t / k) and the snapshot weight is 1/k.  Snapshots are taken at every
-    multiple of ``dt_out``; identical (rng stream, arguments) give identical
+    A_t / k) and the snapshot weight is 1/k.  Snapshots are taken at the
+    :func:`output_times`; identical (rng stream, arguments) give identical
     event sequences.
 
-    The model and the ledger alone pick the path.  A run with constant
-    rates, no K perturbation and no ledger or a closed-form one is drawn
-    life by life, with an event table only for a log or a ledger
-    (:func:`_simulate_lives`).  Any other run takes the per-candidate loop:
-    each candidate reads three uniforms (time, slot, accept) from blocks of
-    8192 drawn from ``rng``, against a bound re-chosen for each live count N.
+    The model alone picks the path, so a log or a ledger changes no draw.  A
+    run with constant rates and no K perturbation is drawn life by life, with
+    an event table only for a log or a ledger (:func:`_simulate_lives`).  Any
+    other run takes the per-candidate loop: each candidate reads three
+    uniforms (time, slot, accept) from blocks of 8192 drawn from ``rng``,
+    against a bound re-chosen for each live count N.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
-    n_out = int(round(horizon / dt_out))
-    if abs(n_out * dt_out - horizon) > 1e-9:
-        raise ValueError("dt_out must divide the horizon")
-    out_times = np.array([i * dt_out for i in range(n_out + 1)])
-    out_times[-1] = horizon
+    out_times = output_times(horizon, dt_out)
     if t_star is None:
         a_star = float(a0.ages.max()) if a0.count else 0.0
         t_star = horizon + a_star
@@ -363,8 +367,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     ledger = MartingaleLedger(panel, model, pop) if with_ledger else None
     log = EventLog() if log_events else None
 
-    lives = (model.constant_rates and model.k_perturbation is None
-             and (ledger is None or ledger.closed_form))
+    lives = model.constant_rates and model.k_perturbation is None
     run = _simulate_lives if lives else _simulate_loop
     snapshots, candidates = run(pop, model, horizon, out_times, t_star, rng,
                                 ledger, log, population_cap)
@@ -586,8 +589,18 @@ def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
     for t_out in out_times:
         if ledger is not None:
             c = int(np.searchsorted(t_ev, t_out, side="right"))
-            d = done + np.flatnonzero(dies[done:c])
-            ledger.settle(int(brood[done:c].sum()), t_ev[d] - tau[d])
+            if ledger.closed_form:
+                d = done + np.flatnonzero(dies[done:c])
+                ledger.settle(int(brood[done:c].sum()), t_ev[d] - tau[d])
+            else:       # each event through the ledger's hooks, on the live set it meets
+                for i in range(done, c):
+                    pop.t = float(t_ev[i])
+                    if dies[i]:
+                        ledger.death(pop, pop.t - tau[i], int(brood[i]))
+                        pop.remove(int(np.flatnonzero(pop.birth_times[:pop.n_live] == tau[i])[0]))
+                    else:
+                        ledger.birth(pop, int(brood[i]))
+                    pop.add_newborns(int(brood[i]))
             done = c
         pop.birth_times = born[np.flatnonzero((born <= t_out) & (t_out < died))]
         pop.n_live = pop.birth_times.size

@@ -105,9 +105,9 @@ def main(argv=None) -> int:
     outdir = args.out if args.out is not None else Path(config.outdir or f"out_{args.command}")
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:      # a rate or population past its declared bound: one line, as a bad value
+    try:      # a bound passed, or a start or grid the study cannot take: one line, as a bad value
         report = runs[args.command][2](config, outdir)
-    except (ModelError, CapacityError) as err:
+    except (ModelError, CapacityError, ValueError) as err:
         parser.error(f"{args.command} --config {args.config}: {err}")
     emit(report, outdir, config=config, wall_clock_s=time.perf_counter() - t0)
     n_fail = sum(not r.passed for r in report.rows)

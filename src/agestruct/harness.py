@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
-                       make_panel, pair)
+                       make_panel, pair, write_csv)
 from .rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate, OffspringLaw,
                     RateModel, ScalarFn, classical_model)
-from .branching import simulate
+from .branching import output_times, simulate
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
 from .spde import (classical_exp_mean, classical_qv_mass,
@@ -573,16 +573,11 @@ def _replicates(config: ExperimentConfig, k_index: int, purpose: int, workers: i
     return _map_tasks(task, range(config.replicates), workers)
 
 
-def _out_times(config: ExperimentConfig) -> np.ndarray:
-    return np.arange(int(round(config.horizon / config.dt_out)) + 1) * config.dt_out
-
-
 def _add_samples(report: Report, k: int, values: np.ndarray, times, labels) -> None:
     """Append one sample row per (replicate, time, label) of ``values[rep, t, f]``."""
-    for rep in range(values.shape[0]):
-        for ti, t in enumerate(times):
-            for fi, label in enumerate(labels):
-                report.samples.append((k, rep, float(t), label, values[rep, ti, fi]))
+    report.samples.extend((k, rep, float(t), label, values[rep, ti, fi])
+                          for rep in range(values.shape[0]) for ti, t in enumerate(times)
+                          for fi, label in enumerate(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +607,7 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
     """
     workers = config.workers if workers is None else workers
     target_of = _limit_pairing_fn(config)
-    panel, out_times = config._panel, _out_times(config)
+    panel, out_times = config._panel, output_times(config.horizon, config.dt_out)
 
     report = Report(name="lln")
     targets = {(ti, fi): target_of(f, float(t))
@@ -630,7 +625,7 @@ def run_lln(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 report.rows.append(CheckRow.band(
                     "lln_mean", s.mean, target, 3.0 * s.se_mean,
                     k=k, t=float(t), f_id=f.label))
-                if abs(float(t) - config.horizon) < 1e-12:
+                if ti == len(out_times) - 1:        # the horizon
                     rms = float(np.sqrt(np.mean((arr[:, ti, fi] - target) ** 2)))
                     rms_by_f[f.label].append(rms)
 
@@ -655,16 +650,13 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
     t_end = config.horizon
     report = Report(name="qv")
 
-    qv_targets = []
-    for f in panel:
-        if model.constant_rates and f.kind == "exp" and not f.lam:
-            qv_targets.append(classical_qv_mass(
-                config._base.mass, model.birth.value, model.death.value,
-                model.life_law, model.split_law, t_end))
-        else:
-            qv_targets.append(covariation_integral_frames(model, config.background, f, f, t_end))
-    cov_targets = {(fi, gi): covariation_integral_frames(model, config.background, f, g, t_end)
-                   for fi, f in enumerate(panel) for gi, g in enumerate(panel) if gi > fi}
+    # a classical unit function's QV is closed form; every other target is one matrix entry
+    unit = [model.constant_rates and f.kind == "exp" and not f.lam for f in panel]
+    cov = (covariation_integral_frames(model, config.background, panel, t_end).tolist()
+           if len(panel) > 1 or not all(unit) else None)
+    qv_targets = [classical_qv_mass(config._base.mass, model.birth.value, model.death.value,
+                                    model.life_law, model.split_law, t_end)
+                  if is_unit else cov[fi][fi] for fi, is_unit in enumerate(unit)]
 
     cov_rows = []
     for k_index, k in enumerate(config.k_values):
@@ -679,13 +671,13 @@ def run_qv_check(config: ExperimentConfig, workers: Optional[int] = None) -> Rep
             report.rows.append(CheckRow.band(
                 "mart_var_vs_qv", s.var, qv_targets[fi], 3.0 * s.se_var,
                 k=k, t=t_end, f_id=f.label))
-        for (fi, gi), target in cov_targets.items():
-            cov = float(np.cov(mart_t[:, fi], mart_t[:, gi], ddof=1)[0, 1])
+        for fi, gi in zip(*np.triu_indices(len(panel), 1)):
+            value = float(np.cov(mart_t[:, fi], mart_t[:, gi], ddof=1)[0, 1])
             se = se_of_covariance(mart_t[:, fi], mart_t[:, gi])
             report.rows.append(CheckRow.band(
-                "mart_covariation", cov, target, 3.0 * se, k=k, t=t_end,
+                "mart_covariation", value, cov[fi][gi], 3.0 * se, k=k, t=t_end,
                 f_id=f"{panel[fi].label}&{panel[gi].label}"))
-            cov_rows.append((k, panel[fi].label, panel[gi].label, cov, target))
+            cov_rows.append((k, panel[fi].label, panel[gi].label, value, cov[fi][gi]))
     report.tables["qv_covariation"] = (("K", "f_id", "g_id", "covariance", "target"), cov_rows)
     report.failure_rate_note()
     return report
@@ -765,8 +757,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
         sqrt_k = math.sqrt(k)
         for fi, f in enumerate(panel):
             z_samples = sqrt_k * (arr[:, -1, fi] - limit_at_t[f.label])
-            for rep, v in enumerate(z_samples):
-                report.samples.append((k, rep, t_end, "Z:" + f.label, v))
+            _add_samples(report, k, z_samples[:, None, None], [t_end], ["Z:" + f.label])
             s = sample_summary(z_samples)
             target = mean_targets[(k, f.label)]
             if target is not None:
@@ -857,24 +848,21 @@ def run_convergence(config: ExperimentConfig) -> Report:
     one = solve_mvf(model, frame, dt)
     zeros = np.zeros(frame.n_cells)
     law = fluctuation_law(model, one, zeros, panel, [dt])
-    fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
-    targets = {(fi, gi): remark_covariance_grid(model, frame, fvals[fi], fvals[gi], dt)
-               for fi in range(len(panel)) for gi in range(fi, len(panel))}
-    worst = max(abs(law[1][fi, gi] - target) / max(abs(target), 1e-14)
-                for (fi, gi), target in targets.items())
+    targets = remark_covariance_grid(model, frame, panel, dt)
+    upper = np.triu_indices(len(panel))
+    worst = float(np.max(np.abs(law[1][upper] - targets[upper])
+                         / np.maximum(np.abs(targets[upper]), 1e-14)))
     report.rows.append(CheckRow.band("noise_cov_identity_rel", worst, 0.0, 1e-10))
 
     paths = simulate_fluctuation_paths(model, one, zeros, 10 ** 5, panel, [dt],
                                        partial(replicate_stream, config.seed, PURPOSE_SPDE, 1),
                                        law=law)[:, 0]
-    n_check = min(3, len(panel))
-    for fi in range(n_check):
-        for gi in range(fi, n_check):
-            nf, ng = paths[:, fi], paths[:, gi]
-            report.rows.append(CheckRow.band(
-                "noise_cov_empirical", float(np.cov(nf, ng, ddof=1)[0, 1]),
-                targets[fi, gi], 3.0 * se_of_covariance(nf, ng),
-                f_id=f"{panel[fi].label}&{panel[gi].label}"))
+    for fi, gi in zip(*np.triu_indices(min(3, len(panel)))):
+        nf, ng = paths[:, fi], paths[:, gi]
+        report.rows.append(CheckRow.band(
+            "noise_cov_empirical", float(np.cov(nf, ng, ddof=1)[0, 1]),
+            targets[fi, gi], 3.0 * se_of_covariance(nf, ng),
+            f_id=f"{panel[fi].label}&{panel[gi].label}"))
     report.failure_rate_note()
     return report
 
@@ -893,17 +881,16 @@ def run_simulate(config: ExperimentConfig, outdir: Optional[Path] = None,
         results = _replicates(config, k_index, PURPOSE_SIM, workers,
                               with_ledger=emit_files and config.emit_fields,
                               log_events=emit_files and config.emit_events, outdir=outdir)
-        _add_samples(report, k, np.stack([p for p, _ in results]), _out_times(config),
-                     [f.label for f in config._panel])
+        _add_samples(report, k, np.stack([p for p, _ in results]),
+                     output_times(config.horizon, config.dt_out), [f.label for f in config._panel])
     return report
 
 
 def _write_frames(config: ExperimentConfig, sol: LimitSolution, outdir: Path,
                   stem: str) -> None:
-    """Write the frame of ``sol`` at each multiple of dt_out to ``<stem>_t<time>.csv``."""
-    every = int(round(config.dt_out / config.dt))
-    for i in range(0, sol.times.size, every):
-        sol.frame(i).to_csv(outdir / f"{stem}_t{sol.times[i]:.6g}.csv")
+    """Write the frame of ``sol`` at each output time to ``<stem>_t<time>.csv``."""
+    for t in output_times(config.horizon, config.dt_out):
+        sol.frame_at(t).to_csv(outdir / f"{stem}_t{t:.6g}.csv")
 
 
 def _path_study(config: ExperimentConfig, nu0: np.ndarray, record, law=None):
@@ -922,8 +909,7 @@ def _path_study(config: ExperimentConfig, nu0: np.ndarray, record, law=None):
 def run_limit(config: ExperimentConfig, outdir: Optional[Path] = None) -> Report:
     sol = config.background
     report = Report(name="limit")
-    rows = [(float(t), float(x)) for t, x in zip(sol.times, sol.totals)]
-    report.tables["totals"] = (("t", "X"), rows)
+    report.tables["totals"] = (("t", "X"), list(zip(sol.times, sol.totals)))
     if outdir is not None:
         _write_frames(config, sol, outdir, "limit_frame")
     return report
@@ -934,7 +920,8 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
     if nu0 is None:
         raise ValueError("fluctuation paths need a grid-kind initial target")
     report = Report(name="fluctuate")
-    _, report.tables["path_stats"] = _path_study(config, nu0, _out_times(config))
+    _, report.tables["path_stats"] = _path_study(config, nu0,
+                                                 output_times(config.horizon, config.dt_out))
     if config.emit_fields and outdir is not None:
         _write_frames(config, evolve_mean(config._model, nu0, config.background), outdir,
                       "mean_field")
@@ -968,26 +955,13 @@ def emit(report: Report, outdir: Union[str, Path], config: Optional[ExperimentCo
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
-    with (outdir / "summary.csv").open("w") as fh:
-        fh.write("K,t,f_id,stat,value,target,tolerance,pass\n")
-        for r in report.rows:
-            k = "" if r.k is None else r.k
-            t = "" if r.t is None else repr(float(r.t))
-            fh.write(f"{k},{t},{r.f_id},{r.stat},{r.value!r},{r.target!r},"
-                     f"{r.tolerance!r},{str(r.passed).lower()}\n")
-
-    with (outdir / "samples.csv").open("w") as fh:
-        fh.write("K,replicate,t,f_id,value\n")
-        for k, rep, t, f_id, v in report.samples:
-            fh.write(f"{k},{rep},{float(t)!r},{f_id},{float(v)!r}\n")
-
+    write_csv(outdir / "summary.csv", "K,t,f_id,stat,value,target,tolerance,pass".split(","),
+              ((r.k, None if r.t is None else float(r.t), r.f_id, r.stat, r.value, r.target,
+                r.tolerance, r.passed) for r in report.rows))
+    write_csv(outdir / "samples.csv", "K,replicate,t,f_id,value".split(","),
+              ((k, rep, float(t), f_id, float(v)) for k, rep, t, f_id, v in report.samples))
     plotdir = outdir / "plotdata"
     plotdir.mkdir(exist_ok=True)
     for name, (header, rows) in report.tables.items():
-        with (plotdir / f"{name}.csv").open("w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row) + "\n")
+        write_csv(plotdir / f"{name}.csv", header, rows)
     return outdir

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "monomial",
     "exponential",
     "bump",
+    "write_csv",
 ]
 
 
@@ -44,6 +45,20 @@ class DomainError(ValueError):
 
 
 _EDGE_TOL = 1e-9
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else str(v)
+
+
+def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable) -> None:
+    """Write ``rows`` under ``header``: a float as ``repr(float(v))``, None empty, a bool
+    in lower case, anything else by ``str``.  Every CSV the package writes comes here."""
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -80,10 +95,7 @@ class AtomicMeasure:
     def to_csv(self, path: Union[str, Path]) -> None:
         """Write ages as CSV with header ``age`` plus a JSON sidecar with the weight."""
         path = Path(path)
-        with path.open("w") as fh:
-            fh.write("age\n")
-            for a in self.ages:
-                fh.write(f"{float(a)!r}\n")
+        write_csv(path, ["age"], ((a,) for a in self.ages))
         path.with_suffix(".json").write_text(
             json.dumps({"weight": self.weight, "t_star": self.t_star}))
 
@@ -140,11 +152,7 @@ class GridDensity:
         return cls(dx=dx, values=np.asarray(fn(x), dtype=float), signed=signed)
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(self.centers, self.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
+        write_csv(path, ["x", "value"], zip(self.centers, self.values))
 
 
 @dataclass(frozen=True)
@@ -217,8 +225,10 @@ class TestFunction:
         self.hi = float(hi)
         if kind not in ("monomial", "exp", "bump"):
             raise ValueError(f"unknown test function kind {kind!r}")
-        if kind == "bump" and not hi > lo:
-            raise ValueError("bump needs hi > lo")
+        if (self.k != k or k < 0 or not all(map(math.isfinite, (self.lam, self.lo, self.hi)))
+                or kind == "bump" and not hi > lo):
+            raise ValueError(f"a test function takes an integer power k >= 0, a finite lam and "
+                             f"finite lo < hi; got k={k!r}, lam={lam!r}, lo={lo!r}, hi={hi!r}")
 
     @property
     def label(self) -> str:
@@ -288,23 +298,26 @@ def bump(lo: float, hi: float) -> TestFunction:
     return TestFunction("bump", lo=lo, hi=hi)
 
 
+# a spec's prefix: the names of the numbers after it, its constructor and their type
+_FORMS = {"x^": ("k", monomial, int), "mono:": ("k", monomial, int),
+          "exp:": ("lam", exponential, float), "bump:": ("lo:hi", bump, float)}
+
+
 def _parse_spec(spec: str, t_star: float) -> TestFunction:
     spec = spec.strip()
     if spec in ("1", "const", "constant"):
         return constant()
     if spec == "x":
         return monomial(1)
-    if spec.startswith("x^"):
-        return monomial(int(spec[2:]))
-    if spec.startswith("mono:"):
-        return monomial(int(spec.split(":")[1]))
-    if spec.startswith("exp:"):
-        return exponential(float(spec.split(":")[1]))
-    if spec.startswith("bump:"):
-        _, lo, hi = spec.split(":")
-        return bump(float(lo), float(hi))
     if spec == "bump":
         return bump(0.25 * t_star, 0.75 * t_star)
+    for prefix, (names, make, number) in _FORMS.items():
+        if spec.startswith(prefix):
+            try:
+                return make(*map(number, spec[len(prefix):].split(":")))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"test function spec {spec!r} (form {prefix}{names}): "
+                                 f"{err}") from None
     raise ValueError(f"unknown test function spec {spec!r}")
 
 

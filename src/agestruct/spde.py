@@ -103,30 +103,31 @@ def _noise_cov(f, g, var_cells, var_boundary: float, split_mean: float) -> np.nd
     return (vf * var_cells) @ vg.T + var_boundary * np.outer(f[:, 0], g[:, 0])
 
 
-def _qv_density(model: RateModel, a: np.ndarray, dx: float, f_vals: np.ndarray,
-                g_vals: np.ndarray, f0: float, g0: float):
-    """Quadratic-covariation rate of the (f, g) martingales against each frame of ``a``.
-
-    ``f0`` and ``g0`` are the values at age zero, where newborns deposit.
-    """
-    b, h = GridRates(model, dx, a.shape[-1]).at(a).birth_death()
+def _qv_rates(model: RateModel, a: np.ndarray, dx: float, panel: Sequence[TestFunction],
+              f0=None) -> np.ndarray:
+    """Quadratic-covariation rates of the panel's martingales against each frame of ``a``:
+    (P, P) plus the frame axes, symmetric, every pair from one evaluation of the rates.
+    ``f0`` holds the values at age zero, where newborns deposit (None: the first cell's)."""
+    grid = GridRates(model, dx, a.shape[-1])
+    b, h = grid.at(a).birth_death()
+    fv = np.array([np.asarray(f(grid.centers), dtype=float) for f in panel])
+    f0 = fv[:, 0] if f0 is None else f0
     sm, s2 = model.split_law.mean, model.split_law.second_moment
     w = b * model.life_law.second_moment + h * s2
-    integrand = (f0 * g0 * w + h * f_vals * g_vals
-                 - h * sm * (f0 * g_vals + g0 * f_vals))
-    return np.sum(integrand * a, axis=-1) * dx
+    out = np.empty((len(panel), len(panel)) + a.shape[:-1])
+    for i, j in zip(*np.triu_indices(len(panel))):
+        integrand = (f0[i] * f0[j] * w + h * fv[i] * fv[j]
+                     - h * sm * (f0[i] * fv[j] + f0[j] * fv[i]))
+        out[i, j] = out[j, i] = np.sum(integrand * a, axis=-1) * dx
+    return out
 
 
 def remark_covariance_grid(model: RateModel, frame: GridDensity,
-                           f_vals: np.ndarray, g_vals: np.ndarray, dt: float) -> float:
-    """Per-step covariance target from the quadratic-covariation formula.
-
-    Evaluated in the grid convention: f(0) and g(0) are read at the first
-    cell center and the pairing uses the midpoint rule, matching the
-    delta_0-as-boundary-cell representation.
-    """
-    return dt * float(_qv_density(model, frame.values, frame.dx, f_vals, g_vals,
-                                  f_vals[0], g_vals[0]))
+                           panel: Sequence[TestFunction], dt: float) -> np.ndarray:
+    """Per-step covariance targets of the panel, (P, P), from the quadratic-covariation
+    formula in the grid convention of the delta_0-as-boundary-cell representation:
+    f(0) read at the first cell center, and the midpoint pairing."""
+    return dt * _qv_rates(model, frame.values, frame.dx, panel)
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +503,16 @@ def classical_qv_mass(a0_mass: float, birth: float, death: float,
 
 
 def covariation_integral_frames(model: RateModel, background: LimitSolution,
-                                f: TestFunction, g: TestFunction, t: float) -> float:
-    """Quadratic covariation integral for (f, g) on the solved background.
+                                panel: Sequence[TestFunction], t: float) -> np.ndarray:
+    """Quadratic covariation integrals of the panel's martingales to time t, (P, P).
 
-    Uses the literal f(0), g(0) (this target is for the event-driven
-    simulator's martingales, which deposit at age exactly zero), and the
-    midpoint pairing against each stored frame.
+    Uses the literal f(0) (this target is for the event-driven simulator's
+    martingales, which deposit at age exactly zero), the midpoint pairing
+    against each stored frame and the trapezoid rule in time.
     """
-    fv = np.asarray(f(background.centers), dtype=float)
-    gv = np.asarray(g(background.centers), dtype=float)
-    a = background.values[: background.index_at(t) + 1]
-    vals = _qv_density(model, a, background.dx, fv, gv, f.at_zero, g.at_zero)
-    return float(np.trapezoid(vals, dx=background.dt))
+    rates = _qv_rates(model, background.values[: background.index_at(t) + 1], background.dx,
+                      panel, [f.at_zero for f in panel])
+    return np.trapezoid(rates, dx=background.dt, axis=-1)
 
 
 # ---------------------------------------------------------------------------

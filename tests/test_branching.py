@@ -258,9 +258,9 @@ def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
     comp = np.array(traj.ledger.comp_path)
     ref = gauss_legendre_compensator(traj, pure_splitting(1.0, 2), panel)
     assert np.all(np.abs(comp - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-    assert comp[-1] == pytest.approx([100.80205230830724, -25.708551412379784], rel=1e-12)
+    assert comp[-1] == pytest.approx([96.713756027288, -29.362564011597016], rel=1e-12)
     assert traj.ledger.martingales()[-1] == pytest.approx(
-        [-1.802052308307239, -1.80398578273061], rel=1e-12)
+        [-9.713756027288, 7.752899108852198], rel=1e-12)
     traj = simulate(DENS, atoms(np.linspace(0.0, 1.0, 60)), k=120, horizon=1.0,
                     dt_out=0.5, rng=stream(0, ctx=17), panel=[constant(), monomial(1)],
                     with_ledger=True, t_star=2.0)
@@ -269,6 +269,18 @@ def test_bump_panel_and_population_dependent_rates_take_gauss_legendre():
         [172.7608542257993, -51.65038501257205], rel=1e-12)
     assert traj.ledger.martingales()[-1] == pytest.approx(
         [18.239145774200693, -6.532071403771575], rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [pure_splitting(1.0, 2), MIXED], ids=["pure_splitting",
+                                                                       "mixed_laws"])
+def test_a_gauss_legendre_ledger_leaves_the_draws_alone(model):
+    # the model alone picks the path, so a bump panel's ledger changes no snapshot
+    runs = [simulate(model, atoms(np.linspace(0.0, 1.0, 80)), k=80, horizon=1.0, dt_out=0.25,
+                     rng=stream(3, ctx=18), panel=[constant(), bump(0.2, 0.9)],
+                     with_ledger=with_ledger, t_star=2.0) for with_ledger in (False, True)]
+    assert not runs[1].ledger.closed_form
+    for plain, kept in zip(runs[0].snapshots, runs[1].snapshots):
+        assert np.array_equal(plain.ages, kept.ages)
 
 
 def test_gauss_legendre_evaluates_constant_rates_once_per_interval(monkeypatch):
@@ -979,14 +991,15 @@ def test_acceptance_configs_take_the_pinned_paths(paths):
                  rng=stream(0), log_events=True, t_star=2.0)
     simulate(PURE_DEATH, atoms(np.zeros(3), t_star=1.0), k=1, horizon=1.0, dt_out=1.0,
              rng=stream(1), t_star=1.0)
-    assert paths == ["_simulate_lives"] * 3
-    # population-dependent rates, the kernel workload model and a bump-panel ledger
+    # a bump-panel (Gauss-Legendre) ledger does not move a constant-rate run off lifelines
+    ledger_run(pure_splitting(1.0, 2), [constant(), bump(0.2, 0.9)], 60, 16)
+    assert paths == ["_simulate_lives"] * 4
+    # population-dependent rates and the kernel workload model
     paths.clear()
     simulate(DENS, atoms(np.linspace(0.0, 1.0, 50)), k=50, horizon=1.0, dt_out=0.25,
              rng=stream(2), t_star=2.0)
     kernel_workload_run()
-    ledger_run(pure_splitting(1.0, 2), [constant(), bump(0.2, 0.9)], 60, 16)
-    assert paths == ["_simulate_loop"] * 3
+    assert paths == ["_simulate_loop"] * 2
 
 
 @pytest.mark.parametrize("flags", [{"log_events": True},

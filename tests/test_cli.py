@@ -276,3 +276,85 @@ def test_cli_clt_outputs_of_non_classical_models_are_pinned(name, tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("summary.csv", "samples.csv")}
     assert digests == PINNED_CLT[name]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("x^-1", "test function spec 'x^-1' (form x^k): a test function takes an integer power "
+             "k >= 0, a finite lam and finite lo < hi; got k=-1,"),
+    ("exp:nan", "test function spec 'exp:nan' (form exp:lam): a test function takes"),
+    ("exp:inf", "(form exp:lam): a test function takes an integer power k >= 0, a finite lam "
+                "and finite lo < hi; got k=1, lam=inf,"),
+    ("bump:0.2", "test function spec 'bump:0.2' (form bump:lo:hi): bump() missing 1 required "
+                 "positional argument: 'hi'"),
+    ("x^1.5", "test function spec 'x^1.5' (form x^k): invalid literal for int()")],
+    ids=["negative_power", "nan_rate", "inf_rate", "bump_one_end", "fractional_power"])
+def test_cli_rejects_a_bad_panel_spec_at_load(spec, message, tmp_path, capsys):
+    # the first three once loaded, and lln died in a quadrature traceback; the last
+    # two said "not enough values to unpack" or "invalid literal for int()"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CFG, panel=["1", spec])))
+    with pytest.raises(SystemExit) as exc:
+        main(["lln", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("agestruct: error:")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith(f"agestruct: error: panel ['1', {spec!r}]: ")
+    assert message in lines[0]
+
+
+def test_cli_fluctuate_on_an_atoms_start_is_one_error_line(cfg_path, tmp_path, capsys):
+    # this once ended in a ValueError traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["fluctuate", "--config", str(cfg_path), "--out", str(tmp_path / "f")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("agestruct: error:")] == [
+        f"agestruct: error: fluctuate --config {cfg_path}: fluctuation paths need a "
+        f"grid-kind initial target"]
+
+
+# every kind of file the commands write, on tiny configs: sha256 over each command's
+# files (name and bytes; the manifest's wall clock aside), recorded before the CSV
+# writers shared one cell format, so that no byte of an artifact moves unseen
+ARTIFACT_RUNS = {
+    "simulate": ("classical", ["simulate", "--emit-events", "--emit-fields"]),
+    "simulate_gauss_legendre": ("kernel", ["simulate", "--emit-events", "--emit-fields"]),
+    "limit": ("classical", ["limit", "--emit-fields"]),
+    "fluctuate": ("kernel", ["fluctuate", "--emit-fields"]),
+    "lln": ("classical", ["lln"]),
+    "qv": ("kernel", ["qv"]),
+    "clt": ("kernel", ["clt"]),
+    "converge": ("kernel", ["converge"]),
+}
+ARTIFACT_MODELS = {"classical": (CFG["model"], ["1", "x", "exp:-1"]),
+                   "kernel": (FIELD_MODELS["kernel_linear"], ["1", "exp:0.5", "bump:0.1:0.4"])}
+ARTIFACTS = {
+    "simulate": (18, "dc1bcea381a7cbfbd78e0fbe88ae62b59a9b31ea613081422b32c1704f5193b1"),
+    "simulate_gauss_legendre": (
+        18, "d8b9f08163c345e985c7616a64416ddd259653c379aeae911e90caf3a39852ee"),
+    "limit": (6, "90552624b77a34ba3ce903a79342660c9537e7049efe8c5d7e46f7001b3846f5"),
+    "fluctuate": (6, "c34d9271b8c31bc1f4a121513eec76869dc6c719db23eb13c095a51359797ef6"),
+    "lln": (3, "ff1662541a6cf391d928f47e11801ce223e09008c88a8706971c3d0935fa9f2e"),
+    "qv": (3, "a998ec1055f839c5842df02c19c65d9cd883a859a2cbb224d2ee46d042399ed9"),
+    "clt": (3, "879129efd2d9bb15dd6418728cdf2aae4d1789d71cd09e264c24c4469968b52d"),
+    "converge": (3, "edf41f0e8aa52fc1be9eb80cbf5bc49fb00b2585a381155f2914e9f9e88779e5"),
+}
+
+
+@pytest.mark.parametrize("run", ARTIFACT_RUNS)
+def test_every_artifact_kind_is_pinned(run, tmp_path):
+    model, argv = ARTIFACT_RUNS[run]
+    model, panel = ARTIFACT_MODELS[model]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(CFG, model=model, initial=GRID, perturbation=GRID, dt=0.05,
+                                 horizon=0.5, dt_out=0.25, k_values=[20, 40], replicates=2,
+                                 panel=panel, n_spde_paths=8, spde_block=4)))
+    out = tmp_path / "o"
+    main(argv[:1] + ["--config", str(p), "--out", str(out)] + argv[1:])
+    files = sorted(f for f in out.rglob("*") if f.is_file() and f.name != "manifest.json")
+    digest = hashlib.sha256()
+    for f in files:
+        digest.update(f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes())
+    assert (len(files), digest.hexdigest()) == ARTIFACTS[run]

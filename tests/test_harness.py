@@ -710,6 +710,20 @@ def test_run_qv_small_panel():
     assert all(r.passed for r in means)
 
 
+def test_output_times_label_the_snapshots_the_simulator_took():
+    # 3 * 0.3 is 0.8999999999999999, but the simulator's last snapshot is at the
+    # horizon, 0.9; samples and lln_mean rows once said 0.8999999999999999
+    cfg = small_config(horizon=0.9, dt=0.01, dt_out=0.3, k_values=[60, 240], replicates=10)
+    times = [0.0, 0.3, 0.6, 0.9]
+    lln = run_lln(cfg)
+    assert sorted({t for _, _, t, _, _ in lln.samples}) == times
+    assert sorted({r.t for r in lln.rows}) == times[1:]
+    assert len(lln.tables["lln_rms"][1]) == 2       # the horizon's row at each K
+    sim = harness.run_simulate(cfg)
+    assert sorted({t for _, _, t, _, _ in sim.samples}) == times
+    assert harness.output_times(cfg.horizon, cfg.dt_out).tolist() == times
+
+
 def test_qv_covariation_table_keeps_every_k(monkeypatch):
     targets = counting(monkeypatch, "covariation_integral_frames")
     cfg = dataclasses.replace(qv_config(), k_values=[100, 200], replicates=20,
@@ -722,8 +736,8 @@ def test_qv_covariation_table_keeps_every_k(monkeypatch):
     for k, f, g, cov, target in rows:
         row = marts[(k, f"{f}&{g}")]
         assert (cov, target) == (row.value, row.target)
-    # one target per pair and per non-unit diagonal, whatever the number of K
-    assert len(targets) == 3 + 2
+    # one target matrix for every pair and non-unit diagonal, whatever the number of K
+    assert len(targets) == 1
 
 
 def test_run_clt_small(monkeypatch):

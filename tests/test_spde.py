@@ -97,9 +97,7 @@ def test_noise_covariance_identity(model):
         frame = bg.frame(idx)
         one = solve_mvf(model, frame, bg.dt)
         _, cov = fluctuation_law(model, one, np.zeros(frame.n_cells), panel, [bg.dt])
-        fvals = [np.asarray(f(frame.centers), dtype=float) for f in panel]
-        target = np.array([[remark_covariance_grid(model, frame, f, g, bg.dt) for g in fvals]
-                           for f in fvals])
+        target = remark_covariance_grid(model, frame, panel, bg.dt)
         assert np.all(np.abs(cov - target) <= 1e-10 * np.maximum(np.abs(target), 1e-12))
 
 
@@ -530,10 +528,38 @@ def test_kernel_engine_reduces_to_density_engine():
 
 def test_qv_integral_frames_vs_closed_form():
     bg = background(SPLIT, dx=1e-3)
-    got = covariation_integral_frames(SPLIT, bg, constant(), constant(), 1.0)
+    (got,), = covariation_integral_frames(SPLIT, bg, [constant()], 1.0)
     exact = classical_qv_mass(1.0, 0.0, 1.0, SPLIT.life_law, SPLIT.split_law, 1.0)
     assert exact == pytest.approx(math.e - 1.0, rel=1e-12)
     assert got == pytest.approx(exact, rel=5e-3)
+
+
+@pytest.mark.parametrize("model", [KERNEL, GAUSS], ids=["kernel", "gaussian_kernel"])
+def test_qv_target_matrices_are_the_per_pair_formula(model):
+    # one rate pass serves every pair; each entry keeps the pair's own arithmetic
+    bg = background(model, dx=1e-2)
+    panel = make_panel(t_star=2.0)
+    sm, s2 = model.split_law.mean, model.split_law.second_moment
+
+    def qv_rate(a, fv, gv, f0, g0):
+        b, h = GridRates(model, bg.dx, a.shape[-1]).at(a).birth_death()
+        w = b * model.life_law.second_moment + h * s2
+        integrand = f0 * g0 * w + h * fv * gv - h * sm * (f0 * gv + g0 * fv)
+        return np.sum(integrand * a, axis=-1) * bg.dx
+
+    fvals = [np.asarray(f(bg.centers), dtype=float) for f in panel]
+    frames = bg.values[:bg.index_at(0.6) + 1]
+    got = covariation_integral_frames(model, bg, panel, 0.6)
+    frame = bg.frame(25)
+    step = remark_covariance_grid(model, frame, panel, bg.dt)
+    assert got.shape == step.shape == (len(panel), len(panel))
+    for i, f in enumerate(panel):
+        for j in range(i, len(panel)):
+            g = panel[j]
+            rates = qv_rate(frames, fvals[i], fvals[j], f.at_zero, g.at_zero)
+            assert got[i, j] == got[j, i] == float(np.trapezoid(rates, dx=bg.dt))
+            cell = qv_rate(frame.values, fvals[i], fvals[j], fvals[i][0], fvals[j][0])
+            assert step[i, j] == step[j, i] == bg.dt * float(cell)
 
 
 def test_paths_reproducible_and_gaussian():
