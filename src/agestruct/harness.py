@@ -406,8 +406,8 @@ def _mass_field(spec: dict, where: str) -> str:
 
 
 def _read_start(initial, perturbation, dx: float, horizon: float):
-    """The base's and the perturbation's (ages, masses), and the solver grid size:
-    room for the oldest age of either plus one cell per time step."""
+    """The base's and the perturbation's (ages, masses), and the solver grid size: one
+    cell per time step plus room up to the oldest age's cell int(age / dx), as binned."""
     base = _measure(initial, "initial", dx)
     pert = ((np.empty(0), np.empty(0)) if perturbation is None
             else _measure(perturbation, "perturbation", dx, signed=True))
@@ -415,7 +415,7 @@ def _read_start(initial, perturbation, dx: float, horizon: float):
     n_steps = int(round(horizon / dx))
     if abs(n_steps * dx - horizon) > 1e-9:
         raise ValueError("horizon must be a multiple of the grid spacing")
-    return base, pert, n_steps + max(1, int(math.ceil(extent / dx - 1e-9)))
+    return base, pert, n_steps + int(extent / dx) + 1
 
 
 def _systematic_counts(target: np.ndarray) -> np.ndarray:

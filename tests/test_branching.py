@@ -820,11 +820,15 @@ def test_event_log_determinism(tmp_path):
 
 def test_population_cap(paths):
     model = pure_splitting(1.0, 3)  # strongly supercritical
-    with pytest.raises(CapacityError, match="exceeded cap 1000 at t="):
+    rng = stream(11, ctx=10)
+    with pytest.raises(CapacityError) as err:
         simulate(model, atoms(np.zeros(200), t_star=3.0), k=200, horizon=3.0,
-                 dt_out=1.0, rng=stream(11, ctx=10), population_cap=1000,
-                 t_star=3.0)
+                 dt_out=1.0, rng=rng, population_cap=1000, t_star=3.0)
     assert paths == ["_simulate_lives"]
+    # pinned with the generator's state before the generation pass was made lean
+    assert str(err.value) == "population 1001 exceeded cap 1000 at t=1.04613"
+    assert hashlib.sha256(repr(philox_state(rng)).encode()).hexdigest() == (
+        "6ac377b543e8e1cec71d3d4c4898cfe5f3ba20aec4f155bb7e899d5e5dd8debc")
 
 
 def test_snapshot_weight_and_times():
@@ -1056,3 +1060,64 @@ def test_acceptance_lifelines_are_pinned():
         "fc7623c807b3fdd1a68898febc584ae0e02fcf29bfc4f96c0c8c04368a124591")
     assert study_replicate(lln_config(), PURPOSE_LLN, 0) == (
         "c9ae512a726c789293a129b3be1ed1cec4f7daef8b95bc68b57af8fa1dd30090")
+
+
+# a Poisson life law with a two-point split law: MIXED's laws swapped
+SWAPPED = classical_model(0.6, 0.9, OffspringLaw.poisson(1.1),
+                          OffspringLaw.two_point(0.4, 0, 3))
+FINGERPRINT_KINDS = ({}, {"log_events": True},
+                     {"with_ledger": True, "panel": LAW_PANEL},
+                     {"with_ledger": True, "panel": [constant(), bump(0.2, 0.9)]})
+
+
+def first_death(model, n0, ctx):
+    """The death time of the first of ``n0`` initial lives on ``stream(0, ctx)``."""
+    return float(stream(0, ctx=ctx).standard_exponential(n0)[0]) / model.death.value
+
+
+def lifeline_fingerprint(model, horizon):
+    """A digest of every lifeline run kind (plain, log, closed-form and
+    Gauss-Legendre ledger) at one and at four output intervals: the snapshot
+    ages, the counters, the Philox state, the event log and the ledger paths."""
+    h = hashlib.sha256()
+    for i, (n_out, kept) in enumerate((n, kept) for n in (1, 4) for kept in FINGERPRINT_KINDS):
+        rng = stream(i, ctx=80)
+        traj = simulate(model, atoms(np.linspace(0.0, 1.0, 60)), k=60, horizon=horizon,
+                        dt_out=horizon / n_out, rng=rng, t_star=horizon + 1.0, **kept)
+        for snap in traj.snapshots:
+            h.update(snap.ages.tobytes())
+        counters = [traj.births_life, traj.births_split, traj.deaths, traj.candidates]
+        h.update(repr((counters, philox_state(rng))).encode())
+        if traj.events is not None:
+            ev = traj.events
+            for column in (ev.t, ev.kind, ev.tau, ev.brood):
+                h.update(np.asarray(column).tobytes())
+        if traj.ledger is not None:
+            for path in (traj.ledger.times, traj.ledger.m_path, traj.ledger.comp_path):
+                h.update(np.asarray(path).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("model, horizon, digest", [
+    (pure_splitting(1.0, 2), 1.0,
+     "e71c82fb3f0a5cd330caff1b16c23a9f896194dea80280de40a03d466dffba91"),
+    (MIXED, 1.0,
+     "1f596d6f9a37ae6a154b27f83db7b1cc3151531336a94bb614c9f3835ea7f449"),
+    (thinned(0.6, 0.9, 0, 3, 1.0, 1.5), 1.0,
+     "b49b838030036ba32c10b467b1006b099732d5a8c8378f24b2c69c5705e743c4"),
+    (thinned(0.6, 0.9, 1, 0, 1.0, 1.5), 1.0,
+     "50f237fa57fcdc387b1c7bb4a206eb68104f0eefa5aa42b7e2630786bace8ffc"),
+    (TRANSPORT, 1.0,
+     "343a9854a921f49faebdfec33b0538a858d21fd192e24fba6f58666999730cfa"),
+    (EXTINCTION, 3.0,
+     "56fbea1baa2fdbe6a7a801df5c5dc236be8c9fdc8109363f99b83e29a0e53644"),
+    (SWAPPED, 1.0,
+     "ac463738d44f9698cd1a1fe424c195d16bde10860ee0011eb0fe2d10cd9186cb"),
+    # the first initial life dies exactly at the horizon, so it is alive there
+    (SWAPPED, first_death(SWAPPED, 60, 80),
+     "88084af455689e5600c567019cc69e4cbdc9883400d6b5d5d191b2455c2f0d06"),
+], ids=["pure_splitting", "mixed", "broods_0_3", "broods_1_0", "transport", "extinction",
+        "poisson_two_point", "death_at_the_horizon"])
+def test_lifeline_fingerprint(model, horizon, digest):
+    # pinned before the generation pass was made lean, which moved no draw
+    assert lifeline_fingerprint(model, horizon) == digest

@@ -315,6 +315,17 @@ def test_cli_fluctuate_on_an_atoms_start_is_one_error_line(cfg_path, tmp_path, c
         f"grid-kind initial target"]
 
 
+@pytest.mark.parametrize("command", ["limit", "clt"])
+def test_cli_solves_from_an_atom_at_a_multiple_of_dt(command, tmp_path):
+    # the atom at age 0.5 = 50 dt lies in cell 50, one past the 50 cells of room the
+    # start once had, so every study that solved the background stopped with exit 2
+    cfg = dict(CFG, initial={"kind": "atoms", "ages": [0.0, 0.5], "masses": [0.5, 0.5]},
+               horizon=0.5, dt=0.01, dt_out=0.5)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
 # every kind of file the commands write, on tiny configs: sha256 over each command's
 # files (name and bytes; the manifest's wall clock aside), recorded before the CSV
 # writers shared one cell format, so that no byte of an artifact moves unseen

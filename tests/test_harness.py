@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from agestruct import harness, spde
-from agestruct.acceptance import clt_config, qv_config
+from agestruct.acceptance import clt_config, lln_config, qv_config
 from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
                                build_initial, emit, model_from_config,
                                replicate_stream, run_clt, run_convergence, run_limit,
@@ -677,6 +677,18 @@ def test_atom_base_with_grid_perturbation_realises_its_atoms():
         direct = math.sqrt(k) * (float(np.sum(f(ages))) / k - float(f(np.zeros(1))[0]))
         assert init.z0.pair(f) == pytest.approx(direct, rel=1e-12)
     assert init.z0.mass == pytest.approx(1.0)
+
+
+def test_start_room_holds_the_cell_of_its_oldest_atom():
+    # an atom at age 0.5 = 50 dt is binned into cell 50: 51 cells of room, plus 50 to age
+    cfg = small_config(initial={"kind": "atoms", "ages": [0.0, 0.5], "masses": [0.5, 0.5]},
+                       horizon=0.5, dt=0.01, dt_out=0.5)
+    assert cfg._base_grid.n_cells == 101
+    # pure splitting at rate 1 into two: the mass grows as e^t
+    assert cfg.background.values[-1].sum() * cfg.dt == pytest.approx(math.exp(0.5), rel=1e-2)
+    # the acceptance configs keep the grids they had when the room was rounded up
+    assert [c._base_grid.n_cells for c in (lln_config(), qv_config(), clt_config())] == [
+        1001, 1001, 2000]
 
 
 def test_replicate_streams_independent_of_context():
