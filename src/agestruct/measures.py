@@ -50,14 +50,18 @@ _EDGE_TOL = 1e-9
 def _cell(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else str(v)
+    if v is None or isinstance(v, (float, np.floating)):
+        return "" if v is None else repr(float(v))
+    s = str(v)      # quoted per RFC 4180 when it holds a comma, a quote or a line break
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
 def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable) -> None:
     """Write ``rows`` under ``header``: a float as ``repr(float(v))``, None empty, a bool
-    in lower case, anything else by ``str``.  Every CSV the package writes comes here."""
+    in lower case, anything else by ``str``, quoted when it holds a comma, a quote or a
+    line break (RFC 4180).  Every CSV the package writes comes here."""
     with Path(path).open("w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(_cell, header)) + "\n")
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
