@@ -20,20 +20,23 @@ characteristics grid as the limit solver:
 
   exactly (with f(0) read at the first cell center, consistent with the
   midpoint pairing rule), so the grid martingale has the limit's
-  quadratic variation by construction.  One helper builds a step's noise
-  variances from its rates and background (:func:`_noise_var`) and one
-  pairs them with test-function rows (:func:`_noise_cov`):
-  the law sweep uses both for the active cells of every step, so one
-  step's law from a frame is that frame's noise covariance; the
-  constant-rate law builds the first once for the boundary column and once
-  for the start row.
+  quadratic variation by construction.  One helper builds the noise
+  variances from rates and background frames (:func:`_noise_var`) and one
+  pairs them with test-function rows (:func:`_noise_cov`): the law sweep
+  builds every step's variances in one call on the stacked frames and pairs
+  each step's active cells, so one step's law from a frame is that frame's
+  noise covariance; the constant-rate law builds them once for the boundary
+  column and once for the start row.
 
 The step is explicit Euler-Maruyama: all drift deposits are evaluated at
 the pre-step state against the pre-step background frame.  The scheme is
 linear in the field with Gaussian increments, z_{k+1} = A_k z_k + eta_k, so
 the panel pairings at any set of record times are exactly jointly
-Gaussian.  :func:`fluctuation_law` computes that law by one backward
-adjoint sweep g_k = A_k^T g_{k+1} (the discrete stochastic-convolution
+Gaussian.  A_k is a shift with survival, a boundary row, a mass deposit and
+a deposit per death kernel (:class:`_Coeffs` holds their rows, frame folded
+in); :func:`_engine_step` applies it and :func:`_adjoint_step` its
+transpose.  :func:`fluctuation_law` computes the law by one backward adjoint
+sweep g_k = A_k^T g_{k+1} (the discrete stochastic-convolution
 representation): the mean is dx * (g_0, z_0) and the covariance is the sum
 over steps of the noise covariance paired with g_{k+1}.  With constant
 rates (McKendrick-von Foerster: a renewal equation at the boundary) A_k^T
@@ -45,8 +48,8 @@ the boundary column decayed along the diagonal, so the noise sums against
 fixed shifted panel tables obey a like recursion; those scalars give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
 the mean field itself forward (with constant rates, in closed form).  Each
-stepped call builds its coefficients (:class:`_Coeffs`) once and keeps none
-on the background; the constant-rate forms read b, h, d and c from the model.
+stepped call builds the operator's rows once and keeps none on the
+background; the constant-rate forms read b, h, d and c from the model.
 """
 
 from __future__ import annotations
@@ -135,95 +138,73 @@ def remark_covariance_grid(model: RateModel, frame: GridDensity,
 
 
 class _Coeffs:
-    """Per-step arrays driving the drift and noise of the grid engine on ``bg``.
+    """The grid SPDE's drift on a background as its step operator, row k serving the
+    step A_k from frame k to k + 1 with the frame a_k folded in:
 
-    Row k serves the step from frame k to frame k+1; a row that is the same
-    for every frame is a broadcast view of one row.  ``uh`` (the death rate's
-    mass-derivative weight) is None when every Frechet term vanishes, else
-    ``una`` holds dx * (un, frame k), un the newborn rate's weight.  ``kernels``
-    holds per distinct interaction kernel the kernel, paired through ``grid``
-    (:class:`~agestruct.mvf.GridRates`), and the row weights of its death and
-    newborn Frechet terms.  ``b``/``h`` are the birth and death rate rows the
-    law sweep builds each step's noise variances from.
+        A_k z = shift(decay_k z) + e_0 (beta_k, z) + mu_k sum(z) + pi_k (g, z),
+
+    ``decay`` the survival factor, ``beta`` the boundary row (dt times the newborn
+    rate, the newborn mass-derivative weight paired with a_k, and each kernel's newborn
+    weight times a_k paired through ``grid``, :meth:`~agestruct.mvf.GridRates.pair`,
+    which is symmetric), ``mu`` the death mass-derivative deposit -dt dx u_h a_k (None
+    when it vanishes) and ``kernels`` one (kernel, pi) per kernel with a death weight,
+    pi = -dt w_h a_k.  A row that is the same for every frame may be one row that
+    broadcasts.  ``b``/``h`` are the birth and death rate rows the law sweep builds its
+    noise variances from.
     """
 
     def __init__(self, model: RateModel, background: LimitSolution):
-        self.bg = background
         dt = dx = background.dt
         lm, sm = model.life_law.mean, model.split_law.mean
         a = background.values[:-1]
-        shape = a.shape
-        grid = self.grid = GridRates(model, dx, shape[1])
+        grid = self.grid = GridRates(model, dx, a.shape[1])
         mu = grid.at(a)            # one view: each rate row below reads its prefix sums
         x = grid.centers
-
-        b, h = mu.birth_death()
-        self.n_rows = np.broadcast_to(b * lm + h * sm, shape)
-        self.decay = np.broadcast_to(np.exp(-dt * model.death_rate(grid.edges, mu)), shape)
-        ub, w3b, kerb = model.birth.frechet_terms(x, mu)
-        udh, w3h, kerh = model.death.frechet_terms(x, mu)
-        self.uh = None
-        if np.any(udh) or np.any(ub) or kerh is not None or kerb is not None:
-            self.uh = np.broadcast_to(udh, shape)
-            self.una = dx * np.sum(np.broadcast_to(ub * lm + udh * sm, shape) * a, axis=1)
-        # kernel -> [death, newborn] row weights; insertion order fixes the sum order
-        weights = {}
-        if kerh is not None:
-            weights[kerh] = [w3h, w3h * sm]
-        if kerb is not None:
-            weights.setdefault(kerb, [0.0, 0.0])[1] += w3b * lm
-        self.kernels = [(kern, np.broadcast_to(wh, shape), np.broadcast_to(wn, shape))
-                        for kern, (wh, wn) in weights.items()]
-        self.b, self.h = np.broadcast_to(b, shape), np.broadcast_to(h, shape)
+        self.b, self.h = mu.birth_death()
+        self.decay = np.broadcast_to(np.exp(-dt * model.death_rate(grid.edges, mu)), a.shape)
+        ub, wb, kb = model.birth.frechet_terms(x, mu)
+        uh, wh, kh = model.death.frechet_terms(x, mu)
+        newborn = {}                                        # kernel -> its newborn weight
+        for kern, w, m in ((kh, wh, sm), (kb, wb, lm)):
+            if kern is not None and m:
+                newborn[kern] = newborn.get(kern, 0.0) + w * m
+        self.beta = dt * (self.b * lm + self.h * sm
+                          + dx * np.sum((ub * lm + uh * sm) * a, axis=1, keepdims=True)
+                          + sum(grid.pair(kern, w * a) for kern, w in newborn.items()))
+        self.mu = -dt * dx * uh * a if np.any(uh) else None
+        self.kernels = [] if kh is None else [(kh, -dt * wh * a)]
 
 
 def _engine_step(z: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> None:
-    """Advance the noise-free fields ``z`` (B, J) in place from step k to k+1.
+    """Advance the noise-free fields ``z`` (B, J) in place by A_k (:class:`_Coeffs`).
 
     ``w0``/``w1`` are the active support widths before/after the step.
-    Explicit Euler: every deposit uses the pre-step state and the pre-step
-    background frame.
+    Explicit Euler: every deposit reads the pre-step state.
     """
-    dx, dt = co.bg.dx, co.bg.dt
     zs = z[:, :w0]
-    nz0 = dx * (zs @ co.n_rows[k, :w0])
-    a0 = co.bg.values[k, :w0]
-    if co.uh is not None:
-        mass0 = dx * zs.sum(axis=1)
-        dep0 = -dt * np.outer(mass0, co.uh[k, :w0] * a0)
-        bnd0 = dt * (co.una[k] * mass0 + nz0) / dx
-        for kern, wh, wn in co.kernels:
-            kz = co.grid.pair(kern, zs)        # (B, w0): (g(x_i, .), Z)
-            dep0 -= dt * (kz * wh[k, :w0]) * a0[None, :]
-            bnd0 = bnd0 + dt * np.sum(kz * wn[k, :w0] * a0[None, :], axis=1)
-    else:
-        dep0 = None
-        bnd0 = dt * nz0 / dx
-
-    # exact transport + survival, then deposits
-    z[:, 1:w1] = z[:, : w1 - 1] * co.decay[k, 1:w1]
+    born = zs @ co.beta[k, :w0]
+    deps = [] if co.mu is None else [np.outer(zs.sum(axis=1), co.mu[k, :w0])]
+    deps += [co.grid.pair(kern, zs) * pi[k, :w0] for kern, pi in co.kernels]
+    z[:, 1:w1] = z[:, : w1 - 1] * co.decay[k, 1:w1]      # exact transport and survival
     z[:, 0] = 0.0
-    if dep0 is not None:
-        z[:, :w0] += dep0
-    z[:, 0] += bnd0
+    for dep in deps:
+        z[:, :w0] += dep
+    z[:, 0] += born
 
 
 def _adjoint_step(g: np.ndarray, k: int, co: _Coeffs, w0: int, w1: int) -> np.ndarray:
-    """Return g A_k for adjoint rows ``g`` (n, J): the transpose of :func:`_engine_step`."""
-    dx, dt = co.bg.dx, co.bg.dt
-    a0 = co.bg.values[k, :w0]
-    g0 = g[:, :1]
+    """Return g A_k for adjoint rows ``g`` (n, J), :func:`_engine_step` transposed term by
+    term: g_0 beta, (g, mu) 1 and, the kernel being symmetric, (g, pi g)."""
+    gw = g[:, :w0]
     out = np.empty_like(g)
     out[:, w1:] = g[:, w1:]                 # cells the step leaves as they are
     out[:, : w1 - 1] = g[:, 1:w1] * co.decay[k, 1:w1]
     out[:, w1 - 1] = 0.0
-    out[:, :w0] += dt * g0 * co.n_rows[k, :w0]
-    if co.uh is not None:
-        mass_term = dx * (g[:, :w0] @ (co.uh[k, :w0] * a0))[:, None]
-        out[:, :w0] += dt * (co.una[k] * g0 - mass_term)
-        # g(x_i, x_j) is symmetric: the product with its matrix is a pairing
-        for kern, wh, wn in co.kernels:
-            out[:, :w0] += dt * co.grid.pair(kern, (g0 * wn[k, :w0] - g[:, :w0] * wh[k, :w0]) * a0)
+    out[:, :w0] += g[:, :1] * co.beta[k, :w0]
+    if co.mu is not None:
+        out[:, :w0] += gw @ co.mu[k, :w0, None]
+    for kern, pi in co.kernels:
+        out[:, :w0] += co.grid.pair(kern, gw * pi[k, :w0])
     return out
 
 
@@ -369,14 +350,14 @@ def fluctuation_law(model: RateModel, background: LimitSolution, z0: np.ndarray,
         g, cov = _renewal_law(model, background, rec_idx, fvals)
     else:
         co = _Coeffs(model, background)
+        var_cells, var_boundary = _noise_var(model, co.b, co.h, background.values[:-1], dx,
+                                             background.dt)
         g = np.where((rec_idx == top)[:, None], fvals, 0.0)
         cov = np.zeros((g.shape[0], g.shape[0]))
         for k in range(top - 1, -1, -1):
             w0, w1 = _width(background, k), _width(background, k + 1)
-            var_cells, var_boundary = _noise_var(model, co.b[k, :w0], co.h[k, :w0],
-                                                 background.values[k, :w0], dx, background.dt)
             gw = g[:, :w0]
-            cov += _noise_cov(gw, gw, var_cells, var_boundary, model.split_law.mean)
+            cov += _noise_cov(gw, gw, var_cells[k, :w0], var_boundary[k], model.split_law.mean)
             g = _adjoint_step(g, k, co, w0, w1)
             g[rec_idx == k] = fvals[rec_idx == k]
     return dx * (g @ z0), cov

@@ -171,7 +171,8 @@ FIELD_MODELS = {
                       "death_sup": 4.0, "life_law": {"kind": "deterministic", "k": 1},
                       "split_law": {"kind": "deterministic", "k": 0}},
 }
-# sha256 of each mean-field file `fluctuate --emit-fields` writes, one per dt_out multiple
+# sha256 of each mean-field file `fluctuate --emit-fields` writes, one per dt_out multiple;
+# kernel_linear's re-recorded when the grid step became one operator (cells moved <= 2.5e-15)
 MEAN_FIELDS = {
     "classical": {
         "mean_field_t0.csv": "ee405e47e7592641a14a09fb55a7d31bcd0b0d721d773ddbb10fc839d0637e1e",
@@ -182,10 +183,10 @@ MEAN_FIELDS = {
     },
     "kernel_linear": {
         "mean_field_t0.csv": "ee405e47e7592641a14a09fb55a7d31bcd0b0d721d773ddbb10fc839d0637e1e",
-        "mean_field_t0.25.csv": "318fd1ae6db2dcea5ec03269e36298a39f6e140c59a34e22753ab9c45a94bcfe",
-        "mean_field_t0.5.csv": "848a5813f253249723bc1bbbf4839a414de8395387928af32e857a6996422f85",
-        "mean_field_t0.75.csv": "63b937e6e615297bcd0d0dd514993396ff1951b7fd668f4c2ef511257ae9da39",
-        "mean_field_t1.csv": "68e0a9f538881327d7045b55dedcdbb3d44cb513652369b0d9beec50763bb29f",
+        "mean_field_t0.25.csv": "6e872140d12261cb7d7b26069da730d0c1988d89e4770bfe32853c7d74300660",
+        "mean_field_t0.5.csv": "78a15d71937885be677d33379df909e9345543f45d0ed6026c4b98d671c6a794",
+        "mean_field_t0.75.csv": "d518ce40bafb4a0fc3fd42f3ee173add5c95d14a8013aec92af65598b5be41c1",
+        "mean_field_t1.csv": "52a088ab3fe423bda471f95d694c67e5e6add195d34f3e624f8431833780a197",
     },
 }
 
@@ -238,7 +239,8 @@ def test_cli_reports_a_rate_past_its_bound_in_one_line(tmp_path, capsys):
 
 
 # tiny non-classical studies: sha256 of what `clt` writes, so that a change to the
-# rates cannot move a bit of the simulator, solver or law sweep unseen
+# rates cannot move a bit of the simulator, solver or law sweep unseen; re-recorded
+# when the grid step became one operator (summary cells moved <= 4.5e-15 relative)
 PINNED_MODELS = {
     "special_gaussian": {
         "family": "kernel_linear", "birth": 0.3, "birth_sup": 2.0,
@@ -257,10 +259,10 @@ PINNED_MODELS = {
 }
 PINNED_CLT = {
     "special_gaussian": {
-        "summary.csv": "a3d4c95c2f2ebb6fe0bbccebf606912815e76f8c47cd89d193cd199843d3db92",
+        "summary.csv": "7b39c5336ee5da5ff73f3492810f2d06e8b64d394dabbee152614829a499ca89",
         "samples.csv": "7d666cdaff16880092fd9a6c411b6d79507fc377a8168dd5007e8f304d1cda61"},
     "age_density": {
-        "summary.csv": "a92382e62dd05700cce6a926f6bf765e8ba23172fbb858293148abd0fbe94b9c",
+        "summary.csv": "2f616a45cc320c508ad1ac2ac10912d2a1fcce42e70c654f40197da3a444c603",
         "samples.csv": "27946a00c309fc2af8de6939fca12c118e5242b13ace0f5264bdeba56a0b5f31"},
 }
 
@@ -330,7 +332,8 @@ def test_cli_solves_from_an_atom_at_a_multiple_of_dt(command, tmp_path):
 # every kind of file the commands write, on tiny configs: sha256 over each command's
 # files (name and bytes; the manifest's wall clock aside), recorded before the CSV
 # writers shared one cell format, so that no byte of an artifact moves unseen; the
-# bump runs re-recorded when a cell holding a comma came to be quoted
+# bump runs re-recorded when a cell holding a comma came to be quoted, and fluctuate and
+# clt when the grid step became one operator (cells moved <= 5.2e-15 relative)
 ARTIFACT_RUNS = {
     "simulate": ("classical", ["simulate", "--emit-events", "--emit-fields"]),
     "simulate_gauss_legendre": ("kernel", ["simulate", "--emit-events", "--emit-fields"]),
@@ -348,10 +351,10 @@ ARTIFACTS = {
     "simulate_gauss_legendre": (
         18, "ab9a4d7725ac1b9a7961934b20f049ac5362099f3c472a091f048bfd8816dc20"),
     "limit": (6, "90552624b77a34ba3ce903a79342660c9537e7049efe8c5d7e46f7001b3846f5"),
-    "fluctuate": (6, "21ad40ab25636cc1ef88bf798f0cc242f6b1919b7c3474f25cc8ae070c482a14"),
+    "fluctuate": (6, "fff38767b2ba234c16d04811b58e0d061cd8763c6247edfd9ff21ce6ca813c49"),
     "lln": (3, "ff1662541a6cf391d928f47e11801ce223e09008c88a8706971c3d0935fa9f2e"),
     "qv": (3, "4c4e9a332009b83e5eaeceb517c1a0804ad8b3372aa8036f6c71951782e3a925"),
-    "clt": (3, "e29fcd39165e732b0e51e20820b357e0cf0930f510329a15e8d2e9b658d8170a"),
+    "clt": (3, "d792f6eac1e42f98d8382bb6fb56f57be2fbcc74889c0907d6c38e52aaf84a95"),
     "converge": (3, "7e258daa3f378bafb8b88049ab57ef05faecbcbdb4eb2f58deb7bee267509de9"),
 }
 

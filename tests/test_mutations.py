@@ -1,0 +1,64 @@
+"""Each check's power, kept under test: one named defect, put into production code,
+must make one existing check report a failure (an AssertionError or a failed
+CheckRow), not a crash.
+
+A mutant is the production function recompiled from its own source with one
+fragment replaced, so it differs from production by that defect alone.  A case
+whose fragment no longer appears fails at once: the defect moved with a refactor
+and the case must move with it.
+"""
+
+import __future__
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+import test_spde
+from agestruct import harness, spde
+from agestruct.acceptance import clt_config
+from test_spde import DENS, MIXED
+
+
+def mutant(fn, old, new):
+    """``fn`` compiled from its source with the one occurrence of ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"{fn.__qualname__} no longer holds {old!r} once"
+    code = compile(src.replace(old, new), f"<mutant of {fn.__qualname__}>", "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope = {}
+    exec(code, vars(inspect.getmodule(fn)), scope)
+    return scope[fn.__name__]
+
+
+def test_adjoint_reading_the_next_rows_boundary_fails_the_forward_recursion(monkeypatch):
+    monkeypatch.setattr(spde, "_adjoint_step", mutant(
+        spde._adjoint_step, "co.beta[k, :w0]", "co.beta[min(k + 1, len(co.beta) - 1), :w0]"))
+    with pytest.raises(AssertionError):
+        test_spde.test_law_covariance_matches_forward_recursion(DENS)
+
+
+def test_residual_without_its_split_mean_square_fails_the_noise_identity(monkeypatch):
+    monkeypatch.setattr(spde, "_noise_var", mutant(
+        spde._noise_var, "h * (s2 - sm * sm)", "h * s2"))
+    with pytest.raises(AssertionError):
+        test_spde.test_noise_covariance_identity(MIXED)
+
+
+def test_boundary_row_without_kernel_newborns_fails_the_linearisation(monkeypatch):
+    monkeypatch.setattr(spde._Coeffs, "__init__", mutant(
+        spde._Coeffs.__init__,
+        "+ sum(grid.pair(kern, w * a) for kern, w in newborn.items())", "+ 0.0"))
+    for name in ("birth_kernel", "gaussian_kernel"):
+        with pytest.raises(AssertionError):
+            test_spde.test_stepped_mean_is_the_limit_solvers_linearisation(name)
+
+
+def test_sampler_with_the_untransposed_root_fails_criterion_6(monkeypatch):
+    monkeypatch.setattr(harness, "simulate_fluctuation_paths", mutant(
+        spde.simulate_fluctuation_paths, "draws @ root.T", "draws @ root"))
+    rows = [r for r in harness.run_convergence(clt_config()).rows
+            if r.stat == "noise_cov_empirical"]
+    assert rows and not any(r.passed for r in rows)
+    assert np.isfinite([r.value for r in rows]).all()

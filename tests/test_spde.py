@@ -109,30 +109,30 @@ def frame_noise_var(model, frame, dt):
 
 @pytest.mark.parametrize("model", [twin(SPLIT), twin(MIXED), KERNEL])
 def test_noise_var_is_what_the_engine_steps_with(model, monkeypatch):
-    # the law sweep's step variances, recorded as it builds them (steps run
-    # backward), are the frame's on the active cells and zero beyond;
-    # constant rates run as their twins, since the renewal law steps no frame
+    # the law sweep builds every step's variances at once, stacked over the
+    # frames it steps from: each row is its frame's on the active cells and
+    # zero beyond; constant rates run as their twins, since the renewal law
+    # steps no frame
     bg = background(model, dx=0.02)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    steps, build = [], spde._noise_var
+    built, build = [], spde._noise_var
 
     def recording(*args):
-        steps.append(build(*args))
-        return steps[-1]
+        built.append(build(*args))
+        return built[-1]
 
     monkeypatch.setattr(spde, "_noise_var", recording)
     fluctuation_law(model, bg, z0, [constant()], [1.0])
     monkeypatch.undo()
     n = bg.values.shape[0] - 1
-    assert len(steps) == n
+    (var_cells, var_boundary), = built
+    assert var_cells.shape == (n, bg.values.shape[1]) and var_boundary.shape == (n,)
     for k in (0, n // 2, n - 1):
-        var_cells, var_boundary = steps[n - 1 - k]
         w0 = _width(bg, k)
         want_cells, want_boundary = frame_noise_var(model, bg.frame(k), bg.dt)
-        assert var_cells.size == w0
-        assert want_cells[:w0].tobytes() == var_cells.tobytes()
-        assert not np.any(want_cells[w0:])
-        assert abs(want_boundary - var_boundary) <= 1e-14 * want_boundary
+        assert want_cells[:w0].tobytes() == var_cells[k, :w0].tobytes()
+        assert not np.any(want_cells[w0:]) and not np.any(var_cells[k, w0:])
+        assert abs(want_boundary - var_boundary[k]) <= 1e-14 * want_boundary
 
 
 def test_noise_empirical_covariance():
@@ -283,19 +283,20 @@ def test_constant_rate_law_equals_the_generic_sweep(model, dx, times):
 def test_constant_rates_step_no_adjoint_row(monkeypatch):
     # the model alone picks the law: renewal scalars for constant rates, which
     # build the noise once from the boundary column and once from the start
-    # row, whatever the step count; the sweep steps and builds it once a step
+    # row, whatever the step count; the sweep steps once a step and builds the
+    # noise of every step in one call
     calls = {}
     for name in ("_adjoint_step", "_noise_var"):
         def counting(*args, _name=name, _fn=getattr(spde, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(spde, name, counting)
-    for model, per_step, once in ((MIXED, 0, 2), (KERNEL_WORKLOAD, 1, 0)):
+    for model, per_step, once in ((MIXED, 0, 2), (KERNEL_WORKLOAD, 1, 1)):
         bg = background(model, dx=0.02)
         n = bg.values.shape[0] - 1
         calls.update(_adjoint_step=0, _noise_var=0)
         fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant()], [1.0])
-        assert calls == {"_adjoint_step": per_step * n, "_noise_var": per_step * n + once}
+        assert calls == {"_adjoint_step": per_step * n, "_noise_var": once}
 
 
 def test_renewal_law_clamps_a_negative_start_cell_as_the_sweep_does():
@@ -518,8 +519,9 @@ def test_kernel_engine_reduces_to_density_engine():
         bg_k = background(kern, dx=dt)
         bg_d = background(dens, dx=dt)
         assert np.max(np.abs(bg_k.values - bg_d.values)) <= 1e-10, carriers
-        # one kernel matrix however many rates share the kernel
-        assert len(_Coeffs(kern, bg_k).kernels) == 1
+        # one deposit row per kernel with a death weight, however many rates share
+        # it; a kernel on the birth rate alone lives in the boundary row
+        assert len(_Coeffs(kern, bg_k).kernels) == ("death" in carriers)
         z0 = np.where(bg_k.centers < 1.0, 0.7, 0.0)
         mk = evolve_mean(kern, z0, bg_k)
         md = evolve_mean(dens, z0, bg_d)
@@ -662,10 +664,11 @@ PINNED_FRAMES = {
     "kernel_workload": "c76b531232dd34c547096fbf4b690be806bacf09a6bb7fe4c36bcfd582c87f60",
     "gaussian_kernel": "8e8c3c69545fd9918867ce2ec16da66b6fcb3b25b09c46da570c2e72892c2769",
 }
-# sha256 of _Coeffs' rows on those backgrounds, recorded as PINNED_FRAMES
+# sha256 of _Coeffs' rows on those backgrounds (beta, decay, mu, b, h, then each
+# kernel's pi), each broadcast to one row per step
 PINNED_COEFFS = {
-    "kernel_workload": "bc2f3387842eaab31a239acd9f17397a65f819236506f5dde9145233583f21b7",
-    "gaussian_kernel": "0e1fdede031e0398e65e9c0ee89e24c7492a9ae6167a9fa79f2e9520db5c8d76",
+    "kernel_workload": "75395e8f964ab770aac09f61902484102d934d2fa708a32410bf0bd449a35185",
+    "gaussian_kernel": "c2740f89e7687727ba51feae036fa9732f49b161c275608ae88f3562be19696d",
 }
 
 
@@ -701,15 +704,13 @@ def test_kernel_coeffs_are_pinned(name, monkeypatch):
     model = PINNED_MODELS[name]
     bg = background(model, dx=5e-3)
     co = sweep_coeffs(model, bg, monkeypatch)
-    assert len(co.kernels) == 1 and co.uh is not None
-    # the newborn rate's mass-derivative weight, which the sweep reads paired as una
+    assert len(co.kernels) == 1 and co.mu is not None
+    # the death rate's mass-derivative weight, which the sweep reads deposited as mu
     a = bg.values[:-1]
-    ub = model.birth.frechet_terms(co.grid.centers, co.grid.at(a))[0]
-    un = np.broadcast_to(ub * model.life_law.mean + co.uh * model.split_law.mean, a.shape)
-    assert co.una.tobytes() == (bg.dx * np.sum(un * a, axis=1)).tobytes()
-    rows = [co.n_rows, co.decay, co.uh, un, co.una, co.b, co.h]
-    assert digest(*rows, *(w for _, wh, wn in co.kernels for w in (wh, wn))) == \
-        PINNED_COEFFS[name]
+    uh = model.death.frechet_terms(co.grid.centers, co.grid.at(a))[0]
+    assert co.mu.tobytes() == (-bg.dt * bg.dx * uh * a).tobytes()
+    rows = [co.beta, co.decay, co.mu, co.b, co.h, *(pi for _, pi in co.kernels)]
+    assert digest(*(np.broadcast_to(r, a.shape) for r in rows)) == PINNED_COEFFS[name]
 
 
 def test_a_law_sweep_keeps_nothing_on_its_background():
@@ -751,3 +752,52 @@ def test_each_stepped_call_builds_its_coefficients_once(model, builds, monkeypat
         calls.update(_Coeffs=0, GridRates=0)
         call()
         assert calls == {"_Coeffs": builds, "GridRates": builds}
+
+
+# an exp_decay kernel on the birth rate alone, with a nonzero split mean: only the
+# boundary row's kernel newborn term carries the kernel into the step
+BIRTH_KERNEL = RateModel(KernelRate(Kernel("exp_decay", alpha=1.0), c0=1.0, cz=-0.3),
+                         ConstantRate(0.6), OffspringLaw.poisson(1.0),
+                         OffspringLaw.deterministic(1), birth_sup=2.0, death_sup=0.6)
+LINEARISED = {"density": DENS, "age_density": AGE, "kernel_workload": KERNEL_WORKLOAD,
+              "birth_kernel": BIRTH_KERNEL, "gaussian_kernel": GAUSS}
+
+
+@pytest.mark.parametrize("name", LINEARISED)
+def test_stepped_mean_is_the_limit_solvers_linearisation(name):
+    # the mean field steps the Frechet derivative of the limit dynamics: against the
+    # limit solver's difference quotient in the start, both first-order schemes of one
+    # linearised PDE, the gap halves with dx; a dropped Frechet term leaves an O(1) gap
+    model, eps, gaps = LINEARISED[name], 1e-6, []
+    for dx in (2e-2, 1e-2, 5e-3):
+        a0 = box(dx)
+        z0 = np.where(a0.centers < 1.0, np.cos(3.0 * a0.centers), 0.0)
+        f = np.exp(-0.5 * a0.centers)
+        bg = solve_mvf(model, a0, 1.0)
+        moved = solve_mvf(model, GridDensity(dx=dx, values=a0.values + eps * z0), 1.0)
+        quotient = dx * f @ (moved.values[-1] - bg.values[-1]) / eps
+        gaps.append(dx * f @ evolve_mean(model, z0, bg).values[-1] - quotient)
+    ratios = np.array(gaps[:-1]) / gaps[1:]
+    assert np.all(np.abs(ratios - 2.0) <= 0.1), ratios
+
+
+@pytest.mark.parametrize("model, per_step", [(BIRTH_KERNEL, 0), (KERNEL, 1)],
+                         ids=["birth_kernel", "death_kernel"])
+def test_a_kernel_pairs_rows_each_step_only_for_its_death_weight(model, per_step,
+                                                                 monkeypatch):
+    # the boundary row holds a kernel's newborn term paired once per sweep, so only
+    # a death weight's deposit pairs the adjoint rows at every step
+    calls, pair = [0], GridRates.pair
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(GridRates, "pair", counting)
+    counts = []
+    for horizon in (0.5, 1.0):
+        bg = background(model, dx=0.02, horizon=horizon)
+        calls[0] = 0
+        fluctuation_law(model, bg, np.ones(bg.values.shape[1]), [constant()], [horizon])
+        counts.append(calls[0])
+    assert counts[1] - counts[0] == per_step * 25
