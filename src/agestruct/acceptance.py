@@ -22,7 +22,7 @@ from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, _read,
                       emit, replicate_stream, run_clt, run_convergence, run_lln,
                       run_qv_check)
 from .measures import AtomicMeasure
-from .rates import (OffspringLaw, RateModel, ConstantRate, DensityRate, ScalarFn,
+from .rates import (OffspringLaw, RateModel, ConstantRate, DensityRate,
                     classical_model, pure_splitting)
 
 PREREGISTERED_SEED = 20260812
@@ -185,7 +185,7 @@ class AcceptanceSuite:
             birth_sup=0.5, death_sup=0.8)
         dens = RateModel(
             birth=ConstantRate(0.4),
-            death=DensityRate(ScalarFn.affine(0.5, 0.3)),
+            death=DensityRate(0.5, 0.3),
             life_law=OffspringLaw.deterministic(1),
             split_law=OffspringLaw.deterministic(2),
             birth_sup=0.4, death_sup=6.5)     # up to mass 20; the mass at t = 1 reaches ~13

@@ -27,7 +27,7 @@ from . import __version__
 from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
                        make_panel, pair, write_csv)
 from .rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate, OffspringLaw,
-                    RateModel, ScalarFn, classical_model)
+                    RateModel, classical_model)
 from .branching import output_times, simulate
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
@@ -274,14 +274,15 @@ class ExperimentConfig:
         return background_solution(self, self._model)
 
 
-def _scalar_fn(spec, key, where: str) -> ScalarFn:
+def _mass_factor(spec, key, where: str) -> tuple[float, float]:
+    """(a, b) of the mass factor a + b |A| at ``spec[key]``; a constant c is (c, 0)."""
     fn = _read(spec, key, where)
     if not isinstance(fn, dict):
-        return ScalarFn.constant(_read(spec, key, where, "number"))
+        return _read(spec, key, where, "number"), 0.0
     where = f"{where}.{key}"
     if _kind(fn, where, {"constant": ("c",), "affine": ("a", "b")}) == "constant":
-        return ScalarFn.constant(_read(fn, "c", where, "number"))
-    return ScalarFn.affine(_read(fn, "a", where, "number"), _read(fn, "b", where, "number"))
+        return _read(fn, "c", where, "number"), 0.0
+    return _read(fn, "a", where, "number"), _read(fn, "b", where, "number")
 
 
 def _profile(cls, spec, key, where: str):
@@ -321,10 +322,10 @@ def _rate_fn(family: str, spec, key):
     if not isinstance(rate, dict):
         return ConstantRate(_read(spec, key, "model", "number", lo=0))
     if family == "density_dependent":
-        return DensityRate(_scalar_fn(spec, key, "model"))
+        return DensityRate(*_mass_factor(spec, key, "model"))
     if family == "age_density":
         _only(rate, where, "age", "mass")
-        return DensityRate(_scalar_fn(rate, "mass", where),
+        return DensityRate(*_mass_factor(rate, "mass", where),
                            age=_profile(AgeProfile, rate, "age", where))
     phi = _kind(rate, where, _PHI, "phi", ("kernel", "age"))
     kernel = _profile(Kernel, rate, "kernel", where)
@@ -817,7 +818,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
     # total-mass RK4 order against the logistic closed form
     logistic = RateModel(
         birth=ConstantRate(0.0),
-        death=DensityRate(ScalarFn.affine(1.0, -1.0)),
+        death=DensityRate(1.0, -1.0),
         life_law=OffspringLaw.deterministic(0),
         split_law=OffspringLaw.deterministic(2),
         birth_sup=0.0, death_sup=1.0)

@@ -372,7 +372,7 @@ def _rate_of_mass(rate_fn, x_mass: float, deriv: bool = False) -> float:
     if isinstance(rate_fn, ConstantRate):
         return 0.0 if deriv else rate_fn.value
     if isinstance(rate_fn, DensityRate) and rate_fn.age is None:
-        return rate_fn.fn.deriv(x_mass) if deriv else rate_fn.fn(x_mass)
+        return rate_fn.b if deriv else rate_fn.a + rate_fn.b * x_mass
     raise ValueError("total-mass dynamics need density-dependent (or constant) rates")
 
 

@@ -8,10 +8,10 @@ built-in families, ordered by generality (:attr:`RateModel.family` reads the
 family from the rates):
 
 * ``classical``          -- constant rates (:class:`ConstantRate`);
-* ``density_dependent``  -- rates are functions of the total mass only
+* ``density_dependent``  -- rates affine in the total mass only
   (:class:`DensityRate`);
-* ``age_density``        -- separable functions of age and total mass
-  (:class:`DensityRate` with an age profile);
+* ``age_density``        -- an age profile times an affine function of the
+  total mass (:class:`DensityRate` with an age profile);
 * ``kernel_linear``      -- functions of age, total mass and a kernel
   average ``(g(x, .), A)`` (:class:`KernelRate`).
 
@@ -31,10 +31,10 @@ no array.
 Between events the live count n, hence the mass y = n / k, is frozen, and
 ``bounds(n, k, sup) -> (part, lo, hi)`` states what n proves about a rate:
 it is at most ``part`` (the sup, or less) and lies between a lo and a hi at
-age x, for a its ``age`` factor r(x) (``None``: a = 1).  A constant or
-mass-only rate's range is the point phi(y), computed as ``eval`` computes
-it, with part the sup; a kernel rate's spans the unknown kernel average
-(:meth:`KernelRate.bounds`).
+age x, for a its ``age`` factor r(x) (``None`` in every class: a = 1).  A
+constant or mass-only rate's range is the point phi(y), computed as ``eval``
+computes it, with part the sup; a kernel rate's spans the unknown kernel
+average (:meth:`KernelRate.bounds`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 __all__ = [
     "ModelError",
     "OffspringLaw",
-    "ScalarFn",
     "AgeProfile",
     "Kernel",
     "ConstantRate",
@@ -71,9 +70,9 @@ class ModelError(RuntimeError):
 class OffspringLaw:
     """Integer offspring-count law with explicit mean and second moment.
 
-    All laws have bounded support (``cap``); the Poisson law is truncated at
-    the cap, which is set far enough out that the declared moments hold to
-    well below Monte Carlo resolution.
+    All laws have bounded support (``cap``): k, max(k1, k2), or the Poisson
+    law's truncation, given or set far enough out that the declared moments
+    hold to well below Monte Carlo resolution.  A bad field raises ValueError.
     """
 
     kind: str  # "deterministic" | "poisson" | "two_point"
@@ -82,31 +81,35 @@ class OffspringLaw:
     p: float = 0.5
     k1: int = 0
     k2: int = 0
-    cap: int = 0
+    cap: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind not in ("deterministic", "poisson", "two_point"):
+            raise ValueError("OffspringLaw kind must be one of deterministic, poisson, "
+                             f"two_point; got {self.kind!r}")
         for name in ("k", "k1", "k2", "cap"):
-            if getattr(self, name) < 0:
+            if (getattr(self, name) or 0) < 0:      # cap None: derived below
                 raise ValueError(f"OffspringLaw {name} must be >= 0; got {getattr(self, name)!r}")
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ValueError(f"OffspringLaw rate must be finite and >= 0; got {self.rate!r}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"OffspringLaw p must be in [0, 1]; got {self.p!r}")
+        cap = {"deterministic": self.k, "two_point": max(self.k1, self.k2)}.get(self.kind, self.cap)
+        if cap is None:
+            cap = int(math.ceil(self.rate + 12.0 * math.sqrt(self.rate + 1.0) + 12.0))
+        object.__setattr__(self, "cap", cap)
 
     @classmethod
     def deterministic(cls, k: int) -> "OffspringLaw":
-        return cls(kind="deterministic", k=int(k), cap=int(k))
+        return cls(kind="deterministic", k=int(k))
 
     @classmethod
     def poisson(cls, mean: float, cap: Optional[int] = None) -> "OffspringLaw":
-        if mean < 0:
-            raise ValueError("poisson mean must be nonnegative")
-        if cap is None:
-            cap = int(math.ceil(mean + 12.0 * math.sqrt(mean + 1.0) + 12.0))
-        return cls(kind="poisson", rate=float(mean), cap=int(cap))
+        return cls(kind="poisson", rate=float(mean), cap=None if cap is None else int(cap))
 
     @classmethod
     def two_point(cls, p: float, k1: int, k2: int) -> "OffspringLaw":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("two_point probability must be in [0, 1]")
-        return cls(kind="two_point", p=float(p), k1=int(k1), k2=int(k2),
-                   cap=max(int(k1), int(k2)))
+        return cls(kind="two_point", p=float(p), k1=int(k1), k2=int(k2))
 
     @property
     def mean(self) -> float:
@@ -149,40 +152,14 @@ class OffspringLaw:
 # parameter building blocks
 
 
-@dataclass(frozen=True)
-class ScalarFn:
-    """Scalar function of the total mass X: constant c, or affine a + b*X."""
-
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-
-    @classmethod
-    def constant(cls, c: float) -> "ScalarFn":
-        return cls(kind="constant", a=float(c))
-
-    @classmethod
-    def affine(cls, a: float, b: float) -> "ScalarFn":
-        return cls(kind="affine", a=float(a), b=float(b))
-
-    def __call__(self, x_mass: float) -> float:
-        if self.kind == "constant":
-            return self.a
-        return self.a + self.b * x_mass
-
-    def deriv(self, x_mass: float) -> float:
-        if self.kind == "constant":
-            return 0.0
-        return self.b
-
-
 def _check_fields(obj, kinds: tuple[str, ...]) -> None:
-    """Reject an unknown kind or an unusable c, alpha or sigma, naming the field."""
+    """Reject an unknown kind or an unusable c, center, alpha or sigma, naming the field."""
     name = type(obj).__name__
     if obj.kind not in kinds:
         raise ValueError(f"{name} kind must be one of {', '.join(kinds)}; got {obj.kind!r}")
-    if not math.isfinite(obj.c):
-        raise ValueError(f"{name} c must be finite; got {obj.c!r}")
+    for field in ("c", "center"):           # a Kernel has no center
+        if not math.isfinite(getattr(obj, field, 0.0)):
+            raise ValueError(f"{name} {field} must be finite; got {getattr(obj, field)!r}")
     if not (math.isfinite(obj.alpha) and obj.alpha >= 0.0):
         raise ValueError(f"{name} alpha must be finite and >= 0; got {obj.alpha!r}")
     if not obj.sigma > 0.0:
@@ -273,28 +250,30 @@ class ConstantRate:
 
 
 class DensityRate:
-    """Rate r(x) * s(|A|): the total mass only, times an optional age profile r."""
+    """Rate r(x) * (a + b |A|), affine in the total mass, r the ``age`` profile (None:
+    no age factor).  With b = 0 the mass factor is ``a`` alone, whatever the mass's shape."""
 
     is_constant = False
 
-    def __init__(self, fn: ScalarFn, age: Optional[AgeProfile] = None):
-        self.fn = fn
-        self.age = age
+    def __init__(self, a: float, b: float = 0.0, age: Optional[AgeProfile] = None):
+        self.a, self.b, self.age = float(a), float(b), age
+
+    def _of_mass(self, y):
+        return self.a + self.b * y if self.b else self.a
 
     def eval(self, x, mu):
-        v = self.fn(mu.mass)
+        v = self._of_mass(mu.mass)
         if self.age is not None:
             return self.age(x) * v
         return v * np.ones_like(x) if np.ndim(x) else v
 
     def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
-        v = self.fn(n / k)
+        v = self._of_mass(n / k)
         return sup, v, v
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        d = self.fn.deriv(mu0.mass)
-        return (np.full_like(xs, d) if self.age is None else self.age(xs) * d), None, None
+        return (np.full_like(xs, self.b) if self.age is None else self.age(xs) * self.b), None, None
 
 
 # Relative widening of a kernel rate's phi range (KernelRate.bounds).
@@ -306,14 +285,14 @@ class KernelRate:
 
         phi(y, z) = c0 + cy*y + cz*z + (c + d1*z) / (1 + y),
 
-    affine in z; with c = d1 = 0 the rational term is skipped."""
+    affine in z; with c = d1 = 0 the rational term is skipped.  ``age`` None
+    is no age factor (r = 1): evaluation skips it."""
 
     is_constant = False
 
     def __init__(self, kernel: Kernel, *, age: Optional[AgeProfile] = None, c0: float = 0.0,
                  cy: float = 0.0, cz: float = 0.0, d1: float = 0.0, c: float = 0.0):
-        self.kernel = kernel
-        self.age = age if age is not None else AgeProfile(kind="constant", c=1.0)
+        self.kernel, self.age = kernel, age
         self.c0, self.cy, self.cz, self.d1, self.c = map(float, (c0, cy, cz, d1, c))
         self._rational = self.c != 0.0 or self.d1 != 0.0
 
@@ -330,8 +309,10 @@ class KernelRate:
     def eval(self, x, mu):
         # x is one float age (a numpy float too: no arrays) or an array of
         # ages the view holds (see its kernel_pair)
-        age = self.age.scalar(x) if isinstance(x, float) else self.age(x)
-        return age * self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
+        v = self._phi(mu.mass, mu.kernel_pair(self.kernel, x))
+        if self.age is None:
+            return v
+        return (self.age.scalar(x) if isinstance(x, float) else self.age(x)) * v
 
     def bounds(self, n: int, k: int, sup: float) -> tuple[float, float, float]:
         """(part, lo, hi) among ``n`` live individuals at normalisation ``k``,
@@ -342,8 +323,8 @@ class KernelRate:
         above the rounding of the exact rate (the live-set sum is pairwise:
         a relative error of about eps log2 n).
         The rate at age x lies between r(x) lo and r(x) hi; r lies between 0
-        and the age profile's c at x >= 0, so the rate is at most ``part``,
-        max(0, c lo, c hi) capped at ``sup``.
+        and the age profile's c at x >= 0 (c = 1 with no profile), so the rate
+        is at most ``part``, max(0, c lo, c hi) capped at ``sup``.
         """
         y = n / k
         z = self.kernel.c * y
@@ -353,14 +334,17 @@ class KernelRate:
             abs(self.c0) + abs(self.cy) * y + abs(self.c) / (1.0 + y)
             + (abs(self.cz) + abs(self.d1) / (1.0 + y)) * abs(z))
         lo, hi = min(lo, hi) - tol, max(lo, hi) + tol
-        return min(sup, max(0.0, self.age.c * lo, self.age.c * hi)), lo, hi
+        c = 1.0 if self.age is None else self.age.c
+        return min(sup, max(0.0, c * lo, c * hi)), lo, hi
 
     def frechet_terms(self, xs, mu0):
         xs = np.asarray(xs, dtype=float)
-        y = mu0.mass
-        z = mu0.kernel_pair(self.kernel, xs)
-        r = self.age(xs)
-        return r * self._phi_y(y, z), r * self._phi_z(y, z), self.kernel
+        y, z = mu0.mass, mu0.kernel_pair(self.kernel, xs)
+        u, w = self._phi_y(y, z), self._phi_z(y, z)
+        if self.age is not None:
+            r = self.age(xs)
+            u, w = r * u, r * w
+        return u, w, self.kernel
 
 
 RateFn = Union[ConstantRate, DensityRate, KernelRate]

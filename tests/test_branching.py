@@ -17,7 +17,7 @@ from agestruct.harness import (PURPOSE_CLT, PURPOSE_LLN, PURPOSE_QV, _replicates
 from agestruct.measures import (AtomicMeasure, bump, constant, exponential, make_panel,
                                 monomial, pair)
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel,
-                             KernelRate, ModelError, OffspringLaw, RateModel, ScalarFn,
+                             KernelRate, ModelError, OffspringLaw, RateModel,
                              classical_model, pure_splitting)
 
 
@@ -40,13 +40,13 @@ MIXED = RateModel(ConstantRate(0.5), ConstantRate(0.8),
                   OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.poisson(1.2),
                   birth_sup=0.5, death_sup=0.8)
 DENS = RateModel(ConstantRate(0.4),
-                 DensityRate(ScalarFn.affine(0.5, 0.3)),
+                 DensityRate(0.5, 0.3),
                  OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                  birth_sup=0.4, death_sup=2.0)
 # both rates carry an age factor times a function of the total mass
-AGE_DENS = RateModel(DensityRate(ScalarFn.affine(1.0, -0.2),
+AGE_DENS = RateModel(DensityRate(1.0, -0.2,
                                  age=AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3)),
-                     DensityRate(ScalarFn.affine(0.5, 0.3),
+                     DensityRate(0.5, 0.3,
                                  age=AgeProfile("exp_decay", c=1.0, alpha=0.5)),
                      OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
                      birth_sup=0.5, death_sup=2.0)
@@ -56,7 +56,7 @@ def twin(model):
     """``model`` with its constant death rate as a zero-slope density family:
     the same rates, resolved candidate by candidate on the loop."""
     h = model.death.value
-    return dataclasses.replace(model, death=DensityRate(ScalarFn.affine(h, 0.0)))
+    return dataclasses.replace(model, death=DensityRate(h, 0.0))
 
 
 def first_death_times(ages, ctx, n=20000, horizon=40.0):
@@ -456,7 +456,7 @@ def forced_exact(monkeypatch):
         v = evaluate(rate, x, mu)
         if isinstance(x, float):
             _, lo, hi = bounds(rate, mu.n_live, mu.k, math.inf)
-            a = rate.age.scalar(x)
+            a = 1.0 if rate.age is None else rate.age.scalar(x)     # None: no factor
             assert min(a * lo, a * hi) <= v <= max(a * lo, a * hi)
             evaluated.append((v, *parts[rate, mu.n_live]))
         return v
@@ -624,6 +624,48 @@ def test_density_and_age_density_runs_are_pinned():
     assert len(traj.events) > 150 and traj.deaths > 0
     assert ledger_digest(traj) == (
         "9a11ce47f3b6bb0b131f82fbeb70b0dacd05e6043858f3d3923213578a50d016")
+
+
+def test_a_kernel_rate_without_a_profile_is_the_constant_one_profile(monkeypatch):
+    # no age factor skips the factor 1 at every candidate and, the pairings
+    # being fixed between events, evaluates the death rate once per ledger
+    # interval instead of at each of its 5 nodes: the same bits either way
+    calls = {"death_rate": 0, "intervals": 0, "in_ledger": False}
+    death_rate, accumulate = RateModel.death_rate, MartingaleLedger._accumulate
+
+    def counting(model, x, mu, k=None):
+        calls["death_rate"] += calls["in_ledger"]
+        return death_rate(model, x, mu, k)
+
+    def counting_accumulate(ledger, pop):
+        calls["intervals"] += pop.n_live > 0 and pop.t > ledger._s
+        calls["in_ledger"] = True
+        try:
+            return accumulate(ledger, pop)
+        finally:
+            calls["in_ledger"] = False
+
+    monkeypatch.setattr(RateModel, "death_rate", counting)
+    monkeypatch.setattr(MartingaleLedger, "_accumulate", counting_accumulate)
+    panel = make_panel(["1", "exp:0.5", "bump:0.2:0.9"])
+    for i in range(2):
+        digests = []
+        for age, per_interval in ((None, 1), (AgeProfile("constant", c=1.0), 5)):
+            calls.update(death_rate=0, intervals=0)
+            traj = simulate(kernel_model(4.0, birth=1.0, life=1, age=age),
+                            atoms(np.linspace(0.0, 1.0, 100)), k=100, horizon=1.0,
+                            dt_out=0.25, rng=replicate_stream(3, 5, 0, i), panel=panel,
+                            with_ledger=True, log_events=True, t_star=2.0)
+            assert len(traj.events) > 100 and traj.deaths > 0
+            assert calls["death_rate"] == per_interval * calls["intervals"] > 0, (i, age)
+            digests.append(ledger_digest(traj))
+        assert digests == [KERNEL_LEDGER_DIGESTS[i]] * 2, i
+
+
+# recorded when a kernel rate with no profile held the constant-1 profile
+KERNEL_LEDGER_DIGESTS = [
+    "1bb154851548bbbfc7a7aad4a53a9f8a77e5a0119c72a67316ddb6507283595c",
+    "8720d282010f4e581c396dc6f27fea46f2760815420c54d49c03c31bd6e66113"]
 
 
 @pytest.mark.parametrize("model, ctx", [(DENS, 18), (AGE_DENS, 19)],

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,25 @@ def test_package_imports_sit_at_module_level():
                 local += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
                           if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not local, local
+
+
+def test_every_private_module_name_is_used():
+    # a module-level _name that occurs only where it is bound is dead code,
+    # such as a config reader left behind when its caller moved on
+    paths = sorted(Path(agestruct.__file__).resolve().parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    seen = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                seen[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                seen[node.name] += 1
+            elif isinstance(node, ast.alias):
+                seen[node.asname or node.name] += 1
+    dead = [f"{name}: {symbol} at line {line}" for name, tree in trees.items()
+            for symbol, line in module_bindings(tree)
+            if symbol.startswith("_") and not symbol.startswith("__") and seen[symbol] < 2]
+    assert not dead, dead

@@ -15,9 +15,12 @@ import textwrap
 import numpy as np
 import pytest
 
+import test_branching
 import test_spde
-from agestruct import harness, spde
+from agestruct import branching, harness, spde
 from agestruct.acceptance import clt_config
+from agestruct.rates import KernelRate
+from test_branching import SWAPPED, first_death, forced_exact  # forced_exact: a fixture
 from test_spde import DENS, MIXED
 
 
@@ -62,3 +65,35 @@ def test_sampler_with_the_untransposed_root_fails_criterion_6(monkeypatch):
             if r.stat == "noise_cov_empirical"]
     assert rows and not any(r.passed for r in rows)
     assert np.isfinite([r.value for r in rows]).all()
+
+
+def test_kernel_bounds_without_the_upper_z_end_fail_the_squeeze(forced_exact, monkeypatch):
+    monkeypatch.setattr(KernelRate, "bounds", mutant(
+        KernelRate.bounds, "lo = self._phi(y, z)", "lo = self._phi(y, self.kernel.c / k)"))
+    with pytest.raises(AssertionError):
+        test_branching.test_squeeze_keeps_every_event_bit_for_bit(
+            "affine_negative_cz", forced_exact, monkeypatch)
+
+
+def test_loop_deciding_deaths_on_the_upper_ends_fails_the_squeeze(forced_exact, monkeypatch):
+    monkeypatch.setattr(branching, "_simulate_loop", mutant(
+        branching._simulate_loop, "b_hi <= r < b_lo + h_lo", "b_hi <= r < b_hi + h_hi"))
+    with pytest.raises(AssertionError):
+        test_branching.test_squeeze_keeps_every_event_bit_for_bit(
+            "affine_exp_decay", forced_exact, monkeypatch)
+
+
+def test_lifelines_dropping_a_newborn_at_its_output_time_fail_the_pins(monkeypatch):
+    monkeypatch.setattr(branching, "_simulate_lives", mutant(
+        branching._simulate_lives, "(born <= t_out)", "(born < t_out)"))
+    with pytest.raises(AssertionError):
+        test_branching.test_acceptance_lifelines_are_pinned()
+
+
+def test_lifelines_dropping_a_death_at_the_horizon_fail_its_fingerprint(monkeypatch):
+    monkeypatch.setattr(branching, "_simulate_lives", mutant(
+        branching._simulate_lives, "died >= horizon if", "died > horizon if"))
+    with pytest.raises(AssertionError):
+        test_branching.test_lifeline_fingerprint(
+            SWAPPED, first_death(SWAPPED, 60, 80),
+            "88084af455689e5600c567019cc69e4cbdc9883400d6b5d5d191b2455c2f0d06")

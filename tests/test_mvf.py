@@ -12,7 +12,7 @@ from agestruct.measures import GridDensity, constant, exponential, make_panel, p
 from agestruct.mvf import (GridRates, QuadratureError, classical_exact, classical_pairing,
                            logistic_exact, quad_gk21, solve_mvf, solve_total_ode)
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate,
-                             ModelError, OffspringLaw, RateModel, ScalarFn, classical_model,
+                             ModelError, OffspringLaw, RateModel, classical_model,
                              pure_splitting)
 
 SPLIT = pure_splitting(1.0, 2)            # death 1, brood 2: newborn rate 2
@@ -98,7 +98,7 @@ def test_solve_mvf_rejects_bad_grid():
 def test_solve_mvf_negative_density_is_a_model_error():
     # a negative birth rate (outside the model contract) drives the newborn
     # flux below zero in the first step
-    model = RateModel(DensityRate(ScalarFn.constant(-1.0)),
+    model = RateModel(DensityRate(-1.0),
                       ConstantRate(0.5), OffspringLaw.deterministic(1),
                       OffspringLaw.deterministic(0), birth_sup=1.0, death_sup=0.5)
     with pytest.raises(ModelError, match=r"negative density -0\.99\d* at step 1 "):
@@ -228,7 +228,7 @@ def test_gk21_raises_when_it_cannot_converge(monkeypatch):
 
 
 LOGISTIC = RateModel(ConstantRate(0.0),
-                     DensityRate(ScalarFn.affine(1.0, -1.0)),
+                     DensityRate(1.0, -1.0),
                      OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                      birth_sup=0.0, death_sup=1.0)
 
@@ -250,7 +250,7 @@ def test_total_ode_logistic():
 
 
 @pytest.mark.parametrize("rate", [
-    DensityRate(ScalarFn.affine(0.5, 0.3), age=AgeProfile("exp_decay", alpha=0.5)),
+    DensityRate(0.5, 0.3, age=AgeProfile("exp_decay", alpha=0.5)),
     KernelRate(Kernel("constant"), c0=0.5, cy=0.3),
 ], ids=["age_density", "kernel_linear"])
 def test_total_mass_dynamics_refuse_an_age_or_kernel_rate(rate):

@@ -9,7 +9,7 @@ from agestruct.measures import AtomicMeasure, GridDensity, constant, exponential
 from agestruct.mvf import GridRates
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, ModelError, OffspringLaw, RateModel,
-                             ScalarFn, classical_model, pure_splitting)
+                             classical_model, pure_splitting)
 
 
 def atoms(ages, weight=1.0, t_star=2.0):
@@ -46,7 +46,7 @@ def compensator(model, f, ages, k, s1, closed_form):
 
 def test_density_dependent_empty_population():
     model = RateModel(ConstantRate(0.0),
-                      DensityRate(ScalarFn.affine(1.0, 1.0)),
+                      DensityRate(1.0, 1.0),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=5.0)
     assert model.death_rate(0.3, atoms([])) == pytest.approx(1.0)
@@ -102,15 +102,15 @@ def test_frechet_classical_zero():
 
 def test_frechet_density_dependent_value():
     # h(X) = X at |A0| = 2 in direction of mass 0.5 -> 0.5
-    rate = DensityRate(ScalarFn.affine(0.0, 1.0))
+    rate = DensityRate(0.0, 1.0)
     a0 = atoms([0.1, 0.2])
     direction = atoms([0.5], weight=0.5)
     assert directional(rate, np.array([1.1]), a0, direction)[0] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("rate", [
-    DensityRate(ScalarFn.affine(0.5, 0.25)),
-    DensityRate(ScalarFn.affine(0.4, 0.3), age=AgeProfile("exp_decay", c=1.0, alpha=0.7)),
+    DensityRate(0.5, 0.25),
+    DensityRate(0.4, 0.3, age=AgeProfile("exp_decay", c=1.0, alpha=0.7)),
     KernelRate(Kernel("exp_decay", c=1.0, alpha=1.2), c0=0.3, cy=0.2, cz=0.4),
     KernelRate(Kernel("gaussian", c=1.0, sigma=0.5), c0=0.2, d1=0.6),
     KernelRate(Kernel("constant", c=1.0), c=1.0),
@@ -177,7 +177,7 @@ def test_generator_exponential_closed_form():
 
 
 def test_generator_mass_growth_identity():
-    rate = DensityRate(ScalarFn.affine(0.3, 0.2))
+    rate = DensityRate(0.3, 0.2)
     model = RateModel(ConstantRate(0.4), rate,
                       OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                       birth_sup=0.4, death_sup=2.0)
@@ -225,6 +225,30 @@ def test_offspring_law_rejects_negative_broods(make, field, shown):
         make()
 
 
+@pytest.mark.parametrize("make, field, shown", [
+    (lambda: OffspringLaw(kind="binomial"), "kind",
+     "be one of deterministic, poisson, two_point; got 'binomial'"),
+    (lambda: OffspringLaw(kind="poisson", rate=-1.0), "rate", "be finite and >= 0; got -1.0"),
+    (lambda: OffspringLaw(kind="poisson", rate=math.nan), "rate", "be finite and >= 0; got nan"),
+    (lambda: OffspringLaw.poisson(math.nan), "rate", "be finite and >= 0; got nan"),
+    (lambda: OffspringLaw(kind="two_point", p=1.5), "p", r"be in \[0, 1\]; got 1\.5"),
+], ids=["kind", "rate_negative", "rate_nan", "poisson_nan_mean", "p_above_one"])
+def test_offspring_law_rejects_a_bad_field_by_name(make, field, shown):
+    # a NaN Poisson mean once failed as "cannot convert float NaN to integer",
+    # and a binomial kind or a p of 1.5 built a law
+    with pytest.raises(ValueError, match=rf"^OffspringLaw {field} must {shown}$"):
+        make()
+
+
+def test_offspring_law_derives_its_cap():
+    # built field by field, a Poisson law once kept cap 0 and drew only zeros
+    law = OffspringLaw(kind="poisson", rate=2.0)
+    assert law.cap == 35 == OffspringLaw.poisson(2.0).cap
+    assert law.samples(np.random.default_rng(1), 100).any()
+    assert OffspringLaw(kind="two_point", k1=3, k2=1).cap == 3
+    assert OffspringLaw(kind="deterministic", k=4).cap == 4
+
+
 def test_two_point_hand_moments():
     law = OffspringLaw.two_point(0.5, 0, 4)
     assert law.mean == pytest.approx(2.0)
@@ -240,7 +264,7 @@ def raises_in_simulate(model, n0):
 
 def test_rate_bound_violation_raises():
     model = RateModel(ConstantRate(0.0),
-                      DensityRate(ScalarFn.affine(1.0, 1.0)),
+                      DensityRate(1.0, 1.0),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.5)
     raises_in_simulate(model, 2)  # h = 3 > 1.5
@@ -248,7 +272,7 @@ def test_rate_bound_violation_raises():
 
 def test_negative_rate_raises():
     model = RateModel(ConstantRate(0.0),
-                      DensityRate(ScalarFn.affine(0.5, -1.0)),
+                      DensityRate(0.5, -1.0),
                       OffspringLaw.deterministic(0), OffspringLaw.deterministic(2),
                       birth_sup=0.0, death_sup=1.0)
     raises_in_simulate(model, 3)  # h = -2.5
@@ -258,7 +282,7 @@ def test_limit_rate_depends_only_on_pairings():
     # measures with identical mass give identical density-family rates,
     # whatever their representation: the event simulator's population or a
     # grid frame
-    rate = DensityRate(ScalarFn.affine(0.5, 0.25))
+    rate = DensityRate(0.5, 0.25)
     kern = KernelRate(Kernel("constant", c=2.0), c0=0.1, cy=0.2, cz=0.3)
     # (a constant kernel: the same at every age), each view at its own ages
     m = Population([0.2, 0.9, 1.4], k=2)
@@ -294,6 +318,13 @@ def test_grid_view_pairs_kernels_only_at_its_own_ages():
 def test_kernel_and_age_profile_reject_bad_fields(cls, fields, field, shown):
     with pytest.raises(ValueError, match=rf"{cls.__name__} {field} .*got {shown}$"):
         cls(**fields)
+
+
+@pytest.mark.parametrize("center", [math.nan, math.inf])
+def test_age_profile_rejects_a_non_finite_center(center):
+    # a NaN center once loaded and evaluated to NaN at every age
+    with pytest.raises(ValueError, match=rf"^AgeProfile center must be finite; got {center}$"):
+        AgeProfile("gaussian", center=center)
 
 
 @pytest.mark.parametrize("sups, field, shown", [
@@ -347,7 +378,8 @@ def form_bounds(form, rate, n, k, sup):
     tol = 1e-7 * (abs(q["c0"]) + abs(q["cy"]) * y + abs(q["d0"]) + abs(q["c"]) / (1.0 + y)
                   + (abs(q["cz"]) + abs(q["d1"]) / (1.0 + y)) * abs(z))
     lo, hi = min(lo, hi) - tol, max(lo, hi) + tol
-    return min(sup, max(0.0, rate.age.c * lo, rate.age.c * hi)), lo, hi
+    c = 1.0 if rate.age is None else rate.age.c      # None: no age factor
+    return min(sup, max(0.0, c * lo, c * hi)), lo, hi
 
 
 @pytest.mark.parametrize("form", PHI_FORMS)

@@ -15,7 +15,7 @@ from agestruct.measures import (DomainError, GridDensity, constant, exponential,
 from agestruct.mvf import (GridRates, LimitSolution, classical_exact, solve_mvf,
                            solve_total_ode)
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate,
-                             Kernel, KernelRate, OffspringLaw, RateModel, ScalarFn,
+                             Kernel, KernelRate, OffspringLaw, RateModel,
                              classical_model, pure_splitting)
 from agestruct.spde import (_Coeffs, _engine_step, _width, classical_exp_mean,
                             classical_qv_mass, covariation_integral_frames,
@@ -37,13 +37,13 @@ KERNEL = RateModel(ConstantRate(1.0),
                    birth_sup=1.0, death_sup=4.0)
 
 DENS = RateModel(ConstantRate(0.4),
-                 DensityRate(ScalarFn.affine(0.5, 0.3)),
+                 DensityRate(0.5, 0.3),
                  OffspringLaw.deterministic(1), OffspringLaw.deterministic(2),
                  birth_sup=0.4, death_sup=2.0)
 
-AGE = RateModel(DensityRate(ScalarFn.affine(1.0, -0.2),
+AGE = RateModel(DensityRate(1.0, -0.2,
                             age=AgeProfile("gaussian", c=0.5, center=0.5, sigma=0.3)),
-                DensityRate(ScalarFn.affine(0.5, 0.3),
+                DensityRate(0.5, 0.3,
                             age=AgeProfile("exp_decay", c=1.0, alpha=0.5)),
                 OffspringLaw.two_point(0.5, 0, 2), OffspringLaw.deterministic(2),
                 birth_sup=0.5, death_sup=2.0)
@@ -64,7 +64,7 @@ LAW_IDS = ["split", "mixed", "density", "age_density", "kernel", "gaussian_kerne
 def twin(model):
     """``model`` with its constant death rate as a zero-slope density family:
     the same coefficients, on the generic adjoint sweep."""
-    return dataclasses.replace(model, death=DensityRate(ScalarFn.affine(model.death.value, 0.0)))
+    return dataclasses.replace(model, death=DensityRate(model.death.value, 0.0))
 
 
 def box(dx, t_star=2.0, mass_to=1.0):
@@ -514,8 +514,7 @@ def test_kernel_engine_reduces_to_density_engine():
     dt = 0.02
     for carriers in (("death",), ("birth",), ("birth", "death")):
         kern = build(carriers, lambda c0, cy, cz: KernelRate(const, c0=c0, cy=cy, cz=cz))
-        dens = build(carriers, lambda c0, cy, cz: DensityRate(
-            ScalarFn.affine(c0, cy + cz)))
+        dens = build(carriers, lambda c0, cy, cz: DensityRate(c0, cy + cz))
         bg_k = background(kern, dx=dt)
         bg_d = background(dens, dx=dt)
         assert np.max(np.abs(bg_k.values - bg_d.values)) <= 1e-10, carriers
