@@ -729,7 +729,7 @@ def run_clt(config: ExperimentConfig, workers: Optional[int] = None) -> Report:
                 mean_targets[(k_max, f.label)] = float(law[0][fi])
         if classical:
             # the forward mean sweep against its closed form
-            mean_path = evolve_mean(model, nu0, background)
+            mean_path = evolve_mean(model, nu0, background, [t_end])
             z0_grid = GridDensity(dx=config.dt, values=nu0, signed=True)
             exact_grid = classical_exact(
                 z0_grid, model.birth.value, model.death.value, sm, lm, t_end)
@@ -836,7 +836,7 @@ def run_convergence(config: ExperimentConfig) -> Report:
         z0 = np.where(a0.centers < 1.0, 1.0, 0.0)
         ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True),
                               0.6, 0.7, 2.0, 1.0, 1.0)
-        return float(np.max(np.abs(evolve_mean(gen, z0, bg).values[-1] - ref.values)))
+        return float(np.max(np.abs(evolve_mean(gen, z0, bg, [1.0]).values[-1] - ref.values)))
 
     refine("evolve_mean", "evolve_mean_order_ratio", dts, mean_error, 2.0, 0.4)
     report.tables["convergence"] = (("study", "dt", "linf_error"), table)
@@ -921,11 +921,11 @@ def run_fluctuate(config: ExperimentConfig, outdir: Optional[Path] = None) -> Re
     if nu0 is None:
         raise ValueError("fluctuation paths need a grid-kind initial target")
     report = Report(name="fluctuate")
-    _, report.tables["path_stats"] = _path_study(config, nu0,
-                                                 output_times(config.horizon, config.dt_out))
+    times = output_times(config.horizon, config.dt_out)
+    _, report.tables["path_stats"] = _path_study(config, nu0, times)
     if config.emit_fields and outdir is not None:
-        _write_frames(config, evolve_mean(config._model, nu0, config.background), outdir,
-                      "mean_field")
+        _write_frames(config, evolve_mean(config._model, nu0, config.background, times),
+                      outdir, "mean_field")
     return report
 
 

@@ -178,15 +178,15 @@ class _GridFrames:
 
 @dataclass(frozen=True)
 class LimitSolution:
-    """Density frames on the characteristics grid, one per time step.
+    """Density frames on the characteristics grid at its ``times``, read by time.
 
-    Limit-density frames are nonnegative (:meth:`frame` checks); frames of a
-    fluctuation mean (:func:`agestruct.spde.evolve_mean`) are ``signed``.
+    A solve holds every step's frame, nonnegative (:meth:`frame` checks); a fluctuation
+    mean (:func:`agestruct.spde.evolve_mean`) holds its record frames, ``signed``.
     It holds its frames alone: the SPDE layer derives its coefficients per call.
     """
 
     dt: float
-    times: np.ndarray           # (n_times,)
+    times: np.ndarray           # (n_times,), multiples of dt
     values: np.ndarray          # (n_times, n_cells), density at cell centers
     a_star: float
     signed: bool = False
@@ -214,18 +214,18 @@ class LimitSolution:
         return self.frame(self.index_at(t))
 
     def index_at(self, t: float) -> int:
-        i = int(round(t / self.dt))
-        if abs(i * self.dt - t) > 1e-9 or not 0 <= i < self.values.shape[0]:
-            raise ValueError(f"time {t} is not on the solution grid")
+        i = int(np.abs(self.times - t).argmin())
+        if not abs(self.times[i] - t) <= 1e-9:
+            raise ValueError(f"time {t} is not a time of this solution")
         return i
 
 
-def _renewal_frames(out: np.ndarray, col, row, d: float, first: int = 0) -> np.ndarray:
-    """Fill and return ``out``, whose row i is constant-rate frame k = first + i:
+def _renewal_frames(out: np.ndarray, col, row, d: float, ks) -> np.ndarray:
+    """Fill and return ``out``, whose row i is constant-rate frame k = ks[i]:
     col[k - j] d^j at cells j < k, then d^k row[j - k] to the row's end; cells past
     it keep their values.  Powers of d, not quotients: no overflow where d^k underflows."""
-    dpow = d ** np.arange(first + len(out))
-    for k, frame in enumerate(out, first):
+    dpow = d ** np.arange(max(ks) + 1)
+    for k, frame in zip(ks, out):
         np.multiply(col[k:0:-1], dpow[:k], out=frame[:k])
         np.multiply(row[:frame.size - k], dpow[k], out=frame[k:k + row.size])
     return out
@@ -283,7 +283,7 @@ def solve_mvf(model: RateModel, a0: GridDensity, horizon: float) -> LimitSolutio
         for k in range(n_steps):        # corrector flux n s, n (d s + dt n s): no mass leaves
             col[k + 1] = dt * 0.5 * (n * s + n * (d * s + dt * (n * s)))
             s = d * s + col[k + 1]
-        _renewal_frames(values, col, a0.values, d)
+        _renewal_frames(values, col, a0.values, d, range(n_steps + 1))
         bad = np.flatnonzero(~(values[1:].min(axis=1) >= -1e-12))
         if bad.size:
             raise negative(int(bad[0]) + 1)

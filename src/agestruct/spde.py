@@ -47,9 +47,9 @@ c g_j(0).  Frame k is the start row shifted k cells and decayed by d^k behind
 the boundary column decayed along the diagonal, so the noise sums against
 fixed shifted panel tables obey a like recursion; those scalars give the law.
 :func:`simulate_fluctuation_paths` draws from it; :func:`evolve_mean` steps
-the mean field itself forward (with constant rates, in closed form).  Each
-stepped call builds the operator's rows once and keeps none on the
-background; the constant-rate forms read b, h, d and c from the model.
+the mean field itself forward and keeps its record frames (with constant rates,
+each in closed form).  Each stepped call builds the operator's rows once and keeps
+none on the background; the constant-rate forms read b, h, d and c from the model.
 """
 
 from __future__ import annotations
@@ -223,31 +223,31 @@ def _renewal_rates(model: RateModel, dt: float) -> tuple[float, float]:
 # mean evolution
 
 
-def evolve_mean(model: RateModel, nu0: np.ndarray,
-                background: LimitSolution) -> LimitSolution:
-    """Deterministic evolution of the expected fluctuation measure.
+def evolve_mean(model: RateModel, nu0: np.ndarray, background: LimitSolution,
+                record_times: Sequence[float]) -> LimitSolution:
+    """Deterministic evolution of the expected fluctuation measure, at the record times.
 
-    The grid scheme without its noise, with the measure-derivative terms
-    evaluated at the running mean itself.  The frames are on the background
-    grid and signed.  Constant rates fill the frames in closed form behind the
-    boundary column col_(k+1) = dt n (1, active cells of frame k).
+    The grid scheme without its noise, with the measure-derivative terms evaluated
+    at the running mean itself.  The frames are on the background grid, signed, and
+    formed at the record times alone.  Constant rates form each in closed form behind
+    the boundary column col_(k+1) = dt n (1, active cells of frame k).
     """
-    out = np.empty(background.values.shape)
-    out[:] = nu0
+    rec = np.array([background.index_at(t) for t in record_times])
+    out = np.empty((rec.size, background.values.shape[1]))
+    out[:] = nu0                                        # cells no step reached keep nu0
     if model.constant_rates:
         (d, c), n_room = _renewal_rates(model, background.dt), _width(background, 0)
-        col, s = np.empty(len(out)), float(np.sum(nu0[:n_room]))    # s: the active cells' sum
-        for k in range(1, len(out)):
+        col, s = np.empty(rec.max() + 1), float(np.sum(nu0[:n_room]))  # s: active cells' sum
+        for k in range(1, len(col)):
             col[k] = c * s
             s = d * s + col[k]
-        _renewal_frames(out, col, out[0, :n_room], d)    # cells no step reached keep nu0
+        _renewal_frames(out, col, nu0[:n_room], d, rec)
     else:
-        co = _Coeffs(model, background)
-        z = out[:1].copy()
-        for k in range(out.shape[0] - 1):
+        co, z = _Coeffs(model, background), out[:1].copy()
+        for k in range(rec.max()):
             _engine_step(z, k, co, _width(background, k), _width(background, k + 1))
-            out[k + 1] = z[0]
-    return LimitSolution(dt=background.dt, times=background.times, values=out,
+            out[rec == k + 1] = z
+    return LimitSolution(dt=background.dt, times=background.times[rec], values=out,
                          a_star=background.a_star, signed=True)
 
 
@@ -270,7 +270,7 @@ def _renewal_law(model: RateModel, bg: LimitSolution, rec_idx: np.ndarray, fvals
     col, row = bg.values[:top + 1, 0], bg.values[0, :n_room]
     k = top - 1
     frame = bg.values[k, :n_room + k]
-    dev = np.abs(_renewal_frames(np.empty((1, frame.size)), col, row, d, first=k)[0] - frame)
+    dev = np.abs(_renewal_frames(np.empty((1, frame.size)), col, row, d, [k])[0] - frame)
     if dev.max() > 1e-10 * np.abs(frame).max():
         raise ValueError(f"background frame {k} is not its start row and boundary column "
                          f"decayed by d = {d!r}: off by {dev.max():g} at cell "

@@ -821,7 +821,8 @@ def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, pane
     # forward sweep of the same scheme must give them to rounding
     cfg = small_clt_config(model, panel)
     rows = {r.f_id: r.target for r in run_clt(cfg).rows if r.stat == "clt_mean"}
-    mean_path = spde.evolve_mean(cfg.build_model(), cfg.inits[40].nu0_values, cfg.background)
+    mean_path = spde.evolve_mean(cfg.build_model(), cfg.inits[40].nu0_values, cfg.background,
+                                 [cfg.horizon])
     for f in cfg._panel:
         forward = pair(f, mean_path.frame(-1))
         if f.label in from_law:
@@ -836,10 +837,14 @@ def test_clt_mean_targets_without_a_closed_form_are_the_forward_mean(model, pane
                          ids=["classical", "kernel_workload", "density"])
 def test_run_clt_steps_the_mean_forward_only_to_check_a_classical_model(
         monkeypatch, model, mean_steps):
-    means = counting(monkeypatch, "evolve_mean")
+    means = []
+    monkeypatch.setattr(harness, "evolve_mean",
+                        lambda *args: means.append(spde.evolve_mean(*args)) or means[-1])
     laws = counting(monkeypatch, "fluctuation_law")
     rep = run_clt(small_clt_config(model, ["1", "x"], dt=0.02))
     assert len(means) == mean_steps and len(laws) == 1
+    # the evolve_mean_linf row reads the last frame, the only one the mean forms
+    assert [m.values.shape[0] for m in means] == [1] * mean_steps
     assert any(r.stat == "evolve_mean_linf" for r in rep.rows) == bool(mean_steps)
 
 

@@ -49,6 +49,20 @@ def test_residual_without_its_split_mean_square_fails_the_noise_identity(monkeyp
         test_spde.test_noise_covariance_identity(MIXED)
 
 
+def test_zeroed_boundary_residual_fails_the_noise_identity_but_not_criterion_6(monkeypatch):
+    monkeypatch.setattr(spde, "_noise_var", mutant(
+        spde._noise_var, "np.maximum(np.sum(resid * a, axis=-1) * dx, 0.0) * dt",
+        "0.0 * np.sum(resid * a, axis=-1)"))
+    with pytest.raises(AssertionError):
+        test_spde.test_noise_covariance_identity(MIXED)
+    # a known blind spot: clt_config is pure splitting, whose residual variance
+    # is 0 anyway, so criterion 6's noise rows still pass; a criterion that learns
+    # to see the defect fails this line, which then moves into the raises above
+    rows = [r for r in harness.run_convergence(clt_config()).rows
+            if r.stat in ("noise_cov_identity_rel", "noise_cov_empirical")]
+    assert rows and all(r.passed for r in rows)
+
+
 def test_boundary_row_without_kernel_newborns_fails_the_linearisation(monkeypatch):
     monkeypatch.setattr(spde._Coeffs, "__init__", mutant(
         spde._Coeffs.__init__,
@@ -83,6 +97,18 @@ def test_loop_deciding_deaths_on_the_upper_ends_fails_the_squeeze(forced_exact, 
             "affine_exp_decay", forced_exact, monkeypatch)
 
 
+@pytest.mark.parametrize("rate, name", [("h", "exp_decay_age"), ("b", "negative_age_factors")],
+                         ids=["death", "birth"])
+def test_loop_ranges_without_their_age_factor_fail_the_squeeze(rate, name, forced_exact,
+                                                               monkeypatch):
+    # the range then fixes fates at the age-free rate; the exact run does not
+    monkeypatch.setattr(branching, "_simulate_loop", mutant(
+        branching._simulate_loop, f"a = {rate}_age(age)", "a = 1.0"))
+    with pytest.raises(AssertionError):
+        test_branching.test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact,
+                                                                  monkeypatch)
+
+
 def test_lifelines_dropping_a_newborn_at_its_output_time_fail_the_pins(monkeypatch):
     monkeypatch.setattr(branching, "_simulate_lives", mutant(
         branching._simulate_lives, "(born <= t_out)", "(born < t_out)"))
@@ -97,3 +123,16 @@ def test_lifelines_dropping_a_death_at_the_horizon_fail_its_fingerprint(monkeypa
         test_branching.test_lifeline_fingerprint(
             SWAPPED, first_death(SWAPPED, 60, 80),
             "88084af455689e5600c567019cc69e4cbdc9883400d6b5d5d191b2455c2f0d06")
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("classical", "_renewal_frames(out, col", "_renewal_frames(out[1:], col"),
+    ("density", "out[rec == k + 1] = z", "out[rec == k] = z"),
+    ("kernel_workload", "out[rec == k + 1] = z", "out[rec == k] = z")],
+    ids=["classical", "density", "kernel_workload"])
+def test_mean_frames_a_record_off_fail_the_full_sweep(name, old, new, monkeypatch):
+    # closed form: record i's frame written to row i + 1; stepped: the record at
+    # step k keeps frame k + 1, and the last record the start
+    monkeypatch.setattr(test_spde, "evolve_mean", mutant(spde.evolve_mean, old, new))
+    with pytest.raises(AssertionError):
+        test_spde.test_recorded_mean_frames_are_the_full_sweeps_frames(name)

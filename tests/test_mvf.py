@@ -296,8 +296,9 @@ def test_limit_solution_frame_accessors():
     dt = 1e-2
     sol = solve_mvf(SPLIT, box(dt), 0.5)
     assert sol.index_at(0.25) == 25
-    with pytest.raises(ValueError):
-        sol.index_at(0.2501)
+    for t in (0.2501, -0.01, 0.51, math.nan):      # off the grid, before, past, no time
+        with pytest.raises(ValueError, match="is not a time of this solution"):
+            sol.index_at(t)
     frame = sol.frame_at(0.5)
     assert frame.mass == pytest.approx(sol.totals[-1])
 

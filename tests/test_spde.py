@@ -12,8 +12,8 @@ from agestruct.acceptance import clt_config
 from agestruct.harness import model_from_config, replicate_stream, spde_noise_stream
 from agestruct.measures import (DomainError, GridDensity, constant, exponential, make_panel,
                                 monomial, pair)
-from agestruct.mvf import (GridRates, LimitSolution, classical_exact, solve_mvf,
-                           solve_total_ode)
+from agestruct.mvf import (GridRates, LimitSolution, _renewal_frames, classical_exact,
+                           solve_mvf, solve_total_ode)
 from agestruct.rates import (AgeProfile, ConstantRate, DensityRate,
                              Kernel, KernelRate, OffspringLaw, RateModel,
                              classical_model, pure_splitting)
@@ -171,7 +171,7 @@ def test_paths_deterministic_part_equals_mean_evolution():
     for model in LAW_MODELS:
         bg = background(model, dx=0.01)
         z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-        mean_path = evolve_mean(model, z0, bg).values[[10, 100]]
+        mean_path = evolve_mean(model, z0, bg, [10 * bg.dt, 1.0]).values
         fvals = np.stack([f(bg.centers) for f in panel])
         want = bg.dx * (mean_path @ fvals.T)
         got = simulate_fluctuation_paths(model, bg, z0, 3, panel, [10 * bg.dt, 1.0],
@@ -359,7 +359,7 @@ def test_paths_noise_has_zero_mean():
     dt = 0.02
     bg = background(SPLIT, dx=dt, horizon=0.1)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    mp = evolve_mean(SPLIT, z0, bg)
+    mp = evolve_mean(SPLIT, z0, bg, bg.times)
     panel = [constant(), exponential(0.5), monomial(1)]
     times = [dt, 0.1]
     samples = simulate_fluctuation_paths(SPLIT, bg, z0, 20000, panel, times,
@@ -377,7 +377,7 @@ def test_paths_noise_has_zero_mean():
 
 def test_evolve_mean_zero_start():
     bg = background(SPLIT, dx=0.01)
-    mp = evolve_mean(SPLIT, np.zeros(bg.values.shape[1]), bg)
+    mp = evolve_mean(SPLIT, np.zeros(bg.values.shape[1]), bg, bg.times)
     assert np.all(mp.values == 0.0)
 
 
@@ -405,7 +405,7 @@ def test_constant_rate_mean_matches_the_euler_recursion(model):
     x = bg.centers
     for nu0 in (np.where(x < 1.0, np.cos(4.0 * x), 0.0),       # signed, within the room
                 np.cos(4.0 * x) - 0.3):                       # mass past the room too
-        got = evolve_mean(model, nu0, bg).values
+        got = evolve_mean(model, nu0, bg, bg.times).values
         want = euler_mean(model, nu0, bg)
         scale = np.abs(want).max(axis=1)
         assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
@@ -413,8 +413,8 @@ def test_constant_rate_mean_matches_the_euler_recursion(model):
         for k, frame in enumerate(got):            # cells no step has reached, bit for bit
             assert frame[n_room + k:].tobytes() == nu0[n_room + k:].tobytes()
     # a background of no step has no coefficient row: the mean is the start alone
-    nu0 = np.cos(4.0 * x)
-    assert np.array_equal(evolve_mean(model, nu0, background(model, 1e-2, 0.0)).values, [nu0])
+    nu0, no_step = np.cos(4.0 * x), background(model, 1e-2, 0.0)
+    assert np.array_equal(evolve_mean(model, nu0, no_step, [0.0]).values, [nu0])
 
 
 def test_evolve_mean_tracks_classical_closed_form():
@@ -424,7 +424,7 @@ def test_evolve_mean_tracks_classical_closed_form():
     dt = 2e-3
     bg = background(model, dx=dt)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    mp = evolve_mean(model, z0, bg)
+    mp = evolve_mean(model, z0, bg, bg.times)
     ref = classical_exact(GridDensity(dx=dt, values=z0, signed=True), 0.6, 0.7, 2.0, 1.0, 1.0)
     assert np.max(np.abs(mp.values[-1] - ref.values)) <= 10 * dt
 
@@ -488,7 +488,7 @@ def test_density_dependent_mean_formula_matches_grid():
     dt = 2e-3
     bg = background(DENS, dx=dt)
     z0 = np.where(bg.centers < 1.0, 0.8, 0.0)
-    mp = evolve_mean(DENS, z0, bg)
+    mp = evolve_mean(DENS, z0, bg, bg.times)
     z0_grid = GridDensity(dx=dt, values=z0, signed=True)
     for lam in (0.0, 0.5):
         target = density_dependent_exp_mean(
@@ -522,8 +522,8 @@ def test_kernel_engine_reduces_to_density_engine():
         # it; a kernel on the birth rate alone lives in the boundary row
         assert len(_Coeffs(kern, bg_k).kernels) == ("death" in carriers)
         z0 = np.where(bg_k.centers < 1.0, 0.7, 0.0)
-        mk = evolve_mean(kern, z0, bg_k)
-        md = evolve_mean(dens, z0, bg_d)
+        mk = evolve_mean(kern, z0, bg_k, bg_k.times)
+        md = evolve_mean(dens, z0, bg_d, bg_d.times)
         assert np.max(np.abs(mk.values - md.values)) <= 1e-10, carriers
 
 
@@ -582,7 +582,7 @@ def test_paths_reproducible_and_gaussian():
 def test_mean_frames_are_signed_and_limit_frames_are_checked():
     bg = background(SPLIT, dx=0.02, horizon=0.2)
     z0 = np.where(bg.centers < 1.0, -1.0, 0.0)
-    frame = evolve_mean(SPLIT, z0, bg).frame(5)
+    frame = evolve_mean(SPLIT, z0, bg, bg.times).frame(5)
     assert frame.signed and frame.values.min() < 0.0
     negative = LimitSolution(dt=bg.dt, times=bg.times, values=-bg.values, a_star=bg.a_star)
     with pytest.raises(DomainError):
@@ -599,7 +599,7 @@ def run_grid_layers(model, dx, horizon):
     """Solve, step the mean and sweep the law of ``model`` on one grid."""
     bg = background(model, dx=dx, horizon=horizon)
     z0 = np.where(bg.centers < 1.0, 1.0, 0.0)
-    evolve_mean(model, z0, bg)
+    evolve_mean(model, z0, bg, bg.times)
     fluctuation_law(model, bg, z0, [constant(), exponential(-1.0)], [horizon])
     return bg
 
@@ -683,6 +683,57 @@ def test_limit_frames_are_pinned(name):
     assert digest(background(PINNED_MODELS[name], dx=5e-3).values) == PINNED_FRAMES[name]
 
 
+def swept_mean_frames(model, z0, bg):
+    """Every frame of the mean, as one sweep over all steps forms them: the boundary
+    column and the renewal fill for constant rates, else every step of the operator."""
+    frames = np.tile(z0, (len(bg.times), 1))
+    if model.constant_rates:
+        (d, c), n_room = spde._renewal_rates(model, bg.dt), _width(bg, 0)
+        col, s = np.empty(len(frames)), float(np.sum(z0[:n_room]))
+        for k in range(1, len(col)):
+            col[k] = c * s
+            s = d * s + col[k]
+        return _renewal_frames(frames, col, z0[:n_room], d, range(len(col)))
+    co, z = _Coeffs(model, bg), frames[:1].copy()
+    for k in range(len(frames) - 1):
+        _engine_step(z, k, co, _width(bg, k), _width(bg, k + 1))
+        frames[k + 1] = z
+    return frames
+
+
+@pytest.mark.parametrize("name", ["classical", "density", "kernel_workload"])
+def test_recorded_mean_frames_are_the_full_sweeps_frames(name):
+    # closed form (classical) and stepped (density, kernel): each recorded frame is
+    # the full sweep's frame at its time, bit for bit, and the result holds no other
+    model = PINNED_MODELS[name]
+    bg = background(model, dx=0.02)
+    z0 = np.where(bg.centers < 1.0, np.cos(3.0 * bg.centers), 0.0)
+    full = swept_mean_frames(model, z0, bg)
+    assert evolve_mean(model, z0, bg, bg.times).values.tobytes() == full.tobytes()
+    record = [0.0, 0.5, 1.0]
+    got = evolve_mean(model, z0, bg, record)
+    assert got.values.shape == (3, bg.values.shape[1]) and got.signed
+    assert got.times.tolist() == [bg.times[bg.index_at(t)] for t in record]
+    for t in record:
+        assert got.frame_at(t).values.tobytes() == full[bg.index_at(t)].tobytes(), t
+    with pytest.raises(ValueError, match="time 0.26 "):
+        got.frame_at(0.26)
+
+
+def test_mean_at_the_horizon_allocates_one_frame():
+    # the full sweep of clt_config's grid is 1001 x 2000 frames, 16 MB
+    cfg = clt_config()
+    bg, nu0 = cfg.background, cfg.inits[max(cfg.k_values)].nu0_values
+    tracemalloc.start()
+    try:
+        mean = evolve_mean(cfg._model, nu0, bg, [cfg.horizon])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean.values.shape == (1, bg.values.shape[1])
+    assert peak < 1e6, peak
+
+
 def sweep_coeffs(model, bg, monkeypatch):
     """The coefficients a law sweep on ``bg`` builds, as it built them."""
     built, build = [], spde._Coeffs.__init__
@@ -747,7 +798,7 @@ def test_each_stepped_call_builds_its_coefficients_once(model, builds, monkeypat
 
         monkeypatch.setattr(owner, "__init__", counting)
     for call in (lambda: fluctuation_law(model, bg, z0, [constant()], [0.5, 1.0]),
-                 lambda: evolve_mean(model, z0, bg)):
+                 lambda: evolve_mean(model, z0, bg, bg.times)):
         calls.update(_Coeffs=0, GridRates=0)
         call()
         assert calls == {"_Coeffs": builds, "GridRates": builds}
@@ -775,7 +826,7 @@ def test_stepped_mean_is_the_limit_solvers_linearisation(name):
         bg = solve_mvf(model, a0, 1.0)
         moved = solve_mvf(model, GridDensity(dx=dx, values=a0.values + eps * z0), 1.0)
         quotient = dx * f @ (moved.values[-1] - bg.values[-1]) / eps
-        gaps.append(dx * f @ evolve_mean(model, z0, bg).values[-1] - quotient)
+        gaps.append(dx * f @ evolve_mean(model, z0, bg, bg.times).values[-1] - quotient)
     ratios = np.array(gaps[:-1]) / gaps[1:]
     assert np.all(np.abs(ratios - 2.0) <= 0.1), ratios
 
