@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .branching import check_pathwise_identity, simulate
+from .branching import check_pathwise_identity, simulate, simulate_pairings
 from .harness import (CheckRow, ExperimentConfig, PURPOSE_SIM, Report, _read,
-                      emit, replicate_stream, run_clt, run_convergence, run_lln,
-                      run_qv_check)
-from .measures import AtomicMeasure
+                      _reseated_stream, emit, replicate_stream, run_clt, run_convergence,
+                      run_lln, run_qv_check)
+from .measures import AtomicMeasure, constant
 from .rates import (OffspringLaw, RateModel, ConstantRate, DensityRate,
                     classical_model, pure_splitting)
 
@@ -237,12 +237,10 @@ class AcceptanceSuite:
         n_rep = 10 ** 5
         t_end = 1.0
         a0 = AtomicMeasure(ages=np.zeros(3), weight=1.0, t_star=t_end)
-        counts = np.zeros(4, dtype=np.int64)
-        for rep in range(n_rep):
-            rng = replicate_stream(self.seed, PURPOSE_SIM, 8, rep)
-            traj = simulate(model, a0, k=1, horizon=t_end, dt_out=t_end, rng=rng,
-                            t_star=t_end)
-            counts[traj.final_count] += 1
+        unit, counts = [constant()], np.zeros(4, dtype=np.int64)
+        for rep in range(n_rep):   # each replicate reseats one generator and keeps no snapshot
+            rng = _reseated_stream(self.seed, PURPOSE_SIM, 8, rep)
+            counts[simulate_pairings(model, a0, 1, t_end, t_end, rng, unit).final_count] += 1
         p_surv = math.exp(-t_end)
         pmf = np.array([math.comb(3, j) * p_surv ** j * (1 - p_surv) ** (3 - j)
                         for j in range(4)])

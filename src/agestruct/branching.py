@@ -23,6 +23,9 @@ rate) gives its value and any other rate is evaluated, a kernel rate by a
 sum over the live set (:meth:`Population.kernel_pair`); a K-perturbed
 rate has no range.  Each value outside [0, part] raises ``ModelError``.
 
+At each output time a run keeps the live count and a sorted snapshot
+(:func:`simulate`) or the panel's pairings with A_t / k (:func:`simulate_pairings`).
+
 The simulator optionally maintains, for a panel of test functions, the
 compensated jump processes ("martingale ledger"): jumps are applied exactly
 at event times.  The absolutely continuous compensator is exact for constant
@@ -51,6 +54,7 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "simulate",
+    "simulate_pairings",
     "output_times",
     "check_pathwise_identity",
 ]
@@ -86,6 +90,7 @@ class Population:
         self.births_life = 0
         self.births_split = 0
         self.deaths = 0
+        self.counts: list[int] = []     # the live count at each output time
         self._live_pairs: dict = {}
 
     # -- measure-view protocol used by rate evaluation --------------------
@@ -146,10 +151,6 @@ class Population:
             self._live_pairs = {}
         self.birth_times[idx] = self.birth_times[n - 1]
         self.n_live = n - 1
-
-    def snapshot(self, t_star: float) -> AtomicMeasure:
-        ages = np.sort(self.t - self.birth_times[: self.n_live])
-        return AtomicMeasure(ages=ages, weight=1.0 / self.k, t_star=t_star)
 
 
 class MartingaleLedger:
@@ -289,7 +290,7 @@ class EventLog:
 
 @dataclass
 class Trajectory:
-    """Result of one simulation run: snapshots, counters and bookkeeping.
+    """One run: live counts and snapshots or pairings at the output times, and counters.
 
     ``candidates`` counts the thinning candidates before the horizon,
     accepted or rejected.  A run drawn by lifelines rejects none, so there
@@ -298,7 +299,7 @@ class Trajectory:
 
     k: int
     times: np.ndarray
-    snapshots: list[AtomicMeasure]
+    counts: list[int]
     initial_count: int
     births_life: int
     births_split: int
@@ -307,10 +308,12 @@ class Trajectory:
     initial_birth_times: np.ndarray
     ledger: Optional[MartingaleLedger] = None
     events: Optional[EventLog] = None
+    snapshots: Optional[list[AtomicMeasure]] = None
+    pairings: Optional[np.ndarray] = None
 
     @property
     def final_count(self) -> int:
-        return self.snapshots[-1].count
+        return self.counts[-1]
 
     def check_mass_bookkeeping(self) -> bool:
         """|A_T| = |A_0| + births - deaths, as exact integers."""
@@ -344,7 +347,44 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     ``k`` is the normalisation used when rates are evaluated (the rates see
     A_t / k) and the snapshot weight is 1/k.  Snapshots are taken at the
     :func:`output_times`; identical (rng stream, arguments) give identical
-    event sequences.
+    event sequences (:func:`_run`).
+    """
+    if t_star is None:
+        a_star = float(a0.ages.max()) if a0.count else 0.0
+        t_star = horizon + a_star
+    snapshots: list[AtomicMeasure] = []
+    traj = _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
+                population_cap, lambda pop: snapshots.append(
+                    AtomicMeasure(ages=np.sort(pop.ages), weight=1.0 / k, t_star=t_star)))
+    traj.snapshots = snapshots
+    return traj
+
+
+def simulate_pairings(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
+                      dt_out: float, rng: np.random.Generator,
+                      panel: Sequence[TestFunction], *, with_ledger: bool = False,
+                      log_events: bool = False, population_cap: int = 10 ** 7) -> Trajectory:
+    """:func:`simulate` keeping ``pairings`` (times x panel) in place of snapshots,
+    each with the bits of ``pair(f, snapshot)``: the unit function is count / k (a
+    sum of ones is exact), any other f is summed over the live ages sorted once per
+    output time.  With no ledger and an all-unit panel, lifelines only count."""
+    unit = [f.kind == "exp" and not f.lam for f in panel]
+    weight, rows = 1.0 / k, []
+
+    def keep(pop):
+        ages = np.sort(pop.ages)
+        rows.append([weight * pop.n_live if u else float(weight * np.sum(f(ages)))
+                     for f, u in zip(panel, unit)])
+
+    traj = _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
+                population_cap, None if all(unit) else keep)
+    traj.pairings = np.array(rows or [[weight * n] * len(panel) for n in traj.counts])
+    return traj
+
+
+def _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
+         population_cap, keep) -> Trajectory:
+    """Either entry's run; ``keep(pop)``, if given, reads the live set at each output time.
 
     The model alone picks the path, so a log or a ledger changes no draw.  A
     run with constant rates and no K perturbation is drawn life by life, with
@@ -356,10 +396,6 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
     out_times = output_times(horizon, dt_out)
-    if t_star is None:
-        a_star = float(a0.ages.max()) if a0.count else 0.0
-        t_star = horizon + a_star
-
     pop = Population(a0.ages, k=k)
     initial_bt = pop.birth_times[: pop.n_live].copy()
     if with_ledger and panel is None:
@@ -369,13 +405,12 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
 
     lives = model.constant_rates and model.k_perturbation is None
     run = _simulate_lives if lives else _simulate_loop
-    snapshots, candidates = run(pop, model, horizon, out_times, t_star, rng,
-                                ledger, log, population_cap)
+    candidates = run(pop, model, horizon, out_times, keep, rng, ledger, log, population_cap)
 
     return Trajectory(
         k=k,
         times=out_times,
-        snapshots=snapshots,
+        counts=pop.counts,
         initial_count=pop.initial_count,
         births_life=pop.births_life,
         births_split=pop.births_split,
@@ -387,18 +422,19 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     )
 
 
-def _emit(pop: Population, t_out: float, ledger, t_star: float,
-          snapshots: list[AtomicMeasure]) -> None:
-    """Record the ledger and take a snapshot at output time ``t_out``."""
+def _emit(pop: Population, t_out: float, ledger, keep) -> None:
+    """At output time ``t_out``: the ledger records, then the live count and ``keep``."""
     pop.t = float(t_out)
     if ledger is not None:
         ledger.record(pop)
-    snapshots.append(pop.snapshot(t_star))
+    pop.counts.append(pop.n_live)
+    if keep is not None:
+        keep(pop)
 
 
-def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
+def _simulate_loop(pop, model, horizon, out_times, keep, rng, ledger, log,
                    population_cap):
-    """Thinning one candidate at a time; returns (snapshots, candidates)."""
+    """Thinning one candidate at a time; returns the candidates."""
     k = pop.k
     b_sup, h_sup = model.birth_sup, model.death_sup
     if model.k_perturbation is None:
@@ -427,7 +463,6 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
         uptr += 1
         return u
 
-    snapshots: list[AtomicMeasure] = []
     out_idx = 0
     t = 0.0
     candidates = 0
@@ -437,7 +472,7 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
     def flush_outputs(limit: float) -> float:
         nonlocal out_idx
         while out_idx < n_outs and out_times[out_idx] <= limit:
-            _emit(pop, out_times[out_idx], ledger, t_star, snapshots)
+            _emit(pop, out_times[out_idx], ledger, keep)
             out_idx += 1
         return out_times[out_idx] if out_idx < n_outs else math.inf
 
@@ -513,10 +548,10 @@ def _simulate_loop(pop, model, horizon, out_times, t_star, rng, ledger, log,
             raise CapacityError(
                 f"population {pop.n_live} exceeded cap {population_cap} at t={t:.6g}"
             )
-    return snapshots, candidates
+    return candidates
 
 
-def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
+def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
                     population_cap):
     """Constant rates: every life drawn on its own, a generation at a time.
 
@@ -527,9 +562,10 @@ def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
     life.  Each birth event, and each death before the horizon (one selection),
     leaves a brood drawn from its law, one scalar for a deterministic split
     law, and one generation's broods are the next.  The event table and its
-    time order are formed only for a log or a ledger.  A snapshot keeps the
-    lives with born <= t < died, the last one those with died >= horizon.
-    Returns (snapshots, candidates): every event is a candidate.
+    time order are formed only for a log or a ledger.  The live set at an
+    output time t is the lives with born <= t < died, at the horizon those
+    with died >= horizon; it is gathered only for a ledger or ``keep``, and
+    otherwise counted.  Returns the candidates: every event is one.
     """
     b, h = model.birth.value, model.death.value
     split_k = model.split_law.k if model.split_law.kind == "deterministic" else None
@@ -588,7 +624,6 @@ def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()
 
-    snapshots: list[AtomicMeasure] = []
     done = 0
     for t_out in out_times:
         if ledger is not None:
@@ -607,10 +642,11 @@ def _simulate_lives(pop, model, horizon, out_times, t_star, rng, ledger, log,
                     pop.add_newborns(int(brood[i]))
             done = c
         alive = died >= horizon if t_out == horizon else (born <= t_out) & (t_out < died)
-        pop.birth_times = born[np.flatnonzero(alive)]
-        pop.n_live = pop.birth_times.size
-        _emit(pop, t_out, ledger, t_star, snapshots)
-    return snapshots, candidates
+        if keep is not None or ledger is not None:      # they read the live set
+            pop.birth_times = born[np.flatnonzero(alive)]
+        pop.n_live = int(np.count_nonzero(alive))
+        _emit(pop, t_out, ledger, keep)
+    return candidates
 
 
 # ---------------------------------------------------------------------------

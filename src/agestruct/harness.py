@@ -28,7 +28,7 @@ from .measures import (AtomicMeasure, GridDensity, PointMasses, SignedPair,
                        make_panel, pair, write_csv)
 from .rates import (AgeProfile, ConstantRate, DensityRate, Kernel, KernelRate, OffspringLaw,
                     RateModel, classical_model)
-from .branching import output_times, simulate
+from .branching import output_times, simulate, simulate_pairings
 from .mvf import (LimitSolution, classical_exact, classical_pairing, logistic_exact,
                   solve_mvf, solve_total_ode)
 from .spde import (classical_exp_mean, classical_qv_mass,
@@ -63,13 +63,33 @@ PURPOSE_SPDE = 4
 PURPOSE_SIM = 5
 
 
+def _stream_key(master_seed: int, purpose: int, k_index: int, replicate: int) -> np.ndarray:
+    """The Philox key of one replicate's stream."""
+    sub = (np.uint64(purpose) << np.uint64(48)) \
+        | (np.uint64(k_index) << np.uint64(32)) | np.uint64(replicate)
+    return np.array([np.uint64(master_seed), sub], dtype=np.uint64)
+
+
 def replicate_stream(master_seed: int, purpose: int, k_index: int,
                      replicate: int) -> np.random.Generator:
     """Counter-based stream for one replicate: Philox keyed by context."""
-    sub = (np.uint64(purpose) << np.uint64(48)) \
-        | (np.uint64(k_index) << np.uint64(32)) | np.uint64(replicate)
-    key = np.array([np.uint64(master_seed), sub], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(
+        key=_stream_key(master_seed, purpose, k_index, replicate)))
+
+
+_RESEATED: Optional[np.random.Generator] = None
+
+
+def _reseated_stream(*context) -> np.random.Generator:
+    """``replicate_stream(*context)`` from this process's one Philox reseated to its key at
+    counter 0 (~1 µs, not ~10; Salmon et al. 2011); the next call reseats it again."""
+    global _RESEATED
+    if _RESEATED is None:       # on first use, as numpy imports its random module lazily
+        _RESEATED = np.random.Generator(np.random.Philox(0))
+    _RESEATED.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": _stream_key(*context)},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _RESEATED
 
 
 def spde_noise_stream(master_seed: int, block: int) -> np.random.Generator:
@@ -526,10 +546,11 @@ class _Replicate:
     """One replicate of one (study, K), called with the replicate index.
 
     Everything here is shared by the replicates of a (study, K); only the
-    index, hence the stream, changes between calls.  ``with_ledger`` and
-    ``log_events`` draw no random numbers, so they never change the
-    pairings.  With ``outdir`` set, each replicate writes its event log
-    (``log_events``) and its final snapshot and ledger (``with_ledger``).
+    index, hence the stream (:func:`_reseated_stream`), changes between calls.
+    ``with_ledger`` and ``log_events`` draw no random numbers, so they never
+    change the pairings.  A replicate pairs the panel from the live set; with
+    ``outdir`` set it keeps snapshots and writes its event log (``log_events``)
+    and its final snapshot and ledger (``with_ledger``).
     """
 
     model: RateModel
@@ -546,21 +567,24 @@ class _Replicate:
 
     def __call__(self, rep: int):
         """Panel pairings at the output times, and the martingale path if kept."""
-        rng = replicate_stream(*self.stream_key, rep)
-        traj = simulate(self.model, self.atoms, self.k, self.horizon, self.dt_out, rng,
-                        panel=self.panel, with_ledger=self.with_ledger,
-                        log_events=self.log_events,
-                        population_cap=self.population_cap, t_star=self.atoms.t_star)
-        if not traj.check_mass_bookkeeping():
-            raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={self.k}")
-        if self.outdir is not None:
+        run = (self.model, self.atoms, self.k, self.horizon, self.dt_out,
+               _reseated_stream(*self.stream_key, rep))
+        flags = dict(with_ledger=self.with_ledger, log_events=self.log_events,
+                     population_cap=self.population_cap)
+        if self.outdir is None:
+            traj = simulate_pairings(*run, self.panel, **flags)
+            pairings = traj.pairings
+        else:
+            traj = simulate(*run, panel=self.panel, t_star=self.atoms.t_star, **flags)
+            pairings = np.array([[pair(f, snap) for f in self.panel] for snap in traj.snapshots])
             name = f"K{self.k}_r{rep}.csv"
             if self.log_events:
                 traj.events.to_csv(self.outdir / f"events_{name}")
             if self.with_ledger:
                 traj.snapshots[-1].to_csv(self.outdir / f"snapshot_{name}")
                 traj.ledger.to_csv(self.outdir / f"ledger_{name}")
-        pairings = np.array([[pair(f, snap) for f in self.panel] for snap in traj.snapshots])
+        if not traj.check_mass_bookkeeping():
+            raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={self.k}")
         return pairings, traj.ledger.martingales() if self.with_ledger else None
 
 

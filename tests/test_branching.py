@@ -1104,6 +1104,35 @@ def test_acceptance_lifelines_are_pinned():
         "c9ae512a726c789293a129b3be1ed1cec4f7daef8b95bc68b57af8fa1dd30090")
 
 
+PAIRING_PANEL = [constant(), exponential(0.5), monomial(1), bump(0.2, 0.9)]
+
+
+@pytest.mark.parametrize("panel", [PAIRING_PANEL, [constant()]], ids=["panel", "unit_only"])
+@pytest.mark.parametrize("with_ledger", [False, True], ids=["plain", "ledger"])
+@pytest.mark.parametrize("n_out", [1, 4])
+@pytest.mark.parametrize("model, path", [(MIXED, "_simulate_lives"),
+                                         (twin(MIXED), "_simulate_loop")],
+                         ids=["lifelines", "loop"])
+def test_pairings_are_the_snapshots_pairings(model, path, n_out, with_ledger, panel, paths):
+    # the studies' entry pairs the live set and keeps no snapshot: on the same
+    # stream its rows are pair(f, snapshot) bit for bit and its counts the
+    # snapshots' counts; a unit-only panel without a ledger only counts
+    def run(entry, **kept):
+        return entry(model, atoms(np.linspace(0.0, 1.0, 60)), k=60, horizon=1.0,
+                     dt_out=1.0 / n_out, rng=stream(n_out, ctx=90), panel=panel,
+                     with_ledger=with_ledger, **kept)
+
+    traj, kept = run(branching.simulate, t_star=2.0), run(branching.simulate_pairings)
+    assert paths == [path, path]
+    assert kept.snapshots is None and kept.pairings.shape == (n_out + 1, len(panel))
+    assert bits(kept.pairings) == bits([[pair(f, s) for f in panel] for s in traj.snapshots])
+    assert kept.counts == [s.count for s in traj.snapshots] and kept.check_mass_bookkeeping()
+    counters = ("births_life", "births_split", "deaths", "candidates")
+    assert [getattr(kept, c) for c in counters] == [getattr(traj, c) for c in counters]
+    if with_ledger:
+        assert bits(kept.ledger.martingales()) == bits(traj.ledger.martingales())
+
+
 # a Poisson life law with a two-point split law: MIXED's laws swapped
 SWAPPED = classical_model(0.6, 0.9, OffspringLaw.poisson(1.1),
                           OffspringLaw.two_point(0.4, 0, 3))

@@ -10,10 +10,11 @@ import pytest
 
 from agestruct import harness, spde
 from agestruct.acceptance import clt_config, lln_config, qv_config
-from agestruct.harness import (CheckRow, ExperimentConfig, Report, _systematic_counts,
-                               build_initial, emit, model_from_config,
-                               replicate_stream, run_clt, run_convergence, run_limit,
-                               run_lln, run_qv_check, run_simulate)
+from agestruct.branching import simulate
+from agestruct.harness import (PURPOSE_CLT, CheckRow, ExperimentConfig, Report,
+                               _replicates, _systematic_counts, build_initial, emit,
+                               model_from_config, replicate_stream, run_clt, run_convergence,
+                               run_limit, run_lln, run_qv_check, run_simulate)
 from agestruct.measures import constant, exponential, pair
 from agestruct.rates import ModelError
 
@@ -30,6 +31,39 @@ def small_config(**overrides):
         k_values=[60, 240], replicates=40, panel=["1"], seed=321)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# -- replicate streams -----------------------------------------------------
+
+STREAM_DRAWS = {"standard_exponential": lambda g: g.standard_exponential(5),
+                "poisson": lambda g: g.poisson(1.7, 5),
+                "random": lambda g: g.random(5),
+                "integers": lambda g: g.integers(0, 1000, 3)}     # an odd count of 32-bit words
+
+
+@pytest.mark.parametrize("kind", STREAM_DRAWS)
+def test_reseated_stream_is_replicate_stream(kind):
+    # Philox is counter-based: the one reseated generator gives each key's fresh
+    # stream bit for bit, whatever it drew under the key before
+    draw = STREAM_DRAWS[kind]
+    for i in range(101):
+        context = (20260812 + i, 1 + i % 5, i % 3, 7 * i)
+        fresh, reseated = replicate_stream(*context), harness._reseated_stream(*context)
+        assert [draw(fresh).tobytes() for _ in range(2)] == [
+            draw(reseated).tobytes() for _ in range(2)], context
+    assert harness._reseated_stream(1, 2, 3, 4) is harness._reseated_stream(5, 6, 7, 8)
+
+
+def test_study_replicates_pair_as_the_snapshots_do():
+    # a study replicate reseats one generator and pairs the live set; it gives the
+    # pairings of replicate_stream's snapshots bit for bit
+    cfg = dataclasses.replace(clt_config(), k_values=[2000], replicates=3)
+    atoms = cfg.inits[2000].atoms
+    for rep, (pairings, _) in enumerate(_replicates(cfg, 0, PURPOSE_CLT, workers=1)):
+        traj = simulate(cfg.build_model(), atoms, 2000, cfg.horizon, cfg.dt_out,
+                        replicate_stream(cfg.seed, PURPOSE_CLT, 0, rep), t_star=atoms.t_star)
+        assert pairings.tobytes() == np.array(
+            [[pair(f, s) for f in cfg._panel] for s in traj.snapshots]).tobytes()
 
 
 # -- configuration ---------------------------------------------------------

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import test_branching
+import test_harness
 import test_spde
 from agestruct import branching, harness, spde
 from agestruct.acceptance import clt_config
 from agestruct.rates import KernelRate
-from test_branching import SWAPPED, first_death, forced_exact  # forced_exact: a fixture
+from test_branching import (MIXED as LIFE_MIXED, PAIRING_PANEL, SWAPPED, first_death,
+                            forced_exact, paths, twin)  # forced_exact, paths: fixtures
 from test_spde import DENS, MIXED
 
 
@@ -72,6 +74,23 @@ def test_boundary_row_without_kernel_newborns_fails_the_linearisation(monkeypatc
             test_spde.test_stepped_mean_is_the_limit_solvers_linearisation(name)
 
 
+@pytest.mark.parametrize("old, new, names", [
+    ("self.mu = -dt * dx * uh * a if np.any(uh) else None", "self.mu = None",
+     ("density", "age_density")),
+    ("+ dx * np.sum((ub * lm + uh * sm) * a, axis=1, keepdims=True)", "+ 0.0",
+     ("density", "age_density")),
+    ("self.kernels = [] if kh is None else [(kh, -dt * wh * a)]", "self.kernels = []",
+     ("kernel_workload",))], ids=["mu", "beta_mass_derivative", "pi"])
+def test_step_operator_without_a_frechet_term_fails_the_linearisation(old, new, names,
+                                                                      monkeypatch):
+    # each term acts on these models: the death mass-derivative deposit (mu), the
+    # newborn mass-derivative weight in the boundary row, the death kernel's deposit (pi)
+    monkeypatch.setattr(spde._Coeffs, "__init__", mutant(spde._Coeffs.__init__, old, new))
+    for name in names:
+        with pytest.raises(AssertionError):
+            test_spde.test_stepped_mean_is_the_limit_solvers_linearisation(name)
+
+
 def test_sampler_with_the_untransposed_root_fails_criterion_6(monkeypatch):
     monkeypatch.setattr(harness, "simulate_fluctuation_paths", mutant(
         spde.simulate_fluctuation_paths, "draws @ root.T", "draws @ root"))
@@ -107,6 +126,27 @@ def test_loop_ranges_without_their_age_factor_fail_the_squeeze(rate, name, force
     with pytest.raises(AssertionError):
         test_branching.test_squeeze_keeps_every_event_bit_for_bit(name, forced_exact,
                                                                   monkeypatch)
+
+
+def test_reseat_keeping_the_previous_counter_fails_the_stream_identity(monkeypatch):
+    monkeypatch.setattr(harness, "_reseated_stream", mutant(
+        harness._reseated_stream, '"counter": [0] * 4',
+        '"counter": _RESEATED.bit_generator.state["state"]["counter"]'))
+    with pytest.raises(AssertionError):
+        test_harness.test_reseated_stream_is_replicate_stream("random")
+
+
+@pytest.mark.parametrize("model, path", [(LIFE_MIXED, "_simulate_lives"),
+                                         (twin(LIFE_MIXED), "_simulate_loop")],
+                         ids=["lifelines", "loop"])
+def test_pairings_over_unsorted_ages_fail_the_snapshot_identity(model, path, paths,
+                                                                monkeypatch):
+    # the live set's slot order sums the same values in another order
+    monkeypatch.setattr(branching, "simulate_pairings", mutant(
+        branching.simulate_pairings, "ages = np.sort(pop.ages)", "ages = pop.ages"))
+    with pytest.raises(AssertionError):
+        test_branching.test_pairings_are_the_snapshots_pairings(model, path, 4, False,
+                                                                PAIRING_PANEL, paths)
 
 
 def test_lifelines_dropping_a_newborn_at_its_output_time_fail_the_pins(monkeypatch):
