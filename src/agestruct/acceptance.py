@@ -238,7 +238,7 @@ class AcceptanceSuite:
         t_end = 1.0
         a0 = AtomicMeasure(ages=np.zeros(3), weight=1.0, t_star=t_end)
         unit, counts = [constant()], np.zeros(4, dtype=np.int64)
-        for rep in range(n_rep):   # each replicate reseats one generator and keeps no snapshot
+        for rep in range(n_rep):
             rng = _reseated_stream(self.seed, PURPOSE_SIM, 8, rep)
             counts[simulate_pairings(model, a0, 1, t_end, t_end, rng, unit).final_count] += 1
         p_surv = math.exp(-t_end)

@@ -350,8 +350,7 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
     event sequences (:func:`_run`).
     """
     if t_star is None:
-        a_star = float(a0.ages.max()) if a0.count else 0.0
-        t_star = horizon + a_star
+        t_star = horizon + (float(a0.ages.max()) if a0.count else 0.0)
     snapshots: list[AtomicMeasure] = []
     traj = _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
                 population_cap, lambda pop: snapshots.append(
@@ -363,22 +362,22 @@ def simulate(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
 def simulate_pairings(model: RateModel, a0: AtomicMeasure, k: int, horizon: float,
                       dt_out: float, rng: np.random.Generator,
                       panel: Sequence[TestFunction], *, with_ledger: bool = False,
-                      log_events: bool = False, population_cap: int = 10 ** 7) -> Trajectory:
+                      population_cap: int = 10 ** 7) -> Trajectory:
     """:func:`simulate` keeping ``pairings`` (times x panel) in place of snapshots,
     each with the bits of ``pair(f, snapshot)``: the unit function is count / k (a
     sum of ones is exact), any other f is summed over the live ages sorted once per
     output time.  With no ledger and an all-unit panel, lifelines only count."""
-    unit = [f.kind == "exp" and not f.lam for f in panel]
-    weight, rows = 1.0 / k, []
+    unit, weight, rows = [f.kind == "exp" and not f.lam for f in panel], 1.0 / k, []
 
     def keep(pop):
         ages = np.sort(pop.ages)
-        rows.append([weight * pop.n_live if u else float(weight * np.sum(f(ages)))
-                     for f, u in zip(panel, unit)])
+        rows.append([weight * np.sum(f(ages)) for f, u in zip(panel, unit) if not u])
 
-    traj = _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
+    traj = _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, False,
                 population_cap, None if all(unit) else keep)
-    traj.pairings = np.array(rows or [[weight * n] * len(panel) for n in traj.counts])
+    traj.pairings = np.array([[weight * n] * len(panel) for n in traj.counts])
+    if rows:
+        traj.pairings[:, np.logical_not(unit)] = rows
     return traj
 
 

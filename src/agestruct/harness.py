@@ -17,7 +17,7 @@ import math
 import numbers
 import platform
 from dataclasses import MISSING, dataclass, field, fields, asdict
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -77,19 +77,18 @@ def replicate_stream(master_seed: int, purpose: int, k_index: int,
         key=_stream_key(master_seed, purpose, k_index, replicate)))
 
 
-_RESEATED: Optional[np.random.Generator] = None
+# this process's one Philox, built on first use: numpy imports numpy.random lazily
+_philox = cache(lambda: np.random.Generator(np.random.Philox(0)))
 
 
 def _reseated_stream(*context) -> np.random.Generator:
     """``replicate_stream(*context)`` from this process's one Philox reseated to its key at
     counter 0 (~1 µs, not ~10; Salmon et al. 2011); the next call reseats it again."""
-    global _RESEATED
-    if _RESEATED is None:       # on first use, as numpy imports its random module lazily
-        _RESEATED = np.random.Generator(np.random.Philox(0))
-    _RESEATED.bit_generator.state = {
+    rng = _philox()
+    rng.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": _stream_key(*context)},
         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _RESEATED
+    return rng
 
 
 def spde_noise_stream(master_seed: int, block: int) -> np.random.Generator:
@@ -569,14 +568,13 @@ class _Replicate:
         """Panel pairings at the output times, and the martingale path if kept."""
         run = (self.model, self.atoms, self.k, self.horizon, self.dt_out,
                _reseated_stream(*self.stream_key, rep))
-        flags = dict(with_ledger=self.with_ledger, log_events=self.log_events,
-                     population_cap=self.population_cap)
+        flags = dict(with_ledger=self.with_ledger, population_cap=self.population_cap)
         if self.outdir is None:
             traj = simulate_pairings(*run, self.panel, **flags)
-            pairings = traj.pairings
         else:
-            traj = simulate(*run, panel=self.panel, t_star=self.atoms.t_star, **flags)
-            pairings = np.array([[pair(f, snap) for f in self.panel] for snap in traj.snapshots])
+            traj = simulate(*run, panel=self.panel, t_star=self.atoms.t_star,
+                            log_events=self.log_events, **flags)
+            traj.pairings = np.array([[pair(f, s) for f in self.panel] for s in traj.snapshots])
             name = f"K{self.k}_r{rep}.csv"
             if self.log_events:
                 traj.events.to_csv(self.outdir / f"events_{name}")
@@ -585,7 +583,7 @@ class _Replicate:
                 traj.ledger.to_csv(self.outdir / f"ledger_{name}")
         if not traj.check_mass_bookkeeping():
             raise AssertionError(f"mass bookkeeping failed in replicate {rep} at K={self.k}")
-        return pairings, traj.ledger.martingales() if self.with_ledger else None
+        return traj.pairings, traj.ledger.martingales() if self.with_ledger else None
 
 
 def _replicates(config: ExperimentConfig, k_index: int, purpose: int, workers: int,

@@ -54,12 +54,15 @@ def test_reseated_stream_is_replicate_stream(kind):
     assert harness._reseated_stream(1, 2, 3, 4) is harness._reseated_stream(5, 6, 7, 8)
 
 
-def test_study_replicates_pair_as_the_snapshots_do():
-    # a study replicate reseats one generator and pairs the live set; it gives the
-    # pairings of replicate_stream's snapshots bit for bit
+@pytest.mark.parametrize("emits", [False, True], ids=["pairings", "outdir"])
+def test_study_replicates_pair_as_the_snapshots_do(emits, tmp_path):
+    # a study replicate reseats one generator and pairs the live set, or with an
+    # outdir pairs its snapshots; both give the pairings of replicate_stream's
+    # snapshots bit for bit
     cfg = dataclasses.replace(clt_config(), k_values=[2000], replicates=3)
     atoms = cfg.inits[2000].atoms
-    for rep, (pairings, _) in enumerate(_replicates(cfg, 0, PURPOSE_CLT, workers=1)):
+    flags = dict(with_ledger=True, log_events=True, outdir=tmp_path) if emits else {}
+    for rep, (pairings, _) in enumerate(_replicates(cfg, 0, PURPOSE_CLT, workers=1, **flags)):
         traj = simulate(cfg.build_model(), atoms, 2000, cfg.horizon, cfg.dt_out,
                         replicate_stream(cfg.seed, PURPOSE_CLT, 0, rep), t_star=atoms.t_star)
         assert pairings.tobytes() == np.array(

@@ -131,7 +131,7 @@ def test_loop_ranges_without_their_age_factor_fail_the_squeeze(rate, name, force
 def test_reseat_keeping_the_previous_counter_fails_the_stream_identity(monkeypatch):
     monkeypatch.setattr(harness, "_reseated_stream", mutant(
         harness._reseated_stream, '"counter": [0] * 4',
-        '"counter": _RESEATED.bit_generator.state["state"]["counter"]'))
+        '"counter": rng.bit_generator.state["state"]["counter"]'))
     with pytest.raises(AssertionError):
         test_harness.test_reseated_stream_is_replicate_stream("random")
 
