@@ -6,14 +6,14 @@ depend on the whole (normalised) population measure.
 
 With constant rates and no K perturbation each life is independent of the
 others given the time it enters the run (a Crump-Mode-Jagers process), so such
-a run is drawn a generation at a time with no thinning, with or without a
-ledger; a generation costs its draws, one censoring selection and the next
-generation's repeat (:func:`_simulate_lives`).  Every other run takes the
-per-candidate loop, which draws event times by thinning against the bound
-N * (b + h) while N individuals live, b and h being the rates' parts at N
-(see :mod:`agestruct.rates`).  This is exact for state-dependent intensities:
-rejected candidates still advance time, so ages drift and rates are decided at
-each candidate epoch, and the bound is re-chosen whenever N changes.
+a run is drawn a generation at a time with no thinning (:func:`_simulate_lives`);
+that pass yields the live sets at 0 and at the horizon and the deaths a
+closed-form ledger settles from, and only a log or a Gauss-Legendre ledger
+sorts every event by time.  Every other run takes the per-candidate loop,
+which thins against the bound N * (b + h) while N individuals live, b and h
+being the rates' parts at N (:mod:`agestruct.rates`).  This is exact for
+state-dependent intensities: rejected candidates still advance time, so rates
+are decided at each candidate's epoch, and the bound follows N.
 
 The loop draws a candidate's accept uniform first.  When both rates'
 ranges at N, times their age factors, lie inside [0, part] and the uniform
@@ -37,6 +37,7 @@ which the live set is constant (ages being linear in time there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,11 +166,11 @@ class MartingaleLedger:
     ``closed_form`` (constant rates, no K perturbation, no bump in the panel):
     g depends on the age alone, with antiderivative G, so ``_acc`` holds -G
     at the initial ages plus G at each death age (newborns enter at age 0,
-    where G = 0) and a record adds G over the live ages.  Such a run is drawn
-    by lifelines, which hand over each output interval's events at once
-    (:meth:`settle`).  Otherwise ``_acc`` is the Gauss-Legendre integral of
-    g up to the last event, and the run reports each event (:meth:`birth`,
-    :meth:`death`), lifelines in time order as the loop does.
+    where G = 0) and a record adds G over the live ages.  Lifelines hand over
+    each output interval's newborns and death ages at once (:meth:`settle`).
+    Otherwise ``_acc`` is the Gauss-Legendre integral of g up to the last
+    event, and the run reports each event (:meth:`birth`, :meth:`death`),
+    lifelines in time order as the loop does.
     """
 
     def __init__(self, panel: Sequence[TestFunction], model: RateModel, pop: Population):
@@ -322,13 +323,16 @@ class Trajectory:
         )
 
 
+@functools.lru_cache
 def output_times(horizon: float, dt_out: float) -> np.ndarray:
     """The output times i * dt_out up to the horizon, the last being the horizon
-    itself; a ValueError unless ``dt_out`` divides the horizon."""
+    itself, built once and read-only; a ValueError unless ``dt_out`` divides it."""
     n_out = int(round(horizon / dt_out))
     if abs(n_out * dt_out - horizon) > 1e-9:
         raise ValueError("dt_out must divide the horizon")
-    return np.append(np.arange(n_out) * float(dt_out), float(horizon))
+    times = np.append(np.arange(n_out) * float(dt_out), float(horizon))
+    times.flags.writeable = False
+    return times
 
 
 # Uniforms per draw from the replicate's generator on the loop.
@@ -386,11 +390,10 @@ def _run(model, a0, k, horizon, dt_out, rng, panel, with_ledger, log_events,
     """Either entry's run; ``keep(pop)``, if given, reads the live set at each output time.
 
     The model alone picks the path, so a log or a ledger changes no draw.  A
-    run with constant rates and no K perturbation is drawn life by life, with
-    an event table only for a log or a ledger (:func:`_simulate_lives`).  Any
-    other run takes the per-candidate loop: each candidate reads three
-    uniforms (time, slot, accept) from blocks of 8192 drawn from ``rng``,
-    against a bound re-chosen for each live count N.
+    run with constant rates and no K perturbation is drawn life by life
+    (:func:`_simulate_lives`).  Any other run takes the per-candidate loop:
+    each candidate reads three uniforms (time, slot, accept) from blocks of
+    8192 drawn from ``rng``, against a bound re-chosen for each live count N.
     """
     if a0.weight != 1.0:
         raise ValueError("initial atoms must carry unit weight (raw population)")
@@ -560,18 +563,20 @@ def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
     uniform times over that span; given e it is independent of every other
     life.  Each birth event, and each death before the horizon (one selection),
     leaves a brood drawn from its law, one scalar for a deterministic split
-    law, and one generation's broods are the next.  The event table and its
-    time order are formed only for a log or a ledger.  The live set at an
-    output time t is the lives with born <= t < died, at the horizon those
-    with died >= horizon; it is gathered only for a ledger or ``keep``, and
-    otherwise counted.  Returns the candidates: every event is one.
+    law, and one generation's broods are the next.  The pass yields the live
+    sets at 0 (the initial lives not yet dead) and at the horizon (each
+    generation's lives that outlast it), gathered only for a ledger or ``keep``;
+    only a time inside (0, horizon) reads the life table.  A closed-form ledger
+    settles from the lives entered and the deaths (times and ages) sorted once;
+    only a log or a Gauss-Legendre ledger sorts every event.  Returns the candidates.
     """
     b, h = model.birth.value, model.death.value
     split_k = model.split_law.k if model.split_law.kind == "deterministic" else None
+    closed = ledger is not None and ledger.closed_form
     born = pop.birth_times[: pop.n_live]
     entry = np.zeros(born.size)
     parent = np.arange(0)           # stays empty when b = 0
-    lives, events, drawn, candidates = [], [], 0, 0
+    lives, ends, deaths, events, drawn, candidates = [], [], [], [], 0, 0
     while True:
         n = born.size
         died = rng.standard_exponential(n) if h > 0.0 else np.full(n, math.inf)
@@ -580,6 +585,10 @@ def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
         # selecting lives by index (flatnonzero) runs ~4x faster than by boolean mask
         dead = np.flatnonzero(died < horizon)
         t_ev = died[dead]
+        if closed:                  # the death times over their ages
+            deaths.append(np.stack((t_ev, t_ev - born[dead])))
+        if keep is not None or ledger is not None:      # they read the live set
+            ends.append(born[np.flatnonzero(died >= horizon)])
         if b > 0.0:
             span = np.minimum(died, horizon) - entry
             parent = np.repeat(np.arange(n), rng.poisson(b * span))
@@ -591,7 +600,7 @@ def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
             brood = model.split_law.samples(rng, dead.size) if split_k is None else split_k
         candidates += t_ev.size
         pop.deaths += dead.size
-        if log is not None or ledger is not None:    # time, tau, brood, dies
+        if log is not None or ledger is not None and not closed:   # time, tau, brood, dies
             events.append((t_ev, np.concatenate((born[parent], born[dead])),
                            np.broadcast_to(brood, t_ev.shape), np.arange(t_ev.size) >= parent.size))
         lives.append((born, died))
@@ -614,7 +623,6 @@ def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
             break
     pop.births_split = drawn - pop.initial_count - pop.births_life   # the newborns drawn
 
-    born, died = map(np.concatenate, zip(*lives))
     if events:                                      # the events in time order
         t_ev, tau, brood, dies = map(np.concatenate, zip(*events))
         order = np.argsort(t_ev, kind="stable")
@@ -622,28 +630,40 @@ def _simulate_lives(pop, model, horizon, out_times, keep, rng, ledger, log,
     if log is not None:
         log.t, log.tau, log.brood = t_ev.tolist(), tau.tolist(), brood.tolist()
         log.kind = np.where(dies, KIND_DEATH, KIND_BIRTH).tolist()
+    if closed:      # equal death times are siblings', of equal ages: no order among them counts
+        d = np.concatenate(deaths, axis=1)
+        t_d, age_d = d[:, np.argsort(d[0])]
+    if out_times.size > 2:          # a time inside (0, horizon) reads the life table
+        born, died = map(np.concatenate, zip(*lives))
 
-    done = 0
+    done, settled = 0, pop.initial_count
     for t_out in out_times:
-        if ledger is not None:
+        if ledger is not None and not closed:   # each event on the live set it meets
             c = int(np.searchsorted(t_ev, t_out, side="right"))
-            if ledger.closed_form:
-                d = done + np.flatnonzero(dies[done:c])
-                ledger.settle(int(brood[done:c].sum()), t_ev[d] - tau[d])
-            else:       # each event through the ledger's hooks, on the live set it meets
-                for i in range(done, c):
-                    pop.t = float(t_ev[i])
-                    if dies[i]:
-                        ledger.death(pop, pop.t - tau[i], int(brood[i]))
-                        pop.remove(int(np.flatnonzero(pop.birth_times[:pop.n_live] == tau[i])[0]))
-                    else:
-                        ledger.birth(pop, int(brood[i]))
-                    pop.add_newborns(int(brood[i]))
+            for i in range(done, c):
+                pop.t = float(t_ev[i])
+                if dies[i]:
+                    ledger.death(pop, pop.t - tau[i], int(brood[i]))
+                    pop.remove(int(np.flatnonzero(pop.birth_times[:pop.n_live] == tau[i])[0]))
+                else:
+                    ledger.birth(pop, int(brood[i]))
+                pop.add_newborns(int(brood[i]))
             done = c
-        alive = died >= horizon if t_out == horizon else (born <= t_out) & (t_out < died)
-        if keep is not None or ledger is not None:      # they read the live set
-            pop.birth_times = born[np.flatnonzero(alive)]
-        pop.n_live = int(np.count_nonzero(alive))
+        if t_out == horizon:
+            pop.n_live = drawn - pop.deaths
+            if ends:
+                pop.birth_times = np.concatenate(ends)
+        else:
+            lb, alive = (lives[0][0], 0.0 < lives[0][1]) if t_out == 0.0 else (
+                born, (born <= t_out) & (t_out < died))
+            pop.n_live = int(np.count_nonzero(alive))
+            if ends:
+                pop.birth_times = lb[np.flatnonzero(alive)]
+        if closed:      # the interval's newborns and death ages at once
+            entered = drawn if t_out == horizon else np.count_nonzero(lb <= t_out)
+            c = int(np.searchsorted(t_d, t_out, side="right"))
+            ledger.settle(entered - settled, age_d[done:c])
+            done, settled = c, entered
         _emit(pop, t_out, ledger, keep)
     return candidates
 

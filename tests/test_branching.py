@@ -882,6 +882,17 @@ def test_snapshot_weight_and_times():
     assert traj.snapshots[0].count == 50
 
 
+def test_output_times_are_built_once_and_read_only():
+    times = branching.output_times(1.5, 0.25)
+    assert bits(times) == bits(np.append(np.arange(6) * 0.25, 1.5))
+    assert branching.output_times(1.5, 0.25) is times and not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 1.0
+    for _ in range(2):      # an error is raised again, not cached
+        with pytest.raises(ValueError, match="divide"):
+            branching.output_times(1.0, 0.3)
+
+
 def test_ledger_csv_format(tmp_path):
     model = pure_splitting(1.0, 2)
     traj = simulate(model, atoms(np.zeros(40), t_star=1.0), k=40, horizon=1.0,
@@ -1080,6 +1091,44 @@ def test_lifelines_without_a_log_or_ledger_match_the_kept_run(model, n0, horizon
         assert plain[0].final_count == 0 and plain[0].deaths == n0
 
 
+@pytest.mark.parametrize("n_out", [1, 4])
+@pytest.mark.parametrize("model", [pure_splitting(1.0, 2), MIXED], ids=["pure_splitting", "mixed"])
+def test_closed_form_ledger_is_its_event_logs_replay(model, n_out, monkeypatch):
+    # lifelines settle a closed-form ledger from the death times and ages alone;
+    # the time-ordered log, replayed interval by interval through settle (the
+    # broods summed, the death ages t - tau), gives the same bits, and so does
+    # the run without a log
+    record, lives = MartingaleLedger.record, []
+
+    def spy(ledger, pop):       # the live set each record reads, in the run's order
+        lives.append(pop.birth_times[:pop.n_live].copy())
+        record(ledger, pop)
+
+    monkeypatch.setattr(MartingaleLedger, "record", spy)
+    a0 = atoms(np.linspace(0.0, 1.0, 60))
+
+    def run(**kept):
+        return simulate(model, a0, k=60, horizon=1.0, dt_out=1.0 / n_out,
+                        rng=stream(n_out, ctx=95), panel=LAW_PANEL, with_ledger=True,
+                        t_star=2.0, **kept)
+
+    logged = run(log_events=True)
+    ev, pop = logged.events, Population(a0.ages, k=60)
+    oracle, done = MartingaleLedger(LAW_PANEL, model, pop), 0
+    assert logged.ledger.closed_form and len(ev) > 0
+    for t_out, live in zip(logged.times, lives):
+        end = done + sum(t <= t_out for t in ev.t[done:])
+        deaths = [i for i in range(done, end) if ev.kind[i] == KIND_DEATH]
+        oracle.settle(sum(ev.brood[done:end]), np.array([ev.t[i] - ev.tau[i] for i in deaths]))
+        pop.t, pop.birth_times, pop.n_live, done = float(t_out), live, live.size, end
+        record(oracle, pop)
+    assert done == len(ev)
+    for ledger in (logged.ledger, run().ledger):
+        assert bits(ledger.times) == bits(oracle.times)
+        assert bits(ledger.m_path) == bits(oracle.m_path)
+        assert bits(ledger.comp_path) == bits(oracle.comp_path)
+
+
 def study_replicate(cfg, purpose, k_index):
     """Replicate 0 of a study at one K, simulated as the harness simulates it."""
     k = cfg.k_values[k_index]
@@ -1141,9 +1190,13 @@ FINGERPRINT_KINDS = ({}, {"log_events": True},
                      {"with_ledger": True, "panel": [constant(), bump(0.2, 0.9)]})
 
 
-def first_death(model, n0, ctx):
-    """The death time of the first of ``n0`` initial lives on ``stream(0, ctx)``."""
-    return float(stream(0, ctx=ctx).standard_exponential(n0)[0]) / model.death.value
+def first_death(model, n0, ctx, i=0):
+    """The death time of the first of ``n0`` initial lives on ``stream(i, ctx)``."""
+    return float(stream(i, ctx=ctx).standard_exponential(n0)[0]) / model.death.value
+
+
+# b = 0 and one newborn per death: 60 lives at every time
+RENEWAL = thinned(0.0, 1.0, 0, 1, 1.0, 1.0)
 
 
 def lifeline_fingerprint(model, horizon):
@@ -1187,8 +1240,13 @@ def lifeline_fingerprint(model, horizon):
     # the first initial life dies exactly at the horizon, so it is alive there
     (SWAPPED, first_death(SWAPPED, 60, 80),
      "88084af455689e5600c567019cc69e4cbdc9883400d6b5d5d191b2455c2f0d06"),
+    # in the four-interval closed-form ledger's run (stream 6) the first initial
+    # life dies exactly at the first interior output time, and its newborn is
+    # born there, so it is alive and counted among that interval's newborns
+    (RENEWAL, 4 * first_death(RENEWAL, 60, 80, i=6),
+     "7ebc7d3b9e261b734649e102a0e25db020d81224f6a1f79bed39bf44f47d52bb"),
 ], ids=["pure_splitting", "mixed", "broods_0_3", "broods_1_0", "transport", "extinction",
-        "poisson_two_point", "death_at_the_horizon"])
+        "poisson_two_point", "death_at_the_horizon", "death_at_an_output_time"])
 def test_lifeline_fingerprint(model, horizon, digest):
     # pinned before the generation pass was made lean, which moved no draw
     assert lifeline_fingerprint(model, horizon) == digest

@@ -20,7 +20,7 @@ import test_harness
 import test_spde
 from agestruct import branching, harness, spde
 from agestruct.acceptance import clt_config
-from agestruct.rates import KernelRate
+from agestruct.rates import KernelRate, pure_splitting
 from test_branching import (MIXED as LIFE_MIXED, PAIRING_PANEL, SWAPPED, first_death,
                             forced_exact, paths, twin)  # forced_exact, paths: fixtures
 from test_spde import DENS, MIXED
@@ -149,20 +149,42 @@ def test_pairings_over_unsorted_ages_fail_the_snapshot_identity(model, path, pat
                                                                 PAIRING_PANEL, paths)
 
 
-def test_lifelines_dropping_a_newborn_at_its_output_time_fail_the_pins(monkeypatch):
-    monkeypatch.setattr(branching, "_simulate_lives", mutant(
-        branching._simulate_lives, "(born <= t_out)", "(born < t_out)"))
+RENEWAL_AT_AN_OUTPUT = (test_branching.RENEWAL,
+                        4 * first_death(test_branching.RENEWAL, 60, 80, i=6),
+                        "7ebc7d3b9e261b734649e102a0e25db020d81224f6a1f79bed39bf44f47d52bb")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(born <= t_out) &", "(born < t_out) &"),
+    ("count_nonzero(lb <= t_out)", "count_nonzero(lb < t_out)")],
+    ids=["live_set", "ledger_newborns"])
+def test_lifelines_dropping_a_newborn_at_its_output_time_fail_the_fingerprint(old, new,
+                                                                             monkeypatch):
+    # a newborn born exactly at an interior output time left out of that time's
+    # live set, or of the newborns a closed-form ledger settles there
+    monkeypatch.setattr(branching, "_simulate_lives", mutant(branching._simulate_lives, old, new))
     with pytest.raises(AssertionError):
-        test_branching.test_acceptance_lifelines_are_pinned()
+        test_branching.test_lifeline_fingerprint(*RENEWAL_AT_AN_OUTPUT)
 
 
 def test_lifelines_dropping_a_death_at_the_horizon_fail_its_fingerprint(monkeypatch):
     monkeypatch.setattr(branching, "_simulate_lives", mutant(
-        branching._simulate_lives, "died >= horizon if", "died > horizon if"))
+        branching._simulate_lives, "born[np.flatnonzero(died >= horizon)]",
+        "born[np.flatnonzero(died > horizon)]"))
     with pytest.raises(AssertionError):
         test_branching.test_lifeline_fingerprint(
             SWAPPED, first_death(SWAPPED, 60, 80),
             "88084af455689e5600c567019cc69e4cbdc9883400d6b5d5d191b2455c2f0d06")
+
+
+def test_closed_form_settle_without_its_death_time_sort_fails_the_fingerprint(monkeypatch):
+    # the deaths then settle in generation order, split at the wrong places
+    monkeypatch.setattr(branching, "_simulate_lives", mutant(
+        branching._simulate_lives, "np.argsort(d[0])", "np.arange(d.shape[1])"))
+    with pytest.raises(AssertionError):
+        test_branching.test_lifeline_fingerprint(
+            pure_splitting(1.0, 2), 1.0,
+            "e71c82fb3f0a5cd330caff1b16c23a9f896194dea80280de40a03d466dffba91")
 
 
 @pytest.mark.parametrize("name, old, new", [
